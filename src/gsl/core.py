@@ -488,6 +488,18 @@ def semifield_inverse_view(r: Semiring) -> Optional[bool]:
 # generators
 
 
+def _checked(structure):
+    """Return a generated structure, or raise StructuralError on its first
+    axiom violation (an explicit check, so ``python -O`` keeps it)."""
+    if isinstance(structure, GammaSemiring):
+        outcome = validate_gamma_semiring(structure)
+    else:
+        outcome = validate_semiring(structure)
+    if not outcome.ok:
+        raise StructuralError(f"{structure.name}: {outcome.violations[0]}")
+    return structure
+
+
 def boolean_gamma() -> GammaSemiring:
     """S = G = {0, 1}, both additions max, product min(a, gamma, b)."""
     add = ((0, 1), (1, 1))
@@ -495,8 +507,7 @@ def boolean_gamma() -> GammaSemiring:
         tuple(tuple(min(a, c, b) for b in range(2)) for c in range(2)) for a in range(2)
     )
     g = GammaSemiring("boolean", ("0", "1"), ("0", "1"), add, add, prod)
-    assert validate_gamma_semiring(g).ok
-    return g
+    return _checked(g)
 
 
 def zn_gamma(n: int) -> GammaSemiring:
@@ -509,8 +520,7 @@ def zn_gamma(n: int) -> GammaSemiring:
         tuple(tuple((a * c * b) % n for b in range(n)) for c in range(n)) for a in range(n)
     )
     g = GammaSemiring(f"z{n}", ids, ids, add, add, prod)
-    assert validate_gamma_semiring(g).ok
-    return g
+    return _checked(g)
 
 
 def gamma_from_semiring(r: Semiring) -> GammaSemiring:
@@ -524,8 +534,7 @@ def gamma_from_semiring(r: Semiring) -> GammaSemiring:
         for a in range(n)
     )
     g = GammaSemiring(f"from_{r.name}", r.carrier, r.carrier, r.add, r.add, prod)
-    assert validate_gamma_semiring(g).ok
-    return g
+    return _checked(g)
 
 
 def gen_instance(kind: str, n: Optional[int] = None, base: Optional[Semiring] = None) -> GammaSemiring:
@@ -548,8 +557,7 @@ def gen_instance(kind: str, n: Optional[int] = None, base: Optional[Semiring] = 
 
 def boolean_semiring() -> Semiring:
     r = Semiring("boolean_semiring", ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)))
-    assert validate_semiring(r).ok
-    return r
+    return _checked(r)
 
 
 def zn_semiring(n: int) -> Semiring:
@@ -559,8 +567,7 @@ def zn_semiring(n: int) -> Semiring:
     add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
     r = Semiring(f"z{n}_semiring", ids, add, mul)
-    assert validate_semiring(r).ok
-    return r
+    return _checked(r)
 
 
 def gen_semiring(kind: str, n: Optional[int] = None) -> Semiring:

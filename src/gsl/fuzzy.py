@@ -6,21 +6,24 @@ Fuzzy and crisp subsets carry a ``Carrier`` (element ids + addition table),
 which is all the structure the lattice operations need; the ideal predicates
 take the full algebraic structure explicitly.
 
-Enumeration over a grade chain walks candidates in lexicographic order of
-their grade tuples.  The bulk filter is vectorised (grades are encoded as
-chain ranks, so comparisons are integer comparisons); the scalar predicates
-``is_fuzzy_ideal_*`` are deliberately kept as plain loops so tests can use
-brute-force filtering as an independent oracle.
+Enumeration never tests candidate subsets.  Crisp ideals form a closure
+system (they contain 0 and are closed under intersection), so they are
+listed by closing outward from the bottom ideal over int bitmasks.  A fuzzy
+ideal over a grade chain is then one descending multichain of crisp ideals,
+its level cuts (the level-subset theorem), so fuzzy enumeration costs the
+number of ideals rather than |chain|**(n-1).  Both lists are then sorted
+into the order a scan over all candidates would give (ascending indicator
+tuples for crisp ideals, lexicographic grade tuples for fuzzy ones), which
+report bodies and first counterexamples depend on.  The scalar predicates
+``is_*_ideal_*`` are kept as plain loops for callers and as the reference
+the tests check the enumerators against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import core
 
@@ -278,7 +281,7 @@ def fuzzy_sum(mu1: FuzzySubset, mu2: FuzzySubset) -> FuzzySubset:
 
 # ---------------------------------------------------------------------------
 # ideal predicates (plain loops; used as the contract operations and as the
-# reference path the vectorised enumerator is checked against)
+# reference path the enumerators are checked against)
 
 
 def _check_kind(kind: str) -> str:
@@ -382,86 +385,69 @@ def is_crisp_ideal_semiring(r: core.Semiring, subset: CrispSubset, kind: str = "
 # enumeration
 
 
-def _ideal_constraints(structure, kind: str):
-    """Deduplicated constraint lists for the vectorised filter.
-
-    Returns (additive, absorb) where additive holds (r, x, y) triples meaning
-    grade[r] >= min(grade[x], grade[y]) and absorb holds (r, o) pairs meaning
-    grade[r] >= grade[o].  Trivially-true constraints (r coinciding with an
-    operand) are dropped; the zero laws guarantee nothing involving index 0
-    survives except genuine constraints.
-    """
+def _absorption_images(structure, kind: str):
+    """The addition table and, per element x, the bitmask of every product
+    that an ideal of the kind containing x must also contain."""
     _check_kind(kind)
     if isinstance(structure, core.GammaSemiring):
-        add = structure.addS
-        s, gg = len(structure.S), len(structure.G)
+        add, n = structure.addS, len(structure.S)
         products = (
             (structure.prod[x][c][y], x, y)
-            for x in range(s)
-            for c in range(gg)
-            for y in range(s)
+            for x in range(n)
+            for c in range(len(structure.G))
+            for y in range(n)
         )
-        n = s
     elif isinstance(structure, core.Semiring):
-        add = structure.add
-        n = len(structure.carrier)
+        add, n = structure.add, len(structure.carrier)
         products = ((structure.mul[x][y], x, y) for x in range(n) for y in range(n))
     else:
         sem = getattr(structure, "semiring", None)
         if sem is None:
             raise TypeError(f"cannot enumerate over {type(structure).__name__}")
-        return _ideal_constraints(sem, kind)
-
-    additive = set()
-    for x in range(n):
-        for y in range(x, n):
-            r = add[x][y]
-            if r != x and r != y:
-                additive.add((r, x, y))
-    absorb = set()
+        return _absorption_images(sem, kind)
+    image = [0] * n
     for r, x, y in products:
-        if kind in ("left", "two") and r != y:
-            absorb.add((r, y))
-        if kind in ("right", "two") and r != x:
-            absorb.add((r, x))
-    return sorted(additive), sorted(absorb)
+        if kind in ("left", "two"):
+            image[y] |= 1 << r
+        if kind in ("right", "two"):
+            image[x] |= 1 << r
+    return add, image
 
 
-def _filter_chain_candidates(n: int, m: int, additive, absorb, chunk: int = 1 << 18):
-    """Yield surviving grade-rank tuples in ascending candidate order.
+def _close(add, image, ideal: int, x: int) -> int:
+    """Smallest ideal (as a bitmask) containing the ideal `ideal` and x."""
+    n = len(add)
+    todo = [x]
+    while todo:
+        e = todo.pop()
+        if ideal >> e & 1:
+            continue
+        ideal |= 1 << e
+        new = image[e]
+        for y in range(n):
+            if ideal >> y & 1:
+                new |= 1 << add[e][y] | 1 << add[y][e]
+        new &= ~ideal
+        todo.extend(y for y in range(n) if new >> y & 1)
+    return ideal
 
-    Candidates fix rank m-1 (grade 1) at position 0 and run the remaining
-    n-1 positions through all m**(n-1) rank combinations, most significant
-    digit first, so ascending candidate index is lexicographic order of the
-    grade tuple.  Constraints are applied with immediate compaction: the
-    survivor set shrinks geometrically, so per-chunk cost is dominated by
-    the first few constraints.
-    """
-    total = m ** (n - 1)
-    shape = (m,) * (n - 1)
-    for lo in range(0, total, chunk):
-        hi = min(total, lo + chunk)
-        mat = np.empty((hi - lo, n), dtype=np.int16)
-        mat[:, 0] = m - 1
-        if n > 1:
-            digits = np.unravel_index(np.arange(lo, hi, dtype=np.int64), shape)
-            for pos, col in enumerate(digits, start=1):
-                mat[:, pos] = col
-        for r, x, y in additive:
-            keep = mat[:, r] >= np.minimum(mat[:, x], mat[:, y])
-            if not keep.all():
-                mat = mat[keep]
-            if mat.shape[0] == 0:
-                break
-        else:
-            for r, o in absorb:
-                keep = mat[:, r] >= mat[:, o]
-                if not keep.all():
-                    mat = mat[keep]
-                if mat.shape[0] == 0:
-                    break
-        for row in mat:
-            yield tuple(int(v) for v in row)
+
+def _crisp_ideal_masks(structure, kind: str) -> list[int]:
+    """Every crisp ideal as a bitmask, sorted by the indicator tuple of
+    positions 1..n-1.  Ideals are closed under intersection, so each one is
+    reached from the bottom ideal close({0}) by adding elements one at a time."""
+    add, image = _absorption_images(structure, kind)
+    n = len(add)
+    ideals = [_close(add, image, 0, 0)]
+    seen = set(ideals)
+    for ideal in ideals:  # grows while it is walked
+        for x in range(n):
+            if not ideal >> x & 1:
+                bigger = _close(add, image, ideal, x)
+                if bigger not in seen:
+                    seen.add(bigger)
+                    ideals.append(bigger)
+    return sorted(ideals, key=lambda mask: [mask >> i & 1 for i in range(1, n)])
 
 
 def enumerate_fuzzy_ideals(
@@ -473,7 +459,16 @@ def enumerate_fuzzy_ideals(
     """All fuzzy ideals with mu(0) = 1 and grades drawn from the chain,
     in lexicographic order of grade tuples.
 
-    Raises EnumerationCapExceeded when |chain|**(|carrier|-1) > cap.
+    Level cuts: mu is determined by its cuts I_k = {x : mu(x) >= c_k},
+    k = 1..m-1, which form a descending multichain I_1 >= ... >= I_{m-1} of
+    crisp ideals of the same kind, and every such multichain is the cut
+    family of exactly one mu, namely mu(x) = c_r with r the number of cuts
+    containing x.  The multichains are built from the crisp ideals and the
+    results sorted by rank tuple; grades ascend with rank, so this is the
+    lexicographic order of grade tuples.
+
+    Raises EnumerationCapExceeded when |chain|**(|carrier|-1) > cap: the cap
+    still bounds the size of the candidate space, not the number of ideals.
     """
     carrier = carrier_of(structure)
     n = carrier.size
@@ -483,34 +478,29 @@ def enumerate_fuzzy_ideals(
         raise EnumerationCapExceeded(
             f"{total} candidates (= {m}^{n - 1}) exceed cap {cap}"
         )
-    additive, absorb = _ideal_constraints(structure, kind)
-    out = []
-    for ranks in _filter_chain_candidates(n, m, additive, absorb):
-        out.append(FuzzySubset(carrier, tuple(chain.grades[r] for r in ranks)))
-    return out
+    ideals = _crisp_ideal_masks(structure, kind)
+    cuts = [(i,) for i in ideals]
+    for _ in range(m - 2):
+        cuts = [c + (j,) for c in cuts for j in ideals if (j & ~c[-1]) == 0]
+    ranks = sorted(tuple(sum(c >> x & 1 for c in cut) for x in range(n)) for cut in cuts)
+    return [FuzzySubset(carrier, tuple(chain.grades[r] for r in rank)) for rank in ranks]
 
 
 def enumerate_crisp_ideals(structure, kind: str = "two", cap: int = 10**8) -> list[CrispSubset]:
     """All crisp ideals (contain 0, additively closed, absorbing per kind),
-    ordered by the indicator tuple of the non-zero positions."""
+    ordered by the indicator tuple of the non-zero positions.
+
+    They are listed as a closure system, not by testing subsets, then sorted
+    into the order of a subset scan over ascending indicator tuples.
+    Raises EnumerationCapExceeded when 2**|carrier| > cap: the cap still
+    bounds the number of subsets, not the number of ideals.
+    """
     _check_kind(kind)
     carrier = carrier_of(structure)
     n = carrier.size
     if 2**n > cap:
         raise EnumerationCapExceeded(f"2^{n} subsets exceed cap {cap}")
-    if isinstance(structure, core.GammaSemiring):
-        check = lambda sub: is_crisp_ideal_gamma(structure, sub, kind)
-    elif isinstance(structure, core.Semiring):
-        check = lambda sub: is_crisp_ideal_semiring(structure, sub, kind)
-    else:
-        sem = getattr(structure, "semiring", None)
-        if sem is None:
-            raise TypeError(f"cannot enumerate over {type(structure).__name__}")
-        return enumerate_crisp_ideals(sem, kind, cap)
-    out = []
-    for bits in itertools.product((0, 1), repeat=n - 1):
-        members = frozenset({0} | {i + 1 for i, b in enumerate(bits) if b})
-        sub = CrispSubset(carrier, members)
-        if check(sub):
-            out.append(sub)
-    return out
+    return [
+        CrispSubset(carrier, frozenset(i for i in range(n) if mask >> i & 1))
+        for mask in _crisp_ideal_masks(structure, kind)
+    ]

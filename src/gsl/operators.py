@@ -288,9 +288,9 @@ def _image_contained_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubs
     for i, f in enumerate(op.elements):
         image = set(f.values)
         inside = _additive_closure(addS, image) <= q
-        if q_closed:
-            # for additively closed targets the two readings coincide
-            assert inside == (image <= q)
+        # for additively closed targets the two readings coincide
+        if q_closed and inside != (image <= q):
+            raise RuntimeError(f"element {i}: image readings disagree on a closed target")
         if inside:
             members.add(i)
     return CrispSubset(carrier_of(op), frozenset(members))

@@ -48,3 +48,27 @@ def zero_product():
 def all_small_instances(gb, z2, z3, z4, zero_product, bool_sr):
     """Every stock instance with carriers of size at most 4."""
     return [gb, z2, z3, z4, zero_product, core.gamma_from_semiring(bool_sr)]
+
+
+@pytest.fixture(scope="session")
+def upper_triangular():
+    """Gamma-semiring from the 2x2 upper-triangular Boolean matrices
+    [[a, b], [0, c]] (index a<<2 | b<<1 | c) under entrywise or and the
+    matrix product: non-commutative, so its left, right and two-sided
+    ideals all differ, and not every additive submonoid is an ideal."""
+
+    def mul(i, j):
+        a, b, c = i >> 2, i >> 1 & 1, i & 1
+        d, e, f = j >> 2, j >> 1 & 1, j & 1
+        return (a & d) << 2 | ((a & e) | (b & f)) << 1 | (c & f)
+
+    add = tuple(tuple(i | j for j in range(8)) for i in range(8))
+    mul_table = tuple(tuple(mul(i, j) for j in range(8)) for i in range(8))
+    r = core.Semiring("upper_triangular", tuple(str(i) for i in range(8)), add, mul_table)
+    return core.gamma_from_semiring(r)
+
+
+@pytest.fixture(scope="session")
+def enum_instances(all_small_instances, upper_triangular):
+    """The small instances plus one non-commutative one, for the enumerators."""
+    return [*all_small_instances, upper_triangular]

@@ -2,7 +2,7 @@
 
 Everything here is written as plain nested loops over the raw tables, sharing
 no scan code with the library: the vectorised validators, the worklist
-closure, and the bulk enumerator are all checked against these.
+closure, and the level-cut enumerators are all checked against these.
 """
 
 from __future__ import annotations
@@ -283,3 +283,25 @@ def naive_crisp_ideals_gamma(g, kind) -> list[frozenset[int]]:
         if ok:
             out.append(members)
     return out
+
+
+def brute_crisp_ideals_semiring(r, kind) -> list[frozenset[int]]:
+    """Every subset containing 0 that the library predicate accepts, in
+    ascending order of the indicator tuple of positions 1..n-1."""
+    from gsl.fuzzy import CrispSubset, is_crisp_ideal_semiring
+
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(r.carrier) - 1):
+        members = frozenset({0} | {i + 1 for i, b in enumerate(bits) if b})
+        if is_crisp_ideal_semiring(r, CrispSubset.of_indices(r, members), kind):
+            out.append(members)
+    return out
+
+
+def count_multichains(ideals, length: int) -> int:
+    """Number of descending multichains I_1 >= ... >= I_length in the family
+    (the zeta polynomial of the inclusion order, evaluated at length + 1)."""
+    ending_at = {i: 1 for i in ideals}
+    for _ in range(length - 1):
+        ending_at = {i: sum(c for j, c in ending_at.items() if i <= j) for i in ideals}
+    return sum(ending_at.values())

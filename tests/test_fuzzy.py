@@ -21,14 +21,18 @@ from gsl.fuzzy import (
     parse_grade,
     format_grade,
 )
+from gsl.operators import build_operator_semiring
 from oracles import (
+    brute_crisp_ideals_semiring,
     brute_fuzzy_ideal_grades,
+    count_multichains,
     naive_crisp_ideals_gamma,
     naive_is_fuzzy_ideal_gamma,
 )
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
+CHAINS = tuple(GradeChain.parse(c) for c in ("0,1", "0,1/2,1", "0,1/4,1/2,1"))
 
 
 class TestGrades:
@@ -127,8 +131,8 @@ class TestEnumerations:
             assert mu.grades[0] == 1
             assert mu.grades[1] == mu.grades[3] <= mu.grades[2]
 
-    def test_matches_brute_force_filter(self, all_small_instances):
-        for g in all_small_instances:
+    def test_matches_brute_force_filter(self, enum_instances):
+        for g in enum_instances:
             for kind in ("left", "right", "two"):
                 got = [m.grades for m in enumerate_fuzzy_ideals(g, CHAIN, kind)]
                 want = brute_fuzzy_ideal_grades(g, CHAIN.grades, kind, is_gamma=True)
@@ -163,12 +167,43 @@ class TestEnumerations:
             ("0", "1"),
         ]
 
-    def test_crisp_ideals_match_oracle(self, all_small_instances):
+    def test_crisp_ideals_match_oracle(self, enum_instances):
+        for g in enum_instances:
+            for kind in ("left", "right", "two"):
+                got = [i.members for i in enumerate_crisp_ideals(g, kind)]
+                assert got == naive_crisp_ideals_gamma(g, kind), (g.name, kind)
+
+    def test_operator_semiring_crisp_ideals_match_subset_filter(self, enum_instances):
+        for g in enum_instances:
+            for side in ("left", "right"):
+                r = build_operator_semiring(g, side).semiring
+                for kind in ("left", "right", "two"):
+                    got = [i.members for i in enumerate_crisp_ideals(r, kind)]
+                    assert got == brute_crisp_ideals_semiring(r, kind), (g.name, side, kind)
+
+    def test_four_grade_chain_matches_brute_force(self, all_small_instances):
+        chain = GradeChain.parse("0,1/4,1/2,1")
         for g in all_small_instances:
             for kind in ("left", "right", "two"):
-                got = {i.members for i in enumerate_crisp_ideals(g, kind)}
-                want = set(naive_crisp_ideals_gamma(g, kind))
-                assert got == want
+                got = [m.grades for m in enumerate_fuzzy_ideals(g, chain, kind)]
+                want = brute_fuzzy_ideal_grades(g, chain.grades, kind, is_gamma=True)
+                assert got == want, (g.name, kind)
+
+    def test_count_is_multichains_of_crisp_ideals(self, enum_instances):
+        """|FI over an m-grade chain| = Z(crisp-ideal lattice, m), and every
+        level cut of every enumerated ideal is a crisp ideal."""
+        for g in enum_instances:
+            for kind in ("left", "right", "two"):
+                crisp = naive_crisp_ideals_gamma(g, kind)
+                for chain in CHAINS:
+                    ideals = enumerate_fuzzy_ideals(g, chain, kind)
+                    assert len(ideals) == count_multichains(crisp, len(chain) - 1), (
+                        g.name, kind, str(chain),
+                    )
+                    for mu in ideals:
+                        for c in chain.grades[1:]:
+                            cut = frozenset(x for x, v in enumerate(mu.grades) if v >= c)
+                            assert cut in crisp, (g.name, kind, mu.grades, c)
 
     def test_cap_enforced(self, z4):
         with pytest.raises(EnumerationCapExceeded):

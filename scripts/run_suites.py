@@ -29,13 +29,10 @@ def main() -> int:
     parser.add_argument("--instances", default="boolean,z2,z3,z4")
     parser.add_argument("--chain", default="0,1/2,1")
     parser.add_argument("--n", type=int, default=2, help="matrix dimension")
-    parser.add_argument("--parallelism", type=int, default=1)
     parser.add_argument("--json", default=None, help="also dump all report bodies here")
     args = parser.parse_args()
 
-    config = RunConfig.from_env(
-        chain=GradeChain.parse(args.chain), n=args.n, parallelism=args.parallelism
-    )
+    config = RunConfig.from_env(chain=GradeChain.parse(args.chain), n=args.n)
     failed = 0
     dump = []
     for token in args.instances.split(","):

@@ -64,6 +64,7 @@ from .matrix import (
 from .report import FAIL, PASS, UNMET, VerificationReport
 from .config import RunConfig
 from .verify import (
+    Workspace,
     run_all,
     verify_lemmas_3_11_3_12,
     verify_prop_3_4,

@@ -27,7 +27,7 @@ from .fuzzy import (
     enumerate_fuzzy_ideals,
     format_grade,
 )
-from .matrix import MatrixCapExceeded, build_matrix_gamma, check_operator_matrix_iso, verify_theorem_3_19
+from .matrix import MatrixCapExceeded, build_matrix_gamma
 from .operators import ClosureCapExceeded, build_operator_semiring, find_unity
 from .report import FAIL, VerificationReport
 from .transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
@@ -239,43 +239,16 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _resolve_suites(structure, args, config: RunConfig) -> list:
-    """The (suite_id, thunk) list for a verify invocation."""
-    chain = config.chain
-    if isinstance(structure, core.Semiring):
-        if args.suite not in ("th3.17", "all"):
-            raise gsr.GsrError(
-                "syntax", f"suite {args.suite} needs a [gamma_semiring] file"
-            )
-        return [("th3.17", lambda: verify_mod.verify_theorem_3_17(structure, chain, config))]
-
-    g = structure
-    kinds = [args.kind] if args.kind else ["two", "right"]
-    catalogue = {
-        "prop3.4": [("prop3.4", lambda: verify_mod.verify_prop_3_4(g, chain, config))],
-        "th3.8": [
-            (f"th3.8[{k}]", lambda k=k: verify_mod.verify_theorem_3_8(g, chain, k, config))
-            for k in kinds
-        ],
-        "lemmas": [("lemmas", lambda: verify_mod.verify_lemmas_3_11_3_12(g, config))],
-        "th3.15": [
-            (f"th3.15[{k}]", lambda k=k: verify_mod.verify_theorem_3_15(g, k, config))
-            for k in kinds
-        ],
-        "th3.17": [("th3.17", lambda: verify_mod._theorem_3_17_on_operator(g, chain, config))],
-        "th3.18": [("th3.18", lambda: verify_mod.verify_theorem_3_18(g, chain, config))],
-        "transfer-semifield": [
-            ("transfer-semifield", lambda: verify_mod.verify_semifield_transfer(g, chain, config))
-        ],
-        "matrix": [
-            ("matrix-iso[left]", lambda: check_operator_matrix_iso(g, config.n, "left", config)),
-            ("matrix-iso[right]", lambda: check_operator_matrix_iso(g, config.n, "right", config)),
-            ("th3.19", lambda: verify_theorem_3_19(g, config.n, chain, config)),
-        ],
-    }
-    if args.suite == "all":
-        return [("all", lambda: verify_mod.run_all(g, config))]
-    return catalogue[args.suite]
+def _run_suites(structure, args, config: RunConfig) -> list[VerificationReport]:
+    """The reports of one verify invocation.  A semiring file runs th3.17 on
+    the semiring itself; on a gamma-semiring file th3.17 runs on L."""
+    semiring = isinstance(structure, core.Semiring)
+    if semiring and args.suite not in ("th3.17", "all"):
+        raise gsr.GsrError("syntax", f"suite {args.suite} needs a [gamma_semiring] file")
+    if semiring or args.suite == "all":
+        return verify_mod.run_all(structure, config)
+    kinds = [args.kind] if args.kind else verify_mod.KINDS
+    return verify_mod.SUITES[args.suite](verify_mod.Workspace(structure, config), kinds)
 
 
 def _render_reports(reports: list[VerificationReport], args, config: RunConfig) -> None:
@@ -316,13 +289,7 @@ def _render_reports(reports: list[VerificationReport], args, config: RunConfig) 
 def _cmd_verify(args) -> int:
     structure = gsr.parse_gsr(args.file)
     config = replace(RunConfig.from_env(), chain=GradeChain.parse(args.chain), n=args.n)
-    reports: list[VerificationReport] = []
-    for _, thunk in _resolve_suites(structure, args, config):
-        result = thunk()
-        if isinstance(result, list):
-            reports.extend(result)
-        else:
-            reports.append(result)
+    reports = _run_suites(structure, args, config)
     _render_reports(reports, args, config)
     return 1 if any(r.status == FAIL for r in reports) else 0
 

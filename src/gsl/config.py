@@ -28,8 +28,6 @@ class RunConfig:
     surjectivity_cap max candidates for the matrix-side surjectivity
                      enumeration before the check downgrades
     report_format    'text' or 'json'
-    parallelism      worker count for independent suites (1 = sequential)
-    time_budget_s    optional per-closure time budget
     """
 
     chain: GradeChain = DEFAULT_CHAIN
@@ -39,8 +37,6 @@ class RunConfig:
     matrix_cap: int = 16
     surjectivity_cap: int = 20_000_000
     report_format: str = "text"
-    parallelism: int = 1
-    time_budget_s: float | None = None
 
     def __post_init__(self):
         for cap_name in ("enum_cap", "closure_cap", "matrix_cap", "surjectivity_cap"):
@@ -50,8 +46,6 @@ class RunConfig:
             raise ValueError("n must be >= 1")
         if self.report_format not in ("text", "json"):
             raise ValueError(f"unknown report format {self.report_format!r}")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
 
     @classmethod
     def from_env(cls, **overrides) -> "RunConfig":

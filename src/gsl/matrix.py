@@ -17,19 +17,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import core
-from .config import RunConfig
 from .fuzzy import (
     FuzzySubset,
-    GradeChain,
     carrier_of,
     enumerate_fuzzy_ideals,
     is_fuzzy_ideal_gamma,
 )
-from .operators import OperatorSemiring, build_operator_semiring, find_unity
-from .report import FAIL, PASS, UNMET, VerificationReport, chain_scope_note
+from .operators import OperatorSemiring, build_operator_semiring
+from .report import FAIL, PASS, UNMET, VerificationReport, chain_scope_note, first_failing_pair
+
+if TYPE_CHECKING:  # the suites below take the run's Workspace, which builds on this module
+    from .verify import Workspace
 
 __all__ = [
     "MatrixCapExceeded",
@@ -258,35 +259,26 @@ def _matrix_action(
     return mg.encode_s(tuple(out))
 
 
-def check_operator_matrix_iso(
-    base: core.GammaSemiring,
-    n: int,
-    side: str,
-    config: Optional[RunConfig] = None,
-    mg: Optional[MatrixGammaSemiring] = None,
-) -> VerificationReport:
-    """Verify that the operator semiring of the matrix instance is isomorphic
-    to the matrix semiring over the base operator semiring, through the
-    canonical generator mapping extended additively along provenance."""
-    config = config or RunConfig()
+def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
+    """Verify that the operator semiring of the workspace's matrix instance is
+    isomorphic to the matrix semiring over the base operator semiring, through
+    the canonical generator mapping extended additively along provenance."""
+    base, config = ws.structure, ws.config
+    n = config.n
     t0 = time.perf_counter()
     notes: list[str] = []
     suite = f"matrix-iso[{side}]"
 
     try:
-        mg = mg or build_matrix_gamma(base, n, cap=config.matrix_cap)
+        mg = ws.matrix
     except MatrixCapExceeded as exc:
         return VerificationReport(
             suite, base.name, None, UNMET, None, {"n": n},
             (time.perf_counter() - t0) * 1000.0, (str(exc),),
         )
 
-    op_matrix = build_operator_semiring(
-        mg.gamma, side, cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    op_base = build_operator_semiring(
-        base, side, cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
+    op_matrix = build_operator_semiring(mg.gamma, side, cap=config.closure_cap)
+    op_base = ws.left if side == "left" else ws.right
     mat_over_op = matrix_semiring(op_base.semiring, n)
 
     size = len(op_matrix)
@@ -321,24 +313,18 @@ def check_operator_matrix_iso(
         status = FAIL
         counterexample = {"check": "zero", "image_of_zero": mat_over_op.carrier[images[0]]}
     else:
-        for i in range(size):
-            if status == FAIL:
-                break
-            for j in range(size):
-                if images[op_matrix.add[i][j]] != mat_over_op.add[images[i]][images[j]]:
-                    status = FAIL
-                    counterexample = {
-                        "check": "addition",
-                        "elements": [f"f{i}", f"f{j}"],
-                    }
-                    break
-                if images[op_matrix.mul[i][j]] != mat_over_op.mul[images[i]][images[j]]:
-                    status = FAIL
-                    counterexample = {
-                        "check": "multiplication",
-                        "elements": [f"f{i}", f"f{j}"],
-                    }
-                    break
+        def pair_failure(i, j):
+            if images[op_matrix.add[i][j]] != mat_over_op.add[images[i]][images[j]]:
+                return "addition"
+            if images[op_matrix.mul[i][j]] != mat_over_op.mul[images[i]][images[j]]:
+                return "multiplication"
+            return None
+
+        hit = first_failing_pair(size, pair_failure)
+        if hit:
+            i, j, check = hit
+            status = FAIL
+            counterexample = {"check": check, "elements": [f"f{i}", f"f{j}"]}
 
     # generator actions must agree with the realized matrix product
     if status == PASS:
@@ -378,13 +364,7 @@ def check_operator_matrix_iso(
     )
 
 
-def verify_theorem_3_19(
-    base: core.GammaSemiring,
-    n: int,
-    chain: GradeChain,
-    config: Optional[RunConfig] = None,
-    mg: Optional[MatrixGammaSemiring] = None,
-) -> VerificationReport:
+def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
     """The entrywise-min lift is an inclusion-preserving bijection between the
     fuzzy ideals of the base and of the matrix instance, at chain scale.
 
@@ -393,29 +373,28 @@ def verify_theorem_3_19(
     'injective + inclusion-preserving verified, surjectivity skipped' and
     says so explicitly.
     """
-    config = config or RunConfig()
+    base, config = ws.structure, ws.config
+    n, chain = config.n, config.chain
     t0 = time.perf_counter()
     suite = "th3.19"
     notes = [chain_scope_note(chain)]
 
     try:
-        mg = mg or build_matrix_gamma(base, n, cap=config.matrix_cap)
+        mg = ws.matrix
     except MatrixCapExceeded as exc:
         return VerificationReport(
             suite, base.name, chain, UNMET, None, {"n": n},
             (time.perf_counter() - t0) * 1000.0, (str(exc),),
         )
 
-    left = build_operator_semiring(base, "left", cap=config.closure_cap, time_budget_s=config.time_budget_s)
-    right = build_operator_semiring(base, "right", cap=config.closure_cap, time_budget_s=config.time_budget_s)
-    if find_unity(base, left) is None or find_unity(base, right) is None:
+    if not (ws.left_unity and ws.right_unity):
         return VerificationReport(
             suite, base.name, chain, UNMET, None, {"n": n},
             (time.perf_counter() - t0) * 1000.0,
             ("requires both unities; at least one is absent",),
         )
 
-    ideals = enumerate_fuzzy_ideals(base, chain, "two", cap=config.enum_cap)
+    ideals = ws.fuzzy_ideals("S")
     lifted = [lift_fuzzy_to_matrix(mg, mu) for mu in ideals]
     counts = {"fuzzy_ideals_base": len(ideals), "n": n}
     status = PASS
@@ -432,18 +411,17 @@ def verify_theorem_3_19(
         counterexample = {"check": "injective"}
 
     if status == PASS:
-        for i, a in enumerate(ideals):
-            for j, b in enumerate(ideals):
-                if (a <= b) != (lifted[i] <= lifted[j]):
-                    status = FAIL
-                    counterexample = {
-                        "check": "inclusion-preserving",
-                        "mu1": a.to_mapping(),
-                        "mu2": b.to_mapping(),
-                    }
-                    break
-            if status == FAIL:
-                break
+        hit = first_failing_pair(
+            len(ideals), lambda i, j: (ideals[i] <= ideals[j]) != (lifted[i] <= lifted[j])
+        )
+        if hit:
+            i, j, _ = hit
+            status = FAIL
+            counterexample = {
+                "check": "inclusion-preserving",
+                "mu1": ideals[i].to_mapping(),
+                "mu2": ideals[j].to_mapping(),
+            }
         counts["pairs_checked"] = len(ideals) ** 2
 
     matrix_candidates = len(chain) ** (len(mg.gamma.S) - 1)

@@ -9,7 +9,7 @@ from the comparison body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .fuzzy import GradeChain, format_grade
 
@@ -20,6 +20,7 @@ __all__ = [
     "VerificationReport",
     "chain_scope_note",
     "combine_status",
+    "first_failing_pair",
 ]
 
 PASS = "pass"
@@ -44,6 +45,20 @@ def combine_status(statuses) -> str:
     if statuses and all(s == UNMET for s in statuses):
         return UNMET
     return PASS
+
+
+def first_failing_pair(n: int, check: Callable[[int, int], object]) -> Optional[tuple[int, int, object]]:
+    """The first (i, j, failure), in row-major order over range(n) x range(n),
+    for which check(i, j) returns a truthy failure; None when every pair passes.
+
+    Suites report this first pair as their counterexample, so the scan order
+    is part of the report body."""
+    for i in range(n):
+        for j in range(n):
+            failure = check(i, j)
+            if failure:
+                return i, j, failure
+    return None
 
 
 @dataclass(frozen=True)

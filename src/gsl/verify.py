@@ -1,26 +1,27 @@
 """Verification suites: each statement about fuzzy/crisp ideal transfer is run
 as a falsifiable check over exhaustively enumerated objects.
 
-Every suite returns a VerificationReport.  Biconditionals are checked as two
-independent implications so a failure localizes; clause-level preconditions
-(unity presence) are gated as precondition-unmet rather than guessed around.
-All enumeration happens at grade-chain scale, which is sound for these
-statements because min/max over finite index sets never leaves the chain;
-each report says so in its notes.
+Every suite takes the run's `Workspace`, which builds the operator
+semirings, the matrix instance and the ideal families once and shares them
+across suites, and returns a VerificationReport.  Biconditionals are checked
+as two independent implications so a failure localizes; clause-level
+preconditions (unity presence) are gated as precondition-unmet rather than
+guessed around.  All enumeration happens at grade-chain scale, which is sound
+for these statements because min/max over finite index sets never leaves the
+chain; each report says so in its notes.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from . import core
 from .config import RunConfig
 from .fuzzy import (
     CrispSubset,
     FuzzySubset,
-    GradeChain,
     carrier_of,
     characteristic,
     enumerate_crisp_ideals,
@@ -32,7 +33,13 @@ from .fuzzy import (
     is_fuzzy_ideal_gamma,
     is_fuzzy_ideal_semiring,
 )
-from .matrix import check_operator_matrix_iso, verify_theorem_3_19
+from .matrix import (
+    MatrixCapExceeded,
+    MatrixGammaSemiring,
+    build_matrix_gamma,
+    check_operator_matrix_iso,
+    verify_theorem_3_19,
+)
 from .operators import (
     OperatorSemiring,
     build_operator_semiring,
@@ -40,10 +47,19 @@ from .operators import (
     plus_set,
     plusprime_set,
 )
-from .report import FAIL, PASS, UNMET, VerificationReport, chain_scope_note, combine_status
+from .report import (
+    FAIL,
+    PASS,
+    UNMET,
+    VerificationReport,
+    chain_scope_note,
+    combine_status,
+    first_failing_pair,
+)
 from .transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
 
 __all__ = [
+    "Workspace",
     "verify_prop_3_4",
     "verify_theorem_3_8",
     "verify_lemmas_3_11_3_12",
@@ -52,20 +68,89 @@ __all__ = [
     "verify_theorem_3_18",
     "verify_semifield_transfer",
     "run_all",
+    "KINDS",
+    "SUITES",
     "SUITE_CHOICES",
 ]
 
-SUITE_CHOICES = (
-    "prop3.4",
-    "th3.8",
-    "lemmas",
-    "th3.15",
-    "th3.17",
-    "th3.18",
-    "transfer-semifield",
-    "matrix",
-    "all",
-)
+
+class Workspace:
+    """The derived structures of one run over one structure and config.
+
+    Each is built on first use and then shared by every suite of the run:
+    the left and right operator semirings L and R, their unity flags, the
+    matrix instance, and the crisp and fuzzy ideal families.  A family is
+    named by the structure it lives on, "S" (the structure itself), "L" or
+    "R", and by its ideal kind.  Families are tuples, so no suite can change
+    what the next suite sees.  A plain semiring has only "S".
+    """
+
+    def __init__(self, structure, config: Optional[RunConfig] = None):
+        self.structure = structure
+        self.config = config or RunConfig()
+        self._families: dict[tuple[str, str, str], tuple] = {}
+
+    @cached_property
+    def left(self) -> OperatorSemiring:
+        return build_operator_semiring(self.structure, "left", cap=self.config.closure_cap)
+
+    @cached_property
+    def right(self) -> OperatorSemiring:
+        return build_operator_semiring(self.structure, "right", cap=self.config.closure_cap)
+
+    @cached_property
+    def left_unity(self) -> bool:
+        return find_unity(self.structure, self.left) is not None
+
+    @cached_property
+    def right_unity(self) -> bool:
+        return find_unity(self.structure, self.right) is not None
+
+    @cached_property
+    def _matrix(self) -> MatrixGammaSemiring | MatrixCapExceeded:
+        try:
+            return build_matrix_gamma(self.structure, self.config.n, cap=self.config.matrix_cap)
+        except MatrixCapExceeded as exc:
+            return exc
+
+    @property
+    def matrix(self) -> MatrixGammaSemiring:
+        """The n x n matrix instance.  Raises MatrixCapExceeded on every
+        access when its carriers would exceed the matrix cap."""
+        if isinstance(self._matrix, MatrixCapExceeded):
+            raise self._matrix.with_traceback(None)
+        return self._matrix
+
+    def structure_on(self, side: str):
+        """The structure a family lives on: S itself, or the semiring of L or R."""
+        if side == "S":
+            return self.structure
+        if side == "L":
+            return self.left.semiring
+        if side == "R":
+            return self.right.semiring
+        raise ValueError(f"side must be 'S', 'L' or 'R', got {side!r}")
+
+    def fuzzy_ideals(self, side: str, kind: str = "two") -> tuple[FuzzySubset, ...]:
+        """Fuzzy ideals over the config's chain, in enumeration order."""
+        return self._family(
+            ("fuzzy", side, kind),
+            lambda: enumerate_fuzzy_ideals(
+                self.structure_on(side), self.config.chain, kind, cap=self.config.enum_cap
+            ),
+        )
+
+    def crisp_ideals(self, side: str, kind: str = "two") -> tuple[CrispSubset, ...]:
+        """Crisp ideals, in enumeration order."""
+        return self._family(
+            ("crisp", side, kind),
+            lambda: enumerate_crisp_ideals(self.structure_on(side), kind, cap=self.config.enum_cap),
+        )
+
+    def _family(self, key: tuple[str, str, str], enumerate_family: Callable[[], list]) -> tuple:
+        if key not in self._families:
+            self._families[key] = tuple(enumerate_family())
+        return self._families[key]
 
 
 def _grades(mu: FuzzySubset) -> dict:
@@ -83,8 +168,8 @@ def _ids(subset: CrispSubset) -> list[str]:
 def _clause_rows(
     g: core.GammaSemiring,
     op: OperatorSemiring,
-    ideals_s: list[FuzzySubset],
-    ideals_op: list[FuzzySubset],
+    ideals_s: Sequence[FuzzySubset],
+    ideals_op: Sequence[FuzzySubset],
     lift: Callable[[FuzzySubset], FuzzySubset],
     restrict: Callable[[FuzzySubset], FuzzySubset],
     lift_roundtrip_ok: bool,
@@ -102,7 +187,6 @@ def _clause_rows(
     sr = op.semiring
     lifted = [lift(s) for s in ideals_s]
     restricted = [restrict(m) for m in ideals_op]
-    npairs = len(ideals_s) ** 2
 
     def emit(cid, status, witness=None, checked=0):
         rows.append((cid + tag, status, witness, checked))
@@ -112,6 +196,18 @@ def _clause_rows(
             emit(cid, UNMET)
             return True
         return False
+
+    def pair_clause(cid, ideals, label, fails):
+        hit = first_failing_pair(len(ideals), fails)
+        witness = None
+        if hit:
+            i, j, _ = hit
+            witness = {
+                "clause": cid + tag,
+                f"{label}1": _grades(ideals[i]),
+                f"{label}2": _grades(ideals[j]),
+            }
+        emit(cid, FAIL if witness else PASS, witness, len(ideals) ** 2)
 
     # (i) ideal preservation under the lift
     witness = None
@@ -162,45 +258,24 @@ def _clause_rows(
         emit("iii", FAIL if witness else PASS, witness, len(ideals_s))
 
     # (iv) lift of a sum is the sum of lifts
-    witness = None
-    for a, la in zip(ideals_s, lifted):
-        for b, lb in zip(ideals_s, lifted):
-            if lift(fuzzy_sum(a, b)).grades != fuzzy_sum(la, lb).grades:
-                witness = {
-                    "clause": "iv" + tag,
-                    "sigma1": _grades(a),
-                    "sigma2": _grades(b),
-                }
-                break
-        if witness:
-            break
-    emit("iv", FAIL if witness else PASS, witness, npairs)
+    pair_clause(
+        "iv", ideals_s, "sigma",
+        lambda i, j: lift(fuzzy_sum(ideals_s[i], ideals_s[j])).grades
+        != fuzzy_sum(lifted[i], lifted[j]).grades,
+    )
 
     # (v) lift of an intersection is the intersection of lifts
-    witness = None
-    for a, la in zip(ideals_s, lifted):
-        for b, lb in zip(ideals_s, lifted):
-            if lift(fuzzy_intersection([a, b])).grades != fuzzy_intersection([la, lb]).grades:
-                witness = {
-                    "clause": "v" + tag,
-                    "sigma1": _grades(a),
-                    "sigma2": _grades(b),
-                }
-                break
-        if witness:
-            break
-    emit("v", FAIL if witness else PASS, witness, npairs)
+    pair_clause(
+        "v", ideals_s, "sigma",
+        lambda i, j: lift(fuzzy_intersection([ideals_s[i], ideals_s[j]])).grades
+        != fuzzy_intersection([lifted[i], lifted[j]]).grades,
+    )
 
     # (vi) lift is inclusion-preserving
-    witness = None
-    for a, la in zip(ideals_s, lifted):
-        for b, lb in zip(ideals_s, lifted):
-            if (a <= b) and not (la <= lb):
-                witness = {"clause": "vi" + tag, "sigma1": _grades(a), "sigma2": _grades(b)}
-                break
-        if witness:
-            break
-    emit("vi", FAIL if witness else PASS, witness, npairs)
+    pair_clause(
+        "vi", ideals_s, "sigma",
+        lambda i, j: ideals_s[i] <= ideals_s[j] and not lifted[i] <= lifted[j],
+    )
 
     # (vii) ideal preservation under the restriction
     witness = None
@@ -234,65 +309,47 @@ def _clause_rows(
         emit("viii", FAIL if witness else PASS, witness, len(ideals_op))
 
     # (ix) restriction is inclusion-preserving
-    witness = None
-    for a, ra in zip(ideals_op, restricted):
-        for b, rb in zip(ideals_op, restricted):
-            if (a <= b) and not (ra <= rb):
-                witness = {"clause": "ix" + tag, "mu1": _grades(a), "mu2": _grades(b)}
-                break
-        if witness:
-            break
-    emit("ix", FAIL if witness else PASS, witness, len(ideals_op) ** 2)
+    pair_clause(
+        "ix", ideals_op, "mu",
+        lambda i, j: ideals_op[i] <= ideals_op[j] and not restricted[i] <= restricted[j],
+    )
 
     return rows
 
 
-def verify_prop_3_4(
-    g: core.GammaSemiring,
-    chain: Optional[GradeChain] = None,
-    config: Optional[RunConfig] = None,
-) -> VerificationReport:
+def verify_prop_3_4(ws: Workspace) -> VerificationReport:
     """Nine transfer-map clauses between the fuzzy ideals of the base and of
     its left operator semiring, plus the right-operator duals."""
-    config = config or RunConfig()
-    chain = chain or config.chain
+    g, chain = ws.structure, ws.config.chain
     t0 = time.perf_counter()
 
-    left = build_operator_semiring(
-        g, "left", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    right = build_operator_semiring(
-        g, "right", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    left_unity = find_unity(g, left) is not None
-    right_unity = find_unity(g, right) is not None
-
-    ideals_s = enumerate_fuzzy_ideals(g, chain, "two", cap=config.enum_cap)
-    ideals_l = enumerate_fuzzy_ideals(left.semiring, chain, "two", cap=config.enum_cap)
-    ideals_r = enumerate_fuzzy_ideals(right.semiring, chain, "two", cap=config.enum_cap)
+    left, right = ws.left, ws.right
+    ideals_s = ws.fuzzy_ideals("S")
+    ideals_l = ws.fuzzy_ideals("L")
+    ideals_r = ws.fuzzy_ideals("R")
 
     rows = _clause_rows(
         g, left, ideals_s, ideals_l,
         lift=lambda s: lift_plusprime(left, s),
         restrict=lambda m: restrict_plus(left, m),
-        lift_roundtrip_ok=right_unity,
-        restrict_roundtrip_ok=left_unity,
+        lift_roundtrip_ok=ws.right_unity,
+        restrict_roundtrip_ok=ws.left_unity,
         tag="",
     )
     rows += _clause_rows(
         g, right, ideals_s, ideals_r,
         lift=lambda s: lift_starprime(right, s),
         restrict=lambda m: restrict_star(right, m),
-        lift_roundtrip_ok=left_unity,
-        restrict_roundtrip_ok=right_unity,
+        lift_roundtrip_ok=ws.left_unity,
+        restrict_roundtrip_ok=ws.right_unity,
         tag="*",
     )
 
     status = combine_status(st for _, st, _, _ in rows)
     counterexample = next((w for _, st, w, _ in rows if st == FAIL), None)
     notes = [chain_scope_note(chain)]
-    notes.append(f"left unity: {'present' if left_unity else 'absent'}")
-    notes.append(f"right unity: {'present' if right_unity else 'absent'}")
+    notes.append(f"left unity: {'present' if ws.left_unity else 'absent'}")
+    notes.append(f"right unity: {'present' if ws.right_unity else 'absent'}")
     notes += [f"clause {cid}: {st}" for cid, st, _, _ in rows]
     counts = {
         "fuzzy_ideals_S": len(ideals_s),
@@ -306,38 +363,27 @@ def verify_prop_3_4(
     )
 
 
-def verify_theorem_3_8(
-    g: core.GammaSemiring,
-    chain: Optional[GradeChain] = None,
-    kind: str = "two",
-    config: Optional[RunConfig] = None,
-) -> VerificationReport:
+def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
     """The lift is an inclusion-preserving lattice isomorphism between the
     fuzzy ideals (or fuzzy right ideals) of the base and of its left operator
     semiring, at chain scale."""
     if kind not in ("two", "right"):
         raise ValueError("kind must be 'two' or 'right'")
-    config = config or RunConfig()
-    chain = chain or config.chain
+    g, chain = ws.structure, ws.config.chain
     t0 = time.perf_counter()
     suite = f"th3.8[{kind}]"
     notes = [chain_scope_note(chain)]
 
-    left = build_operator_semiring(
-        g, "left", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    right = build_operator_semiring(
-        g, "right", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    if find_unity(g, left) is None or find_unity(g, right) is None:
+    if not (ws.left_unity and ws.right_unity):
         return VerificationReport(
             suite, g.name, chain, UNMET, None, {},
             (time.perf_counter() - t0) * 1000.0,
             tuple(notes + ["requires both unities; at least one is absent"]),
         )
 
-    A = enumerate_fuzzy_ideals(g, chain, kind, cap=config.enum_cap)
-    B = enumerate_fuzzy_ideals(left.semiring, chain, kind, cap=config.enum_cap)
+    left = ws.left
+    A = ws.fuzzy_ideals("S", kind)
+    B = ws.fuzzy_ideals("L", kind)
     lifted = [lift_plusprime(left, s) for s in A]
     counts = {"fuzzy_ideals_S": len(A), "fuzzy_ideals_L": len(B)}
     status = PASS
@@ -360,35 +406,28 @@ def verify_theorem_3_8(
         status, counterexample = FAIL, {"check": "surjective", "unmatched": missing[:3]}
 
     if status == PASS:
-        for i, a in enumerate(A):
-            for j, b in enumerate(A):
-                if (a <= b) != (lifted[i] <= lifted[j]):
-                    status, counterexample = FAIL, {
-                        "check": "inclusion-both-ways",
-                        "sigma1": _grades(a),
-                        "sigma2": _grades(b),
-                    }
-                    break
-                if lift_plusprime(left, fuzzy_sum(a, b)).grades != fuzzy_sum(
-                    lifted[i], lifted[j]
-                ).grades:
-                    status, counterexample = FAIL, {
-                        "check": "sum-homomorphism",
-                        "sigma1": _grades(a),
-                        "sigma2": _grades(b),
-                    }
-                    break
-                if lift_plusprime(left, fuzzy_intersection([a, b])).grades != fuzzy_intersection(
-                    [lifted[i], lifted[j]]
-                ).grades:
-                    status, counterexample = FAIL, {
-                        "check": "intersection-homomorphism",
-                        "sigma1": _grades(a),
-                        "sigma2": _grades(b),
-                    }
-                    break
-            if status == FAIL:
-                break
+        def pair_failure(i, j):
+            a, b = A[i], A[j]
+            if (a <= b) != (lifted[i] <= lifted[j]):
+                return "inclusion-both-ways"
+            if lift_plusprime(left, fuzzy_sum(a, b)).grades != fuzzy_sum(
+                lifted[i], lifted[j]
+            ).grades:
+                return "sum-homomorphism"
+            if lift_plusprime(left, fuzzy_intersection([a, b])).grades != fuzzy_intersection(
+                [lifted[i], lifted[j]]
+            ).grades:
+                return "intersection-homomorphism"
+            return None
+
+        hit = first_failing_pair(len(A), pair_failure)
+        if hit:
+            i, j, check = hit
+            status, counterexample = FAIL, {
+                "check": check,
+                "sigma1": _grades(A[i]),
+                "sigma2": _grades(A[j]),
+            }
         counts["pairs_checked"] = len(A) ** 2
 
     # chain-scale lattice sanity: closure under both operations, top and bottom
@@ -414,27 +453,22 @@ def verify_theorem_3_8(
     )
 
 
-def verify_lemmas_3_11_3_12(
-    g: core.GammaSemiring,
-    config: Optional[RunConfig] = None,
-) -> VerificationReport:
+def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
     """Characteristic functions commute with the crisp correspondences:
     lifting the characteristic function of a crisp ideal I of S equals the
     characteristic function of its operator-side image, which is itself a
     crisp ideal; dually from L back to S."""
-    config = config or RunConfig()
+    g = ws.structure
     t0 = time.perf_counter()
-    left = build_operator_semiring(
-        g, "left", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
+    left = ws.left
     status = PASS
     counterexample = None
     checked = 0
     per_kind: dict[str, int] = {}
 
     for kind in ("two", "right", "left"):
-        ideals_s = enumerate_crisp_ideals(g, kind, cap=config.enum_cap)
-        ideals_l = enumerate_crisp_ideals(left.semiring, kind, cap=config.enum_cap)
+        ideals_s = ws.crisp_ideals("S", kind)
+        ideals_l = ws.crisp_ideals("L", kind)
         per_kind[f"ideals_S[{kind}]"] = len(ideals_s)
         per_kind[f"ideals_L[{kind}]"] = len(ideals_l)
         for ideal in ideals_s:
@@ -485,35 +519,26 @@ def verify_lemmas_3_11_3_12(
     )
 
 
-def verify_theorem_3_15(
-    g: core.GammaSemiring,
-    kind: str = "two",
-    config: Optional[RunConfig] = None,
-) -> VerificationReport:
+def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
     """I -> I+' is an inclusion-preserving bijection between the crisp ideals
     (or right ideals) of the base and of its left operator semiring, with the
     pair-preimage map as inverse."""
     if kind not in ("two", "right"):
         raise ValueError("kind must be 'two' or 'right'")
-    config = config or RunConfig()
+    g = ws.structure
     t0 = time.perf_counter()
     suite = f"th3.15[{kind}]"
 
-    left = build_operator_semiring(
-        g, "left", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    right = build_operator_semiring(
-        g, "right", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    if find_unity(g, left) is None or find_unity(g, right) is None:
+    if not (ws.left_unity and ws.right_unity):
         return VerificationReport(
             suite, g.name, None, UNMET, None, {},
             (time.perf_counter() - t0) * 1000.0,
             ("requires both unities; at least one is absent",),
         )
 
-    A = enumerate_crisp_ideals(g, kind, cap=config.enum_cap)
-    B = enumerate_crisp_ideals(left.semiring, kind, cap=config.enum_cap)
+    left = ws.left
+    A = ws.crisp_ideals("S", kind)
+    B = ws.crisp_ideals("L", kind)
     images = [plusprime_set(left, ideal) for ideal in A]
     counts = {"ideals_S": len(A), "ideals_L": len(B)}
     status = PASS
@@ -552,17 +577,17 @@ def verify_theorem_3_15(
                 }
                 break
     if status == PASS:
-        for i, a in enumerate(A):
-            for j, b in enumerate(A):
-                if (a.members <= b.members) != (images[i].members <= images[j].members):
-                    status, counterexample = FAIL, {
-                        "check": "inclusion-both-ways",
-                        "ideal1": _ids(a),
-                        "ideal2": _ids(b),
-                    }
-                    break
-            if status == FAIL:
-                break
+        hit = first_failing_pair(
+            len(A),
+            lambda i, j: (A[i].members <= A[j].members) != (images[i].members <= images[j].members),
+        )
+        if hit:
+            i, j, _ = hit
+            status, counterexample = FAIL, {
+                "check": "inclusion-both-ways",
+                "ideal1": _ids(A[i]),
+                "ideal2": _ids(A[j]),
+            }
         counts["pairs_checked"] = len(A) ** 2
 
     return VerificationReport(
@@ -572,7 +597,7 @@ def verify_theorem_3_15(
 
 
 def _fuzzy_semifield_condition(
-    ideals: list[FuzzySubset],
+    ideals: Sequence[FuzzySubset],
 ) -> tuple[bool, Optional[FuzzySubset]]:
     """Every non-constant member is constant with a value below 1 on the
     nonzero elements.  Returns (holds, first violator)."""
@@ -585,15 +610,63 @@ def _fuzzy_semifield_condition(
     return True, None
 
 
-def verify_theorem_3_17(
-    r: core.Semiring,
-    chain: Optional[GradeChain] = None,
-    config: Optional[RunConfig] = None,
-) -> VerificationReport:
+def _semifield_biconditional(
+    semifield: bool,
+    ideals: Sequence[FuzzySubset],
+    name: str,
+    not_semifield_witness: Callable[[], dict],
+    notes: list[str],
+) -> tuple[str, Optional[dict], dict]:
+    """Check `semifield <=> the fuzzy semifield condition on ideals` as two
+    implications, appending one note per implication decided.
+
+    `name` is the structural property ("semifield" or "gamma-semifield");
+    `not_semifield_witness()` gives the payload showing the structure lacks
+    it.  Returns (status, counterexample, counts)."""
+    holds, violator = _fuzzy_semifield_condition(ideals)
+    counts = {
+        "fuzzy_ideals": len(ideals),
+        "nonconstant_ideals": sum(1 for m in ideals if not m.is_constant()),
+    }
+    if semifield and not holds:
+        notes.append("forward implication failed")
+        return FAIL, {
+            "direction": f"{name}-but-fuzzy-condition-fails",
+            "violating_ideal": _grades(violator),
+        }, counts
+    notes.append("forward implication holds: "
+                 + (f"{name} and fuzzy condition verified" if semifield else "vacuous"))
+    if semifield:
+        notes.append("reverse implication holds: vacuous")
+        return PASS, None, counts
+    if holds:
+        notes.append("reverse implication failed")
+        return FAIL, {
+            "direction": f"fuzzy-condition-but-not-{name}",
+            **not_semifield_witness(),
+        }, counts
+    notes.append(
+        "reverse implication holds: non-semifield witnessed by fuzzy violator "
+        f"{_grades(violator)}"
+    )
+    return PASS, None, counts
+
+
+def _zdf_failure_note(g: core.GammaSemiring) -> str:
+    w = core.zdf_witness(g)
+    return (
+        "precondition failed: not zero-divisor free, witness "
+        f"{g.S[w[0]]}@{g.G[w[1]]}@{g.S[w[2]]} = {g.S[0]}"
+    )
+
+
+def verify_theorem_3_17(ws: Workspace, side: str = "S") -> VerificationReport:
     """A commutative semiring is a semifield exactly when every non-constant
-    fuzzy ideal is constant below 1 on the nonzero elements (chain scale)."""
-    config = config or RunConfig()
-    chain = chain or config.chain
+    fuzzy ideal is constant below 1 on the nonzero elements (chain scale).
+
+    Runs on the workspace's plain semiring (side "S") or on the semiring of
+    its left operator semiring (side "L")."""
+    r, chain = ws.structure_on(side), ws.config.chain
     t0 = time.perf_counter()
     notes = [chain_scope_note(chain)]
 
@@ -622,59 +695,23 @@ def verify_theorem_3_17(
             f"{semifield}, inverse-based says {inverse_view}"
         )
 
-    ideals = enumerate_fuzzy_ideals(r, chain, "two", cap=config.enum_cap)
-    holds, violator = _fuzzy_semifield_condition(ideals)
-    counts = {
-        "fuzzy_ideals": len(ideals),
-        "nonconstant_ideals": sum(1 for m in ideals if not m.is_constant()),
-    }
-    status = PASS
-    counterexample = None
-
-    if semifield and not holds:
-        status = FAIL
-        counterexample = {
-            "direction": "semifield-but-fuzzy-condition-fails",
-            "violating_ideal": _grades(violator),
-        }
-        notes.append("forward implication failed")
-    else:
-        notes.append("forward implication holds: "
-                     + ("semifield and fuzzy condition verified" if semifield else "vacuous"))
-
-    if status == PASS and not semifield:
-        if holds:
-            status = FAIL
-            counterexample = {
-                "direction": "fuzzy-condition-but-not-semifield",
-                "nonzero_proper_ideal": [
-                    r.carrier[i] for i in (core.semifield_witness(r) or ())
-                ],
-            }
-            notes.append("reverse implication failed")
-        else:
-            notes.append(
-                "reverse implication holds: non-semifield witnessed by fuzzy violator "
-                f"{_grades(violator)}"
-            )
-    elif status == PASS:
-        notes.append("reverse implication holds: vacuous")
-
+    status, counterexample, counts = _semifield_biconditional(
+        semifield, ws.fuzzy_ideals(side), "semifield",
+        lambda: {
+            "nonzero_proper_ideal": [r.carrier[i] for i in (core.semifield_witness(r) or ())],
+        },
+        notes,
+    )
     return VerificationReport(
         "th3.17", r.name, chain, status, counterexample, counts,
         (time.perf_counter() - t0) * 1000.0, tuple(notes),
     )
 
 
-def verify_theorem_3_18(
-    g: core.GammaSemiring,
-    chain: Optional[GradeChain] = None,
-    config: Optional[RunConfig] = None,
-) -> VerificationReport:
+def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
     """Gamma-semiring analogue of the semifield characterization, for
     zero-divisor-free commutative instances."""
-    config = config or RunConfig()
-    chain = chain or config.chain
+    g, chain = ws.structure, ws.config.chain
     t0 = time.perf_counter()
     notes = [chain_scope_note(chain)]
 
@@ -684,17 +721,12 @@ def verify_theorem_3_18(
         if not commutative:
             notes.append("precondition failed: product is not commutative")
         elif not zdf:
-            w = core.zdf_witness(g)
-            notes.append(
-                "precondition failed: not zero-divisor free, witness "
-                f"{g.S[w[0]]}@{g.G[w[1]]}@{g.S[w[2]]} = {g.S[0]}"
-            )
+            notes.append(_zdf_failure_note(g))
         else:
             notes.append("degenerate one-element carrier; nonzero quantifiers are vacuous")
         # diagnostics still run so the report explains the instance
         if commutative and len(g.S) > 1:
-            ideals = enumerate_fuzzy_ideals(g, chain, "two", cap=config.enum_cap)
-            holds, violator = _fuzzy_semifield_condition(ideals)
+            holds, violator = _fuzzy_semifield_condition(ws.fuzzy_ideals("S"))
             notes.append(f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}")
             if violator is not None:
                 notes.append(
@@ -707,83 +739,39 @@ def verify_theorem_3_18(
             (time.perf_counter() - t0) * 1000.0, tuple(notes),
         )
 
-    semifield = core.is_gamma_semifield(g)
-    ideals = enumerate_fuzzy_ideals(g, chain, "two", cap=config.enum_cap)
-    holds, violator = _fuzzy_semifield_condition(ideals)
-    counts = {
-        "fuzzy_ideals": len(ideals),
-        "nonconstant_ideals": sum(1 for m in ideals if not m.is_constant()),
-    }
-    status = PASS
-    counterexample = None
+    def pair_without_inverse() -> dict:
+        w = core.gamma_semifield_witness(g)
+        return {"pair_without_inverse": None if w is None else [g.S[w[0]], g.G[w[1]]]}
 
-    if semifield and not holds:
-        status = FAIL
-        counterexample = {
-            "direction": "gamma-semifield-but-fuzzy-condition-fails",
-            "violating_ideal": _grades(violator),
-        }
-        notes.append("forward implication failed")
-    else:
-        notes.append("forward implication holds: "
-                     + ("gamma-semifield and fuzzy condition verified" if semifield else "vacuous"))
-
-    if status == PASS and not semifield:
-        if holds:
-            w = core.gamma_semifield_witness(g)
-            status = FAIL
-            counterexample = {
-                "direction": "fuzzy-condition-but-not-gamma-semifield",
-                "pair_without_inverse": None if w is None else [g.S[w[0]], g.G[w[1]]],
-            }
-            notes.append("reverse implication failed")
-        else:
-            notes.append(
-                "reverse implication holds: non-semifield witnessed by fuzzy violator "
-                f"{_grades(violator)}"
-            )
-    elif status == PASS:
-        notes.append("reverse implication holds: vacuous")
-
+    status, counterexample, counts = _semifield_biconditional(
+        core.is_gamma_semifield(g), ws.fuzzy_ideals("S"), "gamma-semifield",
+        pair_without_inverse, notes,
+    )
     return VerificationReport(
         "th3.18", g.name, chain, status, counterexample, counts,
         (time.perf_counter() - t0) * 1000.0, tuple(notes),
     )
 
 
-def verify_semifield_transfer(
-    g: core.GammaSemiring,
-    chain: Optional[GradeChain] = None,
-    config: Optional[RunConfig] = None,
-) -> VerificationReport:
+def verify_semifield_transfer(ws: Workspace) -> VerificationReport:
     """A zero-divisor-free commutative base is a gamma-semifield exactly when
     its left operator semiring is a semifield.  Also reruns both fuzzy
     characterizations and records their outcomes."""
-    config = config or RunConfig()
-    chain = chain or config.chain
+    g, chain = ws.structure, ws.config.chain
     t0 = time.perf_counter()
     suite = "transfer-semifield"
     notes = [chain_scope_note(chain)]
 
     commutative = core.is_commutative(g)
     zdf = core.is_zdf(g) if commutative else None
-    left = build_operator_semiring(
-        g, "left", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    right = build_operator_semiring(
-        g, "right", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    unities = find_unity(g, left) is not None and find_unity(g, right) is not None
+    left = ws.left
+    unities = ws.left_unity and ws.right_unity
 
     gate_notes = []
     if not commutative:
         gate_notes.append("precondition failed: product is not commutative")
     elif not zdf:
-        w = core.zdf_witness(g)
-        gate_notes.append(
-            "precondition failed: not zero-divisor free, witness "
-            f"{g.S[w[0]]}@{g.G[w[1]]}@{g.S[w[2]]} = {g.S[0]}"
-        )
+        gate_notes.append(_zdf_failure_note(g))
     if len(g.S) == 1:
         gate_notes.append("degenerate one-element carrier")
     if not unities:
@@ -824,9 +812,9 @@ def verify_semifield_transfer(
     notes.append(f"gamma-semifield predicate: {gamma_side}")
     notes.append(f"operator-side semifield predicate: {operator_side}")
 
-    ideals_s = enumerate_fuzzy_ideals(g, chain, "two", cap=config.enum_cap)
+    ideals_s = ws.fuzzy_ideals("S")
     holds_s, _ = _fuzzy_semifield_condition(ideals_s)
-    ideals_l = enumerate_fuzzy_ideals(left.semiring, chain, "two", cap=config.enum_cap)
+    ideals_l = ws.fuzzy_ideals("L")
     holds_l, _ = _fuzzy_semifield_condition(ideals_l)
     counts["fuzzy_ideals_S"] = len(ideals_s)
     counts["fuzzy_ideals_L"] = len(ideals_l)
@@ -849,65 +837,62 @@ def verify_semifield_transfer(
 # ---------------------------------------------------------------------------
 # orchestration
 
+KINDS = ("two", "right")
 
-def _matrix_unmet(suite: str, g: core.GammaSemiring, chain, size: int, cap: int) -> VerificationReport:
-    return VerificationReport(
-        suite, g.name, chain, UNMET, None, {"matrix_carrier": size},
-        0.0,
-        (f"matrix carrier would have {size} elements, cap is {cap}",),
-    )
+# `gsl verify --suite` value -> the reports it produces for a gamma-semiring,
+# given the ideal kinds to run th3.8 and th3.15 on.  Insertion order is the
+# order `run_all` runs them in.  The lambdas look the suites up at call time,
+# so a wrapper installed on a module-level suite name sees every call.
+SUITES: dict[str, Callable[[Workspace, Sequence[str]], list[VerificationReport]]] = {
+    "prop3.4": lambda ws, kinds: [verify_prop_3_4(ws)],
+    "th3.8": lambda ws, kinds: [verify_theorem_3_8(ws, k) for k in kinds],
+    "lemmas": lambda ws, kinds: [verify_lemmas_3_11_3_12(ws)],
+    "th3.15": lambda ws, kinds: [verify_theorem_3_15(ws, k) for k in kinds],
+    "th3.17": lambda ws, kinds: [verify_theorem_3_17(ws, "L")],
+    "th3.18": lambda ws, kinds: [verify_theorem_3_18(ws)],
+    "transfer-semifield": lambda ws, kinds: [verify_semifield_transfer(ws)],
+    "matrix": lambda ws, kinds: [
+        check_operator_matrix_iso(ws, "left"),
+        check_operator_matrix_iso(ws, "right"),
+        verify_theorem_3_19(ws),
+    ],
+}
+
+SUITE_CHOICES = (*SUITES, "all")
+
+
+def _matrix_unmet(ws: Workspace) -> list[VerificationReport]:
+    """The matrix suites as precondition-unmet when the matrix carrier would
+    exceed the cap; empty when it fits."""
+    g, config = ws.structure, ws.config
+    size = len(g.S) ** (config.n * config.n)
+    size_g = len(g.G) ** (config.n * config.n)
+    if max(size, size_g) <= config.matrix_cap:
+        return []
+    notes = (f"matrix carrier would have {size} elements, cap is {config.matrix_cap}",)
+    return [
+        VerificationReport(suite, g.name, chain, UNMET, None, {"matrix_carrier": size}, 0.0, notes)
+        for suite, chain in (
+            ("matrix-iso[left]", None),
+            ("matrix-iso[right]", None),
+            ("th3.19", config.chain),
+        )
+    ]
 
 
 def run_all(structure, config: Optional[RunConfig] = None) -> list[VerificationReport]:
-    """Every suite applicable to the structure, in a fixed order.
+    """Every suite applicable to the structure, in a fixed order, over one
+    shared workspace.
 
     For a plain semiring only the semifield characterization applies.  The
     matrix suites run at the configured dimension and report
     precondition-unmet when the matrix carrier would exceed the cap.
     """
-    config = config or RunConfig.from_env()
-    chain = config.chain
-
+    ws = Workspace(structure, config or RunConfig.from_env())
     if isinstance(structure, core.Semiring):
-        return [verify_theorem_3_17(structure, chain, config)]
-    g = structure
-
-    tasks: list[Callable[[], VerificationReport]] = [
-        lambda: verify_prop_3_4(g, chain, config),
-        lambda: verify_theorem_3_8(g, chain, "two", config),
-        lambda: verify_theorem_3_8(g, chain, "right", config),
-        lambda: verify_lemmas_3_11_3_12(g, config),
-        lambda: verify_theorem_3_15(g, "two", config),
-        lambda: verify_theorem_3_15(g, "right", config),
-        lambda: _theorem_3_17_on_operator(g, chain, config),
-        lambda: verify_theorem_3_18(g, chain, config),
-        lambda: verify_semifield_transfer(g, chain, config),
-    ]
-
-    size = len(g.S) ** (config.n * config.n)
-    size_g = len(g.G) ** (config.n * config.n)
-    if max(size, size_g) > config.matrix_cap:
-        tasks += [
-            lambda: _matrix_unmet("matrix-iso[left]", g, None, size, config.matrix_cap),
-            lambda: _matrix_unmet("matrix-iso[right]", g, None, size, config.matrix_cap),
-            lambda: _matrix_unmet("th3.19", g, chain, size, config.matrix_cap),
-        ]
-    else:
-        tasks += [
-            lambda: check_operator_matrix_iso(g, config.n, "left", config),
-            lambda: check_operator_matrix_iso(g, config.n, "right", config),
-            lambda: verify_theorem_3_19(g, config.n, chain, config),
-        ]
-
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = [pool.submit(t) for t in tasks]
-            return [f.result() for f in futures]
-    return [t() for t in tasks]
-
-
-def _theorem_3_17_on_operator(g, chain, config) -> VerificationReport:
-    left = build_operator_semiring(
-        g, "left", cap=config.closure_cap, time_budget_s=config.time_budget_s
-    )
-    return verify_theorem_3_17(left.semiring, chain, config)
+        return [verify_theorem_3_17(ws)]
+    reports: list[VerificationReport] = []
+    for name, suite in SUITES.items():
+        gated = _matrix_unmet(ws) if name == "matrix" else []
+        reports += gated or suite(ws, KINDS)
+    return reports

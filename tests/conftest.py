@@ -50,8 +50,7 @@ def all_small_instances(gb, z2, z3, z4, zero_product, bool_sr):
     return [gb, z2, z3, z4, zero_product, core.gamma_from_semiring(bool_sr)]
 
 
-@pytest.fixture(scope="session")
-def upper_triangular():
+def build_upper_triangular():
     """Gamma-semiring from the 2x2 upper-triangular Boolean matrices
     [[a, b], [0, c]] (index a<<2 | b<<1 | c) under entrywise or and the
     matrix product: non-commutative, so its left, right and two-sided
@@ -66,6 +65,11 @@ def upper_triangular():
     mul_table = tuple(tuple(mul(i, j) for j in range(8)) for i in range(8))
     r = core.Semiring("upper_triangular", tuple(str(i) for i in range(8)), add, mul_table)
     return core.gamma_from_semiring(r)
+
+
+@pytest.fixture(scope="session")
+def upper_triangular():
+    return build_upper_triangular()
 
 
 @pytest.fixture(scope="session")

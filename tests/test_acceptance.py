@@ -11,7 +11,7 @@ from fractions import Fraction
 from gsl import cli, core, verify
 from gsl.config import RunConfig
 from gsl.fuzzy import CrispSubset, GradeChain
-from gsl.matrix import build_matrix_gamma, check_operator_matrix_iso, verify_theorem_3_19
+from gsl.matrix import check_operator_matrix_iso, verify_theorem_3_19
 from gsl.operators import build_operator_semiring, find_unity, plusprime_set
 from gsl.report import FAIL, PASS, UNMET
 from oracles import naive_operator_actions
@@ -23,6 +23,11 @@ CHAIN01 = GradeChain.of(0, 1)
 GB = core.boolean_gamma()
 Z2 = core.zn_gamma(2)
 Z4 = core.zn_gamma(4)
+
+
+def ws(structure, chain=CHAIN, **config):
+    """A fresh workspace, over CHAIN unless told otherwise."""
+    return verify.Workspace(structure, RunConfig(chain=chain, **config))
 
 
 class _Criterion:
@@ -86,7 +91,7 @@ def test_criterion_2_operator_construction():
 def test_criterion_3_transfer_clauses():
     with _Criterion(3, "all transfer clauses plus right-operator duals", 10.0):
         for g in (GB, Z2, Z4):
-            report = verify.verify_prop_3_4(g, CHAIN)
+            report = verify.verify_prop_3_4(ws(g))
             assert report.status == PASS, report.counterexample
             clause_notes = [n for n in report.notes if n.startswith("clause ")]
             assert len(clause_notes) == 22
@@ -98,7 +103,7 @@ def test_criterion_3_transfer_clauses():
         unityless = core.GammaSemiring(
             "unityless", ("0", "1"), ("0", "1"), ((0, 1), (1, 1)), ((0, 1), (1, 1)), zero_prod
         )
-        gated = verify.verify_prop_3_4(unityless, CHAIN)
+        gated = verify.verify_prop_3_4(ws(unityless))
         assert gated.status != FAIL
         assert any(n == f"clause ii: {UNMET}" for n in gated.notes)
         assert any(n == f"clause viii: {UNMET}" for n in gated.notes)
@@ -108,7 +113,7 @@ def test_criterion_4_fuzzy_ideal_lattice_isomorphism():
     with _Criterion(4, "fuzzy ideal lattices match 3-3, 3-3, 6-6", 10.0):
         for g, count in ((GB, 3), (Z2, 3), (Z4, 6)):
             for kind in ("two", "right"):
-                report = verify.verify_theorem_3_8(g, CHAIN, kind)
+                report = verify.verify_theorem_3_8(ws(g), kind)
                 assert report.status == PASS, report.counterexample
                 assert report.counts["fuzzy_ideals_S"] == count
                 assert report.counts["fuzzy_ideals_L"] == count
@@ -116,13 +121,13 @@ def test_criterion_4_fuzzy_ideal_lattice_isomorphism():
 
 def test_criterion_5_crisp_ideal_lattices():
     with _Criterion(5, "crisp lattices 3-3 on z4 with the explicit even pairing", 1.0):
-        report = verify.verify_theorem_3_15(Z4, "two")
+        report = verify.verify_theorem_3_15(ws(Z4), "two")
         assert report.status == PASS, report.counterexample
         assert report.counts["ideals_S"] == 3 and report.counts["ideals_L"] == 3
         left = build_operator_semiring(Z4, "left")
         even = CrispSubset.of_ids(Z4, ["0", "2"])
         assert plusprime_set(left, even).sorted_ids() == ("f0", "f2")
-        lemmas = verify.verify_lemmas_3_11_3_12(Z4)
+        lemmas = verify.verify_lemmas_3_11_3_12(ws(Z4))
         assert lemmas.status == PASS, lemmas.counterexample
 
 
@@ -130,11 +135,11 @@ def test_criterion_6_semifield_characterizations():
     with _Criterion(6, "semifield biconditionals and the z4 gating", 5.0):
         r_bool = core.boolean_semiring()
         assert core.is_semifield(r_bool)
-        assert verify.verify_theorem_3_17(r_bool, CHAIN).status == PASS
+        assert verify.verify_theorem_3_17(ws(r_bool)).status == PASS
 
         r_z4 = core.zn_semiring(4)
         assert not core.is_semifield(r_z4)
-        report = verify.verify_theorem_3_17(r_z4, CHAIN)
+        report = verify.verify_theorem_3_17(ws(r_z4))
         assert report.status == PASS, report.counterexample
         # the named witness: the characteristic function of {0,2} violates
         # the constant-below-one condition
@@ -147,8 +152,8 @@ def test_criterion_6_semifield_characterizations():
         assert not holds and violator is lam
 
         for g in (GB, Z2):
-            assert verify.verify_theorem_3_18(g, CHAIN).status == PASS
-        gated = verify.verify_theorem_3_18(Z4, CHAIN)
+            assert verify.verify_theorem_3_18(ws(g)).status == PASS
+        gated = verify.verify_theorem_3_18(ws(Z4))
         assert gated.status == UNMET
         assert any("not zero-divisor free" in n for n in gated.notes)
 
@@ -158,30 +163,30 @@ def test_criterion_7_semifield_transfer():
         for g in (GB, Z2):
             left = build_operator_semiring(g, "left")
             assert core.is_gamma_semifield(g) == core.is_semifield(left.semiring) is True
-            report = verify.verify_semifield_transfer(g, CHAIN)
+            report = verify.verify_semifield_transfer(ws(g))
             assert report.status == PASS, report.counterexample
 
 
 def test_criterion_8_matrix_suite():
     with _Criterion(8, "matrix build, operator-matrix isomorphisms, fuzzy lift bijection", 60.0):
-        mg = build_matrix_gamma(GB, 2)
-        assert len(mg.gamma.S) == 16
+        ternary_ws = ws(GB)
+        assert len(ternary_ws.matrix.gamma.S) == 16
         for side in ("left", "right"):
-            report = check_operator_matrix_iso(GB, 2, side, mg=mg)
+            report = check_operator_matrix_iso(ternary_ws, side)
             assert report.status == PASS, report.counterexample
 
-        binary = verify_theorem_3_19(GB, 2, CHAIN01, mg=mg)
+        binary = verify_theorem_3_19(ws(GB, CHAIN01))
         assert binary.status == PASS, binary.counterexample
         assert binary.counts["fuzzy_ideals_matrix"] == binary.counts["fuzzy_ideals_base"] == 2
 
-        ternary = verify_theorem_3_19(GB, 2, CHAIN, mg=mg)
+        ternary = verify_theorem_3_19(ternary_ws)
         assert ternary.status == PASS, ternary.counterexample
         assert ternary.counts["fuzzy_ideals_base"] == 3
         assert ternary.counts["fuzzy_ideals_matrix"] == 3
 
         # downgrade path: with a lowered cap the ternary chain exceeds it,
         # surjectivity is skipped and the report says so
-        capped = verify_theorem_3_19(GB, 2, CHAIN, RunConfig(surjectivity_cap=1000), mg=mg)
+        capped = verify_theorem_3_19(ws(GB, surjectivity_cap=1000))
         assert capped.status == PASS
         assert "fuzzy_ideals_matrix" not in capped.counts
         assert any("surjectivity skipped (cap)" in n for n in capped.notes)

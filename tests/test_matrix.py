@@ -16,10 +16,16 @@ from gsl.matrix import (
     verify_theorem_3_19,
 )
 from gsl.report import PASS, UNMET
+from gsl.verify import Workspace
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
 CHAIN01 = GradeChain.of(0, 1)
+
+
+def ws(structure, chain=CHAIN01, **config):
+    """A fresh workspace, over CHAIN01 unless told otherwise."""
+    return Workspace(structure, RunConfig(chain=chain, **config))
 
 
 class TestBuild:
@@ -92,55 +98,54 @@ class TestFuzzyLift:
 class TestOperatorMatrixIso:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_boolean(self, gb, side):
-        report = check_operator_matrix_iso(gb, 2, side)
+        report = check_operator_matrix_iso(ws(gb), side)
         assert report.status == PASS
         assert report.counts["operator_elements"] == 16
         assert report.counts["matrix_semiring_elements"] == 16
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_z2(self, z2, side):
-        report = check_operator_matrix_iso(z2, 2, side)
+        report = check_operator_matrix_iso(ws(z2), side)
         assert report.status == PASS
 
     def test_zero_product_degenerate_pass(self, zero_product):
-        report = check_operator_matrix_iso(zero_product, 2, "left")
+        report = check_operator_matrix_iso(ws(zero_product), "left")
         assert report.status == PASS
         assert report.counts["operator_elements"] == 1
 
     def test_cap_reports_unmet(self, z4):
-        report = check_operator_matrix_iso(z4, 2, RunConfig())
+        report = check_operator_matrix_iso(ws(z4), "left")
         assert report.status == UNMET
 
 
 class TestTheorem319:
     def test_boolean_binary_chain(self, gb):
-        report = verify_theorem_3_19(gb, 2, CHAIN01)
+        report = verify_theorem_3_19(ws(gb))
         assert report.status == PASS
         assert report.counts["fuzzy_ideals_base"] == 2
         assert report.counts["fuzzy_ideals_matrix"] == 2
 
     def test_z2_binary_chain(self, z2):
-        report = verify_theorem_3_19(z2, 2, CHAIN01)
+        report = verify_theorem_3_19(ws(z2))
         assert report.status == PASS
         assert report.counts["fuzzy_ideals_base"] == 2
 
     def test_boolean_ternary_chain_full(self, gb):
-        report = verify_theorem_3_19(gb, 2, CHAIN)
+        report = verify_theorem_3_19(ws(gb, CHAIN))
         assert report.status == PASS
         assert report.counts["fuzzy_ideals_base"] == 3
         assert report.counts["fuzzy_ideals_matrix"] == 3
 
     def test_downgrade_when_cap_exceeded(self, gb):
-        config = RunConfig(surjectivity_cap=1000)
-        report = verify_theorem_3_19(gb, 2, CHAIN, config)
+        report = verify_theorem_3_19(ws(gb, CHAIN, surjectivity_cap=1000))
         assert report.status == PASS
         assert "fuzzy_ideals_matrix" not in report.counts
         assert any("surjectivity skipped (cap)" in n for n in report.notes)
 
     def test_unity_gating(self, zero_product):
-        report = verify_theorem_3_19(zero_product, 2, CHAIN01)
+        report = verify_theorem_3_19(ws(zero_product))
         assert report.status == UNMET
 
     def test_matrix_cap_gating(self, z4):
-        report = verify_theorem_3_19(z4, 2, CHAIN01, RunConfig())
+        report = verify_theorem_3_19(ws(z4))
         assert report.status == UNMET

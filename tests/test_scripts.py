@@ -1,0 +1,28 @@
+"""Smoke tests for the scripts under scripts/: each runs to exit 0."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("run_suites.py", ("--instances", "z3,z4")),
+        ("mutation_sweep.py", ("boolean", "--max-report", "0")),
+    ],
+)
+def test_script_exits_zero(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    env.pop("GSL_CAP", None)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -1,22 +1,45 @@
 """Verification suites: statuses, counts, gating, and report invariants."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from gsl import core, verify
+from gsl import core, matrix, operators, verify
 from gsl.config import RunConfig
 from gsl.fuzzy import GradeChain
+from gsl.matrix import MatrixCapExceeded
 from gsl.report import FAIL, PASS, UNMET, VerificationReport, combine_status
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
 
 
+def ws(structure, **config):
+    """A fresh workspace over CHAIN."""
+    return verify.Workspace(structure, RunConfig(chain=CHAIN, **config))
+
+
+class TestWorkspace:
+    def test_families_are_shared_tuples(self, gb):
+        w = ws(gb)
+        ideals = w.fuzzy_ideals("L", "right")
+        assert isinstance(ideals, tuple) and w.fuzzy_ideals("L", "right") is ideals
+        assert isinstance(w.crisp_ideals("S"), tuple) and w.crisp_ideals("S") is w.crisp_ideals("S")
+        with pytest.raises(ValueError):
+            w.fuzzy_ideals("G")
+
+    def test_matrix_cap_raises_on_every_access(self, z4):
+        w = ws(z4)
+        for _ in range(2):
+            with pytest.raises(MatrixCapExceeded, match="cap is 16"):
+                w.matrix
+
+
 class TestProp34:
     def test_gb_z2_z4_all_clauses_pass(self, gb, z2, z4):
         for g, n_ideals in ((gb, 3), (z2, 3), (z4, 6)):
-            report = verify.verify_prop_3_4(g, CHAIN)
+            report = verify.verify_prop_3_4(ws(g))
             assert report.status == PASS, report.counterexample
             assert report.counts["fuzzy_ideals_S"] == n_ideals
             clause_notes = [n for n in report.notes if n.startswith("clause ")]
@@ -24,7 +47,7 @@ class TestProp34:
             assert all(n.endswith(PASS) for n in clause_notes)
 
     def test_unity_gating_on_zero_product(self, zero_product):
-        report = verify.verify_prop_3_4(zero_product, CHAIN)
+        report = verify.verify_prop_3_4(ws(zero_product))
         assert report.status != FAIL
         gated = {
             n.split(":")[0].removeprefix("clause ").strip()
@@ -38,20 +61,20 @@ class TestTheorem38:
     @pytest.mark.parametrize("kind", ["two", "right"])
     def test_bijection_counts(self, gb, z2, z4, kind):
         for g, count in ((gb, 3), (z2, 3), (z4, 6)):
-            report = verify.verify_theorem_3_8(g, CHAIN, kind)
+            report = verify.verify_theorem_3_8(ws(g), kind)
             assert report.status == PASS, report.counterexample
             assert report.counts["fuzzy_ideals_S"] == count
             assert report.counts["fuzzy_ideals_L"] == count
 
     def test_unity_gate(self, zero_product):
-        report = verify.verify_theorem_3_8(zero_product, CHAIN, "two")
+        report = verify.verify_theorem_3_8(ws(zero_product), "two")
         assert report.status == UNMET
 
 
 class TestLemmasAndTheorem315:
     def test_lemmas_pass(self, gb, z2, z4):
         for g in (gb, z2, z4):
-            report = verify.verify_lemmas_3_11_3_12(g)
+            report = verify.verify_lemmas_3_11_3_12(ws(g))
             assert report.status == PASS, report.counterexample
 
     def test_z4_explicit_pairing(self, z4):
@@ -65,29 +88,29 @@ class TestLemmasAndTheorem315:
     @pytest.mark.parametrize("kind", ["two", "right"])
     def test_315_counts(self, gb, z2, z4, kind):
         for g, count in ((gb, 2), (z2, 2), (z4, 3)):
-            report = verify.verify_theorem_3_15(g, kind)
+            report = verify.verify_theorem_3_15(ws(g), kind)
             assert report.status == PASS, report.counterexample
             assert report.counts["ideals_S"] == count
             assert report.counts["ideals_L"] == count
 
     def test_315_unity_gate(self, zero_product):
-        assert verify.verify_theorem_3_15(zero_product, "two").status == UNMET
+        assert verify.verify_theorem_3_15(ws(zero_product), "two").status == UNMET
 
 
 class TestTheorem317:
     def test_boolean_semifield_side(self, bool_sr):
-        report = verify.verify_theorem_3_17(bool_sr, CHAIN)
+        report = verify.verify_theorem_3_17(ws(bool_sr))
         assert report.status == PASS
         assert report.counts["fuzzy_ideals"] == 3
         assert any("cross-check agrees" in n for n in report.notes)
 
     def test_z4_nonsemifield_side(self, z4_sr):
-        report = verify.verify_theorem_3_17(z4_sr, CHAIN)
+        report = verify.verify_theorem_3_17(ws(z4_sr))
         assert report.status == PASS
         assert any("fuzzy violator" in n for n in report.notes)
 
     def test_z2_field(self):
-        report = verify.verify_theorem_3_17(core.zn_semiring(2), CHAIN)
+        report = verify.verify_theorem_3_17(ws(core.zn_semiring(2)))
         assert report.status == PASS
 
     def test_lambda_even_is_the_named_violator(self, z4_sr):
@@ -104,22 +127,22 @@ class TestTheorem317:
     def test_noncommutative_gate(self, bool_sr):
         from gsl.matrix import matrix_semiring
 
-        report = verify.verify_theorem_3_17(matrix_semiring(bool_sr, 2), CHAIN)
+        report = verify.verify_theorem_3_17(ws(matrix_semiring(bool_sr, 2)))
         assert report.status == UNMET
 
     def test_one_element_gate(self):
         one = core.Semiring("zero", ("0",), ((0,),), ((0,),))
-        assert verify.verify_theorem_3_17(one, CHAIN).status == UNMET
+        assert verify.verify_theorem_3_17(ws(one)).status == UNMET
 
 
 class TestTheorem318:
     def test_gb_and_z2_pass(self, gb, z2):
         for g in (gb, z2):
-            report = verify.verify_theorem_3_18(g, CHAIN)
+            report = verify.verify_theorem_3_18(ws(g))
             assert report.status == PASS, report.counterexample
 
     def test_z4_gated_with_diagnostics(self, z4):
-        report = verify.verify_theorem_3_18(z4, CHAIN)
+        report = verify.verify_theorem_3_18(ws(z4))
         assert report.status == UNMET
         assert any("not zero-divisor free" in n for n in report.notes)
         assert any("gamma-semifield predicate = False" in n for n in report.notes)
@@ -129,16 +152,33 @@ class TestTheorem318:
 class TestSemifieldTransfer:
     def test_gb_z2_z3(self, gb, z2, z3):
         for g in (gb, z2, z3):
-            report = verify.verify_semifield_transfer(g, CHAIN)
+            report = verify.verify_semifield_transfer(ws(g))
             assert report.status == PASS, report.counterexample
             assert any("gamma-semifield predicate: True" in n for n in report.notes)
             assert any("operator-side semifield predicate: True" in n for n in report.notes)
 
     def test_z4_gated(self, z4):
-        report = verify.verify_semifield_transfer(z4, CHAIN)
+        report = verify.verify_semifield_transfer(ws(z4))
         assert report.status == UNMET
         assert any("diagnostic: gamma-semifield predicate = False" in n for n in report.notes)
         assert any("operator-side semifield predicate = False" in n for n in report.notes)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Replace every `gsl` module's reference to fn by a wrapper that records
+    each call's arguments in the returned list."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gsl" or name.startswith("gsl."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 class TestRunAll:
@@ -173,10 +213,15 @@ class TestRunAll:
         reports = verify.run_all(bool_sr, RunConfig(chain=CHAIN))
         assert [r.suite for r in reports] == ["th3.17"]
 
-    def test_parallel_matches_sequential(self, z4):
-        seq = verify.run_all(z4, RunConfig(chain=CHAIN))
-        par = verify.run_all(z4, RunConfig(chain=CHAIN, parallelism=4))
-        assert [r.body() for r in seq] == [r.body() for r in par]
+    def test_one_run_builds_each_structure_once(self, monkeypatch, gb):
+        """L and R of the base, the matrix instance and that instance's own
+        left and right operator semirings are each built once per run."""
+        closures = _count_calls(monkeypatch, operators.build_operator_semiring)
+        matrices = _count_calls(monkeypatch, matrix.build_matrix_gamma)
+        reports = verify.run_all(gb, RunConfig(chain=CHAIN))
+        assert [r.status for r in reports if r.suite in ("matrix-iso[left]", "th3.19")] == [PASS, PASS]
+        assert len(closures) == 4
+        assert len(matrices) == 1
 
     def test_reports_deterministic(self, z4):
         a = verify.run_all(z4, RunConfig(chain=CHAIN))
@@ -217,6 +262,135 @@ class TestClauseEngineFailPaths:
         back = restrict_plus(left, collapse(sigma))
         assert back.to_mapping() == witness["roundtrip"] != witness["sigma"]
 
+    def test_swapped_maps_fail_pair_clauses_with_first_witnesses(self, gb):
+        """Swapping the bottom and top ideals before the lift and after the
+        restriction breaks the pair clauses iv, v, vi and ix; the whole row
+        list, first witnesses included, is pinned."""
+        from gsl.fuzzy import enumerate_fuzzy_ideals
+        from gsl.operators import build_operator_semiring
+        from gsl.transfer import lift_plusprime, restrict_plus
+
+        left = build_operator_semiring(gb, "left")
+        ideals_s = enumerate_fuzzy_ideals(gb, CHAIN, "two")
+        ideals_l = enumerate_fuzzy_ideals(left.semiring, CHAIN, "two")
+        first, last = ideals_s[0], ideals_s[-1]
+        swap = {first.grades: last, last.grades: first}
+        swapped = lambda mu: swap.get(mu.grades, mu)
+        rows = verify._clause_rows(
+            gb,
+            left,
+            ideals_s,
+            ideals_l,
+            lift=lambda s: lift_plusprime(left, swapped(s)),
+            restrict=lambda m: swapped(restrict_plus(left, m)),
+            lift_roundtrip_ok=True,
+            restrict_roundtrip_ok=True,
+            tag="",
+        )
+        bottom, middle = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/2"}
+        bottom_l, middle_l = {"f0": "1/1", "f1": "0/1"}, {"f0": "1/1", "f1": "1/2"}
+        assert rows == [
+            ("i", PASS, None, 3),
+            ("i-nonconstant", FAIL, {"clause": "i-nonconstant", "sigma": bottom}, 3),
+            ("ii", PASS, None, 3),
+            ("iii", PASS, None, 3),
+            ("iv", FAIL, {"clause": "iv", "sigma1": bottom, "sigma2": middle}, 9),
+            ("v", FAIL, {"clause": "v", "sigma1": bottom, "sigma2": middle}, 9),
+            ("vi", FAIL, {"clause": "vi", "sigma1": bottom, "sigma2": middle}, 9),
+            ("vii", PASS, None, 3),
+            ("vii-nonconstant", FAIL, {"clause": "vii-nonconstant", "mu": bottom_l}, 3),
+            ("viii", PASS, None, 3),
+            ("ix", FAIL, {"clause": "ix", "mu1": bottom_l, "mu2": middle_l}, 9),
+        ]
+
+
+def _chain_lattice_gamma():
+    """Gamma-semiring of the chain 0 < 1 < 2 under (max, min): commutative
+    and zero-divisor free, but {0, 1} is a proper nonzero ideal, so it is
+    not a gamma-semifield."""
+    join = tuple(tuple(max(i, j) for j in range(3)) for i in range(3))
+    meet = tuple(tuple(min(i, j) for j in range(3)) for i in range(3))
+    return core.gamma_from_semiring(core.Semiring("chain3", ("0", "1", "2"), join, meet))
+
+
+class TestForcedSemifieldPayloads:
+    """Force the fuzzy semifield condition against the structural predicate,
+    so both failure payloads of th3.17 and th3.18 appear, and pin them."""
+
+    NOTE = (
+        "grades restricted to the chain {0/1, 1/2, 1/1}; the chain is min/max-closed, "
+        "so every operation checked stays in-chain"
+    )
+
+    @staticmethod
+    def _run(monkeypatch, structure, suite, condition):
+        monkeypatch.setattr(verify, "_fuzzy_semifield_condition", condition)
+        reports = verify.run_all(structure, RunConfig(chain=CHAIN))
+        return next(r for r in reports if r.suite == suite).body()
+
+    @staticmethod
+    def _fails(ideals):
+        return False, ideals[0]
+
+    @staticmethod
+    def _holds(ideals):
+        return True, None
+
+    def test_th317_forward(self, monkeypatch, bool_sr):
+        body = self._run(monkeypatch, bool_sr, "th3.17", self._fails)
+        assert body["status"] == FAIL
+        assert body["counterexample"] == {
+            "direction": "semifield-but-fuzzy-condition-fails",
+            "violating_ideal": {"0": "1/1", "1": "0/1"},
+        }
+        assert body["counts"] == {"fuzzy_ideals": 3, "nonconstant_ideals": 2}
+        assert body["notes"] == [
+            self.NOTE,
+            "inverse-based cross-check agrees with the ideal-simplicity predicate",
+            "forward implication failed",
+        ]
+
+    def test_th317_reverse(self, monkeypatch, z4_sr):
+        body = self._run(monkeypatch, z4_sr, "th3.17", self._holds)
+        assert body["status"] == FAIL
+        assert body["counterexample"] == {
+            "direction": "fuzzy-condition-but-not-semifield",
+            "nonzero_proper_ideal": ["0", "2"],
+        }
+        assert body["counts"] == {"fuzzy_ideals": 6, "nonconstant_ideals": 5}
+        assert body["notes"] == [
+            self.NOTE,
+            "inverse-based cross-check agrees with the ideal-simplicity predicate",
+            "forward implication holds: vacuous",
+            "reverse implication failed",
+        ]
+
+    def test_th318_forward(self, monkeypatch, gb):
+        body = self._run(monkeypatch, gb, "th3.18", self._fails)
+        assert body["status"] == FAIL
+        assert body["counterexample"] == {
+            "direction": "gamma-semifield-but-fuzzy-condition-fails",
+            "violating_ideal": {"0": "1/1", "1": "0/1"},
+        }
+        assert body["counts"] == {"fuzzy_ideals": 3, "nonconstant_ideals": 2}
+        assert body["notes"] == [self.NOTE, "forward implication failed"]
+
+    def test_th318_reverse(self, monkeypatch):
+        g = _chain_lattice_gamma()
+        assert core.is_commutative(g) and core.is_zdf(g) and not core.is_gamma_semifield(g)
+        body = self._run(monkeypatch, g, "th3.18", self._holds)
+        assert body["status"] == FAIL
+        assert body["counterexample"] == {
+            "direction": "fuzzy-condition-but-not-gamma-semifield",
+            "pair_without_inverse": ["1", "1"],
+        }
+        assert body["counts"] == {"fuzzy_ideals": 6, "nonconstant_ideals": 5}
+        assert body["notes"] == [
+            self.NOTE,
+            "forward implication holds: vacuous",
+            "reverse implication failed",
+        ]
+
 
 class TestReportType:
     def test_fail_requires_counterexample(self):
@@ -233,7 +407,7 @@ class TestReportType:
         assert combine_status([PASS, FAIL, UNMET]) == FAIL
 
     def test_body_has_contract_fields(self, gb):
-        report = verify.verify_theorem_3_8(gb, CHAIN, "two")
+        report = verify.verify_theorem_3_8(ws(gb), "two")
         body = report.body()
         assert set(body) == {
             "suite",

@@ -18,7 +18,7 @@ CAP_ENV_VAR = "GSL_CAP"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for enumeration, closure, and reporting.
+    """Knobs for enumeration, closure and the matrix suites.
 
     chain            grade chain used by fuzzy suites (contains 0 and 1)
     n                matrix dimension for the matrix suites
@@ -27,7 +27,6 @@ class RunConfig:
     matrix_cap       max carrier size for a materialized matrix instance
     surjectivity_cap max candidates for the matrix-side surjectivity
                      enumeration before the check downgrades
-    report_format    'text' or 'json'
     """
 
     chain: GradeChain = DEFAULT_CHAIN
@@ -36,7 +35,6 @@ class RunConfig:
     closure_cap: int = 1_000_000
     matrix_cap: int = 16
     surjectivity_cap: int = 20_000_000
-    report_format: str = "text"
 
     def __post_init__(self):
         for cap_name in ("enum_cap", "closure_cap", "matrix_cap", "surjectivity_cap"):
@@ -44,8 +42,6 @@ class RunConfig:
                 raise ValueError(f"{cap_name} must be positive")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.report_format not in ("text", "json"):
-            raise ValueError(f"unknown report format {self.report_format!r}")
 
     @classmethod
     def from_env(cls, **overrides) -> "RunConfig":

@@ -89,12 +89,6 @@ class GammaSemiring:
         object.__setattr__(self, "addG", _freeze2(self.addG))
         object.__setattr__(self, "prod", _freeze3(self.prod))
 
-    def s_index(self, elem_id: str) -> int:
-        return self.S.index(elem_id)
-
-    def g_index(self, elem_id: str) -> int:
-        return self.G.index(elem_id)
-
 
 @dataclass(frozen=True)
 class Semiring:

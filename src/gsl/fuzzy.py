@@ -102,9 +102,6 @@ class GradeChain:
     def parse(cls, text: str) -> "GradeChain":
         return cls.of(*(parse_grade(part) for part in text.split(",") if part.strip()))
 
-    def rank_of(self, g: Fraction) -> int:
-        return self.grades.index(g)
-
     def __len__(self) -> int:
         return len(self.grades)
 

@@ -15,8 +15,8 @@ dually on the right) and verifies it is a semiring isomorphism.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING, Optional
 
 from . import core
@@ -27,7 +27,7 @@ from .fuzzy import (
     is_fuzzy_ideal_gamma,
 )
 from .operators import OperatorSemiring, build_operator_semiring
-from .report import FAIL, PASS, UNMET, VerificationReport, chain_scope_note, first_failing_pair
+from .report import VerificationReport, chain_scope_note, first_failing_pair, first_failure
 
 if TYPE_CHECKING:  # the suites below take the run's Workspace, which builds on this module
     from .verify import Workspace
@@ -263,105 +263,82 @@ def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
     """Verify that the operator semiring of the workspace's matrix instance is
     isomorphic to the matrix semiring over the base operator semiring, through
     the canonical generator mapping extended additively along provenance."""
-    base, config = ws.structure, ws.config
+    config = ws.config
     n = config.n
-    t0 = time.perf_counter()
-    notes: list[str] = []
-    suite = f"matrix-iso[{side}]"
 
-    try:
+    def check(counts, notes):
+        counts["n"] = n  # what a matrix-cap hit reports; the counts below replace it
         mg = ws.matrix
-    except MatrixCapExceeded as exc:
-        return VerificationReport(
-            suite, base.name, None, UNMET, None, {"n": n},
-            (time.perf_counter() - t0) * 1000.0, (str(exc),),
-        )
+        del counts["n"]
+        op_matrix = build_operator_semiring(mg.gamma, side, cap=config.closure_cap)
+        op_base = ws.left if side == "left" else ws.right
+        mat_over_op = matrix_semiring(op_base.semiring, n)
 
-    op_matrix = build_operator_semiring(mg.gamma, side, cap=config.closure_cap)
-    op_base = ws.left if side == "left" else ws.right
-    mat_over_op = matrix_semiring(op_base.semiring, n)
+        size = len(op_matrix)
+        counts["matrix_carrier"] = len(mg.gamma.S)
+        counts["operator_elements"] = size
+        counts["matrix_semiring_elements"] = len(mat_over_op.carrier)
+        counts["pairs_checked"] = size * size
 
-    size = len(op_matrix)
-    counts = {
-        "matrix_carrier": len(mg.gamma.S),
-        "operator_elements": size,
-        "matrix_semiring_elements": len(mat_over_op.carrier),
-        "pairs_checked": size * size,
-    }
-    counterexample = None
-    status = PASS
+        # additive extension of the generator mapping along provenance
+        images: list[int] = []
+        radix = len(op_base.semiring.carrier)
+        for prov in op_matrix.provenance:
+            acc = (0,) * (n * n)
+            for pair in prov:
+                gen = _generator_image(mg, op_base, pair, side)
+                acc = tuple(op_base.add[a][b] for a, b in zip(acc, gen))
+            images.append(_encode(acc, radix))
 
-    # additive extension of the generator mapping along provenance
-    images: list[int] = []
-    radix = len(op_base.semiring.carrier)
-    for prov in op_matrix.provenance:
-        acc = (0,) * (n * n)
-        for pair in prov:
-            gen = _generator_image(mg, op_base, pair, side)
-            acc = tuple(op_base.add[a][b] for a, b in zip(acc, gen))
-        images.append(_encode(acc, radix))
+        if len(set(images)) != size or size != len(mat_over_op.carrier):
+            return {
+                "check": "bijective",
+                "operator_elements": size,
+                "matrix_semiring_elements": len(mat_over_op.carrier),
+                "distinct_images": len(set(images)),
+            }
+        if images[0] != 0:
+            return {"check": "zero", "image_of_zero": mat_over_op.carrier[images[0]]}
 
-    if len(set(images)) != size or size != len(mat_over_op.carrier):
-        status = FAIL
-        counterexample = {
-            "check": "bijective",
-            "operator_elements": size,
-            "matrix_semiring_elements": len(mat_over_op.carrier),
-            "distinct_images": len(set(images)),
-        }
-    elif images[0] != 0:
-        status = FAIL
-        counterexample = {"check": "zero", "image_of_zero": mat_over_op.carrier[images[0]]}
-    else:
         def pair_failure(i, j):
             if images[op_matrix.add[i][j]] != mat_over_op.add[images[i]][images[j]]:
-                return "addition"
-            if images[op_matrix.mul[i][j]] != mat_over_op.mul[images[i]][images[j]]:
-                return "multiplication"
+                failed = "addition"
+            elif images[op_matrix.mul[i][j]] != mat_over_op.mul[images[i]][images[j]]:
+                failed = "multiplication"
+            else:
+                return None
+            return {"check": failed, "elements": [f"f{i}", f"f{j}"]}
+
+        failure = first_failing_pair(size, pair_failure)
+        if failure:
+            return failure
+
+        # generator actions must agree with the realized matrix product
+        S, G, prod = mg.gamma.S, mg.gamma.G, mg.gamma.prod
+
+        def generator_failure(x, d):
+            """The first argument on which generator (x, d), or (d, x) on the
+            right, acts unlike the realized product."""
+            counts["generators_checked"] += 1
+            if side == "left":
+                pair, generator = (x, d), [S[x], G[d]]
+            else:
+                pair, generator = (d, x), [G[d], S[x]]
+            image = _generator_image(mg, op_base, pair, side)
+            for a in range(len(S)):
+                direct = prod[x][d][a] if side == "left" else prod[a][d][x]
+                if _matrix_action(mg, op_base, image, a, side) != direct:
+                    return {"check": "generator-action", "generator": generator, "argument": S[a]}
             return None
 
-        hit = first_failing_pair(size, pair_failure)
-        if hit:
-            i, j, check = hit
-            status = FAIL
-            counterexample = {"check": check, "elements": [f"f{i}", f"f{j}"]}
-
-    # generator actions must agree with the realized matrix product
-    if status == PASS:
-        s_size = len(mg.gamma.S)
-        g_size = len(mg.gamma.G)
-        gens = 0
-        for x in range(s_size):
-            if counterexample is not None:
-                break
-            for d in range(g_size):
-                pair = (x, d) if side == "left" else (d, x)
-                image = _generator_image(mg, op_base, pair, side)
-                for a in range(s_size):
-                    if side == "left":
-                        direct = mg.gamma.prod[x][d][a]
-                    else:
-                        direct = mg.gamma.prod[a][d][x]
-                    if _matrix_action(mg, op_base, image, a, side) != direct:
-                        status = FAIL
-                        counterexample = {
-                            "check": "generator-action",
-                            "generator": [mg.gamma.S[x], mg.gamma.G[d]]
-                            if side == "left"
-                            else [mg.gamma.G[d], mg.gamma.S[x]],
-                            "argument": mg.gamma.S[a],
-                        }
-                        break
-                gens += 1
-                if counterexample is not None:
-                    break
-        counts["generators_checked"] = gens
+        counts["generators_checked"] = 0
+        failure = first_failure(
+            lambda xd: generator_failure(*xd), product(range(len(S)), range(len(G)))
+        )
         notes.append("generator actions agree with the realized matrix product")
+        return failure
 
-    return VerificationReport(
-        suite, base.name, None, status, counterexample, counts,
-        (time.perf_counter() - t0) * 1000.0, tuple(notes),
-    )
+    return ws.run_suite(f"matrix-iso[{side}]", check)
 
 
 def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
@@ -373,86 +350,59 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
     'injective + inclusion-preserving verified, surjectivity skipped' and
     says so explicitly.
     """
-    base, config = ws.structure, ws.config
+    config = ws.config
     n, chain = config.n, config.chain
-    t0 = time.perf_counter()
-    suite = "th3.19"
-    notes = [chain_scope_note(chain)]
 
-    try:
+    def check(counts, notes):
+        counts["n"] = n
         mg = ws.matrix
-    except MatrixCapExceeded as exc:
-        return VerificationReport(
-            suite, base.name, chain, UNMET, None, {"n": n},
-            (time.perf_counter() - t0) * 1000.0, (str(exc),),
+        ws.require_unities()
+        notes.append(chain_scope_note(chain))
+
+        ideals = ws.fuzzy_ideals("S")
+        lifted = [lift_fuzzy_to_matrix(mg, mu) for mu in ideals]
+        counts["fuzzy_ideals_base"] = len(ideals)
+
+        failure = first_failure(
+            lambda mu, mn: not is_fuzzy_ideal_gamma(mg.gamma, mn, "two")
+            and {"check": "lift-is-ideal", "mu": mu.to_mapping()},
+            ideals, lifted,
         )
-
-    if not (ws.left_unity and ws.right_unity):
-        return VerificationReport(
-            suite, base.name, chain, UNMET, None, {"n": n},
-            (time.perf_counter() - t0) * 1000.0,
-            ("requires both unities; at least one is absent",),
-        )
-
-    ideals = ws.fuzzy_ideals("S")
-    lifted = [lift_fuzzy_to_matrix(mg, mu) for mu in ideals]
-    counts = {"fuzzy_ideals_base": len(ideals), "n": n}
-    status = PASS
-    counterexample = None
-
-    for mu, mn in zip(ideals, lifted):
-        if not is_fuzzy_ideal_gamma(mg.gamma, mn, "two"):
-            status = FAIL
-            counterexample = {"check": "lift-is-ideal", "mu": mu.to_mapping()}
-            break
-
-    if status == PASS and len({m.grades for m in lifted}) != len(lifted):
-        status = FAIL
-        counterexample = {"check": "injective"}
-
-    if status == PASS:
-        hit = first_failing_pair(
-            len(ideals), lambda i, j: (ideals[i] <= ideals[j]) != (lifted[i] <= lifted[j])
-        )
-        if hit:
-            i, j, _ = hit
-            status = FAIL
-            counterexample = {
+        if failure:
+            return failure
+        lifted_set = {m.grades for m in lifted}
+        if len(lifted_set) != len(lifted):
+            return {"check": "injective"}
+        counts["pairs_checked"] = len(ideals) ** 2
+        failure = first_failing_pair(
+            len(ideals),
+            lambda i, j: (ideals[i] <= ideals[j]) != (lifted[i] <= lifted[j]) and {
                 "check": "inclusion-preserving",
                 "mu1": ideals[i].to_mapping(),
                 "mu2": ideals[j].to_mapping(),
-            }
-        counts["pairs_checked"] = len(ideals) ** 2
+            },
+        )
+        if failure:
+            return failure
 
-    matrix_candidates = len(chain) ** (len(mg.gamma.S) - 1)
-    if status == PASS:
+        matrix_candidates = len(chain) ** (len(mg.gamma.S) - 1)
         if matrix_candidates > config.surjectivity_cap:
             notes.append(
                 f"surjectivity skipped (cap): {matrix_candidates} candidates exceed "
                 f"{config.surjectivity_cap}; injectivity and inclusion-preservation verified"
             )
-        else:
-            matrix_ideals = enumerate_fuzzy_ideals(
-                mg.gamma, chain, "two", cap=max(config.enum_cap, matrix_candidates)
-            )
-            counts["fuzzy_ideals_matrix"] = len(matrix_ideals)
-            notes.append(
-                f"cardinalities: {len(ideals)} base ideals vs "
-                f"{len(matrix_ideals)} matrix ideals"
-            )
-            if {m.grades for m in lifted} != {m.grades for m in matrix_ideals}:
-                status = FAIL
-                extra = [
-                    m.to_mapping()
-                    for m in matrix_ideals
-                    if m.grades not in {x.grades for x in lifted}
-                ]
-                counterexample = {
-                    "check": "surjective",
-                    "unmatched": extra[:3],
-                }
+            return None
+        matrix_ideals = enumerate_fuzzy_ideals(
+            mg.gamma, chain, "two", cap=max(config.enum_cap, matrix_candidates)
+        )
+        counts["fuzzy_ideals_matrix"] = len(matrix_ideals)
+        notes.append(
+            f"cardinalities: {len(ideals)} base ideals vs "
+            f"{len(matrix_ideals)} matrix ideals"
+        )
+        if lifted_set != {m.grades for m in matrix_ideals}:
+            extra = [m.to_mapping() for m in matrix_ideals if m.grades not in lifted_set]
+            return {"check": "surjective", "unmatched": extra[:3]}
+        return None
 
-    return VerificationReport(
-        suite, base.name, chain, status, counterexample, counts,
-        (time.perf_counter() - t0) * 1000.0, tuple(notes),
-    )
+    return ws.run_suite("th3.19", check, chain)

@@ -108,10 +108,6 @@ class OperatorSemiring:
     def index_of(self, values: tuple[int, ...]) -> Optional[int]:
         return self._index.get(tuple(values))
 
-    @property
-    def zero_index(self) -> int:
-        return 0
-
     def identity_index(self) -> Optional[int]:
         return self.index_of(tuple(range(len(self.base.S))))
 

@@ -9,7 +9,8 @@ from the comparison body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from itertools import product
+from typing import Callable, Iterable, Mapping, Optional
 
 from .fuzzy import GradeChain, format_grade
 
@@ -19,7 +20,7 @@ __all__ = [
     "UNMET",
     "VerificationReport",
     "chain_scope_note",
-    "combine_status",
+    "first_failure",
     "first_failing_pair",
 ]
 
@@ -37,28 +38,21 @@ def chain_scope_note(chain: GradeChain) -> str:
     )
 
 
-def combine_status(statuses) -> str:
-    """fail dominates; otherwise unmet only when nothing passed."""
-    statuses = list(statuses)
-    if FAIL in statuses:
-        return FAIL
-    if statuses and all(s == UNMET for s in statuses):
-        return UNMET
-    return PASS
+def first_failure(check: Callable[..., object], *columns: Iterable) -> object:
+    """The first truthy check(*row), over the rows of the zipped columns in
+    order; None when every row passes.
+
+    A check returns the failure it finds (the counterexample payload, or the
+    failing candidate itself) and something falsy on a pass.  Suites report
+    this first failure as their counterexample, so the scan order is part of
+    the report body."""
+    return next(filter(None, map(check, *columns)), None)
 
 
-def first_failing_pair(n: int, check: Callable[[int, int], object]) -> Optional[tuple[int, int, object]]:
-    """The first (i, j, failure), in row-major order over range(n) x range(n),
-    for which check(i, j) returns a truthy failure; None when every pair passes.
-
-    Suites report this first pair as their counterexample, so the scan order
-    is part of the report body."""
-    for i in range(n):
-        for j in range(n):
-            failure = check(i, j)
-            if failure:
-                return i, j, failure
-    return None
+def first_failing_pair(n: int, check: Callable[[int, int], object]) -> object:
+    """first_failure over the pairs (i, j) of range(n) x range(n), in
+    row-major order."""
+    return first_failure(lambda pair: check(*pair), product(range(n), repeat=2))
 
 
 @dataclass(frozen=True)

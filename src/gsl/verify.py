@@ -3,12 +3,14 @@ as a falsifiable check over exhaustively enumerated objects.
 
 Every suite takes the run's `Workspace`, which builds the operator
 semirings, the matrix instance and the ideal families once and shares them
-across suites, and returns a VerificationReport.  Biconditionals are checked
-as two independent implications so a failure localizes; clause-level
-preconditions (unity presence) are gated as precondition-unmet rather than
-guessed around.  All enumeration happens at grade-chain scale, which is sound
-for these statements because min/max over finite index sets never leaves the
-chain; each report says so in its notes.
+across suites.  Every suite also runs in the workspace's one frame,
+`Workspace.run_suite`, which times it, turns a gate or a cap hit into a
+precondition-unmet report, and assembles the VerificationReport.
+Biconditionals are checked as two independent implications so a failure
+localizes; clause-level preconditions (unity presence) are gated as
+precondition-unmet rather than guessed around.  All enumeration happens at
+grade-chain scale, which is sound for these statements because min/max over
+finite index sets never leaves the chain; each report says so in its notes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from . import core
 from .config import RunConfig
 from .fuzzy import (
     CrispSubset,
+    EnumerationCapExceeded,
     FuzzySubset,
+    GradeChain,
     carrier_of,
     characteristic,
     enumerate_crisp_ideals,
@@ -53,8 +57,8 @@ from .report import (
     UNMET,
     VerificationReport,
     chain_scope_note,
-    combine_status,
     first_failing_pair,
+    first_failure,
 )
 from .transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
 
@@ -72,6 +76,8 @@ __all__ = [
     "SUITES",
     "SUITE_CHOICES",
 ]
+
+NO_UNITIES = "requires both unities; at least one is absent"
 
 
 class Workspace:
@@ -105,6 +111,11 @@ class Workspace:
     @cached_property
     def right_unity(self) -> bool:
         return find_unity(self.structure, self.right) is not None
+
+    def require_unities(self) -> None:
+        """The gate of every statement that needs both unities."""
+        if not (self.left_unity and self.right_unity):
+            raise core.PreconditionUnmet(NO_UNITIES)
 
     @cached_property
     def _matrix(self) -> MatrixGammaSemiring | MatrixCapExceeded:
@@ -152,6 +163,44 @@ class Workspace:
             self._families[key] = tuple(enumerate_family())
         return self._families[key]
 
+    def run_suite(
+        self,
+        suite: str,
+        check: Callable[[dict, list], Optional[dict]],
+        chain: Optional[GradeChain] = None,
+        instance: Optional[str] = None,
+    ) -> VerificationReport:
+        """Run one suite's check in the frame every suite shares: time it
+        and assemble its report.
+
+        `check(counts, notes)` fills in the report's counts and notes and
+        returns its counterexample, or None when the statement holds.  Two
+        ways out make the suite precondition-unmet instead:
+        - a gate raises `core.PreconditionUnmet`; its arguments are appended
+          to the notes;
+        - a cap is hit (`MatrixCapExceeded` or `EnumerationCapExceeded`); the
+          cap's text goes first, followed by the notes gathered so far.
+        Either way the counts gathered so far are kept.  The instance is the
+        workspace's structure unless named.
+        """
+        clock = time.perf_counter
+        t0 = clock()
+        counts: dict[str, int] = {}
+        notes: list[str] = []
+        try:
+            counterexample = check(counts, notes)
+            status = FAIL if counterexample else PASS
+        except core.PreconditionUnmet as gate:
+            status, counterexample = UNMET, None
+            notes += gate.args
+        except (MatrixCapExceeded, EnumerationCapExceeded) as cap:
+            status, counterexample = UNMET, None
+            notes.insert(0, str(cap))
+        return VerificationReport(
+            suite, instance or self.structure.name, chain, status, counterexample, counts,
+            (clock() - t0) * 1000.0, tuple(notes),
+        )
+
 
 def _grades(mu: FuzzySubset) -> dict:
     return mu.to_mapping()
@@ -188,128 +237,106 @@ def _clause_rows(
     lifted = [lift(s) for s in ideals_s]
     restricted = [restrict(m) for m in ideals_op]
 
-    def emit(cid, status, witness=None, checked=0):
-        rows.append((cid + tag, status, witness, checked))
-
-    def gated(cid, ok):
+    def clause(cid, checked, scan, ok=True):
+        """One row: precondition-unmet when the unity it rests on is absent,
+        otherwise the first failure scan() finds, as the clause's witness."""
         if not ok:
-            emit(cid, UNMET)
-            return True
-        return False
+            rows.append((cid + tag, UNMET, None, 0))
+            return
+        failure = scan()
+        if failure:
+            rows.append((cid + tag, FAIL, {"clause": cid + tag, **failure}, checked))
+        else:
+            rows.append((cid + tag, PASS, None, checked))
 
-    def pair_clause(cid, ideals, label, fails):
-        hit = first_failing_pair(len(ideals), fails)
-        witness = None
-        if hit:
-            i, j, _ = hit
-            witness = {
-                "clause": cid + tag,
+    def each(cid, ideals, images, check, ok=True):
+        """A clause checked on each ideal together with its image."""
+        clause(cid, len(ideals), lambda: first_failure(check, ideals, images), ok)
+
+    def pairwise(cid, ideals, label, fails):
+        """A clause checked on every pair of ideals."""
+        clause(cid, len(ideals) ** 2, lambda: first_failing_pair(
+            len(ideals),
+            lambda i, j: fails(i, j) and {
                 f"{label}1": _grades(ideals[i]),
                 f"{label}2": _grades(ideals[j]),
-            }
-        emit(cid, FAIL if witness else PASS, witness, len(ideals) ** 2)
+            },
+        ))
+
+    def lift_roundtrip(s, t):
+        back = restrict(t)
+        return back.grades != s.grades and {"sigma": _grades(s), "roundtrip": _grades(back)}
+
+    first_lifted_at: dict[tuple, int] = {}
+
+    def repeated_lift(k, t):
+        """The first lift equal to an earlier one, with that earlier one."""
+        first = first_lifted_at.setdefault(t.grades, k)
+        return first != k and {"sigma1": _grades(ideals_s[first]), "sigma2": _grades(ideals_s[k])}
+
+    def restrict_roundtrip(m, rm):
+        back = lift(rm)
+        return back.grades != m.grades and {"mu": _grades(m), "roundtrip": _grades(back)}
 
     # (i) ideal preservation under the lift
-    witness = None
-    for s, t in zip(ideals_s, lifted):
-        if not is_fuzzy_ideal_semiring(sr, t, "two"):
-            witness = {"clause": "i" + tag, "sigma": _grades(s), "lifted": _grades(t)}
-            break
-    emit("i", FAIL if witness else PASS, witness, len(ideals_s))
+    each(
+        "i", ideals_s, lifted,
+        lambda s, t: not is_fuzzy_ideal_semiring(sr, t, "two")
+        and {"sigma": _grades(s), "lifted": _grades(t)},
+    )
 
     # (i) non-constancy preservation
-    if not gated("i-nonconstant", lift_roundtrip_ok):
-        witness = None
-        for s, t in zip(ideals_s, lifted):
-            if not s.is_constant() and t.is_constant():
-                witness = {"clause": "i-nonconstant" + tag, "sigma": _grades(s)}
-                break
-        emit("i-nonconstant", FAIL if witness else PASS, witness, len(ideals_s))
+    each(
+        "i-nonconstant", ideals_s, lifted,
+        lambda s, t: not s.is_constant() and t.is_constant() and {"sigma": _grades(s)},
+        lift_roundtrip_ok,
+    )
 
     # (ii) restrict(lift(sigma)) == sigma
-    if not gated("ii", lift_roundtrip_ok):
-        witness = None
-        for s, t in zip(ideals_s, lifted):
-            back = restrict(t)
-            if back.grades != s.grades:
-                witness = {
-                    "clause": "ii" + tag,
-                    "sigma": _grades(s),
-                    "roundtrip": _grades(back),
-                }
-                break
-        emit("ii", FAIL if witness else PASS, witness, len(ideals_s))
+    each("ii", ideals_s, lifted, lift_roundtrip, lift_roundtrip_ok)
 
     # (iii) injectivity of the lift
-    if not gated("iii", lift_roundtrip_ok):
-        distinct = len({t.grades for t in lifted})
-        witness = None
-        if distinct != len(lifted):
-            seen: dict[tuple, int] = {}
-            for k, t in enumerate(lifted):
-                if t.grades in seen:
-                    witness = {
-                        "clause": "iii" + tag,
-                        "sigma1": _grades(ideals_s[seen[t.grades]]),
-                        "sigma2": _grades(ideals_s[k]),
-                    }
-                    break
-                seen[t.grades] = k
-        emit("iii", FAIL if witness else PASS, witness, len(ideals_s))
+    each("iii", range(len(lifted)), lifted, repeated_lift, lift_roundtrip_ok)
 
     # (iv) lift of a sum is the sum of lifts
-    pair_clause(
+    pairwise(
         "iv", ideals_s, "sigma",
         lambda i, j: lift(fuzzy_sum(ideals_s[i], ideals_s[j])).grades
         != fuzzy_sum(lifted[i], lifted[j]).grades,
     )
 
     # (v) lift of an intersection is the intersection of lifts
-    pair_clause(
+    pairwise(
         "v", ideals_s, "sigma",
         lambda i, j: lift(fuzzy_intersection([ideals_s[i], ideals_s[j]])).grades
         != fuzzy_intersection([lifted[i], lifted[j]]).grades,
     )
 
     # (vi) lift is inclusion-preserving
-    pair_clause(
+    pairwise(
         "vi", ideals_s, "sigma",
         lambda i, j: ideals_s[i] <= ideals_s[j] and not lifted[i] <= lifted[j],
     )
 
     # (vii) ideal preservation under the restriction
-    witness = None
-    for m, rm in zip(ideals_op, restricted):
-        if not is_fuzzy_ideal_gamma(g, rm, "two"):
-            witness = {"clause": "vii" + tag, "mu": _grades(m), "restricted": _grades(rm)}
-            break
-    emit("vii", FAIL if witness else PASS, witness, len(ideals_op))
+    each(
+        "vii", ideals_op, restricted,
+        lambda m, rm: not is_fuzzy_ideal_gamma(g, rm, "two")
+        and {"mu": _grades(m), "restricted": _grades(rm)},
+    )
 
     # (vii) non-constancy preservation
-    if not gated("vii-nonconstant", restrict_roundtrip_ok):
-        witness = None
-        for m, rm in zip(ideals_op, restricted):
-            if not m.is_constant() and rm.is_constant():
-                witness = {"clause": "vii-nonconstant" + tag, "mu": _grades(m)}
-                break
-        emit("vii-nonconstant", FAIL if witness else PASS, witness, len(ideals_op))
+    each(
+        "vii-nonconstant", ideals_op, restricted,
+        lambda m, rm: not m.is_constant() and rm.is_constant() and {"mu": _grades(m)},
+        restrict_roundtrip_ok,
+    )
 
     # (viii) lift(restrict(mu)) == mu
-    if not gated("viii", restrict_roundtrip_ok):
-        witness = None
-        for m, rm in zip(ideals_op, restricted):
-            back = lift(rm)
-            if back.grades != m.grades:
-                witness = {
-                    "clause": "viii" + tag,
-                    "mu": _grades(m),
-                    "roundtrip": _grades(back),
-                }
-                break
-        emit("viii", FAIL if witness else PASS, witness, len(ideals_op))
+    each("viii", ideals_op, restricted, restrict_roundtrip, restrict_roundtrip_ok)
 
     # (ix) restriction is inclusion-preserving
-    pair_clause(
+    pairwise(
         "ix", ideals_op, "mu",
         lambda i, j: ideals_op[i] <= ideals_op[j] and not restricted[i] <= restricted[j],
     )
@@ -321,46 +348,41 @@ def verify_prop_3_4(ws: Workspace) -> VerificationReport:
     """Nine transfer-map clauses between the fuzzy ideals of the base and of
     its left operator semiring, plus the right-operator duals."""
     g, chain = ws.structure, ws.config.chain
-    t0 = time.perf_counter()
 
-    left, right = ws.left, ws.right
-    ideals_s = ws.fuzzy_ideals("S")
-    ideals_l = ws.fuzzy_ideals("L")
-    ideals_r = ws.fuzzy_ideals("R")
+    def check(counts, notes):
+        notes.append(chain_scope_note(chain))
+        left, right = ws.left, ws.right
+        ideals_s = ws.fuzzy_ideals("S")
+        ideals_l = ws.fuzzy_ideals("L")
+        ideals_r = ws.fuzzy_ideals("R")
 
-    rows = _clause_rows(
-        g, left, ideals_s, ideals_l,
-        lift=lambda s: lift_plusprime(left, s),
-        restrict=lambda m: restrict_plus(left, m),
-        lift_roundtrip_ok=ws.right_unity,
-        restrict_roundtrip_ok=ws.left_unity,
-        tag="",
-    )
-    rows += _clause_rows(
-        g, right, ideals_s, ideals_r,
-        lift=lambda s: lift_starprime(right, s),
-        restrict=lambda m: restrict_star(right, m),
-        lift_roundtrip_ok=ws.left_unity,
-        restrict_roundtrip_ok=ws.right_unity,
-        tag="*",
-    )
+        rows = _clause_rows(
+            g, left, ideals_s, ideals_l,
+            lift=lambda s: lift_plusprime(left, s),
+            restrict=lambda m: restrict_plus(left, m),
+            lift_roundtrip_ok=ws.right_unity,
+            restrict_roundtrip_ok=ws.left_unity,
+            tag="",
+        )
+        rows += _clause_rows(
+            g, right, ideals_s, ideals_r,
+            lift=lambda s: lift_starprime(right, s),
+            restrict=lambda m: restrict_star(right, m),
+            lift_roundtrip_ok=ws.left_unity,
+            restrict_roundtrip_ok=ws.right_unity,
+            tag="*",
+        )
 
-    status = combine_status(st for _, st, _, _ in rows)
-    counterexample = next((w for _, st, w, _ in rows if st == FAIL), None)
-    notes = [chain_scope_note(chain)]
-    notes.append(f"left unity: {'present' if ws.left_unity else 'absent'}")
-    notes.append(f"right unity: {'present' if ws.right_unity else 'absent'}")
-    notes += [f"clause {cid}: {st}" for cid, st, _, _ in rows]
-    counts = {
-        "fuzzy_ideals_S": len(ideals_s),
-        "fuzzy_ideals_L": len(ideals_l),
-        "fuzzy_ideals_R": len(ideals_r),
-        "checks": sum(c for _, _, _, c in rows),
-    }
-    return VerificationReport(
-        "prop3.4", g.name, chain, status, counterexample, counts,
-        (time.perf_counter() - t0) * 1000.0, tuple(notes),
-    )
+        notes.append(f"left unity: {'present' if ws.left_unity else 'absent'}")
+        notes.append(f"right unity: {'present' if ws.right_unity else 'absent'}")
+        notes += [f"clause {cid}: {st}" for cid, st, _, _ in rows]
+        counts["fuzzy_ideals_S"] = len(ideals_s)
+        counts["fuzzy_ideals_L"] = len(ideals_l)
+        counts["fuzzy_ideals_R"] = len(ideals_r)
+        counts["checks"] = sum(c for _, _, _, c in rows)
+        return next((w for _, st, w, _ in rows if st == FAIL), None)
+
+    return ws.run_suite("prop3.4", check, chain)
 
 
 def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
@@ -370,68 +392,54 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
     if kind not in ("two", "right"):
         raise ValueError("kind must be 'two' or 'right'")
     g, chain = ws.structure, ws.config.chain
-    t0 = time.perf_counter()
-    suite = f"th3.8[{kind}]"
-    notes = [chain_scope_note(chain)]
 
-    if not (ws.left_unity and ws.right_unity):
-        return VerificationReport(
-            suite, g.name, chain, UNMET, None, {},
-            (time.perf_counter() - t0) * 1000.0,
-            tuple(notes + ["requires both unities; at least one is absent"]),
+    def check(counts, notes):
+        notes.append(chain_scope_note(chain))
+        ws.require_unities()
+        left = ws.left
+        A = ws.fuzzy_ideals("S", kind)
+        B = ws.fuzzy_ideals("L", kind)
+        lifted = [lift_plusprime(left, s) for s in A]
+        counts["fuzzy_ideals_S"] = len(A)
+        counts["fuzzy_ideals_L"] = len(B)
+
+        b_set = {m.grades for m in B}
+        image = first_failure(
+            lambda s, t: t.grades not in b_set
+            and {"check": "image-is-ideal", "sigma": _grades(s), "lifted": _grades(t)},
+            A, lifted,
         )
+        if image:
+            return image
+        lifted_set = {t.grades for t in lifted}
+        if len(lifted_set) != len(A):
+            return {"check": "injective"}
+        if lifted_set != b_set:
+            missing = [m.to_mapping() for m in B if m.grades not in lifted_set]
+            return {"check": "surjective", "unmatched": missing[:3]}
 
-    left = ws.left
-    A = ws.fuzzy_ideals("S", kind)
-    B = ws.fuzzy_ideals("L", kind)
-    lifted = [lift_plusprime(left, s) for s in A]
-    counts = {"fuzzy_ideals_S": len(A), "fuzzy_ideals_L": len(B)}
-    status = PASS
-    counterexample = None
-
-    b_set = {m.grades for m in B}
-    for s, t in zip(A, lifted):
-        if t.grades not in b_set:
-            status, counterexample = FAIL, {
-                "check": "image-is-ideal",
-                "sigma": _grades(s),
-                "lifted": _grades(t),
-            }
-            break
-
-    if status == PASS and len({t.grades for t in lifted}) != len(A):
-        status, counterexample = FAIL, {"check": "injective"}
-    if status == PASS and {t.grades for t in lifted} != b_set:
-        missing = [m.to_mapping() for m in B if m.grades not in {t.grades for t in lifted}]
-        status, counterexample = FAIL, {"check": "surjective", "unmatched": missing[:3]}
-
-    if status == PASS:
         def pair_failure(i, j):
             a, b = A[i], A[j]
             if (a <= b) != (lifted[i] <= lifted[j]):
-                return "inclusion-both-ways"
-            if lift_plusprime(left, fuzzy_sum(a, b)).grades != fuzzy_sum(
+                failed = "inclusion-both-ways"
+            elif lift_plusprime(left, fuzzy_sum(a, b)).grades != fuzzy_sum(
                 lifted[i], lifted[j]
             ).grades:
-                return "sum-homomorphism"
-            if lift_plusprime(left, fuzzy_intersection([a, b])).grades != fuzzy_intersection(
+                failed = "sum-homomorphism"
+            elif lift_plusprime(left, fuzzy_intersection([a, b])).grades != fuzzy_intersection(
                 [lifted[i], lifted[j]]
             ).grades:
-                return "intersection-homomorphism"
-            return None
+                failed = "intersection-homomorphism"
+            else:
+                return None
+            return {"check": failed, "sigma1": _grades(a), "sigma2": _grades(b)}
 
-        hit = first_failing_pair(len(A), pair_failure)
-        if hit:
-            i, j, check = hit
-            status, counterexample = FAIL, {
-                "check": check,
-                "sigma1": _grades(A[i]),
-                "sigma2": _grades(A[j]),
-            }
         counts["pairs_checked"] = len(A) ** 2
+        pair = first_failing_pair(len(A), pair_failure)
+        if pair:
+            return pair
 
-    # chain-scale lattice sanity: closure under both operations, top and bottom
-    if status == PASS:
+        # chain-scale lattice sanity: closure under both operations, top and bottom
         a_set = {x.grades for x in A}
         closed = all(
             fuzzy_sum(a, b).grades in a_set and fuzzy_intersection([a, b]).grades in a_set
@@ -441,16 +449,12 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
         carrier = carrier_of(g)
         top = FuzzySubset.constant(carrier, 1)
         bottom = characteristic(CrispSubset.of_indices(carrier, [0]))
-        has_bounds = top.grades in a_set and bottom.grades in a_set
-        if not (closed and has_bounds):
-            status, counterexample = FAIL, {"check": "lattice-closure"}
-        else:
-            notes.append("enumerated ideals are closed under sum/intersection with top and bottom")
+        if not (closed and top.grades in a_set and bottom.grades in a_set):
+            return {"check": "lattice-closure"}
+        notes.append("enumerated ideals are closed under sum/intersection with top and bottom")
+        return None
 
-    return VerificationReport(
-        suite, g.name, chain, status, counterexample, counts,
-        (time.perf_counter() - t0) * 1000.0, tuple(notes),
-    )
+    return ws.run_suite(f"th3.8[{kind}]", check, chain)
 
 
 def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
@@ -459,64 +463,50 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
     characteristic function of its operator-side image, which is itself a
     crisp ideal; dually from L back to S."""
     g = ws.structure
-    t0 = time.perf_counter()
-    left = ws.left
-    status = PASS
-    counterexample = None
-    checked = 0
-    per_kind: dict[str, int] = {}
 
-    for kind in ("two", "right", "left"):
-        ideals_s = ws.crisp_ideals("S", kind)
-        ideals_l = ws.crisp_ideals("L", kind)
-        per_kind[f"ideals_S[{kind}]"] = len(ideals_s)
-        per_kind[f"ideals_L[{kind}]"] = len(ideals_l)
-        for ideal in ideals_s:
-            image = plusprime_set(left, ideal)
-            if lift_plusprime(left, characteristic(ideal)).grades != characteristic(image).grades:
-                status, counterexample = FAIL, {
-                    "check": "characteristic-lift",
-                    "kind": kind,
-                    "ideal": _ids(ideal),
-                }
-                break
-            if not is_crisp_ideal_semiring(left.semiring, image, kind):
-                status, counterexample = FAIL, {
-                    "check": "image-is-ideal",
-                    "kind": kind,
-                    "ideal": _ids(ideal),
-                    "image": _ids(image),
-                }
-                break
-            checked += 1
-        if status == FAIL:
-            break
-        for ideal in ideals_l:
-            back = plus_set(left, ideal)
-            if restrict_plus(left, characteristic(ideal)).grades != characteristic(back).grades:
-                status, counterexample = FAIL, {
-                    "check": "characteristic-restrict",
-                    "kind": kind,
-                    "ideal": _ids(ideal),
-                }
-                break
-            if not is_crisp_ideal_gamma(g, back, kind):
-                status, counterexample = FAIL, {
-                    "check": "preimage-is-ideal",
-                    "kind": kind,
-                    "ideal": _ids(ideal),
-                    "preimage": _ids(back),
-                }
-                break
-            checked += 1
-        if status == FAIL:
-            break
+    def check(counts, notes):
+        left = ws.left
+        counts["identities_checked"] = 0
+        for kind in ("two", "right", "left"):
+            ideals_s = ws.crisp_ideals("S", kind)
+            ideals_l = ws.crisp_ideals("L", kind)
+            counts[f"ideals_S[{kind}]"] = len(ideals_s)
+            counts[f"ideals_L[{kind}]"] = len(ideals_l)
 
-    counts = {"identities_checked": checked, **per_kind}
-    return VerificationReport(
-        "lemmas", g.name, None, status, counterexample, counts,
-        (time.perf_counter() - t0) * 1000.0, (),
-    )
+            def image_failure(ideal):
+                image = plusprime_set(left, ideal)
+                if lift_plusprime(left, characteristic(ideal)).grades != characteristic(image).grades:
+                    return {"check": "characteristic-lift", "kind": kind, "ideal": _ids(ideal)}
+                if not is_crisp_ideal_semiring(left.semiring, image, kind):
+                    return {
+                        "check": "image-is-ideal",
+                        "kind": kind,
+                        "ideal": _ids(ideal),
+                        "image": _ids(image),
+                    }
+                counts["identities_checked"] += 1
+                return None
+
+            def preimage_failure(ideal):
+                back = plus_set(left, ideal)
+                if restrict_plus(left, characteristic(ideal)).grades != characteristic(back).grades:
+                    return {"check": "characteristic-restrict", "kind": kind, "ideal": _ids(ideal)}
+                if not is_crisp_ideal_gamma(g, back, kind):
+                    return {
+                        "check": "preimage-is-ideal",
+                        "kind": kind,
+                        "ideal": _ids(ideal),
+                        "preimage": _ids(back),
+                    }
+                counts["identities_checked"] += 1
+                return None
+
+            failure = first_failure(image_failure, ideals_s) or first_failure(preimage_failure, ideals_l)
+            if failure:
+                return failure
+        return None
+
+    return ws.run_suite("lemmas", check)
 
 
 def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
@@ -525,75 +515,51 @@ def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
     pair-preimage map as inverse."""
     if kind not in ("two", "right"):
         raise ValueError("kind must be 'two' or 'right'")
-    g = ws.structure
-    t0 = time.perf_counter()
-    suite = f"th3.15[{kind}]"
 
-    if not (ws.left_unity and ws.right_unity):
-        return VerificationReport(
-            suite, g.name, None, UNMET, None, {},
-            (time.perf_counter() - t0) * 1000.0,
-            ("requires both unities; at least one is absent",),
+    def check(counts, notes):
+        ws.require_unities()
+        left = ws.left
+        A = ws.crisp_ideals("S", kind)
+        B = ws.crisp_ideals("L", kind)
+        images = [plusprime_set(left, ideal) for ideal in A]
+        counts["ideals_S"] = len(A)
+        counts["ideals_L"] = len(B)
+
+        b_set = {b.members for b in B}
+
+        def image_failure(ideal, image):
+            if image.members not in b_set:
+                failed = "image-is-ideal"
+            elif plus_set(left, image).members != ideal.members:
+                failed = "left-inverse"
+            else:
+                return None
+            return {"check": failed, "ideal": _ids(ideal), "image": _ids(image)}
+
+        failure = first_failure(image_failure, A, images)
+        if failure:
+            return failure
+        image_set = {im.members for im in images}
+        if len(image_set) != len(A):
+            return {"check": "injective"}
+        if image_set != b_set:
+            unmatched = [_ids(b) for b in B if b.members not in image_set]
+            return {"check": "surjective", "unmatched": unmatched[:3]}
+        failure = first_failure(
+            lambda ideal: plusprime_set(left, plus_set(left, ideal)).members != ideal.members
+            and {"check": "right-inverse", "ideal": _ids(ideal)},
+            B,
         )
-
-    left = ws.left
-    A = ws.crisp_ideals("S", kind)
-    B = ws.crisp_ideals("L", kind)
-    images = [plusprime_set(left, ideal) for ideal in A]
-    counts = {"ideals_S": len(A), "ideals_L": len(B)}
-    status = PASS
-    counterexample = None
-
-    b_set = {b.members for b in B}
-    for ideal, image in zip(A, images):
-        if image.members not in b_set:
-            status, counterexample = FAIL, {
-                "check": "image-is-ideal",
-                "ideal": _ids(ideal),
-                "image": _ids(image),
-            }
-            break
-        if plus_set(left, image).members != ideal.members:
-            status, counterexample = FAIL, {
-                "check": "left-inverse",
-                "ideal": _ids(ideal),
-                "image": _ids(image),
-            }
-            break
-
-    if status == PASS and len({im.members for im in images}) != len(A):
-        status, counterexample = FAIL, {"check": "injective"}
-    if status == PASS and {im.members for im in images} != b_set:
-        unmatched = [
-            _ids(b) for b in B if b.members not in {im.members for im in images}
-        ]
-        status, counterexample = FAIL, {"check": "surjective", "unmatched": unmatched[:3]}
-    if status == PASS:
-        for ideal in B:
-            if plusprime_set(left, plus_set(left, ideal)).members != ideal.members:
-                status, counterexample = FAIL, {
-                    "check": "right-inverse",
-                    "ideal": _ids(ideal),
-                }
-                break
-    if status == PASS:
-        hit = first_failing_pair(
-            len(A),
-            lambda i, j: (A[i].members <= A[j].members) != (images[i].members <= images[j].members),
-        )
-        if hit:
-            i, j, _ = hit
-            status, counterexample = FAIL, {
-                "check": "inclusion-both-ways",
-                "ideal1": _ids(A[i]),
-                "ideal2": _ids(A[j]),
-            }
+        if failure:
+            return failure
         counts["pairs_checked"] = len(A) ** 2
+        return first_failing_pair(
+            len(A),
+            lambda i, j: (A[i].members <= A[j].members) != (images[i].members <= images[j].members)
+            and {"check": "inclusion-both-ways", "ideal1": _ids(A[i]), "ideal2": _ids(A[j])},
+        )
 
-    return VerificationReport(
-        suite, g.name, None, status, counterexample, counts,
-        (time.perf_counter() - t0) * 1000.0, (),
-    )
+    return ws.run_suite(f"th3.15[{kind}]", check)
 
 
 def _fuzzy_semifield_condition(
@@ -601,13 +567,15 @@ def _fuzzy_semifield_condition(
 ) -> tuple[bool, Optional[FuzzySubset]]:
     """Every non-constant member is constant with a value below 1 on the
     nonzero elements.  Returns (holds, first violator)."""
-    for mu in ideals:
-        if mu.is_constant():
-            continue
+
+    def violator(mu):
         nonzero = mu.grades[1:]
-        if len(set(nonzero)) != 1 or nonzero[0] >= mu.grades[0]:
-            return False, mu
-    return True, None
+        if not mu.is_constant() and (len(set(nonzero)) != 1 or nonzero[0] >= mu.grades[0]):
+            return mu
+        return None
+
+    first = first_failure(violator, ideals)
+    return first is None, first
 
 
 def _semifield_biconditional(
@@ -615,41 +583,41 @@ def _semifield_biconditional(
     ideals: Sequence[FuzzySubset],
     name: str,
     not_semifield_witness: Callable[[], dict],
+    counts: dict,
     notes: list[str],
-) -> tuple[str, Optional[dict], dict]:
+) -> Optional[dict]:
     """Check `semifield <=> the fuzzy semifield condition on ideals` as two
-    implications, appending one note per implication decided.
+    implications, recording the ideal counts and one note per implication
+    decided.
 
     `name` is the structural property ("semifield" or "gamma-semifield");
     `not_semifield_witness()` gives the payload showing the structure lacks
-    it.  Returns (status, counterexample, counts)."""
+    it.  Returns the counterexample, or None when both implications hold."""
     holds, violator = _fuzzy_semifield_condition(ideals)
-    counts = {
-        "fuzzy_ideals": len(ideals),
-        "nonconstant_ideals": sum(1 for m in ideals if not m.is_constant()),
-    }
+    counts["fuzzy_ideals"] = len(ideals)
+    counts["nonconstant_ideals"] = sum(1 for m in ideals if not m.is_constant())
     if semifield and not holds:
         notes.append("forward implication failed")
-        return FAIL, {
+        return {
             "direction": f"{name}-but-fuzzy-condition-fails",
             "violating_ideal": _grades(violator),
-        }, counts
+        }
     notes.append("forward implication holds: "
                  + (f"{name} and fuzzy condition verified" if semifield else "vacuous"))
     if semifield:
         notes.append("reverse implication holds: vacuous")
-        return PASS, None, counts
+        return None
     if holds:
         notes.append("reverse implication failed")
-        return FAIL, {
+        return {
             "direction": f"fuzzy-condition-but-not-{name}",
             **not_semifield_witness(),
-        }, counts
+        }
     notes.append(
         "reverse implication holds: non-semifield witnessed by fuzzy violator "
         f"{_grades(violator)}"
     )
-    return PASS, None, counts
+    return None
 
 
 def _zdf_failure_note(g: core.GammaSemiring) -> str:
@@ -667,90 +635,77 @@ def verify_theorem_3_17(ws: Workspace, side: str = "S") -> VerificationReport:
     Runs on the workspace's plain semiring (side "S") or on the semiring of
     its left operator semiring (side "L")."""
     r, chain = ws.structure_on(side), ws.config.chain
-    t0 = time.perf_counter()
-    notes = [chain_scope_note(chain)]
 
-    if not core.mul_commutative(r):
-        return VerificationReport(
-            "th3.17", r.name, chain, UNMET, None, {},
-            (time.perf_counter() - t0) * 1000.0,
-            tuple(notes + ["multiplication is not commutative"]),
-        )
-    if len(r.carrier) == 1:
-        return VerificationReport(
-            "th3.17", r.name, chain, UNMET, None, {},
-            (time.perf_counter() - t0) * 1000.0,
-            tuple(notes + ["degenerate one-element semiring; nonzero quantifiers are vacuous"]),
+    def check(counts, notes):
+        notes.append(chain_scope_note(chain))
+        if not core.mul_commutative(r):
+            raise core.PreconditionUnmet("multiplication is not commutative")
+        if len(r.carrier) == 1:
+            raise core.PreconditionUnmet(
+                "degenerate one-element semiring; nonzero quantifiers are vacuous"
+            )
+
+        semifield = core.is_semifield(r)
+        inverse_view = core.semifield_inverse_view(r)
+        if inverse_view is None:
+            notes.append("inverse-based cross-check undecided (no multiplicative identity)")
+        elif inverse_view == semifield:
+            notes.append("inverse-based cross-check agrees with the ideal-simplicity predicate")
+        else:
+            notes.append(
+                "PREDICATE DISAGREEMENT: ideal-simplicity says "
+                f"{semifield}, inverse-based says {inverse_view}"
+            )
+
+        return _semifield_biconditional(
+            semifield, ws.fuzzy_ideals(side), "semifield",
+            lambda: {
+                "nonzero_proper_ideal": [r.carrier[i] for i in (core.semifield_witness(r) or ())],
+            },
+            counts, notes,
         )
 
-    semifield = core.is_semifield(r)
-    inverse_view = core.semifield_inverse_view(r)
-    if inverse_view is None:
-        notes.append("inverse-based cross-check undecided (no multiplicative identity)")
-    elif inverse_view == semifield:
-        notes.append("inverse-based cross-check agrees with the ideal-simplicity predicate")
-    else:
-        notes.append(
-            "PREDICATE DISAGREEMENT: ideal-simplicity says "
-            f"{semifield}, inverse-based says {inverse_view}"
-        )
-
-    status, counterexample, counts = _semifield_biconditional(
-        semifield, ws.fuzzy_ideals(side), "semifield",
-        lambda: {
-            "nonzero_proper_ideal": [r.carrier[i] for i in (core.semifield_witness(r) or ())],
-        },
-        notes,
-    )
-    return VerificationReport(
-        "th3.17", r.name, chain, status, counterexample, counts,
-        (time.perf_counter() - t0) * 1000.0, tuple(notes),
-    )
+    return ws.run_suite("th3.17", check, chain, r.name)
 
 
 def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
     """Gamma-semiring analogue of the semifield characterization, for
     zero-divisor-free commutative instances."""
     g, chain = ws.structure, ws.config.chain
-    t0 = time.perf_counter()
-    notes = [chain_scope_note(chain)]
 
-    commutative = core.is_commutative(g)
-    zdf = core.is_zdf(g) if commutative else None
-    if not commutative or not zdf or len(g.S) == 1:
-        if not commutative:
-            notes.append("precondition failed: product is not commutative")
-        elif not zdf:
-            notes.append(_zdf_failure_note(g))
-        else:
-            notes.append("degenerate one-element carrier; nonzero quantifiers are vacuous")
-        # diagnostics still run so the report explains the instance
-        if commutative and len(g.S) > 1:
-            holds, violator = _fuzzy_semifield_condition(ws.fuzzy_ideals("S"))
-            notes.append(f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}")
-            if violator is not None:
-                notes.append(
-                    f"diagnostic: fuzzy condition violated by {_grades(violator)}"
-                )
+    def check(counts, notes):
+        notes.append(chain_scope_note(chain))
+        commutative = core.is_commutative(g)
+        zdf = core.is_zdf(g) if commutative else None
+        if not commutative or not zdf or len(g.S) == 1:
+            if not commutative:
+                notes.append("precondition failed: product is not commutative")
+            elif not zdf:
+                notes.append(_zdf_failure_note(g))
             else:
-                notes.append("diagnostic: fuzzy condition holds on the enumerated ideals")
-        return VerificationReport(
-            "th3.18", g.name, chain, UNMET, None, {},
-            (time.perf_counter() - t0) * 1000.0, tuple(notes),
+                notes.append("degenerate one-element carrier; nonzero quantifiers are vacuous")
+            # diagnostics still run so the report explains the instance
+            if commutative and len(g.S) > 1:
+                holds, violator = _fuzzy_semifield_condition(ws.fuzzy_ideals("S"))
+                notes.append(f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}")
+                if violator is not None:
+                    notes.append(
+                        f"diagnostic: fuzzy condition violated by {_grades(violator)}"
+                    )
+                else:
+                    notes.append("diagnostic: fuzzy condition holds on the enumerated ideals")
+            raise core.PreconditionUnmet()  # the notes above say why
+
+        def pair_without_inverse() -> dict:
+            w = core.gamma_semifield_witness(g)
+            return {"pair_without_inverse": None if w is None else [g.S[w[0]], g.G[w[1]]]}
+
+        return _semifield_biconditional(
+            core.is_gamma_semifield(g), ws.fuzzy_ideals("S"), "gamma-semifield",
+            pair_without_inverse, counts, notes,
         )
 
-    def pair_without_inverse() -> dict:
-        w = core.gamma_semifield_witness(g)
-        return {"pair_without_inverse": None if w is None else [g.S[w[0]], g.G[w[1]]]}
-
-    status, counterexample, counts = _semifield_biconditional(
-        core.is_gamma_semifield(g), ws.fuzzy_ideals("S"), "gamma-semifield",
-        pair_without_inverse, notes,
-    )
-    return VerificationReport(
-        "th3.18", g.name, chain, status, counterexample, counts,
-        (time.perf_counter() - t0) * 1000.0, tuple(notes),
-    )
+    return ws.run_suite("th3.18", check, chain)
 
 
 def verify_semifield_transfer(ws: Workspace) -> VerificationReport:
@@ -758,80 +713,62 @@ def verify_semifield_transfer(ws: Workspace) -> VerificationReport:
     its left operator semiring is a semifield.  Also reruns both fuzzy
     characterizations and records their outcomes."""
     g, chain = ws.structure, ws.config.chain
-    t0 = time.perf_counter()
-    suite = "transfer-semifield"
-    notes = [chain_scope_note(chain)]
 
-    commutative = core.is_commutative(g)
-    zdf = core.is_zdf(g) if commutative else None
-    left = ws.left
-    unities = ws.left_unity and ws.right_unity
+    def check(counts, notes):
+        notes.append(chain_scope_note(chain))
+        commutative = core.is_commutative(g)
+        zdf = core.is_zdf(g) if commutative else None
+        left = ws.left
 
-    gate_notes = []
-    if not commutative:
-        gate_notes.append("precondition failed: product is not commutative")
-    elif not zdf:
-        gate_notes.append(_zdf_failure_note(g))
-    if len(g.S) == 1:
-        gate_notes.append("degenerate one-element carrier")
-    if not unities:
-        gate_notes.append("requires both unities; at least one is absent")
-    if gate_notes:
-        if commutative and len(g.S) > 1:
-            gate_notes.append(
-                f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}"
-            )
-            if core.mul_commutative(left.semiring):
+        gate_notes = []
+        if not commutative:
+            gate_notes.append("precondition failed: product is not commutative")
+        elif not zdf:
+            gate_notes.append(_zdf_failure_note(g))
+        if len(g.S) == 1:
+            gate_notes.append("degenerate one-element carrier")
+        if not (ws.left_unity and ws.right_unity):
+            gate_notes.append(NO_UNITIES)
+        if gate_notes:
+            if commutative and len(g.S) > 1:
                 gate_notes.append(
-                    f"diagnostic: operator-side semifield predicate = "
-                    f"{core.is_semifield(left.semiring)}"
+                    f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}"
                 )
-        return VerificationReport(
-            suite, g.name, chain, UNMET, None, {},
-            (time.perf_counter() - t0) * 1000.0, tuple(notes + gate_notes),
-        )
+                if core.mul_commutative(left.semiring):
+                    gate_notes.append(
+                        f"diagnostic: operator-side semifield predicate = "
+                        f"{core.is_semifield(left.semiring)}"
+                    )
+            raise core.PreconditionUnmet(*gate_notes)
 
-    gamma_side = core.is_gamma_semifield(g)
-    if not core.mul_commutative(left.semiring):
-        return VerificationReport(
-            suite, g.name, chain, UNMET, None, {},
-            (time.perf_counter() - t0) * 1000.0,
-            tuple(notes + ["operator semiring multiplication is not commutative"]),
-        )
-    operator_side = core.is_semifield(left.semiring)
-    counts = {"carrier_S": len(g.S), "carrier_L": len(left)}
-    status = PASS
-    counterexample = None
+        gamma_side = core.is_gamma_semifield(g)
+        if not core.mul_commutative(left.semiring):
+            raise core.PreconditionUnmet("operator semiring multiplication is not commutative")
+        operator_side = core.is_semifield(left.semiring)
+        counts["carrier_S"] = len(g.S)
+        counts["carrier_L"] = len(left)
+        notes.append(f"gamma-semifield predicate: {gamma_side}")
+        notes.append(f"operator-side semifield predicate: {operator_side}")
 
-    if gamma_side != operator_side:
-        status = FAIL
-        counterexample = {
-            "gamma_semifield": gamma_side,
-            "operator_semifield": operator_side,
-        }
-    notes.append(f"gamma-semifield predicate: {gamma_side}")
-    notes.append(f"operator-side semifield predicate: {operator_side}")
+        ideals_s = ws.fuzzy_ideals("S")
+        holds_s, _ = _fuzzy_semifield_condition(ideals_s)
+        ideals_l = ws.fuzzy_ideals("L")
+        holds_l, _ = _fuzzy_semifield_condition(ideals_l)
+        counts["fuzzy_ideals_S"] = len(ideals_s)
+        counts["fuzzy_ideals_L"] = len(ideals_l)
+        notes.append(f"fuzzy characterization on the base: {holds_s}")
+        notes.append(f"fuzzy characterization on the operator side: {holds_l}")
+        if gamma_side != operator_side:
+            return {"gamma_semifield": gamma_side, "operator_semifield": operator_side}
+        if not (holds_s == holds_l == gamma_side):
+            return {
+                "gamma_semifield": gamma_side,
+                "fuzzy_condition_base": holds_s,
+                "fuzzy_condition_operator": holds_l,
+            }
+        return None
 
-    ideals_s = ws.fuzzy_ideals("S")
-    holds_s, _ = _fuzzy_semifield_condition(ideals_s)
-    ideals_l = ws.fuzzy_ideals("L")
-    holds_l, _ = _fuzzy_semifield_condition(ideals_l)
-    counts["fuzzy_ideals_S"] = len(ideals_s)
-    counts["fuzzy_ideals_L"] = len(ideals_l)
-    notes.append(f"fuzzy characterization on the base: {holds_s}")
-    notes.append(f"fuzzy characterization on the operator side: {holds_l}")
-    if status == PASS and not (holds_s == holds_l == gamma_side):
-        status = FAIL
-        counterexample = {
-            "gamma_semifield": gamma_side,
-            "fuzzy_condition_base": holds_s,
-            "fuzzy_condition_operator": holds_l,
-        }
-
-    return VerificationReport(
-        suite, g.name, chain, status, counterexample, counts,
-        (time.perf_counter() - t0) * 1000.0, tuple(notes),
-    )
+    return ws.run_suite("transfer-semifield", check, chain)
 
 
 # ---------------------------------------------------------------------------

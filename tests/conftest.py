@@ -33,8 +33,7 @@ def z4_sr():
     return core.zn_semiring(4)
 
 
-@pytest.fixture(scope="session")
-def zero_product():
+def build_zero_product():
     """S = G = boolean monoid, product constantly zero: valid, but the only
     operator action is the zero map, so there is no unity."""
     add = ((0, 1), (1, 1))
@@ -42,6 +41,16 @@ def zero_product():
     g = core.GammaSemiring("zero_product", ("0", "1"), ("0", "1"), add, add, prod)
     assert core.validate_gamma_semiring(g).ok
     return g
+
+
+@pytest.fixture(scope="session")
+def zero_product():
+    return build_zero_product()
+
+
+def build_one_element():
+    """S = G = {0}: every quantifier over nonzero elements is vacuous."""
+    return core.GammaSemiring("one_element", ("0",), ("0",), ((0,),), ((0,),), (((0,),),))
 
 
 @pytest.fixture(scope="session")

@@ -154,6 +154,22 @@ class TestVerify:
     def test_missing_file_exit_2(self, capsys):
         assert run(capsys, "verify", "missing.gsr")[0] == 2
 
+    def test_cap_hit_gates_suites_and_exits_0(self, z4_file, capsys, monkeypatch):
+        monkeypatch.setenv("GSL_CAP", "10")
+        code, out, err = run(capsys, "verify", z4_file)
+        assert code == 0 and err == ""
+        assert out.count("suite: ") == 12
+        assert out.count("status: precondition-unmet") == 12
+        assert out.count("  - 27 candidates (= 3^3) exceed cap 10") == 5
+        assert out.count("  - 2^4 subsets exceed cap 10") == 3
+
+    def test_ideals_cap_hit_exits_2(self, z4_file, capsys, monkeypatch):
+        monkeypatch.setenv("GSL_CAP", "10")
+        code, _, err = run(capsys, "ideals", z4_file, "--fuzzy")
+        assert code == 2 and "exceed cap 10" in err
+        code, _, err = run(capsys, "ideals", z4_file)
+        assert code == 2 and "exceed cap 10" in err
+
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "verify")[0] == 2
         assert run(capsys, "nonsense")[0] == 2

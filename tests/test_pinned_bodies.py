@@ -2,9 +2,12 @@
 
 `data/verify_bodies.json` holds, for each case below, the exit code and the
 `--report json` payload with the timings dropped and the file path replaced
-by the instance name.  It was recorded before the suites moved onto one
-shared per-run workspace, so a change in any status, count, note or
-counterexample of any suite shows up here, not only under `--suite all`.
+by the instance name.  The first 42 cases were recorded before the suites
+moved onto one shared per-run workspace; the gate cases (`zero_product` and
+`one_element`, which lack a unity or have one element, and th3.19 past its
+surjectivity cap) were recorded before the suites moved into one frame.  So a
+change in any status, count, note or counterexample of any suite, gated or
+not, shows up here, not only under `--suite all`.
 
 Regenerate only at a commit whose bodies are known to be right:
     PYTHONPATH=src python3 tests/test_pinned_bodies.py
@@ -18,7 +21,7 @@ import sys
 
 import pytest
 
-from conftest import build_upper_triangular
+from conftest import build_one_element, build_upper_triangular, build_zero_product
 from gsl import cli, core, gsr
 
 DATA = pathlib.Path(__file__).with_name("data") / "verify_bodies.json"
@@ -29,6 +32,8 @@ INSTANCES = {
     "z3": lambda: core.zn_gamma(3),
     "z4": lambda: core.zn_gamma(4),
     "upper_triangular": build_upper_triangular,
+    "zero_product": build_zero_product,
+    "one_element": build_one_element,
 }
 SINGLE_SUITES = ("prop3.4", "th3.8", "lemmas", "th3.15", "th3.17", "th3.18", "transfer-semifield", "matrix")
 
@@ -45,6 +50,8 @@ def _cases() -> list[tuple[str, tuple[str, ...]]]:
         for suite in SINGLE_SUITES
         for kind in ("two", "right")
     ]
+    # th3.19 on a chain whose matrix-side candidates exceed the surjectivity cap
+    cases.append(("boolean", ("--suite", "matrix", "--chain", "0,1/4,1/2,1")))
     return cases
 
 

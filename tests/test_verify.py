@@ -9,7 +9,7 @@ from gsl import core, matrix, operators, verify
 from gsl.config import RunConfig
 from gsl.fuzzy import GradeChain
 from gsl.matrix import MatrixCapExceeded
-from gsl.report import FAIL, PASS, UNMET, VerificationReport, combine_status
+from gsl.report import FAIL, PASS, UNMET, VerificationReport, first_failing_pair, first_failure
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -223,6 +223,32 @@ class TestRunAll:
         assert len(closures) == 4
         assert len(matrices) == 1
 
+    def test_enumeration_cap_hit_gates_one_suite_at_a_time(self, z4):
+        """A cap hit turns the suite that hit it into precondition-unmet, with
+        the cap's text first and what the suite had gathered after it; the
+        run still returns every report."""
+        reports = verify.run_all(z4, RunConfig(enum_cap=10))
+        assert [r.suite for r in reports] == [r.suite for r in verify.run_all(z4, RunConfig())]
+        assert all(r.status == UNMET and r.counterexample is None for r in reports)
+        fuzzy_cap, crisp_cap = "27 candidates (= 3^3) exceed cap 10", "2^4 subsets exceed cap 10"
+        first_notes = {r.suite: r.notes[0] for r in reports}
+        for suite in ("prop3.4", "th3.8[two]", "th3.8[right]", "th3.17", "th3.18"):
+            assert first_notes[suite] == fuzzy_cap
+        for suite in ("lemmas", "th3.15[two]", "th3.15[right]"):
+            assert first_notes[suite] == crisp_cap
+        # transfer-semifield is gated on zero-divisor freeness before it enumerates
+        transfer = next(r for r in reports if r.suite == "transfer-semifield")
+        assert any("not zero-divisor free" in n for n in transfer.notes)
+        th318 = next(r for r in reports if r.suite == "th3.18").body()
+        assert th318["counts"] == {}
+        assert th318["notes"] == [
+            fuzzy_cap,
+            TestForcedSemifieldPayloads.NOTE,
+            "precondition failed: not zero-divisor free, witness 1@2@2 = 0",
+        ]
+        lemmas = next(r for r in reports if r.suite == "lemmas").body()
+        assert lemmas["counts"] == {"identities_checked": 0}
+
     def test_reports_deterministic(self, z4):
         a = verify.run_all(z4, RunConfig(chain=CHAIN))
         b = verify.run_all(z4, RunConfig(chain=CHAIN))
@@ -252,11 +278,22 @@ class TestClauseEngineFailPaths:
             restrict_roundtrip_ok=True,
             tag="",
         )
-        by_clause = {cid: (status, witness) for cid, status, witness, _ in rows}
-        assert by_clause["ii"][0] == FAIL
-        assert by_clause["iii"][0] == FAIL
-        witness = by_clause["ii"][1]
-        assert set(witness) == {"clause", "sigma", "roundtrip"}
+        bottom, middle, top = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/2"}, {"0": "1/1", "1": "1/1"}
+        bottom_l = {"f0": "1/1", "f1": "0/1"}
+        assert rows == [
+            ("i", PASS, None, 3),
+            ("i-nonconstant", FAIL, {"clause": "i-nonconstant", "sigma": bottom}, 3),
+            ("ii", FAIL, {"clause": "ii", "sigma": bottom, "roundtrip": top}, 3),
+            ("iii", FAIL, {"clause": "iii", "sigma1": bottom, "sigma2": middle}, 3),
+            ("iv", PASS, None, 9),
+            ("v", PASS, None, 9),
+            ("vi", PASS, None, 9),
+            ("vii", PASS, None, 3),
+            ("vii-nonconstant", PASS, None, 3),
+            ("viii", FAIL, {"clause": "viii", "mu": bottom_l, "roundtrip": {"f0": "1/1", "f1": "1/1"}}, 3),
+            ("ix", PASS, None, 9),
+        ]
+        witness = rows[2][2]
         # the witness re-checks: the recorded round-trip really differs
         sigma = FuzzySubset.from_mapping(gb, {k: v for k, v in witness["sigma"].items()})
         back = restrict_plus(left, collapse(sigma))
@@ -302,6 +339,174 @@ class TestClauseEngineFailPaths:
             ("viii", PASS, None, 3),
             ("ix", FAIL, {"clause": "ix", "mu1": bottom_l, "mu2": middle_l}, 9),
         ]
+
+    def test_reversed_maps_fail_ideal_clauses_and_gate_the_restrict_roundtrip(self, gb):
+        """Reversing the grades of every non-constant lift and restriction
+        makes them non-ideals, so clauses i and vii fail with their first
+        witnesses; a missing own-side unity gates vii-nonconstant and viii."""
+        from gsl.fuzzy import enumerate_fuzzy_ideals
+        from gsl.operators import build_operator_semiring
+        from gsl.transfer import lift_plusprime, restrict_plus
+
+        left = build_operator_semiring(gb, "left")
+        ideals_s = enumerate_fuzzy_ideals(gb, CHAIN, "two")
+        ideals_l = enumerate_fuzzy_ideals(left.semiring, CHAIN, "two")
+        rows = verify._clause_rows(
+            gb,
+            left,
+            ideals_s,
+            ideals_l,
+            lift=lambda s: _reversed(lift_plusprime(left, s)),
+            restrict=lambda m: _reversed(restrict_plus(left, m)),
+            lift_roundtrip_ok=True,
+            restrict_roundtrip_ok=False,
+            tag="",
+        )
+        bottom, middle = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/2"}
+        bottom_l = {"f0": "1/1", "f1": "0/1"}
+        assert rows == [
+            ("i", FAIL, {"clause": "i", "sigma": bottom, "lifted": {"f0": "0/1", "f1": "1/1"}}, 3),
+            ("i-nonconstant", PASS, None, 3),
+            ("ii", FAIL, {"clause": "ii", "sigma": bottom, "roundtrip": {"0": "0/1", "1": "0/1"}}, 3),
+            ("iii", PASS, None, 3),
+            ("iv", FAIL, {"clause": "iv", "sigma1": bottom, "sigma2": middle}, 9),
+            ("v", PASS, None, 9),
+            ("vi", PASS, None, 9),
+            ("vii", FAIL, {"clause": "vii", "mu": bottom_l, "restricted": {"0": "0/1", "1": "1/1"}}, 3),
+            ("vii-nonconstant", UNMET, None, 0),
+            ("viii", UNMET, None, 0),
+            ("ix", PASS, None, 9),
+        ]
+
+
+def _reversed(mu):
+    """mu with its grades in reverse carrier order; a non-constant fuzzy
+    ideal becomes a non-ideal, since it no longer peaks at zero."""
+    from gsl.fuzzy import FuzzySubset
+
+    return mu if mu.is_constant() else FuzzySubset(mu.carrier, mu.grades[::-1])
+
+
+def _full(structure):
+    from gsl.fuzzy import CrispSubset, carrier_of
+
+    carrier = carrier_of(structure)
+    return CrispSubset(carrier, frozenset(range(carrier.size)))
+
+
+class TestFailPathBodies:
+    """Break the map one scan uses and pin the whole failing report body, so
+    the first witness, the counts gathered up to it and the notes all show."""
+
+    SCOPE = (
+        "grades restricted to the chain {0/1, 1/2, 1/1}; the chain is min/max-closed, "
+        "so every operation checked stays in-chain"
+    )
+
+    @staticmethod
+    def _break_on(monkeypatch, module, name, ids, wrong):
+        """Make module.name return wrong(op) for the subset with these ids."""
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda op, subset: wrong(op) if subset.sorted_ids() == ids else real(op, subset)
+        )
+
+    def test_th38_image_is_ideal(self, monkeypatch, gb):
+        real = verify.lift_plusprime
+        monkeypatch.setattr(verify, "lift_plusprime", lambda op, s: _reversed(real(op, s)))
+        assert verify.verify_theorem_3_8(ws(gb), "two").body() == {
+            "suite": "th3.8[two]",
+            "instance": "boolean",
+            "chain": ["0/1", "1/2", "1/1"],
+            "status": FAIL,
+            "counterexample": {
+                "check": "image-is-ideal",
+                "sigma": {"0": "1/1", "1": "0/1"},
+                "lifted": {"f0": "0/1", "f1": "1/1"},
+            },
+            "counts": {"fuzzy_ideals_L": 3, "fuzzy_ideals_S": 3},
+            "notes": [self.SCOPE],
+        }
+
+    def test_lemmas_characteristic_lift(self, monkeypatch, z4):
+        self._break_on(monkeypatch, verify, "plusprime_set", ("0", "2"), _full)
+        assert verify.verify_lemmas_3_11_3_12(ws(z4)).body() == {
+            "suite": "lemmas",
+            "instance": "z4",
+            "chain": None,
+            "status": FAIL,
+            "counterexample": {"check": "characteristic-lift", "kind": "two", "ideal": ["0", "2"]},
+            "counts": {"ideals_L[two]": 3, "ideals_S[two]": 3, "identities_checked": 1},
+            "notes": [],
+        }
+
+    def test_lemmas_characteristic_restrict(self, monkeypatch, z4):
+        self._break_on(monkeypatch, verify, "plus_set", ("f0", "f2"), _full)
+        assert verify.verify_lemmas_3_11_3_12(ws(z4)).body() == {
+            "suite": "lemmas",
+            "instance": "z4",
+            "chain": None,
+            "status": FAIL,
+            "counterexample": {"check": "characteristic-restrict", "kind": "two", "ideal": ["f0", "f2"]},
+            "counts": {"ideals_L[two]": 3, "ideals_S[two]": 3, "identities_checked": 4},
+            "notes": [],
+        }
+
+    def _th315(self, counterexample):
+        return {
+            "suite": "th3.15[two]",
+            "instance": "z4",
+            "chain": None,
+            "status": FAIL,
+            "counterexample": counterexample,
+            "counts": {"ideals_L": 3, "ideals_S": 3},
+            "notes": [],
+        }
+
+    def test_th315_image_is_ideal(self, monkeypatch, z4):
+        from gsl.fuzzy import CrispSubset
+
+        self._break_on(
+            monkeypatch, verify, "plusprime_set", ("0", "2"), lambda op: CrispSubset.of_indices(op, [1])
+        )
+        assert verify.verify_theorem_3_15(ws(z4), "two").body() == self._th315(
+            {"check": "image-is-ideal", "ideal": ["0", "2"], "image": ["f1"]}
+        )
+
+    def test_th315_left_inverse(self, monkeypatch, z4):
+        self._break_on(monkeypatch, verify, "plus_set", ("f0", "f2"), _full)
+        assert verify.verify_theorem_3_15(ws(z4), "two").body() == self._th315(
+            {"check": "left-inverse", "ideal": ["0", "2"], "image": ["f0", "f2"]}
+        )
+
+    def test_th315_right_inverse(self, monkeypatch, z4):
+        """The image map is right for its first three calls (the images of
+        the three ideals of S) and wrong afterwards, so only the right-inverse
+        scan over the ideals of L sees it."""
+        real = verify.plusprime_set
+        calls = []
+
+        def late(op, subset):
+            calls.append(subset)
+            return real(op, subset) if len(calls) <= 3 else _full(op)
+
+        monkeypatch.setattr(verify, "plusprime_set", late)
+        assert verify.verify_theorem_3_15(ws(z4), "two").body() == self._th315(
+            {"check": "right-inverse", "ideal": ["f0"]}
+        )
+
+    def test_th319_lift_is_ideal(self, monkeypatch, gb):
+        real = matrix.lift_fuzzy_to_matrix
+        monkeypatch.setattr(matrix, "lift_fuzzy_to_matrix", lambda mg, mu: _reversed(real(mg, mu)))
+        assert matrix.verify_theorem_3_19(ws(gb)).body() == {
+            "suite": "th3.19",
+            "instance": "boolean",
+            "chain": ["0/1", "1/2", "1/1"],
+            "status": FAIL,
+            "counterexample": {"check": "lift-is-ideal", "mu": {"0": "1/1", "1": "0/1"}},
+            "counts": {"fuzzy_ideals_base": 3, "n": 2},
+            "notes": [self.SCOPE],
+        }
 
 
 def _chain_lattice_gamma():
@@ -401,10 +606,27 @@ class TestReportType:
         with pytest.raises(ValueError):
             VerificationReport("x", "y", None, PASS, None, {}, 0.0)
 
-    def test_combine_status(self):
-        assert combine_status([PASS, UNMET]) == PASS
-        assert combine_status([UNMET, UNMET]) == UNMET
-        assert combine_status([PASS, FAIL, UNMET]) == FAIL
+    def test_first_failure_stops_at_the_first_failing_row(self):
+        seen = []
+
+        def check(k, word):
+            seen.append(k)
+            return len(word) > 3 and word
+
+        assert first_failure(check, range(5), ["a", "bb", "cccc", "dddd", "e"]) == "cccc"
+        assert seen == [0, 1, 2]
+        assert first_failure(check, [], []) is None
+
+    def test_first_failing_pair_is_row_major(self):
+        seen = []
+
+        def check(i, j):
+            seen.append((i, j))
+            return i + j == 2 and (i, j)
+
+        assert first_failing_pair(3, check) == (0, 2)
+        assert seen == [(0, 0), (0, 1), (0, 2)]
+        assert first_failing_pair(3, lambda i, j: None) is None
 
     def test_body_has_contract_fields(self, gb):
         report = verify.verify_theorem_3_8(ws(gb), "two")

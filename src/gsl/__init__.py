@@ -2,6 +2,7 @@
 verification suites."""
 
 from .core import (
+    CapExceeded,
     GammaSemiring,
     PreconditionUnmet,
     Semiring,

@@ -21,14 +21,13 @@ from typing import Optional
 from . import core, gsr
 from .config import RunConfig
 from .fuzzy import (
-    EnumerationCapExceeded,
     GradeChain,
     enumerate_crisp_ideals,
     enumerate_fuzzy_ideals,
     format_grade,
 )
-from .matrix import MatrixCapExceeded, build_matrix_gamma
-from .operators import ClosureCapExceeded, build_operator_semiring, find_unity
+from .matrix import build_matrix_gamma
+from .operators import build_operator_semiring, find_unity
 from .report import FAIL, VerificationReport
 from .transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
 from . import verify as verify_mod
@@ -107,13 +106,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except gsr.GsrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        core.StructuralError,
-        MatrixCapExceeded,
-        ClosureCapExceeded,
-        EnumerationCapExceeded,
-        ValueError,
-    ) as exc:
+    except (core.StructuralError, core.CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "StructuralError",
     "PreconditionUnmet",
+    "CapExceeded",
     "Violation",
     "ValidationOutcome",
     "GammaSemiring",
@@ -55,6 +56,15 @@ class StructuralError(ValueError):
 
 class PreconditionUnmet(Exception):
     """A predicate was applied outside its stated hypotheses."""
+
+
+class CapExceeded(RuntimeError):
+    """A resource cap stopped a computation.  `counts` holds the sizes a
+    precondition-unmet report records for it."""
+
+    def __init__(self, message: str, **counts: int):
+        super().__init__(message)
+        self.counts = counts
 
 
 def _freeze2(table) -> tuple[tuple[int, ...], ...]:

@@ -54,7 +54,7 @@ Grade = Fraction
 KINDS = ("left", "right", "two")
 
 
-class EnumerationCapExceeded(RuntimeError):
+class EnumerationCapExceeded(core.CapExceeded):
     """The candidate space exceeds the configured enumeration cap."""
 
 

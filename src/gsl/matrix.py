@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-class MatrixCapExceeded(RuntimeError):
+class MatrixCapExceeded(core.CapExceeded):
     """The matrix carrier would exceed the configured size cap."""
 
 
@@ -86,7 +86,8 @@ class MatrixGammaSemiring:
 def build_matrix_gamma(base: core.GammaSemiring, n: int, cap: int = 16) -> MatrixGammaSemiring:
     """Materialize the n x n matrix instance and validate it.
 
-    Raises MatrixCapExceeded when either matrix carrier would exceed `cap`.
+    Raises MatrixCapExceeded when either matrix carrier would exceed `cap`;
+    its text and counts name the size of the S carrier.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -95,7 +96,7 @@ def build_matrix_gamma(base: core.GammaSemiring, n: int, cap: int = 16) -> Matri
     size_g = gg ** (n * n)
     if max(size_s, size_g) > cap:
         raise MatrixCapExceeded(
-            f"matrix carriers would have {size_s} and {size_g} elements, cap is {cap}"
+            f"matrix carrier would have {size_s} elements, cap is {cap}", matrix_carrier=size_s
         )
 
     nn = n * n
@@ -267,9 +268,7 @@ def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
     n = config.n
 
     def check(counts, notes):
-        counts["n"] = n  # what a matrix-cap hit reports; the counts below replace it
         mg = ws.matrix
-        del counts["n"]
         op_matrix = build_operator_semiring(mg.gamma, side, cap=config.closure_cap)
         op_base = ws.left if side == "left" else ws.right
         mat_over_op = matrix_semiring(op_base.semiring, n)
@@ -335,7 +334,8 @@ def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
         failure = first_failure(
             lambda xd: generator_failure(*xd), product(range(len(S)), range(len(G)))
         )
-        notes.append("generator actions agree with the realized matrix product")
+        if not failure:
+            notes.append("generator actions agree with the realized matrix product")
         return failure
 
     return ws.run_suite(f"matrix-iso[{side}]", check)
@@ -354,8 +354,8 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
     n, chain = config.n, config.chain
 
     def check(counts, notes):
-        counts["n"] = n
         mg = ws.matrix
+        counts["n"] = n
         ws.require_unities()
         notes.append(chain_scope_note(chain))
 

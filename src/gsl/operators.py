@@ -17,7 +17,6 @@ is bit-for-bit deterministic and the zero map always sits at index 0.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,10 +40,11 @@ __all__ = [
 SIDES = ("left", "right")
 
 
-class ClosureCapExceeded(RuntimeError):
+class ClosureCapExceeded(core.CapExceeded):
     """Additive closure grew past the configured element cap; results discarded."""
 
 
+# Nothing raises it since the time budget went; perfbench/spans.py still imports it.
 class ClosureBudgetExceeded(RuntimeError):
     """Closure did not saturate within the configured time budget."""
 
@@ -124,18 +124,15 @@ def build_operator_semiring(
     g: core.GammaSemiring,
     side: str,
     cap: int = 1_000_000,
-    time_budget_s: Optional[float] = None,
 ) -> OperatorSemiring:
     """Saturate the single-pair actions under pointwise addition and assemble
     the addition/composition tables.
 
-    Raises ClosureCapExceeded when the closure would exceed `cap` elements,
-    ClosureBudgetExceeded when `time_budget_s` elapses before saturation.
+    Raises ClosureCapExceeded when the closure would exceed `cap` elements.
     """
     _check_side(side)
     s, gg = len(g.S), len(g.G)
     addS = g.addS
-    deadline = None if time_budget_s is None else time.monotonic() + time_budget_s
 
     if side == "left":
         pairs = [(x, a) for x in range(s) for a in range(gg)]
@@ -153,8 +150,6 @@ def build_operator_semiring(
     frontier = dict(known)
 
     while frontier:
-        if deadline is not None and time.monotonic() > deadline:
-            raise ClosureBudgetExceeded(f"{g.name}/{side}: time budget exhausted")
         layer: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
         for v, prov in frontier.items():
             for p, pv in zip(pairs, pair_values):

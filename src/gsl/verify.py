@@ -23,7 +23,6 @@ from . import core
 from .config import RunConfig
 from .fuzzy import (
     CrispSubset,
-    EnumerationCapExceeded,
     FuzzySubset,
     GradeChain,
     carrier_of,
@@ -38,7 +37,6 @@ from .fuzzy import (
     is_fuzzy_ideal_semiring,
 )
 from .matrix import (
-    MatrixCapExceeded,
     MatrixGammaSemiring,
     build_matrix_gamma,
     check_operator_matrix_iso,
@@ -89,20 +87,40 @@ class Workspace:
     named by the structure it lives on, "S" (the structure itself), "L" or
     "R", and by its ideal kind.  Families are tuples, so no suite can change
     what the next suite sees.  A plain semiring has only "S".
+
+    A build that hits a cap is attempted once: its `core.CapExceeded` is
+    kept and raised again on every access, so each suite that needs it is
+    gated and none retries the build up to the cap.
     """
 
     def __init__(self, structure, config: Optional[RunConfig] = None):
         self.structure = structure
         self.config = config or RunConfig()
-        self._families: dict[tuple[str, str, str], tuple] = {}
+        self._built: dict[object, object] = {}
 
-    @cached_property
+    def _once(self, key, build: Callable[[], object]):
+        """What build() returns, built on the first use of `key`; a cap hit
+        is kept and raised again."""
+        if key not in self._built:
+            try:
+                self._built[key] = build()
+            except core.CapExceeded as cap:
+                self._built[key] = cap.with_traceback(None)
+        built = self._built[key]
+        if isinstance(built, core.CapExceeded):
+            # a copy, so the kept error never holds the frames (and so this workspace) of a raise
+            raise type(built)(*built.args, **built.counts)
+        return built
+
+    @property
     def left(self) -> OperatorSemiring:
-        return build_operator_semiring(self.structure, "left", cap=self.config.closure_cap)
+        return self._once("left", lambda: build_operator_semiring(
+            self.structure, "left", cap=self.config.closure_cap))
 
-    @cached_property
+    @property
     def right(self) -> OperatorSemiring:
-        return build_operator_semiring(self.structure, "right", cap=self.config.closure_cap)
+        return self._once("right", lambda: build_operator_semiring(
+            self.structure, "right", cap=self.config.closure_cap))
 
     @cached_property
     def left_unity(self) -> bool:
@@ -117,20 +135,12 @@ class Workspace:
         if not (self.left_unity and self.right_unity):
             raise core.PreconditionUnmet(NO_UNITIES)
 
-    @cached_property
-    def _matrix(self) -> MatrixGammaSemiring | MatrixCapExceeded:
-        try:
-            return build_matrix_gamma(self.structure, self.config.n, cap=self.config.matrix_cap)
-        except MatrixCapExceeded as exc:
-            return exc
-
     @property
     def matrix(self) -> MatrixGammaSemiring:
         """The n x n matrix instance.  Raises MatrixCapExceeded on every
         access when its carriers would exceed the matrix cap."""
-        if isinstance(self._matrix, MatrixCapExceeded):
-            raise self._matrix.with_traceback(None)
-        return self._matrix
+        return self._once("matrix", lambda: build_matrix_gamma(
+            self.structure, self.config.n, cap=self.config.matrix_cap))
 
     def structure_on(self, side: str):
         """The structure a family lives on: S itself, or the semiring of L or R."""
@@ -144,24 +154,21 @@ class Workspace:
 
     def fuzzy_ideals(self, side: str, kind: str = "two") -> tuple[FuzzySubset, ...]:
         """Fuzzy ideals over the config's chain, in enumeration order."""
-        return self._family(
+        return self._once(
             ("fuzzy", side, kind),
-            lambda: enumerate_fuzzy_ideals(
+            lambda: tuple(enumerate_fuzzy_ideals(
                 self.structure_on(side), self.config.chain, kind, cap=self.config.enum_cap
-            ),
+            )),
         )
 
     def crisp_ideals(self, side: str, kind: str = "two") -> tuple[CrispSubset, ...]:
         """Crisp ideals, in enumeration order."""
-        return self._family(
+        return self._once(
             ("crisp", side, kind),
-            lambda: enumerate_crisp_ideals(self.structure_on(side), kind, cap=self.config.enum_cap),
+            lambda: tuple(
+                enumerate_crisp_ideals(self.structure_on(side), kind, cap=self.config.enum_cap)
+            ),
         )
-
-    def _family(self, key: tuple[str, str, str], enumerate_family: Callable[[], list]) -> tuple:
-        if key not in self._families:
-            self._families[key] = tuple(enumerate_family())
-        return self._families[key]
 
     def run_suite(
         self,
@@ -178,8 +185,9 @@ class Workspace:
         ways out make the suite precondition-unmet instead:
         - a gate raises `core.PreconditionUnmet`; its arguments are appended
           to the notes;
-        - a cap is hit (`MatrixCapExceeded` or `EnumerationCapExceeded`); the
-          cap's text goes first, followed by the notes gathered so far.
+        - a cap is hit (any `core.CapExceeded`); the cap's text goes first,
+          followed by the notes gathered so far, and the cap's counts are
+          added to the counts.
         Either way the counts gathered so far are kept.  The instance is the
         workspace's structure unless named.
         """
@@ -193,9 +201,10 @@ class Workspace:
         except core.PreconditionUnmet as gate:
             status, counterexample = UNMET, None
             notes += gate.args
-        except (MatrixCapExceeded, EnumerationCapExceeded) as cap:
+        except core.CapExceeded as cap:
             status, counterexample = UNMET, None
             notes.insert(0, str(cap))
+            counts.update(cap.counts)
         return VerificationReport(
             suite, instance or self.structure.name, chain, status, counterexample, counts,
             (clock() - t0) * 1000.0, tuple(notes),
@@ -634,10 +643,13 @@ def verify_theorem_3_17(ws: Workspace, side: str = "S") -> VerificationReport:
 
     Runs on the workspace's plain semiring (side "S") or on the semiring of
     its left operator semiring (side "L")."""
-    r, chain = ws.structure_on(side), ws.config.chain
+    chain = ws.config.chain
+    # named as build_operator_semiring names L, which is built only inside the check
+    instance = None if side == "S" else f"{ws.structure.name}::{side}"
 
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
+        r = ws.structure_on(side)
         if not core.mul_commutative(r):
             raise core.PreconditionUnmet("multiplication is not commutative")
         if len(r.carrier) == 1:
@@ -665,7 +677,7 @@ def verify_theorem_3_17(ws: Workspace, side: str = "S") -> VerificationReport:
             counts, notes,
         )
 
-    return ws.run_suite("th3.17", check, chain, r.name)
+    return ws.run_suite("th3.17", check, chain, instance)
 
 
 def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
@@ -798,25 +810,6 @@ SUITES: dict[str, Callable[[Workspace, Sequence[str]], list[VerificationReport]]
 SUITE_CHOICES = (*SUITES, "all")
 
 
-def _matrix_unmet(ws: Workspace) -> list[VerificationReport]:
-    """The matrix suites as precondition-unmet when the matrix carrier would
-    exceed the cap; empty when it fits."""
-    g, config = ws.structure, ws.config
-    size = len(g.S) ** (config.n * config.n)
-    size_g = len(g.G) ** (config.n * config.n)
-    if max(size, size_g) <= config.matrix_cap:
-        return []
-    notes = (f"matrix carrier would have {size} elements, cap is {config.matrix_cap}",)
-    return [
-        VerificationReport(suite, g.name, chain, UNMET, None, {"matrix_carrier": size}, 0.0, notes)
-        for suite, chain in (
-            ("matrix-iso[left]", None),
-            ("matrix-iso[right]", None),
-            ("th3.19", config.chain),
-        )
-    ]
-
-
 def run_all(structure, config: Optional[RunConfig] = None) -> list[VerificationReport]:
     """Every suite applicable to the structure, in a fixed order, over one
     shared workspace.
@@ -828,8 +821,4 @@ def run_all(structure, config: Optional[RunConfig] = None) -> list[VerificationR
     ws = Workspace(structure, config or RunConfig.from_env())
     if isinstance(structure, core.Semiring):
         return [verify_theorem_3_17(ws)]
-    reports: list[VerificationReport] = []
-    for name, suite in SUITES.items():
-        gated = _matrix_unmet(ws) if name == "matrix" else []
-        reports += gated or suite(ws, KINDS)
-    return reports
+    return [report for suite in SUITES.values() for report in suite(ws, KINDS)]

@@ -35,6 +35,24 @@ class TestWorkspace:
             with pytest.raises(MatrixCapExceeded, match="cap is 16"):
                 w.matrix
 
+    def test_kept_cap_hit_leaves_no_reference_cycle(self, gb, z4):
+        """A kept cap error holds no traceback into the workspace, so a
+        gated run's workspace is freed as soon as it is dropped."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            for structure, caps in ((z4, {}), (gb, {"closure_cap": 1})):
+                w = ws(structure, **caps)
+                reports = verify.SUITES["matrix"](w, verify.KINDS)
+                assert [r.status for r in reports] == [UNMET] * 3
+                ref = weakref.ref(w)
+                del w
+                assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestProp34:
     def test_gb_z2_z4_all_clauses_pass(self, gb, z2, z4):
@@ -248,6 +266,46 @@ class TestRunAll:
         ]
         lemmas = next(r for r in reports if r.suite == "lemmas").body()
         assert lemmas["counts"] == {"identities_checked": 0}
+
+    def test_closure_cap_hit_gates_every_suite_that_needs_l_or_r(self, gb):
+        """A closure cap on L or R gates each suite that needs them, with the
+        cap's text first; th3.18 needs neither and still passes."""
+        reports = verify.run_all(gb, RunConfig(closure_cap=1))
+        assert [r.suite for r in reports] == [r.suite for r in verify.run_all(gb, RunConfig())]
+        for r in reports:
+            if r.suite == "th3.18":
+                assert r.status == PASS
+            else:
+                assert r.status == UNMET and r.counterexample is None, r.suite
+                assert r.notes[0].endswith("closure exceeds cap 1 elements"), r.suite
+        th317 = next(r for r in reports if r.suite == "th3.17")
+        assert th317.instance == "boolean::L"
+
+    def test_closure_cap_hit_is_built_once_per_side(self, monkeypatch, gb):
+        """The workspace keeps a closure-cap hit, so no later suite retries
+        the closure of the base up to the cap."""
+        closures = _count_calls(monkeypatch, operators.build_operator_semiring)
+        verify.run_all(gb, RunConfig(closure_cap=1))
+        sides = [side for structure, side in closures if structure is gb]
+        assert sides and len(sides) == len(set(sides))
+
+    def test_matrix_cap_gives_one_body_from_either_entry(self, z4):
+        """`--suite matrix` and `--suite all` gate a capped matrix instance
+        with the same three bodies."""
+        config = RunConfig(chain=CHAIN)
+        alone = verify.SUITES["matrix"](verify.Workspace(z4, config), verify.KINDS)
+        in_run = verify.run_all(z4, config)[-3:]
+        assert [r.body() for r in alone] == [r.body() for r in in_run]
+        assert alone[0].body() == {
+            "suite": "matrix-iso[left]",
+            "instance": "z4",
+            "chain": None,
+            "status": UNMET,
+            "counterexample": None,
+            "counts": {"matrix_carrier": 256},
+            "notes": ["matrix carrier would have 256 elements, cap is 16"],
+        }
+        assert alone[2].chain == CHAIN
 
     def test_reports_deterministic(self, z4):
         a = verify.run_all(z4, RunConfig(chain=CHAIN))
@@ -494,6 +552,30 @@ class TestFailPathBodies:
         assert verify.verify_theorem_3_15(ws(z4), "two").body() == self._th315(
             {"check": "right-inverse", "ideal": ["f0"]}
         )
+
+    def test_matrix_iso_generator_action(self, monkeypatch, gb):
+        """A generator that acts unlike the realized product fails matrix-iso,
+        and the report does not also say the generator actions agree."""
+        real = matrix._matrix_action
+        monkeypatch.setattr(
+            matrix, "_matrix_action",
+            lambda mg, op, image, a, side: (real(mg, op, image, a, side) + 1) % len(mg.gamma.S),
+        )
+        assert matrix.check_operator_matrix_iso(verify.Workspace(gb), "left").body() == {
+            "suite": "matrix-iso[left]",
+            "instance": "boolean",
+            "chain": None,
+            "status": FAIL,
+            "counterexample": {"check": "generator-action", "generator": ["m0", "m0"], "argument": "m0"},
+            "counts": {
+                "generators_checked": 1,
+                "matrix_carrier": 16,
+                "matrix_semiring_elements": 16,
+                "operator_elements": 16,
+                "pairs_checked": 256,
+            },
+            "notes": [],
+        }
 
     def test_th319_lift_is_ideal(self, monkeypatch, gb):
         real = matrix.lift_fuzzy_to_matrix

@@ -3,6 +3,7 @@
 
 Example:
     python3 scripts/run_suites.py --instances boolean,z2,z4 --chain 0,1/2,1
+    python3 scripts/run_suites.py --instances from_B3,from_B4
     python3 scripts/run_suites.py --json results.json
 """
 
@@ -21,7 +22,9 @@ def build_instance(token: str):
         return core.boolean_gamma()
     if token.startswith("z") and token[1:].isdigit():
         return core.zn_gamma(int(token[1:]))
-    raise SystemExit(f"unknown instance {token!r} (use boolean or z<n>)")
+    if token.startswith("from_B") and token[6:].isdigit():
+        return core.gamma_from_semiring(core.boolean_power_semiring(int(token[6:])))
+    raise SystemExit(f"unknown instance {token!r} (use boolean, z<n> or from_B<k>)")
 
 
 def main() -> int:

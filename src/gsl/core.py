@@ -45,6 +45,7 @@ __all__ = [
     "zn_gamma",
     "gamma_from_semiring",
     "boolean_semiring",
+    "boolean_power_semiring",
     "zn_semiring",
     "gen_semiring",
 ]
@@ -562,6 +563,17 @@ def gen_instance(kind: str, n: Optional[int] = None, base: Optional[Semiring] = 
 def boolean_semiring() -> Semiring:
     r = Semiring("boolean_semiring", ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)))
     return _checked(r)
+
+
+def boolean_power_semiring(k: int) -> Semiring:
+    """({0,1}^k, bitwise or, bitwise and); element i is the bit pattern i."""
+    if k < 1:
+        raise ValueError(f"boolean power requires k >= 1, got {k}")
+    n = 2**k
+    ids = tuple(str(i) for i in range(n))
+    add = tuple(tuple(i | j for j in range(n)) for i in range(n))
+    mul = tuple(tuple(i & j for j in range(n)) for i in range(n))
+    return _checked(Semiring(f"B{k}", ids, add, mul))
 
 
 def zn_semiring(n: int) -> Semiring:

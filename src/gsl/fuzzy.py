@@ -17,6 +17,13 @@ tuples for crisp ideals, lexicographic grade tuples for fuzzy ones), which
 report bodies and first counterexamples depend on.  The scalar predicates
 ``is_*_ideal_*`` are kept as plain loops for callers and as the reference
 the tests check the enumerators against.
+
+The suites compute on level cuts too: ``LevelCuts`` holds a chain-valued
+fuzzy subset as the tuple of its cuts and does sums, intersections,
+inclusions and ideal tests as bitmask work, cut by cut.  ``fuzzy_sum``,
+``fuzzy_intersection``, ``FuzzySubset.__le__`` and ``is_fuzzy_ideal_*``
+remain the public ``Fraction`` API, and the reference the tests check the
+cut engine against.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ __all__ = [
     "characteristic",
     "fuzzy_intersection",
     "fuzzy_sum",
+    "LevelCuts",
     "is_fuzzy_ideal_gamma",
     "is_fuzzy_ideal_semiring",
     "is_crisp_ideal_gamma",
@@ -274,6 +282,104 @@ def fuzzy_sum(mu1: FuzzySubset, mu2: FuzzySubset) -> FuzzySubset:
             if m > best[x]:
                 best[x] = m
     return FuzzySubset(c, tuple(best))
+
+
+# ---------------------------------------------------------------------------
+# level cuts (what the suites compute on)
+
+
+def _bits(mask: int) -> list[int]:
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+class LevelCuts:
+    """The fuzzy subsets of one structure with grades on one chain, each as
+    its level cuts.
+
+    Over the chain c_0 < ... < c_{m-1}, mu is exactly its m-1 cuts
+    mu_k = {x : mu(x) >= c_k}, k = 1..m-1, kept as a tuple of int bitmasks,
+    and every lattice operation works cut by cut, because a min or a max
+    over a finite set is attained:
+    - sum: (mu (+) nu)_k is the set sum mu_k + nu_k, from the addition table;
+    - intersection: (mu /\\ nu)_k = mu_k & nu_k;
+    - inclusion: mu <= nu iff mu_k is a subset of nu_k for every k;
+    - equality: equal cut tuples;
+    - ideal: the first cut is non-empty and every cut is closed under
+      addition and absorbs the products of its elements (as the crisp
+      enumerator does), which is `is_fuzzy_ideal_*` cut by cut.
+    Set sums and crisp ideal tests are kept per pair of masks, so one
+    instance should live no longer than the computation that made it.
+    """
+
+    def __init__(self, structure, chain: GradeChain):
+        self.structure = structure
+        self.carrier = carrier_of(structure)
+        self.chain = chain
+        self._rank = {g: r for r, g in enumerate(chain.grades)}
+        self._sums: dict[tuple[int, int], int] = {}
+        self._images: dict[str, list[int]] = {}
+        self._ideal: dict[tuple[str, int], bool] = {}
+
+    def of(self, mu: FuzzySubset) -> tuple[int, ...]:
+        """The cuts of mu.  Raises ValueError for a grade off the chain."""
+        if mu.carrier != self.carrier:
+            raise ValueError(f"fuzzy subset does not live on {self.carrier.label}")
+        try:
+            ranks = [self._rank[g] for g in mu.grades]
+        except KeyError as off:
+            raise ValueError(
+                f"grade {format_grade(off.args[0])} is not on the chain {self.chain}"
+            ) from None
+        return tuple(
+            sum(1 << x for x, r in enumerate(ranks) if r >= k) for k in range(1, len(self.chain))
+        )
+
+    def subset(self, cuts: tuple[int, ...]) -> FuzzySubset:
+        """The fuzzy subset with these (descending) cuts: x gets the grade
+        c_r, r the number of cuts containing x."""
+        grades = self.chain.grades
+        return FuzzySubset(
+            self.carrier,
+            tuple(grades[sum(c >> x & 1 for c in cuts)] for x in range(self.carrier.size)),
+        )
+
+    def _set_sum(self, u: int, v: int) -> int:
+        key = (u, v)
+        if key not in self._sums:
+            add, total = self.carrier.add, 0
+            vs = _bits(v)
+            for x in _bits(u):
+                row = add[x]
+                for y in vs:
+                    total |= 1 << row[y]
+            self._sums[key] = total
+        return self._sums[key]
+
+    def sum(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(self._set_sum, a, b))
+
+    @staticmethod
+    def meet(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(u & v for u, v in zip(a, b))
+
+    @staticmethod
+    def le(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        return all(not u & ~v for u, v in zip(a, b))
+
+    def _is_crisp_ideal(self, mask: int, kind: str) -> bool:
+        key = (kind, mask)
+        if key not in self._ideal:
+            if kind not in self._images:
+                self._images[kind] = _absorption_images(self.structure, kind)[1]
+            image = self._images[kind]
+            self._ideal[key] = not self._set_sum(mask, mask) & ~mask and not any(
+                image[x] & ~mask for x in _bits(mask)
+            )
+        return self._ideal[key]
+
+    def is_ideal(self, cuts: tuple[int, ...], kind: str = "two") -> bool:
+        """`is_fuzzy_ideal_*` of the subset with these cuts."""
+        return cuts[0] != 0 and all(self._is_crisp_ideal(c, kind) for c in cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -87,16 +87,17 @@ def build_matrix_gamma(base: core.GammaSemiring, n: int, cap: int = 16) -> Matri
     """Materialize the n x n matrix instance and validate it.
 
     Raises MatrixCapExceeded when either matrix carrier would exceed `cap`;
-    its text and counts name the size of the S carrier.
+    its text and counts name the size of the larger carrier.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     s, gg = len(base.S), len(base.G)
     size_s = s ** (n * n)
     size_g = gg ** (n * n)
-    if max(size_s, size_g) > cap:
+    largest = max(size_s, size_g)
+    if largest > cap:
         raise MatrixCapExceeded(
-            f"matrix carrier would have {size_s} elements, cap is {cap}", matrix_carrier=size_s
+            f"matrix carrier would have {largest} elements, cap is {cap}", matrix_carrier=largest
         )
 
     nn = n * n

@@ -11,13 +11,16 @@ localizes; clause-level preconditions (unity presence) are gated as
 precondition-unmet rather than guessed around.  All enumeration happens at
 grade-chain scale, which is sound for these statements because min/max over
 finite index sets never leaves the chain; each report says so in its notes.
+The pair checks of prop3.4 and th3.8 compute on the level cuts of those
+chain-valued ideals (`LevelCuts`), and report the `Fraction` grades of the
+ideals and images they were given.
 """
 
 from __future__ import annotations
 
 import time
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import core
 from .config import RunConfig
@@ -25,16 +28,13 @@ from .fuzzy import (
     CrispSubset,
     FuzzySubset,
     GradeChain,
+    LevelCuts,
     carrier_of,
     characteristic,
     enumerate_crisp_ideals,
     enumerate_fuzzy_ideals,
-    fuzzy_intersection,
-    fuzzy_sum,
     is_crisp_ideal_gamma,
     is_crisp_ideal_semiring,
-    is_fuzzy_ideal_gamma,
-    is_fuzzy_ideal_semiring,
 )
 from .matrix import (
     MatrixGammaSemiring,
@@ -222,6 +222,32 @@ def _ids(subset: CrispSubset) -> list[str]:
 # ---------------------------------------------------------------------------
 # transfer-map clause engine (shared by the primal L side and the dual R side)
 
+Cuts = tuple[int, ...]
+
+
+class _Image(NamedTuple):
+    """What a transfer map gave, and its level cuts."""
+
+    subset: FuzzySubset
+    cuts: Cuts
+
+
+def _on_cuts(
+    f: Callable[[FuzzySubset], FuzzySubset], source: LevelCuts, target: LevelCuts
+) -> Callable[..., _Image]:
+    """A transfer map on cut tuples: apply(cuts, subset=None) is f's image.
+    f is called once per distinct operand, on `subset` when given (so
+    witnesses keep its grades), else on the subset with these cuts."""
+    memo: dict[Cuts, _Image] = {}
+
+    def apply(cuts: Cuts, subset: Optional[FuzzySubset] = None) -> _Image:
+        if cuts not in memo:
+            image = f(source.subset(cuts) if subset is None else subset)
+            memo[cuts] = _Image(image, target.of(image))
+        return memo[cuts]
+
+    return apply
+
 
 def _clause_rows(
     g: core.GammaSemiring,
@@ -240,11 +266,22 @@ def _clause_rows(
     and non-constancy preservation) are gated on the unity whose absence would
     invalidate them: the lift round-trip needs the opposite-side unity, the
     restrict round-trip needs the own-side unity.
+
+    Sums, intersections, inclusions, equalities and ideal tests are computed
+    on level cuts (`LevelCuts`), taken at the grades of the given ideals
+    plus 0 and 1; the transfer maps are mins, so their images stay on those
+    grades.  `lift` and `restrict` are called once per distinct operand, and
+    witnesses carry the grades of the ideals and images themselves.
     """
     rows: list[tuple[str, str, Optional[dict], int]] = []
-    sr = op.semiring
-    lifted = [lift(s) for s in ideals_s]
-    restricted = [restrict(m) for m in ideals_op]
+    chain = GradeChain.of(0, 1, *{x for mu in (*ideals_s, *ideals_op) for x in mu.grades})
+    on_s, on_op = LevelCuts(g, chain), LevelCuts(op.semiring, chain)
+    cuts_s = [on_s.of(s) for s in ideals_s]
+    cuts_op = [on_op.of(m) for m in ideals_op]
+    lift_cuts = _on_cuts(lift, on_s, on_op)
+    restrict_cuts = _on_cuts(restrict, on_op, on_s)
+    lifted = [lift_cuts(c, s) for c, s in zip(cuts_s, ideals_s)]
+    restricted = [restrict_cuts(c, m) for c, m in zip(cuts_op, ideals_op)]
 
     def clause(cid, checked, scan, ok=True):
         """One row: precondition-unmet when the unity it rests on is absent,
@@ -273,31 +310,31 @@ def _clause_rows(
         ))
 
     def lift_roundtrip(s, t):
-        back = restrict(t)
-        return back.grades != s.grades and {"sigma": _grades(s), "roundtrip": _grades(back)}
+        back = restrict_cuts(t.cuts, t.subset)
+        return back.cuts != on_s.of(s) and {"sigma": _grades(s), "roundtrip": _grades(back.subset)}
 
-    first_lifted_at: dict[tuple, int] = {}
+    first_lifted_at: dict[Cuts, int] = {}
 
     def repeated_lift(k, t):
         """The first lift equal to an earlier one, with that earlier one."""
-        first = first_lifted_at.setdefault(t.grades, k)
+        first = first_lifted_at.setdefault(t.cuts, k)
         return first != k and {"sigma1": _grades(ideals_s[first]), "sigma2": _grades(ideals_s[k])}
 
     def restrict_roundtrip(m, rm):
-        back = lift(rm)
-        return back.grades != m.grades and {"mu": _grades(m), "roundtrip": _grades(back)}
+        back = lift_cuts(rm.cuts, rm.subset)
+        return back.cuts != on_op.of(m) and {"mu": _grades(m), "roundtrip": _grades(back.subset)}
 
     # (i) ideal preservation under the lift
     each(
         "i", ideals_s, lifted,
-        lambda s, t: not is_fuzzy_ideal_semiring(sr, t, "two")
-        and {"sigma": _grades(s), "lifted": _grades(t)},
+        lambda s, t: not on_op.is_ideal(t.cuts)
+        and {"sigma": _grades(s), "lifted": _grades(t.subset)},
     )
 
     # (i) non-constancy preservation
     each(
         "i-nonconstant", ideals_s, lifted,
-        lambda s, t: not s.is_constant() and t.is_constant() and {"sigma": _grades(s)},
+        lambda s, t: not s.is_constant() and t.subset.is_constant() and {"sigma": _grades(s)},
         lift_roundtrip_ok,
     )
 
@@ -310,34 +347,34 @@ def _clause_rows(
     # (iv) lift of a sum is the sum of lifts
     pairwise(
         "iv", ideals_s, "sigma",
-        lambda i, j: lift(fuzzy_sum(ideals_s[i], ideals_s[j])).grades
-        != fuzzy_sum(lifted[i], lifted[j]).grades,
+        lambda i, j: lift_cuts(on_s.sum(cuts_s[i], cuts_s[j])).cuts
+        != on_op.sum(lifted[i].cuts, lifted[j].cuts),
     )
 
     # (v) lift of an intersection is the intersection of lifts
     pairwise(
         "v", ideals_s, "sigma",
-        lambda i, j: lift(fuzzy_intersection([ideals_s[i], ideals_s[j]])).grades
-        != fuzzy_intersection([lifted[i], lifted[j]]).grades,
+        lambda i, j: lift_cuts(on_s.meet(cuts_s[i], cuts_s[j])).cuts
+        != on_op.meet(lifted[i].cuts, lifted[j].cuts),
     )
 
     # (vi) lift is inclusion-preserving
     pairwise(
         "vi", ideals_s, "sigma",
-        lambda i, j: ideals_s[i] <= ideals_s[j] and not lifted[i] <= lifted[j],
+        lambda i, j: on_s.le(cuts_s[i], cuts_s[j]) and not on_op.le(lifted[i].cuts, lifted[j].cuts),
     )
 
     # (vii) ideal preservation under the restriction
     each(
         "vii", ideals_op, restricted,
-        lambda m, rm: not is_fuzzy_ideal_gamma(g, rm, "two")
-        and {"mu": _grades(m), "restricted": _grades(rm)},
+        lambda m, rm: not on_s.is_ideal(rm.cuts)
+        and {"mu": _grades(m), "restricted": _grades(rm.subset)},
     )
 
     # (vii) non-constancy preservation
     each(
         "vii-nonconstant", ideals_op, restricted,
-        lambda m, rm: not m.is_constant() and rm.is_constant() and {"mu": _grades(m)},
+        lambda m, rm: not m.is_constant() and rm.subset.is_constant() and {"mu": _grades(m)},
         restrict_roundtrip_ok,
     )
 
@@ -347,7 +384,8 @@ def _clause_rows(
     # (ix) restriction is inclusion-preserving
     pairwise(
         "ix", ideals_op, "mu",
-        lambda i, j: ideals_op[i] <= ideals_op[j] and not restricted[i] <= restricted[j],
+        lambda i, j: on_op.le(cuts_op[i], cuts_op[j])
+        and not on_s.le(restricted[i].cuts, restricted[j].cuts),
     )
 
     return rows
@@ -408,40 +446,41 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
         left = ws.left
         A = ws.fuzzy_ideals("S", kind)
         B = ws.fuzzy_ideals("L", kind)
-        lifted = [lift_plusprime(left, s) for s in A]
+        on_s, on_l = LevelCuts(g, chain), LevelCuts(left.semiring, chain)
+        lift = _on_cuts(lambda s: lift_plusprime(left, s), on_s, on_l)
+        cuts_a = [on_s.of(s) for s in A]
+        lifted = [lift(c, s) for c, s in zip(cuts_a, A)]
         counts["fuzzy_ideals_S"] = len(A)
         counts["fuzzy_ideals_L"] = len(B)
 
-        b_set = {m.grades for m in B}
+        cuts_b = [on_l.of(m) for m in B]
+        b_set = set(cuts_b)
         image = first_failure(
-            lambda s, t: t.grades not in b_set
-            and {"check": "image-is-ideal", "sigma": _grades(s), "lifted": _grades(t)},
+            lambda s, t: t.cuts not in b_set
+            and {"check": "image-is-ideal", "sigma": _grades(s), "lifted": _grades(t.subset)},
             A, lifted,
         )
         if image:
             return image
-        lifted_set = {t.grades for t in lifted}
+        lifted_set = {t.cuts for t in lifted}
         if len(lifted_set) != len(A):
             return {"check": "injective"}
         if lifted_set != b_set:
-            missing = [m.to_mapping() for m in B if m.grades not in lifted_set]
+            missing = [m.to_mapping() for m, mc in zip(B, cuts_b) if mc not in lifted_set]
             return {"check": "surjective", "unmatched": missing[:3]}
 
         def pair_failure(i, j):
-            a, b = A[i], A[j]
-            if (a <= b) != (lifted[i] <= lifted[j]):
+            a, b = cuts_a[i], cuts_a[j]
+            la, lb = lifted[i].cuts, lifted[j].cuts
+            if on_s.le(a, b) != on_l.le(la, lb):
                 failed = "inclusion-both-ways"
-            elif lift_plusprime(left, fuzzy_sum(a, b)).grades != fuzzy_sum(
-                lifted[i], lifted[j]
-            ).grades:
+            elif lift(on_s.sum(a, b)).cuts != on_l.sum(la, lb):
                 failed = "sum-homomorphism"
-            elif lift_plusprime(left, fuzzy_intersection([a, b])).grades != fuzzy_intersection(
-                [lifted[i], lifted[j]]
-            ).grades:
+            elif lift(on_s.meet(a, b)).cuts != on_l.meet(la, lb):
                 failed = "intersection-homomorphism"
             else:
                 return None
-            return {"check": failed, "sigma1": _grades(a), "sigma2": _grades(b)}
+            return {"check": failed, "sigma1": _grades(A[i]), "sigma2": _grades(A[j])}
 
         counts["pairs_checked"] = len(A) ** 2
         pair = first_failing_pair(len(A), pair_failure)
@@ -449,16 +488,12 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             return pair
 
         # chain-scale lattice sanity: closure under both operations, top and bottom
-        a_set = {x.grades for x in A}
-        closed = all(
-            fuzzy_sum(a, b).grades in a_set and fuzzy_intersection([a, b]).grades in a_set
-            for a in A
-            for b in A
-        )
+        a_set = set(cuts_a)
+        closed = all(on_s.sum(a, b) in a_set and on_s.meet(a, b) in a_set for a in a_set for b in a_set)
         carrier = carrier_of(g)
-        top = FuzzySubset.constant(carrier, 1)
-        bottom = characteristic(CrispSubset.of_indices(carrier, [0]))
-        if not (closed and top.grades in a_set and bottom.grades in a_set):
+        top = on_s.of(FuzzySubset.constant(carrier, 1))
+        bottom = on_s.of(characteristic(CrispSubset.of_indices(carrier, [0])))
+        if not (closed and top in a_set and bottom in a_set):
             return {"check": "lattice-closure"}
         notes.append("enumerated ideals are closed under sum/intersection with top and bottom")
         return None

@@ -1,0 +1,126 @@
+"""The level-cut engine against the `Fraction` reference path.
+
+`LevelCuts` does sums, intersections, inclusions and ideal tests on level
+cuts; `fuzzy_sum`, `fuzzy_intersection`, `FuzzySubset.__le__` and
+`is_fuzzy_ideal_*` do them grade by grade.  Both must agree on every pair of
+fuzzy ideals, on S, L and R, and on chain-valued subsets that are not
+ideals."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build_upper_triangular, build_zero_product
+from gsl import core
+from gsl.config import RunConfig
+from gsl.fuzzy import (
+    FuzzySubset,
+    GradeChain,
+    LevelCuts,
+    fuzzy_intersection,
+    fuzzy_sum,
+    is_fuzzy_ideal_gamma,
+    is_fuzzy_ideal_semiring,
+)
+from gsl.verify import Workspace
+
+CHAINS = (GradeChain.parse("0,1/2,1"), GradeChain.parse("0,1/4,1/2,1"))
+KINDS = ("left", "right", "two")
+
+
+def _instances():
+    """Every gamma instance the enumerators are tested on, and from_B3."""
+    return [
+        core.boolean_gamma(),
+        core.zn_gamma(2),
+        core.zn_gamma(3),
+        core.zn_gamma(4),
+        build_zero_product(),
+        core.gamma_from_semiring(core.boolean_semiring()),
+        build_upper_triangular(),
+        core.gamma_from_semiring(core.boolean_power_semiring(3)),
+    ]
+
+
+INSTANCES = _instances()
+
+
+@lru_cache(maxsize=None)
+def _workspace(instance: int, chain: int) -> Workspace:
+    return Workspace(INSTANCES[instance], RunConfig(chain=CHAINS[chain]))
+
+
+def _is_ideal(structure, mu, kind) -> bool:
+    if isinstance(structure, core.GammaSemiring):
+        return is_fuzzy_ideal_gamma(structure, mu, kind)
+    return is_fuzzy_ideal_semiring(structure, mu, kind)
+
+
+def _agree_on_pair(cuts: LevelCuts, a, b, ca, cb) -> None:
+    assert cuts.sum(ca, cb) == cuts.of(fuzzy_sum(a, b))
+    assert cuts.meet(ca, cb) == cuts.of(fuzzy_intersection([a, b]))
+    assert cuts.le(ca, cb) == (a <= b)
+    assert (ca == cb) == (a == b)
+
+
+def _agree_on_one(cuts: LevelCuts, structure, mu, cm) -> None:
+    assert cuts.subset(cm) == mu
+    for kind in KINDS:
+        assert cuts.is_ideal(cm, kind) == _is_ideal(structure, mu, kind)
+
+
+@pytest.mark.parametrize("chain", range(len(CHAINS)))
+@pytest.mark.parametrize("side", ["S", "L", "R"])
+@pytest.mark.parametrize("instance", range(len(INSTANCES)), ids=[g.name for g in INSTANCES])
+def test_cuts_agree_on_every_pair_of_fuzzy_ideals(instance, side, chain):
+    """Sum, meet, inclusion and equality on every pair of fuzzy ideals; the
+    round trip and the ideal test of every kind on every fuzzy ideal of
+    every kind (a one-sided ideal is not always an ideal of the other kinds)."""
+    ws = _workspace(instance, chain)
+    structure = ws.structure_on(side)
+    cuts = LevelCuts(structure, ws.config.chain)
+    ideals = ws.fuzzy_ideals(side, "two")
+    cut_list = [cuts.of(mu) for mu in ideals]
+    for a, ca in zip(ideals, cut_list):
+        for b, cb in zip(ideals, cut_list):
+            _agree_on_pair(cuts, a, b, ca, cb)
+    distinct = {mu.grades: mu for kind in KINDS for mu in ws.fuzzy_ideals(side, kind)}
+    for mu in distinct.values():
+        _agree_on_one(cuts, structure, mu, cuts.of(mu))
+
+
+@st.composite
+def _chain_valued_pairs(draw):
+    instance = draw(st.integers(0, len(INSTANCES) - 1))
+    chain = draw(st.integers(0, len(CHAINS) - 1))
+    ws = _workspace(instance, chain)
+    structure = ws.structure_on(draw(st.sampled_from("SLR")))
+    grades = st.sampled_from(CHAINS[chain].grades)
+    size = len(structure.S) if isinstance(structure, core.GammaSemiring) else len(structure.carrier)
+    a, b = (
+        FuzzySubset.of_grades(structure, draw(st.lists(grades, min_size=size, max_size=size)))
+        for _ in range(2)
+    )
+    return structure, CHAINS[chain], a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chain_valued_pairs())
+def test_cuts_agree_on_chain_valued_subsets(case):
+    structure, chain, a, b = case
+    cuts = LevelCuts(structure, chain)
+    ca, cb = cuts.of(a), cuts.of(b)
+    _agree_on_pair(cuts, a, b, ca, cb)
+    for mu, cm in ((a, ca), (b, cb), (fuzzy_sum(a, b), cuts.sum(ca, cb))):
+        _agree_on_one(cuts, structure, mu, cm)
+
+
+def test_grade_off_the_chain_raises(gb):
+    cuts = LevelCuts(gb, CHAINS[0])
+    with pytest.raises(ValueError, match="grade 1/3 is not on the chain 0/1,1/2,1/1"):
+        cuts.of(FuzzySubset.of_grades(gb, (1, Fraction(1, 3))))
+    with pytest.raises(ValueError, match="does not live on"):
+        cuts.of(FuzzySubset.of_grades(core.zn_gamma(3), (1, 0, 0)))

@@ -16,7 +16,7 @@ from gsl.matrix import (
     verify_theorem_3_19,
 )
 from gsl.report import PASS, UNMET
-from gsl.verify import Workspace
+from gsl.verify import Workspace, run_all
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -26,6 +26,21 @@ CHAIN01 = GradeChain.of(0, 1)
 def ws(structure, chain=CHAIN01, **config):
     """A fresh workspace, over CHAIN01 unless told otherwise."""
     return Workspace(structure, RunConfig(chain=chain, **config))
+
+
+def _two_by_three():
+    """S the Boolean monoid {0, 1} under or, G the chain 0 < 1 < 2 under max,
+    a@g@b = a and b and (g != 0): a valid instance with |S| != |G|."""
+    g = core.GammaSemiring(
+        "two_by_three",
+        ("0", "1"),
+        ("0", "1", "2"),
+        tuple(tuple(a | b for b in range(2)) for a in range(2)),
+        tuple(tuple(max(c, d) for d in range(3)) for c in range(3)),
+        tuple(tuple(tuple(a & b & (c != 0) for b in range(2)) for c in range(3)) for a in range(2)),
+    )
+    assert core.validate_gamma_semiring(g).ok
+    return g
 
 
 class TestBuild:
@@ -51,6 +66,21 @@ class TestBuild:
     def test_cap(self, z4):
         with pytest.raises(MatrixCapExceeded):
             build_matrix_gamma(z4, 2, cap=16)
+
+    def test_cap_names_the_larger_carrier(self):
+        """With |S| = 2 and |G| = 3 only the G carrier (81 elements) is over
+        the cap, and the cap's text and count name that carrier."""
+        g = _two_by_three()
+        with pytest.raises(MatrixCapExceeded) as hit:
+            build_matrix_gamma(g, 2, cap=16)
+        assert str(hit.value) == "matrix carrier would have 81 elements, cap is 16"
+        assert hit.value.counts == {"matrix_carrier": 81}
+        reports = run_all(g, RunConfig(chain=CHAIN))
+        assert [r.suite for r in reports[-3:]] == ["matrix-iso[left]", "matrix-iso[right]", "th3.19"]
+        for r in reports[-3:]:
+            assert r.status == UNMET
+            assert r.notes == ("matrix carrier would have 81 elements, cap is 16",)
+            assert r.counts == {"matrix_carrier": 81}
 
     def test_product_is_triple_matrix_product(self, gb):
         mg = build_matrix_gamma(gb, 2)

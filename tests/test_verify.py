@@ -591,6 +591,41 @@ class TestFailPathBodies:
         }
 
 
+class TestTheorem38PairBodies:
+    """Swap the lifts of two fuzzy ideals of z4, keyed on the operand's
+    grades alone: the lift stays a bijection onto the ideals of L, so only
+    th3.8's pair scan sees it, and its whole failing body is pinned."""
+
+    IDEALS = (  # the six fuzzy ideals of z4 (two-sided and right) in enumeration order
+        (1, 0, 0, 0), (1, 0, HALF, 0), (1, 0, 1, 0), (1, HALF, HALF, HALF), (1, HALF, 1, HALF), (1, 1, 1, 1),
+    )
+    SIGMA1 = {"0": "1/1", "1": "0/1", "2": "1/1", "3": "0/1"}
+    SIGMA2 = {"0": "1/1", "1": "1/2", "2": "1/2", "3": "1/2"}
+
+    @pytest.mark.parametrize("kind", ["two", "right"])
+    @pytest.mark.parametrize(
+        "swapped,check", [((3, 4), "inclusion-both-ways"), ((4, 5), "sum-homomorphism")]
+    )
+    def test_pair_failure_body(self, monkeypatch, z4, kind, swapped, check):
+        from gsl.fuzzy import FuzzySubset
+
+        w = ws(z4)
+        assert [mu.grades for mu in w.fuzzy_ideals("S", kind)] == list(self.IDEALS)
+        a, b = (FuzzySubset.of_grades(z4, self.IDEALS[k]) for k in swapped)
+        swap = {a.grades: b, b.grades: a}
+        real = verify.lift_plusprime
+        monkeypatch.setattr(verify, "lift_plusprime", lambda op, s: real(op, swap.get(s.grades, s)))
+        assert verify.verify_theorem_3_8(w, kind).body() == {
+            "suite": f"th3.8[{kind}]",
+            "instance": "z4",
+            "chain": ["0/1", "1/2", "1/1"],
+            "status": FAIL,
+            "counterexample": {"check": check, "sigma1": self.SIGMA1, "sigma2": self.SIGMA2},
+            "counts": {"fuzzy_ideals_L": 6, "fuzzy_ideals_S": 6, "pairs_checked": 36},
+            "notes": [TestFailPathBodies.SCOPE],
+        }
+
+
 def _chain_lattice_gamma():
     """Gamma-semiring of the chain 0 < 1 < 2 under (max, min): commutative
     and zero-divisor free, but {0, 1} is a proper nonzero ideal, so it is

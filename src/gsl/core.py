@@ -192,7 +192,11 @@ def check_semiring_structure(r: Semiring) -> None:
 #
 # Each axiom has a vectorised mask builder (first witness = argwhere()[0],
 # which is the lexicographically smallest index tuple) and a scalar checker
-# used for independent witness replay.
+# used for independent witness replay.  The masks index the tables in the
+# smallest unsigned dtype that holds every carrier index (uint8 up to 256
+# elements), so each gathered array costs one byte a cell, not eight; the
+# (|S||G|)^2|S| associativity mask dominates, and argwhere runs only on a
+# mask that has a true cell.
 
 # scalar checkers; 's'/'g' in the signature strings below record which
 # carrier each witness position refers to.
@@ -267,11 +271,15 @@ _SEMIRING_AXIOMS: dict[str, tuple[str, object]] = {
 }
 
 
+def _index_dtype(*sizes: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every index into the carriers."""
+    return np.min_scalar_type(max(sizes) - 1)
+
+
 def _first_witness(mask: np.ndarray) -> Optional[tuple[int, ...]]:
-    bad = np.argwhere(mask)
-    if bad.size == 0:
+    if not mask.any():
         return None
-    return tuple(int(v) for v in bad[0])
+    return tuple(int(v) for v in np.argwhere(mask)[0])
 
 
 def _ids_for(witness: tuple[int, ...], sig: str, lookup: dict) -> tuple[str, ...]:
@@ -282,13 +290,14 @@ def validate_gamma_semiring(g: GammaSemiring) -> ValidationOutcome:
     """Check every gamma-semiring law; report each violated one with its
     lexicographically first witness.  Raises StructuralError on malformed tables."""
     check_gamma_structure(g)
-    A = np.asarray(g.addS, dtype=np.intp)
-    B = np.asarray(g.addG, dtype=np.intp)
-    P = np.asarray(g.prod, dtype=np.intp)
     s = len(g.S)
     gg = len(g.G)
-    ar_s = np.arange(s, dtype=np.intp)
-    ar_g = np.arange(gg, dtype=np.intp)
+    dtype = _index_dtype(s, gg)
+    A = np.asarray(g.addS, dtype=dtype)
+    B = np.asarray(g.addG, dtype=dtype)
+    P = np.asarray(g.prod, dtype=dtype)
+    ar_s = np.arange(s, dtype=dtype)
+    ar_g = np.arange(gg, dtype=dtype)
 
     masks: dict[str, np.ndarray] = {
         "add_S_commutative": A != A.T,
@@ -317,10 +326,11 @@ def validate_gamma_semiring(g: GammaSemiring) -> ValidationOutcome:
 def validate_semiring(r: Semiring) -> ValidationOutcome:
     """Semiring analogue of validate_gamma_semiring."""
     check_semiring_structure(r)
-    A = np.asarray(r.add, dtype=np.intp)
-    M = np.asarray(r.mul, dtype=np.intp)
     n = len(r.carrier)
-    ar = np.arange(n, dtype=np.intp)
+    dtype = _index_dtype(n)
+    A = np.asarray(r.add, dtype=dtype)
+    M = np.asarray(r.mul, dtype=dtype)
+    ar = np.arange(n, dtype=dtype)
 
     masks = {
         "add_commutative": A != A.T,

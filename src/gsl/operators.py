@@ -13,6 +13,13 @@ computed by breadth-first worklist saturation.  Each element records one
 shortest generating sum as provenance, ties broken lexicographically;
 elements are canonically sorted by value tuple, so rebuilding an instance
 is bit-for-bit deterministic and the zero map always sits at index 0.
+
+Many pairs share one action (on a 16-element matrix instance, 256 pairs
+give 16 actions), so the saturation adds each distinct action once, paired
+with the smallest pair that has it.  The provenance is the one a
+saturation over every pair would record: inserting a smaller pair into a
+sorted tuple gives an elementwise smaller sorted tuple, so the smallest
+pair of an action always wins its layer.
 """
 
 from __future__ import annotations
@@ -134,17 +141,17 @@ def build_operator_semiring(
     s, gg = len(g.S), len(g.G)
     addS = g.addS
 
+    # the action of every pair, keyed (x, gamma) on the left and (gamma, x) on
+    # the right, in ascending pair order
     if side == "left":
-        pairs = [(x, a) for x in range(s) for a in range(gg)]
-        pair_values = [action_of_pair(g, x, a, side).values for x, a in pairs]
+        pair_values = {(x, a): action_of_pair(g, x, a, side).values for x in range(s) for a in range(gg)}
     else:
-        pairs = [(a, x) for a in range(gg) for x in range(s)]
-        pair_values = [action_of_pair(g, x, a, side).values for a, x in pairs]
+        pair_values = {(a, x): action_of_pair(g, x, a, side).values for a in range(gg) for x in range(s)}
+    generators: dict[tuple[int, ...], tuple[int, int]] = {}
+    for p, v in pair_values.items():
+        generators.setdefault(v, p)
 
-    known: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-    for p, v in zip(pairs, pair_values):
-        if v not in known:
-            known[v] = (p,)
+    known = {v: (p,) for v, p in generators.items()}
     if len(known) > cap:
         raise ClosureCapExceeded(f"{g.name}/{side}: closure exceeds cap {cap} elements")
     frontier = dict(known)
@@ -152,7 +159,7 @@ def build_operator_semiring(
     while frontier:
         layer: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
         for v, prov in frontier.items():
-            for p, pv in zip(pairs, pair_values):
+            for pv, p in generators.items():
                 nv = tuple(addS[a][b] for a, b in zip(v, pv))
                 if nv in known:
                     continue
@@ -206,7 +213,7 @@ def build_operator_semiring(
         raise AssertionError(f"operator semiring failed validation: {outcome.violations[0]}")
 
     pair_idx = tuple(
-        tuple(index[action_of_pair(g, x, a, side).values] for a in range(gg))
+        tuple(index[pair_values[(x, a) if side == "left" else (a, x)]] for a in range(gg))
         for x in range(s)
     )
     return OperatorSemiring(

@@ -53,6 +53,21 @@ def build_one_element():
     return core.GammaSemiring("one_element", ("0",), ("0",), ((0,),), ((0,),), (((0,),),))
 
 
+def build_boolean_by_chain(k: int):
+    """S the Boolean monoid {0, 1} under or, G the chain 0 < ... < k-1 under
+    max, a@g@b = a and b and (g != 0): a valid instance with |S| != |G|."""
+    g = core.GammaSemiring(
+        f"boolean_by_chain{k}",
+        ("0", "1"),
+        tuple(str(c) for c in range(k)),
+        tuple(tuple(a | b for b in range(2)) for a in range(2)),
+        tuple(tuple(max(c, d) for d in range(k)) for c in range(k)),
+        tuple(tuple(tuple(a & b & (c != 0) for b in range(2)) for c in range(k)) for a in range(2)),
+    )
+    assert core.validate_gamma_semiring(g).ok
+    return g
+
+
 @pytest.fixture(scope="session")
 def all_small_instances(gb, z2, z3, z4, zero_product, bool_sr):
     """Every stock instance with carriers of size at most 4."""

@@ -2,7 +2,8 @@
 
 Everything here is written as plain nested loops over the raw tables, sharing
 no scan code with the library: the vectorised validators, the worklist
-closure, and the level-cut enumerators are all checked against these.
+closure, the table-lookup matrix builds and the level-cut enumerators are
+all checked against these.
 """
 
 from __future__ import annotations
@@ -210,6 +211,119 @@ def naive_operator_actions(g, side: str, max_len: int | None = None) -> set[tupl
         seen |= fresh
         layer = fresh
     return seen
+
+
+def naive_operator_provenance(g, side: str):
+    """The operator semiring as a breadth-first search over every pair.
+
+    Layer k holds the actions first reached by a sum of k pairs; each keeps
+    the smallest sorted sum that reaches it from a layer k-1 element.
+    Returns (elements, add, mul, provenance): the sorted action tuples, the
+    pointwise-sum and composition tables over them (left f.g: a -> f(g(a)),
+    right a -> g(f(a))), and the provenance of each element."""
+    s, gg = len(g.S), len(g.G)
+    if side == "left":
+        actions = {
+            (x, c): tuple(g.prod[x][c][a] for a in range(s)) for x in range(s) for c in range(gg)
+        }
+    else:
+        actions = {
+            (c, x): tuple(g.prod[a][c][x] for a in range(s)) for c in range(gg) for x in range(s)
+        }
+    provenance: dict[tuple[int, ...], tuple] = {}
+    for pair, values in actions.items():
+        if values not in provenance:
+            provenance[values] = (pair,)
+    frontier = dict(provenance)
+    while frontier:
+        layer: dict[tuple[int, ...], tuple] = {}
+        for values, terms in frontier.items():
+            for pair, pair_values in actions.items():
+                reached = tuple(g.addS[u][v] for u, v in zip(values, pair_values))
+                if reached in provenance:
+                    continue
+                candidate = tuple(sorted(terms + (pair,)))
+                if reached not in layer or candidate < layer[reached]:
+                    layer[reached] = candidate
+        provenance.update(layer)
+        frontier = layer
+
+    elements = sorted(provenance)
+    index = {f: i for i, f in enumerate(elements)}
+    add = tuple(
+        tuple(index[tuple(g.addS[u][v] for u, v in zip(f, h))] for h in elements)
+        for f in elements
+    )
+    if side == "left":
+        mul = tuple(tuple(index[tuple(f[h[a]] for a in range(s))] for h in elements) for f in elements)
+    else:
+        mul = tuple(tuple(index[tuple(h[f[a]] for a in range(s))] for h in elements) for f in elements)
+    return elements, add, mul, tuple(provenance[f] for f in elements)
+
+
+# ---------------------------------------------------------------------------
+# matrix-table oracles: the scalar sum-of-products definitions
+
+
+def _tuples(radix: int, length: int) -> list[tuple[int, ...]]:
+    """Every entry tuple in mixed-radix order, the first entry most significant."""
+    return list(itertools.product(range(radix), repeat=length))
+
+
+def _index(entries, radix: int) -> int:
+    k = 0
+    for e in entries:
+        k = k * radix + e
+    return k
+
+
+def naive_matrix_gamma_tables(base, n: int):
+    """(addS, addG, prod) of the n x n matrix instance over `base`: entrywise
+    sums, and entry (i, j) of A D B the sum over k, then l, of a_ik d_kl b_lj."""
+    s, gg = len(base.S), len(base.G)
+    ss, gs = _tuples(s, n * n), _tuples(gg, n * n)
+
+    def entrywise(add, radix, tuples):
+        return tuple(
+            tuple(_index([add[a][b] for a, b in zip(A, B)], radix) for B in tuples) for A in tuples
+        )
+
+    def triple(A, D, B):
+        out = []
+        for i in range(n):
+            for j in range(n):
+                acc = 0
+                for k in range(n):
+                    for l in range(n):
+                        term = base.prod[A[i * n + k]][D[k * n + l]][B[l * n + j]]
+                        acc = base.addS[acc][term]
+                out.append(acc)
+        return _index(out, s)
+
+    prod = tuple(tuple(tuple(triple(A, D, B) for B in ss) for D in gs) for A in ss)
+    return entrywise(base.addS, s, ss), entrywise(base.addG, gg, gs), prod
+
+
+def naive_matrix_semiring_tables(r, n: int):
+    """(add, mul) of the n x n matrices over the semiring r: entrywise sums,
+    and entry (i, j) of A B the sum over t of a_it b_tj."""
+    radix = len(r.carrier)
+    tuples = _tuples(radix, n * n)
+    add = tuple(
+        tuple(_index([r.add[a][b] for a, b in zip(A, B)], radix) for B in tuples) for A in tuples
+    )
+
+    def mat_mul(A, B):
+        out = []
+        for i in range(n):
+            for j in range(n):
+                acc = 0
+                for t in range(n):
+                    acc = r.add[acc][r.mul[A[i * n + t]][B[t * n + j]]]
+                out.append(acc)
+        return _index(out, radix)
+
+    return add, tuple(tuple(mat_mul(A, B) for B in tuples) for A in tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from conftest import build_boolean_by_chain
 from gsl import core
+from gsl.matrix import build_matrix_gamma
 from oracles import (
     naive_gamma_violations,
     naive_is_commutative,
@@ -25,6 +28,21 @@ def _mutate_mul(r, a, b, value):
     mul = [list(row) for row in r.mul]
     mul[a][b] = value
     return dataclasses.replace(r, name=f"{r.name}~{a}{b}->{value}", mul=mul)
+
+
+def _assert_witnesses_match_oracle(bad):
+    outcome = core.validate_gamma_semiring(bad)
+    expected = naive_gamma_violations(bad)
+    assert outcome.ok == (not expected)
+    got = {v.axiom: tuple(v.witness) for v in outcome.violations}
+    want = {
+        axiom: tuple(
+            (bad.S, bad.G)["g" == kind][i]
+            for kind, i in zip(core._GAMMA_AXIOMS[axiom][0], witness)
+        )
+        for axiom, witness in expected.items()
+    }
+    assert got == want
 
 
 class TestValidateGamma:
@@ -54,19 +72,21 @@ class TestValidateGamma:
     @pytest.mark.parametrize("cell", [(a, c, b) for a in range(2) for c in range(2) for b in range(2)])
     def test_single_cell_mutations_match_oracle(self, gb, cell):
         a, c, b = cell
-        bad = _mutate_prod(gb, a, c, b, 1 - gb.prod[a][c][b])
+        _assert_witnesses_match_oracle(_mutate_prod(gb, a, c, b, 1 - gb.prod[a][c][b]))
+
+    def test_carrier_past_uint8(self):
+        """|G| = 300 makes the masks index in uint16; a mutated cell at a
+        G index past 255 gives the oracle's witnesses."""
+        wide = build_boolean_by_chain(300)
+        assert core._index_dtype(len(wide.S), len(wide.G)) == np.uint16
+        assert core.validate_gamma_semiring(wide).ok
+        _assert_witnesses_match_oracle(_mutate_prod(wide, 1, 280, 1, 0))
+
+    def test_matrix_instance_witness_replay(self, gb):
+        bad = _mutate_prod(build_matrix_gamma(gb, 2).gamma, 3, 5, 7, 9)
         outcome = core.validate_gamma_semiring(bad)
-        expected = naive_gamma_violations(bad)
-        assert outcome.ok == (not expected)
-        got = {v.axiom: tuple(v.witness) for v in outcome.violations}
-        want = {
-            axiom: tuple(
-                (bad.S, bad.G)["g" == kind][i]
-                for kind, i in zip(core._GAMMA_AXIOMS[axiom][0], witness)
-            )
-            for axiom, witness in expected.items()
-        }
-        assert got == want
+        assert not outcome.ok
+        assert all(core.recheck_violation(bad, violation) for violation in outcome.violations)
 
     def test_witness_replay(self, gb, z4):
         replayed = 0

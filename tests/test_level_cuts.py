@@ -4,7 +4,8 @@
 cuts; `fuzzy_sum`, `fuzzy_intersection`, `FuzzySubset.__le__` and
 `is_fuzzy_ideal_*` do them grade by grade.  Both must agree on every pair of
 fuzzy ideals, on S, L and R, and on chain-valued subsets that are not
-ideals."""
+ideals; the ideal tests must also agree on the matrix instances th3.19
+lifts onto."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -22,9 +23,11 @@ from gsl.fuzzy import (
     LevelCuts,
     fuzzy_intersection,
     fuzzy_sum,
+    enumerate_fuzzy_ideals,
     is_fuzzy_ideal_gamma,
     is_fuzzy_ideal_semiring,
 )
+from gsl.matrix import build_matrix_gamma, lift_fuzzy_to_matrix
 from gsl.verify import Workspace
 
 CHAINS = (GradeChain.parse("0,1/2,1"), GradeChain.parse("0,1/4,1/2,1"))
@@ -116,6 +119,45 @@ def test_cuts_agree_on_chain_valued_subsets(case):
     _agree_on_pair(cuts, a, b, ca, cb)
     for mu, cm in ((a, ca), (b, cb), (fuzzy_sum(a, b), cuts.sum(ca, cb))):
         _agree_on_one(cuts, structure, mu, cm)
+
+
+MATRICES = [build_matrix_gamma(g, 2) for g in (core.boolean_gamma(), core.zn_gamma(2))]
+
+
+@pytest.mark.parametrize("chain", range(len(CHAINS)))
+@pytest.mark.parametrize("matrix", range(len(MATRICES)), ids=[mg.gamma.name for mg in MATRICES])
+def test_cuts_agree_on_lifted_ideals(matrix, chain):
+    """th3.19 tests each lifted fuzzy ideal for an ideal on its cuts."""
+    mg = MATRICES[matrix]
+    cuts = LevelCuts(mg.gamma, CHAINS[chain])
+    for kind in KINDS:
+        for mu in enumerate_fuzzy_ideals(mg.base, CHAINS[chain], kind):
+            lifted = lift_fuzzy_to_matrix(mg, mu)
+            _agree_on_one(cuts, mg.gamma, lifted, cuts.of(lifted))
+
+
+@st.composite
+def _matrix_subsets(draw):
+    """A chain-valued subset of a matrix instance: drawn cell by cell, or the
+    lift of a subset of the base (an ideal exactly when that one is)."""
+    mg = draw(st.sampled_from(MATRICES))
+    chain = draw(st.sampled_from(CHAINS))
+    grades = st.sampled_from(chain.grades)
+    if draw(st.booleans()):
+        mu = FuzzySubset.of_grades(mg.gamma, draw(st.lists(grades, min_size=16, max_size=16)))
+    else:
+        mu = lift_fuzzy_to_matrix(
+            mg, FuzzySubset.of_grades(mg.base, draw(st.lists(grades, min_size=2, max_size=2)))
+        )
+    return mg.gamma, chain, mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrix_subsets())
+def test_cuts_agree_on_matrix_subsets(case):
+    structure, chain, mu = case
+    cuts = LevelCuts(structure, chain)
+    _agree_on_one(cuts, structure, mu, cuts.of(mu))
 
 
 def test_grade_off_the_chain_raises(gb):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import build_boolean_by_chain, build_one_element
 from gsl import core
 from gsl.config import RunConfig
 from gsl.fuzzy import FuzzySubset, GradeChain, enumerate_fuzzy_ideals, is_fuzzy_ideal_gamma
@@ -17,6 +18,7 @@ from gsl.matrix import (
 )
 from gsl.report import PASS, UNMET
 from gsl.verify import Workspace, run_all
+from oracles import naive_matrix_gamma_tables, naive_matrix_semiring_tables
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -26,21 +28,6 @@ CHAIN01 = GradeChain.of(0, 1)
 def ws(structure, chain=CHAIN01, **config):
     """A fresh workspace, over CHAIN01 unless told otherwise."""
     return Workspace(structure, RunConfig(chain=chain, **config))
-
-
-def _two_by_three():
-    """S the Boolean monoid {0, 1} under or, G the chain 0 < 1 < 2 under max,
-    a@g@b = a and b and (g != 0): a valid instance with |S| != |G|."""
-    g = core.GammaSemiring(
-        "two_by_three",
-        ("0", "1"),
-        ("0", "1", "2"),
-        tuple(tuple(a | b for b in range(2)) for a in range(2)),
-        tuple(tuple(max(c, d) for d in range(3)) for c in range(3)),
-        tuple(tuple(tuple(a & b & (c != 0) for b in range(2)) for c in range(3)) for a in range(2)),
-    )
-    assert core.validate_gamma_semiring(g).ok
-    return g
 
 
 class TestBuild:
@@ -70,7 +57,7 @@ class TestBuild:
     def test_cap_names_the_larger_carrier(self):
         """With |S| = 2 and |G| = 3 only the G carrier (81 elements) is over
         the cap, and the cap's text and count name that carrier."""
-        g = _two_by_three()
+        g = build_boolean_by_chain(3)
         with pytest.raises(MatrixCapExceeded) as hit:
             build_matrix_gamma(g, 2, cap=16)
         assert str(hit.value) == "matrix carrier would have 81 elements, cap is 16"
@@ -89,6 +76,26 @@ class TestBuild:
         d = mg.encode_g((1, 0, 0, 0))
         b = mg.encode_s((1, 1, 0, 0))
         assert mg.decode_s(mg.gamma.prod[a][d][b]) == (1, 1, 0, 0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tables_match_scalar_definition(self, gb, z2, zero_product, n):
+        for base in (gb, z2, zero_product, build_one_element()):
+            mg = build_matrix_gamma(base, n)
+            assert (mg.gamma.addS, mg.gamma.addG, mg.gamma.prod) == naive_matrix_gamma_tables(base, n)
+            assert all(mg.encode_s(mg.decode_s(k)) == k for k in range(len(mg.gamma.S)))
+            assert all(mg.encode_g(mg.decode_g(k)) == k for k in range(len(mg.gamma.G)))
+
+    def test_tables_match_scalar_definition_when_s_and_g_differ(self):
+        base = build_boolean_by_chain(3)
+        mg = build_matrix_gamma(base, 2, cap=81)
+        assert (len(mg.gamma.S), len(mg.gamma.G)) == (16, 81)
+        assert (mg.gamma.addS, mg.gamma.addG, mg.gamma.prod) == naive_matrix_gamma_tables(base, 2)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matrix_semiring_tables_match_scalar_definition(self, bool_sr, n):
+        for r in (bool_sr, core.zn_semiring(3)):
+            m = matrix_semiring(r, n)
+            assert (m.add, m.mul) == naive_matrix_semiring_tables(r, n)
 
     def test_matrix_semiring(self, bool_sr):
         m = matrix_semiring(bool_sr, 2)

@@ -15,7 +15,8 @@ from gsl.operators import (
     star_set,
     starprime_set,
 )
-from oracles import naive_operator_actions
+from gsl.matrix import build_matrix_gamma
+from oracles import naive_operator_actions, naive_operator_provenance
 
 
 class TestActionOfPair:
@@ -48,6 +49,17 @@ class TestBuild:
             op = build_operator_semiring(g, side)
             oracle = naive_operator_actions(g, side)
             assert {f.values for f in op.elements} == oracle, g.name
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_closure_matches_all_pairs_oracle(self, enum_instances, gb, z2, side):
+        """Saturating one pair per distinct action gives the elements, tables
+        and provenance that a search over every pair gives."""
+        matrices = [build_matrix_gamma(g, 2).gamma for g in (gb, z2)]
+        for g in (*enum_instances, *matrices):
+            op = build_operator_semiring(g, side)
+            elements, add, mul, provenance = naive_operator_provenance(g, side)
+            assert [f.values for f in op.elements] == elements, g.name
+            assert (op.add, op.mul, op.provenance) == (add, mul, provenance), g.name
 
     def test_frozen_sizes(self, gb, z2, z4):
         assert len(build_operator_semiring(gb, "left")) == 2

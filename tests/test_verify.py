@@ -577,6 +577,36 @@ class TestFailPathBodies:
             "notes": [],
         }
 
+    def test_matrix_iso_generator_action_at_a_later_image(self, monkeypatch, gb):
+        """`_matrix_action` is wrong only on argument m7 of the image that
+        first appears at generator (m4, m1), the 66th: the first failure and
+        the count name that generator, and no operand is applied twice."""
+        real = matrix._matrix_action
+        operands = []
+
+        def late(mg, op, image, a, side):
+            operands.append((image, a))
+            value = real(mg, op, image, a, side)
+            return (value + 1) % len(mg.gamma.S) if image == (0, 1, 0, 0) and a == 7 else value
+
+        monkeypatch.setattr(matrix, "_matrix_action", late)
+        assert matrix.check_operator_matrix_iso(verify.Workspace(gb), "left").body() == {
+            "suite": "matrix-iso[left]",
+            "instance": "boolean",
+            "chain": None,
+            "status": FAIL,
+            "counterexample": {"check": "generator-action", "generator": ["m4", "m1"], "argument": "m7"},
+            "counts": {
+                "generators_checked": 66,
+                "matrix_carrier": 16,
+                "matrix_semiring_elements": 16,
+                "operator_elements": 16,
+                "pairs_checked": 256,
+            },
+            "notes": [],
+        }
+        assert len(operands) == len(set(operands))
+
     def test_th319_lift_is_ideal(self, monkeypatch, gb):
         real = matrix.lift_fuzzy_to_matrix
         monkeypatch.setattr(matrix, "lift_fuzzy_to_matrix", lambda mg, mu: _reversed(real(mg, mu)))

@@ -19,11 +19,15 @@ report bodies and first counterexamples depend on.  The scalar predicates
 the tests check the enumerators against.
 
 The suites compute on level cuts too: ``LevelCuts`` holds a chain-valued
-fuzzy subset as the tuple of its cuts and does sums, intersections,
-inclusions and ideal tests as bitmask work, cut by cut.  ``fuzzy_sum``,
-``fuzzy_intersection``, ``FuzzySubset.__le__`` and ``is_fuzzy_ideal_*``
-remain the public ``Fraction`` API, and the reference the tests check the
-cut engine against.
+fuzzy subset as the tuple of its cuts.  It does sums, intersections and
+inclusions a family at a time, for every pair drawn from two families, as
+one numpy lookup into dense tables over the distinct cut masks, and ideal
+tests as bitmask work, cut by cut.  ``fuzzy_sum``, ``fuzzy_intersection``,
+``FuzzySubset.__le__`` and ``is_fuzzy_ideal_*`` remain the public
+``Fraction`` API, and the reference the tests check the cut engine against.
+``as_grade`` returns a ``Fraction`` it is given as it is, after an integer
+range check, so a subset built from grades that already exist makes no new
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import core
 
@@ -67,17 +73,22 @@ class EnumerationCapExceeded(core.CapExceeded):
 
 
 def as_grade(value) -> Fraction:
-    g = Fraction(value)
-    if not (0 <= g <= 1):
+    """value as a grade in [0, 1].  A Fraction is checked on its integer
+    numerator and (always positive) denominator and returned as is."""
+    g = value if type(value) is Fraction else Fraction(value)
+    if not 0 <= g.numerator <= g.denominator:
         raise ValueError(f"grade {g} outside [0, 1]")
     return g
 
 
 def parse_grade(text: str) -> Fraction:
-    """Parse 'p/q' or a bare integer; exact rationals only."""
+    """Parse 'p/q' or a bare integer; exact rationals only.  Raises
+    ValueError on anything else, a zero denominator included."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"grade {text} has a zero denominator")
         return as_grade(Fraction(int(num), int(den)))
     return as_grade(Fraction(int(text)))
 
@@ -292,6 +303,9 @@ def _bits(mask: int) -> list[int]:
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
+Cuts = tuple[int, ...]
+
+
 class LevelCuts:
     """The fuzzy subsets of one structure with grades on one chain, each as
     its level cuts.
@@ -307,34 +321,46 @@ class LevelCuts:
     - ideal: the first cut is non-empty and every cut is closed under
       addition and absorbs the products of its elements (as the crisp
       enumerator does), which is `is_fuzzy_ideal_*` cut by cut.
-    Set sums and crisp ideal tests are kept per pair of masks, so one
-    instance should live no longer than the computation that made it.
+
+    Sums, intersections and inclusions are done a whole family at a time.
+    Each distinct mask gets an id, and a family is the (N, m-1) array of the
+    ids of its members' cuts (`family`).  The set sum, intersection and
+    inclusion of every pair of distinct masks are kept in dense D x D tables
+    over the D masks seen so far, each cell computed once, and a family
+    table (`sum_table`, `meet_table`, `le_table`) is one numpy lookup into
+    them for every pair drawn from two families.  The tables hold ids, not
+    masks, so carriers wider than a machine word work the same way.  The
+    tables and the crisp ideal tests are kept for the life of the instance,
+    so it should live no longer than the computation that made it.
     """
 
     def __init__(self, structure, chain: GradeChain):
         self.structure = structure
         self.carrier = carrier_of(structure)
         self.chain = chain
-        self._rank = {g: r for r, g in enumerate(chain.grades)}
-        self._sums: dict[tuple[int, int], int] = {}
+        # keyed by (numerator, denominator): hashing two ints is cheaper than hashing a Fraction
+        self._rank = {(g.numerator, g.denominator): r for r, g in enumerate(chain.grades)}
+        self._masks: list[int] = []
+        self._id: dict[int, int] = {}
+        self._tables: dict[str, np.ndarray] = {}
         self._images: dict[str, list[int]] = {}
         self._ideal: dict[tuple[str, int], bool] = {}
 
-    def of(self, mu: FuzzySubset) -> tuple[int, ...]:
+    def of(self, mu: FuzzySubset) -> Cuts:
         """The cuts of mu.  Raises ValueError for a grade off the chain."""
         if mu.carrier != self.carrier:
             raise ValueError(f"fuzzy subset does not live on {self.carrier.label}")
         try:
-            ranks = [self._rank[g] for g in mu.grades]
+            ranks = [self._rank[g.numerator, g.denominator] for g in mu.grades]
         except KeyError as off:
             raise ValueError(
-                f"grade {format_grade(off.args[0])} is not on the chain {self.chain}"
+                f"grade {format_grade(Fraction(*off.args[0]))} is not on the chain {self.chain}"
             ) from None
         return tuple(
             sum(1 << x for x, r in enumerate(ranks) if r >= k) for k in range(1, len(self.chain))
         )
 
-    def subset(self, cuts: tuple[int, ...]) -> FuzzySubset:
+    def subset(self, cuts: Cuts) -> FuzzySubset:
         """The fuzzy subset with these (descending) cuts: x gets the grade
         c_r, r the number of cuts containing x."""
         grades = self.chain.grades
@@ -343,28 +369,86 @@ class LevelCuts:
             tuple(grades[sum(c >> x & 1 for c in cuts)] for x in range(self.carrier.size)),
         )
 
+    # -- family tables
+
+    def _intern(self, mask: int) -> int:
+        if mask not in self._id:
+            self._id[mask] = len(self._masks)
+            self._masks.append(mask)
+        return self._id[mask]
+
+    def cuts(self, ids: Sequence[int]) -> Cuts:
+        """The masks with these ids."""
+        return tuple(self._masks[i] for i in ids)
+
+    def family(self, members: Sequence[Cuts]) -> np.ndarray:
+        """The (N, m-1) array of the ids of N cut tuples' masks, one row per
+        member; a mask not seen before gets the next id."""
+        rows = [list(map(self._intern, cuts)) for cuts in members]
+        return np.array(rows, dtype=np.intp).reshape(len(rows), len(self.chain) - 1)
+
     def _set_sum(self, u: int, v: int) -> int:
-        key = (u, v)
-        if key not in self._sums:
-            add, total = self.carrier.add, 0
-            vs = _bits(v)
-            for x in _bits(u):
-                row = add[x]
-                for y in vs:
-                    total |= 1 << row[y]
-            self._sums[key] = total
-        return self._sums[key]
+        add, total = self.carrier.add, 0
+        vs = _bits(v)
+        for x in _bits(u):
+            row = add[x]
+            for y in vs:
+                total |= 1 << row[y]
+        return total
 
-    def sum(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(self._set_sum, a, b))
+    def _cell(self, op: str, u: int, v: int):
+        if op == "sum":
+            return self._intern(self._set_sum(u, v))
+        if op == "meet":
+            return self._intern(u & v)
+        return not u & ~v  # "le": u is a subset of v
 
-    @staticmethod
-    def meet(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(u & v for u, v in zip(a, b))
+    def _table(self, op: str) -> np.ndarray:
+        """op on every pair of the D masks seen so far, as a D x D table;
+        when more masks have been seen since the last call, only the new
+        rows and columns are computed."""
+        table = self._tables.get(op)
+        d, done = len(self._masks), 0 if table is None else len(table)
+        if done < d:
+            old, masks = table, self._masks[:d]  # sums and meets may intern new masks
+            table = np.empty((d, d), dtype=bool if op == "le" else np.intp)
+            if done:
+                table[:done, :done] = old
+            for i, u in enumerate(masks):
+                start = done if i < done else 0
+                table[i, start:] = [self._cell(op, u, v) for v in masks[start:]]
+            self._tables[op] = table
+        return table
 
-    @staticmethod
-    def le(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return all(not u & ~v for u, v in zip(a, b))
+    def _lookup(self, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._table(op)[a[:, None, :], b[None, :, :]]
+
+    def sum_table(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(N, M, m-1) ids: the cuts of a_i (+) b_j, for families a and b."""
+        return self._lookup("sum", a, b)
+
+    def meet_table(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(N, M, m-1) ids: the cuts of a_i /\\ b_j, for families a and b."""
+        return self._lookup("meet", a, b)
+
+    def le_table(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(N, M) booleans: a_i <= b_j, for families a and b."""
+        return self._lookup("le", a, b).all(axis=2)
+
+    def distinct_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For an (R, m-1) id array: the index of the first row of each
+        distinct row, and for every row the place of its distinct row in
+        that list."""
+        code, first = np.zeros(len(rows), dtype=np.intp), np.zeros(0, dtype=np.intp)
+        for column in rows.T:
+            # code numbers the distinct prefixes (< R of them) and ids are < D,
+            # so code * D + id is below R * D and cannot overflow
+            _, first, code = np.unique(
+                code * len(self._masks) + column, return_index=True, return_inverse=True
+            )
+        return first, code.reshape(-1)
+
+    # -- ideal tests
 
     def _is_crisp_ideal(self, mask: int, kind: str) -> bool:
         key = (kind, mask)
@@ -377,7 +461,7 @@ class LevelCuts:
             )
         return self._ideal[key]
 
-    def is_ideal(self, cuts: tuple[int, ...], kind: str = "two") -> bool:
+    def is_ideal(self, cuts: Cuts, kind: str = "two") -> bool:
         """`is_fuzzy_ideal_*` of the subset with these cuts."""
         return cuts[0] != 0 and all(self._is_crisp_ideal(c, kind) for c in cuts)
 

@@ -7,6 +7,12 @@ For the left operator semiring L of base S:
 The right-side maps use [gamma, x] pair classes and right actions; the
 formulas are identical on action maps.  All four are defined on arbitrary
 fuzzy subsets; ideal preservation is a property checked elsewhere.
+
+Each min is taken by sort position: one call sorts the operand's element
+indices by grade once, and the min over a set of indices is the grade at
+the least position among them.  So a call makes one sort's worth of
+`Fraction` comparisons, not one per value, and its image reuses the
+operand's own grade objects.
 """
 
 from __future__ import annotations
@@ -17,20 +23,32 @@ from .operators import OperatorSemiring
 __all__ = ["restrict_plus", "lift_plusprime", "restrict_star", "lift_starprime"]
 
 
+def _sort_positions(grades) -> tuple[list[int], list[int]]:
+    """(order, position): the indices sorted by grade, and each index's place
+    in that order.  The min of the grades over a set of indices is the grade
+    of order[p], p the least position in the set."""
+    order = sorted(range(len(grades)), key=grades.__getitem__)
+    position = [0] * len(order)
+    for p, x in enumerate(order):
+        position[x] = p
+    return order, position
+
+
 def _restrict(op: OperatorSemiring, mu: FuzzySubset) -> FuzzySubset:
     if mu.carrier != carrier_of(op):
         raise ValueError("subset does not live on the operator semiring carrier")
-    s, gg = len(op.base.S), len(op.base.G)
-    grades = tuple(
-        min(mu.grades[op.pair_index[x][c]] for c in range(gg)) for x in range(s)
-    )
+    order, position = _sort_positions(mu.grades)
+    grades = tuple(mu.grades[order[min(map(position.__getitem__, row))]] for row in op.pair_index)
     return FuzzySubset(carrier_of(op.base), grades)
 
 
 def _lift(op: OperatorSemiring, sigma: FuzzySubset) -> FuzzySubset:
     if sigma.carrier != carrier_of(op.base):
         raise ValueError("subset does not live on the base carrier")
-    grades = tuple(min(sigma.grades[v] for v in f.values) for f in op.elements)
+    order, position = _sort_positions(sigma.grades)
+    grades = tuple(
+        sigma.grades[order[min(map(position.__getitem__, f.values))]] for f in op.elements
+    )
     return FuzzySubset(carrier_of(op), grades)
 
 

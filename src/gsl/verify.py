@@ -13,7 +13,11 @@ grade-chain scale, which is sound for these statements because min/max over
 finite index sets never leaves the chain; each report says so in its notes.
 The pair checks of prop3.4 and th3.8 compute on the level cuts of those
 chain-valued ideals (`LevelCuts`), and report the `Fraction` grades of the
-ideals and images they were given.
+ideals and images they were given.  Each pair clause is read off N x N
+family tables: its failures are the true cells, and its witness is the
+first of them in row-major order (in th3.8, with the first check that pair
+fails).  So a transfer map is called on every distinct operand in the
+table, once each, also on operands past the first failure.
 """
 
 from __future__ import annotations
@@ -22,10 +26,13 @@ import time
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from . import core
 from .config import RunConfig
 from .fuzzy import (
     CrispSubset,
+    Cuts,
     FuzzySubset,
     GradeChain,
     LevelCuts,
@@ -222,8 +229,6 @@ def _ids(subset: CrispSubset) -> list[str]:
 # ---------------------------------------------------------------------------
 # transfer-map clause engine (shared by the primal L side and the dual R side)
 
-Cuts = tuple[int, ...]
-
 
 class _Image(NamedTuple):
     """What a transfer map gave, and its level cuts."""
@@ -249,6 +254,30 @@ def _on_cuts(
     return apply
 
 
+def _images_differ(
+    table: np.ndarray,
+    apply: Callable[..., _Image],
+    source: LevelCuts,
+    target: LevelCuts,
+    expected: np.ndarray,
+) -> np.ndarray:
+    """(N, M) booleans: where the image under `apply` (a map from `_on_cuts`)
+    of the subset in a cell of `table`, an (N, M, m-1) table of source ids,
+    differs from that cell of `expected`, the same shape in target ids.
+    `apply` is called once per distinct subset in the table."""
+    rows = table.reshape(-1, table.shape[-1])
+    first, inverse = source.distinct_rows(rows)
+    images = target.family([apply(source.cuts(rows[k].tolist())).cuts for k in first])
+    return (images[inverse].reshape(table.shape) != expected).any(axis=2)
+
+
+def _first_cell(failing: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first true cell of an (N, M) table in row-major order, the order
+    `first_failing_pair` scans in."""
+    hits = np.flatnonzero(failing)
+    return divmod(int(hits[0]), failing.shape[1]) if hits.size else None
+
+
 def _clause_rows(
     g: core.GammaSemiring,
     op: OperatorSemiring,
@@ -270,8 +299,12 @@ def _clause_rows(
     Sums, intersections, inclusions, equalities and ideal tests are computed
     on level cuts (`LevelCuts`), taken at the grades of the given ideals
     plus 0 and 1; the transfer maps are mins, so their images stay on those
-    grades.  `lift` and `restrict` are called once per distinct operand, and
-    witnesses carry the grades of the ideals and images themselves.
+    grades.  The pair clauses read their failures off family tables over
+    every pair of ideals, and witness the first failing pair in row-major
+    order.  `lift` and `restrict` are called once per distinct operand (for
+    the pair clauses, every operand in the table, also past a first
+    failure), and witnesses carry the grades of the ideals and images
+    themselves.
     """
     rows: list[tuple[str, str, Optional[dict], int]] = []
     chain = GradeChain.of(0, 1, *{x for mu in (*ideals_s, *ideals_op) for x in mu.grades})
@@ -282,6 +315,9 @@ def _clause_rows(
     restrict_cuts = _on_cuts(restrict, on_op, on_s)
     lifted = [lift_cuts(c, s) for c, s in zip(cuts_s, ideals_s)]
     restricted = [restrict_cuts(c, m) for c, m in zip(cuts_op, ideals_op)]
+    family_s, family_op = on_s.family(cuts_s), on_op.family(cuts_op)
+    family_lifted = on_op.family([t.cuts for t in lifted])
+    family_restricted = on_s.family([rm.cuts for rm in restricted])
 
     def clause(cid, checked, scan, ok=True):
         """One row: precondition-unmet when the unity it rests on is absent,
@@ -299,15 +335,18 @@ def _clause_rows(
         """A clause checked on each ideal together with its image."""
         clause(cid, len(ideals), lambda: first_failure(check, ideals, images), ok)
 
-    def pairwise(cid, ideals, label, fails):
-        """A clause checked on every pair of ideals."""
-        clause(cid, len(ideals) ** 2, lambda: first_failing_pair(
-            len(ideals),
-            lambda i, j: fails(i, j) and {
-                f"{label}1": _grades(ideals[i]),
-                f"{label}2": _grades(ideals[j]),
-            },
-        ))
+    def pairwise(cid, ideals, label, failing):
+        """A clause checked on every pair of ideals; failing() gives the
+        (N, N) table of the pairs it fails on."""
+
+        def scan():
+            pair = _first_cell(failing())
+            return pair and {
+                f"{label}1": _grades(ideals[pair[0]]),
+                f"{label}2": _grades(ideals[pair[1]]),
+            }
+
+        clause(cid, len(ideals) ** 2, scan)
 
     def lift_roundtrip(s, t):
         back = restrict_cuts(t.cuts, t.subset)
@@ -323,6 +362,12 @@ def _clause_rows(
     def restrict_roundtrip(m, rm):
         back = lift_cuts(rm.cuts, rm.subset)
         return back.cuts != on_op.of(m) and {"mu": _grades(m), "roundtrip": _grades(back.subset)}
+
+    def lift_apart(op_s, op_op):
+        """Where the lift of op(sigma_i, sigma_j) differs from op of their lifts."""
+        return _images_differ(
+            op_s(family_s, family_s), lift_cuts, on_s, on_op, op_op(family_lifted, family_lifted)
+        )
 
     # (i) ideal preservation under the lift
     each(
@@ -345,23 +390,15 @@ def _clause_rows(
     each("iii", range(len(lifted)), lifted, repeated_lift, lift_roundtrip_ok)
 
     # (iv) lift of a sum is the sum of lifts
-    pairwise(
-        "iv", ideals_s, "sigma",
-        lambda i, j: lift_cuts(on_s.sum(cuts_s[i], cuts_s[j])).cuts
-        != on_op.sum(lifted[i].cuts, lifted[j].cuts),
-    )
+    pairwise("iv", ideals_s, "sigma", lambda: lift_apart(on_s.sum_table, on_op.sum_table))
 
     # (v) lift of an intersection is the intersection of lifts
-    pairwise(
-        "v", ideals_s, "sigma",
-        lambda i, j: lift_cuts(on_s.meet(cuts_s[i], cuts_s[j])).cuts
-        != on_op.meet(lifted[i].cuts, lifted[j].cuts),
-    )
+    pairwise("v", ideals_s, "sigma", lambda: lift_apart(on_s.meet_table, on_op.meet_table))
 
     # (vi) lift is inclusion-preserving
     pairwise(
         "vi", ideals_s, "sigma",
-        lambda i, j: on_s.le(cuts_s[i], cuts_s[j]) and not on_op.le(lifted[i].cuts, lifted[j].cuts),
+        lambda: on_s.le_table(family_s, family_s) & ~on_op.le_table(family_lifted, family_lifted),
     )
 
     # (vii) ideal preservation under the restriction
@@ -384,8 +421,8 @@ def _clause_rows(
     # (ix) restriction is inclusion-preserving
     pairwise(
         "ix", ideals_op, "mu",
-        lambda i, j: on_op.le(cuts_op[i], cuts_op[j])
-        and not on_s.le(restricted[i].cuts, restricted[j].cuts),
+        lambda: on_op.le_table(family_op, family_op)
+        & ~on_s.le_table(family_restricted, family_restricted),
     )
 
     return rows
@@ -469,27 +506,26 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             missing = [m.to_mapping() for m, mc in zip(B, cuts_b) if mc not in lifted_set]
             return {"check": "surjective", "unmatched": missing[:3]}
 
-        def pair_failure(i, j):
-            a, b = cuts_a[i], cuts_a[j]
-            la, lb = lifted[i].cuts, lifted[j].cuts
-            if on_s.le(a, b) != on_l.le(la, lb):
-                failed = "inclusion-both-ways"
-            elif lift(on_s.sum(a, b)).cuts != on_l.sum(la, lb):
-                failed = "sum-homomorphism"
-            elif lift(on_s.meet(a, b)).cuts != on_l.meet(la, lb):
-                failed = "intersection-homomorphism"
-            else:
-                return None
-            return {"check": failed, "sigma1": _grades(A[i]), "sigma2": _grades(A[j])}
-
+        # every pair at once; the first failing pair reports the first check
+        # it fails, in this order
+        fa, fl = on_s.family(cuts_a), on_l.family([t.cuts for t in lifted])
+        sums, meets = on_s.sum_table(fa, fa), on_s.meet_table(fa, fa)
+        checks = {
+            "inclusion-both-ways": on_s.le_table(fa, fa) != on_l.le_table(fl, fl),
+            "sum-homomorphism": _images_differ(sums, lift, on_s, on_l, on_l.sum_table(fl, fl)),
+            "intersection-homomorphism":
+                _images_differ(meets, lift, on_s, on_l, on_l.meet_table(fl, fl)),
+        }
         counts["pairs_checked"] = len(A) ** 2
-        pair = first_failing_pair(len(A), pair_failure)
+        pair = _first_cell(np.logical_or.reduce(list(checks.values())))
         if pair:
-            return pair
+            failed = next(name for name, failing in checks.items() if failing[pair])
+            return {"check": failed, "sigma1": _grades(A[pair[0]]), "sigma2": _grades(A[pair[1]])}
 
         # chain-scale lattice sanity: closure under both operations, top and bottom
         a_set = set(cuts_a)
-        closed = all(on_s.sum(a, b) in a_set and on_s.meet(a, b) in a_set for a in a_set for b in a_set)
+        both = np.concatenate([sums, meets]).reshape(-1, sums.shape[-1])
+        closed = all(on_s.cuts(both[k].tolist()) in a_set for k in on_s.distinct_rows(both)[0])
         carrier = carrier_of(g)
         top = on_s.of(FuzzySubset.constant(carrier, 1))
         bottom = on_s.of(characteristic(CrispSubset.of_indices(carrier, [0])))

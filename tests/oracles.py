@@ -419,3 +419,85 @@ def count_multichains(ideals, length: int) -> int:
     for _ in range(length - 1):
         ending_at = {i: sum(c for j, c in ending_at.items() if i <= j) for i in ideals}
     return sum(ending_at.values())
+
+
+# ---------------------------------------------------------------------------
+# pair-scan oracles: prop3.4's and th3.8's pair checks one pair at a time,
+# in row-major order, with the `Fraction` lattice operations
+
+
+def _first_pair(n: int, failed):
+    """The first (i, j, failed(i, j)) with a truthy failed(i, j), row-major."""
+    for i in range(n):
+        for j in range(n):
+            found = failed(i, j)
+            if found:
+                return i, j, found
+    return None
+
+
+def _meet(a, b):
+    from gsl.fuzzy import fuzzy_intersection
+
+    return fuzzy_intersection([a, b])
+
+
+def naive_pair_clause_rows(ideals_s, ideals_op, lift, restrict, tag: str) -> list[tuple]:
+    """prop3.4's pair clauses iv, v, vi and ix, as the (clause, status,
+    witness, checked) rows `verify._clause_rows` gives for them."""
+    from gsl.fuzzy import fuzzy_sum
+
+    lifted = [lift(s) for s in ideals_s]
+    restricted = [restrict(m) for m in ideals_op]
+    s, op = ideals_s, ideals_op
+    clauses = (
+        ("iv", s, "sigma", lambda i, j: lift(fuzzy_sum(s[i], s[j])) != fuzzy_sum(lifted[i], lifted[j])),
+        ("v", s, "sigma", lambda i, j: lift(_meet(s[i], s[j])) != _meet(lifted[i], lifted[j])),
+        ("vi", s, "sigma", lambda i, j: s[i] <= s[j] and not lifted[i] <= lifted[j]),
+        ("ix", op, "mu", lambda i, j: op[i] <= op[j] and not restricted[i] <= restricted[j]),
+    )
+    rows = []
+    for cid, ideals, label, failed in clauses:
+        pair = _first_pair(len(ideals), failed)
+        checked = len(ideals) ** 2
+        if pair is None:
+            rows.append((cid + tag, "pass", None, checked))
+            continue
+        i, j, _ = pair
+        witness = {"clause": cid + tag, label + "1": ideals[i].to_mapping(), label + "2": ideals[j].to_mapping()}
+        rows.append((cid + tag, "fail", witness, checked))
+    return rows
+
+
+def naive_theorem_3_8_pairs(ideals, lift):
+    """th3.8's counterexample once its lift is a bijection onto the ideals of
+    L: the first pair, row-major, failing inclusion-both-ways,
+    sum-homomorphism or intersection-homomorphism (the first of these it
+    fails), else lattice-closure when the ideals are not closed under sum
+    and intersection or lack the top or bottom, else None."""
+    from gsl.fuzzy import CrispSubset, FuzzySubset, characteristic, fuzzy_sum
+
+    lifted = [lift(s) for s in ideals]
+
+    def failed(i, j):
+        a, b, la, lb = ideals[i], ideals[j], lifted[i], lifted[j]
+        if (a <= b) != (la <= lb):
+            return "inclusion-both-ways"
+        if lift(fuzzy_sum(a, b)) != fuzzy_sum(la, lb):
+            return "sum-homomorphism"
+        if lift(_meet(a, b)) != _meet(la, lb):
+            return "intersection-homomorphism"
+        return None
+
+    pair = _first_pair(len(ideals), failed)
+    if pair is not None:
+        i, j, check = pair
+        return {"check": check, "sigma1": ideals[i].to_mapping(), "sigma2": ideals[j].to_mapping()}
+    family = set(ideals)
+    carrier = ideals[0].carrier
+    closed = all(fuzzy_sum(a, b) in family and _meet(a, b) in family for a in ideals for b in ideals)
+    top = FuzzySubset.constant(carrier, 1)
+    bottom = characteristic(CrispSubset.of_indices(carrier, [0]))
+    if not (closed and top in family and bottom in family):
+        return {"check": "lattice-closure"}
+    return None

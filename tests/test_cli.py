@@ -174,6 +174,11 @@ class TestVerify:
         assert run(capsys, "verify")[0] == 2
         assert run(capsys, "nonsense")[0] == 2
 
+    @pytest.mark.parametrize("command", [("verify",), ("ideals", "--fuzzy")])
+    def test_zero_denominator_in_chain_exits_2(self, z4_file, capsys, command):
+        code, out, err = run(capsys, command[0], z4_file, *command[1:], "--chain", "0,1/0,1")
+        assert (code, out, err) == (2, "", "error: grade 1/0 has a zero denominator\n")
+
     def test_json_schema(self, z4_file, capsys):
         code, out, _ = run(capsys, "verify", z4_file, "--suite", "lemmas", "--report", "json")
         assert code == 0

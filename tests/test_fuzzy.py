@@ -18,6 +18,7 @@ from gsl.fuzzy import (
     is_crisp_ideal_gamma,
     is_fuzzy_ideal_gamma,
     is_fuzzy_ideal_semiring,
+    as_grade,
     parse_grade,
     format_grade,
 )
@@ -43,6 +44,15 @@ class TestGrades:
         assert format_grade(Fraction(0)) == "0/1"
         with pytest.raises(ValueError):
             parse_grade("3/2")
+        with pytest.raises(ValueError, match="grade 1/0 has a zero denominator"):
+            parse_grade("1/0")
+
+    def test_as_grade_passes_a_fraction_through(self):
+        assert as_grade(HALF) is HALF
+        assert type(as_grade(True)) is Fraction and as_grade("1/2") == HALF
+        for bad in (Fraction(3, 2), Fraction(-1, 2), 2, -1):
+            with pytest.raises(ValueError, match=f"grade {Fraction(bad)} outside"):
+                as_grade(bad)
 
     def test_chain_requires_bounds(self):
         with pytest.raises(ValueError):

@@ -106,3 +106,5 @@ class TestFz:
             gsr.parse_fz_text("0 : 1/1\n0 : 0/1\n", z4)
         with pytest.raises(gsr.GsrError):
             gsr.parse_fz_text("0 : 5/2\n", z4)
+        with pytest.raises(gsr.GsrError, match="bad grade '1/0'"):
+            gsr.parse_fz_text("0 : 1/0\n", z4)

@@ -1,11 +1,12 @@
 """The level-cut engine against the `Fraction` reference path.
 
-`LevelCuts` does sums, intersections, inclusions and ideal tests on level
-cuts; `fuzzy_sum`, `fuzzy_intersection`, `FuzzySubset.__le__` and
-`is_fuzzy_ideal_*` do them grade by grade.  Both must agree on every pair of
-fuzzy ideals, on S, L and R, and on chain-valued subsets that are not
-ideals; the ideal tests must also agree on the matrix instances th3.19
-lifts onto."""
+`LevelCuts` does sums, intersections and inclusions a family at a time, as
+tables over every pair, and ideal tests on level cuts; `fuzzy_sum`,
+`fuzzy_intersection`, `FuzzySubset.__le__` and `is_fuzzy_ideal_*` do them
+grade by grade.  Both must agree on every pair of fuzzy ideals, on S, L and
+R, on chain-valued subsets that are not ideals, and on a carrier wider than
+a machine word; the ideal tests must also agree on the matrix instances
+th3.19 lifts onto."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -62,11 +63,27 @@ def _is_ideal(structure, mu, kind) -> bool:
     return is_fuzzy_ideal_semiring(structure, mu, kind)
 
 
-def _agree_on_pair(cuts: LevelCuts, a, b, ca, cb) -> None:
-    assert cuts.sum(ca, cb) == cuts.of(fuzzy_sum(a, b))
-    assert cuts.meet(ca, cb) == cuts.of(fuzzy_intersection([a, b]))
-    assert cuts.le(ca, cb) == (a <= b)
-    assert (ca == cb) == (a == b)
+def _agree_on_pairs(cuts: LevelCuts, subsets) -> None:
+    """The sum, meet and inclusion tables of the family against the
+    `Fraction` operations, and equal cut tuples against equal subsets, on
+    every pair of its members.  The mask tables are first built over the
+    first half of the members, so the full family makes them grow."""
+    members = [cuts.of(mu) for mu in subsets]
+    half = cuts.family(members[: (len(members) + 1) // 2])
+    for table in (cuts.sum_table, cuts.meet_table, cuts.le_table):
+        table(half, half)
+    family = cuts.family(members)
+    sums, meets = cuts.sum_table(family, family), cuts.meet_table(family, family)
+    le = cuts.le_table(family, family)
+    n = len(subsets)
+    assert family.shape == (n, len(cuts.chain) - 1) and [cuts.cuts(row) for row in family] == members
+    assert sums.shape == meets.shape == (n, n, len(cuts.chain) - 1) and le.shape == (n, n)
+    for i, a in enumerate(subsets):
+        for j, b in enumerate(subsets):
+            assert cuts.cuts(sums[i, j]) == cuts.of(fuzzy_sum(a, b))
+            assert cuts.cuts(meets[i, j]) == cuts.of(fuzzy_intersection([a, b]))
+            assert le[i, j] == (a <= b)
+            assert (members[i] == members[j]) == (a == b)
 
 
 def _agree_on_one(cuts: LevelCuts, structure, mu, cm) -> None:
@@ -85,11 +102,7 @@ def test_cuts_agree_on_every_pair_of_fuzzy_ideals(instance, side, chain):
     ws = _workspace(instance, chain)
     structure = ws.structure_on(side)
     cuts = LevelCuts(structure, ws.config.chain)
-    ideals = ws.fuzzy_ideals(side, "two")
-    cut_list = [cuts.of(mu) for mu in ideals]
-    for a, ca in zip(ideals, cut_list):
-        for b, cb in zip(ideals, cut_list):
-            _agree_on_pair(cuts, a, b, ca, cb)
+    _agree_on_pairs(cuts, ws.fuzzy_ideals(side, "two"))
     distinct = {mu.grades: mu for kind in KINDS for mu in ws.fuzzy_ideals(side, kind)}
     for mu in distinct.values():
         _agree_on_one(cuts, structure, mu, cuts.of(mu))
@@ -115,10 +128,36 @@ def _chain_valued_pairs(draw):
 def test_cuts_agree_on_chain_valued_subsets(case):
     structure, chain, a, b = case
     cuts = LevelCuts(structure, chain)
-    ca, cb = cuts.of(a), cuts.of(b)
-    _agree_on_pair(cuts, a, b, ca, cb)
-    for mu, cm in ((a, ca), (b, cb), (fuzzy_sum(a, b), cuts.sum(ca, cb))):
+    _agree_on_pairs(cuts, [a, b])
+    family = cuts.family([cuts.of(a), cuts.of(b)])
+    sum_cuts = cuts.cuts(cuts.sum_table(family, family)[0, 1])
+    for mu, cm in ((a, cuts.of(a)), (b, cuts.of(b)), (fuzzy_sum(a, b), sum_cuts)):
         _agree_on_one(cuts, structure, mu, cm)
+
+
+WIDE = core.boolean_power_semiring(7)  # 128 elements: each cut mask spans two machine words
+
+
+@st.composite
+def _wide_subsets(draw):
+    chain = draw(st.sampled_from(CHAINS))
+    grades = st.lists(st.sampled_from(chain.grades), min_size=128, max_size=128)
+    return chain, [FuzzySubset.of_grades(WIDE, draw(grades)) for _ in range(2)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(_wide_subsets())
+def test_tables_agree_past_one_machine_word(case):
+    chain, subsets = case
+    _agree_on_pairs(LevelCuts(WIDE, chain), subsets)
+
+
+def test_distinct_rows_gives_first_rows_and_their_places():
+    cuts = LevelCuts(WIDE, CHAINS[1])
+    family = cuts.family([(7, 3, 1), (7, 3, 3), (7, 3, 1), (1 << 127, 0, 0), (7, 3, 3)])
+    first, inverse = cuts.distinct_rows(family)
+    assert sorted(first.tolist()) == [0, 1, 3]
+    assert (family[first][inverse] == family).all()
 
 
 MATRICES = [build_matrix_gamma(g, 2) for g in (core.boolean_gamma(), core.zn_gamma(2))]

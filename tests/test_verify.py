@@ -1,5 +1,7 @@
 """Verification suites: statuses, counts, gating, and report invariants."""
 
+import hashlib
+import json
 import sys
 from fractions import Fraction
 
@@ -226,6 +228,32 @@ class TestRunAll:
         assert statuses["transfer-semifield"] == UNMET
         assert statuses["th3.19"] == UNMET  # 256-element matrix exceeds the cap
         assert all(s != FAIL for s in statuses.values())
+
+    def test_from_b4_statuses_counts_and_digest(self):
+        """The largest families tier-1 sees: 81 fuzzy ideals on each side.
+        The digest (sha256 of the bodies as sorted-key JSON) was recorded
+        while prop3.4 and th3.8 still scanned their pairs one at a time."""
+        g = core.gamma_from_semiring(core.boolean_power_semiring(4))
+        bodies = [r.body() for r in verify.run_all(g, RunConfig(chain=CHAIN))]
+        ideals = {"fuzzy_ideals_L": 81, "fuzzy_ideals_S": 81}
+        crisp = {f"ideals_{side}[{kind}]": 16 for side in "LS" for kind in ("left", "right", "two")}
+        matrix_cap = {"matrix_carrier": 65536}
+        assert [(b["suite"], b["status"], b["counts"]) for b in bodies] == [
+            ("prop3.4", PASS, {"checks": 53622, **ideals, "fuzzy_ideals_R": 81}),
+            ("th3.8[two]", PASS, {**ideals, "pairs_checked": 6561}),
+            ("th3.8[right]", PASS, {**ideals, "pairs_checked": 6561}),
+            ("lemmas", PASS, {**crisp, "identities_checked": 96}),
+            ("th3.15[two]", PASS, {"ideals_L": 16, "ideals_S": 16, "pairs_checked": 256}),
+            ("th3.15[right]", PASS, {"ideals_L": 16, "ideals_S": 16, "pairs_checked": 256}),
+            ("th3.17", PASS, {"fuzzy_ideals": 81, "nonconstant_ideals": 80}),
+            ("th3.18", UNMET, {}),
+            ("transfer-semifield", UNMET, {}),
+            ("matrix-iso[left]", UNMET, matrix_cap),
+            ("matrix-iso[right]", UNMET, matrix_cap),
+            ("th3.19", UNMET, matrix_cap),
+        ]
+        digest = hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest()
+        assert digest == "057d5cc40456011dd468dc2c0e685f18cd6d64cb868c7efae4f0178f354dfc71"
 
     def test_semiring_input(self, bool_sr):
         reports = verify.run_all(bool_sr, RunConfig(chain=CHAIN))

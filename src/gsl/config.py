@@ -49,5 +49,7 @@ class RunConfig:
         cfg = cls(**overrides)
         cap = os.environ.get(CAP_ENV_VAR)
         if cap is not None and "enum_cap" not in overrides:
+            if not cap.strip().isdecimal() or int(cap) <= 0:
+                raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {cap!r}")
             cfg = replace(cfg, enum_cap=int(cap))
         return cfg

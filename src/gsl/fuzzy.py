@@ -241,7 +241,7 @@ class FuzzySubset:
         return all(a <= b for a, b in zip(self.grades, other.grades))
 
     def is_constant(self) -> bool:
-        return len(set(self.grades)) <= 1
+        return all(g == self.grades[0] for g in self.grades)
 
     def is_empty(self) -> bool:
         return all(g == 0 for g in self.grades)
@@ -330,8 +330,8 @@ class LevelCuts:
     table (`sum_table`, `meet_table`, `le_table`) is one numpy lookup into
     them for every pair drawn from two families.  The tables hold ids, not
     masks, so carriers wider than a machine word work the same way.  The
-    tables and the crisp ideal tests are kept for the life of the instance,
-    so it should live no longer than the computation that made it.
+    tables and the crisp ideal tests live as long as the instance, and the
+    suites share one per structure for a whole run (`Workspace.level_cuts`).
     """
 
     def __init__(self, structure, chain: GradeChain):

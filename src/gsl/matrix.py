@@ -18,7 +18,8 @@ instance), and the entrywise sums and the matrix products index the base
 tables with those entries, folding each entry in the same (k, l) order as
 the scalar definition, so the tables equal it cell for cell.  matrix-iso
 applies each distinct generator image once, and th3.19 tests the lifted
-subsets for ideals on their level cuts (`LevelCuts`).
+subsets for ideals, and both sides for inclusions, on level cuts
+(`LevelCuts`; the base side's are the workspace's).
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ import numpy as np
 from . import core
 from .fuzzy import FuzzySubset, GradeChain, LevelCuts, carrier_of, enumerate_fuzzy_ideals
 from .operators import OperatorSemiring, build_operator_semiring
-from .report import VerificationReport, chain_scope_note, first_failing_pair, first_failure
+from .report import (
+    VerificationReport, chain_scope_note, first_cell, first_failing_pair, first_failure
+)
 
 if TYPE_CHECKING:  # the suites below take the run's Workspace, which builds on this module
     from .verify import Workspace
@@ -356,13 +359,14 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
         lifted = [lift_fuzzy_to_matrix(mg, mu) for mu in ideals]
         counts["fuzzy_ideals_base"] = len(ideals)
 
-        # cuts on the grades the lifts have, as `_clause_rows` takes them, so a
-        # lift with grades off the run's chain is tested, not refused
+        # cuts on the grades the lifts have, so a lift with grades off the
+        # run's chain is tested, not refused
         on_matrix = LevelCuts(mg.gamma, GradeChain.of(0, 1, *{x for m in lifted for x in m.grades}))
+        cuts = [on_matrix.of(m) for m in lifted]
         failure = first_failure(
-            lambda mu, mn: not on_matrix.is_ideal(on_matrix.of(mn))
+            lambda mu, c: not on_matrix.is_ideal(c)
             and {"check": "lift-is-ideal", "mu": mu.to_mapping()},
-            ideals, lifted,
+            ideals, cuts,
         )
         if failure:
             return failure
@@ -370,16 +374,12 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
         if len(lifted_set) != len(lifted):
             return {"check": "injective"}
         counts["pairs_checked"] = len(ideals) ** 2
-        failure = first_failing_pair(
-            len(ideals),
-            lambda i, j: (ideals[i] <= ideals[j]) != (lifted[i] <= lifted[j]) and {
-                "check": "inclusion-preserving",
-                "mu1": ideals[i].to_mapping(),
-                "mu2": ideals[j].to_mapping(),
-            },
-        )
-        if failure:
-            return failure
+        on_s, fm = ws.level_cuts("S"), on_matrix.family(cuts)
+        fs = on_s.family(ws.fuzzy_cuts("S"))
+        pair = first_cell(on_s.le_table(fs, fs) != on_matrix.le_table(fm, fm))
+        if pair:
+            mu1, mu2 = (ideals[k].to_mapping() for k in pair)
+            return {"check": "inclusion-preserving", "mu1": mu1, "mu2": mu2}
 
         matrix_candidates = len(chain) ** (len(mg.gamma.S) - 1)
         if matrix_candidates > config.surjectivity_cap:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional
 
+import numpy as np
+
 from .fuzzy import GradeChain, format_grade
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "chain_scope_note",
     "first_failure",
     "first_failing_pair",
+    "first_cell",
 ]
 
 PASS = "pass"
@@ -53,6 +56,13 @@ def first_failing_pair(n: int, check: Callable[[int, int], object]) -> object:
     """first_failure over the pairs (i, j) of range(n) x range(n), in
     row-major order."""
     return first_failure(lambda pair: check(*pair), product(range(n), repeat=2))
+
+
+def first_cell(failing: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first true cell of an (N, M) table in row-major order, the order
+    `first_failing_pair` scans in."""
+    hits = np.flatnonzero(failing)
+    return divmod(int(hits[0]), failing.shape[1]) if hits.size else None
 
 
 @dataclass(frozen=True)

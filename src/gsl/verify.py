@@ -11,13 +11,13 @@ localizes; clause-level preconditions (unity presence) are gated as
 precondition-unmet rather than guessed around.  All enumeration happens at
 grade-chain scale, which is sound for these statements because min/max over
 finite index sets never leaves the chain; each report says so in its notes.
-The pair checks of prop3.4 and th3.8 compute on the level cuts of those
-chain-valued ideals (`LevelCuts`), and report the `Fraction` grades of the
-ideals and images they were given.  Each pair clause is read off N x N
-family tables: its failures are the true cells, and its witness is the
-first of them in row-major order (in th3.8, with the first check that pair
-fails).  So a transfer map is called on every distinct operand in the
-table, once each, also on operands past the first failure.
+The pair checks of prop3.4 and th3.8 compute on the workspace's level cuts
+of those ideals over the config's chain (`LevelCuts`), and report the
+`Fraction` grades of the ideals and images they were given.  Each pair
+clause is read off N x N family tables: its failures are the true cells,
+and its witness is the first of them in row-major order (in th3.8, with
+the first check that pair fails).  So a transfer map is called on every
+distinct operand in the table, once each, also past the first failure.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .report import (
     UNMET,
     VerificationReport,
     chain_scope_note,
+    first_cell,
     first_failing_pair,
     first_failure,
 )
@@ -90,10 +91,11 @@ class Workspace:
 
     Each is built on first use and then shared by every suite of the run:
     the left and right operator semirings L and R, their unity flags, the
-    matrix instance, and the crisp and fuzzy ideal families.  A family is
-    named by the structure it lives on, "S" (the structure itself), "L" or
-    "R", and by its ideal kind.  Families are tuples, so no suite can change
-    what the next suite sees.  A plain semiring has only "S".
+    matrix instance, the crisp and fuzzy ideal families, and the level cuts
+    of each structure and fuzzy family.  A family is named by the structure
+    it lives on, "S" (the structure itself), "L" or "R", and by its ideal
+    kind.  Families are tuples, so no suite can change what the next suite
+    sees.  A plain semiring has only "S".
 
     A build that hits a cap is attempted once: its `core.CapExceeded` is
     kept and raised again on every access, so each suite that needs it is
@@ -167,6 +169,15 @@ class Workspace:
                 self.structure_on(side), self.config.chain, kind, cap=self.config.enum_cap
             )),
         )
+
+    def level_cuts(self, side: str) -> LevelCuts:
+        """The run's one level-cut view of a structure, over the config's chain."""
+        return self._once(("cuts", side), lambda: LevelCuts(self.structure_on(side), self.config.chain))
+
+    def fuzzy_cuts(self, side: str, kind: str = "two") -> tuple[Cuts, ...]:
+        """The cuts of `fuzzy_ideals(side, kind)`, in enumeration order."""
+        of, ideals = self.level_cuts(side).of, self.fuzzy_ideals(side, kind)
+        return self._once(("cuts", side, kind), lambda: tuple(map(of, ideals)))
 
     def crisp_ideals(self, side: str, kind: str = "two") -> tuple[CrispSubset, ...]:
         """Crisp ideals, in enumeration order."""
@@ -271,25 +282,16 @@ def _images_differ(
     return (images[inverse].reshape(table.shape) != expected).any(axis=2)
 
 
-def _first_cell(failing: np.ndarray) -> Optional[tuple[int, int]]:
-    """The first true cell of an (N, M) table in row-major order, the order
-    `first_failing_pair` scans in."""
-    hits = np.flatnonzero(failing)
-    return divmod(int(hits[0]), failing.shape[1]) if hits.size else None
-
-
 def _clause_rows(
-    g: core.GammaSemiring,
-    op: OperatorSemiring,
-    ideals_s: Sequence[FuzzySubset],
-    ideals_op: Sequence[FuzzySubset],
+    ws: Workspace,
+    side: str,
     lift: Callable[[FuzzySubset], FuzzySubset],
     restrict: Callable[[FuzzySubset], FuzzySubset],
     lift_roundtrip_ok: bool,
     restrict_roundtrip_ok: bool,
     tag: str,
 ) -> list[tuple[str, str, Optional[dict], int]]:
-    """Evaluate the nine transfer clauses; returns (clause, status, witness, checked).
+    """The nine transfer clauses between S and `side`; rows (clause, status, witness, checked).
 
     Round-trip clauses (and the facts whose arguments rest on them: injectivity
     and non-constancy preservation) are gated on the unity whose absence would
@@ -297,20 +299,18 @@ def _clause_rows(
     restrict round-trip needs the own-side unity.
 
     Sums, intersections, inclusions, equalities and ideal tests are computed
-    on level cuts (`LevelCuts`), taken at the grades of the given ideals
-    plus 0 and 1; the transfer maps are mins, so their images stay on those
-    grades.  The pair clauses read their failures off family tables over
-    every pair of ideals, and witness the first failing pair in row-major
-    order.  `lift` and `restrict` are called once per distinct operand (for
-    the pair clauses, every operand in the table, also past a first
-    failure), and witnesses carry the grades of the ideals and images
-    themselves.
+    on the workspace's level cuts, over the config's chain; the transfer
+    maps are mins, so their images stay on that chain.  The pair clauses
+    read their failures off family tables over every pair of ideals, and
+    witness the first failing pair in row-major order.  `lift` and
+    `restrict` are called once per distinct operand (for the pair clauses,
+    every operand in the table, also past a first failure), and witnesses
+    carry the grades of the ideals and images themselves.
     """
     rows: list[tuple[str, str, Optional[dict], int]] = []
-    chain = GradeChain.of(0, 1, *{x for mu in (*ideals_s, *ideals_op) for x in mu.grades})
-    on_s, on_op = LevelCuts(g, chain), LevelCuts(op.semiring, chain)
-    cuts_s = [on_s.of(s) for s in ideals_s]
-    cuts_op = [on_op.of(m) for m in ideals_op]
+    ideals_s, ideals_op = ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side)
+    on_s, on_op = ws.level_cuts("S"), ws.level_cuts(side)
+    cuts_s, cuts_op = ws.fuzzy_cuts("S"), ws.fuzzy_cuts(side)
     lift_cuts = _on_cuts(lift, on_s, on_op)
     restrict_cuts = _on_cuts(restrict, on_op, on_s)
     lifted = [lift_cuts(c, s) for c, s in zip(cuts_s, ideals_s)]
@@ -331,16 +331,16 @@ def _clause_rows(
         else:
             rows.append((cid + tag, PASS, None, checked))
 
-    def each(cid, ideals, images, check, ok=True):
-        """A clause checked on each ideal together with its image."""
-        clause(cid, len(ideals), lambda: first_failure(check, ideals, images), ok)
+    def each(cid, columns, check, ok=True):
+        """A clause checked on each ideal with its image (and, for round trips, its cuts)."""
+        clause(cid, len(columns[0]), lambda: first_failure(check, *columns), ok)
 
     def pairwise(cid, ideals, label, failing):
         """A clause checked on every pair of ideals; failing() gives the
         (N, N) table of the pairs it fails on."""
 
         def scan():
-            pair = _first_cell(failing())
+            pair = first_cell(failing())
             return pair and {
                 f"{label}1": _grades(ideals[pair[0]]),
                 f"{label}2": _grades(ideals[pair[1]]),
@@ -348,9 +348,9 @@ def _clause_rows(
 
         clause(cid, len(ideals) ** 2, scan)
 
-    def lift_roundtrip(s, t):
+    def lift_roundtrip(s, t, cuts):
         back = restrict_cuts(t.cuts, t.subset)
-        return back.cuts != on_s.of(s) and {"sigma": _grades(s), "roundtrip": _grades(back.subset)}
+        return back.cuts != cuts and {"sigma": _grades(s), "roundtrip": _grades(back.subset)}
 
     first_lifted_at: dict[Cuts, int] = {}
 
@@ -359,9 +359,9 @@ def _clause_rows(
         first = first_lifted_at.setdefault(t.cuts, k)
         return first != k and {"sigma1": _grades(ideals_s[first]), "sigma2": _grades(ideals_s[k])}
 
-    def restrict_roundtrip(m, rm):
+    def restrict_roundtrip(m, rm, cuts):
         back = lift_cuts(rm.cuts, rm.subset)
-        return back.cuts != on_op.of(m) and {"mu": _grades(m), "roundtrip": _grades(back.subset)}
+        return back.cuts != cuts and {"mu": _grades(m), "roundtrip": _grades(back.subset)}
 
     def lift_apart(op_s, op_op):
         """Where the lift of op(sigma_i, sigma_j) differs from op of their lifts."""
@@ -371,23 +371,23 @@ def _clause_rows(
 
     # (i) ideal preservation under the lift
     each(
-        "i", ideals_s, lifted,
+        "i", (ideals_s, lifted),
         lambda s, t: not on_op.is_ideal(t.cuts)
         and {"sigma": _grades(s), "lifted": _grades(t.subset)},
     )
 
     # (i) non-constancy preservation
     each(
-        "i-nonconstant", ideals_s, lifted,
+        "i-nonconstant", (ideals_s, lifted),
         lambda s, t: not s.is_constant() and t.subset.is_constant() and {"sigma": _grades(s)},
         lift_roundtrip_ok,
     )
 
     # (ii) restrict(lift(sigma)) == sigma
-    each("ii", ideals_s, lifted, lift_roundtrip, lift_roundtrip_ok)
+    each("ii", (ideals_s, lifted, cuts_s), lift_roundtrip, lift_roundtrip_ok)
 
     # (iii) injectivity of the lift
-    each("iii", range(len(lifted)), lifted, repeated_lift, lift_roundtrip_ok)
+    each("iii", (range(len(lifted)), lifted), repeated_lift, lift_roundtrip_ok)
 
     # (iv) lift of a sum is the sum of lifts
     pairwise("iv", ideals_s, "sigma", lambda: lift_apart(on_s.sum_table, on_op.sum_table))
@@ -403,20 +403,20 @@ def _clause_rows(
 
     # (vii) ideal preservation under the restriction
     each(
-        "vii", ideals_op, restricted,
+        "vii", (ideals_op, restricted),
         lambda m, rm: not on_s.is_ideal(rm.cuts)
         and {"mu": _grades(m), "restricted": _grades(rm.subset)},
     )
 
     # (vii) non-constancy preservation
     each(
-        "vii-nonconstant", ideals_op, restricted,
+        "vii-nonconstant", (ideals_op, restricted),
         lambda m, rm: not m.is_constant() and rm.subset.is_constant() and {"mu": _grades(m)},
         restrict_roundtrip_ok,
     )
 
     # (viii) lift(restrict(mu)) == mu
-    each("viii", ideals_op, restricted, restrict_roundtrip, restrict_roundtrip_ok)
+    each("viii", (ideals_op, restricted, cuts_op), restrict_roundtrip, restrict_roundtrip_ok)
 
     # (ix) restriction is inclusion-preserving
     pairwise(
@@ -431,17 +431,15 @@ def _clause_rows(
 def verify_prop_3_4(ws: Workspace) -> VerificationReport:
     """Nine transfer-map clauses between the fuzzy ideals of the base and of
     its left operator semiring, plus the right-operator duals."""
-    g, chain = ws.structure, ws.config.chain
+    chain = ws.config.chain
 
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
         left, right = ws.left, ws.right
-        ideals_s = ws.fuzzy_ideals("S")
-        ideals_l = ws.fuzzy_ideals("L")
-        ideals_r = ws.fuzzy_ideals("R")
+        ideals_s, ideals_l, ideals_r = (ws.fuzzy_ideals(side) for side in "SLR")
 
         rows = _clause_rows(
-            g, left, ideals_s, ideals_l,
+            ws, "L",
             lift=lambda s: lift_plusprime(left, s),
             restrict=lambda m: restrict_plus(left, m),
             lift_roundtrip_ok=ws.right_unity,
@@ -449,7 +447,7 @@ def verify_prop_3_4(ws: Workspace) -> VerificationReport:
             tag="",
         )
         rows += _clause_rows(
-            g, right, ideals_s, ideals_r,
+            ws, "R",
             lift=lambda s: lift_starprime(right, s),
             restrict=lambda m: restrict_star(right, m),
             lift_roundtrip_ok=ws.left_unity,
@@ -483,14 +481,13 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
         left = ws.left
         A = ws.fuzzy_ideals("S", kind)
         B = ws.fuzzy_ideals("L", kind)
-        on_s, on_l = LevelCuts(g, chain), LevelCuts(left.semiring, chain)
+        on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
         lift = _on_cuts(lambda s: lift_plusprime(left, s), on_s, on_l)
-        cuts_a = [on_s.of(s) for s in A]
+        cuts_a, cuts_b = ws.fuzzy_cuts("S", kind), ws.fuzzy_cuts("L", kind)
         lifted = [lift(c, s) for c, s in zip(cuts_a, A)]
         counts["fuzzy_ideals_S"] = len(A)
         counts["fuzzy_ideals_L"] = len(B)
 
-        cuts_b = [on_l.of(m) for m in B]
         b_set = set(cuts_b)
         image = first_failure(
             lambda s, t: t.cuts not in b_set
@@ -517,7 +514,7 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
                 _images_differ(meets, lift, on_s, on_l, on_l.meet_table(fl, fl)),
         }
         counts["pairs_checked"] = len(A) ** 2
-        pair = _first_cell(np.logical_or.reduce(list(checks.values())))
+        pair = first_cell(np.logical_or.reduce(list(checks.values())))
         if pair:
             failed = next(name for name, failing in checks.items() if failing[pair])
             return {"check": failed, "sigma1": _grades(A[pair[0]]), "sigma2": _grades(A[pair[1]])}
@@ -650,7 +647,7 @@ def _fuzzy_semifield_condition(
 
     def violator(mu):
         nonzero = mu.grades[1:]
-        if not mu.is_constant() and (len(set(nonzero)) != 1 or nonzero[0] >= mu.grades[0]):
+        if not mu.is_constant() and (min(nonzero) != max(nonzero) or nonzero[0] >= mu.grades[0]):
             return mu
         return None
 

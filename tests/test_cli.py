@@ -163,6 +163,13 @@ class TestVerify:
         assert out.count("  - 27 candidates (= 3^3) exceed cap 10") == 5
         assert out.count("  - 2^4 subsets exceed cap 10") == 3
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_cap_env_is_named_and_exits_2(self, gb_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("GSL_CAP", value)
+        code, out, err = run(capsys, "verify", gb_file)
+        assert (code, out) == (2, "")
+        assert err == f"error: GSL_CAP must be a positive integer, got '{value}'\n"
+
     def test_ideals_cap_hit_exits_2(self, z4_file, capsys, monkeypatch):
         monkeypatch.setenv("GSL_CAP", "10")
         code, _, err = run(capsys, "ideals", z4_file, "--fuzzy")

@@ -72,11 +72,11 @@ def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instanc
     real_rows = verify._clause_rows
     compared = []
 
-    def oracle_rows(g, op, ideals_s, ideals_op, lift, restrict, lift_roundtrip_ok,
-                    restrict_roundtrip_ok, tag):
-        rows = real_rows(g, op, ideals_s, ideals_op, lift, restrict, lift_roundtrip_ok,
-                         restrict_roundtrip_ok, tag)
-        oracle = naive_pair_clause_rows(ideals_s, ideals_op, lift, restrict, tag)
+    def oracle_rows(ws, side, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok, tag):
+        rows = real_rows(ws, side, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok, tag)
+        oracle = naive_pair_clause_rows(
+            ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side), lift, restrict, tag
+        )
         compared.append(([row for row in rows if row[0].rstrip("*") in PAIR_CLAUSES], oracle))
         pairs = iter(oracle)
         return [next(pairs) if row[0].rstrip("*") in PAIR_CLAUSES else row for row in rows]

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from gsl import core, matrix, operators, verify
+from gsl import core, fuzzy, matrix, operators, verify
 from gsl.config import RunConfig
-from gsl.fuzzy import GradeChain
+from gsl.fuzzy import FuzzySubset, GradeChain, LevelCuts
 from gsl.matrix import MatrixCapExceeded
 from gsl.report import FAIL, PASS, UNMET, VerificationReport, first_failing_pair, first_failure
 
@@ -143,6 +143,15 @@ class TestTheorem317:
         assert not lam.is_constant()
         holds, violator = verify._fuzzy_semifield_condition([lam])
         assert not holds and violator is lam
+        # constancy compares every grade with the first: equal grades held in
+        # distinct objects are constant, and a grade that differs only at the
+        # last position is seen
+        equal = FuzzySubset.of_grades(z4_sr, [Fraction(1, 2), Fraction(2, 4), Fraction(3, 6), HALF])
+        below_one = FuzzySubset.of_grades(z4_sr, [1, HALF, HALF, HALF])
+        late = FuzzySubset.of_grades(z4_sr, [HALF, HALF, HALF, 0])
+        assert len({id(g) for g in equal.grades}) == 4
+        assert equal.is_constant() and not below_one.is_constant() and not late.is_constant()
+        assert verify._fuzzy_semifield_condition([equal, below_one, late]) == (False, late)
 
     def test_noncommutative_gate(self, bool_sr):
         from gsl.matrix import matrix_semiring
@@ -269,6 +278,41 @@ class TestRunAll:
         assert len(closures) == 4
         assert len(matrices) == 1
 
+    @pytest.mark.parametrize("instance,views", [
+        (core.boolean_gamma, 4),
+        (lambda: core.zn_gamma(4), 3),
+        (lambda: core.gamma_from_semiring(core.boolean_power_semiring(3)), 3),
+    ], ids=["boolean", "z4", "from_B3"])
+    def test_one_run_builds_one_level_cut_view_per_structure(self, monkeypatch, instance, views):
+        """prop3.4, th3.8 and th3.19's base side share the workspace's views
+        of S, L and R; th3.19's matrix side, where it runs (boolean), adds
+        one of its own on the lifted grades."""
+        built = []
+        real_init = LevelCuts.__init__
+
+        def counting(cuts, structure, chain):
+            built.append(structure)
+            real_init(cuts, structure, chain)
+
+        monkeypatch.setattr(LevelCuts, "__init__", counting)
+        verify.run_all(instance(), RunConfig(chain=CHAIN))
+        assert len(built) == views
+
+    def test_suites_make_no_fraction_lattice_calls(self, monkeypatch, gb, z2):
+        """Inclusions, sums and meets are level-cut work in every suite,
+        th3.19 included."""
+        sums = _count_calls(monkeypatch, fuzzy.fuzzy_sum)
+        meets = _count_calls(monkeypatch, fuzzy.fuzzy_intersection)
+        inclusions = []
+        real_le = FuzzySubset.__le__
+        monkeypatch.setattr(
+            FuzzySubset, "__le__", lambda a, b: inclusions.append((a, b)) or real_le(a, b)
+        )
+        for g in (gb, z2):
+            reports = verify.run_all(g, RunConfig(chain=CHAIN))
+            assert all(r.status == PASS for r in reports if r.suite == "th3.19")
+        assert (sums, meets, inclusions) == ([], [], [])
+
     def test_enumeration_cap_hit_gates_one_suite_at_a_time(self, z4):
         """A cap hit turns the suite that hit it into precondition-unmet, with
         the cap's text first and what the suite had gathered after it; the
@@ -345,19 +389,14 @@ class TestClauseEngineFailPaths:
     def test_broken_lift_produces_replayable_witnesses(self, gb):
         """Feeding the clause engine a collapsing lift must surface failures
         with full grade payloads, not mask them."""
-        from gsl.fuzzy import FuzzySubset, enumerate_fuzzy_ideals
-        from gsl.operators import build_operator_semiring
         from gsl.transfer import restrict_plus
 
-        left = build_operator_semiring(gb, "left")
-        ideals_s = enumerate_fuzzy_ideals(gb, CHAIN, "two")
-        ideals_l = enumerate_fuzzy_ideals(left.semiring, CHAIN, "two")
+        w = ws(gb)
+        left = w.left
         collapse = lambda sigma: FuzzySubset.constant(left, 1)
         rows = verify._clause_rows(
-            gb,
-            left,
-            ideals_s,
-            ideals_l,
+            w,
+            "L",
             lift=collapse,
             restrict=lambda m: restrict_plus(left, m),
             lift_roundtrip_ok=True,
@@ -389,21 +428,16 @@ class TestClauseEngineFailPaths:
         """Swapping the bottom and top ideals before the lift and after the
         restriction breaks the pair clauses iv, v, vi and ix; the whole row
         list, first witnesses included, is pinned."""
-        from gsl.fuzzy import enumerate_fuzzy_ideals
-        from gsl.operators import build_operator_semiring
         from gsl.transfer import lift_plusprime, restrict_plus
 
-        left = build_operator_semiring(gb, "left")
-        ideals_s = enumerate_fuzzy_ideals(gb, CHAIN, "two")
-        ideals_l = enumerate_fuzzy_ideals(left.semiring, CHAIN, "two")
+        w = ws(gb)
+        left, ideals_s = w.left, w.fuzzy_ideals("S")
         first, last = ideals_s[0], ideals_s[-1]
         swap = {first.grades: last, last.grades: first}
         swapped = lambda mu: swap.get(mu.grades, mu)
         rows = verify._clause_rows(
-            gb,
-            left,
-            ideals_s,
-            ideals_l,
+            w,
+            "L",
             lift=lambda s: lift_plusprime(left, swapped(s)),
             restrict=lambda m: swapped(restrict_plus(left, m)),
             lift_roundtrip_ok=True,
@@ -430,18 +464,13 @@ class TestClauseEngineFailPaths:
         """Reversing the grades of every non-constant lift and restriction
         makes them non-ideals, so clauses i and vii fail with their first
         witnesses; a missing own-side unity gates vii-nonconstant and viii."""
-        from gsl.fuzzy import enumerate_fuzzy_ideals
-        from gsl.operators import build_operator_semiring
         from gsl.transfer import lift_plusprime, restrict_plus
 
-        left = build_operator_semiring(gb, "left")
-        ideals_s = enumerate_fuzzy_ideals(gb, CHAIN, "two")
-        ideals_l = enumerate_fuzzy_ideals(left.semiring, CHAIN, "two")
+        w = ws(gb)
+        left = w.left
         rows = verify._clause_rows(
-            gb,
-            left,
-            ideals_s,
-            ideals_l,
+            w,
+            "L",
             lift=lambda s: _reversed(lift_plusprime(left, s)),
             restrict=lambda m: _reversed(restrict_plus(left, m)),
             lift_roundtrip_ok=True,

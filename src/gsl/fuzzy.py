@@ -578,27 +578,24 @@ def _absorption_images(structure, kind: str):
     _check_kind(kind)
     if isinstance(structure, core.GammaSemiring):
         add, n = structure.addS, len(structure.S)
-        products = (
-            (structure.prod[x][c][y], x, y)
-            for x in range(n)
-            for c in range(len(structure.G))
-            for y in range(n)
-        )
+        products = np.asarray(structure.prod, dtype=np.intp)  # axes (x, gamma, y)
     elif isinstance(structure, core.Semiring):
         add, n = structure.add, len(structure.carrier)
-        products = ((structure.mul[x][y], x, y) for x in range(n) for y in range(n))
+        products = np.asarray(structure.mul, dtype=np.intp)[:, None, :]  # axes (x, -, y)
     else:
         sem = getattr(structure, "semiring", None)
         if sem is None:
             raise TypeError(f"cannot enumerate over {type(structure).__name__}")
         return _absorption_images(sem, kind)
-    image = [0] * n
-    for r, x, y in products:
-        if kind in ("left", "two"):
-            image[y] |= 1 << r
-        if kind in ("right", "two"):
-            image[x] |= 1 << r
-    return add, image
+    # hit[x, r]: r is a product the kind makes an ideal containing x contain
+    hit = np.zeros((n, n), dtype=bool)
+    x = np.arange(n)
+    if kind in ("left", "two"):
+        hit[x[None, None, :], products] = True
+    if kind in ("right", "two"):
+        hit[x[:, None, None], products] = True
+    rows = np.packbits(hit, axis=1, bitorder="little")
+    return add, [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _close(add, image, ideal: int, x: int) -> int:

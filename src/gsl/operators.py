@@ -14,18 +14,27 @@ shortest generating sum as provenance, ties broken lexicographically;
 elements are canonically sorted by value tuple, so rebuilding an instance
 is bit-for-bit deterministic and the zero map always sits at index 0.
 
-Many pairs share one action (on a 16-element matrix instance, 256 pairs
-give 16 actions), so the saturation adds each distinct action once, paired
-with the smallest pair that has it.  The provenance is the one a
-saturation over every pair would record: inserting a smaller pair into a
-sorted tuple gives an elementwise smaller sorted tuple, so the smallest
-pair of an action always wins its layer.
+The work is array work over action rows.  The pair actions are the rows
+of the product table, keyed by their bytes.  Many pairs share one action
+(on a 16-element matrix instance, 256 pairs give 16 actions), so the
+saturation adds each distinct action once, paired with the smallest pair
+that has it, and each layer is one gather of the addition table over
+(frontier, action) rows; each cell of it costs one dict lookup, and only
+the cells that reach a new action build a provenance.  The provenance is
+the one a saturation over every pair would record: inserting a smaller
+pair into a sorted tuple gives an elementwise smaller sorted tuple, so the
+smallest pair of an action always wins its layer.  The addition and
+composition tables are (E, E, |S|) gathers looked up by row key.
+Elements are sorted by value tuple, not by key: the two orders differ
+once values need more than one byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from . import core
 from .fuzzy import CrispSubset, carrier_of
@@ -127,6 +136,12 @@ class OperatorSemiring:
         return " + ".join(terms)
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """One bytes key per row of a 2-d array (equal rows, equal keys)."""
+    data, width = np.ascontiguousarray(rows).tobytes(), rows.shape[1] * rows.itemsize
+    return [data[i : i + width] for i in range(0, len(data), width)]
+
+
 def build_operator_semiring(
     g: core.GammaSemiring,
     side: str,
@@ -139,91 +154,90 @@ def build_operator_semiring(
     """
     _check_side(side)
     s, gg = len(g.S), len(g.G)
-    addS = g.addS
+    dtype = np.min_scalar_type(s - 1)
+    addS = np.asarray(g.addS, dtype=dtype)
+    prod = np.asarray(g.prod, dtype=dtype)
 
-    # the action of every pair, keyed (x, gamma) on the left and (gamma, x) on
-    # the right, in ascending pair order
+    # row p is the action of pair p, in ascending pair order: (x, gamma) =
+    # divmod(p, |G|) on the left, (gamma, x) = divmod(p, |S|) on the right
     if side == "left":
-        pair_values = {(x, a): action_of_pair(g, x, a, side).values for x in range(s) for a in range(gg)}
+        pair_rows, width = prod.reshape(s * gg, s), gg
     else:
-        pair_values = {(a, x): action_of_pair(g, x, a, side).values for a in range(gg) for x in range(s)}
-    generators: dict[tuple[int, ...], tuple[int, int]] = {}
-    for p, v in pair_values.items():
-        generators.setdefault(v, p)
+        pair_rows, width = prod.transpose(1, 2, 0).reshape(gg * s, s), s
+    # the distinct actions, each with its smallest pair
+    pair_keys = _row_keys(pair_rows)
+    first: dict[bytes, int] = {}
+    for p, key in enumerate(pair_keys):
+        first.setdefault(key, p)
+    generators = pair_rows[list(first.values())]
+    gen_pairs = [divmod(p, width) for p in first.values()]
 
-    known = {v: (p,) for v, p in generators.items()}
+    known = {key: (pair,) for key, pair in zip(first, gen_pairs)}
     if len(known) > cap:
         raise ClosureCapExceeded(f"{g.name}/{side}: closure exceeds cap {cap} elements")
-    frontier = dict(known)
+    layers, frontier, frontier_prov = [generators], generators, list(known.values())
 
-    while frontier:
-        layer: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-        for v, prov in frontier.items():
-            for pv, p in generators.items():
-                nv = tuple(addS[a][b] for a, b in zip(v, pv))
-                if nv in known:
-                    continue
-                nprov = tuple(sorted(prov + (p,)))
-                cur = layer.get(nv)
-                if cur is None or nprov < cur:
-                    layer[nv] = nprov
+    while True:
+        sums = addS[frontier[:, None, :], generators[None, :, :]].reshape(-1, s)
+        layer: dict[bytes, tuple[tuple[tuple[int, int], ...], int]] = {}
+        for cell, key in enumerate(_row_keys(sums)):
+            if key in known:
+                continue
+            f, k = divmod(cell, len(generators))
+            nprov = tuple(sorted(frontier_prov[f] + (gen_pairs[k],)))
+            cur = layer.get(key)
+            if cur is None or nprov < cur[0]:
+                layer[key] = (nprov, cell)
         if not layer:
             break
         if len(known) + len(layer) > cap:
             raise ClosureCapExceeded(
                 f"{g.name}/{side}: closure exceeds cap {cap} elements"
             )
-        known.update(layer)
-        frontier = layer
+        known.update((key, prov) for key, (prov, _) in layer.items())
+        frontier = sums[[cell for _, cell in layer.values()]]
+        frontier_prov = [prov for prov, _ in layer.values()]
+        layers.append(frontier)
 
-    ordered = sorted(known)
-    if ordered[0] != (0,) * s:
+    # ascending value tuples; byte order agrees only for one-byte values
+    found = np.concatenate(layers)
+    elements = found[np.lexsort(found.T[::-1])]
+    if elements[0].any():
         raise AssertionError("zero map missing from closure")
-    index = {v: i for i, v in enumerate(ordered)}
-    n = len(ordered)
+    keys = _row_keys(elements)
+    index = {key: i for i, key in enumerate(keys)}
+    n = len(elements)
 
-    add_table = []
-    mul_table = []
-    for u in ordered:
-        add_row = []
-        mul_row = []
-        for w in ordered:
-            sv = tuple(addS[a][b] for a, b in zip(u, w))
-            add_row.append(index[sv])
-            if side == "left":
-                cv = tuple(u[w[a]] for a in range(s))
-            else:
-                cv = tuple(w[u[a]] for a in range(s))
-            ci = index.get(cv)
-            if ci is None:
-                raise AssertionError("composition left the additive closure")
-            mul_row.append(ci)
-        add_table.append(tuple(add_row))
-        mul_table.append(tuple(mul_row))
+    sums = addS[elements[:, None, :], elements[None, :, :]]
+    if side == "left":  # f.g: a -> f(g(a))
+        composed = elements[np.arange(n)[:, None, None], elements[None, :, :]]
+    else:  # diagram order: a -> g(f(a))
+        composed = elements[np.arange(n)[None, :, None], elements[:, None, :]]
+    add_table = [index[key] for key in _row_keys(sums.reshape(-1, s))]
+    mul_table = [index.get(key) for key in _row_keys(composed.reshape(-1, s))]
+    if None in mul_table:
+        raise AssertionError("composition left the additive closure")
 
     tag = "L" if side == "left" else "R"
     semiring = core.Semiring(
         f"{g.name}::{tag}",
         tuple(f"f{i}" for i in range(n)),
-        tuple(add_table),
-        tuple(mul_table),
+        np.reshape(add_table, (n, n)).tolist(),
+        np.reshape(mul_table, (n, n)).tolist(),
     )
     outcome = core.validate_semiring(semiring)
     if not outcome.ok:
         raise AssertionError(f"operator semiring failed validation: {outcome.violations[0]}")
 
-    pair_idx = tuple(
-        tuple(index[pair_values[(x, a) if side == "left" else (a, x)]] for a in range(gg))
-        for x in range(s)
-    )
+    pair_idx = np.reshape([index[key] for key in pair_keys], (-1, width))
     return OperatorSemiring(
         side=side,
         base=g,
-        elements=tuple(ActionMap(v, side) for v in ordered),
-        add=tuple(add_table),
-        mul=tuple(mul_table),
-        provenance=tuple(known[v] for v in ordered),
-        pair_index=pair_idx,
+        elements=tuple(ActionMap(tuple(v), side) for v in elements.tolist()),
+        add=semiring.add,
+        mul=semiring.mul,
+        provenance=tuple(known[key] for key in keys),
+        pair_index=tuple(map(tuple, (pair_idx if side == "left" else pair_idx.T).tolist())),
         semiring=semiring,
     )
 

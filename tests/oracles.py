@@ -379,6 +379,27 @@ def brute_fuzzy_ideal_grades(structure, chain_grades, kind, is_gamma: bool) -> l
     return out
 
 
+def naive_absorption_images(structure, kind) -> list[int]:
+    """Per element x, the bitmask of every product an ideal of the kind
+    containing x must contain: left x@y (or xy) for every x puts the product
+    in y's mask, right in x's, two in both."""
+    if hasattr(structure, "prod"):
+        n = len(structure.S)
+        products = [
+            (structure.prod[x][c][y], x, y) for x in range(n) for c in range(len(structure.G)) for y in range(n)
+        ]
+    else:
+        n = len(structure.carrier)
+        products = [(structure.mul[x][y], x, y) for x in range(n) for y in range(n)]
+    image = [0] * n
+    for r, x, y in products:
+        if kind in ("left", "two"):
+            image[y] |= 1 << r
+        if kind in ("right", "two"):
+            image[x] |= 1 << r
+    return image
+
+
 def naive_crisp_ideals_gamma(g, kind) -> list[frozenset[int]]:
     s, gg = len(g.S), len(g.G)
     out = []

@@ -1,11 +1,12 @@
 """Validation, witnesses, and structural predicates against brute-force oracles."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from conftest import build_boolean_by_chain
+from conftest import build_boolean_by_chain, build_one_element, build_upper_triangular
 from gsl import core
 from gsl.matrix import build_matrix_gamma
 from oracles import (
@@ -113,6 +114,90 @@ class TestValidateGamma:
         out_of_range = dataclasses.replace(gb, addS=((0, 1), (1, 7)))
         with pytest.raises(core.StructuralError):
             core.validate_gamma_semiring(out_of_range)
+
+
+def _single_entries(mg):
+    """The matrices with at most one non-zero entry, as (S, G) indices:
+    additive generators of the matrix carriers."""
+    return tuple(
+        [k for k, entries in enumerate(table) if sum(e != 0 for e in entries) <= 1]
+        for table in (mg.s_entries, mg.g_entries)
+    )
+
+
+def _bilinear_not_associative():
+    """S = {0,1}^2 under bitwise or, G = {0, 1} under max, and
+    a@g@b = g * (or of m(i, j) over the bits i of a and j of b) with
+    m(e1, e1) = e2, m(e2, e1) = e1 and 0 otherwise: every distributive and
+    zero law holds, and associativity fails already on generators."""
+    m = {(1, 1): 2, (2, 1): 1}
+
+    def product(a, c, b):
+        value = 0
+        for i, j in itertools.product((1, 2), repeat=2):
+            if c and a & i and b & j:
+                value |= m.get((i, j), 0)
+        return value
+
+    prod = [[[product(a, c, b) for b in range(4)] for c in range(2)] for a in range(4)]
+    return core.GammaSemiring(
+        "bilinear", ("0", "1", "2", "3"), ("0", "1"),
+        [[a | b for b in range(4)] for a in range(4)], [[0, 1], [1, 1]], prod,
+    )
+
+
+class TestGeneratorPath:
+    """Associativity checked on additive generators only gives the dense
+    validator's outcome, which stays the reference."""
+
+    @staticmethod
+    def _small_matrix_instances(bases):
+        for base in bases:
+            for n in (1, 2):
+                if max(len(base.S), len(base.G)) ** (n * n) <= 16:
+                    yield build_matrix_gamma(base, n)
+        yield build_matrix_gamma(build_boolean_by_chain(3), 2, cap=81)
+
+    def test_matrix_instances_match_dense_and_oracle(self, enum_instances):
+        bases = [*enum_instances, build_one_element(), build_boolean_by_chain(3)]
+        seen = []
+        for mg in self._small_matrix_instances(bases):
+            g = mg.gamma
+            outcome = core.validate_gamma_semiring(g, generators=_single_entries(mg))
+            assert outcome == core.validate_gamma_semiring(g)
+            assert outcome.ok and naive_gamma_violations(g) == {}, g.name
+            seen.append((len(g.S), len(g.G)))
+        assert (16, 16) in seen and (16, 81) in seen
+
+    @pytest.mark.parametrize("cell", [(k % 16, k * 7 % 16, k * 11 % 16) for k in range(0, 4096, 193)])
+    def test_single_cell_mutations_match_dense(self, gb, cell):
+        """A fixed slice of single-cell mutations of boolean[2x2]: same
+        outcome as the dense validator, and every witness replays."""
+        mg = build_matrix_gamma(gb, 2)
+        a, c, b = cell
+        bad = _mutate_prod(mg.gamma, a, c, b, (mg.gamma.prod[a][c][b] + 5) % 16)
+        outcome = core.validate_gamma_semiring(bad, generators=_single_entries(mg))
+        assert outcome == core.validate_gamma_semiring(bad)
+        assert not outcome.ok
+        assert all(core.recheck_violation(bad, violation) for violation in outcome.violations)
+
+    def test_failure_on_generators_gives_the_dense_witness(self):
+        g = _bilinear_not_associative()
+        outcome = core.validate_gamma_semiring(g, generators=([0, 1, 2], [0, 1]))
+        assert outcome == core.validate_gamma_semiring(g)
+        assert [v.axiom for v in outcome.violations] == ["product_associative"]
+        _assert_witnesses_match_oracle(g)
+        assert core.recheck_violation(g, outcome.violations[0])
+
+    def test_sets_that_do_not_generate_raise(self, gb):
+        mg = build_matrix_gamma(gb, 2)
+        gen_s, gen_g = _single_entries(mg)
+        with pytest.raises(ValueError, match="S generators reach 8 of 16"):
+            core.validate_gamma_semiring(mg.gamma, generators=([0, 1, 2, 4], gen_g))
+        with pytest.raises(ValueError, match="G generators reach 1 of 16"):
+            core.validate_gamma_semiring(mg.gamma, generators=(gen_s, [0]))
+        with pytest.raises(ValueError, match="indices below 16"):
+            core.validate_gamma_semiring(mg.gamma, generators=(gen_s, [*gen_g, 16]))
 
 
 class TestValidateSemiring:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gsl import core
 from gsl.fuzzy import (
     CrispSubset,
     EnumerationCapExceeded,
@@ -21,12 +22,15 @@ from gsl.fuzzy import (
     as_grade,
     parse_grade,
     format_grade,
+    _absorption_images,
 )
+from gsl.matrix import build_matrix_gamma
 from gsl.operators import build_operator_semiring
 from oracles import (
     brute_crisp_ideals_semiring,
     brute_fuzzy_ideal_grades,
     count_multichains,
+    naive_absorption_images,
     naive_crisp_ideals_gamma,
     naive_is_fuzzy_ideal_gamma,
 )
@@ -214,6 +218,18 @@ class TestEnumerations:
                         for c in chain.grades[1:]:
                             cut = frozenset(x for x, v in enumerate(mu.grades) if v >= c)
                             assert cut in crisp, (g.name, kind, mu.grades, c)
+
+    def test_absorption_images_match_the_scalar_loop(self, enum_instances, gb):
+        """The numpy-built masks are the scalar loop's on the enumerator
+        fixtures, their L and R, boolean[2x2] and the 128-element B7
+        semiring, whose masks are past one machine word."""
+        structures = [*enum_instances, build_matrix_gamma(gb, 2).gamma, core.boolean_power_semiring(7)]
+        structures += [build_operator_semiring(g, side) for g in enum_instances for side in ("left", "right")]
+        for structure in structures:
+            base = getattr(structure, "semiring", structure)
+            for kind in ("left", "right", "two"):
+                image = _absorption_images(structure, kind)[1]
+                assert image == naive_absorption_images(base, kind), (base.name, kind)
 
     def test_cap_enforced(self, z4):
         with pytest.raises(EnumerationCapExceeded):

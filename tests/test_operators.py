@@ -1,6 +1,7 @@
 """Operator semiring construction against the length-bounded closure oracle,
 plus the pair-class correspondences."""
 
+import numpy as np
 import pytest
 
 from gsl import core
@@ -60,6 +61,29 @@ class TestBuild:
             elements, add, mul, provenance = naive_operator_provenance(g, side)
             assert [f.values for f in op.elements] == elements, g.name
             assert (op.add, op.mul, op.provenance) == (add, mul, provenance), g.name
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_closure_past_uint8_is_sorted_by_value(self, side):
+        """|S| = 300: the actions a -> min(k, p(a)), p(a) the largest of
+        0, 255, 299 up to a, first differ at a = 299, holding 255 and 299,
+        whose two-byte codes sort the other way round.  The elements still
+        come in value order, and match the search over every pair."""
+        steps = (0, 255, 299)
+        p = [max(k for k in steps if k <= a) for a in range(300)]
+        g = core.GammaSemiring(
+            "min_steps", tuple(map(str, range(300))), ("0", "1"),
+            [[max(a, b) for b in range(300)] for a in range(300)], [[0, 1], [1, 1]],
+            [[[min(p[a], p[b]) if c else 0 for b in range(300)] for c in range(2)] for a in range(300)],
+        )
+        op = build_operator_semiring(g, side)
+        elements, add, mul, provenance = naive_operator_provenance(g, side)
+        assert [f.values for f in op.elements] == elements
+        assert (op.add, op.mul, op.provenance) == (add, mul, provenance)
+        codes = [np.asarray(v, dtype=np.uint16).tobytes() for v in elements]
+        assert len(elements) == 3 and codes != sorted(codes)
+        for x in range(300):
+            for c in range(2):
+                assert op.elements[op.pair_index[x][c]].values == action_of_pair(g, x, c, side).values
 
     def test_frozen_sizes(self, gb, z2, z4):
         assert len(build_operator_semiring(gb, "left")) == 2

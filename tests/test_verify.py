@@ -613,10 +613,10 @@ class TestFailPathBodies:
     def test_matrix_iso_generator_action(self, monkeypatch, gb):
         """A generator that acts unlike the realized product fails matrix-iso,
         and the report does not also say the generator actions agree."""
-        real = matrix._matrix_action
+        real = matrix._matrix_actions
         monkeypatch.setattr(
-            matrix, "_matrix_action",
-            lambda mg, op, image, a, side: (real(mg, op, image, a, side) + 1) % len(mg.gamma.S),
+            matrix, "_matrix_actions",
+            lambda mg, op, images, side: (real(mg, op, images, side) + 1) % len(mg.gamma.S),
         )
         assert matrix.check_operator_matrix_iso(verify.Workspace(gb), "left").body() == {
             "suite": "matrix-iso[left]",
@@ -635,18 +635,22 @@ class TestFailPathBodies:
         }
 
     def test_matrix_iso_generator_action_at_a_later_image(self, monkeypatch, gb):
-        """`_matrix_action` is wrong only on argument m7 of the image that
+        """`_matrix_actions` is wrong only on argument m7 of the image that
         first appears at generator (m4, m1), the 66th: the first failure and
-        the count name that generator, and no operand is applied twice."""
-        real = matrix._matrix_action
-        operands = []
+        the count name that generator, and each distinct image is applied
+        once."""
+        real = matrix._matrix_actions
+        calls = []
 
-        def late(mg, op, image, a, side):
-            operands.append((image, a))
-            value = real(mg, op, image, a, side)
-            return (value + 1) % len(mg.gamma.S) if image == (0, 1, 0, 0) and a == 7 else value
+        def late(mg, op, images, side):
+            calls.append([tuple(image) for image in images.tolist()])
+            acted = real(mg, op, images, side)
+            for k, image in enumerate(calls[-1]):
+                if image == (0, 1, 0, 0):
+                    acted[k, 7] = (acted[k, 7] + 1) % len(mg.gamma.S)
+            return acted
 
-        monkeypatch.setattr(matrix, "_matrix_action", late)
+        monkeypatch.setattr(matrix, "_matrix_actions", late)
         assert matrix.check_operator_matrix_iso(verify.Workspace(gb), "left").body() == {
             "suite": "matrix-iso[left]",
             "instance": "boolean",
@@ -662,7 +666,8 @@ class TestFailPathBodies:
             },
             "notes": [],
         }
-        assert len(operands) == len(set(operands))
+        [images] = calls
+        assert (0, 1, 0, 0) in images and len(images) == len(set(images))
 
     def test_th319_lift_is_ideal(self, monkeypatch, gb):
         real = matrix.lift_fuzzy_to_matrix
@@ -676,6 +681,46 @@ class TestFailPathBodies:
             "counts": {"fuzzy_ideals_base": 3, "n": 2},
             "notes": [self.SCOPE],
         }
+
+
+    def _th319(self, counterexample, counts, notes=()):
+        return {
+            "suite": "th3.19",
+            "instance": "boolean",
+            "chain": ["0/1", "1/2", "1/1"],
+            "status": FAIL,
+            "counterexample": counterexample,
+            "counts": {"fuzzy_ideals_base": 3, "n": 2, **counts},
+            "notes": [self.SCOPE, *notes],
+        }
+
+    def test_th319_injective(self, monkeypatch, gb):
+        """Every base ideal lifts to the constant-1 subset: each lift is an
+        ideal, and two of them coincide."""
+        real = matrix.lift_fuzzy_to_matrix
+        monkeypatch.setattr(
+            matrix, "lift_fuzzy_to_matrix", lambda mg, mu: real(mg, FuzzySubset.constant(mu.carrier, 1))
+        )
+        assert matrix.verify_theorem_3_19(ws(gb)).body() == self._th319({"check": "injective"}, {})
+
+    def test_th319_surjective(self, monkeypatch, gb):
+        """Grade 1/2 lifts to 1/3, off the chain: the lifts are distinct
+        ideals ordered as the base ideals are, but the matrix ideal with
+        grade 1/2 is no lift."""
+        real = matrix.lift_fuzzy_to_matrix
+        third = Fraction(1, 3)
+
+        def off_chain(mg, mu):
+            m = real(mg, mu)
+            return FuzzySubset(m.carrier, tuple(third if g == HALF else g for g in m.grades))
+
+        monkeypatch.setattr(matrix, "lift_fuzzy_to_matrix", off_chain)
+        unmatched = {f"m{k}": "1/2" for k in range(1, 16)}
+        assert matrix.verify_theorem_3_19(ws(gb)).body() == self._th319(
+            {"check": "surjective", "unmatched": [{"m0": "1/1", **unmatched}]},
+            {"fuzzy_ideals_matrix": 3, "pairs_checked": 9},
+            ["cardinalities: 3 base ideals vs 3 matrix ideals"],
+        )
 
 
 class TestTheorem38PairBodies:

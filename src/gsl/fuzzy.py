@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -261,12 +261,13 @@ def _require_same_carrier(*subsets) -> Carrier:
     return first
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def characteristic(subset: CrispSubset) -> FuzzySubset:
     """Grade 1 on the subset, 0 elsewhere."""
     c = subset.carrier
-    return FuzzySubset(
-        c, tuple(Fraction(1) if i in subset.members else Fraction(0) for i in range(c.size))
-    )
+    return FuzzySubset(c, tuple(_ONE if i in subset.members else _ZERO for i in range(c.size)))
 
 
 def fuzzy_intersection(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
@@ -328,10 +329,19 @@ class LevelCuts:
     inclusion of every pair of distinct masks are kept in dense D x D tables
     over the D masks seen so far, each cell computed once, and a family
     table (`sum_table`, `meet_table`, `le_table`) is one numpy lookup into
-    them for every pair drawn from two families.  The tables hold ids, not
-    masks, so carriers wider than a machine word work the same way.  The
-    tables and the crisp ideal tests live as long as the instance, and the
-    suites share one per structure for a whole run (`Workspace.level_cuts`).
+    them for every pair drawn from two families (or from row blocks of
+    them).  The tables hold ids, not masks, so carriers wider than a machine
+    word work the same way.  The tables and the crisp ideal tests live as
+    long as the instance, and the suites share one per structure for a
+    whole run (`Workspace.level_cuts`).
+
+    Because every operation goes cut by cut, a statement about every pair
+    of a family of fuzzy ideals can often be decided on the family's crisp
+    cuts instead: `basis` checks the two facts that make that exact (the
+    family is every descending multichain of its masks, and the masks are
+    closed under sum and meet) and then gives the ids of those masks.  A
+    crisp family is the one-cut case: its masks are what
+    `verify_lemmas_3_11_3_12` tests with `_is_crisp_ideal`.
     """
 
     def __init__(self, structure, chain: GradeChain):
@@ -350,15 +360,19 @@ class LevelCuts:
         """The cuts of mu.  Raises ValueError for a grade off the chain."""
         if mu.carrier != self.carrier:
             raise ValueError(f"fuzzy subset does not live on {self.carrier.label}")
+        at_rank = [0] * len(self.chain)  # at_rank[r]: the elements of grade c_r
         try:
-            ranks = [self._rank[g.numerator, g.denominator] for g in mu.grades]
+            for x, g in enumerate(mu.grades):
+                at_rank[self._rank[g.numerator, g.denominator]] |= 1 << x
         except KeyError as off:
             raise ValueError(
                 f"grade {format_grade(Fraction(*off.args[0]))} is not on the chain {self.chain}"
             ) from None
-        return tuple(
-            sum(1 << x for x, r in enumerate(ranks) if r >= k) for k in range(1, len(self.chain))
-        )
+        cuts, cut = [], 0
+        for r in range(len(at_rank) - 1, 0, -1):
+            cut |= at_rank[r]
+            cuts.append(cut)
+        return tuple(cuts[::-1])
 
     def subset(self, cuts: Cuts) -> FuzzySubset:
         """The fuzzy subset with these (descending) cuts: x gets the grade
@@ -447,6 +461,42 @@ class LevelCuts:
                 code * len(self._masks) + column, return_index=True, return_inverse=True
             )
         return first, code.reshape(-1)
+
+    def basis(self, family: np.ndarray) -> Optional[np.ndarray]:
+        """The ids of the D distinct masks of a family (an (N, m-1) id array
+        from `family`), when the family is every descending multichain of
+        m-1 of those masks and they are closed under sum and meet; otherwise
+        None.
+
+        Then a check on pairs of members that goes level by level holds on
+        every pair of members exactly when it holds on every pair of masks:
+        the sum and the meet of two members are members, and each mask I is
+        the first cut of the member (I, B, ..., B), B the least mask.  The
+        multichains are counted, not listed: O(N (m-1)) for the members and
+        O(D^2 (m-1)) for the masks."""
+        n, width = family.shape
+        if not n or len(set(map(tuple, family.tolist()))) != n:
+            return None
+        le = self._table("le")
+        if not le[family[:, 1:], family[:, :-1]].all():  # each member descends
+            return None
+        ids = np.flatnonzero(np.bincount(family.ravel()))  # sorted; np.unique would import numpy.ma
+        rows, columns = ids[:, None], ids[None, :]
+        # the members are n distinct multichains of the masks, so they are
+        # all of them unless there are more; ending[j] counts those of a
+        # given length that end in mask j, and longer ones are never fewer,
+        # so stopping once past n keeps every count below n * D
+        below, ending = le[rows, columns], np.ones(len(ids), dtype=np.int64)
+        for _ in range(width - 1):
+            ending = below @ ending
+            if ending.sum() > n:
+                return None
+        sums, meets = self._table("sum"), self._table("meet")
+        member = np.zeros(len(self._masks), dtype=bool)
+        member[ids] = True
+        if not (member[sums[rows, columns]].all() and member[meets[rows, columns]].all()):
+            return None
+        return ids
 
     # -- ideal tests
 
@@ -666,8 +716,10 @@ def enumerate_fuzzy_ideals(
     cuts = [(i,) for i in ideals]
     for _ in range(m - 2):
         cuts = [c + (j,) for c in cuts for j in ideals if (j & ~c[-1]) == 0]
-    ranks = sorted(tuple(sum(c >> x & 1 for c in cut) for x in range(n)) for cut in cuts)
-    return [FuzzySubset(carrier, tuple(chain.grades[r] for r in rank)) for rank in ranks]
+    # the rank of x is the number of cuts containing x: a sum of indicator tuples
+    indicator = {i: tuple(i >> x & 1 for x in range(n)) for i in ideals}
+    ranks = sorted(tuple(map(sum, zip(*map(indicator.__getitem__, cut)))) for cut in cuts)
+    return [FuzzySubset(carrier, tuple(map(chain.grades.__getitem__, rank))) for rank in ranks]
 
 
 def enumerate_crisp_ideals(structure, kind: str = "two", cap: int = 10**8) -> list[CrispSubset]:

@@ -27,11 +27,21 @@ smallest pair of an action always wins its layer.  The addition and
 composition tables are (E, E, |S|) gathers looked up by row key.
 Elements are sorted by value tuple, not by key: the two orders differ
 once values need more than one byte.
+
+The crisp correspondences are mask tests.  What they depend on belongs to
+the operator semiring alone, so the instance builds it once, as int
+bitmasks: each element's image in S, that image closed under the addition
+of S, and each base element's pair classes (each on first use).  `plus_set`/`star_set` keep
+the base elements whose pair-class mask lies in the target, and
+`plusprime_set`/`starprime_set` the elements whose image-closure mask does;
+on an additively closed target the plain image must agree, else
+RuntimeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -101,6 +111,12 @@ class OperatorSemiring:
     `pair_index[x][gamma]` locates the single-pair action for either side.
     `semiring` is the same structure as a plain Semiring with carrier ids
     f0, f1, ... in canonical element order.
+
+    Derived once, on first use: `value_rows` and `pair_rows`, the action
+    values and `pair_index` as arrays (the rows the transfer maps take their
+    mins along), and as int bitmasks, for the crisp correspondences: `image_masks[i]`, the image of element i in S;
+    `closure_masks[i]`, that image closed under the addition of S; and
+    `pair_masks[x]`, the elements [x, gamma] over every gamma.
     """
 
     side: str
@@ -117,6 +133,26 @@ class OperatorSemiring:
         object.__setattr__(
             self, "_index", {e.values: i for i, e in enumerate(self.elements)}
         )
+
+    @cached_property
+    def value_rows(self) -> np.ndarray:
+        return np.array([e.values for e in self.elements], dtype=np.intp)
+
+    @cached_property
+    def pair_rows(self) -> np.ndarray:
+        return np.array(self.pair_index, dtype=np.intp)
+
+    @cached_property
+    def image_masks(self) -> tuple[int, ...]:
+        return tuple(_mask(e.values) for e in self.elements)
+
+    @cached_property
+    def closure_masks(self) -> tuple[int, ...]:
+        return tuple(_mask(_additive_closure(self.base.addS, set(e.values))) for e in self.elements)
+
+    @cached_property
+    def pair_masks(self) -> tuple[int, ...]:
+        return tuple(map(_mask, self.pair_index))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -253,14 +289,17 @@ def find_unity(g: core.GammaSemiring, op: OperatorSemiring) -> Optional[int]:
     return op.identity_index()
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in set(indices))
+
+
 def _pair_fixed_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
     if subset.carrier != carrier_of(op):
         raise ValueError("subset does not live on the operator semiring carrier")
-    s, gg = len(op.base.S), len(op.base.G)
-    members = frozenset(
-        a for a in range(s) if all(op.pair_index[a][c] in subset.members for c in range(gg))
+    p = _mask(subset.members)
+    return CrispSubset(
+        carrier_of(op.base), frozenset(x for x, m in enumerate(op.pair_masks) if not m & ~p)
     )
-    return CrispSubset(carrier_of(op.base), members)
 
 
 def plus_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
@@ -293,15 +332,14 @@ def _additive_closure(addS, seed: set[int]) -> set[int]:
 def _image_contained_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
     if subset.carrier != carrier_of(op.base):
         raise ValueError("subset does not live on the base carrier")
-    addS = op.base.addS
-    q = subset.members
+    addS, q = op.base.addS, subset.members
+    target = _mask(q)
     q_closed = all(addS[x][y] in q for x in q for y in q)
     members = set()
-    for i, f in enumerate(op.elements):
-        image = set(f.values)
-        inside = _additive_closure(addS, image) <= q
+    for i, (image, closure) in enumerate(zip(op.image_masks, op.closure_masks)):
+        inside = not closure & ~target
         # for additively closed targets the two readings coincide
-        if q_closed and inside != (image <= q):
+        if q_closed and inside != (not image & ~target):
             raise RuntimeError(f"element {i}: image readings disagree on a closed target")
         if inside:
             members.add(i)

@@ -8,14 +8,22 @@ The right-side maps use [gamma, x] pair classes and right actions; the
 formulas are identical on action maps.  All four are defined on arbitrary
 fuzzy subsets; ideal preservation is a property checked elsewhere.
 
-Each min is taken by sort position: one call sorts the operand's element
-indices by grade once, and the min over a set of indices is the grade at
-the least position among them.  So a call makes one sort's worth of
-`Fraction` comparisons, not one per value, and its image reuses the
-operand's own grade objects.
+Each min is taken on integer ranks.  A call finds the operand's distinct
+grade objects by identity (usually as many as the chain has grades), puts
+them over one common denominator, and sorts the distinct numerators: exact
+integers, so equal grades held in distinct objects share a rank, grades
+need not lie on any chain, and no `Fraction` is compared or hashed.  Each
+element gets the rank of its grade, and every min of the image is taken at
+once, as a numpy min over the ranks along the rows of the operator
+semiring's action table (lift) or pair-class table (restrict).  The image
+reuses the operand's own grade objects.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from .fuzzy import FuzzySubset, carrier_of
 from .operators import OperatorSemiring
@@ -23,33 +31,30 @@ from .operators import OperatorSemiring
 __all__ = ["restrict_plus", "lift_plusprime", "restrict_star", "lift_starprime"]
 
 
-def _sort_positions(grades) -> tuple[list[int], list[int]]:
-    """(order, position): the indices sorted by grade, and each index's place
-    in that order.  The min of the grades over a set of indices is the grade
-    of order[p], p the least position in the set."""
-    order = sorted(range(len(grades)), key=grades.__getitem__)
-    position = [0] * len(order)
-    for p, x in enumerate(order):
-        position[x] = p
-    return order, position
+def _row_mins(grades, rows: np.ndarray) -> tuple:
+    """For each row of an index array, the least of the grades it indexes."""
+    objects = {id(g): g for g in grades}  # the distinct grade objects
+    # each object's grade as a numerator over one common denominator: exact
+    # integers, so equal grades held in distinct objects get equal values
+    scale = math.lcm(*(g.denominator for g in objects.values()))
+    value = {i: g.numerator * (scale // g.denominator) for i, g in objects.items()}
+    grade = {value[i]: g for i, g in objects.items()}
+    ladder = sorted(grade)  # the distinct values, ascending
+    rank = {i: ladder.index(v) for i, v in value.items()}
+    ranks = np.array([rank[id(g)] for g in grades], dtype=np.intp)
+    return tuple(map([grade[v] for v in ladder].__getitem__, ranks[rows].min(axis=1).tolist()))
 
 
 def _restrict(op: OperatorSemiring, mu: FuzzySubset) -> FuzzySubset:
     if mu.carrier != carrier_of(op):
         raise ValueError("subset does not live on the operator semiring carrier")
-    order, position = _sort_positions(mu.grades)
-    grades = tuple(mu.grades[order[min(map(position.__getitem__, row))]] for row in op.pair_index)
-    return FuzzySubset(carrier_of(op.base), grades)
+    return FuzzySubset(carrier_of(op.base), _row_mins(mu.grades, op.pair_rows))
 
 
 def _lift(op: OperatorSemiring, sigma: FuzzySubset) -> FuzzySubset:
     if sigma.carrier != carrier_of(op.base):
         raise ValueError("subset does not live on the base carrier")
-    order, position = _sort_positions(sigma.grades)
-    grades = tuple(
-        sigma.grades[order[min(map(position.__getitem__, f.values))]] for f in op.elements
-    )
-    return FuzzySubset(carrier_of(op), grades)
+    return FuzzySubset(carrier_of(op), _row_mins(sigma.grades, op.value_rows))
 
 
 def restrict_plus(op: OperatorSemiring, mu: FuzzySubset) -> FuzzySubset:

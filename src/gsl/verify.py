@@ -13,11 +13,19 @@ grade-chain scale, which is sound for these statements because min/max over
 finite index sets never leaves the chain; each report says so in its notes.
 The pair checks of prop3.4 and th3.8 compute on the workspace's level cuts
 of those ideals over the config's chain (`LevelCuts`), and report the
-`Fraction` grades of the ideals and images they were given.  Each pair
-clause is read off N x N family tables: its failures are the true cells,
-and its witness is the first of them in row-major order (in th3.8, with
-the first check that pair fails).  So a transfer map is called on every
-distinct operand in the table, once each, also past the first failure.
+`Fraction` grades of the ideals and images they were given.  Each transfer
+map is called once on each of the N ideals.  A pair check is then decided
+on crisp cuts when two conditions hold, both checked, not assumed: the
+family has a `LevelCuts.basis` (it is every descending multichain of its D
+crisp masks, and those are closed under sum and meet), and the map acted
+cut by cut on its N calls, by one crisp map of masks (`_Pairs.crisp`).
+Then the check holds on all N x N fuzzy pairs exactly when it holds on the
+D x D crisp pairs, so a pass costs O(N m + D^2).  When a condition fails,
+or a crisp pair fails, a row-blocked scan of the N x N pairs decides,
+stopping at the first block with a failure; its witness is the first
+failing pair in row-major order (in th3.8, with the first check that pair
+fails), as a scan of every pair would give.  The scan calls a map on the
+operands of the rows it reaches, not past them.
 """
 
 from __future__ import annotations
@@ -40,8 +48,6 @@ from .fuzzy import (
     characteristic,
     enumerate_crisp_ideals,
     enumerate_fuzzy_ideals,
-    is_crisp_ideal_gamma,
-    is_crisp_ideal_semiring,
 )
 from .matrix import (
     MatrixGammaSemiring,
@@ -265,21 +271,123 @@ def _on_cuts(
     return apply
 
 
-def _images_differ(
-    table: np.ndarray,
-    apply: Callable[..., _Image],
-    source: LevelCuts,
-    target: LevelCuts,
-    expected: np.ndarray,
-) -> np.ndarray:
-    """(N, M) booleans: where the image under `apply` (a map from `_on_cuts`)
-    of the subset in a cell of `table`, an (N, M, m-1) table of source ids,
-    differs from that cell of `expected`, the same shape in target ids.
-    `apply` is called once per distinct subset in the table."""
+def _distinct_cuts(view: LevelCuts, table: np.ndarray) -> tuple[list[Cuts], np.ndarray]:
+    """The distinct cut tuples of an (..., m-1) table of ids, and for each
+    cell the place of its cut tuple among them."""
     rows = table.reshape(-1, table.shape[-1])
-    first, inverse = source.distinct_rows(rows)
-    images = target.family([apply(source.cuts(rows[k].tolist())).cuts for k in first])
-    return (images[inverse].reshape(table.shape) != expected).any(axis=2)
+    first, inverse = view.distinct_rows(rows)
+    return [view.cuts(rows[k].tolist()) for k in first], inverse.reshape(table.shape[:-1])
+
+
+class _Pairs:
+    """One family of N operands and its images under a transfer map, for
+    the pair checks: the views they live on, their (N, m-1) id arrays, and
+    the map on cut tuples (from `_on_cuts`) that gave the images."""
+
+    def __init__(self, source: LevelCuts, target: LevelCuts, cuts: Sequence[Cuts], images, apply):
+        self.source, self.target, self.apply = source, target, apply
+        self.family = source.family(cuts)
+        self.images = target.family([image.cuts for image in images])
+
+    def image(self, table: np.ndarray) -> np.ndarray:
+        """The target ids of the image of the subset in each cell of an
+        (..., m-1) table of source ids; the map is called once per distinct
+        subset not seen before."""
+        distinct, where = _distinct_cuts(self.source, table)
+        return self.target.family([self.apply(cuts).cuts for cuts in distinct])[where]
+
+    @cached_property
+    def basis(self) -> Optional[np.ndarray]:
+        return self.source.basis(self.family)
+
+    @cached_property
+    def crisp(self) -> Optional[np.ndarray]:
+        """The crisp map the transfer map acts by, as an array from source
+        ids to target ids, when the family has a `basis` and each of the N
+        calls that gave the images acted cut by cut: image cut k is the map
+        of operand cut k, the same map for every call and level.  Else None."""
+        if self.basis is None:
+            return None
+        ell = np.full(self.family.max() + 1, -1, dtype=np.intp)
+        ell[self.family] = self.images  # of repeated ids, one write wins
+        return ell if (ell[self.family] == self.images).all() else None
+
+
+# A pair check: check(p, a, b, la, lb, image) is the (len(a), len(b)) table
+# of the pairs it fails on, for two families a and b of source ids, their
+# images la and lb, and image(table), the target ids of the image of each
+# cell of an (..., m-1) table of source ids.  Given a family's (N, m-1)
+# arrays, it checks fuzzy pairs; given its crisp masks as (D, 1) arrays,
+# it checks crisp pairs.
+
+_PairCheck = Callable[..., np.ndarray]
+
+
+def _order_lost(p, a, b, la, lb, image):
+    """a_i <= b_j but not la_i <= lb_j."""
+    return p.source.le_table(a, b) & ~p.target.le_table(la, lb)
+
+
+def _order_differs(p, a, b, la, lb, image):
+    """a_i <= b_j and la_i <= lb_j differ."""
+    return p.source.le_table(a, b) != p.target.le_table(la, lb)
+
+
+def _unhomomorphic(table: str) -> _PairCheck:
+    """The image of a_i op b_j differs from la_i op lb_j, for the op of a
+    `LevelCuts` family table ("sum_table" or "meet_table")."""
+
+    def check(p, a, b, la, lb, image):
+        return (image(getattr(p.source, table)(a, b)) != getattr(p.target, table)(la, lb)).any(axis=2)
+
+    return check
+
+
+def _not_in(members: set) -> _PairCheck:
+    """The sum or the meet of a_i and b_j is not one of these cut tuples."""
+
+    def check(p, a, b, la, lb, image):
+        outside = np.zeros((len(a), len(b)), dtype=bool)
+        for table in (p.source.sum_table(a, b), p.source.meet_table(a, b)):
+            distinct, where = _distinct_cuts(p.source, table)
+            outside |= ~np.array([cuts in members for cuts in distinct])[where]
+        return outside
+
+    return check
+
+
+# cells of (N, M, m-1) tables one block of the witness scan spans
+_SCAN_CELLS = 1 << 20
+
+
+def _failing_pair(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
+    """The first pair (i, j) of the family, in row-major order, that check
+    fails on; None when every pair passes.
+
+    With a crisp map (`_Pairs.crisp`), a pass is decided on the D x D pairs
+    of crisp masks, with no call of the map: a failing fuzzy pair fails at
+    some level, on one crisp pair.  Otherwise, and to find the witness once
+    a crisp pair fails, `_scan` decides."""
+    ell = p.crisp
+    if ell is not None:
+        masks, images = p.basis[:, None], ell[p.basis][:, None]
+        if not check(p, masks, masks, images, images, ell.__getitem__).any():
+            return None
+    return _scan(p, check)
+
+
+def _scan(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
+    """`_failing_pair` over the N x N pairs, a block of rows at a time,
+    stopping at the first block with a failure, so the map is called only
+    on the new operands of the rows scanned."""
+    n, width = p.family.shape
+    step = max(1, _SCAN_CELLS // max(1, n * width))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        cell = first_cell(check(p, p.family[rows], p.family, p.images[rows], p.images, p.image))
+        if cell:
+            return start + cell[0], cell[1]
+    return None
 
 
 def _clause_rows(
@@ -301,11 +409,12 @@ def _clause_rows(
     Sums, intersections, inclusions, equalities and ideal tests are computed
     on the workspace's level cuts, over the config's chain; the transfer
     maps are mins, so their images stay on that chain.  The pair clauses
-    read their failures off family tables over every pair of ideals, and
-    witness the first failing pair in row-major order.  `lift` and
-    `restrict` are called once per distinct operand (for the pair clauses,
-    every operand in the table, also past a first failure), and witnesses
-    carry the grades of the ideals and images themselves.
+    are decided by `_failing_pair`: on crisp cuts where the family
+    and the map allow it, else by the row-blocked `_scan`, which witnesses
+    the first failing pair in row-major order.  `lift` and `restrict` are
+    called once per distinct operand: once per ideal, and for a scan once
+    per new operand in the rows it reaches.  Witnesses carry the grades of
+    the ideals and images themselves.
     """
     rows: list[tuple[str, str, Optional[dict], int]] = []
     ideals_s, ideals_op = ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side)
@@ -315,9 +424,8 @@ def _clause_rows(
     restrict_cuts = _on_cuts(restrict, on_op, on_s)
     lifted = [lift_cuts(c, s) for c, s in zip(cuts_s, ideals_s)]
     restricted = [restrict_cuts(c, m) for c, m in zip(cuts_op, ideals_op)]
-    family_s, family_op = on_s.family(cuts_s), on_op.family(cuts_op)
-    family_lifted = on_op.family([t.cuts for t in lifted])
-    family_restricted = on_s.family([rm.cuts for rm in restricted])
+    lifts = _Pairs(on_s, on_op, cuts_s, lifted, lift_cuts)
+    restricts = _Pairs(on_op, on_s, cuts_op, restricted, restrict_cuts)
 
     def clause(cid, checked, scan, ok=True):
         """One row: precondition-unmet when the unity it rests on is absent,
@@ -335,12 +443,11 @@ def _clause_rows(
         """A clause checked on each ideal with its image (and, for round trips, its cuts)."""
         clause(cid, len(columns[0]), lambda: first_failure(check, *columns), ok)
 
-    def pairwise(cid, ideals, label, failing):
-        """A clause checked on every pair of ideals; failing() gives the
-        (N, N) table of the pairs it fails on."""
+    def pairwise(cid, ideals, label, pairs, check):
+        """A clause checked on every pair of ideals, the operands of `pairs`."""
 
         def scan():
-            pair = first_cell(failing())
+            pair = _failing_pair(pairs, check)
             return pair and {
                 f"{label}1": _grades(ideals[pair[0]]),
                 f"{label}2": _grades(ideals[pair[1]]),
@@ -363,12 +470,6 @@ def _clause_rows(
         back = lift_cuts(rm.cuts, rm.subset)
         return back.cuts != cuts and {"mu": _grades(m), "roundtrip": _grades(back.subset)}
 
-    def lift_apart(op_s, op_op):
-        """Where the lift of op(sigma_i, sigma_j) differs from op of their lifts."""
-        return _images_differ(
-            op_s(family_s, family_s), lift_cuts, on_s, on_op, op_op(family_lifted, family_lifted)
-        )
-
     # (i) ideal preservation under the lift
     each(
         "i", (ideals_s, lifted),
@@ -390,16 +491,13 @@ def _clause_rows(
     each("iii", (range(len(lifted)), lifted), repeated_lift, lift_roundtrip_ok)
 
     # (iv) lift of a sum is the sum of lifts
-    pairwise("iv", ideals_s, "sigma", lambda: lift_apart(on_s.sum_table, on_op.sum_table))
+    pairwise("iv", ideals_s, "sigma", lifts, _unhomomorphic("sum_table"))
 
     # (v) lift of an intersection is the intersection of lifts
-    pairwise("v", ideals_s, "sigma", lambda: lift_apart(on_s.meet_table, on_op.meet_table))
+    pairwise("v", ideals_s, "sigma", lifts, _unhomomorphic("meet_table"))
 
     # (vi) lift is inclusion-preserving
-    pairwise(
-        "vi", ideals_s, "sigma",
-        lambda: on_s.le_table(family_s, family_s) & ~on_op.le_table(family_lifted, family_lifted),
-    )
+    pairwise("vi", ideals_s, "sigma", lifts, _order_lost)
 
     # (vii) ideal preservation under the restriction
     each(
@@ -419,11 +517,7 @@ def _clause_rows(
     each("viii", (ideals_op, restricted, cuts_op), restrict_roundtrip, restrict_roundtrip_ok)
 
     # (ix) restriction is inclusion-preserving
-    pairwise(
-        "ix", ideals_op, "mu",
-        lambda: on_op.le_table(family_op, family_op)
-        & ~on_s.le_table(family_restricted, family_restricted),
-    )
+    pairwise("ix", ideals_op, "mu", restricts, _order_lost)
 
     return rows
 
@@ -503,26 +597,27 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             missing = [m.to_mapping() for m, mc in zip(B, cuts_b) if mc not in lifted_set]
             return {"check": "surjective", "unmatched": missing[:3]}
 
-        # every pair at once; the first failing pair reports the first check
-        # it fails, in this order
-        fa, fl = on_s.family(cuts_a), on_l.family([t.cuts for t in lifted])
-        sums, meets = on_s.sum_table(fa, fa), on_s.meet_table(fa, fa)
+        # the first failing pair reports the first check it fails, in this order
+        p = _Pairs(on_s, on_l, cuts_a, lifted, lift)
         checks = {
-            "inclusion-both-ways": on_s.le_table(fa, fa) != on_l.le_table(fl, fl),
-            "sum-homomorphism": _images_differ(sums, lift, on_s, on_l, on_l.sum_table(fl, fl)),
-            "intersection-homomorphism":
-                _images_differ(meets, lift, on_s, on_l, on_l.meet_table(fl, fl)),
+            "inclusion-both-ways": _order_differs,
+            "sum-homomorphism": _unhomomorphic("sum_table"),
+            "intersection-homomorphism": _unhomomorphic("meet_table"),
         }
         counts["pairs_checked"] = len(A) ** 2
-        pair = first_cell(np.logical_or.reduce(list(checks.values())))
+        pair = _failing_pair(
+            p, lambda *args: np.logical_or.reduce([check(*args) for check in checks.values()])
+        )
         if pair:
-            failed = next(name for name, failing in checks.items() if failing[pair])
-            return {"check": failed, "sigma1": _grades(A[pair[0]]), "sigma2": _grades(A[pair[1]])}
+            i, j = pair
+            rows = (p.family[i : i + 1], p.family[j : j + 1], p.images[i : i + 1], p.images[j : j + 1])
+            failed = next(name for name, check in checks.items() if check(p, *rows, p.image)[0, 0])
+            return {"check": failed, "sigma1": _grades(A[i]), "sigma2": _grades(A[j])}
 
-        # chain-scale lattice sanity: closure under both operations, top and bottom
+        # chain-scale lattice sanity: closure under both operations, top and
+        # bottom; a family with a basis is closed
         a_set = set(cuts_a)
-        both = np.concatenate([sums, meets]).reshape(-1, sums.shape[-1])
-        closed = all(on_s.cuts(both[k].tolist()) in a_set for k in on_s.distinct_rows(both)[0])
+        closed = p.basis is not None or _scan(p, _not_in(a_set)) is None
         carrier = carrier_of(g)
         top = on_s.of(FuzzySubset.constant(carrier, 1))
         bottom = on_s.of(characteristic(CrispSubset.of_indices(carrier, [0])))
@@ -539,10 +634,16 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
     lifting the characteristic function of a crisp ideal I of S equals the
     characteristic function of its operator-side image, which is itself a
     crisp ideal; dually from L back to S."""
-    g = ws.structure
+
+    def is_ideal(view: LevelCuts, subset: CrispSubset, kind: str) -> bool:
+        """`is_crisp_ideal_*` on the view's memoised mask test: 0 in the
+        subset, which the mask test alone would not ask of the empty set."""
+        mask = sum(1 << i for i in subset.members)
+        return bool(mask & 1) and view._is_crisp_ideal(mask, kind)
 
     def check(counts, notes):
         left = ws.left
+        on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
         counts["identities_checked"] = 0
         for kind in ("two", "right", "left"):
             ideals_s = ws.crisp_ideals("S", kind)
@@ -554,7 +655,7 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
                 image = plusprime_set(left, ideal)
                 if lift_plusprime(left, characteristic(ideal)).grades != characteristic(image).grades:
                     return {"check": "characteristic-lift", "kind": kind, "ideal": _ids(ideal)}
-                if not is_crisp_ideal_semiring(left.semiring, image, kind):
+                if not is_ideal(on_l, image, kind):
                     return {
                         "check": "image-is-ideal",
                         "kind": kind,
@@ -568,7 +669,7 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
                 back = plus_set(left, ideal)
                 if restrict_plus(left, characteristic(ideal)).grades != characteristic(back).grades:
                     return {"check": "characteristic-restrict", "kind": kind, "ideal": _ids(ideal)}
-                if not is_crisp_ideal_gamma(g, back, kind):
+                if not is_ideal(on_s, back, kind):
                     return {
                         "check": "preimage-is-ideal",
                         "kind": kind,

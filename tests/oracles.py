@@ -3,13 +3,18 @@
 Everything here is written as plain nested loops over the raw tables, sharing
 no scan code with the library: the vectorised validators, the worklist
 closure, the table-lookup matrix builds and the level-cut enumerators are
-all checked against these.
+all checked against these.  The last three sections are earlier library
+paths kept as references: the pair checks on all-at-once N x N family
+tables (on level-cut views of their own), the sort-position transfer maps,
+and the frozenset crisp correspondences.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -522,3 +527,193 @@ def naive_theorem_3_8_pairs(ideals, lift):
     if not (closed and top in family and bottom in family):
         return {"check": "lattice-closure"}
     return None
+
+
+# ---------------------------------------------------------------------------
+# pair-table oracles: prop3.4's and th3.8's pair checks read off N x N family
+# tables all at once, on level cuts of their own (the suites decide on crisp
+# cuts and scan row blocks only for witnesses)
+
+
+def _map_on_cuts(f, source, target):
+    """f on cut tuples, called once per distinct operand."""
+    memo = {}
+
+    def apply(cuts):
+        if cuts not in memo:
+            memo[cuts] = target.of(f(source.subset(cuts)))
+        return memo[cuts]
+
+    return apply
+
+
+def _table_images(apply, source, target, table):
+    """The target ids of the image of each cell of an (N, M, m-1) id table."""
+    rows = table.reshape(-1, table.shape[-1])
+    first, inverse = source.distinct_rows(rows)
+    images = target.family([apply(source.cuts(rows[k].tolist())) for k in first])
+    return images[inverse].reshape(table.shape)
+
+
+def _first_true(table):
+    hits = np.argwhere(table)
+    return tuple(hits[0].tolist()) if len(hits) else None
+
+
+def table_pair_clause_rows(ws, side, lift, restrict, tag: str) -> list[tuple]:
+    """prop3.4's pair clauses iv, v, vi and ix as the (clause, status,
+    witness, checked) rows `verify._clause_rows` gives for them, each read
+    off one N x N table of every pair of the workspace's ideals."""
+    from gsl.fuzzy import LevelCuts
+
+    chain = ws.config.chain
+    on_s, on_op = LevelCuts(ws.structure, chain), LevelCuts(ws.structure_on(side), chain)
+    ideals_s, ideals_op = ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side)
+    cuts_s, cuts_op = [on_s.of(s) for s in ideals_s], [on_op.of(m) for m in ideals_op]
+    lift_cuts, restrict_cuts = _map_on_cuts(lift, on_s, on_op), _map_on_cuts(restrict, on_op, on_s)
+    fs, fo = on_s.family(cuts_s), on_op.family(cuts_op)
+    fl = on_op.family([lift_cuts(c) for c in cuts_s])
+    fr = on_s.family([restrict_cuts(c) for c in cuts_op])
+
+    def apart(table):
+        images = _table_images(lift_cuts, on_s, on_op, getattr(on_s, table)(fs, fs))
+        return (images != getattr(on_op, table)(fl, fl)).any(axis=2)
+
+    clauses = (
+        ("iv", ideals_s, "sigma", apart("sum_table")),
+        ("v", ideals_s, "sigma", apart("meet_table")),
+        ("vi", ideals_s, "sigma", on_s.le_table(fs, fs) & ~on_op.le_table(fl, fl)),
+        ("ix", ideals_op, "mu", on_op.le_table(fo, fo) & ~on_s.le_table(fr, fr)),
+    )
+    rows = []
+    for cid, ideals, label, failing in clauses:
+        pair, checked = _first_true(failing), len(ideals) ** 2
+        if pair is None:
+            rows.append((cid + tag, "pass", None, checked))
+            continue
+        i, j = pair
+        witness = {"clause": cid + tag, label + "1": ideals[i].to_mapping(), label + "2": ideals[j].to_mapping()}
+        rows.append((cid + tag, "fail", witness, checked))
+    return rows
+
+
+def table_theorem_3_8_pairs(ws, kind, lift):
+    """`naive_theorem_3_8_pairs` for the workspace's ideals of the kind,
+    read off N x N tables of every pair at once."""
+    from gsl.fuzzy import CrispSubset, FuzzySubset, LevelCuts, carrier_of, characteristic
+
+    chain = ws.config.chain
+    on_s, on_l = LevelCuts(ws.structure, chain), LevelCuts(ws.structure_on("L"), chain)
+    ideals = ws.fuzzy_ideals("S", kind)
+    cuts = [on_s.of(s) for s in ideals]
+    lift_cuts = _map_on_cuts(lift, on_s, on_l)
+    fa, fl = on_s.family(cuts), on_l.family([lift_cuts(c) for c in cuts])
+    sums, meets = on_s.sum_table(fa, fa), on_s.meet_table(fa, fa)
+    checks = {
+        "inclusion-both-ways": on_s.le_table(fa, fa) != on_l.le_table(fl, fl),
+        "sum-homomorphism":
+            (_table_images(lift_cuts, on_s, on_l, sums) != on_l.sum_table(fl, fl)).any(axis=2),
+        "intersection-homomorphism":
+            (_table_images(lift_cuts, on_s, on_l, meets) != on_l.meet_table(fl, fl)).any(axis=2),
+    }
+    pair = _first_true(np.logical_or.reduce(list(checks.values())))
+    if pair is not None:
+        failed = next(name for name, failing in checks.items() if failing[pair])
+        return {"check": failed, "sigma1": ideals[pair[0]].to_mapping(), "sigma2": ideals[pair[1]].to_mapping()}
+    family = set(cuts)
+    both = np.concatenate([sums, meets]).reshape(-1, sums.shape[-1])
+    closed = all(on_s.cuts(row) in family for row in both.tolist())
+    carrier = carrier_of(ws.structure)
+    top = on_s.of(FuzzySubset.constant(carrier, 1))
+    bottom = on_s.of(characteristic(CrispSubset.of_indices(carrier, [0])))
+    if not (closed and top in family and bottom in family):
+        return {"check": "lattice-closure"}
+    return None
+
+
+# ---------------------------------------------------------------------------
+# transfer-map oracles: each min by sort position over all the operand's
+# elements, as the maps took them before they worked on ranks
+
+
+def _sort_positions(grades) -> tuple[list[int], list[int]]:
+    """(order, position): the indices sorted by grade, and each index's place
+    in that order."""
+    order = sorted(range(len(grades)), key=grades.__getitem__)
+    position = [0] * len(order)
+    for p, x in enumerate(order):
+        position[x] = p
+    return order, position
+
+
+def sort_position_restrict(op, mu):
+    """mu over the operator semiring down to its base: x -> the least grade
+    over the pair classes of x."""
+    from gsl.fuzzy import FuzzySubset, carrier_of
+
+    order, position = _sort_positions(mu.grades)
+    grades = tuple(mu.grades[order[min(map(position.__getitem__, row))]] for row in op.pair_index)
+    return FuzzySubset(carrier_of(op.base), grades)
+
+
+def sort_position_lift(op, sigma):
+    """sigma over the base up to the operator semiring: f -> the least grade
+    over the image of f."""
+    from gsl.fuzzy import FuzzySubset, carrier_of
+
+    order, position = _sort_positions(sigma.grades)
+    grades = tuple(
+        sigma.grades[order[min(map(position.__getitem__, f.values))]] for f in op.elements
+    )
+    return FuzzySubset(carrier_of(op), grades)
+
+
+# ---------------------------------------------------------------------------
+# crisp-correspondence oracles: frozenset versions, re-closing each image
+# under addition on every call
+
+
+def _additive_closure(addS, seed: set[int]) -> set[int]:
+    closed = set(seed)
+    queue = list(seed)
+    while queue:
+        a = queue.pop()
+        for b in list(closed):
+            v = addS[a][b]
+            if v not in closed:
+                closed.add(v)
+                queue.append(v)
+    return closed
+
+
+def set_pair_fixed_set(op, subset):
+    """For P inside the operator semiring: the a in S whose every pair class
+    lies in P (`plus_set` on the left, `star_set` on the right)."""
+    from gsl.fuzzy import CrispSubset, carrier_of
+
+    s, gg = len(op.base.S), len(op.base.G)
+    members = frozenset(
+        a for a in range(s) if all(op.pair_index[a][c] in subset.members for c in range(gg))
+    )
+    return CrispSubset(carrier_of(op.base), members)
+
+
+def set_image_contained_set(op, subset):
+    """For Q inside S: the elements whose image, closed under addition, lies
+    in Q (`plusprime_set` on the left, `starprime_set` on the right).
+    Raises RuntimeError where Q is additively closed and the closed and the
+    plain image disagree."""
+    from gsl.fuzzy import CrispSubset, carrier_of
+
+    addS = op.base.addS
+    q = subset.members
+    q_closed = all(addS[x][y] in q for x in q for y in q)
+    members = set()
+    for i, f in enumerate(op.elements):
+        image = set(f.values)
+        inside = _additive_closure(addS, image) <= q
+        if q_closed and inside != (image <= q):
+            raise RuntimeError(f"element {i}: image readings disagree on a closed target")
+        if inside:
+            members.add(i)
+    return CrispSubset(carrier_of(op), frozenset(members))

@@ -17,7 +17,13 @@ from gsl.operators import (
     starprime_set,
 )
 from gsl.matrix import build_matrix_gamma
-from oracles import naive_operator_actions, naive_operator_provenance
+from gsl.fuzzy import enumerate_crisp_ideals
+from oracles import (
+    naive_operator_actions,
+    naive_operator_provenance,
+    set_image_contained_set,
+    set_pair_fixed_set,
+)
 
 
 class TestActionOfPair:
@@ -226,6 +232,33 @@ class TestCorrespondences:
         zero_only = CrispSubset.of_ids(z4, ["0"])
         assert starprime_set(right, zero_only).sorted_ids() == ("f0",)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_masks_match_the_frozenset_oracle(self, enum_instances, side):
+        """The correspondences, as mask tests, give what the frozenset
+        versions give, errors included: on every crisp ideal of every kind
+        of S and of the operator semiring, and on targets that are not
+        additively closed."""
+        from_b3 = core.gamma_from_semiring(core.boolean_power_semiring(3))
+        pair_fixed, image_contained = (plus_set, plusprime_set) if side == "left" else (star_set, starprime_set)
+        not_closed = 0
+        for g in (*enum_instances, from_b3):
+            op = build_operator_semiring(g, side)
+            for structure, ours, oracle in (
+                (g, image_contained, set_image_contained_set),
+                (op.semiring, pair_fixed, set_pair_fixed_set),
+            ):
+                carrier = carrier_of(structure)
+                n, add = carrier.size, carrier.add
+                targets = {ideal.members for kind in ("left", "right", "two")
+                           for ideal in enumerate_crisp_ideals(structure, kind)}
+                targets |= {frozenset({x, y}) for x in range(n) for y in range(n)}
+                targets.add(frozenset())
+                for members in sorted(targets, key=sorted):
+                    not_closed += any(add[x][y] not in members for x in members for y in members)
+                    target = CrispSubset(carrier, members)
+                    assert _outcome(ours, op, target) == _outcome(oracle, op, target), (g.name, members)
+        assert not_closed
+
     def test_side_mismatch_rejected(self, gb):
         left = build_operator_semiring(gb, "left")
         right = build_operator_semiring(gb, "right")
@@ -246,3 +279,11 @@ def _subsets(n):
 
     for bits in itertools.product((0, 1), repeat=n):
         yield [i for i, b in enumerate(bits) if b]
+
+
+def _outcome(correspondence, op, target):
+    """What the correspondence gives, or the text of the RuntimeError it raises."""
+    try:
+        return correspondence(op, target)
+    except RuntimeError as disagreement:
+        return str(disagreement)

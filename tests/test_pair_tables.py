@@ -1,19 +1,29 @@
 """prop3.4's pair clauses and th3.8's pair and lattice-closure checks against
-the reference scan in `oracles.py`.
+the two references in `oracles.py`.
 
-The suites read every pair's failures off family tables; the oracle scans
-the pairs one at a time in row-major order with the `Fraction` lattice
-operations.  Both see the same transfer maps, here broken by permuting or
-merging their images within the family of fuzzy ideals, so the maps keep
-landing on ideals and the pair checks are the ones that see the damage.
+The suites decide a pair check on crisp cuts when the family and the map
+allow it (`verify._Pairs.crisp`), and otherwise, or for the witness, scan
+the pairs in row blocks.  One oracle scans the pairs one at a time in
+row-major order with the `Fraction` lattice operations; the other reads
+every pair off N x N family tables at once.  All see the same transfer
+maps, here broken by permuting or merging their images within the family
+of fuzzy ideals, so the maps keep landing on ideals and the pair checks are
+the ones that see the damage.  Such maps do not act cut by cut, so the
+suites fall back to the scan; a map that does act cut by cut and still
+breaks a clause fails on the crisp cuts.
 """
 
 import pytest
 
-from oracles import naive_pair_clause_rows, naive_theorem_3_8_pairs
+from oracles import (
+    naive_pair_clause_rows,
+    naive_theorem_3_8_pairs,
+    table_pair_clause_rows,
+    table_theorem_3_8_pairs,
+)
 from gsl import core, verify
 from gsl.config import RunConfig
-from gsl.fuzzy import GradeChain, fuzzy_sum
+from gsl.fuzzy import CrispSubset, GradeChain, LevelCuts, characteristic, fuzzy_sum
 from gsl.report import FAIL, PASS
 
 CHAIN = GradeChain.parse("0,1/2,1")
@@ -62,34 +72,169 @@ def _perturb(monkeypatch, ideals, lift_moves, restrict_moves):
         )
 
 
+def _record_paths(monkeypatch) -> list:
+    """Record, in order, each pair check the suites run: "crisp" when the
+    crisp cuts decided it, "scan" when the row-block scan did."""
+    paths, inside = [], []
+    real_pair, real_scan = verify._failing_pair, verify._scan
+
+    def failing_pair(p, check):
+        paths.append("crisp")
+        inside.append(p)
+        try:
+            return real_pair(p, check)
+        finally:
+            inside.pop()
+
+    def scan(p, check):
+        if inside:  # the check _failing_pair is deciding
+            paths[-1] = "scan"
+        else:
+            paths.append("scan")
+        return real_scan(p, check)
+
+    monkeypatch.setattr(verify, "_failing_pair", failing_pair)
+    monkeypatch.setattr(verify, "_scan", scan)
+    return paths
+
+
+def _pair_rows(rows):
+    return [row for row in rows if row[0].rstrip("*") in PAIR_CLAUSES]
+
+
 @pytest.mark.parametrize("perturbation", PERTURBATIONS)
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instance, perturbation):
-    """Both sides' pair rows equal the oracle's, and so does the body built
-    with the oracle's pair rows in place of the suite's."""
+    """Both sides' pair rows equal both oracles', and the body built with
+    the oracle's pair rows in place of the suite's is the suite's.  The
+    unbroken maps are decided on crisp cuts; a broken map is not cut-wise,
+    so each clause it enters falls back to the scan."""
     ws = _workspace(instance)
     _perturb(monkeypatch, ws.fuzzy_ideals("S"), *PERTURBATIONS[perturbation])
     real_rows = verify._clause_rows
     compared = []
+    paths = _record_paths(monkeypatch)
 
     def oracle_rows(ws, side, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok, tag):
         rows = real_rows(ws, side, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok, tag)
         oracle = naive_pair_clause_rows(
             ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side), lift, restrict, tag
         )
-        compared.append(([row for row in rows if row[0].rstrip("*") in PAIR_CLAUSES], oracle))
+        compared.append((_pair_rows(rows), oracle, table_pair_clause_rows(ws, side, lift, restrict, tag)))
         pairs = iter(oracle)
         return [next(pairs) if row[0].rstrip("*") in PAIR_CLAUSES else row for row in rows]
 
     actual = verify.verify_prop_3_4(ws).body()
+    suite_paths = list(paths)
     monkeypatch.setattr(verify, "_clause_rows", oracle_rows)
     expected = verify.verify_prop_3_4(ws).body()
     assert actual == expected
     assert len(compared) == 2  # the L side and the R side
-    for rows, oracle in compared:
-        assert rows == oracle
+    for rows, oracle, table in compared:
+        assert rows == oracle == table
+    lift_moves, restrict_moves = PERTURBATIONS[perturbation]
+    # per side: iv, v and vi on the lift, ix on the restriction
+    assert suite_paths == 2 * [
+        *3 * ["scan" if lift_moves else "crisp"], "scan" if restrict_moves else "crisp"
+    ]
     if perturbation != "none":
-        assert any(status == FAIL for rows, _ in compared for _, status, _, _ in rows)
+        assert any(status == FAIL for rows, _, _ in compared for _, status, _, _ in rows)
+
+
+@pytest.mark.parametrize("cells", [1, 100])
+@pytest.mark.parametrize("perturbation", PERTURBATIONS)
+def test_scan_blocks_keep_the_row_major_witness(monkeypatch, perturbation, cells):
+    """With blocks of one row (1 cell) or a few rows (100 cells), the scan
+    gives from_B3's pair rows as the table oracle does, and th3.8's
+    counterexample too where the lift stays a bijection."""
+    monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
+    ws = _workspace("from_B3")
+    lift_moves, restrict_moves = PERTURBATIONS[perturbation]
+    _perturb(monkeypatch, ws.fuzzy_ideals("S"), lift_moves, restrict_moves)
+    left = ws.left
+    lift, restrict = (lambda s: verify.lift_plusprime(left, s)), (lambda m: verify.restrict_plus(left, m))
+    rows = _pair_rows(verify._clause_rows(ws, "L", lift, restrict, True, True, ""))
+    assert rows == table_pair_clause_rows(ws, "L", lift, restrict, "")
+    if sorted(lift_moves) == sorted(lift_moves.values()):
+        expected = table_theorem_3_8_pairs(ws, "two", lift)
+        assert verify.verify_theorem_3_8(ws, "two").body() == _th38_body(ws, "two", expected)
+
+
+def _cut_wise(ws, side, crisp_map):
+    """A lift from S to `side` that acts cut by cut: each cut I of the
+    operand goes to crisp_map(I), a mask of the side."""
+    on_s, on_op = LevelCuts(ws.structure, CHAIN), LevelCuts(ws.structure_on(side), CHAIN)
+    return lambda sigma: on_op.subset(tuple(map(crisp_map, on_s.of(sigma))))
+
+
+def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
+    """On from_B3 the lift that sends the full ideal where the true lift does
+    and every other crisp ideal where the bottom goes keeps inclusions and
+    meets but not sums (two proper ideals can sum to the full one).  It is
+    cut-wise, so iv fails on the crisp cuts, and the witness scan gives the
+    oracles' witness."""
+    ws = _workspace("from_B3")
+    left, side = ws.left, "L"
+    on_s, on_op = LevelCuts(ws.structure, CHAIN), LevelCuts(ws.structure_on(side), CHAIN)
+    full = (1 << len(ws.structure.S)) - 1
+
+    def true_image(mask):
+        ideal = CrispSubset.of_indices(ws.structure, [x for x in range(mask.bit_length()) if mask >> x & 1])
+        return on_op.of(verify.lift_plusprime(left, characteristic(ideal)))[0]
+
+    bottom = min(on_s.of(mu)[0] for mu in ws.fuzzy_ideals("S"))
+    lift = _cut_wise(ws, side, lambda mask: true_image(full if mask == full else bottom))
+    restrict = lambda mu: verify.restrict_plus(left, mu)
+
+    checks = []
+    real = verify._failing_pair
+
+    def recording(p, check):
+        checks.append(p.crisp is not None)
+        return real(p, check)
+
+    monkeypatch.setattr(verify, "_failing_pair", recording)
+    rows = _pair_rows(verify._clause_rows(ws, side, lift, restrict, True, True, ""))
+    assert checks == [True] * 4  # every pair clause had the crisp map
+    assert [status for _, status, _, _ in rows] == [FAIL, PASS, PASS, PASS]
+    oracle = naive_pair_clause_rows(ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side), lift, restrict, "")
+    assert rows == oracle == table_pair_clause_rows(ws, side, lift, restrict, "")
+
+
+def test_basis_needs_masks_closed_under_sum():
+    """Over ({0,1}^3, or, and) on the chain {0, 1}: the ideals {0}, {0,1} and
+    {0,2} are every one-cut multichain of themselves, but {0,1} + {0,2} is
+    {0,1,2,3}, which they lack; adding it makes a basis."""
+    from_b3 = INSTANCES["from_B3"]()
+    cuts = LevelCuts(from_b3, GradeChain.parse("0,1"))
+    bottom, one, two, three = 0b1, 0b11, 0b101, 0b1111
+    assert cuts.basis(cuts.family([(bottom,), (one,), (two,)])) is None
+    family = cuts.family([(bottom,), (one,), (two,), (three,)])
+    assert sorted(cuts.cuts(cuts.basis(family).tolist())) == [bottom, one, two, three]
+    # two cuts: every multichain of the masks, one missing, one not descending
+    cuts = LevelCuts(from_b3, CHAIN)
+    assert cuts.basis(cuts.family([(bottom, bottom), (one, bottom), (one, one)])) is not None
+    assert cuts.basis(cuts.family([(bottom, bottom), (one, bottom)])) is None
+    assert cuts.basis(cuts.family([(bottom, bottom), (bottom, one), (one, one)])) is None
+
+
+def test_family_not_closed_under_sum_falls_back(monkeypatch):
+    """prop3.4's pair rows over the part of from_B3's family whose cuts are
+    {0}, {0,1} or {0,2}: the sum of two members is no member, so no pair
+    clause is decided on crisp cuts, and the rows are the oracles'."""
+    ws = _workspace("from_B3")
+    on_s = LevelCuts(ws.structure, CHAIN)
+    part = tuple(mu for mu in ws.fuzzy_ideals("S") if set(on_s.of(mu)) <= {0b1, 0b11, 0b101})
+    assert len(part) == 5
+    real_ideals = ws.fuzzy_ideals
+    monkeypatch.setattr(ws, "fuzzy_ideals", lambda side, kind="two": part if side == "S" else real_ideals(side, kind))
+    paths = _record_paths(monkeypatch)
+    left = ws.left
+    lift, restrict = (lambda s: verify.lift_plusprime(left, s)), (lambda m: verify.restrict_plus(left, m))
+    rows = _pair_rows(verify._clause_rows(ws, "L", lift, restrict, True, True, ""))
+    assert paths == ["scan"] * 3 + ["crisp"]  # the family of L is whole
+    assert rows == naive_pair_clause_rows(part, ws.fuzzy_ideals("L"), lift, restrict, "")
+    assert rows == table_pair_clause_rows(ws, "L", lift, restrict, "")
 
 
 def _th38_body(ws, kind, counterexample):
@@ -119,9 +264,13 @@ def test_th38_body_matches_the_reference_scan(monkeypatch, instance, perturbatio
     ideals = ws.fuzzy_ideals("S", kind)
     _perturb(monkeypatch, ideals, TH38_LIFTS[perturbation], {})
     left = ws.left
-    expected = naive_theorem_3_8_pairs(ideals, lambda s: verify.lift_plusprime(left, s))
+    lift = lambda s: verify.lift_plusprime(left, s)
+    expected = naive_theorem_3_8_pairs(ideals, lift)
     assert (expected is None) == (perturbation == "none")
+    assert expected == table_theorem_3_8_pairs(ws, kind, lift)
+    paths = _record_paths(monkeypatch)
     assert verify.verify_theorem_3_8(ws, kind).body() == _th38_body(ws, kind, expected)
+    assert paths == ["crisp" if perturbation == "none" else "scan"]
 
 
 @pytest.mark.parametrize("kind", ["two", "right"])
@@ -148,6 +297,7 @@ def test_th38_reports_the_first_pair_not_the_first_check(monkeypatch, instance, 
     assert sum_pairs and inclusion_pairs and sum_pairs[0] < inclusion_pairs[0]
     first = sum_pairs[0]
     expected = naive_theorem_3_8_pairs(ideals, lift)
+    assert expected == table_theorem_3_8_pairs(ws, kind, lift)
     assert expected == {
         "check": "sum-homomorphism",
         "sigma1": ideals[first[0]].to_mapping(),
@@ -196,3 +346,28 @@ def test_transfer_call_totals_of_the_pairs_workload(monkeypatch):
     names = [name for name, _ in calls]
     assert sum(name.startswith("lift") for name in names) == 183
     assert sum(name.startswith("restrict") for name in names) == 111
+
+
+@pytest.mark.parametrize("keep,expected", [
+    # cuts among {0}, {0,1} and {0,2}: their sum {0,1,2,3} is missing
+    (lambda cuts: set(cuts) <= {0b1, 0b11, 0b101}, {"check": "lattice-closure"}),
+    # bottom and top only: closed, though not every multichain of the two
+    (lambda cuts: cuts in {(0b1, 0b1), (0xFF, 0xFF)}, None),
+], ids=["not-closed", "closed"])
+def test_th38_closure_without_a_basis_is_scanned(monkeypatch, keep, expected):
+    """th3.8 over a part of from_B3's ideals and their lifts as the ideals of
+    L: the part has no basis, so its closure under sum and intersection is
+    decided by the scan, as the table oracle decides it."""
+    ws = _workspace("from_B3")
+    on_s = LevelCuts(ws.structure, CHAIN)
+    left = ws.left
+    lift = lambda s: verify.lift_plusprime(left, s)
+    part = tuple(mu for mu in ws.fuzzy_ideals("S") if keep(on_s.of(mu)))
+    families = {"S": part, "L": tuple(sorted(map(lift, part), key=lambda mu: mu.grades))}
+    monkeypatch.setattr(ws, "fuzzy_ideals", lambda side, kind="two": families[side])
+    assert on_s.basis(on_s.family([on_s.of(mu) for mu in part])) is None
+    assert table_theorem_3_8_pairs(ws, "two", lift) == expected
+    paths = _record_paths(monkeypatch)
+    body = verify.verify_theorem_3_8(ws, "two").body()
+    assert body["counterexample"] == expected
+    assert paths == ["scan", "scan"]  # the pair checks, then the closure

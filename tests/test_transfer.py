@@ -1,13 +1,19 @@
-"""Transfer maps: frozen examples, duals, and the intersection identity."""
+"""Transfer maps: frozen examples, duals, the intersection identity, and the
+rank mins against the sort-position oracle."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import build_upper_triangular
+from gsl import core
 from gsl.fuzzy import CrispSubset, FuzzySubset, GradeChain, carrier_of, characteristic, fuzzy_intersection
 from gsl.operators import build_operator_semiring
 from gsl.transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
+from oracles import sort_position_lift, sort_position_restrict
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -91,3 +97,59 @@ class TestIntersectionIdentity:
                     lhs = fuzzy_intersection([restrict_plus(op, m) for m in mus])
                     rhs = restrict_plus(op, fuzzy_intersection(mus))
                     assert lhs.grades == rhs.grades
+
+
+# the rank mins against the sort-position mins they replaced
+_OPERATORS = {
+    (name, side): build_operator_semiring(g, side)
+    for name, g in (
+        ("from_B3", core.gamma_from_semiring(core.boolean_power_semiring(3))),
+        ("upper_triangular", build_upper_triangular()),
+    )
+    for side in ("left", "right")
+}
+# on no common chain, and equal grades drawn as distinct Fraction objects
+_GRADES = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.builds(Fraction, st.integers(0, 4), st.just(4)),
+    st.sampled_from(CHAIN.grades),
+)
+
+
+@st.composite
+def _operands(draw):
+    """An operator semiring, a direction and a fuzzy subset to map."""
+    op = _OPERATORS[draw(st.sampled_from(sorted(_OPERATORS)))]
+    up = draw(st.booleans())
+    carrier = carrier_of(op.base) if up else carrier_of(op)
+    grades = draw(st.lists(_GRADES, min_size=carrier.size, max_size=carrier.size))
+    return op, up, FuzzySubset(carrier, tuple(grades))
+
+
+_MAPS = {
+    ("left", True): (lift_plusprime, sort_position_lift),
+    ("right", True): (lift_starprime, sort_position_lift),
+    ("left", False): (restrict_plus, sort_position_restrict),
+    ("right", False): (restrict_star, sort_position_restrict),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands())
+def test_rank_mins_match_sort_position_mins(case):
+    op, up, subset = case
+    ours, oracle = _MAPS[op.side, up]
+    image = ours(op, subset)
+    assert image == oracle(op, subset)
+    # every grade of the image is one of the operand's own grade objects
+    own = {id(g) for g in subset.grades}
+    assert all(id(g) in own for g in image.grades)
+
+
+def test_equal_grades_in_distinct_objects_share_a_rank():
+    op = _OPERATORS["from_B3", "left"]
+    halves = [Fraction(1, 2), Fraction(2, 4), Fraction(3, 6)]
+    assert len({id(h) for h in halves}) == 3
+    grades = [Fraction(1)] + [halves[x % 3] if x % 2 else Fraction(1, 3) for x in range(1, 8)]
+    sigma = FuzzySubset.of_grades(op.base, grades)
+    assert lift_plusprime(op, sigma) == sort_position_lift(op, sigma)

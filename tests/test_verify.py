@@ -12,6 +12,7 @@ from gsl.config import RunConfig
 from gsl.fuzzy import FuzzySubset, GradeChain, LevelCuts
 from gsl.matrix import MatrixCapExceeded
 from gsl.report import FAIL, PASS, UNMET, VerificationReport, first_failing_pair, first_failure
+from oracles import table_pair_clause_rows
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -264,6 +265,34 @@ class TestRunAll:
         digest = hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest()
         assert digest == "057d5cc40456011dd468dc2c0e685f18cd6d64cb868c7efae4f0178f354dfc71"
 
+    def test_from_b5_on_five_grades_statuses_counts_and_digest(self):
+        """3125 fuzzy ideals on each side, 78 million clause checks: past
+        the reach of any N x N table, so prop3.4 and th3.8 pass on crisp
+        cuts.  The digest was recorded with the N x N tables, which took
+        86 s and 2.4 GB for this run on a 2-vCPU machine."""
+        g = core.gamma_from_semiring(core.boolean_power_semiring(5))
+        config = RunConfig(chain=GradeChain.parse("0,1/4,1/2,3/4,1"), enum_cap=10**40)
+        bodies = [r.body() for r in verify.run_all(g, config)]
+        ideals = {"fuzzy_ideals_L": 3125, "fuzzy_ideals_S": 3125}
+        crisp = {f"ideals_{side}[{kind}]": 32 for side in "LS" for kind in ("left", "right", "two")}
+        matrix_cap = {"matrix_carrier": 1048576}
+        assert [(b["suite"], b["status"], b["counts"]) for b in bodies] == [
+            ("prop3.4", PASS, {"checks": 78168750, **ideals, "fuzzy_ideals_R": 3125}),
+            ("th3.8[two]", PASS, {**ideals, "pairs_checked": 9765625}),
+            ("th3.8[right]", PASS, {**ideals, "pairs_checked": 9765625}),
+            ("lemmas", PASS, {**crisp, "identities_checked": 192}),
+            ("th3.15[two]", PASS, {"ideals_L": 32, "ideals_S": 32, "pairs_checked": 1024}),
+            ("th3.15[right]", PASS, {"ideals_L": 32, "ideals_S": 32, "pairs_checked": 1024}),
+            ("th3.17", PASS, {"fuzzy_ideals": 3125, "nonconstant_ideals": 3124}),
+            ("th3.18", UNMET, {}),
+            ("transfer-semifield", UNMET, {}),
+            ("matrix-iso[left]", UNMET, matrix_cap),
+            ("matrix-iso[right]", UNMET, matrix_cap),
+            ("th3.19", UNMET, matrix_cap),
+        ]
+        digest = hashlib.sha256(json.dumps(bodies, sort_keys=True).encode()).hexdigest()
+        assert digest == "f22da1e514d91d8f0a5fc4d9a10c38caba8db2a5cff032811898029777d5f520"
+
     def test_semiring_input(self, bool_sr):
         reports = verify.run_all(bool_sr, RunConfig(chain=CHAIN))
         assert [r.suite for r in reports] == ["th3.17"]
@@ -394,15 +423,8 @@ class TestClauseEngineFailPaths:
         w = ws(gb)
         left = w.left
         collapse = lambda sigma: FuzzySubset.constant(left, 1)
-        rows = verify._clause_rows(
-            w,
-            "L",
-            lift=collapse,
-            restrict=lambda m: restrict_plus(left, m),
-            lift_roundtrip_ok=True,
-            restrict_roundtrip_ok=True,
-            tag="",
-        )
+        restrict = lambda m: restrict_plus(left, m)
+        rows = _rows_matching_the_table_oracle(w, collapse, restrict, True, True)
         bottom, middle, top = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/2"}, {"0": "1/1", "1": "1/1"}
         bottom_l = {"f0": "1/1", "f1": "0/1"}
         assert rows == [
@@ -435,14 +457,12 @@ class TestClauseEngineFailPaths:
         first, last = ideals_s[0], ideals_s[-1]
         swap = {first.grades: last, last.grades: first}
         swapped = lambda mu: swap.get(mu.grades, mu)
-        rows = verify._clause_rows(
+        rows = _rows_matching_the_table_oracle(
             w,
-            "L",
-            lift=lambda s: lift_plusprime(left, swapped(s)),
-            restrict=lambda m: swapped(restrict_plus(left, m)),
-            lift_roundtrip_ok=True,
-            restrict_roundtrip_ok=True,
-            tag="",
+            lambda s: lift_plusprime(left, swapped(s)),
+            lambda m: swapped(restrict_plus(left, m)),
+            True,
+            True,
         )
         bottom, middle = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/2"}
         bottom_l, middle_l = {"f0": "1/1", "f1": "0/1"}, {"f0": "1/1", "f1": "1/2"}
@@ -468,14 +488,12 @@ class TestClauseEngineFailPaths:
 
         w = ws(gb)
         left = w.left
-        rows = verify._clause_rows(
+        rows = _rows_matching_the_table_oracle(
             w,
-            "L",
-            lift=lambda s: _reversed(lift_plusprime(left, s)),
-            restrict=lambda m: _reversed(restrict_plus(left, m)),
-            lift_roundtrip_ok=True,
-            restrict_roundtrip_ok=False,
-            tag="",
+            lambda s: _reversed(lift_plusprime(left, s)),
+            lambda m: _reversed(restrict_plus(left, m)),
+            True,
+            False,
         )
         bottom, middle = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/2"}
         bottom_l = {"f0": "1/1", "f1": "0/1"}
@@ -492,6 +510,18 @@ class TestClauseEngineFailPaths:
             ("viii", UNMET, None, 0),
             ("ix", PASS, None, 9),
         ]
+
+
+def _rows_matching_the_table_oracle(w, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok):
+    """`verify._clause_rows` on the L side, after checking its pair rows
+    against the all-at-once table oracle."""
+    rows = verify._clause_rows(
+        w, "L", lift=lift, restrict=restrict,
+        lift_roundtrip_ok=lift_roundtrip_ok, restrict_roundtrip_ok=restrict_roundtrip_ok, tag="",
+    )
+    pair_rows = [row for row in rows if row[0] in ("iv", "v", "vi", "ix")]
+    assert pair_rows == table_pair_clause_rows(w, "L", lift, restrict, "")
+    return rows
 
 
 def _reversed(mu):
@@ -564,6 +594,28 @@ class TestFailPathBodies:
             "status": FAIL,
             "counterexample": {"check": "characteristic-restrict", "kind": "two", "ideal": ["f0", "f2"]},
             "counts": {"ideals_L[two]": 3, "ideals_S[two]": 3, "identities_checked": 4},
+            "notes": [],
+        }
+
+    def test_lemmas_empty_image_is_not_an_ideal(self, monkeypatch, z4):
+        """An empty image of {0}, with a lift that agrees with it, fails as
+        no ideal: an ideal contains 0, also when tested on masks."""
+        from gsl.fuzzy import CrispSubset
+
+        self._break_on(monkeypatch, verify, "plusprime_set", ("0",), lambda op: CrispSubset.of_indices(op, []))
+        real = verify.lift_plusprime
+        bottom = {"0": "1/1", "1": "0/1", "2": "0/1", "3": "0/1"}
+        monkeypatch.setattr(
+            verify, "lift_plusprime",
+            lambda op, s: FuzzySubset.constant(op, 0) if s.to_mapping() == bottom else real(op, s),
+        )
+        assert verify.verify_lemmas_3_11_3_12(ws(z4)).body() == {
+            "suite": "lemmas",
+            "instance": "z4",
+            "chain": None,
+            "status": FAIL,
+            "counterexample": {"check": "image-is-ideal", "kind": "two", "ideal": ["0"], "image": []},
+            "counts": {"ideals_L[two]": 3, "ideals_S[two]": 3, "identities_checked": 0},
             "notes": [],
         }
 

@@ -499,36 +499,41 @@ def mul_commutative(r: Semiring) -> bool:
     return all(row[j] == r.mul[j][i] for i, row in enumerate(r.mul) for j in range(len(row)))
 
 
-def _principal_ideal(r: Semiring, x: int) -> frozenset[int]:
-    """Smallest two-sided crisp ideal containing x (worklist saturation)."""
-    n = len(r.carrier)
-    members = {0, x}
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(members)
-        for a in snapshot:
-            for b in snapshot:
-                v = r.add[a][b]
-                if v not in members:
-                    members.add(v)
-                    changed = True
-            for t in range(n):
-                for v in (r.mul[t][a], r.mul[a][t]):
-                    if v not in members:
-                        members.add(v)
-                        changed = True
-    return frozenset(members)
+def close(add, image, ideal: int, x: int) -> int:
+    """The smallest ideal, as a bitmask, containing the ideal `ideal` (a
+    bitmask closed under addition and the images) and element x: closed
+    under the addition table `add`, and containing image[e], a bitmask, with
+    every member e.  All-zero images give the additive closure."""
+    n = len(add)
+    todo = [x]
+    while todo:
+        e = todo.pop()
+        if ideal >> e & 1:
+            continue
+        ideal |= 1 << e
+        new = image[e]
+        for y in range(n):
+            if ideal >> y & 1:
+                new |= 1 << add[e][y] | 1 << add[y][e]
+        new &= ~ideal
+        todo.extend(y for y in range(n) if new >> y & 1)
+    return ideal
 
 
 def semifield_witness(r: Semiring) -> Optional[tuple[int, ...]]:
     """A nonzero proper crisp ideal (sorted indices), or None if none exists.
     Returns the principal ideal of the smallest generator that yields one."""
     n = len(r.carrier)
+    # images[a]: every product t*a and a*t, which a two-sided ideal containing a contains
+    images = [
+        sum(1 << v for v in {p for t in range(n) for p in (r.mul[t][a], r.mul[a][t])})
+        for a in range(n)
+    ]
+    bottom = close(r.add, images, 0, 0)
     for x in range(1, n):
-        ideal = _principal_ideal(r, x)
-        if len(ideal) < n:
-            return tuple(sorted(ideal))
+        ideal = close(r.add, images, bottom, x)
+        if ideal != (1 << n) - 1:
+            return tuple(i for i in range(n) if ideal >> i & 1)
     return None
 
 

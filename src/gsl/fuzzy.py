@@ -224,17 +224,17 @@ class FuzzySubset:
     @classmethod
     def constant(cls, carrier, value) -> "FuzzySubset":
         c = carrier_of(carrier)
-        return cls(c, (as_grade(value),) * c.size)
+        return cls(c, (value,) * c.size)
 
     @classmethod
     def of_grades(cls, carrier, grades: Sequence) -> "FuzzySubset":
-        return cls(carrier_of(carrier), tuple(as_grade(g) for g in grades))
+        return cls(carrier_of(carrier), tuple(grades))
 
     @classmethod
     def from_mapping(cls, carrier, mapping: dict, default=0) -> "FuzzySubset":
-        c = carrier_of(carrier)
-        by_index = {c.ids.index(k): as_grade(v) for k, v in mapping.items()}
-        return cls(c, tuple(by_index.get(i, as_grade(default)) for i in range(c.size)))
+        c, default = carrier_of(carrier), as_grade(default)
+        by_index = {c.ids.index(k): v for k, v in mapping.items()}
+        return cls(c, tuple(by_index.get(i, default) for i in range(c.size)))
 
     def __le__(self, other: "FuzzySubset") -> bool:
         _require_same_carrier(self, other)
@@ -340,14 +340,15 @@ class LevelCuts:
     cuts instead: `basis` checks the two facts that make that exact (the
     family is every descending multichain of its masks, and the masks are
     closed under sum and meet) and then gives the ids of those masks.  A
-    crisp family is the one-cut case: its masks are what
-    `verify_lemmas_3_11_3_12` tests with `_is_crisp_ideal`.
+    crisp family is the one-cut case: `verify_lemmas_3_11_3_12` tests its
+    masks with `is_ideal((mask,), kind)`.
     """
 
     def __init__(self, structure, chain: GradeChain):
         self.structure = structure
         self.carrier = carrier_of(structure)
         self.chain = chain
+        self.full = (1 << self.carrier.size) - 1  # the mask of every element
         # keyed by (numerator, denominator): hashing two ints is cheaper than hashing a Fraction
         self._rank = {(g.numerator, g.denominator): r for r, g in enumerate(chain.grades)}
         self._masks: list[int] = []
@@ -377,11 +378,18 @@ class LevelCuts:
     def subset(self, cuts: Cuts) -> FuzzySubset:
         """The fuzzy subset with these (descending) cuts: x gets the grade
         c_r, r the number of cuts containing x."""
-        grades = self.chain.grades
-        return FuzzySubset(
-            self.carrier,
-            tuple(grades[sum(c >> x & 1 for c in cuts)] for x in range(self.carrier.size)),
-        )
+        ranks = [0] * self.carrier.size
+        for cut in cuts:
+            while cut:  # one step per member: take the lowest bit off
+                low = cut & -cut
+                ranks[low.bit_length() - 1] += 1
+                cut ^= low
+        return FuzzySubset(self.carrier, tuple(map(self.chain.grades.__getitem__, ranks)))
+
+    def is_constant(self, cuts: Cuts) -> bool:
+        """Whether the subset with these cuts is constant: every cut is
+        empty or full."""
+        return all(c in (0, self.full) for c in cuts)
 
     # -- family tables
 
@@ -648,36 +656,18 @@ def _absorption_images(structure, kind: str):
     return add, [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _close(add, image, ideal: int, x: int) -> int:
-    """Smallest ideal (as a bitmask) containing the ideal `ideal` and x."""
-    n = len(add)
-    todo = [x]
-    while todo:
-        e = todo.pop()
-        if ideal >> e & 1:
-            continue
-        ideal |= 1 << e
-        new = image[e]
-        for y in range(n):
-            if ideal >> y & 1:
-                new |= 1 << add[e][y] | 1 << add[y][e]
-        new &= ~ideal
-        todo.extend(y for y in range(n) if new >> y & 1)
-    return ideal
-
-
 def _crisp_ideal_masks(structure, kind: str) -> list[int]:
     """Every crisp ideal as a bitmask, sorted by the indicator tuple of
     positions 1..n-1.  Ideals are closed under intersection, so each one is
     reached from the bottom ideal close({0}) by adding elements one at a time."""
     add, image = _absorption_images(structure, kind)
     n = len(add)
-    ideals = [_close(add, image, 0, 0)]
+    ideals = [core.close(add, image, 0, 0)]
     seen = set(ideals)
     for ideal in ideals:  # grows while it is walked
         for x in range(n):
             if not ideal >> x & 1:
-                bigger = _close(add, image, ideal, x)
+                bigger = core.close(add, image, ideal, x)
                 if bigger not in seen:
                     seen.add(bigger)
                     ideals.append(bigger)

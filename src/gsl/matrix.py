@@ -42,6 +42,7 @@ from .operators import OperatorSemiring, build_operator_semiring
 from .report import (
     VerificationReport, chain_scope_note, first_cell, first_failing_pair, first_failure
 )
+from .transfer import _row_mins
 
 if TYPE_CHECKING:  # the suites below take the run's Workspace, which builds on this module
     from .verify import Workspace
@@ -196,10 +197,7 @@ def lift_fuzzy_to_matrix(mg: MatrixGammaSemiring, mu: FuzzySubset) -> FuzzySubse
     """mu_n(A) = min over the n^2 entries of mu(entry)."""
     if mu.carrier != carrier_of(mg.base):
         raise ValueError("subset does not live on the base carrier")
-    grades = tuple(
-        min(mu.grades[e] for e in mg.decode_s(k)) for k in range(len(mg.gamma.S))
-    )
-    return FuzzySubset(carrier_of(mg.gamma), grades)
+    return FuzzySubset(carrier_of(mg.gamma), _row_mins(mu.grades, np.asarray(mg.s_entries)))
 
 
 # ---------------------------------------------------------------------------

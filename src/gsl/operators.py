@@ -41,7 +41,7 @@ RuntimeError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -148,7 +148,11 @@ class OperatorSemiring:
 
     @cached_property
     def closure_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(_additive_closure(self.base.addS, set(e.values))) for e in self.elements)
+        add, zero = self.base.addS, [0] * len(self.base.S)
+        return tuple(
+            reduce(lambda closed, x: core.close(add, zero, closed, x), set(e.values), 0)
+            for e in self.elements
+        )
 
     @cached_property
     def pair_masks(self) -> tuple[int, ...]:
@@ -314,19 +318,6 @@ def star_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
     if op.side != "right":
         raise ValueError("star_set needs a right operator semiring")
     return _pair_fixed_set(op, subset)
-
-
-def _additive_closure(addS, seed: set[int]) -> set[int]:
-    closed = set(seed)
-    queue = list(seed)
-    while queue:
-        a = queue.pop()
-        for b in list(closed):
-            v = addS[a][b]
-            if v not in closed:
-                closed.add(v)
-                queue.append(v)
-    return closed
 
 
 def _image_contained_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:

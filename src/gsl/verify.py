@@ -13,8 +13,11 @@ grade-chain scale, which is sound for these statements because min/max over
 finite index sets never leaves the chain; each report says so in its notes.
 The pair checks of prop3.4 and th3.8 compute on the workspace's level cuts
 of those ideals over the config's chain (`LevelCuts`), and report the
-`Fraction` grades of the ideals and images they were given.  Each transfer
-map is called once on each of the N ideals.  A pair check is then decided
+`Fraction` grades of the ideals, and of images as their cuts give them.
+The transfer maps work on cut tuples through `Workspace.transfer`, the
+run's one memo of each map, shared by prop3.4, th3.8 and the lemmas: each
+map is called once per distinct operand per run, so once on each of the N
+ideals, and th3.8[two] after prop3.4 not at all.  A pair check is then decided
 on crisp cuts when two conditions hold, both checked, not assumed: the
 family has a `LevelCuts.basis` (it is every descending multichain of its D
 crisp masks, and those are closed under sum and meet), and the map acted
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,8 +47,6 @@ from .fuzzy import (
     FuzzySubset,
     GradeChain,
     LevelCuts,
-    carrier_of,
-    characteristic,
     enumerate_crisp_ideals,
     enumerate_fuzzy_ideals,
 )
@@ -57,6 +58,7 @@ from .matrix import (
 )
 from .operators import (
     OperatorSemiring,
+    _mask,
     build_operator_semiring,
     find_unity,
     plus_set,
@@ -97,8 +99,10 @@ class Workspace:
 
     Each is built on first use and then shared by every suite of the run:
     the left and right operator semirings L and R, their unity flags, the
-    matrix instance, the crisp and fuzzy ideal families, and the level cuts
-    of each structure and fuzzy family.  A family is named by the structure
+    matrix instance, the crisp and fuzzy ideal families, the level cuts of
+    each structure and fuzzy family, the transfer maps on cut tuples with
+    the images they have given (`transfer`), and each fuzzy family with its
+    images for the pair checks (`pairs`).  A family is named by the structure
     it lives on, "S" (the structure itself), "L" or "R", and by its ideal
     kind.  Families are tuples, so no suite can change what the next suite
     sees.  A plain semiring has only "S".
@@ -185,6 +189,39 @@ class Workspace:
         of, ideals = self.level_cuts(side).of, self.fuzzy_ideals(side, kind)
         return self._once(("cuts", side, kind), lambda: tuple(map(of, ideals)))
 
+    def transfer(self, side: str, direction: str) -> Callable[[Cuts], Cuts]:
+        """The run's one memo of a transfer map between S and `side` ("L" or
+        "R"): direction "lift" takes cuts on S to cuts on the side, "restrict"
+        takes them back.  The map is called once per distinct operand per
+        run, on the subset with these cuts, and its image is cut on the
+        config's chain (ValueError for a grade off it)."""
+
+        def build():
+            call, op = _MAPS[side, direction], self.left if side == "L" else self.right
+            source, target = self.level_cuts("S"), self.level_cuts(side)
+            if direction == "restrict":
+                source, target = target, source
+            memo: dict[Cuts, Cuts] = {}
+
+            def apply(cuts: Cuts) -> Cuts:
+                if cuts not in memo:
+                    memo[cuts] = target.of(call(op, source.subset(cuts)))
+                return memo[cuts]
+
+            return apply
+
+        return self._once(("transfer", side, direction), build)
+
+    def pairs(self, side: str, direction: str, kind: str = "two") -> "_Pairs":
+        """The fuzzy ideals of the kind that `transfer(side, direction)`
+        takes as operands, with their images, for the pair checks."""
+        source = "S" if direction == "lift" else side
+        target = side if direction == "lift" else "S"
+        return self._once(("pairs", side, direction, kind), lambda: _Pairs(
+            self.level_cuts(source), self.level_cuts(target),
+            self.fuzzy_cuts(source, kind), self.transfer(side, direction),
+        ))
+
     def crisp_ideals(self, side: str, kind: str = "two") -> tuple[CrispSubset, ...]:
         """Crisp ideals, in enumeration order."""
         return self._once(
@@ -247,28 +284,14 @@ def _ids(subset: CrispSubset) -> list[str]:
 # transfer-map clause engine (shared by the primal L side and the dual R side)
 
 
-class _Image(NamedTuple):
-    """What a transfer map gave, and its level cuts."""
-
-    subset: FuzzySubset
-    cuts: Cuts
-
-
-def _on_cuts(
-    f: Callable[[FuzzySubset], FuzzySubset], source: LevelCuts, target: LevelCuts
-) -> Callable[..., _Image]:
-    """A transfer map on cut tuples: apply(cuts, subset=None) is f's image.
-    f is called once per distinct operand, on `subset` when given (so
-    witnesses keep its grades), else on the subset with these cuts."""
-    memo: dict[Cuts, _Image] = {}
-
-    def apply(cuts: Cuts, subset: Optional[FuzzySubset] = None) -> _Image:
-        if cuts not in memo:
-            image = f(source.subset(cuts) if subset is None else subset)
-            memo[cuts] = _Image(image, target.of(image))
-        return memo[cuts]
-
-    return apply
+# The transfer maps by (side, direction).  The lambdas look the maps up at
+# call time, so a wrapper installed on a module-level map name sees every call.
+_MAPS: dict[tuple[str, str], Callable[[OperatorSemiring, FuzzySubset], FuzzySubset]] = {
+    ("L", "lift"): lambda op, mu: lift_plusprime(op, mu),
+    ("L", "restrict"): lambda op, mu: restrict_plus(op, mu),
+    ("R", "lift"): lambda op, mu: lift_starprime(op, mu),
+    ("R", "restrict"): lambda op, mu: restrict_star(op, mu),
+}
 
 
 def _distinct_cuts(view: LevelCuts, table: np.ndarray) -> tuple[list[Cuts], np.ndarray]:
@@ -282,19 +305,19 @@ def _distinct_cuts(view: LevelCuts, table: np.ndarray) -> tuple[list[Cuts], np.n
 class _Pairs:
     """One family of N operands and its images under a transfer map, for
     the pair checks: the views they live on, their (N, m-1) id arrays, and
-    the map on cut tuples (from `_on_cuts`) that gave the images."""
+    the map on cut tuples (`Workspace.transfer`) that gave the images."""
 
-    def __init__(self, source: LevelCuts, target: LevelCuts, cuts: Sequence[Cuts], images, apply):
+    def __init__(self, source: LevelCuts, target: LevelCuts, cuts: Sequence[Cuts], apply):
         self.source, self.target, self.apply = source, target, apply
         self.family = source.family(cuts)
-        self.images = target.family([image.cuts for image in images])
+        self.images = target.family(list(map(apply, cuts)))
 
     def image(self, table: np.ndarray) -> np.ndarray:
         """The target ids of the image of the subset in each cell of an
         (..., m-1) table of source ids; the map is called once per distinct
         subset not seen before."""
         distinct, where = _distinct_cuts(self.source, table)
-        return self.target.family([self.apply(cuts).cuts for cuts in distinct])[where]
+        return self.target.family(list(map(self.apply, distinct)))[where]
 
     @cached_property
     def basis(self) -> Optional[np.ndarray]:
@@ -393,8 +416,6 @@ def _scan(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
 def _clause_rows(
     ws: Workspace,
     side: str,
-    lift: Callable[[FuzzySubset], FuzzySubset],
-    restrict: Callable[[FuzzySubset], FuzzySubset],
     lift_roundtrip_ok: bool,
     restrict_roundtrip_ok: bool,
     tag: str,
@@ -406,26 +427,23 @@ def _clause_rows(
     invalidate them: the lift round-trip needs the opposite-side unity, the
     restrict round-trip needs the own-side unity.
 
-    Sums, intersections, inclusions, equalities and ideal tests are computed
-    on the workspace's level cuts, over the config's chain; the transfer
-    maps are mins, so their images stay on that chain.  The pair clauses
-    are decided by `_failing_pair`: on crisp cuts where the family
-    and the map allow it, else by the row-blocked `_scan`, which witnesses
-    the first failing pair in row-major order.  `lift` and `restrict` are
-    called once per distinct operand: once per ideal, and for a scan once
-    per new operand in the rows it reaches.  Witnesses carry the grades of
-    the ideals and images themselves.
+    Sums, intersections, inclusions, equalities, ideal and constancy tests
+    are computed on the workspace's level cuts, over the config's chain; the
+    transfer maps are mins, so their images stay on that chain.  The maps
+    are the workspace's (`Workspace.transfer`), called once per distinct
+    operand per run.  The pair clauses are decided by `_failing_pair`: on
+    crisp cuts where the family and the map allow it, else by the
+    row-blocked `_scan`, which witnesses the first failing pair in
+    row-major order.  Witnesses carry the grades of the ideals, and of
+    images as their cuts give them.
     """
     rows: list[tuple[str, str, Optional[dict], int]] = []
     ideals_s, ideals_op = ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side)
     on_s, on_op = ws.level_cuts("S"), ws.level_cuts(side)
     cuts_s, cuts_op = ws.fuzzy_cuts("S"), ws.fuzzy_cuts(side)
-    lift_cuts = _on_cuts(lift, on_s, on_op)
-    restrict_cuts = _on_cuts(restrict, on_op, on_s)
-    lifted = [lift_cuts(c, s) for c, s in zip(cuts_s, ideals_s)]
-    restricted = [restrict_cuts(c, m) for c, m in zip(cuts_op, ideals_op)]
-    lifts = _Pairs(on_s, on_op, cuts_s, lifted, lift_cuts)
-    restricts = _Pairs(on_op, on_s, cuts_op, restricted, restrict_cuts)
+    lift, restrict = ws.transfer(side, "lift"), ws.transfer(side, "restrict")
+    lifts, restricts = ws.pairs(side, "lift"), ws.pairs(side, "restrict")
+    lifted, restricted = list(map(lift, cuts_s)), list(map(restrict, cuts_op))
 
     def clause(cid, checked, scan, ok=True):
         """One row: precondition-unmet when the unity it rests on is absent,
@@ -456,31 +474,31 @@ def _clause_rows(
         clause(cid, len(ideals) ** 2, scan)
 
     def lift_roundtrip(s, t, cuts):
-        back = restrict_cuts(t.cuts, t.subset)
-        return back.cuts != cuts and {"sigma": _grades(s), "roundtrip": _grades(back.subset)}
+        back = restrict(t)
+        return back != cuts and {"sigma": _grades(s), "roundtrip": _grades(on_s.subset(back))}
 
     first_lifted_at: dict[Cuts, int] = {}
 
     def repeated_lift(k, t):
         """The first lift equal to an earlier one, with that earlier one."""
-        first = first_lifted_at.setdefault(t.cuts, k)
+        first = first_lifted_at.setdefault(t, k)
         return first != k and {"sigma1": _grades(ideals_s[first]), "sigma2": _grades(ideals_s[k])}
 
     def restrict_roundtrip(m, rm, cuts):
-        back = lift_cuts(rm.cuts, rm.subset)
-        return back.cuts != cuts and {"mu": _grades(m), "roundtrip": _grades(back.subset)}
+        back = lift(rm)
+        return back != cuts and {"mu": _grades(m), "roundtrip": _grades(on_op.subset(back))}
 
     # (i) ideal preservation under the lift
     each(
         "i", (ideals_s, lifted),
-        lambda s, t: not on_op.is_ideal(t.cuts)
-        and {"sigma": _grades(s), "lifted": _grades(t.subset)},
+        lambda s, t: not on_op.is_ideal(t)
+        and {"sigma": _grades(s), "lifted": _grades(on_op.subset(t))},
     )
 
     # (i) non-constancy preservation
     each(
         "i-nonconstant", (ideals_s, lifted),
-        lambda s, t: not s.is_constant() and t.subset.is_constant() and {"sigma": _grades(s)},
+        lambda s, t: not s.is_constant() and on_op.is_constant(t) and {"sigma": _grades(s)},
         lift_roundtrip_ok,
     )
 
@@ -502,14 +520,14 @@ def _clause_rows(
     # (vii) ideal preservation under the restriction
     each(
         "vii", (ideals_op, restricted),
-        lambda m, rm: not on_s.is_ideal(rm.cuts)
-        and {"mu": _grades(m), "restricted": _grades(rm.subset)},
+        lambda m, rm: not on_s.is_ideal(rm)
+        and {"mu": _grades(m), "restricted": _grades(on_s.subset(rm))},
     )
 
     # (vii) non-constancy preservation
     each(
         "vii-nonconstant", (ideals_op, restricted),
-        lambda m, rm: not m.is_constant() and rm.subset.is_constant() and {"mu": _grades(m)},
+        lambda m, rm: not m.is_constant() and on_s.is_constant(rm) and {"mu": _grades(m)},
         restrict_roundtrip_ok,
     )
 
@@ -529,25 +547,9 @@ def verify_prop_3_4(ws: Workspace) -> VerificationReport:
 
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
-        left, right = ws.left, ws.right
         ideals_s, ideals_l, ideals_r = (ws.fuzzy_ideals(side) for side in "SLR")
-
-        rows = _clause_rows(
-            ws, "L",
-            lift=lambda s: lift_plusprime(left, s),
-            restrict=lambda m: restrict_plus(left, m),
-            lift_roundtrip_ok=ws.right_unity,
-            restrict_roundtrip_ok=ws.left_unity,
-            tag="",
-        )
-        rows += _clause_rows(
-            ws, "R",
-            lift=lambda s: lift_starprime(right, s),
-            restrict=lambda m: restrict_star(right, m),
-            lift_roundtrip_ok=ws.left_unity,
-            restrict_roundtrip_ok=ws.right_unity,
-            tag="*",
-        )
+        rows = _clause_rows(ws, "L", ws.right_unity, ws.left_unity, "")
+        rows += _clause_rows(ws, "R", ws.left_unity, ws.right_unity, "*")
 
         notes.append(f"left unity: {'present' if ws.left_unity else 'absent'}")
         notes.append(f"right unity: {'present' if ws.right_unity else 'absent'}")
@@ -567,30 +569,28 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
     semiring, at chain scale."""
     if kind not in ("two", "right"):
         raise ValueError("kind must be 'two' or 'right'")
-    g, chain = ws.structure, ws.config.chain
+    chain = ws.config.chain
 
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
         ws.require_unities()
-        left = ws.left
         A = ws.fuzzy_ideals("S", kind)
         B = ws.fuzzy_ideals("L", kind)
         on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
-        lift = _on_cuts(lambda s: lift_plusprime(left, s), on_s, on_l)
         cuts_a, cuts_b = ws.fuzzy_cuts("S", kind), ws.fuzzy_cuts("L", kind)
-        lifted = [lift(c, s) for c, s in zip(cuts_a, A)]
+        lifted = list(map(ws.transfer("L", "lift"), cuts_a))
         counts["fuzzy_ideals_S"] = len(A)
         counts["fuzzy_ideals_L"] = len(B)
 
         b_set = set(cuts_b)
         image = first_failure(
-            lambda s, t: t.cuts not in b_set
-            and {"check": "image-is-ideal", "sigma": _grades(s), "lifted": _grades(t.subset)},
+            lambda s, t: t not in b_set
+            and {"check": "image-is-ideal", "sigma": _grades(s), "lifted": _grades(on_l.subset(t))},
             A, lifted,
         )
         if image:
             return image
-        lifted_set = {t.cuts for t in lifted}
+        lifted_set = set(lifted)
         if len(lifted_set) != len(A):
             return {"check": "injective"}
         if lifted_set != b_set:
@@ -598,7 +598,7 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             return {"check": "surjective", "unmatched": missing[:3]}
 
         # the first failing pair reports the first check it fails, in this order
-        p = _Pairs(on_s, on_l, cuts_a, lifted, lift)
+        p = ws.pairs("L", "lift", kind)
         checks = {
             "inclusion-both-ways": _order_differs,
             "sum-homomorphism": _unhomomorphic("sum_table"),
@@ -618,9 +618,8 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
         # bottom; a family with a basis is closed
         a_set = set(cuts_a)
         closed = p.basis is not None or _scan(p, _not_in(a_set)) is None
-        carrier = carrier_of(g)
-        top = on_s.of(FuzzySubset.constant(carrier, 1))
-        bottom = on_s.of(characteristic(CrispSubset.of_indices(carrier, [0])))
+        width = len(chain) - 1
+        top, bottom = (on_s.full,) * width, (1,) * width  # constant 1, and 1 on {0} only
         if not (closed and top in a_set and bottom in a_set):
             return {"check": "lattice-closure"}
         notes.append("enumerated ideals are closed under sum/intersection with top and bottom")
@@ -633,17 +632,17 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
     """Characteristic functions commute with the crisp correspondences:
     lifting the characteristic function of a crisp ideal I of S equals the
     characteristic function of its operator-side image, which is itself a
-    crisp ideal; dually from L back to S."""
+    crisp ideal; dually from L back to S.
 
-    def is_ideal(view: LevelCuts, subset: CrispSubset, kind: str) -> bool:
-        """`is_crisp_ideal_*` on the view's memoised mask test: 0 in the
-        subset, which the mask test alone would not ask of the empty set."""
-        mask = sum(1 << i for i in subset.members)
-        return bool(mask & 1) and view._is_crisp_ideal(mask, kind)
+    A characteristic function is the cut tuple (I, ..., I) over the config's
+    chain, so the lifts and restrictions are the run's
+    (`Workspace.transfer`), shared with prop3.4 and th3.8."""
 
     def check(counts, notes):
         left = ws.left
         on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
+        lift, restrict = ws.transfer("L", "lift"), ws.transfer("L", "restrict")
+        width = len(ws.config.chain) - 1
         counts["identities_checked"] = 0
         for kind in ("two", "right", "left"):
             ideals_s = ws.crisp_ideals("S", kind)
@@ -653,9 +652,11 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
 
             def image_failure(ideal):
                 image = plusprime_set(left, ideal)
-                if lift_plusprime(left, characteristic(ideal)).grades != characteristic(image).grades:
+                mask = _mask(image.members)
+                if lift((_mask(ideal.members),) * width) != (mask,) * width:
                     return {"check": "characteristic-lift", "kind": kind, "ideal": _ids(ideal)}
-                if not is_ideal(on_l, image, kind):
+                # an ideal is non-empty; a non-empty absorbing cut contains 0
+                if not on_l.is_ideal((mask,), kind):
                     return {
                         "check": "image-is-ideal",
                         "kind": kind,
@@ -667,9 +668,10 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
 
             def preimage_failure(ideal):
                 back = plus_set(left, ideal)
-                if restrict_plus(left, characteristic(ideal)).grades != characteristic(back).grades:
+                mask = _mask(back.members)
+                if restrict((_mask(ideal.members),) * width) != (mask,) * width:
                     return {"check": "characteristic-restrict", "kind": kind, "ideal": _ids(ideal)}
-                if not is_ideal(on_s, back, kind):
+                if not on_s.is_ideal((mask,), kind):
                     return {
                         "check": "preimage-is-ideal",
                         "kind": kind,

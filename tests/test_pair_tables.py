@@ -72,6 +72,14 @@ def _perturb(monkeypatch, ideals, lift_moves, restrict_moves):
         )
 
 
+def _maps(ws, side):
+    """The lift and the restriction between S and `side` as one-argument
+    maps, through the names the suites call, for the oracles."""
+    op = ws.left if side == "L" else ws.right
+    lift, restrict = ("lift_plusprime", "restrict_plus") if side == "L" else ("lift_starprime", "restrict_star")
+    return (lambda s: getattr(verify, lift)(op, s)), (lambda m: getattr(verify, restrict)(op, m))
+
+
 def _record_paths(monkeypatch) -> list:
     """Record, in order, each pair check the suites run: "crisp" when the
     crisp cuts decided it, "scan" when the row-block scan did."""
@@ -115,8 +123,9 @@ def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instanc
     compared = []
     paths = _record_paths(monkeypatch)
 
-    def oracle_rows(ws, side, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok, tag):
-        rows = real_rows(ws, side, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok, tag)
+    def oracle_rows(ws, side, lift_roundtrip_ok, restrict_roundtrip_ok, tag):
+        rows = real_rows(ws, side, lift_roundtrip_ok, restrict_roundtrip_ok, tag)
+        lift, restrict = _maps(ws, side)
         oracle = naive_pair_clause_rows(
             ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side), lift, restrict, tag
         )
@@ -151,9 +160,8 @@ def test_scan_blocks_keep_the_row_major_witness(monkeypatch, perturbation, cells
     ws = _workspace("from_B3")
     lift_moves, restrict_moves = PERTURBATIONS[perturbation]
     _perturb(monkeypatch, ws.fuzzy_ideals("S"), lift_moves, restrict_moves)
-    left = ws.left
-    lift, restrict = (lambda s: verify.lift_plusprime(left, s)), (lambda m: verify.restrict_plus(left, m))
-    rows = _pair_rows(verify._clause_rows(ws, "L", lift, restrict, True, True, ""))
+    lift, restrict = _maps(ws, "L")
+    rows = _pair_rows(verify._clause_rows(ws, "L", True, True, ""))
     assert rows == table_pair_clause_rows(ws, "L", lift, restrict, "")
     if sorted(lift_moves) == sorted(lift_moves.values()):
         expected = table_theorem_3_8_pairs(ws, "two", lift)
@@ -176,14 +184,15 @@ def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
     ws = _workspace("from_B3")
     left, side = ws.left, "L"
     on_s, on_op = LevelCuts(ws.structure, CHAIN), LevelCuts(ws.structure_on(side), CHAIN)
-    full = (1 << len(ws.structure.S)) - 1
+    full, real_lift = (1 << len(ws.structure.S)) - 1, verify.lift_plusprime
 
     def true_image(mask):
         ideal = CrispSubset.of_indices(ws.structure, [x for x in range(mask.bit_length()) if mask >> x & 1])
-        return on_op.of(verify.lift_plusprime(left, characteristic(ideal)))[0]
+        return on_op.of(real_lift(left, characteristic(ideal)))[0]
 
     bottom = min(on_s.of(mu)[0] for mu in ws.fuzzy_ideals("S"))
     lift = _cut_wise(ws, side, lambda mask: true_image(full if mask == full else bottom))
+    monkeypatch.setattr(verify, "lift_plusprime", lambda op, sigma: lift(sigma))
     restrict = lambda mu: verify.restrict_plus(left, mu)
 
     checks = []
@@ -194,7 +203,7 @@ def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
         return real(p, check)
 
     monkeypatch.setattr(verify, "_failing_pair", recording)
-    rows = _pair_rows(verify._clause_rows(ws, side, lift, restrict, True, True, ""))
+    rows = _pair_rows(verify._clause_rows(ws, side, True, True, ""))
     assert checks == [True] * 4  # every pair clause had the crisp map
     assert [status for _, status, _, _ in rows] == [FAIL, PASS, PASS, PASS]
     oracle = naive_pair_clause_rows(ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side), lift, restrict, "")
@@ -229,9 +238,8 @@ def test_family_not_closed_under_sum_falls_back(monkeypatch):
     real_ideals = ws.fuzzy_ideals
     monkeypatch.setattr(ws, "fuzzy_ideals", lambda side, kind="two": part if side == "S" else real_ideals(side, kind))
     paths = _record_paths(monkeypatch)
-    left = ws.left
-    lift, restrict = (lambda s: verify.lift_plusprime(left, s)), (lambda m: verify.restrict_plus(left, m))
-    rows = _pair_rows(verify._clause_rows(ws, "L", lift, restrict, True, True, ""))
+    lift, restrict = _maps(ws, "L")
+    rows = _pair_rows(verify._clause_rows(ws, "L", True, True, ""))
     assert paths == ["scan"] * 3 + ["crisp"]  # the family of L is whole
     assert rows == naive_pair_clause_rows(part, ws.fuzzy_ideals("L"), lift, restrict, "")
     assert rows == table_pair_clause_rows(ws, "L", lift, restrict, "")
@@ -326,26 +334,66 @@ def _record_calls(monkeypatch) -> list:
 
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_pair_checks_call_each_map_once_per_operand(monkeypatch, instance):
-    """The tables are filled by calling each map on each distinct operand
-    once, not once per pair."""
+    """prop3.4, th3.8 of both kinds and the lemmas share the run's maps:
+    across them each map is called once per distinct operand, not once per
+    pair or per suite, and th3.8[two] after prop3.4 calls no map, since
+    prop3.4 lifted every fuzzy ideal of S."""
     ws = _workspace(instance)
     calls = _record_calls(monkeypatch)
-    for suite in (verify.verify_prop_3_4, verify.verify_theorem_3_8):
-        calls.clear()
-        assert suite(ws).status == PASS
-        assert calls and len(set(calls)) == len(calls)
+    made = {}
+    for name, suite in (
+        ("prop3.4", verify.verify_prop_3_4),
+        ("th3.8[two]", lambda ws: verify.verify_theorem_3_8(ws, "two")),
+        ("th3.8[right]", lambda ws: verify.verify_theorem_3_8(ws, "right")),
+        ("lemmas", verify.verify_lemmas_3_11_3_12),
+    ):
+        before = len(calls)
+        assert suite(ws).status == PASS, name
+        made[name] = len(calls) - before
+    assert made["prop3.4"] and made["th3.8[two]"] == 0
+    assert len(set(calls)) == len(calls)
+
+
+def test_th38_right_lifts_only_the_right_ideals_not_two_sided(monkeypatch, upper_triangular):
+    """On the non-commutative upper-triangular instance, th3.8[right] after
+    prop3.4 lifts each fuzzy right ideal of S that is not two-sided, in
+    enumeration order, and no other."""
+    ws = verify.Workspace(upper_triangular, RunConfig(chain=CHAIN))
+    verify.verify_prop_3_4(ws)
+    calls = _record_calls(monkeypatch)
+    verify.verify_theorem_3_8(ws, "right")
+    two = {mu.grades for mu in ws.fuzzy_ideals("S", "two")}
+    right_only = [mu.grades for mu in ws.fuzzy_ideals("S", "right") if mu.grades not in two]
+    assert right_only and len(right_only) < len(ws.fuzzy_ideals("S", "right"))
+    assert calls == [("lift_plusprime", grades) for grades in right_only]
+
+
+def test_a_wrapper_installed_after_the_workspace_sees_every_call(monkeypatch):
+    """The workspace looks each map up by its module-level name at call
+    time, so a wrapper installed after the workspace and its lift memo are
+    built still sees every lift: one per fuzzy ideal of S, in order."""
+    ws = _workspace("z4")
+    ws.transfer("L", "lift")
+    calls = _record_calls(monkeypatch)
+    assert verify.verify_prop_3_4(ws).status == PASS
+    lifts = [grades for name, grades in calls if name == "lift_plusprime"]
+    assert lifts == [mu.grades for mu in ws.fuzzy_ideals("S")]
+
+
+# lift and restrict calls of run_all over the `pairs` workload's instances
+PAIRS_LIFTS, PAIRS_RESTRICTS = 72, 72
 
 
 def test_transfer_call_totals_of_the_pairs_workload(monkeypatch):
-    """run_all over from_B3, z3 and z4 makes 183 lift and 111 restrict
-    calls, the `transfer.lift_calls` and `transfer.restrict_calls` the
-    benchmark's trace reports for its `pairs` workload."""
+    """run_all over from_B3, z3 and z4 makes 72 lift and 72 restrict calls,
+    the `transfer.lift_calls` and `transfer.restrict_calls` the benchmark's
+    trace reports for its `pairs` workload."""
     calls = _record_calls(monkeypatch)
     for structure in (INSTANCES["from_B3"](), core.zn_gamma(3), INSTANCES["z4"]()):
         verify.run_all(structure, RunConfig(chain=CHAIN))
     names = [name for name, _ in calls]
-    assert sum(name.startswith("lift") for name in names) == 183
-    assert sum(name.startswith("restrict") for name in names) == 111
+    assert sum(name.startswith("lift") for name in names) == PAIRS_LIFTS
+    assert sum(name.startswith("restrict") for name in names) == PAIRS_RESTRICTS
 
 
 @pytest.mark.parametrize("keep,expected", [

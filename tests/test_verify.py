@@ -415,7 +415,7 @@ class TestRunAll:
 
 
 class TestClauseEngineFailPaths:
-    def test_broken_lift_produces_replayable_witnesses(self, gb):
+    def test_broken_lift_produces_replayable_witnesses(self, monkeypatch, gb):
         """Feeding the clause engine a collapsing lift must surface failures
         with full grade payloads, not mask them."""
         from gsl.transfer import restrict_plus
@@ -424,7 +424,7 @@ class TestClauseEngineFailPaths:
         left = w.left
         collapse = lambda sigma: FuzzySubset.constant(left, 1)
         restrict = lambda m: restrict_plus(left, m)
-        rows = _rows_matching_the_table_oracle(w, collapse, restrict, True, True)
+        rows = _rows_matching_the_table_oracle(monkeypatch, w, collapse, restrict, True, True)
         bottom, middle, top = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/2"}, {"0": "1/1", "1": "1/1"}
         bottom_l = {"f0": "1/1", "f1": "0/1"}
         assert rows == [
@@ -446,7 +446,7 @@ class TestClauseEngineFailPaths:
         back = restrict_plus(left, collapse(sigma))
         assert back.to_mapping() == witness["roundtrip"] != witness["sigma"]
 
-    def test_swapped_maps_fail_pair_clauses_with_first_witnesses(self, gb):
+    def test_swapped_maps_fail_pair_clauses_with_first_witnesses(self, monkeypatch, gb):
         """Swapping the bottom and top ideals before the lift and after the
         restriction breaks the pair clauses iv, v, vi and ix; the whole row
         list, first witnesses included, is pinned."""
@@ -458,6 +458,7 @@ class TestClauseEngineFailPaths:
         swap = {first.grades: last, last.grades: first}
         swapped = lambda mu: swap.get(mu.grades, mu)
         rows = _rows_matching_the_table_oracle(
+            monkeypatch,
             w,
             lambda s: lift_plusprime(left, swapped(s)),
             lambda m: swapped(restrict_plus(left, m)),
@@ -480,7 +481,7 @@ class TestClauseEngineFailPaths:
             ("ix", FAIL, {"clause": "ix", "mu1": bottom_l, "mu2": middle_l}, 9),
         ]
 
-    def test_reversed_maps_fail_ideal_clauses_and_gate_the_restrict_roundtrip(self, gb):
+    def test_reversed_maps_fail_ideal_clauses_and_gate_the_restrict_roundtrip(self, monkeypatch, gb):
         """Reversing the grades of every non-constant lift and restriction
         makes them non-ideals, so clauses i and vii fail with their first
         witnesses; a missing own-side unity gates vii-nonconstant and viii."""
@@ -489,6 +490,7 @@ class TestClauseEngineFailPaths:
         w = ws(gb)
         left = w.left
         rows = _rows_matching_the_table_oracle(
+            monkeypatch,
             w,
             lambda s: _reversed(lift_plusprime(left, s)),
             lambda m: _reversed(restrict_plus(left, m)),
@@ -512,12 +514,14 @@ class TestClauseEngineFailPaths:
         ]
 
 
-def _rows_matching_the_table_oracle(w, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok):
-    """`verify._clause_rows` on the L side, after checking its pair rows
-    against the all-at-once table oracle."""
+def _rows_matching_the_table_oracle(monkeypatch, w, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok):
+    """`verify._clause_rows` on the L side, with these maps installed as the
+    left lift and restriction, after checking its pair rows against the
+    all-at-once table oracle."""
+    monkeypatch.setattr(verify, "lift_plusprime", lambda op, s: lift(s))
+    monkeypatch.setattr(verify, "restrict_plus", lambda op, m: restrict(m))
     rows = verify._clause_rows(
-        w, "L", lift=lift, restrict=restrict,
-        lift_roundtrip_ok=lift_roundtrip_ok, restrict_roundtrip_ok=restrict_roundtrip_ok, tag="",
+        w, "L", lift_roundtrip_ok=lift_roundtrip_ok, restrict_roundtrip_ok=restrict_roundtrip_ok, tag="",
     )
     pair_rows = [row for row in rows if row[0] in ("iv", "v", "vi", "ix")]
     assert pair_rows == table_pair_clause_rows(w, "L", lift, restrict, "")

@@ -6,17 +6,20 @@ Fuzzy and crisp subsets carry a ``Carrier`` (element ids + addition table),
 which is all the structure the lattice operations need; the ideal predicates
 take the full algebraic structure explicitly.
 
-Enumeration never tests candidate subsets.  Crisp ideals form a closure
-system (they contain 0 and are closed under intersection), so they are
-listed by closing outward from the bottom ideal over int bitmasks.  A fuzzy
-ideal over a grade chain is then one descending multichain of crisp ideals,
-its level cuts (the level-subset theorem), so fuzzy enumeration costs the
-number of ideals rather than |chain|**(n-1).  Both lists are then sorted
-into the order a scan over all candidates would give (ascending indicator
-tuples for crisp ideals, lexicographic grade tuples for fuzzy ones), which
-report bodies and first counterexamples depend on.  The scalar predicates
-``is_*_ideal_*`` are kept as plain loops for callers and as the reference
-the tests check the enumerators against.
+A structure's ideal families belong to its level-cut view, ``LevelCuts``,
+which enumerates each kind once and never tests candidate subsets.  Crisp
+ideals form a closure system (they contain 0 and are closed under
+intersection), so they are listed by closing outward from the bottom ideal
+over int bitmasks, with the absorption images the view keeps for its ideal
+tests.  A fuzzy ideal over a grade chain is one descending multichain of
+crisp ideals, its level cuts (the level-subset theorem), so the fuzzy
+family is the multichains of those masks, kept as cut tuples, and costs the
+number of ideals rather than |chain|**(n-1).  Both lists are sorted into
+the order a scan over all candidates would give (ascending indicator tuples
+for crisp ideals, lexicographic grade tuples for fuzzy ones), which report
+bodies and first counterexamples depend on.  ``enumerate_crisp_ideals`` and
+``enumerate_fuzzy_ideals`` turn them into subsets.  The scalar predicates
+``is_*_ideal_*`` are the plain-loop reference the tests check against.
 
 The suites compute on level cuts too: ``LevelCuts`` holds a chain-valued
 fuzzy subset as the tuple of its cuts.  It does sums, intersections and
@@ -189,6 +192,10 @@ class CrispSubset:
         return cls(carrier_of(carrier), frozenset(int(i) for i in indices))
 
     @classmethod
+    def of_mask(cls, carrier, mask: int) -> "CrispSubset":
+        return cls(carrier_of(carrier), frozenset(_bits(mask)))
+
+    @classmethod
     def of_ids(cls, carrier, ids: Iterable[str]) -> "CrispSubset":
         c = carrier_of(carrier)
         return cls(c, frozenset(c.ids.index(i) for i in ids))
@@ -339,9 +346,13 @@ class LevelCuts:
     of a family of fuzzy ideals can often be decided on the family's crisp
     cuts instead: `basis` checks the two facts that make that exact (the
     family is every descending multichain of its masks, and the masks are
-    closed under sum and meet) and then gives the ids of those masks.  A
-    crisp family is the one-cut case: `verify_lemmas_3_11_3_12` tests its
-    masks with `is_ideal((mask,), kind)`.
+    closed under sum and meet) and then gives the ids of those masks.
+
+    The view owns the structure's ideal families: `crisp_ideals` gives the
+    crisp ideals of a kind as masks, enumerated once per kind, and
+    `fuzzy_ideals` their descending multichains as cut tuples, so no
+    enumerated fuzzy ideal is cut again.  A crisp ideal is the one-cut
+    case: `is_ideal((mask,), kind)`.
     """
 
     def __init__(self, structure, chain: GradeChain):
@@ -355,6 +366,7 @@ class LevelCuts:
         self._id: dict[int, int] = {}
         self._tables: dict[str, np.ndarray] = {}
         self._images: dict[str, list[int]] = {}
+        self._crisp_ideals: dict[str, tuple[int, ...]] = {}
         self._ideal: dict[tuple[str, int], bool] = {}
 
     def of(self, mu: FuzzySubset) -> Cuts:
@@ -385,6 +397,10 @@ class LevelCuts:
                 ranks[low.bit_length() - 1] += 1
                 cut ^= low
         return FuzzySubset(self.carrier, tuple(map(self.chain.grades.__getitem__, ranks)))
+
+    def ids(self, mask: int) -> list[str]:
+        """The ids of the elements of a mask, in carrier order."""
+        return [self.carrier.ids[x] for x in _bits(mask)]
 
     def is_constant(self, cuts: Cuts) -> bool:
         """Whether the subset with these cuts is constant: every cut is
@@ -506,14 +522,53 @@ class LevelCuts:
             return None
         return ids
 
-    # -- ideal tests
+    # -- ideal families and ideal tests
+
+    def _image(self, kind: str) -> list[int]:
+        if kind not in self._images:
+            self._images[kind] = _absorption_images(self.structure, kind)
+        return self._images[kind]
+
+    def _crisp(self, kind: str) -> tuple[int, ...]:
+        if kind not in self._crisp_ideals:
+            self._crisp_ideals[kind] = tuple(_crisp_ideal_masks(self.carrier.add, self._image(kind)))
+        return self._crisp_ideals[kind]
+
+    def crisp_ideals(self, kind: str = "two", cap: int = 10**8) -> tuple[int, ...]:
+        """Every crisp ideal of the kind as a mask, in the order of a subset
+        scan (ascending indicator tuples of the non-zero positions),
+        enumerated once per kind.  Raises EnumerationCapExceeded when
+        2**|carrier| > cap: the cap bounds subsets, not ideals."""
+        _check_kind(kind)
+        n = self.carrier.size
+        if 2**n > cap:
+            raise EnumerationCapExceeded(f"2^{n} subsets exceed cap {cap}")
+        return self._crisp(kind)
+
+    def fuzzy_ideals(self, kind: str = "two", cap: int = 10**8) -> list[Cuts]:
+        """Every fuzzy ideal of the kind with mu(0) = 1 and grades on the
+        chain, as its cut tuple, in lexicographic order of grade tuples: the
+        descending multichains I_1 >= ... >= I_{m-1} of `crisp_ideals`, each
+        the cuts of exactly one fuzzy ideal (the level-subset theorem),
+        sorted by rank tuple, as grades ascend with rank.  Raises
+        EnumerationCapExceeded when |chain|**(|carrier|-1) > cap: the cap
+        bounds candidates, not ideals."""
+        n, m = self.carrier.size, len(self.chain)
+        total = m ** (n - 1)
+        if total > cap:
+            raise EnumerationCapExceeded(f"{total} candidates (= {m}^{n - 1}) exceed cap {cap}")
+        ideals = self._crisp(kind)
+        cuts = [(i,) for i in ideals]
+        for _ in range(m - 2):
+            cuts = [c + (j,) for c in cuts for j in ideals if not j & ~c[-1]]
+        # the rank of x is the number of cuts containing x: a sum of indicator tuples
+        indicator = {i: tuple(i >> x & 1 for x in range(n)) for i in ideals}
+        return sorted(cuts, key=lambda cut: tuple(map(sum, zip(*map(indicator.__getitem__, cut)))))
 
     def _is_crisp_ideal(self, mask: int, kind: str) -> bool:
         key = (kind, mask)
         if key not in self._ideal:
-            if kind not in self._images:
-                self._images[kind] = _absorption_images(self.structure, kind)[1]
-            image = self._images[kind]
+            image = self._image(kind)
             self._ideal[key] = not self._set_sum(mask, mask) & ~mask and not any(
                 image[x] & ~mask for x in _bits(mask)
             )
@@ -630,15 +685,15 @@ def is_crisp_ideal_semiring(r: core.Semiring, subset: CrispSubset, kind: str = "
 # enumeration
 
 
-def _absorption_images(structure, kind: str):
-    """The addition table and, per element x, the bitmask of every product
-    that an ideal of the kind containing x must also contain."""
+def _absorption_images(structure, kind: str) -> list[int]:
+    """Per element x, the bitmask of every product that an ideal of the kind
+    containing x must also contain."""
     _check_kind(kind)
     if isinstance(structure, core.GammaSemiring):
-        add, n = structure.addS, len(structure.S)
+        n = len(structure.S)
         products = np.asarray(structure.prod, dtype=np.intp)  # axes (x, gamma, y)
     elif isinstance(structure, core.Semiring):
-        add, n = structure.add, len(structure.carrier)
+        n = len(structure.carrier)
         products = np.asarray(structure.mul, dtype=np.intp)[:, None, :]  # axes (x, -, y)
     else:
         sem = getattr(structure, "semiring", None)
@@ -653,14 +708,14 @@ def _absorption_images(structure, kind: str):
     if kind in ("right", "two"):
         hit[x[:, None, None], products] = True
     rows = np.packbits(hit, axis=1, bitorder="little")
-    return add, [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _crisp_ideal_masks(structure, kind: str) -> list[int]:
-    """Every crisp ideal as a bitmask, sorted by the indicator tuple of
-    positions 1..n-1.  Ideals are closed under intersection, so each one is
-    reached from the bottom ideal close({0}) by adding elements one at a time."""
-    add, image = _absorption_images(structure, kind)
+def _crisp_ideal_masks(add, image: list[int]) -> list[int]:
+    """Every ideal for an addition table and absorption images, as a bitmask,
+    sorted by the indicator tuple of positions 1..n-1.  Ideals are closed
+    under intersection, so each is reached from the bottom ideal close({0})
+    by adding elements one at a time."""
     n = len(add)
     ideals = [core.close(add, image, 0, 0)]
     seen = set(ideals)
@@ -675,58 +730,18 @@ def _crisp_ideal_masks(structure, kind: str) -> list[int]:
 
 
 def enumerate_fuzzy_ideals(
-    structure,
-    chain: GradeChain,
-    kind: str = "two",
-    cap: int = 10**8,
+    structure, chain: GradeChain, kind: str = "two", cap: int = 10**8
 ) -> list[FuzzySubset]:
     """All fuzzy ideals with mu(0) = 1 and grades drawn from the chain,
-    in lexicographic order of grade tuples.
-
-    Level cuts: mu is determined by its cuts I_k = {x : mu(x) >= c_k},
-    k = 1..m-1, which form a descending multichain I_1 >= ... >= I_{m-1} of
-    crisp ideals of the same kind, and every such multichain is the cut
-    family of exactly one mu, namely mu(x) = c_r with r the number of cuts
-    containing x.  The multichains are built from the crisp ideals and the
-    results sorted by rank tuple; grades ascend with rank, so this is the
-    lexicographic order of grade tuples.
-
-    Raises EnumerationCapExceeded when |chain|**(|carrier|-1) > cap: the cap
-    still bounds the size of the candidate space, not the number of ideals.
-    """
-    carrier = carrier_of(structure)
-    n = carrier.size
-    m = len(chain)
-    total = m ** (n - 1)
-    if total > cap:
-        raise EnumerationCapExceeded(
-            f"{total} candidates (= {m}^{n - 1}) exceed cap {cap}"
-        )
-    ideals = _crisp_ideal_masks(structure, kind)
-    cuts = [(i,) for i in ideals]
-    for _ in range(m - 2):
-        cuts = [c + (j,) for c in cuts for j in ideals if (j & ~c[-1]) == 0]
-    # the rank of x is the number of cuts containing x: a sum of indicator tuples
-    indicator = {i: tuple(i >> x & 1 for x in range(n)) for i in ideals}
-    ranks = sorted(tuple(map(sum, zip(*map(indicator.__getitem__, cut)))) for cut in cuts)
-    return [FuzzySubset(carrier, tuple(map(chain.grades.__getitem__, rank))) for rank in ranks]
+    in lexicographic order of grade tuples: `LevelCuts.fuzzy_ideals`, each
+    cut tuple as its fuzzy subset."""
+    view = LevelCuts(structure, chain)
+    return list(map(view.subset, view.fuzzy_ideals(kind, cap)))
 
 
 def enumerate_crisp_ideals(structure, kind: str = "two", cap: int = 10**8) -> list[CrispSubset]:
     """All crisp ideals (contain 0, additively closed, absorbing per kind),
-    ordered by the indicator tuple of the non-zero positions.
-
-    They are listed as a closure system, not by testing subsets, then sorted
-    into the order of a subset scan over ascending indicator tuples.
-    Raises EnumerationCapExceeded when 2**|carrier| > cap: the cap still
-    bounds the number of subsets, not the number of ideals.
-    """
-    _check_kind(kind)
-    carrier = carrier_of(structure)
-    n = carrier.size
-    if 2**n > cap:
-        raise EnumerationCapExceeded(f"2^{n} subsets exceed cap {cap}")
-    return [
-        CrispSubset(carrier, frozenset(i for i in range(n) if mask >> i & 1))
-        for mask in _crisp_ideal_masks(structure, kind)
-    ]
+    ordered by the indicator tuple of the non-zero positions:
+    `LevelCuts.crisp_ideals`, each mask as its crisp subset."""
+    view = LevelCuts(structure, GradeChain.of(0, 1))
+    return [CrispSubset.of_mask(view.carrier, mask) for mask in view.crisp_ideals(kind, cap)]

@@ -28,14 +28,17 @@ composition tables are (E, E, |S|) gathers looked up by row key.
 Elements are sorted by value tuple, not by key: the two orders differ
 once values need more than one byte.
 
-The crisp correspondences are mask tests.  What they depend on belongs to
-the operator semiring alone, so the instance builds it once, as int
-bitmasks: each element's image in S, that image closed under the addition
-of S, and each base element's pair classes (each on first use).  `plus_set`/`star_set` keep
-the base elements whose pair-class mask lies in the target, and
-`plusprime_set`/`starprime_set` the elements whose image-closure mask does;
+The crisp correspondences are maps of int bitmasks on the instance, named
+for what they keep, so one name serves either side.  What they depend on
+belongs to the operator semiring alone, so the instance builds it once, as
+masks: each element's image in S, that image closed under the addition of
+S, and each base element's pair classes (each on first use).
+`pair_fixed` keeps the base elements whose pair-class mask lies in the
+target, and `image_contained` the elements whose image-closure mask does;
 on an additively closed target the plain image must agree, else
-RuntimeError.
+RuntimeError.  `plus_set`/`star_set` and `plusprime_set`/`starprime_set`
+are the side-checked `CrispSubset` API over them; the suites call the mask
+maps.
 """
 
 from __future__ import annotations
@@ -114,9 +117,10 @@ class OperatorSemiring:
 
     Derived once, on first use: `value_rows` and `pair_rows`, the action
     values and `pair_index` as arrays (the rows the transfer maps take their
-    mins along), and as int bitmasks, for the crisp correspondences: `image_masks[i]`, the image of element i in S;
-    `closure_masks[i]`, that image closed under the addition of S; and
-    `pair_masks[x]`, the elements [x, gamma] over every gamma.
+    mins along), and as int bitmasks, for the crisp correspondences
+    `pair_fixed` and `image_contained`: `image_masks[i]`, the image of
+    element i in S; `closure_masks[i]`, that image closed under the addition
+    of S; and `pair_masks[x]`, the elements [x, gamma] over every gamma.
     """
 
     side: str
@@ -157,6 +161,28 @@ class OperatorSemiring:
     @cached_property
     def pair_masks(self) -> tuple[int, ...]:
         return tuple(map(_mask, self.pair_index))
+
+    def pair_fixed(self, mask: int) -> int:
+        """For P inside this semiring, as a mask: the mask of the base
+        elements x whose every pair class lies in P (`plus_set` on the left,
+        `star_set` on the right)."""
+        return sum(1 << x for x, pairs in enumerate(self.pair_masks) if not pairs & ~mask)
+
+    def image_contained(self, mask: int) -> int:
+        """For Q inside S, as a mask: the mask of the elements whose image,
+        closed under the addition of S, lies in Q (`plusprime_set` on the
+        left, `starprime_set` on the right).  On an additively closed Q the
+        plain image must agree, else RuntimeError."""
+        addS = self.base.addS
+        members = [x for x in range(len(addS)) if mask >> x & 1]
+        closed = all(mask >> addS[x][y] & 1 for x in members for y in members)
+        inside = 0
+        for i, (image, closure) in enumerate(zip(self.image_masks, self.closure_masks)):
+            if closed and (not closure & ~mask) != (not image & ~mask):
+                raise RuntimeError(f"element {i}: image readings disagree on a closed target")
+            if not closure & ~mask:
+                inside |= 1 << i
+        return inside
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -300,10 +326,7 @@ def _mask(indices) -> int:
 def _pair_fixed_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
     if subset.carrier != carrier_of(op):
         raise ValueError("subset does not live on the operator semiring carrier")
-    p = _mask(subset.members)
-    return CrispSubset(
-        carrier_of(op.base), frozenset(x for x, m in enumerate(op.pair_masks) if not m & ~p)
-    )
+    return CrispSubset.of_mask(op.base, op.pair_fixed(_mask(subset.members)))
 
 
 def plus_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
@@ -323,18 +346,7 @@ def star_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
 def _image_contained_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
     if subset.carrier != carrier_of(op.base):
         raise ValueError("subset does not live on the base carrier")
-    addS, q = op.base.addS, subset.members
-    target = _mask(q)
-    q_closed = all(addS[x][y] in q for x in q for y in q)
-    members = set()
-    for i, (image, closure) in enumerate(zip(op.image_masks, op.closure_masks)):
-        inside = not closure & ~target
-        # for additively closed targets the two readings coincide
-        if q_closed and inside != (not image & ~target):
-            raise RuntimeError(f"element {i}: image readings disagree on a closed target")
-        if inside:
-            members.add(i)
-    return CrispSubset(carrier_of(op), frozenset(members))
+    return CrispSubset.of_mask(op, op.image_contained(_mask(subset.members)))
 
 
 def plusprime_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:

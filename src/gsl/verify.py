@@ -3,7 +3,8 @@ as a falsifiable check over exhaustively enumerated objects.
 
 Every suite takes the run's `Workspace`, which builds the operator
 semirings, the matrix instance and the ideal families once and shares them
-across suites.  Every suite also runs in the workspace's one frame,
+across suites; each family is enumerated once, by the level-cut view of its
+structure.  Every suite also runs in the workspace's one frame,
 `Workspace.run_suite`, which times it, turns a gate or a cap hit into a
 precondition-unmet report, and assembles the VerificationReport.
 Biconditionals are checked as two independent implications so a failure
@@ -28,7 +29,9 @@ or a crisp pair fails, a row-blocked scan of the N x N pairs decides,
 stopping at the first block with a failure; its witness is the first
 failing pair in row-major order (in th3.8, with the first check that pair
 fails), as a scan of every pair would give.  The scan calls a map on the
-operands of the rows it reaches, not past them.
+operands of the rows it reaches, not past them.  The crisp suites, the
+lemmas and th3.15, compute on masks: crisp ideals, the operator semiring's
+mask maps `image_contained` and `pair_fixed`, and the level-cut tables.
 """
 
 from __future__ import annotations
@@ -41,29 +44,14 @@ import numpy as np
 
 from . import core
 from .config import RunConfig
-from .fuzzy import (
-    CrispSubset,
-    Cuts,
-    FuzzySubset,
-    GradeChain,
-    LevelCuts,
-    enumerate_crisp_ideals,
-    enumerate_fuzzy_ideals,
-)
+from .fuzzy import Cuts, FuzzySubset, GradeChain, LevelCuts
 from .matrix import (
     MatrixGammaSemiring,
     build_matrix_gamma,
     check_operator_matrix_iso,
     verify_theorem_3_19,
 )
-from .operators import (
-    OperatorSemiring,
-    _mask,
-    build_operator_semiring,
-    find_unity,
-    plus_set,
-    plusprime_set,
-)
+from .operators import OperatorSemiring, build_operator_semiring, find_unity
 from .report import (
     FAIL,
     PASS,
@@ -71,7 +59,6 @@ from .report import (
     VerificationReport,
     chain_scope_note,
     first_cell,
-    first_failing_pair,
     first_failure,
 )
 from .transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
@@ -99,8 +86,10 @@ class Workspace:
 
     Each is built on first use and then shared by every suite of the run:
     the left and right operator semirings L and R, their unity flags, the
-    matrix instance, the crisp and fuzzy ideal families, the level cuts of
-    each structure and fuzzy family, the transfer maps on cut tuples with
+    matrix instance, the level-cut view of each structure (`level_cuts`),
+    which enumerates its ideal families once per kind, those families (crisp
+    ideals as masks, fuzzy ideals as cut tuples and, for witnesses and
+    grade checks, as fuzzy subsets), the transfer maps on cut tuples with
     the images they have given (`transfer`), and each fuzzy family with its
     images for the pair checks (`pairs`).  A family is named by the structure
     it lives on, "S" (the structure itself), "L" or "R", and by its ideal
@@ -171,23 +160,21 @@ class Workspace:
             return self.right.semiring
         raise ValueError(f"side must be 'S', 'L' or 'R', got {side!r}")
 
-    def fuzzy_ideals(self, side: str, kind: str = "two") -> tuple[FuzzySubset, ...]:
-        """Fuzzy ideals over the config's chain, in enumeration order."""
-        return self._once(
-            ("fuzzy", side, kind),
-            lambda: tuple(enumerate_fuzzy_ideals(
-                self.structure_on(side), self.config.chain, kind, cap=self.config.enum_cap
-            )),
-        )
-
     def level_cuts(self, side: str) -> LevelCuts:
-        """The run's one level-cut view of a structure, over the config's chain."""
+        """The run's one level-cut view of a structure, over the config's
+        chain; it enumerates the structure's ideal families."""
         return self._once(("cuts", side), lambda: LevelCuts(self.structure_on(side), self.config.chain))
 
     def fuzzy_cuts(self, side: str, kind: str = "two") -> tuple[Cuts, ...]:
-        """The cuts of `fuzzy_ideals(side, kind)`, in enumeration order."""
-        of, ideals = self.level_cuts(side).of, self.fuzzy_ideals(side, kind)
-        return self._once(("cuts", side, kind), lambda: tuple(map(of, ideals)))
+        """The fuzzy ideals over the config's chain, as cut tuples, in
+        enumeration order (`LevelCuts.fuzzy_ideals`)."""
+        return self._once(("cuts", side, kind), lambda: tuple(
+            self.level_cuts(side).fuzzy_ideals(kind, self.config.enum_cap)))
+
+    def fuzzy_ideals(self, side: str, kind: str = "two") -> tuple[FuzzySubset, ...]:
+        """The fuzzy subsets of `fuzzy_cuts(side, kind)`, in enumeration order."""
+        return self._once(("fuzzy", side, kind), lambda: tuple(
+            map(self.level_cuts(side).subset, self.fuzzy_cuts(side, kind))))
 
     def transfer(self, side: str, direction: str) -> Callable[[Cuts], Cuts]:
         """The run's one memo of a transfer map between S and `side` ("L" or
@@ -222,14 +209,10 @@ class Workspace:
             self.fuzzy_cuts(source, kind), self.transfer(side, direction),
         ))
 
-    def crisp_ideals(self, side: str, kind: str = "two") -> tuple[CrispSubset, ...]:
-        """Crisp ideals, in enumeration order."""
-        return self._once(
-            ("crisp", side, kind),
-            lambda: tuple(
-                enumerate_crisp_ideals(self.structure_on(side), kind, cap=self.config.enum_cap)
-            ),
-        )
+    def crisp_ideals(self, side: str, kind: str = "two") -> tuple[int, ...]:
+        """Crisp ideals as masks, in enumeration order (`LevelCuts.crisp_ideals`)."""
+        return self._once(("crisp", side, kind), lambda: self.level_cuts(side).crisp_ideals(
+            kind, self.config.enum_cap))
 
     def run_suite(
         self,
@@ -270,14 +253,6 @@ class Workspace:
             suite, instance or self.structure.name, chain, status, counterexample, counts,
             (clock() - t0) * 1000.0, tuple(notes),
         )
-
-
-def _grades(mu: FuzzySubset) -> dict:
-    return mu.to_mapping()
-
-
-def _ids(subset: CrispSubset) -> list[str]:
-    return list(subset.sorted_ids())
 
 
 # ---------------------------------------------------------------------------
@@ -467,38 +442,38 @@ def _clause_rows(
         def scan():
             pair = _failing_pair(pairs, check)
             return pair and {
-                f"{label}1": _grades(ideals[pair[0]]),
-                f"{label}2": _grades(ideals[pair[1]]),
+                f"{label}1": ideals[pair[0]].to_mapping(),
+                f"{label}2": ideals[pair[1]].to_mapping(),
             }
 
         clause(cid, len(ideals) ** 2, scan)
 
     def lift_roundtrip(s, t, cuts):
         back = restrict(t)
-        return back != cuts and {"sigma": _grades(s), "roundtrip": _grades(on_s.subset(back))}
+        return back != cuts and {"sigma": s.to_mapping(), "roundtrip": on_s.subset(back).to_mapping()}
 
     first_lifted_at: dict[Cuts, int] = {}
 
     def repeated_lift(k, t):
         """The first lift equal to an earlier one, with that earlier one."""
         first = first_lifted_at.setdefault(t, k)
-        return first != k and {"sigma1": _grades(ideals_s[first]), "sigma2": _grades(ideals_s[k])}
+        return first != k and {"sigma1": ideals_s[first].to_mapping(), "sigma2": ideals_s[k].to_mapping()}
 
     def restrict_roundtrip(m, rm, cuts):
         back = lift(rm)
-        return back != cuts and {"mu": _grades(m), "roundtrip": _grades(on_op.subset(back))}
+        return back != cuts and {"mu": m.to_mapping(), "roundtrip": on_op.subset(back).to_mapping()}
 
     # (i) ideal preservation under the lift
     each(
         "i", (ideals_s, lifted),
         lambda s, t: not on_op.is_ideal(t)
-        and {"sigma": _grades(s), "lifted": _grades(on_op.subset(t))},
+        and {"sigma": s.to_mapping(), "lifted": on_op.subset(t).to_mapping()},
     )
 
     # (i) non-constancy preservation
     each(
         "i-nonconstant", (ideals_s, lifted),
-        lambda s, t: not s.is_constant() and on_op.is_constant(t) and {"sigma": _grades(s)},
+        lambda s, t: not s.is_constant() and on_op.is_constant(t) and {"sigma": s.to_mapping()},
         lift_roundtrip_ok,
     )
 
@@ -521,13 +496,13 @@ def _clause_rows(
     each(
         "vii", (ideals_op, restricted),
         lambda m, rm: not on_s.is_ideal(rm)
-        and {"mu": _grades(m), "restricted": _grades(on_s.subset(rm))},
+        and {"mu": m.to_mapping(), "restricted": on_s.subset(rm).to_mapping()},
     )
 
     # (vii) non-constancy preservation
     each(
         "vii-nonconstant", (ideals_op, restricted),
-        lambda m, rm: not m.is_constant() and on_s.is_constant(rm) and {"mu": _grades(m)},
+        lambda m, rm: not m.is_constant() and on_s.is_constant(rm) and {"mu": m.to_mapping()},
         restrict_roundtrip_ok,
     )
 
@@ -585,7 +560,7 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
         b_set = set(cuts_b)
         image = first_failure(
             lambda s, t: t not in b_set
-            and {"check": "image-is-ideal", "sigma": _grades(s), "lifted": _grades(on_l.subset(t))},
+            and {"check": "image-is-ideal", "sigma": s.to_mapping(), "lifted": on_l.subset(t).to_mapping()},
             A, lifted,
         )
         if image:
@@ -612,7 +587,7 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             i, j = pair
             rows = (p.family[i : i + 1], p.family[j : j + 1], p.images[i : i + 1], p.images[j : j + 1])
             failed = next(name for name, check in checks.items() if check(p, *rows, p.image)[0, 0])
-            return {"check": failed, "sigma1": _grades(A[i]), "sigma2": _grades(A[j])}
+            return {"check": failed, "sigma1": A[i].to_mapping(), "sigma2": A[j].to_mapping()}
 
         # chain-scale lattice sanity: closure under both operations, top and
         # bottom; a family with a basis is closed
@@ -634,56 +609,47 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
     characteristic function of its operator-side image, which is itself a
     crisp ideal; dually from L back to S.
 
-    A characteristic function is the cut tuple (I, ..., I) over the config's
-    chain, so the lifts and restrictions are the run's
+    The crisp ideals and their images are masks (`Workspace.crisp_ideals`,
+    `OperatorSemiring.image_contained` and `pair_fixed`), and the
+    characteristic function of I is the cut tuple (I, ..., I) over the
+    config's chain, so the lifts and restrictions are the run's
     (`Workspace.transfer`), shared with prop3.4 and th3.8."""
 
     def check(counts, notes):
         left = ws.left
-        on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
-        lift, restrict = ws.transfer("L", "lift"), ws.transfer("L", "restrict")
         width = len(ws.config.chain) - 1
+        # (from, to, crisp correspondence, transfer map, its check, the ideal check, the image's name)
+        directions = (
+            ("S", "L", left.image_contained, ws.transfer("L", "lift"),
+             "characteristic-lift", "image-is-ideal", "image"),
+            ("L", "S", left.pair_fixed, ws.transfer("L", "restrict"),
+             "characteristic-restrict", "preimage-is-ideal", "preimage"),
+        )
         counts["identities_checked"] = 0
         for kind in ("two", "right", "left"):
-            ideals_s = ws.crisp_ideals("S", kind)
-            ideals_l = ws.crisp_ideals("L", kind)
-            counts[f"ideals_S[{kind}]"] = len(ideals_s)
-            counts[f"ideals_L[{kind}]"] = len(ideals_l)
+            for side in "SL":
+                counts[f"ideals_{side}[{kind}]"] = len(ws.crisp_ideals(side, kind))
+            for source, target, correspond, transfer, moved, not_ideal, label in directions:
+                on_source, on_target = ws.level_cuts(source), ws.level_cuts(target)
 
-            def image_failure(ideal):
-                image = plusprime_set(left, ideal)
-                mask = _mask(image.members)
-                if lift((_mask(ideal.members),) * width) != (mask,) * width:
-                    return {"check": "characteristic-lift", "kind": kind, "ideal": _ids(ideal)}
-                # an ideal is non-empty; a non-empty absorbing cut contains 0
-                if not on_l.is_ideal((mask,), kind):
-                    return {
-                        "check": "image-is-ideal",
-                        "kind": kind,
-                        "ideal": _ids(ideal),
-                        "image": _ids(image),
-                    }
-                counts["identities_checked"] += 1
-                return None
+                def failure(ideal):
+                    image = correspond(ideal)
+                    if transfer((ideal,) * width) != (image,) * width:
+                        return {"check": moved, "kind": kind, "ideal": on_source.ids(ideal)}
+                    # an ideal is non-empty; a non-empty absorbing cut contains 0
+                    if not on_target.is_ideal((image,), kind):
+                        return {
+                            "check": not_ideal,
+                            "kind": kind,
+                            "ideal": on_source.ids(ideal),
+                            label: on_target.ids(image),
+                        }
+                    counts["identities_checked"] += 1
+                    return None
 
-            def preimage_failure(ideal):
-                back = plus_set(left, ideal)
-                mask = _mask(back.members)
-                if restrict((_mask(ideal.members),) * width) != (mask,) * width:
-                    return {"check": "characteristic-restrict", "kind": kind, "ideal": _ids(ideal)}
-                if not on_s.is_ideal((mask,), kind):
-                    return {
-                        "check": "preimage-is-ideal",
-                        "kind": kind,
-                        "ideal": _ids(ideal),
-                        "preimage": _ids(back),
-                    }
-                counts["identities_checked"] += 1
-                return None
-
-            failure = first_failure(image_failure, ideals_s) or first_failure(preimage_failure, ideals_l)
-            if failure:
-                return failure
+                found = first_failure(failure, ws.crisp_ideals(source, kind))
+                if found:
+                    return found
         return None
 
     return ws.run_suite("lemmas", check)
@@ -692,52 +658,56 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
 def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
     """I -> I+' is an inclusion-preserving bijection between the crisp ideals
     (or right ideals) of the base and of its left operator semiring, with the
-    pair-preimage map as inverse."""
+    pair-preimage map as inverse.  The ideals and images are masks, and
+    inclusion both ways is one comparison of `LevelCuts.le_table`s, each
+    ideal I as the cut tuple (I, ..., I)."""
     if kind not in ("two", "right"):
         raise ValueError("kind must be 'two' or 'right'")
 
     def check(counts, notes):
         ws.require_unities()
         left = ws.left
+        on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
         A = ws.crisp_ideals("S", kind)
         B = ws.crisp_ideals("L", kind)
-        images = [plusprime_set(left, ideal) for ideal in A]
+        images = [left.image_contained(ideal) for ideal in A]
         counts["ideals_S"] = len(A)
         counts["ideals_L"] = len(B)
 
-        b_set = {b.members for b in B}
+        b_set = set(B)
 
         def image_failure(ideal, image):
-            if image.members not in b_set:
+            if image not in b_set:
                 failed = "image-is-ideal"
-            elif plus_set(left, image).members != ideal.members:
+            elif left.pair_fixed(image) != ideal:
                 failed = "left-inverse"
             else:
                 return None
-            return {"check": failed, "ideal": _ids(ideal), "image": _ids(image)}
+            return {"check": failed, "ideal": on_s.ids(ideal), "image": on_l.ids(image)}
 
         failure = first_failure(image_failure, A, images)
         if failure:
             return failure
-        image_set = {im.members for im in images}
+        image_set = set(images)
         if len(image_set) != len(A):
             return {"check": "injective"}
         if image_set != b_set:
-            unmatched = [_ids(b) for b in B if b.members not in image_set]
+            unmatched = [on_l.ids(b) for b in B if b not in image_set]
             return {"check": "surjective", "unmatched": unmatched[:3]}
         failure = first_failure(
-            lambda ideal: plusprime_set(left, plus_set(left, ideal)).members != ideal.members
-            and {"check": "right-inverse", "ideal": _ids(ideal)},
+            lambda ideal: left.image_contained(left.pair_fixed(ideal)) != ideal
+            and {"check": "right-inverse", "ideal": on_l.ids(ideal)},
             B,
         )
         if failure:
             return failure
         counts["pairs_checked"] = len(A) ** 2
-        return first_failing_pair(
-            len(A),
-            lambda i, j: (A[i].members <= A[j].members) != (images[i].members <= images[j].members)
-            and {"check": "inclusion-both-ways", "ideal1": _ids(A[i]), "ideal2": _ids(A[j])},
-        )
+        width = len(ws.config.chain) - 1
+        a, b = on_s.family([(ideal,) * width for ideal in A]), on_l.family([(im,) * width for im in images])
+        pair = first_cell(on_s.le_table(a, a) != on_l.le_table(b, b))
+        return pair and {
+            "check": "inclusion-both-ways", "ideal1": on_s.ids(A[pair[0]]), "ideal2": on_s.ids(A[pair[1]]),
+        }
 
     return ws.run_suite(f"th3.15[{kind}]", check)
 
@@ -780,7 +750,7 @@ def _semifield_biconditional(
         notes.append("forward implication failed")
         return {
             "direction": f"{name}-but-fuzzy-condition-fails",
-            "violating_ideal": _grades(violator),
+            "violating_ideal": violator.to_mapping(),
         }
     notes.append("forward implication holds: "
                  + (f"{name} and fuzzy condition verified" if semifield else "vacuous"))
@@ -795,7 +765,7 @@ def _semifield_biconditional(
         }
     notes.append(
         "reverse implication holds: non-semifield witnessed by fuzzy violator "
-        f"{_grades(violator)}"
+        f"{violator.to_mapping()}"
     )
     return None
 
@@ -873,7 +843,7 @@ def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
                 notes.append(f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}")
                 if violator is not None:
                     notes.append(
-                        f"diagnostic: fuzzy condition violated by {_grades(violator)}"
+                        f"diagnostic: fuzzy condition violated by {violator.to_mapping()}"
                     )
                 else:
                     notes.append("diagnostic: fuzzy condition holds on the enumerated ideals")

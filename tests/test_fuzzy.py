@@ -10,6 +10,7 @@ from gsl.fuzzy import (
     EnumerationCapExceeded,
     FuzzySubset,
     GradeChain,
+    LevelCuts,
     carrier_of,
     characteristic,
     enumerate_crisp_ideals,
@@ -38,6 +39,15 @@ from oracles import (
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
 CHAINS = tuple(GradeChain.parse(c) for c in ("0,1", "0,1/2,1", "0,1/4,1/2,1"))
+
+
+def _from_b3():
+    """({0,1}^3, or, and) as a gamma-semiring: 8 elements, 8-element L and R."""
+    return core.gamma_from_semiring(core.boolean_power_semiring(3))
+
+
+def _members(mask):
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 class TestGrades:
@@ -146,18 +156,28 @@ class TestEnumerations:
             assert mu.grades[1] == mu.grades[3] <= mu.grades[2]
 
     def test_matches_brute_force_filter(self, enum_instances):
-        for g in enum_instances:
+        """The wrapper and the view's cut tuples (`LevelCuts.fuzzy_ideals`)
+        list the brute-force fuzzy ideals, in order."""
+        for g in (*enum_instances, _from_b3()):
+            view = LevelCuts(g, CHAIN)
             for kind in ("left", "right", "two"):
-                got = [m.grades for m in enumerate_fuzzy_ideals(g, CHAIN, kind)]
                 want = brute_fuzzy_ideal_grades(g, CHAIN.grades, kind, is_gamma=True)
+                got = [m.grades for m in enumerate_fuzzy_ideals(g, CHAIN, kind)]
                 assert got == want, (g.name, kind)
+                assert [view.subset(cuts).grades for cuts in view.fuzzy_ideals(kind)] == want, (g.name, kind)
 
-    def test_semiring_enumeration_matches_brute_force(self, bool_sr, z4_sr):
-        for r in (bool_sr, z4_sr):
+    def test_semiring_enumeration_matches_brute_force(self, bool_sr, z4_sr, enum_instances):
+        """As above on plain semirings, the L and R of every enumerator
+        fixture and of from_B3 among them."""
+        operators = [build_operator_semiring(g, side).semiring
+                     for g in (*enum_instances, _from_b3()) for side in ("left", "right")]
+        for r in (bool_sr, z4_sr, *operators):
+            view = LevelCuts(r, CHAIN)
             for kind in ("left", "right", "two"):
-                got = [m.grades for m in enumerate_fuzzy_ideals(r, CHAIN, kind)]
                 want = brute_fuzzy_ideal_grades(r, CHAIN.grades, kind, is_gamma=False)
-                assert got == want
+                got = [m.grades for m in enumerate_fuzzy_ideals(r, CHAIN, kind)]
+                assert got == want, (r.name, kind)
+                assert [view.subset(cuts).grades for cuts in view.fuzzy_ideals(kind)] == want, (r.name, kind)
 
     def test_binary_chain_matches_crisp_ideals(self, all_small_instances):
         chain01 = GradeChain.of(0, 1)
@@ -182,18 +202,24 @@ class TestEnumerations:
         ]
 
     def test_crisp_ideals_match_oracle(self, enum_instances):
-        for g in enum_instances:
+        """The wrapper and the view's masks (`LevelCuts.crisp_ideals`) list
+        the subset filter's ideals, in order."""
+        for g in (*enum_instances, _from_b3()):
+            view = LevelCuts(g, CHAIN)
             for kind in ("left", "right", "two"):
-                got = [i.members for i in enumerate_crisp_ideals(g, kind)]
-                assert got == naive_crisp_ideals_gamma(g, kind), (g.name, kind)
+                want = naive_crisp_ideals_gamma(g, kind)
+                assert [i.members for i in enumerate_crisp_ideals(g, kind)] == want, (g.name, kind)
+                assert list(map(_members, view.crisp_ideals(kind))) == want, (g.name, kind)
 
     def test_operator_semiring_crisp_ideals_match_subset_filter(self, enum_instances):
-        for g in enum_instances:
+        for g in (*enum_instances, _from_b3()):
             for side in ("left", "right"):
                 r = build_operator_semiring(g, side).semiring
+                view = LevelCuts(r, CHAIN)
                 for kind in ("left", "right", "two"):
-                    got = [i.members for i in enumerate_crisp_ideals(r, kind)]
-                    assert got == brute_crisp_ideals_semiring(r, kind), (g.name, side, kind)
+                    want = brute_crisp_ideals_semiring(r, kind)
+                    assert [i.members for i in enumerate_crisp_ideals(r, kind)] == want, (g.name, side, kind)
+                    assert list(map(_members, view.crisp_ideals(kind))) == want, (g.name, side, kind)
 
     def test_four_grade_chain_matches_brute_force(self, all_small_instances):
         chain = GradeChain.parse("0,1/4,1/2,1")
@@ -228,7 +254,7 @@ class TestEnumerations:
         for structure in structures:
             base = getattr(structure, "semiring", structure)
             for kind in ("left", "right", "two"):
-                image = _absorption_images(structure, kind)[1]
+                image = _absorption_images(structure, kind)
                 assert image == naive_absorption_images(base, kind), (base.name, kind)
 
     def test_cap_enforced(self, z4):

@@ -17,7 +17,6 @@ from gsl.operators import (
     starprime_set,
 )
 from gsl.matrix import build_matrix_gamma
-from gsl.fuzzy import enumerate_crisp_ideals
 from oracles import (
     naive_operator_actions,
     naive_operator_provenance,
@@ -234,30 +233,47 @@ class TestCorrespondences:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_masks_match_the_frozenset_oracle(self, enum_instances, side):
-        """The correspondences, as mask tests, give what the frozenset
-        versions give, errors included: on every crisp ideal of every kind
-        of S and of the operator semiring, and on targets that are not
-        additively closed."""
+        """The correspondences, as the mask maps `pair_fixed` and
+        `image_contained` and through the `CrispSubset` API over them, give
+        what the frozenset versions give, errors included: on every subset of
+        S and of the operator semiring, additively closed or not."""
         from_b3 = core.gamma_from_semiring(core.boolean_power_semiring(3))
         pair_fixed, image_contained = (plus_set, plusprime_set) if side == "left" else (star_set, starprime_set)
         not_closed = 0
         for g in (*enum_instances, from_b3):
             op = build_operator_semiring(g, side)
-            for structure, ours, oracle in (
-                (g, image_contained, set_image_contained_set),
-                (op.semiring, pair_fixed, set_pair_fixed_set),
+            for structure, ours, mask_map, oracle in (
+                (g, image_contained, op.image_contained, set_image_contained_set),
+                (op.semiring, pair_fixed, op.pair_fixed, set_pair_fixed_set),
             ):
                 carrier = carrier_of(structure)
                 n, add = carrier.size, carrier.add
-                targets = {ideal.members for kind in ("left", "right", "two")
-                           for ideal in enumerate_crisp_ideals(structure, kind)}
-                targets |= {frozenset({x, y}) for x in range(n) for y in range(n)}
-                targets.add(frozenset())
-                for members in sorted(targets, key=sorted):
+                for mask in range(1 << n):
+                    target = CrispSubset.of_mask(carrier, mask)
+                    members = target.members
                     not_closed += any(add[x][y] not in members for x in members for y in members)
-                    target = CrispSubset(carrier, members)
-                    assert _outcome(ours, op, target) == _outcome(oracle, op, target), (g.name, members)
+                    want = _outcome(oracle, op, target)
+                    assert _outcome(ours, op, target) == want, (g.name, mask)
+                    want_mask = want if isinstance(want, str) else sum(1 << x for x in want.members)
+                    assert _outcome(lambda op, _: mask_map(mask), op, target) == want_mask, (g.name, mask)
         assert not_closed
+
+    def test_closed_target_disagreement_raises(self, z4):
+        """On an additively closed target the plain image and its closure
+        must agree: with a wrong closure mask for f2 (times 2, image {0, 2}),
+        the closed target {0, 2} raises, through the mask map and the
+        `CrispSubset` API alike, and the target {0, 1}, not closed, does not."""
+        op = build_operator_semiring(z4, "left")
+        f2 = op.index_of((0, 2, 0, 2))
+        closure = list(op.closure_masks)
+        closure[f2] = 0b1111
+        object.__setattr__(op, "closure_masks", tuple(closure))  # the cached value
+        text = f"element {f2}: image readings disagree on a closed target"
+        with pytest.raises(RuntimeError, match=text):
+            op.image_contained(0b101)
+        with pytest.raises(RuntimeError, match=text):
+            plusprime_set(op, CrispSubset.of_ids(z4, ["0", "2"]))
+        assert op.image_contained(0b11) == 0b1
 
     def test_side_mismatch_rejected(self, gb):
         left = build_operator_semiring(gb, "left")

@@ -232,11 +232,11 @@ def test_family_not_closed_under_sum_falls_back(monkeypatch):
     {0}, {0,1} or {0,2}: the sum of two members is no member, so no pair
     clause is decided on crisp cuts, and the rows are the oracles'."""
     ws = _workspace("from_B3")
-    on_s = LevelCuts(ws.structure, CHAIN)
-    part = tuple(mu for mu in ws.fuzzy_ideals("S") if set(on_s.of(mu)) <= {0b1, 0b11, 0b101})
+    real_cuts = ws.fuzzy_cuts
+    kept = tuple(cuts for cuts in real_cuts("S") if set(cuts) <= {0b1, 0b11, 0b101})
+    monkeypatch.setattr(ws, "fuzzy_cuts", lambda side, kind="two": kept if side == "S" else real_cuts(side, kind))
+    part = ws.fuzzy_ideals("S")  # built from the kept cuts
     assert len(part) == 5
-    real_ideals = ws.fuzzy_ideals
-    monkeypatch.setattr(ws, "fuzzy_ideals", lambda side, kind="two": part if side == "S" else real_ideals(side, kind))
     paths = _record_paths(monkeypatch)
     lift, restrict = _maps(ws, "L")
     rows = _pair_rows(verify._clause_rows(ws, "L", True, True, ""))
@@ -407,13 +407,14 @@ def test_th38_closure_without_a_basis_is_scanned(monkeypatch, keep, expected):
     L: the part has no basis, so its closure under sum and intersection is
     decided by the scan, as the table oracle decides it."""
     ws = _workspace("from_B3")
-    on_s = LevelCuts(ws.structure, CHAIN)
+    on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
     left = ws.left
     lift = lambda s: verify.lift_plusprime(left, s)
-    part = tuple(mu for mu in ws.fuzzy_ideals("S") if keep(on_s.of(mu)))
-    families = {"S": part, "L": tuple(sorted(map(lift, part), key=lambda mu: mu.grades))}
-    monkeypatch.setattr(ws, "fuzzy_ideals", lambda side, kind="two": families[side])
-    assert on_s.basis(on_s.family([on_s.of(mu) for mu in part])) is None
+    kept = tuple(cuts for cuts in ws.fuzzy_cuts("S") if keep(cuts))
+    lifted = sorted((on_l.of(lift(on_s.subset(cuts))) for cuts in kept), key=lambda c: on_l.subset(c).grades)
+    families = {"S": kept, "L": tuple(lifted)}
+    monkeypatch.setattr(ws, "fuzzy_cuts", lambda side, kind="two": families[side])
+    assert on_s.basis(on_s.family(kept)) is None
     assert table_theorem_3_8_pairs(ws, "two", lift) == expected
     paths = _record_paths(monkeypatch)
     body = verify.verify_theorem_3_8(ws, "two").body()

@@ -308,14 +308,15 @@ class TestRunAll:
         assert len(matrices) == 1
 
     @pytest.mark.parametrize("instance,views", [
-        (core.boolean_gamma, 4),
+        (core.boolean_gamma, 5),
         (lambda: core.zn_gamma(4), 3),
         (lambda: core.gamma_from_semiring(core.boolean_power_semiring(3)), 3),
     ], ids=["boolean", "z4", "from_B3"])
     def test_one_run_builds_one_level_cut_view_per_structure(self, monkeypatch, instance, views):
         """prop3.4, th3.8 and th3.19's base side share the workspace's views
         of S, L and R; th3.19's matrix side, where it runs (boolean), adds
-        one of its own on the lifted grades."""
+        one of its own on the lifted grades and one that enumerates the
+        matrix instance's fuzzy ideals (`enumerate_fuzzy_ideals`)."""
         built = []
         real_init = LevelCuts.__init__
 
@@ -326,6 +327,41 @@ class TestRunAll:
         monkeypatch.setattr(LevelCuts, "__init__", counting)
         verify.run_all(instance(), RunConfig(chain=CHAIN))
         assert len(built) == views
+
+    @pytest.mark.parametrize("instance,enumerations", [
+        (core.boolean_gamma, 8),
+        (lambda: core.zn_gamma(3), 7),
+        (lambda: core.zn_gamma(4), 7),
+        (lambda: core.gamma_from_semiring(core.boolean_power_semiring(3)), 7),
+    ], ids=["boolean", "z3", "z4", "from_B3"])
+    def test_one_run_enumerates_each_ideal_family_once(self, monkeypatch, instance, enumerations):
+        """One closure-system enumeration per (structure, kind) a run needs:
+        S and L in all three kinds (the lemmas), R in "two" (prop3.4), and on
+        boolean the matrix instance in "two" (th3.19).  Fuzzy families stay
+        cut tuples, so no enumerated ideal is cut again, and the crisp suites
+        build no `CrispSubset`."""
+        closures = _count_calls(monkeypatch, fuzzy._crisp_ideal_masks)
+        enumerated = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                enumerated.extend(result)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(verify.Workspace, "fuzzy_ideals", recording(verify.Workspace.fuzzy_ideals))
+        monkeypatch.setattr(matrix, "enumerate_fuzzy_ideals", recording(fuzzy.enumerate_fuzzy_ideals))
+        cut = []
+        real_of = LevelCuts.of
+        monkeypatch.setattr(LevelCuts, "of", lambda view, mu: cut.append(mu) or real_of(view, mu))
+        crisp = []
+        monkeypatch.setattr(fuzzy.CrispSubset, "__post_init__", lambda subset: crisp.append(subset))
+        reports = verify.run_all(instance(), RunConfig(chain=CHAIN))
+        assert all(r.status != FAIL for r in reports)
+        assert len(closures) == enumerations
+        assert enumerated and cut and not any(mu is ideal for mu in cut for ideal in enumerated)
+        assert crisp == []
 
     def test_suites_make_no_fraction_lattice_calls(self, monkeypatch, gb, z2):
         """Inclusions, sums and meets are level-cut work in every suite,
@@ -536,11 +572,18 @@ def _reversed(mu):
     return mu if mu.is_constant() else FuzzySubset(mu.carrier, mu.grades[::-1])
 
 
-def _full(structure):
-    from gsl.fuzzy import CrispSubset, carrier_of
+def _every_element(op):
+    """The mask of every element of the operator semiring."""
+    return (1 << len(op)) - 1
 
-    carrier = carrier_of(structure)
-    return CrispSubset(carrier, frozenset(range(carrier.size)))
+
+def _every_base_element(op):
+    """The mask of every element of the base."""
+    return (1 << len(op.base.S)) - 1
+
+
+# operand masks: {0, 2} of S (or {f0, f2} of L) and {0}
+EVEN, ZERO = 0b101, 0b1
 
 
 class TestFailPathBodies:
@@ -553,11 +596,13 @@ class TestFailPathBodies:
     )
 
     @staticmethod
-    def _break_on(monkeypatch, module, name, ids, wrong):
-        """Make module.name return wrong(op) for the subset with these ids."""
-        real = getattr(module, name)
+    def _break_on(monkeypatch, name, mask, wrong):
+        """Make the crisp correspondence `OperatorSemiring.name` return
+        wrong(op) for the operand with this mask."""
+        real = getattr(operators.OperatorSemiring, name)
         monkeypatch.setattr(
-            module, name, lambda op, subset: wrong(op) if subset.sorted_ids() == ids else real(op, subset)
+            operators.OperatorSemiring, name,
+            lambda op, operand: wrong(op) if operand == mask else real(op, operand),
         )
 
     def test_th38_image_is_ideal(self, monkeypatch, gb):
@@ -578,7 +623,7 @@ class TestFailPathBodies:
         }
 
     def test_lemmas_characteristic_lift(self, monkeypatch, z4):
-        self._break_on(monkeypatch, verify, "plusprime_set", ("0", "2"), _full)
+        self._break_on(monkeypatch, "image_contained", EVEN, _every_element)
         assert verify.verify_lemmas_3_11_3_12(ws(z4)).body() == {
             "suite": "lemmas",
             "instance": "z4",
@@ -590,7 +635,7 @@ class TestFailPathBodies:
         }
 
     def test_lemmas_characteristic_restrict(self, monkeypatch, z4):
-        self._break_on(monkeypatch, verify, "plus_set", ("f0", "f2"), _full)
+        self._break_on(monkeypatch, "pair_fixed", EVEN, _every_base_element)
         assert verify.verify_lemmas_3_11_3_12(ws(z4)).body() == {
             "suite": "lemmas",
             "instance": "z4",
@@ -604,9 +649,7 @@ class TestFailPathBodies:
     def test_lemmas_empty_image_is_not_an_ideal(self, monkeypatch, z4):
         """An empty image of {0}, with a lift that agrees with it, fails as
         no ideal: an ideal contains 0, also when tested on masks."""
-        from gsl.fuzzy import CrispSubset
-
-        self._break_on(monkeypatch, verify, "plusprime_set", ("0",), lambda op: CrispSubset.of_indices(op, []))
+        self._break_on(monkeypatch, "image_contained", ZERO, lambda op: 0)
         real = verify.lift_plusprime
         bottom = {"0": "1/1", "1": "0/1", "2": "0/1", "3": "0/1"}
         monkeypatch.setattr(
@@ -635,17 +678,13 @@ class TestFailPathBodies:
         }
 
     def test_th315_image_is_ideal(self, monkeypatch, z4):
-        from gsl.fuzzy import CrispSubset
-
-        self._break_on(
-            monkeypatch, verify, "plusprime_set", ("0", "2"), lambda op: CrispSubset.of_indices(op, [1])
-        )
+        self._break_on(monkeypatch, "image_contained", EVEN, lambda op: 0b10)  # {f1}
         assert verify.verify_theorem_3_15(ws(z4), "two").body() == self._th315(
             {"check": "image-is-ideal", "ideal": ["0", "2"], "image": ["f1"]}
         )
 
     def test_th315_left_inverse(self, monkeypatch, z4):
-        self._break_on(monkeypatch, verify, "plus_set", ("f0", "f2"), _full)
+        self._break_on(monkeypatch, "pair_fixed", EVEN, _every_base_element)
         assert verify.verify_theorem_3_15(ws(z4), "two").body() == self._th315(
             {"check": "left-inverse", "ideal": ["0", "2"], "image": ["f0", "f2"]}
         )
@@ -654,17 +693,72 @@ class TestFailPathBodies:
         """The image map is right for its first three calls (the images of
         the three ideals of S) and wrong afterwards, so only the right-inverse
         scan over the ideals of L sees it."""
-        real = verify.plusprime_set
+        real = operators.OperatorSemiring.image_contained
         calls = []
 
-        def late(op, subset):
-            calls.append(subset)
-            return real(op, subset) if len(calls) <= 3 else _full(op)
+        def late(op, mask):
+            calls.append(mask)
+            return real(op, mask) if len(calls) <= 3 else _every_element(op)
 
-        monkeypatch.setattr(verify, "plusprime_set", late)
+        monkeypatch.setattr(operators.OperatorSemiring, "image_contained", late)
         assert verify.verify_theorem_3_15(ws(z4), "two").body() == self._th315(
             {"check": "right-inverse", "ideal": ["f0"]}
         )
+
+    @staticmethod
+    def _th315_on_family(monkeypatch, z4, edit):
+        """th3.15[two] on z4 with the crisp ideals of S given by edit."""
+        w = ws(z4)
+        real = w.crisp_ideals
+        monkeypatch.setattr(
+            w, "crisp_ideals",
+            lambda side, kind="two": edit(real(side, kind)) if side == "S" else real(side, kind),
+        )
+        return verify.verify_theorem_3_15(w, "two").body()
+
+    def test_th315_injective(self, monkeypatch, z4):
+        """An ideal of S listed twice has the same image twice; each passes
+        the per-ideal checks, so the count of images tells."""
+        body = self._th315_on_family(monkeypatch, z4, lambda a: (a[0], *a))
+        assert body == {**self._th315({"check": "injective"}), "counts": {"ideals_L": 3, "ideals_S": 4}}
+
+    def test_th315_surjective(self, monkeypatch, z4):
+        """Without the ideal {0, 2} of S, its image {f0, f2} is the ideal of
+        L that nothing reaches."""
+        body = self._th315_on_family(monkeypatch, z4, lambda a: (a[0], a[2]))
+        assert body == {
+            **self._th315({"check": "surjective", "unmatched": [["f0", "f2"]]}),
+            "counts": {"ideals_L": 3, "ideals_S": 2},
+        }
+
+    @pytest.mark.parametrize("instance,swapped,witness,n", [
+        (lambda: core.zn_gamma(4), (ZERO, EVEN), (["0"], ["0", "2"]), 3),
+        (lambda: core.gamma_from_semiring(core.boolean_power_semiring(3)), (0b11, 0b101),
+         (["0", "2"], ["0", "2", "4", "6"]), 8),
+    ], ids=["z4", "from_B3"])
+    def test_th315_inclusion_both_ways(self, monkeypatch, instance, swapped, witness, n):
+        """The images of two ideals of S swapped, and their preimages with
+        them: still a bijection with its inverse, but no longer inclusion-
+        preserving.  On z4 ({0} and {0, 2}) the failing pairs are symmetric;
+        on from_B3 ({0, 1} and {0, 2}, incomparable) ({0, 2}, {0, 2, 4, 6})
+        fails and its transpose does not, so the witness is the first pair in
+        row-major order, not in column-major order."""
+        a, b = swapped
+        swap = {a: b, b: a}
+        image, preimage = operators.OperatorSemiring.image_contained, operators.OperatorSemiring.pair_fixed
+        monkeypatch.setattr(
+            operators.OperatorSemiring, "image_contained", lambda op, mask: image(op, swap.get(mask, mask))
+        )
+        monkeypatch.setattr(
+            operators.OperatorSemiring, "pair_fixed",
+            lambda op, mask: swap.get(preimage(op, mask), preimage(op, mask)),
+        )
+        g = instance()
+        assert verify.verify_theorem_3_15(ws(g), "two").body() == {
+            **self._th315({"check": "inclusion-both-ways", "ideal1": witness[0], "ideal2": witness[1]}),
+            "instance": g.name,
+            "counts": {"ideals_L": n, "ideals_S": n, "pairs_checked": n * n},
+        }
 
     def test_matrix_iso_generator_action(self, monkeypatch, gb):
         """A generator that acts unlike the realized product fails matrix-iso,

@@ -691,10 +691,10 @@ def _absorption_images(structure, kind: str) -> list[int]:
     _check_kind(kind)
     if isinstance(structure, core.GammaSemiring):
         n = len(structure.S)
-        products = np.asarray(structure.prod, dtype=np.intp)  # axes (x, gamma, y)
+        products = structure.tables[2]  # axes (x, gamma, y)
     elif isinstance(structure, core.Semiring):
         n = len(structure.carrier)
-        products = np.asarray(structure.mul, dtype=np.intp)[:, None, :]  # axes (x, -, y)
+        products = structure.tables[1][:, None, :]  # axes (x, -, y)
     else:
         sem = getattr(structure, "semiring", None)
         if sem is None:

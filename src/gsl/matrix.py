@@ -12,18 +12,18 @@ builds the canonical generator mapping (left generator (X, D) goes to the
 matrix whose (u,k) entry is the sum over t of the pair class [x_ut, g_tk],
 dually on the right) and verifies it is a semiring isomorphism.
 
-The tables are built by numpy lookups, not per-element loops: every matrix
-carrier element is decoded once into its entry tuple (kept on the
-instance), and the entrywise sums and the matrix products index the base
-tables with those entries, folding each entry in the same (k, l) order as
-the scalar definition, so the tables equal it cell for cell.  The instance
-is validated through its additive generators, the matrices with at most
-one non-zero entry (n^2(|S|-1)+1 of them in S), so associativity is
-checked on 5-tuples of those (3,125 cells on `boolean[2x2]`, not
-1,048,576).  matrix-iso computes the images of all |S||G| generators as
-one array, applies each distinct image to every argument at once
-(`_matrix_actions`), and reads the first failing (generator, argument)
-cell in row-major order.  th3.19 tests the lifted subsets for ideals, for
+The tables are numpy lookups into the base's `tables`: every matrix
+carrier element is decoded once into its entries (an array kept on the
+instance), and the entrywise sums and matrix products index the base tables
+with them, folding each entry in the (k, l) order of the scalar definition,
+so the tables equal it cell for cell; they reach the instance as arrays
+(`from_arrays`).  It is validated through its additive generators, the
+matrices with at most one non-zero entry, so associativity is checked on
+3,125 cells on `boolean[2x2]`, not 1,048,576.  matrix-iso compares the
+images of every sum and product with one table comparison, computes the
+images of all |S||G| generators as one array, applies each distinct image
+to every argument at once (`_matrix_actions`), and reads each first
+failing cell in row-major order.  th3.19 tests the lifted subsets for ideals, for
 injectivity and for inclusions on level cuts (`LevelCuts`; the base side's
 are the workspace's).
 """
@@ -39,9 +39,7 @@ import numpy as np
 from . import core
 from .fuzzy import FuzzySubset, GradeChain, LevelCuts, carrier_of, enumerate_fuzzy_ideals
 from .operators import OperatorSemiring, build_operator_semiring
-from .report import (
-    VerificationReport, chain_scope_note, first_cell, first_failing_pair, first_failure
-)
+from .report import VerificationReport, chain_scope_note, first_cell, first_failure
 from .transfer import _row_mins
 
 if TYPE_CHECKING:  # the suites below take the run's Workspace, which builds on this module
@@ -96,23 +94,24 @@ def _entrywise(add: np.ndarray, entries: np.ndarray, radix: int) -> np.ndarray:
 class MatrixGammaSemiring:
     """The realized matrix instance plus the entry-tuple codecs.
 
-    `s_entries[k]` and `g_entries[k]` are the decoded entry tuples of
-    element k of S and of G, computed once when the instance is built."""
+    Row k of `s_entries` and of `g_entries` (read-only (size, n^2) arrays)
+    holds the decoded entries of element k of S and of G, computed once
+    when the instance is built."""
 
     base: core.GammaSemiring
     n: int
     gamma: core.GammaSemiring
-    s_entries: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    g_entries: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    s_entries: np.ndarray = field(repr=False, compare=False)
+    g_entries: np.ndarray = field(repr=False, compare=False)
 
     def decode_s(self, k: int) -> tuple[int, ...]:
-        return self.s_entries[k]
+        return tuple(self.s_entries[k].tolist())
 
     def encode_s(self, entries) -> int:
         return _encode(entries, len(self.base.S))
 
     def decode_g(self, k: int) -> tuple[int, ...]:
-        return self.g_entries[k]
+        return tuple(self.g_entries[k].tolist())
 
     def encode_g(self, entries) -> int:
         return _encode(entries, len(self.base.G))
@@ -136,7 +135,7 @@ def build_matrix_gamma(base: core.GammaSemiring, n: int, cap: int = 16) -> Matri
         )
 
     nn = n * n
-    add_s, add_g, p = (np.asarray(t, dtype=np.intp) for t in (base.addS, base.addG, base.prod))
+    add_s, add_g, p = base.tables
     es, eg = _entries(size_s, s, nn), _entries(size_g, gg, nn)
     # entry (i, j) of A D B is the sum over k, l of a_ik d_kl b_lj, folded
     # in that order; axes of `prod` are (A, D, B)
@@ -149,29 +148,29 @@ def build_matrix_gamma(base: core.GammaSemiring, n: int, cap: int = 16) -> Matri
             acc = add_s[acc, term]
         prod = prod * s + acc
 
-    gamma = core.GammaSemiring(
+    gamma = core.GammaSemiring.from_arrays(
         f"{base.name}[{n}x{n}]",
         tuple(f"m{k}" for k in range(size_s)),
         tuple(f"m{k}" for k in range(size_g)),
-        _entrywise(add_s, es, s).tolist(),
-        _entrywise(add_g, eg, gg).tolist(),
-        prod.tolist(),
+        _entrywise(add_s, es, s),
+        _entrywise(add_g, eg, gg),
+        prod,
     )
     outcome = core.validate_gamma_semiring(
         gamma, generators=(_single_entry(s, nn), _single_entry(gg, nn))
     )
     if not outcome.ok:
         raise AssertionError(f"matrix instance failed validation: {outcome.violations[0]}")
-    return MatrixGammaSemiring(
-        base, n, gamma, tuple(map(tuple, es.tolist())), tuple(map(tuple, eg.tolist()))
-    )
+    es.setflags(write=False)
+    eg.setflags(write=False)
+    return MatrixGammaSemiring(base, n, gamma, es, eg)
 
 
 def matrix_semiring(r: core.Semiring, n: int, name: Optional[str] = None) -> core.Semiring:
     """n x n matrices over a semiring, with the usual sum-of-products multiplication."""
     radix = len(r.carrier)
     size = radix ** (n * n)
-    add, m = np.asarray(r.add, dtype=np.intp), np.asarray(r.mul, dtype=np.intp)
+    add, m = r.tables
     entries = _entries(size, radix, n * n)
     # entry (i, j) of A B is the sum over t of a_it b_tj, folded in that order
     a_col, b_col = entries[:, None, :], entries[None, :, :]
@@ -181,11 +180,11 @@ def matrix_semiring(r: core.Semiring, n: int, name: Optional[str] = None) -> cor
         for t in range(n):
             acc = add[acc, m[a_col[..., i * n + t], b_col[..., t * n + j]]]
         mul = mul * radix + acc
-    sr = core.Semiring(
+    sr = core.Semiring.from_arrays(
         name or f"{r.name}[{n}x{n}]",
         tuple(f"m{k}" for k in range(size)),
-        _entrywise(add, entries, radix).tolist(),
-        mul.tolist(),
+        _entrywise(add, entries, radix),
+        mul,
     )
     outcome = core.validate_semiring(sr)
     if not outcome.ok:
@@ -197,7 +196,7 @@ def lift_fuzzy_to_matrix(mg: MatrixGammaSemiring, mu: FuzzySubset) -> FuzzySubse
     """mu_n(A) = min over the n^2 entries of mu(entry)."""
     if mu.carrier != carrier_of(mg.base):
         raise ValueError("subset does not live on the base carrier")
-    return FuzzySubset(carrier_of(mg.gamma), _row_mins(mu.grades, np.asarray(mg.s_entries)))
+    return FuzzySubset(carrier_of(mg.gamma), _row_mins(mu.grades, mg.s_entries))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +209,8 @@ def _generator_images(mg: MatrixGammaSemiring, op_base: OperatorSemiring, side: 
     into op_base, row-major).  On the left entry (r, c) is the sum over t of
     the pair class [x_rt, d_tc], on the right of [d_rt, x_tc]."""
     n = mg.n
-    pair, add = np.asarray(op_base.pair_index), np.asarray(op_base.add)
-    xs, ds = np.asarray(mg.s_entries)[:, None, :], np.asarray(mg.g_entries)[None, :, :]
+    pair, add = op_base.pair_rows, op_base.semiring.tables[0]
+    xs, ds = mg.s_entries[:, None, :], mg.g_entries[None, :, :]
     entries = []
     for r, c in product(range(n), repeat=2):
         acc = 0
@@ -231,9 +230,8 @@ def _matrix_actions(
     operator elements to every matrix carrier element, folding each entry
     in the order of the scalar matrix product."""
     n, radix = mg.n, len(mg.base.S)
-    values = np.asarray([f.values for f in op_base.elements])
-    add = np.asarray(mg.base.addS)
-    fs, args = images[:, None, :], np.asarray(mg.s_entries)[None, :, :]
+    values, add = op_base.value_rows, mg.base.tables[0]
+    fs, args = images[:, None, :], mg.s_entries[None, :, :]
     code = np.zeros((len(images), len(mg.s_entries)), dtype=np.intp)
     for i, j in product(range(n), repeat=2):
         acc = 0
@@ -287,18 +285,16 @@ def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
         if images[0] != 0:
             return {"check": "zero", "image_of_zero": mat_over_op.carrier[images[0]]}
 
-        def pair_failure(i, j):
-            if images[op_matrix.add[i][j]] != mat_over_op.add[images[i]][images[j]]:
-                failed = "addition"
-            elif images[op_matrix.mul[i][j]] != mat_over_op.mul[images[i]][images[j]]:
-                failed = "multiplication"
-            else:
-                return None
-            return {"check": failed, "elements": [f"f{i}", f"f{j}"]}
-
-        failure = first_failing_pair(size, pair_failure)
-        if failure:
-            return failure
+        # every pair at once, in row-major order; a pair that fails both
+        # sum and product is reported as failing addition
+        image = np.array(images)
+        row, col = image[:, None], image[None, :]
+        (add, mul), (mat_add, mat_mul) = op_matrix.semiring.tables, mat_over_op.tables
+        add_bad = image[add] != mat_add[row, col]
+        cell = first_cell(add_bad | (image[mul] != mat_mul[row, col]))
+        if cell:
+            failed = "addition" if add_bad[cell] else "multiplication"
+            return {"check": failed, "elements": [f"f{cell[0]}", f"f{cell[1]}"]}
 
         # generator actions must agree with the realized matrix product: each
         # distinct image is applied once, and the first failing (generator,
@@ -307,7 +303,7 @@ def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
         codes = gen_images.reshape(-1, n * n) @ _weights(radix, n * n)
         _, first, image_of = np.unique(codes, return_index=True, return_inverse=True)
         acted = _matrix_actions(mg, op_base, gen_images.reshape(-1, n * n)[first], side)
-        prod = np.asarray(mg.gamma.prod)
+        prod = mg.gamma.tables[2]
         direct = prod if side == "left" else prod.transpose(2, 1, 0)
         wrong = np.flatnonzero(acted[image_of.reshape(-1)].reshape(direct.shape) != direct)
         if not wrong.size:

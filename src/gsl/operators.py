@@ -216,13 +216,13 @@ def build_operator_semiring(
     """Saturate the single-pair actions under pointwise addition and assemble
     the addition/composition tables.
 
-    Raises ClosureCapExceeded when the closure would exceed `cap` elements.
+    Reads `g.tables` and hands the tables it assembles, as arrays, to
+    `Semiring.from_arrays`.  Raises ClosureCapExceeded when the closure
+    would exceed `cap` elements.
     """
     _check_side(side)
     s, gg = len(g.S), len(g.G)
-    dtype = np.min_scalar_type(s - 1)
-    addS = np.asarray(g.addS, dtype=dtype)
-    prod = np.asarray(g.prod, dtype=dtype)
+    addS, _, prod = g.tables
 
     # row p is the action of pair p, in ascending pair order: (x, gamma) =
     # divmod(p, |G|) on the left, (gamma, x) = divmod(p, |S|) on the right
@@ -285,11 +285,11 @@ def build_operator_semiring(
         raise AssertionError("composition left the additive closure")
 
     tag = "L" if side == "left" else "R"
-    semiring = core.Semiring(
+    semiring = core.Semiring.from_arrays(
         f"{g.name}::{tag}",
         tuple(f"f{i}" for i in range(n)),
-        np.reshape(add_table, (n, n)).tolist(),
-        np.reshape(mul_table, (n, n)).tolist(),
+        np.reshape(add_table, (n, n)),
+        np.reshape(mul_table, (n, n)),
     )
     outcome = core.validate_semiring(semiring)
     if not outcome.ok:

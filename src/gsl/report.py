@@ -9,7 +9,6 @@ from the comparison body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "VerificationReport",
     "chain_scope_note",
     "first_failure",
-    "first_failing_pair",
     "first_cell",
 ]
 
@@ -52,15 +50,9 @@ def first_failure(check: Callable[..., object], *columns: Iterable) -> object:
     return next(filter(None, map(check, *columns)), None)
 
 
-def first_failing_pair(n: int, check: Callable[[int, int], object]) -> object:
-    """first_failure over the pairs (i, j) of range(n) x range(n), in
-    row-major order."""
-    return first_failure(lambda pair: check(*pair), product(range(n), repeat=2))
-
-
 def first_cell(failing: np.ndarray) -> Optional[tuple[int, int]]:
     """The first true cell of an (N, M) table in row-major order, the order
-    `first_failing_pair` scans in."""
+    a scan of the pairs (i, j), i the outer loop, meets it in."""
     hits = np.flatnonzero(failing)
     return divmod(int(hits[0]), failing.shape[1]) if hits.size else None
 

@@ -3,10 +3,12 @@
 Everything here is written as plain nested loops over the raw tables, sharing
 no scan code with the library: the vectorised validators, the worklist
 closure, the table-lookup matrix builds and the level-cut enumerators are
-all checked against these.  The last three sections are earlier library
+all checked against these.  The last four sections are earlier library
 paths kept as references: the pair checks on all-at-once N x N family
 tables (on level-cut views of their own), the sort-position transfer maps,
-and the frozenset crisp correspondences.
+the frozenset crisp correspondences, and the array paths that the
+structures' `tables` replaced (distributive masks as broadcast gathers,
+the ideal closure that scans every position, the row-major pair scan).
 """
 
 from __future__ import annotations
@@ -717,3 +719,53 @@ def set_image_contained_set(op, subset):
         if inside:
             members.add(i)
     return CrispSubset(carrier_of(op), frozenset(members))
+
+
+# ---------------------------------------------------------------------------
+# earlier array paths: the distributive masks as gathers with two broadcast
+# index arrays, the bitmask closure that scans all n positions for every
+# element it adds, and matrix-iso's one-pair-at-a-time scan
+
+
+def broadcast_distributive_masks(structure) -> dict[str, np.ndarray]:
+    """The distributive-law masks of a gamma-semiring or a semiring, each
+    sum of two products gathered as A[X, Y] from the structure's tables."""
+    from gsl import core
+
+    if isinstance(structure, core.GammaSemiring):
+        A, B, P = structure.tables
+        return {
+            "product_left_distributive": P[A] != A[P[:, None, :, :], P[None, :, :, :]],
+            "product_right_distributive": P[:, :, A] != A[P[:, :, :, None], P[:, :, None, :]],
+            "product_gamma_distributive": P[:, B, :] != A[P[:, :, None, :], P[:, None, :, :]],
+        }
+    A, M = structure.tables
+    return {
+        "mul_left_distributive": M[:, A] != A[M[:, :, None], M[:, None, :]],
+        "mul_right_distributive": M[A] != A[M[:, None, :], M[None, :, :]],
+    }
+
+
+def scan_close(add, image, ideal: int, x: int) -> int:
+    """`core.close` as it scanned every carrier position for the members of
+    the ideal each time it added an element."""
+    n = len(add)
+    todo = [x]
+    while todo:
+        e = todo.pop()
+        if ideal >> e & 1:
+            continue
+        ideal |= 1 << e
+        new = image[e]
+        for y in range(n):
+            if ideal >> y & 1:
+                new |= 1 << add[e][y] | 1 << add[y][e]
+        new &= ~ideal
+        todo.extend(y for y in range(n) if new >> y & 1)
+    return ideal
+
+
+def first_failing_pair(n: int, check):
+    """The first truthy check(i, j) over the pairs of range(n) x range(n),
+    in row-major order; None when every pair passes."""
+    return next(filter(None, itertools.starmap(check, itertools.product(range(n), repeat=2))), None)

@@ -228,3 +228,32 @@ class TestVerify:
         timing = [l for l in lines if l.startswith("time:")]
         assert len(timing) == 1
         assert lines.index(timing[0]) > lines.index("status: pass")
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ("verify", "{f}", "--suite", "th3.8", "--kind", "right"),
+        ("verify", "{f}", "--suite", "th3.8"),
+        ("gen", "boolean"),
+        ("verify",),
+        ("ideals", "{f}", "--fuzzy"),
+    ]
+
+    def _outputs(self, capsys, path):
+        """Exit code, stdout without the timing lines, and stderr per call."""
+        results = []
+        for argv in self.SEQUENCE:
+            code, out, err = run(capsys, *(a.format(f=path) for a in argv))
+            results.append((code, [l for l in out.splitlines() if not l.startswith("time:")], err))
+        return results
+
+    def test_one_parser_serves_a_sequence_of_calls(self, z4_file, capsys, monkeypatch):
+        """`main` builds its parser once per process, and no parse leaves
+        state behind: each call prints what a freshly built parser gives."""
+        shared = self._outputs(capsys, z4_file)
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert shared == self._outputs(capsys, z4_file)
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0]
+        suites = [[l for l in out if l.startswith("suite: ")] for _, out, _ in shared[:2]]
+        assert suites == [["suite: th3.8[right]"], ["suite: th3.8[two]", "suite: th3.8[right]"]]

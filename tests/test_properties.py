@@ -18,7 +18,7 @@ from gsl.fuzzy import (
 )
 from gsl.operators import build_operator_semiring
 from gsl.transfer import lift_plusprime, restrict_plus
-from oracles import naive_gamma_violations
+from oracles import naive_gamma_violations, scan_close
 
 GB = core.boolean_gamma()
 Z2 = core.zn_gamma(2)
@@ -132,3 +132,22 @@ def test_carrier_views_are_interchangeable(g, data):
     assert c1 == c2
     mu = FuzzySubset.of_grades(c2, [data.draw(grades) for _ in range(c1.size)])
     assert fuzzy_sum(mu, FuzzySubset.constant(c1, 0)).carrier == c1
+
+
+@st.composite
+def closure_inputs(draw):
+    """A random addition table, absorption images, starting mask and element."""
+    n = draw(st.integers(1, 9))
+    cell = st.integers(0, n - 1)
+    add = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    image = [draw(st.integers(0, 2**n - 1)) for _ in range(n)]
+    return add, image, draw(st.integers(0, 2**n - 1)), draw(cell)
+
+
+@settings(max_examples=300)
+@given(closure_inputs())
+def test_close_walks_members_to_the_scan_closure(data):
+    """`core.close` adds each element against the members it has, not every
+    position, and returns the mask the full scan returns, on any table."""
+    add, image, ideal, x = data
+    assert core.close(add, image, ideal, x) == scan_close(add, image, ideal, x)

@@ -1,5 +1,6 @@
 """Verification suites: statuses, counts, gating, and report invariants."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -11,8 +12,8 @@ from gsl import core, fuzzy, matrix, operators, verify
 from gsl.config import RunConfig
 from gsl.fuzzy import FuzzySubset, GradeChain, LevelCuts
 from gsl.matrix import MatrixCapExceeded
-from gsl.report import FAIL, PASS, UNMET, VerificationReport, first_failing_pair, first_failure
-from oracles import table_pair_clause_rows
+from gsl.report import FAIL, PASS, UNMET, VerificationReport, first_failure
+from oracles import first_failing_pair, table_pair_clause_rows
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -818,6 +819,47 @@ class TestFailPathBodies:
         }
         [images] = calls
         assert (0, 1, 0, 0) in images and len(images) == len(set(images))
+
+    @pytest.mark.parametrize(
+        "side, edits, check, elements",
+        [
+            ("left", [("add", 5, 9)], "addition", ["f5", "f9"]),
+            ("left", [("mul", 5, 9)], "multiplication", ["f5", "f9"]),
+            # a pair failing both is reported as failing addition
+            ("right", [("add", 5, 9), ("mul", 5, 9)], "addition", ["f5", "f9"]),
+            # the first failing pair in row-major order wins
+            ("right", [("add", 5, 9), ("mul", 5, 3)], "multiplication", ["f5", "f3"]),
+        ],
+    )
+    def test_matrix_iso_sum_and_product(self, monkeypatch, gb, side, edits, check, elements):
+        """Shift cells of the addition or composition table of the matrix
+        instance's operator semiring: matrix-iso names the first failing
+        pair and the operation it fails."""
+        real = matrix.build_operator_semiring
+
+        def perturbed(g, side, cap):
+            op = real(g, side, cap=cap)
+            tables = {"add": [list(row) for row in op.add], "mul": [list(row) for row in op.mul]}
+            for table, i, j in edits:
+                tables[table][i][j] = (tables[table][i][j] + 1) % len(op)
+            semiring = core.Semiring(op.semiring.name, op.semiring.carrier, tables["add"], tables["mul"])
+            return dataclasses.replace(op, add=semiring.add, mul=semiring.mul, semiring=semiring)
+
+        monkeypatch.setattr(matrix, "build_operator_semiring", perturbed)
+        assert matrix.check_operator_matrix_iso(verify.Workspace(gb), side).body() == {
+            "suite": f"matrix-iso[{side}]",
+            "instance": "boolean",
+            "chain": None,
+            "status": FAIL,
+            "counterexample": {"check": check, "elements": elements},
+            "counts": {
+                "matrix_carrier": 16,
+                "matrix_semiring_elements": 16,
+                "operator_elements": 16,
+                "pairs_checked": 256,
+            },
+            "notes": [],
+        }
 
     def test_th319_lift_is_ideal(self, monkeypatch, gb):
         real = matrix.lift_fuzzy_to_matrix

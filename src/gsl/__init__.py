@@ -47,10 +47,6 @@ from .operators import (
     action_of_pair,
     build_operator_semiring,
     find_unity,
-    plus_set,
-    plusprime_set,
-    star_set,
-    starprime_set,
 )
 from .transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
 from .matrix import (

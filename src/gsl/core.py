@@ -406,11 +406,26 @@ _GENERATOR_PATH_LAWS = (
 )
 
 
+# cells of one block of `_sums`: np.take widens the offsets to intp, so a
+# block holds about 10 bytes a cell besides the result
+_SUM_CELLS = 1 << 22
+
+
 def _sums(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A[x, y] for index arrays that broadcast, as one flat take from the
-    raveled table at x*|A| + y (x widened first so the offsets fit)."""
-    n = len(A)
-    return np.take(A.ravel(), x.astype(np.min_scalar_type(n * n - 1)) * n + y)
+    """A[x, y] for index arrays that broadcast, as flat takes from the
+    raveled table at x*|A| + y (x widened first so the offsets fit), in
+    blocks of whole first-axis slices of at most `_SUM_CELLS` cells, so
+    Z_32's masks (2^20 cells) are one block each.  The offsets are in
+    range, so "clip" never clips; it spares np.take a buffered copy."""
+    n, flat = len(A), A.ravel()
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=A.dtype)
+    step = max(1, _SUM_CELLS * len(out) // max(1, out.size))
+    offset = np.min_scalar_type(n * n - 1)
+    for start in range(0, len(out), step):
+        rows = slice(start, start + step)
+        xs, ys = (v[rows] if len(v) > 1 else v for v in (x, y))
+        np.take(flat, xs.astype(offset) * n + ys, out=out[rows], mode="clip")
+    return out
 
 
 def _gamma_masks(A: np.ndarray, B: np.ndarray, P: np.ndarray) -> dict[str, np.ndarray]:

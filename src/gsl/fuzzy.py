@@ -25,12 +25,16 @@ The suites compute on level cuts too: ``LevelCuts`` holds a chain-valued
 fuzzy subset as the tuple of its cuts.  It does sums, intersections and
 inclusions a family at a time, for every pair drawn from two families, as
 one numpy lookup into dense tables over the distinct cut masks, and ideal
-tests as bitmask work, cut by cut.  ``fuzzy_sum``, ``fuzzy_intersection``,
-``FuzzySubset.__le__`` and ``is_fuzzy_ideal_*`` remain the public
-``Fraction`` API, and the reference the tests check the cut engine against.
-``as_grade`` returns a ``Fraction`` it is given as it is, after an integer
-range check, so a subset built from grades that already exist makes no new
-``Fraction``.
+tests as bitmask work, cut by cut.  ``LevelCuts.ranks`` gives each
+element's rank, the number of cuts that contain it: ranks order the
+elements as their grades do, so a comparison of grades is decided on them,
+and ``LevelCuts.subset`` turns them into grades only where a suite needs a
+``FuzzySubset`` (a witness, or the operand of a map).  ``fuzzy_sum``,
+``fuzzy_intersection``, ``FuzzySubset.__le__`` and ``is_fuzzy_ideal_*``
+remain the public ``Fraction`` API, and the reference the tests check the
+cut engine against.  ``as_grade`` returns a ``Fraction`` it is given as it
+is, after an integer range check, so a subset built from grades that
+already exist makes no new ``Fraction``.
 """
 
 from __future__ import annotations
@@ -387,16 +391,22 @@ class LevelCuts:
             cuts.append(cut)
         return tuple(cuts[::-1])
 
-    def subset(self, cuts: Cuts) -> FuzzySubset:
-        """The fuzzy subset with these (descending) cuts: x gets the grade
-        c_r, r the number of cuts containing x."""
+    def ranks(self, cuts: Cuts) -> list[int]:
+        """Per element x, its rank r on the chain: the number of cuts
+        containing x, so x has grade c_r.  Ranks order the elements as their
+        grades do, because the chain is strictly increasing."""
         ranks = [0] * self.carrier.size
         for cut in cuts:
             while cut:  # one step per member: take the lowest bit off
                 low = cut & -cut
                 ranks[low.bit_length() - 1] += 1
                 cut ^= low
-        return FuzzySubset(self.carrier, tuple(map(self.chain.grades.__getitem__, ranks)))
+        return ranks
+
+    def subset(self, cuts: Cuts) -> FuzzySubset:
+        """The fuzzy subset with these (descending) cuts: x gets the grade
+        c_r, r its rank (`ranks`)."""
+        return FuzzySubset(self.carrier, tuple(map(self.chain.grades.__getitem__, self.ranks(cuts))))
 
     def ids(self, mask: int) -> list[str]:
         """The ids of the elements of a mask, in carrier order."""

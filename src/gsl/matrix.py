@@ -25,7 +25,8 @@ images of all |S||G| generators as one array, applies each distinct image
 to every argument at once (`_matrix_actions`), and reads each first
 failing cell in row-major order.  th3.19 tests the lifted subsets for ideals, for
 injectivity and for inclusions on level cuts (`LevelCuts`; the base side's
-are the workspace's).
+are the workspace's cut tuples, each made a fuzzy subset only as the
+operand of `lift_fuzzy_to_matrix`).
 """
 
 from __future__ import annotations
@@ -336,8 +337,8 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
         ws.require_unities()
         notes.append(chain_scope_note(chain))
 
-        ideals = ws.fuzzy_ideals("S")
-        lifted = [lift_fuzzy_to_matrix(mg, mu) for mu in ideals]
+        on_s, ideals = ws.level_cuts("S"), ws.fuzzy_cuts("S")
+        lifted = [lift_fuzzy_to_matrix(mg, on_s.subset(c)) for c in ideals]
         counts["fuzzy_ideals_base"] = len(ideals)
 
         # cuts on the grades the lifts have, so a lift with grades off the
@@ -345,8 +346,8 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
         on_matrix = LevelCuts(mg.gamma, GradeChain.of(0, 1, *{x for m in lifted for x in m.grades}))
         cuts = [on_matrix.of(m) for m in lifted]
         failure = first_failure(
-            lambda mu, c: not on_matrix.is_ideal(c)
-            and {"check": "lift-is-ideal", "mu": mu.to_mapping()},
+            lambda s, c: not on_matrix.is_ideal(c)
+            and {"check": "lift-is-ideal", "mu": on_s.subset(s).to_mapping()},
             ideals, cuts,
         )
         if failure:
@@ -354,11 +355,10 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
         if len(set(cuts)) != len(cuts):
             return {"check": "injective"}
         counts["pairs_checked"] = len(ideals) ** 2
-        on_s, fm = ws.level_cuts("S"), on_matrix.family(cuts)
-        fs = on_s.family(ws.fuzzy_cuts("S"))
+        fs, fm = on_s.family(ideals), on_matrix.family(cuts)
         pair = first_cell(on_s.le_table(fs, fs) != on_matrix.le_table(fm, fm))
         if pair:
-            mu1, mu2 = (ideals[k].to_mapping() for k in pair)
+            mu1, mu2 = (on_s.subset(ideals[k]).to_mapping() for k in pair)
             return {"check": "inclusion-preserving", "mu1": mu1, "mu2": mu2}
 
         matrix_candidates = len(chain) ** (len(mg.gamma.S) - 1)

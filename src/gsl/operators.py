@@ -34,11 +34,10 @@ belongs to the operator semiring alone, so the instance builds it once, as
 masks: each element's image in S, that image closed under the addition of
 S, and each base element's pair classes (each on first use).
 `pair_fixed` keeps the base elements whose pair-class mask lies in the
-target, and `image_contained` the elements whose image-closure mask does;
-on an additively closed target the plain image must agree, else
-RuntimeError.  `plus_set`/`star_set` and `plusprime_set`/`starprime_set`
-are the side-checked `CrispSubset` API over them; the suites call the mask
-maps.
+target (the paper's P+ on the left, P* on the right), and
+`image_contained` the elements whose image-closure mask does (Q+' and
+Q*'); on an additively closed target the plain image must agree, else
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from typing import Optional
 import numpy as np
 
 from . import core
-from .fuzzy import CrispSubset, carrier_of
 
 __all__ = [
     "ActionMap",
@@ -60,10 +58,6 @@ __all__ = [
     "action_of_pair",
     "build_operator_semiring",
     "find_unity",
-    "plus_set",
-    "star_set",
-    "plusprime_set",
-    "starprime_set",
 ]
 
 SIDES = ("left", "right")
@@ -164,14 +158,14 @@ class OperatorSemiring:
 
     def pair_fixed(self, mask: int) -> int:
         """For P inside this semiring, as a mask: the mask of the base
-        elements x whose every pair class lies in P (`plus_set` on the left,
-        `star_set` on the right)."""
+        elements x whose every pair class lies in P (P+ on the left, P* on
+        the right)."""
         return sum(1 << x for x, pairs in enumerate(self.pair_masks) if not pairs & ~mask)
 
     def image_contained(self, mask: int) -> int:
         """For Q inside S, as a mask: the mask of the elements whose image,
-        closed under the addition of S, lies in Q (`plusprime_set` on the
-        left, `starprime_set` on the right).  On an additively closed Q the
+        closed under the addition of S, lies in Q (Q+' on the left, Q*' on
+        the right).  On an additively closed Q the
         plain image must agree, else RuntimeError."""
         addS = self.base.addS
         members = [x for x in range(len(addS)) if mask >> x & 1]
@@ -321,44 +315,3 @@ def find_unity(g: core.GammaSemiring, op: OperatorSemiring) -> Optional[int]:
 
 def _mask(indices) -> int:
     return sum(1 << i for i in set(indices))
-
-
-def _pair_fixed_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
-    if subset.carrier != carrier_of(op):
-        raise ValueError("subset does not live on the operator semiring carrier")
-    return CrispSubset.of_mask(op.base, op.pair_fixed(_mask(subset.members)))
-
-
-def plus_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
-    """For P inside L: the a in S with every pair class [a, gamma] in P."""
-    if op.side != "left":
-        raise ValueError("plus_set needs a left operator semiring")
-    return _pair_fixed_set(op, subset)
-
-
-def star_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
-    """For P inside R: the a in S with every pair class [gamma, a] in P."""
-    if op.side != "right":
-        raise ValueError("star_set needs a right operator semiring")
-    return _pair_fixed_set(op, subset)
-
-
-def _image_contained_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
-    if subset.carrier != carrier_of(op.base):
-        raise ValueError("subset does not live on the base carrier")
-    return CrispSubset.of_mask(op, op.image_contained(_mask(subset.members)))
-
-
-def plusprime_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
-    """For Q inside S: the classes of L whose full sum-image lands in Q,
-    i.e. the additive closure of {f(s) : s in S} is contained in Q."""
-    if op.side != "left":
-        raise ValueError("plusprime_set needs a left operator semiring")
-    return _image_contained_set(op, subset)
-
-
-def starprime_set(op: OperatorSemiring, subset: CrispSubset) -> CrispSubset:
-    """Right-side dual of plusprime_set."""
-    if op.side != "right":
-        raise ValueError("starprime_set needs a right operator semiring")
-    return _image_contained_set(op, subset)

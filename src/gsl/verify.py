@@ -12,9 +12,11 @@ localizes; clause-level preconditions (unity presence) are gated as
 precondition-unmet rather than guessed around.  All enumeration happens at
 grade-chain scale, which is sound for these statements because min/max over
 finite index sets never leaves the chain; each report says so in its notes.
-The pair checks of prop3.4 and th3.8 compute on the workspace's level cuts
-of those ideals over the config's chain (`LevelCuts`), and report the
-`Fraction` grades of the ideals, and of images as their cuts give them.
+The fuzzy suites compute on the workspace's level cuts of those ideals
+over the config's chain (`LevelCuts`): a fuzzy ideal is its cut tuple from
+enumeration to verdict, and its `Fraction` grades are built from the cuts
+only for a witness (or as the operand of a map that takes a fuzzy subset).
+The semifield conditions of th3.17 and th3.18 are decided on ranks.
 The transfer maps work on cut tuples through `Workspace.transfer`, the
 run's one memo of each map, shared by prop3.4, th3.8 and the lemmas: each
 map is called once per distinct operand per run, so once on each of the N
@@ -88,9 +90,9 @@ class Workspace:
     the left and right operator semirings L and R, their unity flags, the
     matrix instance, the level-cut view of each structure (`level_cuts`),
     which enumerates its ideal families once per kind, those families (crisp
-    ideals as masks, fuzzy ideals as cut tuples and, for witnesses and
-    grade checks, as fuzzy subsets), the transfer maps on cut tuples with
-    the images they have given (`transfer`), and each fuzzy family with its
+    ideals as masks, fuzzy ideals as cut tuples: `fuzzy_cuts` is the one
+    fuzzy family the suites read), the transfer maps on cut tuples with the
+    images they have given (`transfer`), and each fuzzy family with its
     images for the pair checks (`pairs`).  A family is named by the structure
     it lives on, "S" (the structure itself), "L" or "R", and by its ideal
     kind.  Families are tuples, so no suite can change what the next suite
@@ -170,11 +172,6 @@ class Workspace:
         enumeration order (`LevelCuts.fuzzy_ideals`)."""
         return self._once(("cuts", side, kind), lambda: tuple(
             self.level_cuts(side).fuzzy_ideals(kind, self.config.enum_cap)))
-
-    def fuzzy_ideals(self, side: str, kind: str = "two") -> tuple[FuzzySubset, ...]:
-        """The fuzzy subsets of `fuzzy_cuts(side, kind)`, in enumeration order."""
-        return self._once(("fuzzy", side, kind), lambda: tuple(
-            map(self.level_cuts(side).subset, self.fuzzy_cuts(side, kind))))
 
     def transfer(self, side: str, direction: str) -> Callable[[Cuts], Cuts]:
         """The run's one memo of a transfer map between S and `side` ("L" or
@@ -409,11 +406,10 @@ def _clause_rows(
     operand per run.  The pair clauses are decided by `_failing_pair`: on
     crisp cuts where the family and the map allow it, else by the
     row-blocked `_scan`, which witnesses the first failing pair in
-    row-major order.  Witnesses carry the grades of the ideals, and of
-    images as their cuts give them.
+    row-major order.  Every check reads cut tuples; a witness's grades
+    are built from its cuts, for the failing row only.
     """
     rows: list[tuple[str, str, Optional[dict], int]] = []
-    ideals_s, ideals_op = ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side)
     on_s, on_op = ws.level_cuts("S"), ws.level_cuts(side)
     cuts_s, cuts_op = ws.fuzzy_cuts("S"), ws.fuzzy_cuts(side)
     lift, restrict = ws.transfer(side, "lift"), ws.transfer(side, "restrict")
@@ -433,7 +429,7 @@ def _clause_rows(
             rows.append((cid + tag, PASS, None, checked))
 
     def each(cid, columns, check, ok=True):
-        """A clause checked on each ideal with its image (and, for round trips, its cuts)."""
+        """A clause checked on each ideal's cuts with its image's."""
         clause(cid, len(columns[0]), lambda: first_failure(check, *columns), ok)
 
     def pairwise(cid, ideals, label, pairs, check):
@@ -441,76 +437,78 @@ def _clause_rows(
 
         def scan():
             pair = _failing_pair(pairs, check)
-            return pair and {
-                f"{label}1": ideals[pair[0]].to_mapping(),
-                f"{label}2": ideals[pair[1]].to_mapping(),
-            }
+            return pair and {f"{label}{k}": mapping(pairs.source, ideals[i]) for k, i in enumerate(pair, 1)}
 
         clause(cid, len(ideals) ** 2, scan)
 
-    def lift_roundtrip(s, t, cuts):
-        back = restrict(t)
-        return back != cuts and {"sigma": s.to_mapping(), "roundtrip": on_s.subset(back).to_mapping()}
+    def mapping(view, cuts):
+        """The grades of the subset with these cuts, for a witness."""
+        return view.subset(cuts).to_mapping()
 
     first_lifted_at: dict[Cuts, int] = {}
 
     def repeated_lift(k, t):
         """The first lift equal to an earlier one, with that earlier one."""
         first = first_lifted_at.setdefault(t, k)
-        return first != k and {"sigma1": ideals_s[first].to_mapping(), "sigma2": ideals_s[k].to_mapping()}
-
-    def restrict_roundtrip(m, rm, cuts):
-        back = lift(rm)
-        return back != cuts and {"mu": m.to_mapping(), "roundtrip": on_op.subset(back).to_mapping()}
+        return first != k and {"sigma1": mapping(on_s, cuts_s[first]), "sigma2": mapping(on_s, cuts_s[k])}
 
     # (i) ideal preservation under the lift
     each(
-        "i", (ideals_s, lifted),
-        lambda s, t: not on_op.is_ideal(t)
-        and {"sigma": s.to_mapping(), "lifted": on_op.subset(t).to_mapping()},
+        "i", (cuts_s, lifted),
+        lambda s, t: not on_op.is_ideal(t) and {"sigma": mapping(on_s, s), "lifted": mapping(on_op, t)},
     )
 
     # (i) non-constancy preservation
     each(
-        "i-nonconstant", (ideals_s, lifted),
-        lambda s, t: not s.is_constant() and on_op.is_constant(t) and {"sigma": s.to_mapping()},
+        "i-nonconstant", (cuts_s, lifted),
+        lambda s, t: not on_s.is_constant(s) and on_op.is_constant(t) and {"sigma": mapping(on_s, s)},
         lift_roundtrip_ok,
     )
 
     # (ii) restrict(lift(sigma)) == sigma
-    each("ii", (ideals_s, lifted, cuts_s), lift_roundtrip, lift_roundtrip_ok)
+    each(
+        "ii", (cuts_s, lifted),
+        lambda s, t: restrict(t) != s
+        and {"sigma": mapping(on_s, s), "roundtrip": mapping(on_s, restrict(t))},
+        lift_roundtrip_ok,
+    )
 
     # (iii) injectivity of the lift
     each("iii", (range(len(lifted)), lifted), repeated_lift, lift_roundtrip_ok)
 
     # (iv) lift of a sum is the sum of lifts
-    pairwise("iv", ideals_s, "sigma", lifts, _unhomomorphic("sum_table"))
+    pairwise("iv", cuts_s, "sigma", lifts, _unhomomorphic("sum_table"))
 
     # (v) lift of an intersection is the intersection of lifts
-    pairwise("v", ideals_s, "sigma", lifts, _unhomomorphic("meet_table"))
+    pairwise("v", cuts_s, "sigma", lifts, _unhomomorphic("meet_table"))
 
     # (vi) lift is inclusion-preserving
-    pairwise("vi", ideals_s, "sigma", lifts, _order_lost)
+    pairwise("vi", cuts_s, "sigma", lifts, _order_lost)
 
     # (vii) ideal preservation under the restriction
     each(
-        "vii", (ideals_op, restricted),
+        "vii", (cuts_op, restricted),
         lambda m, rm: not on_s.is_ideal(rm)
-        and {"mu": m.to_mapping(), "restricted": on_s.subset(rm).to_mapping()},
+        and {"mu": mapping(on_op, m), "restricted": mapping(on_s, rm)},
     )
 
     # (vii) non-constancy preservation
     each(
-        "vii-nonconstant", (ideals_op, restricted),
-        lambda m, rm: not m.is_constant() and on_s.is_constant(rm) and {"mu": m.to_mapping()},
+        "vii-nonconstant", (cuts_op, restricted),
+        lambda m, rm: not on_op.is_constant(m) and on_s.is_constant(rm) and {"mu": mapping(on_op, m)},
         restrict_roundtrip_ok,
     )
 
     # (viii) lift(restrict(mu)) == mu
-    each("viii", (ideals_op, restricted, cuts_op), restrict_roundtrip, restrict_roundtrip_ok)
+    each(
+        "viii", (cuts_op, restricted),
+        lambda m, rm: lift(rm) != m
+        and {"mu": mapping(on_op, m), "roundtrip": mapping(on_op, lift(rm))},
+        restrict_roundtrip_ok,
+    )
 
     # (ix) restriction is inclusion-preserving
-    pairwise("ix", ideals_op, "mu", restricts, _order_lost)
+    pairwise("ix", cuts_op, "mu", restricts, _order_lost)
 
     return rows
 
@@ -522,16 +520,14 @@ def verify_prop_3_4(ws: Workspace) -> VerificationReport:
 
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
-        ideals_s, ideals_l, ideals_r = (ws.fuzzy_ideals(side) for side in "SLR")
         rows = _clause_rows(ws, "L", ws.right_unity, ws.left_unity, "")
         rows += _clause_rows(ws, "R", ws.left_unity, ws.right_unity, "*")
 
         notes.append(f"left unity: {'present' if ws.left_unity else 'absent'}")
         notes.append(f"right unity: {'present' if ws.right_unity else 'absent'}")
         notes += [f"clause {cid}: {st}" for cid, st, _, _ in rows]
-        counts["fuzzy_ideals_S"] = len(ideals_s)
-        counts["fuzzy_ideals_L"] = len(ideals_l)
-        counts["fuzzy_ideals_R"] = len(ideals_r)
+        for side in "SLR":
+            counts[f"fuzzy_ideals_{side}"] = len(ws.fuzzy_cuts(side))
         counts["checks"] = sum(c for _, _, _, c in rows)
         return next((w for _, st, w, _ in rows if st == FAIL), None)
 
@@ -549,27 +545,28 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
         ws.require_unities()
-        A = ws.fuzzy_ideals("S", kind)
-        B = ws.fuzzy_ideals("L", kind)
         on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
         cuts_a, cuts_b = ws.fuzzy_cuts("S", kind), ws.fuzzy_cuts("L", kind)
         lifted = list(map(ws.transfer("L", "lift"), cuts_a))
-        counts["fuzzy_ideals_S"] = len(A)
-        counts["fuzzy_ideals_L"] = len(B)
+        counts["fuzzy_ideals_S"] = len(cuts_a)
+        counts["fuzzy_ideals_L"] = len(cuts_b)
 
         b_set = set(cuts_b)
         image = first_failure(
-            lambda s, t: t not in b_set
-            and {"check": "image-is-ideal", "sigma": s.to_mapping(), "lifted": on_l.subset(t).to_mapping()},
-            A, lifted,
+            lambda s, t: t not in b_set and {
+                "check": "image-is-ideal",
+                "sigma": on_s.subset(s).to_mapping(),
+                "lifted": on_l.subset(t).to_mapping(),
+            },
+            cuts_a, lifted,
         )
         if image:
             return image
         lifted_set = set(lifted)
-        if len(lifted_set) != len(A):
+        if len(lifted_set) != len(cuts_a):
             return {"check": "injective"}
         if lifted_set != b_set:
-            missing = [m.to_mapping() for m, mc in zip(B, cuts_b) if mc not in lifted_set]
+            missing = [on_l.subset(mc).to_mapping() for mc in cuts_b if mc not in lifted_set]
             return {"check": "surjective", "unmatched": missing[:3]}
 
         # the first failing pair reports the first check it fails, in this order
@@ -579,7 +576,7 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             "sum-homomorphism": _unhomomorphic("sum_table"),
             "intersection-homomorphism": _unhomomorphic("meet_table"),
         }
-        counts["pairs_checked"] = len(A) ** 2
+        counts["pairs_checked"] = len(cuts_a) ** 2
         pair = _failing_pair(
             p, lambda *args: np.logical_or.reduce([check(*args) for check in checks.values()])
         )
@@ -587,7 +584,10 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             i, j = pair
             rows = (p.family[i : i + 1], p.family[j : j + 1], p.images[i : i + 1], p.images[j : j + 1])
             failed = next(name for name, check in checks.items() if check(p, *rows, p.image)[0, 0])
-            return {"check": failed, "sigma1": A[i].to_mapping(), "sigma2": A[j].to_mapping()}
+            return {
+                "check": failed, "sigma1": on_s.subset(cuts_a[i]).to_mapping(),
+                "sigma2": on_s.subset(cuts_a[j]).to_mapping(),
+            }
 
         # chain-scale lattice sanity: closure under both operations, top and
         # bottom; a family with a basis is closed
@@ -712,16 +712,17 @@ def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
     return ws.run_suite(f"th3.15[{kind}]", check)
 
 
-def _fuzzy_semifield_condition(
-    ideals: Sequence[FuzzySubset],
-) -> tuple[bool, Optional[FuzzySubset]]:
-    """Every non-constant member is constant with a value below 1 on the
-    nonzero elements.  Returns (holds, first violator)."""
+def _fuzzy_semifield_condition(view: LevelCuts, ideals: Sequence[Cuts]) -> tuple[bool, Optional[Cuts]]:
+    """Every non-constant member is constant on the nonzero elements, with a
+    value below its value at 0.  Decided on ranks (`LevelCuts.ranks`), which
+    order the elements as the grades do.  Returns (holds, the first
+    violator's cuts)."""
 
-    def violator(mu):
-        nonzero = mu.grades[1:]
-        if not mu.is_constant() and (min(nonzero) != max(nonzero) or nonzero[0] >= mu.grades[0]):
-            return mu
+    def violator(cuts):
+        rank = view.ranks(cuts)
+        nonzero = rank[1:]
+        if not view.is_constant(cuts) and (min(nonzero) != max(nonzero) or nonzero[0] >= rank[0]):
+            return cuts
         return None
 
     first = first_failure(violator, ideals)
@@ -730,27 +731,28 @@ def _fuzzy_semifield_condition(
 
 def _semifield_biconditional(
     semifield: bool,
-    ideals: Sequence[FuzzySubset],
+    view: LevelCuts,
+    ideals: Sequence[Cuts],
     name: str,
     not_semifield_witness: Callable[[], dict],
     counts: dict,
     notes: list[str],
 ) -> Optional[dict]:
-    """Check `semifield <=> the fuzzy semifield condition on ideals` as two
-    implications, recording the ideal counts and one note per implication
-    decided.
+    """Check `semifield <=> the fuzzy semifield condition on ideals` (cut
+    tuples of the view) as two implications, recording the ideal counts and
+    one note per implication decided.
 
     `name` is the structural property ("semifield" or "gamma-semifield");
     `not_semifield_witness()` gives the payload showing the structure lacks
     it.  Returns the counterexample, or None when both implications hold."""
-    holds, violator = _fuzzy_semifield_condition(ideals)
+    holds, violator = _fuzzy_semifield_condition(view, ideals)
     counts["fuzzy_ideals"] = len(ideals)
-    counts["nonconstant_ideals"] = sum(1 for m in ideals if not m.is_constant())
+    counts["nonconstant_ideals"] = sum(1 for cuts in ideals if not view.is_constant(cuts))
     if semifield and not holds:
         notes.append("forward implication failed")
         return {
             "direction": f"{name}-but-fuzzy-condition-fails",
-            "violating_ideal": violator.to_mapping(),
+            "violating_ideal": view.subset(violator).to_mapping(),
         }
     notes.append("forward implication holds: "
                  + (f"{name} and fuzzy condition verified" if semifield else "vacuous"))
@@ -765,7 +767,7 @@ def _semifield_biconditional(
         }
     notes.append(
         "reverse implication holds: non-semifield witnessed by fuzzy violator "
-        f"{violator.to_mapping()}"
+        f"{view.subset(violator).to_mapping()}"
     )
     return None
 
@@ -811,7 +813,7 @@ def verify_theorem_3_17(ws: Workspace, side: str = "S") -> VerificationReport:
             )
 
         return _semifield_biconditional(
-            semifield, ws.fuzzy_ideals(side), "semifield",
+            semifield, ws.level_cuts(side), ws.fuzzy_cuts(side), "semifield",
             lambda: {
                 "nonzero_proper_ideal": [r.carrier[i] for i in (core.semifield_witness(r) or ())],
             },
@@ -839,11 +841,12 @@ def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
                 notes.append("degenerate one-element carrier; nonzero quantifiers are vacuous")
             # diagnostics still run so the report explains the instance
             if commutative and len(g.S) > 1:
-                holds, violator = _fuzzy_semifield_condition(ws.fuzzy_ideals("S"))
+                on_s = ws.level_cuts("S")
+                holds, violator = _fuzzy_semifield_condition(on_s, ws.fuzzy_cuts("S"))
                 notes.append(f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}")
                 if violator is not None:
                     notes.append(
-                        f"diagnostic: fuzzy condition violated by {violator.to_mapping()}"
+                        f"diagnostic: fuzzy condition violated by {on_s.subset(violator).to_mapping()}"
                     )
                 else:
                     notes.append("diagnostic: fuzzy condition holds on the enumerated ideals")
@@ -854,7 +857,7 @@ def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
             return {"pair_without_inverse": None if w is None else [g.S[w[0]], g.G[w[1]]]}
 
         return _semifield_biconditional(
-            core.is_gamma_semifield(g), ws.fuzzy_ideals("S"), "gamma-semifield",
+            core.is_gamma_semifield(g), ws.level_cuts("S"), ws.fuzzy_cuts("S"), "gamma-semifield",
             pair_without_inverse, counts, notes,
         )
 
@@ -903,10 +906,10 @@ def verify_semifield_transfer(ws: Workspace) -> VerificationReport:
         notes.append(f"gamma-semifield predicate: {gamma_side}")
         notes.append(f"operator-side semifield predicate: {operator_side}")
 
-        ideals_s = ws.fuzzy_ideals("S")
-        holds_s, _ = _fuzzy_semifield_condition(ideals_s)
-        ideals_l = ws.fuzzy_ideals("L")
-        holds_l, _ = _fuzzy_semifield_condition(ideals_l)
+        ideals_s = ws.fuzzy_cuts("S")
+        holds_s, _ = _fuzzy_semifield_condition(ws.level_cuts("S"), ideals_s)
+        ideals_l = ws.fuzzy_cuts("L")
+        holds_l, _ = _fuzzy_semifield_condition(ws.level_cuts("L"), ideals_l)
         counts["fuzzy_ideals_S"] = len(ideals_s)
         counts["fuzzy_ideals_L"] = len(ideals_l)
         notes.append(f"fuzzy characterization on the base: {holds_s}")

@@ -3,8 +3,9 @@
 Everything here is written as plain nested loops over the raw tables, sharing
 no scan code with the library: the vectorised validators, the worklist
 closure, the table-lookup matrix builds and the level-cut enumerators are
-all checked against these.  The last four sections are earlier library
-paths kept as references: the pair checks on all-at-once N x N family
+all checked against these.  The fuzzy semifield condition on `Fraction`
+grades and the last four sections are earlier library paths kept as
+references: the pair checks on all-at-once N x N family
 tables (on level-cut views of their own), the sort-position transfer maps,
 the frozenset crisp correspondences, and the array paths that the
 structures' `tables` replaced (distributive masks as broadcast gathers,
@@ -450,6 +451,30 @@ def count_multichains(ideals, length: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# fuzzy families as `FuzzySubset`s, and the semifield condition on grades
+
+
+def fuzzy_family(ws, side: str, kind: str = "two") -> list:
+    """The fuzzy ideals of a workspace's family as `FuzzySubset`s, in the
+    order of `ws.fuzzy_cuts(side, kind)`, from the public enumerator on a
+    level-cut view of its own."""
+    from gsl.fuzzy import enumerate_fuzzy_ideals
+
+    return enumerate_fuzzy_ideals(ws.structure_on(side), ws.config.chain, kind)
+
+
+def fraction_semifield_condition(ideals):
+    """`verify._fuzzy_semifield_condition` on `FuzzySubset` grades: every
+    non-constant member is constant on the nonzero elements, with a value
+    below its value at 0.  Returns (holds, first violator)."""
+    for mu in ideals:
+        nonzero = mu.grades[1:]
+        if not mu.is_constant() and (min(nonzero) != max(nonzero) or nonzero[0] >= mu.grades[0]):
+            return False, mu
+    return True, None
+
+
+# ---------------------------------------------------------------------------
 # pair-scan oracles: prop3.4's and th3.8's pair checks one pair at a time,
 # in row-major order, with the `Fraction` lattice operations
 
@@ -570,7 +595,7 @@ def table_pair_clause_rows(ws, side, lift, restrict, tag: str) -> list[tuple]:
 
     chain = ws.config.chain
     on_s, on_op = LevelCuts(ws.structure, chain), LevelCuts(ws.structure_on(side), chain)
-    ideals_s, ideals_op = ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side)
+    ideals_s, ideals_op = fuzzy_family(ws, "S"), fuzzy_family(ws, side)
     cuts_s, cuts_op = [on_s.of(s) for s in ideals_s], [on_op.of(m) for m in ideals_op]
     lift_cuts, restrict_cuts = _map_on_cuts(lift, on_s, on_op), _map_on_cuts(restrict, on_op, on_s)
     fs, fo = on_s.family(cuts_s), on_op.family(cuts_op)
@@ -606,7 +631,7 @@ def table_theorem_3_8_pairs(ws, kind, lift):
 
     chain = ws.config.chain
     on_s, on_l = LevelCuts(ws.structure, chain), LevelCuts(ws.structure_on("L"), chain)
-    ideals = ws.fuzzy_ideals("S", kind)
+    ideals = fuzzy_family(ws, "S", kind)
     cuts = [on_s.of(s) for s in ideals]
     lift_cuts = _map_on_cuts(lift, on_s, on_l)
     fa, fl = on_s.family(cuts), on_l.family([lift_cuts(c) for c in cuts])
@@ -690,7 +715,7 @@ def _additive_closure(addS, seed: set[int]) -> set[int]:
 
 def set_pair_fixed_set(op, subset):
     """For P inside the operator semiring: the a in S whose every pair class
-    lies in P (`plus_set` on the left, `star_set` on the right)."""
+    lies in P (P+ on the left, P* on the right: `pair_fixed`)."""
     from gsl.fuzzy import CrispSubset, carrier_of
 
     s, gg = len(op.base.S), len(op.base.G)
@@ -702,7 +727,7 @@ def set_pair_fixed_set(op, subset):
 
 def set_image_contained_set(op, subset):
     """For Q inside S: the elements whose image, closed under addition, lies
-    in Q (`plusprime_set` on the left, `starprime_set` on the right).
+    in Q (Q+' on the left, Q*' on the right: `image_contained`).
     Raises RuntimeError where Q is additively closed and the closed and the
     plain image disagree."""
     from gsl.fuzzy import CrispSubset, carrier_of

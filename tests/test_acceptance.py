@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from gsl import cli, core, verify
 from gsl.config import RunConfig
-from gsl.fuzzy import CrispSubset, GradeChain
+from gsl.fuzzy import GradeChain, LevelCuts
 from gsl.matrix import check_operator_matrix_iso, verify_theorem_3_19
-from gsl.operators import build_operator_semiring, find_unity, plusprime_set
+from gsl.operators import build_operator_semiring, find_unity
 from gsl.report import FAIL, PASS, UNMET
 from oracles import naive_operator_actions
 
@@ -125,8 +125,7 @@ def test_criterion_5_crisp_ideal_lattices():
         assert report.status == PASS, report.counterexample
         assert report.counts["ideals_S"] == 3 and report.counts["ideals_L"] == 3
         left = build_operator_semiring(Z4, "left")
-        even = CrispSubset.of_ids(Z4, ["0", "2"])
-        assert plusprime_set(left, even).sorted_ids() == ("f0", "f2")
+        assert left.image_contained(0b101) == 0b101  # {0, 2}+' = {f0, f2}
         lemmas = verify.verify_lemmas_3_11_3_12(ws(Z4))
         assert lemmas.status == PASS, lemmas.counterexample
 
@@ -143,12 +142,9 @@ def test_criterion_6_semifield_characterizations():
         assert report.status == PASS, report.counterexample
         # the named witness: the characteristic function of {0,2} violates
         # the constant-below-one condition
-        from gsl.fuzzy import enumerate_fuzzy_ideals
-
-        lam = next(
-            m for m in enumerate_fuzzy_ideals(r_z4, CHAIN, "two") if m.grades == (1, 0, 1, 0)
-        )
-        holds, violator = verify._fuzzy_semifield_condition([lam])
+        view = LevelCuts(r_z4, CHAIN)
+        lam = next(c for c in view.fuzzy_ideals("two") if view.subset(c).grades == (1, 0, 1, 0))
+        holds, violator = verify._fuzzy_semifield_condition(view, [lam])
         assert not holds and violator is lam
 
         for g in (GB, Z2):

@@ -74,3 +74,35 @@ def test_trace_counts_the_pairs_workload_transfer_calls():
         tracer.uninstall()
     calls = tracer.recorder.calls
     assert (calls["transfer.lift"], calls["transfer.restrict"]) == (PAIRS_LIFTS, PAIRS_RESTRICTS)
+
+
+# LevelCuts.subset calls of one pass of each workload's invocations, by the
+# function that makes them: the operands of the transfer maps and th3.19's
+# lift, the matrix-side ideals th3.19 enumerates, and the violators th3.17
+# and th3.18 name in their notes; no suite builds a `FuzzySubset` per family
+# member
+SUBSET_CALLERS = {
+    "matrix": {"Workspace.transfer": 24, "verify_theorem_3_19": 6, "enumerate_fuzzy_ideals": 6},
+    "pairs": {"Workspace.transfer": 144, "_semifield_biconditional": 2, "verify_theorem_3_18": 2},
+}
+
+
+@pytest.mark.parametrize("name", ["matrix", "pairs"])
+def test_fuzzy_subsets_are_built_only_as_operands(name, tmp_path, monkeypatch):
+    from collections import Counter
+
+    from gsl.fuzzy import LevelCuts
+
+    monkeypatch.delenv("GSL_CAP", raising=False)
+    workload = workloads.WORKLOADS[name]
+    workloads.generate(workload, 0, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    callers, real_subset = Counter(), LevelCuts.subset
+
+    def counting(view, cuts):
+        callers[sys._getframe(1).f_code.co_qualname.split(".<locals>")[0]] += 1
+        return real_subset(view, cuts)
+
+    monkeypatch.setattr(LevelCuts, "subset", counting)
+    workloads.observe(workload)
+    assert callers == SUBSET_CALLERS[name]

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_upper_triangular, build_zero_product
+from oracles import fuzzy_family
 from gsl import core
 from gsl.config import RunConfig
 from gsl.fuzzy import (
@@ -102,8 +103,8 @@ def test_cuts_agree_on_every_pair_of_fuzzy_ideals(instance, side, chain):
     ws = _workspace(instance, chain)
     structure = ws.structure_on(side)
     cuts = LevelCuts(structure, ws.config.chain)
-    _agree_on_pairs(cuts, ws.fuzzy_ideals(side, "two"))
-    distinct = {mu.grades: mu for kind in KINDS for mu in ws.fuzzy_ideals(side, kind)}
+    _agree_on_pairs(cuts, fuzzy_family(ws, side, "two"))
+    distinct = {mu.grades: mu for kind in KINDS for mu in fuzzy_family(ws, side, kind)}
     for mu in distinct.values():
         _agree_on_one(cuts, structure, mu, cuts.of(mu))
 

@@ -15,7 +15,9 @@ breaks a clause fails on the crisp cuts.
 
 import pytest
 
+import oracles
 from oracles import (
+    fuzzy_family,
     naive_pair_clause_rows,
     naive_theorem_3_8_pairs,
     table_pair_clause_rows,
@@ -118,7 +120,7 @@ def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instanc
     unbroken maps are decided on crisp cuts; a broken map is not cut-wise,
     so each clause it enters falls back to the scan."""
     ws = _workspace(instance)
-    _perturb(monkeypatch, ws.fuzzy_ideals("S"), *PERTURBATIONS[perturbation])
+    _perturb(monkeypatch, fuzzy_family(ws, "S"), *PERTURBATIONS[perturbation])
     real_rows = verify._clause_rows
     compared = []
     paths = _record_paths(monkeypatch)
@@ -127,7 +129,7 @@ def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instanc
         rows = real_rows(ws, side, lift_roundtrip_ok, restrict_roundtrip_ok, tag)
         lift, restrict = _maps(ws, side)
         oracle = naive_pair_clause_rows(
-            ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side), lift, restrict, tag
+            fuzzy_family(ws, "S"), fuzzy_family(ws, side), lift, restrict, tag
         )
         compared.append((_pair_rows(rows), oracle, table_pair_clause_rows(ws, side, lift, restrict, tag)))
         pairs = iter(oracle)
@@ -159,7 +161,7 @@ def test_scan_blocks_keep_the_row_major_witness(monkeypatch, perturbation, cells
     monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
     ws = _workspace("from_B3")
     lift_moves, restrict_moves = PERTURBATIONS[perturbation]
-    _perturb(monkeypatch, ws.fuzzy_ideals("S"), lift_moves, restrict_moves)
+    _perturb(monkeypatch, fuzzy_family(ws, "S"), lift_moves, restrict_moves)
     lift, restrict = _maps(ws, "L")
     rows = _pair_rows(verify._clause_rows(ws, "L", True, True, ""))
     assert rows == table_pair_clause_rows(ws, "L", lift, restrict, "")
@@ -190,7 +192,7 @@ def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
         ideal = CrispSubset.of_indices(ws.structure, [x for x in range(mask.bit_length()) if mask >> x & 1])
         return on_op.of(real_lift(left, characteristic(ideal)))[0]
 
-    bottom = min(on_s.of(mu)[0] for mu in ws.fuzzy_ideals("S"))
+    bottom = min(on_s.of(mu)[0] for mu in fuzzy_family(ws, "S"))
     lift = _cut_wise(ws, side, lambda mask: true_image(full if mask == full else bottom))
     monkeypatch.setattr(verify, "lift_plusprime", lambda op, sigma: lift(sigma))
     restrict = lambda mu: verify.restrict_plus(left, mu)
@@ -206,7 +208,7 @@ def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
     rows = _pair_rows(verify._clause_rows(ws, side, True, True, ""))
     assert checks == [True] * 4  # every pair clause had the crisp map
     assert [status for _, status, _, _ in rows] == [FAIL, PASS, PASS, PASS]
-    oracle = naive_pair_clause_rows(ws.fuzzy_ideals("S"), ws.fuzzy_ideals(side), lift, restrict, "")
+    oracle = naive_pair_clause_rows(fuzzy_family(ws, "S"), fuzzy_family(ws, side), lift, restrict, "")
     assert rows == oracle == table_pair_clause_rows(ws, side, lift, restrict, "")
 
 
@@ -235,18 +237,22 @@ def test_family_not_closed_under_sum_falls_back(monkeypatch):
     real_cuts = ws.fuzzy_cuts
     kept = tuple(cuts for cuts in real_cuts("S") if set(cuts) <= {0b1, 0b11, 0b101})
     monkeypatch.setattr(ws, "fuzzy_cuts", lambda side, kind="two": kept if side == "S" else real_cuts(side, kind))
-    part = ws.fuzzy_ideals("S")  # built from the kept cuts
+    on_s, real_family = ws.level_cuts("S"), oracles.fuzzy_family
+    part = [mu for mu in real_family(ws, "S") if on_s.of(mu) in kept]
     assert len(part) == 5
+    monkeypatch.setattr(
+        oracles, "fuzzy_family", lambda ws, side, kind="two": part if side == "S" else real_family(ws, side, kind)
+    )
     paths = _record_paths(monkeypatch)
     lift, restrict = _maps(ws, "L")
     rows = _pair_rows(verify._clause_rows(ws, "L", True, True, ""))
     assert paths == ["scan"] * 3 + ["crisp"]  # the family of L is whole
-    assert rows == naive_pair_clause_rows(part, ws.fuzzy_ideals("L"), lift, restrict, "")
+    assert rows == naive_pair_clause_rows(part, fuzzy_family(ws, "L"), lift, restrict, "")
     assert rows == table_pair_clause_rows(ws, "L", lift, restrict, "")
 
 
 def _th38_body(ws, kind, counterexample):
-    n = len(ws.fuzzy_ideals("S", kind))
+    n = len(fuzzy_family(ws, "S", kind))
     return {
         "suite": f"th3.8[{kind}]",
         "instance": ws.structure.name,
@@ -269,7 +275,7 @@ def test_th38_body_matches_the_reference_scan(monkeypatch, instance, perturbatio
     """A permuted lift is still a bijection onto the ideals of L, so th3.8
     gets to its pair scan, and its counterexample is the oracle's."""
     ws = _workspace(instance)
-    ideals = ws.fuzzy_ideals("S", kind)
+    ideals = fuzzy_family(ws, "S", kind)
     _perturb(monkeypatch, ideals, TH38_LIFTS[perturbation], {})
     left = ws.left
     lift = lambda s: verify.lift_plusprime(left, s)
@@ -288,7 +294,7 @@ def test_th38_reports_the_first_pair_not_the_first_check(monkeypatch, instance, 
     inclusion-both-ways, which comes first in the check order: the earlier
     pair, with the check it fails, is the counterexample."""
     ws = _workspace(instance)
-    ideals = ws.fuzzy_ideals("S", kind)
+    ideals = fuzzy_family(ws, "S", kind)
     i, j = swap
     _perturb(monkeypatch, ideals, {i: j, j: i}, {})
     left = ws.left
@@ -362,9 +368,9 @@ def test_th38_right_lifts_only_the_right_ideals_not_two_sided(monkeypatch, upper
     verify.verify_prop_3_4(ws)
     calls = _record_calls(monkeypatch)
     verify.verify_theorem_3_8(ws, "right")
-    two = {mu.grades for mu in ws.fuzzy_ideals("S", "two")}
-    right_only = [mu.grades for mu in ws.fuzzy_ideals("S", "right") if mu.grades not in two]
-    assert right_only and len(right_only) < len(ws.fuzzy_ideals("S", "right"))
+    two = {mu.grades for mu in fuzzy_family(ws, "S", "two")}
+    right_only = [mu.grades for mu in fuzzy_family(ws, "S", "right") if mu.grades not in two]
+    assert right_only and len(right_only) < len(fuzzy_family(ws, "S", "right"))
     assert calls == [("lift_plusprime", grades) for grades in right_only]
 
 
@@ -377,7 +383,7 @@ def test_a_wrapper_installed_after_the_workspace_sees_every_call(monkeypatch):
     calls = _record_calls(monkeypatch)
     assert verify.verify_prop_3_4(ws).status == PASS
     lifts = [grades for name, grades in calls if name == "lift_plusprime"]
-    assert lifts == [mu.grades for mu in ws.fuzzy_ideals("S")]
+    assert lifts == [mu.grades for mu in fuzzy_family(ws, "S")]
 
 
 # lift and restrict calls of run_all over the `pairs` workload's instances
@@ -414,6 +420,8 @@ def test_th38_closure_without_a_basis_is_scanned(monkeypatch, keep, expected):
     lifted = sorted((on_l.of(lift(on_s.subset(cuts))) for cuts in kept), key=lambda c: on_l.subset(c).grades)
     families = {"S": kept, "L": tuple(lifted)}
     monkeypatch.setattr(ws, "fuzzy_cuts", lambda side, kind="two": families[side])
+    part = [mu for mu in fuzzy_family(ws, "S") if on_s.of(mu) in kept]
+    monkeypatch.setattr(oracles, "fuzzy_family", lambda ws, side, kind="two": part)
     assert on_s.basis(on_s.family(kept)) is None
     assert table_theorem_3_8_pairs(ws, "two", lift) == expected
     paths = _record_paths(monkeypatch)

@@ -3,6 +3,7 @@ to the tuple fields, the same from either constructor, and read by the
 validators' flat-take distributive masks."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -163,16 +164,18 @@ SMALL = [x for x in STRUCTURES if len(x.tables[0]) <= 4] + [build_boolean_by_cha
 
 
 @pytest.mark.parametrize("x", SMALL, ids=lambda x: x.name)
-def test_flat_take_masks_equal_the_broadcast_gathers(x):
-    """On the structure and on every single-cell mutation of it: the same
-    masks, the validator's first witness of each distributive law read off
-    the broadcast mask, and every reported witness replays."""
+def test_flat_take_masks_equal_the_broadcast_gathers(x, monkeypatch):
+    """On the structure and on every single-cell mutation of it, with the
+    flat takes in one block, one first-axis slice a block, or a few: the
+    same masks, the validator's first witness of each distributive law read
+    off the broadcast mask, and every reported witness replays."""
     if _gamma(x):
         masks_of, validate, axioms = core._gamma_masks, core.validate_gamma_semiring, core._GAMMA_AXIOMS
     else:
         masks_of, validate, axioms = core._semiring_masks, core.validate_semiring, core._SEMIRING_AXIOMS
     failing = 0
-    for y in _mutants(x):
+    for cells, y in itertools.product((core._SUM_CELLS, 1, 40), _mutants(x)):
+        monkeypatch.setattr(core, "_SUM_CELLS", cells)
         lookup = {"s": y.S, "g": y.G} if _gamma(y) else {"c": y.carrier}
         masks, reported = masks_of(*y.tables), {v.axiom: v for v in validate(y).violations}
         for law, mask in broadcast_distributive_masks(y).items():
@@ -184,3 +187,20 @@ def test_flat_take_masks_equal_the_broadcast_gathers(x):
                 failing += 1
         assert all(core.recheck_violation(y, v) for v in reported.values())
     assert failing > 0
+
+
+def test_z3_matrix_instance_validates_in_bounded_memory():
+    """The 81-element instance z3[2x2] is validated with each distributive
+    sum taken in blocks (`core._sums`), so the build peaks at or below
+    257 MB traced; in one take it peaked at 586 MB."""
+    import tracemalloc
+
+    g = core.zn_gamma(3)
+    tracemalloc.start()
+    try:
+        mg = build_matrix_gamma(g, 2, cap=81)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mg.gamma.S) == 81
+    assert peak <= 257 * 2**20, peak / 2**20

@@ -13,7 +13,7 @@ from gsl.config import RunConfig
 from gsl.fuzzy import FuzzySubset, GradeChain, LevelCuts
 from gsl.matrix import MatrixCapExceeded
 from gsl.report import FAIL, PASS, UNMET, VerificationReport, first_failure
-from oracles import first_failing_pair, table_pair_clause_rows
+from oracles import first_failing_pair, fraction_semifield_condition, fuzzy_family, table_pair_clause_rows
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -27,11 +27,11 @@ def ws(structure, **config):
 class TestWorkspace:
     def test_families_are_shared_tuples(self, gb):
         w = ws(gb)
-        ideals = w.fuzzy_ideals("L", "right")
-        assert isinstance(ideals, tuple) and w.fuzzy_ideals("L", "right") is ideals
+        ideals = w.fuzzy_cuts("L", "right")
+        assert isinstance(ideals, tuple) and w.fuzzy_cuts("L", "right") is ideals
         assert isinstance(w.crisp_ideals("S"), tuple) and w.crisp_ideals("S") is w.crisp_ideals("S")
         with pytest.raises(ValueError):
-            w.fuzzy_ideals("G")
+            w.fuzzy_cuts("G")
 
     def test_matrix_cap_raises_on_every_access(self, z4):
         w = ws(z4)
@@ -100,12 +100,10 @@ class TestLemmasAndTheorem315:
             assert report.status == PASS, report.counterexample
 
     def test_z4_explicit_pairing(self, z4):
-        from gsl.fuzzy import CrispSubset
-        from gsl.operators import build_operator_semiring, plusprime_set
+        from gsl.operators import build_operator_semiring
 
         left = build_operator_semiring(z4, "left")
-        even = CrispSubset.of_ids(z4, ["0", "2"])
-        assert plusprime_set(left, even).sorted_ids() == ("f0", "f2")
+        assert left.image_contained(0b101) == 0b101  # {0, 2}+' = {f0, f2}
 
     @pytest.mark.parametrize("kind", ["two", "right"])
     def test_315_counts(self, gb, z2, z4, kind):
@@ -138,22 +136,39 @@ class TestTheorem317:
     def test_lambda_even_is_the_named_violator(self, z4_sr):
         # the characteristic function of {0,2} is enumerated and violates
         # the constant-below-one condition
-        from gsl.fuzzy import enumerate_fuzzy_ideals
-
-        ideals = enumerate_fuzzy_ideals(z4_sr, CHAIN, "two")
-        lam = next(m for m in ideals if m.grades == (1, 0, 1, 0))
-        assert not lam.is_constant()
-        holds, violator = verify._fuzzy_semifield_condition([lam])
+        view = LevelCuts(z4_sr, CHAIN)
+        lam = next(c for c in view.fuzzy_ideals("two") if view.subset(c).grades == (1, 0, 1, 0))
+        assert not view.is_constant(lam)
+        holds, violator = verify._fuzzy_semifield_condition(view, [lam])
         assert not holds and violator is lam
-        # constancy compares every grade with the first: equal grades held in
-        # distinct objects are constant, and a grade that differs only at the
-        # last position is seen
-        equal = FuzzySubset.of_grades(z4_sr, [Fraction(1, 2), Fraction(2, 4), Fraction(3, 6), HALF])
-        below_one = FuzzySubset.of_grades(z4_sr, [1, HALF, HALF, HALF])
-        late = FuzzySubset.of_grades(z4_sr, [HALF, HALF, HALF, 0])
-        assert len({id(g) for g in equal.grades}) == 4
-        assert equal.is_constant() and not below_one.is_constant() and not late.is_constant()
-        assert verify._fuzzy_semifield_condition([equal, below_one, late]) == (False, late)
+        # constancy compares every rank with the first: a constant subset
+        # passes, one below 1 off zero passes, and a rank that differs only
+        # at the last position is seen
+        equal, below_one, late = (
+            view.of(FuzzySubset.of_grades(z4_sr, grades))
+            for grades in ([HALF] * 4, [1, HALF, HALF, HALF], [HALF, HALF, HALF, 0])
+        )
+        assert view.is_constant(equal) and not view.is_constant(below_one) and not view.is_constant(late)
+        assert verify._fuzzy_semifield_condition(view, [equal, below_one, late]) == (False, late)
+
+    def test_rank_condition_matches_the_fraction_oracle(self):
+        """The condition on ranks gives the flag and the first violator the
+        `Fraction` reference gives, on every family of S, L and R, two-sided
+        and right, on 2-, 3- and 5-grade chains: 108 families."""
+        instances = [core.boolean_gamma(), *(core.zn_gamma(n) for n in (2, 3, 4, 6))]
+        instances.append(core.gamma_from_semiring(core.boolean_power_semiring(3)))
+        outcomes = []
+        for g in instances:
+            for chain in ("0,1", "0,1/2,1", "0,1/4,1/2,3/4,1"):
+                w = verify.Workspace(g, RunConfig(chain=GradeChain.parse(chain)))
+                for side in "SLR":
+                    view = w.level_cuts(side)
+                    for kind in ("two", "right"):
+                        holds, violator = verify._fuzzy_semifield_condition(view, w.fuzzy_cuts(side, kind))
+                        want = fraction_semifield_condition(fuzzy_family(w, side, kind))
+                        assert (holds, violator and view.subset(violator)) == want, (g.name, chain, side, kind)
+                        outcomes.append(holds)
+        assert len(outcomes) == 108 and any(outcomes) and not all(outcomes)
 
     def test_noncommutative_gate(self, bool_sr):
         from gsl.matrix import matrix_semiring
@@ -339,20 +354,15 @@ class TestRunAll:
         """One closure-system enumeration per (structure, kind) a run needs:
         S and L in all three kinds (the lemmas), R in "two" (prop3.4), and on
         boolean the matrix instance in "two" (th3.19).  Fuzzy families stay
-        cut tuples, so no enumerated ideal is cut again, and the crisp suites
-        build no `CrispSubset`."""
+        cut tuples, so no fuzzy subset built from cuts (a map's operand, a
+        matrix-side ideal) is cut again, and the crisp suites build no
+        `CrispSubset`."""
         closures = _count_calls(monkeypatch, fuzzy._crisp_ideal_masks)
         enumerated = []
-
-        def recording(fn):
-            def wrapper(*args, **kwargs):
-                result = fn(*args, **kwargs)
-                enumerated.extend(result)
-                return result
-            return wrapper
-
-        monkeypatch.setattr(verify.Workspace, "fuzzy_ideals", recording(verify.Workspace.fuzzy_ideals))
-        monkeypatch.setattr(matrix, "enumerate_fuzzy_ideals", recording(fuzzy.enumerate_fuzzy_ideals))
+        real_subset = LevelCuts.subset
+        monkeypatch.setattr(
+            LevelCuts, "subset", lambda view, cuts: enumerated.append(real_subset(view, cuts)) or enumerated[-1]
+        )
         cut = []
         real_of = LevelCuts.of
         monkeypatch.setattr(LevelCuts, "of", lambda view, mu: cut.append(mu) or real_of(view, mu))
@@ -490,7 +500,7 @@ class TestClauseEngineFailPaths:
         from gsl.transfer import lift_plusprime, restrict_plus
 
         w = ws(gb)
-        left, ideals_s = w.left, w.fuzzy_ideals("S")
+        left, ideals_s = w.left, fuzzy_family(w, "S")
         first, last = ideals_s[0], ideals_s[-1]
         swap = {first.grades: last, last.grades: first}
         swapped = lambda mu: swap.get(mu.grades, mu)
@@ -934,7 +944,7 @@ class TestTheorem38PairBodies:
         from gsl.fuzzy import FuzzySubset
 
         w = ws(z4)
-        assert [mu.grades for mu in w.fuzzy_ideals("S", kind)] == list(self.IDEALS)
+        assert [mu.grades for mu in fuzzy_family(w, "S", kind)] == list(self.IDEALS)
         a, b = (FuzzySubset.of_grades(z4, self.IDEALS[k]) for k in swapped)
         swap = {a.grades: b, b.grades: a}
         real = verify.lift_plusprime
@@ -975,11 +985,11 @@ class TestForcedSemifieldPayloads:
         return next(r for r in reports if r.suite == suite).body()
 
     @staticmethod
-    def _fails(ideals):
+    def _fails(view, ideals):
         return False, ideals[0]
 
     @staticmethod
-    def _holds(ideals):
+    def _holds(view, ideals):
         return True, None
 
     def test_th317_forward(self, monkeypatch, bool_sr):

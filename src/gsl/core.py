@@ -601,15 +601,36 @@ def close(add, image, ideal: int, x: int) -> int:
     return ideal
 
 
+def _absorption_images(structure, kind: str) -> list[int]:
+    """Per element x, the bitmask of every product that an ideal of the kind
+    ("left", "right" or "two") containing x must also contain."""
+    if isinstance(structure, GammaSemiring):
+        n = len(structure.S)
+        products = structure.tables[2]  # axes (x, gamma, y)
+    elif isinstance(structure, Semiring):
+        n = len(structure.carrier)
+        products = structure.tables[1][:, None, :]  # axes (x, -, y)
+    else:
+        sem = getattr(structure, "semiring", None)
+        if sem is None:
+            raise TypeError(f"cannot enumerate over {type(structure).__name__}")
+        return _absorption_images(sem, kind)
+    # hit[x, r]: r is a product the kind makes an ideal containing x contain
+    hit = np.zeros((n, n), dtype=bool)
+    x = np.arange(n)
+    if kind in ("left", "two"):
+        hit[x[None, None, :], products] = True
+    if kind in ("right", "two"):
+        hit[x[:, None, None], products] = True
+    rows = np.packbits(hit, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 def semifield_witness(r: Semiring) -> Optional[tuple[int, ...]]:
     """A nonzero proper crisp ideal (sorted indices), or None if none exists.
     Returns the principal ideal of the smallest generator that yields one."""
     n = len(r.carrier)
-    # images[a]: every product t*a and a*t, which a two-sided ideal containing a contains
-    images = [
-        sum(1 << v for v in {p for t in range(n) for p in (r.mul[t][a], r.mul[a][t])})
-        for a in range(n)
-    ]
+    images = _absorption_images(r, "two")
     bottom = close(r.add, images, 0, 0)
     for x in range(1, n):
         ideal = close(r.add, images, bottom, x)

@@ -25,20 +25,22 @@ The suites compute on level cuts too: ``LevelCuts`` holds a chain-valued
 fuzzy subset as the tuple of its cuts.  It does sums, intersections and
 inclusions a family at a time, for every pair drawn from two families, as
 one numpy lookup into dense tables over the distinct cut masks, and ideal
-tests as bitmask work, cut by cut.  ``LevelCuts.ranks`` gives each
-element's rank, the number of cuts that contain it: ranks order the
-elements as their grades do, so a comparison of grades is decided on them,
-and ``LevelCuts.subset`` turns them into grades only where a suite needs a
-``FuzzySubset`` (a witness, or the operand of a map).  ``fuzzy_sum``,
+tests as bitmask work, cut by cut.  ``LevelCuts.rank_array`` gives each
+member of a family each element's rank, the number of cuts that contain
+it, as one array: ranks order the elements as their grades do, so a
+comparison of grades is decided on them, and the transfer maps take their
+mins on them.  ``LevelCuts.subset`` turns ranks into grades only where a
+suite needs a ``FuzzySubset``, for a witness.  ``fuzzy_sum``,
 ``fuzzy_intersection``, ``FuzzySubset.__le__`` and ``is_fuzzy_ideal_*``
 remain the public ``Fraction`` API, and the reference the tests check the
-cut engine against.  ``as_grade`` returns a ``Fraction`` it is given as it
-is, after an integer range check, so a subset built from grades that
-already exist makes no new ``Fraction``.
+cut engine against.  ``as_grade`` returns a
+``Fraction`` it is given as it is, after an integer range check, so a
+subset built from grades that already exist makes no new ``Fraction``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -315,6 +317,13 @@ def _bits(mask: int) -> list[int]:
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of an array (its last axis) as one opaque key, so
+    np.unique compares whole rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
+
+
 Cuts = tuple[int, ...]
 
 
@@ -346,6 +355,10 @@ class LevelCuts:
     long as the instance, and the suites share one per structure for a
     whole run (`Workspace.level_cuts`).
 
+    A family's ranks are one (N, n) array (`rank_array`), and an array of
+    ranks gives back the ids of its subsets' cuts (`family_of_ranks`), so a
+    map that works on ranks maps a whole family at once.
+
     Because every operation goes cut by cut, a statement about every pair
     of a family of fuzzy ideals can often be decided on the family's crisp
     cuts instead: `basis` checks the two facts that make that exact (the
@@ -364,8 +377,6 @@ class LevelCuts:
         self.carrier = carrier_of(structure)
         self.chain = chain
         self.full = (1 << self.carrier.size) - 1  # the mask of every element
-        # keyed by (numerator, denominator): hashing two ints is cheaper than hashing a Fraction
-        self._rank = {(g.numerator, g.denominator): r for r, g in enumerate(chain.grades)}
         self._masks: list[int] = []
         self._id: dict[int, int] = {}
         self._tables: dict[str, np.ndarray] = {}
@@ -373,40 +384,11 @@ class LevelCuts:
         self._crisp_ideals: dict[str, tuple[int, ...]] = {}
         self._ideal: dict[tuple[str, int], bool] = {}
 
-    def of(self, mu: FuzzySubset) -> Cuts:
-        """The cuts of mu.  Raises ValueError for a grade off the chain."""
-        if mu.carrier != self.carrier:
-            raise ValueError(f"fuzzy subset does not live on {self.carrier.label}")
-        at_rank = [0] * len(self.chain)  # at_rank[r]: the elements of grade c_r
-        try:
-            for x, g in enumerate(mu.grades):
-                at_rank[self._rank[g.numerator, g.denominator]] |= 1 << x
-        except KeyError as off:
-            raise ValueError(
-                f"grade {format_grade(Fraction(*off.args[0]))} is not on the chain {self.chain}"
-            ) from None
-        cuts, cut = [], 0
-        for r in range(len(at_rank) - 1, 0, -1):
-            cut |= at_rank[r]
-            cuts.append(cut)
-        return tuple(cuts[::-1])
-
-    def ranks(self, cuts: Cuts) -> list[int]:
-        """Per element x, its rank r on the chain: the number of cuts
-        containing x, so x has grade c_r.  Ranks order the elements as their
-        grades do, because the chain is strictly increasing."""
-        ranks = [0] * self.carrier.size
-        for cut in cuts:
-            while cut:  # one step per member: take the lowest bit off
-                low = cut & -cut
-                ranks[low.bit_length() - 1] += 1
-                cut ^= low
-        return ranks
-
     def subset(self, cuts: Cuts) -> FuzzySubset:
         """The fuzzy subset with these (descending) cuts: x gets the grade
-        c_r, r its rank (`ranks`)."""
-        return FuzzySubset(self.carrier, tuple(map(self.chain.grades.__getitem__, self.ranks(cuts))))
+        c_r, r its rank (`rank_array`)."""
+        ranks = self.rank_array(self.family([cuts]))[0].tolist()
+        return FuzzySubset(self.carrier, tuple(map(self.chain.grades.__getitem__, ranks)))
 
     def ids(self, mask: int) -> list[str]:
         """The ids of the elements of a mask, in carrier order."""
@@ -425,15 +407,42 @@ class LevelCuts:
             self._masks.append(mask)
         return self._id[mask]
 
-    def cuts(self, ids: Sequence[int]) -> Cuts:
-        """The masks with these ids."""
-        return tuple(self._masks[i] for i in ids)
-
     def family(self, members: Sequence[Cuts]) -> np.ndarray:
         """The (N, m-1) array of the ids of N cut tuples' masks, one row per
         member; a mask not seen before gets the next id."""
-        rows = [list(map(self._intern, cuts)) for cuts in members]
-        return np.array(rows, dtype=np.intp).reshape(len(rows), len(self.chain) - 1)
+        masks = list(itertools.chain.from_iterable(members))
+        for mask in dict.fromkeys(masks):  # each distinct mask, in order of first appearance
+            self._intern(mask)
+        ids = np.array(list(map(self._id.__getitem__, masks)), dtype=np.intp)
+        return ids.reshape(len(members), len(self.chain) - 1)
+
+    def members(self, family: np.ndarray) -> list[Cuts]:
+        """The cut tuples of the rows of an (N, m-1) id array."""
+        return list(map(tuple, np.array(self._masks, dtype=object)[family].tolist()))
+
+    def rank_array(self, family: np.ndarray) -> np.ndarray:
+        """The (N, n) ranks of the members of an (N, m-1) id array, in the
+        smallest unsigned dtype that holds m-1.  The rank r of x is the
+        number of cuts containing x, so x has grade c_r, and ranks order the
+        elements as their grades do, because the chain is strictly
+        increasing."""
+        n, width = self.carrier.size, (self.carrier.size + 7) // 8
+        packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in self._masks), np.uint8)
+        bits = np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
+        ranks = np.zeros((len(family), n), dtype=np.min_scalar_type(len(self.chain) - 1))
+        for column in family.T:
+            ranks += bits[column]
+        return ranks
+
+    def family_of_ranks(self, ranks: np.ndarray) -> np.ndarray:
+        """The (N, m-1) id array of the subsets with these (N, n) ranks: cut
+        k holds the elements of rank k or more.  The cuts are packed into
+        bytes, and each distinct one is interned once."""
+        levels = range(1, len(self.chain))
+        packed = np.stack([np.packbits(ranks >= k, axis=1, bitorder="little") for k in levels], axis=1)
+        distinct, where = np.unique(_row_keys(packed), return_inverse=True)
+        ids = [self._intern(int.from_bytes(key.tobytes(), "little")) for key in distinct]
+        return np.array(ids, dtype=np.intp)[where].reshape(len(ranks), len(levels))
 
     def _set_sum(self, u: int, v: int) -> int:
         add, total = self.carrier.add, 0
@@ -483,18 +492,12 @@ class LevelCuts:
         """(N, M) booleans: a_i <= b_j, for families a and b."""
         return self._lookup("le", a, b).all(axis=2)
 
-    def distinct_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For an (R, m-1) id array: the index of the first row of each
         distinct row, and for every row the place of its distinct row in
         that list."""
-        code, first = np.zeros(len(rows), dtype=np.intp), np.zeros(0, dtype=np.intp)
-        for column in rows.T:
-            # code numbers the distinct prefixes (< R of them) and ids are < D,
-            # so code * D + id is below R * D and cannot overflow
-            _, first, code = np.unique(
-                code * len(self._masks) + column, return_index=True, return_inverse=True
-            )
-        return first, code.reshape(-1)
+        return np.unique(_row_keys(rows), return_index=True, return_inverse=True)[1:]
 
     def basis(self, family: np.ndarray) -> Optional[np.ndarray]:
         """The ids of the D distinct masks of a family (an (N, m-1) id array
@@ -536,7 +539,7 @@ class LevelCuts:
 
     def _image(self, kind: str) -> list[int]:
         if kind not in self._images:
-            self._images[kind] = _absorption_images(self.structure, kind)
+            self._images[kind] = core._absorption_images(self.structure, _check_kind(kind))
         return self._images[kind]
 
     def _crisp(self, kind: str) -> tuple[int, ...]:
@@ -693,32 +696,6 @@ def is_crisp_ideal_semiring(r: core.Semiring, subset: CrispSubset, kind: str = "
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def _absorption_images(structure, kind: str) -> list[int]:
-    """Per element x, the bitmask of every product that an ideal of the kind
-    containing x must also contain."""
-    _check_kind(kind)
-    if isinstance(structure, core.GammaSemiring):
-        n = len(structure.S)
-        products = structure.tables[2]  # axes (x, gamma, y)
-    elif isinstance(structure, core.Semiring):
-        n = len(structure.carrier)
-        products = structure.tables[1][:, None, :]  # axes (x, -, y)
-    else:
-        sem = getattr(structure, "semiring", None)
-        if sem is None:
-            raise TypeError(f"cannot enumerate over {type(structure).__name__}")
-        return _absorption_images(sem, kind)
-    # hit[x, r]: r is a product the kind makes an ideal containing x contain
-    hit = np.zeros((n, n), dtype=bool)
-    x = np.arange(n)
-    if kind in ("left", "two"):
-        hit[x[None, None, :], products] = True
-    if kind in ("right", "two"):
-        hit[x[:, None, None], products] = True
-    rows = np.packbits(hit, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _crisp_ideal_masks(add, image: list[int]) -> list[int]:

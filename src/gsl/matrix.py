@@ -23,10 +23,12 @@ matrices with at most one non-zero entry, so associativity is checked on
 images of every sum and product with one table comparison, computes the
 images of all |S||G| generators as one array, applies each distinct image
 to every argument at once (`_matrix_actions`), and reads each first
-failing cell in row-major order.  th3.19 tests the lifted subsets for ideals, for
-injectivity and for inclusions on level cuts (`LevelCuts`; the base side's
-are the workspace's cut tuples, each made a fuzzy subset only as the
-operand of `lift_fuzzy_to_matrix`).
+failing cell in row-major order.  th3.19 lifts the workspace's fuzzy
+ideals of the base as one rank array, through the workspace's "M" lift
+(the mins of `transfer.min_ranks` over the entries), and tests the lifts
+for ideals, injectivity, inclusions and surjectivity on the cuts of the
+workspace's level-cut view of the matrix instance, which also enumerates
+the matrix-side ideals.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import core
-from .fuzzy import FuzzySubset, GradeChain, LevelCuts, carrier_of, enumerate_fuzzy_ideals
+from .fuzzy import FuzzySubset, carrier_of
 from .operators import OperatorSemiring, build_operator_semiring
 from .report import VerificationReport, chain_scope_note, first_cell, first_failure
-from .transfer import _row_mins
+from .transfer import _grade_mins
 
 if TYPE_CHECKING:  # the suites below take the run's Workspace, which builds on this module
     from .verify import Workspace
@@ -197,7 +199,7 @@ def lift_fuzzy_to_matrix(mg: MatrixGammaSemiring, mu: FuzzySubset) -> FuzzySubse
     """mu_n(A) = min over the n^2 entries of mu(entry)."""
     if mu.carrier != carrier_of(mg.base):
         raise ValueError("subset does not live on the base carrier")
-    return FuzzySubset(carrier_of(mg.gamma), _row_mins(mu.grades, mg.s_entries))
+    return FuzzySubset(carrier_of(mg.gamma), _grade_mins(mu.grades, mg.s_entries))
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +339,11 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
         ws.require_unities()
         notes.append(chain_scope_note(chain))
 
-        on_s, ideals = ws.level_cuts("S"), ws.fuzzy_cuts("S")
-        lifted = [lift_fuzzy_to_matrix(mg, on_s.subset(c)) for c in ideals]
+        on_s, on_matrix, ideals = ws.level_cuts("S"), ws.level_cuts("M"), ws.fuzzy_cuts("S")
+        fs = on_s.family(ideals)
+        fm = ws.transfer("M", "lift")(fs)
+        cuts = on_matrix.members(fm)
         counts["fuzzy_ideals_base"] = len(ideals)
-
-        # cuts on the grades the lifts have, so a lift with grades off the
-        # run's chain is tested, not refused
-        on_matrix = LevelCuts(mg.gamma, GradeChain.of(0, 1, *{x for m in lifted for x in m.grades}))
-        cuts = [on_matrix.of(m) for m in lifted]
         failure = first_failure(
             lambda s, c: not on_matrix.is_ideal(c)
             and {"check": "lift-is-ideal", "mu": on_s.subset(s).to_mapping()},
@@ -352,10 +351,10 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
         )
         if failure:
             return failure
-        if len(set(cuts)) != len(cuts):
+        lifted_set = set(cuts)
+        if len(lifted_set) != len(cuts):
             return {"check": "injective"}
         counts["pairs_checked"] = len(ideals) ** 2
-        fs, fm = on_s.family(ideals), on_matrix.family(cuts)
         pair = first_cell(on_s.le_table(fs, fs) != on_matrix.le_table(fm, fm))
         if pair:
             mu1, mu2 = (on_s.subset(ideals[k]).to_mapping() for k in pair)
@@ -368,20 +367,14 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
                 f"{config.surjectivity_cap}; injectivity and inclusion-preservation verified"
             )
             return None
-        matrix_ideals = enumerate_fuzzy_ideals(
-            mg.gamma, chain, "two", cap=max(config.enum_cap, matrix_candidates)
-        )
+        matrix_ideals = on_matrix.fuzzy_ideals("two", cap=max(config.enum_cap, matrix_candidates))
         counts["fuzzy_ideals_matrix"] = len(matrix_ideals)
         notes.append(
             f"cardinalities: {len(ideals)} base ideals vs "
             f"{len(matrix_ideals)} matrix ideals"
         )
-        # the lifts are distinct and the enumerator lists distinct ideals in
-        # lexicographic order, so the two sets are equal iff the sorted lifts
-        # are that list; comparing them hashes no Fraction
-        if sorted(m.grades for m in lifted) != [m.grades for m in matrix_ideals]:
-            lifted_set = {m.grades for m in lifted}
-            extra = [m.to_mapping() for m in matrix_ideals if m.grades not in lifted_set]
+        if lifted_set != set(matrix_ideals):
+            extra = [on_matrix.subset(c).to_mapping() for c in matrix_ideals if c not in lifted_set]
             return {"check": "surjective", "unmatched": extra[:3]}
         return None
 

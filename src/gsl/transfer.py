@@ -8,53 +8,59 @@ The right-side maps use [gamma, x] pair classes and right actions; the
 formulas are identical on action maps.  All four are defined on arbitrary
 fuzzy subsets; ideal preservation is a property checked elsewhere.
 
-Each min is taken on integer ranks.  A call finds the operand's distinct
-grade objects by identity (usually as many as the chain has grades), puts
-them over one common denominator, and sorts the distinct numerators: exact
-integers, so equal grades held in distinct objects share a rank, grades
-need not lie on any chain, and no `Fraction` is compared or hashed.  Each
-element gets the rank of its grade, and every min of the image is taken at
-once, as a numpy min over the ranks along the rows of the operator
-semiring's action table (lift) or pair-class table (restrict).  The image
-reuses the operand's own grade objects.
+Each map is a min of grades along the rows of an index table: the operator
+semiring's action table (lift) or pair-class table (restrict), and for
+th3.19's lift a matrix instance's entries.  Ranks order the elements as
+their grades do, so every map is one kernel, `min_ranks`, on integer ranks.
+The suites map whole families at once, as the (N, n) rank arrays of their
+level cuts (`verify.Workspace.transfer`).  The public maps here are one-row
+calls of it, ranked on the operand's sorted distinct grades, and their
+images reuse the operand's own grade objects.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .fuzzy import FuzzySubset, carrier_of
 from .operators import OperatorSemiring
 
-__all__ = ["restrict_plus", "lift_plusprime", "restrict_star", "lift_starprime"]
+__all__ = ["min_ranks", "restrict_plus", "lift_plusprime", "restrict_star", "lift_starprime"]
+
+# cells of the gather one block of `min_ranks` spans
+_BLOCK_CELLS = 1 << 22
 
 
-def _row_mins(grades, rows: np.ndarray) -> tuple:
-    """For each row of an index array, the least of the grades it indexes."""
-    objects = {id(g): g for g in grades}  # the distinct grade objects
-    # each object's grade as a numerator over one common denominator: exact
-    # integers, so equal grades held in distinct objects get equal values
-    scale = math.lcm(*(g.denominator for g in objects.values()))
-    value = {i: g.numerator * (scale // g.denominator) for i, g in objects.items()}
-    grade = {value[i]: g for i, g in objects.items()}
-    ladder = sorted(grade)  # the distinct values, ascending
-    rank = {i: ladder.index(v) for i, v in value.items()}
-    ranks = np.array([rank[id(g)] for g in grades], dtype=np.intp)
-    return tuple(map([grade[v] for v in ladder].__getitem__, ranks[rows].min(axis=1).tolist()))
+def min_ranks(ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For an (N, n) array of ranks, one subset of n elements per row, and
+    an (n', k) index table into those elements: the (N, n') least ranks
+    along each table row.  The subsets go through in blocks, so the gather
+    spans at most _BLOCK_CELLS cells."""
+    mins = np.empty((len(ranks), len(rows)), dtype=ranks.dtype)
+    step = max(1, _BLOCK_CELLS // rows.size)
+    for start in range(0, len(ranks), step):
+        mins[start : start + step] = np.take(ranks[start : start + step], rows, axis=-1).min(axis=-1)
+    return mins
+
+
+def _grade_mins(grades, rows: np.ndarray) -> tuple:
+    """For each row of an index table, the least of the grades it indexes:
+    `min_ranks` on one subset, ranked on its sorted distinct grades."""
+    ladder = sorted(set(grades))  # equal grades share a rank
+    rank = {g: r for r, g in enumerate(ladder)}
+    return tuple(map(ladder.__getitem__, min_ranks(np.array([[rank[g] for g in grades]]), rows)[0].tolist()))
 
 
 def _restrict(op: OperatorSemiring, mu: FuzzySubset) -> FuzzySubset:
     if mu.carrier != carrier_of(op):
         raise ValueError("subset does not live on the operator semiring carrier")
-    return FuzzySubset(carrier_of(op.base), _row_mins(mu.grades, op.pair_rows))
+    return FuzzySubset(carrier_of(op.base), _grade_mins(mu.grades, op.pair_rows))
 
 
 def _lift(op: OperatorSemiring, sigma: FuzzySubset) -> FuzzySubset:
     if sigma.carrier != carrier_of(op.base):
         raise ValueError("subset does not live on the base carrier")
-    return FuzzySubset(carrier_of(op), _row_mins(sigma.grades, op.value_rows))
+    return FuzzySubset(carrier_of(op), _grade_mins(sigma.grades, op.value_rows))
 
 
 def restrict_plus(op: OperatorSemiring, mu: FuzzySubset) -> FuzzySubset:

@@ -15,23 +15,24 @@ finite index sets never leaves the chain; each report says so in its notes.
 The fuzzy suites compute on the workspace's level cuts of those ideals
 over the config's chain (`LevelCuts`): a fuzzy ideal is its cut tuple from
 enumeration to verdict, and its `Fraction` grades are built from the cuts
-only for a witness (or as the operand of a map that takes a fuzzy subset).
-The semifield conditions of th3.17 and th3.18 are decided on ranks.
-The transfer maps work on cut tuples through `Workspace.transfer`, the
-run's one memo of each map, shared by prop3.4, th3.8 and the lemmas: each
-map is called once per distinct operand per run, so once on each of the N
-ideals, and th3.8[two] after prop3.4 not at all.  A pair check is then decided
-on crisp cuts when two conditions hold, both checked, not assumed: the
+only for a witness.  The semifield conditions of th3.17 and th3.18 are
+decided on ranks.  The transfer maps are mins of ranks (`_MAPS`), and
+`Workspace.transfer` maps a whole family at once: the ids of its cuts
+become one rank array, the map takes its mins on it, and the result is cut
+again into ids.  Each family's images are kept with the family
+(`Workspace.pairs`), shared by prop3.4 and th3.8, so th3.8[two] after
+prop3.4 maps nothing.  A pair check is then decided on crisp cuts when
+two conditions hold, both checked, not assumed: the
 family has a `LevelCuts.basis` (it is every descending multichain of its D
 crisp masks, and those are closed under sum and meet), and the map acted
-cut by cut on its N calls, by one crisp map of masks (`_Pairs.crisp`).
+cut by cut on its N members, by one crisp map of masks (`_Pairs.crisp`).
 Then the check holds on all N x N fuzzy pairs exactly when it holds on the
 D x D crisp pairs, so a pass costs O(N m + D^2).  When a condition fails,
 or a crisp pair fails, a row-blocked scan of the N x N pairs decides,
 stopping at the first block with a failure; its witness is the first
 failing pair in row-major order (in th3.8, with the first check that pair
-fails), as a scan of every pair would give.  The scan calls a map on the
-operands of the rows it reaches, not past them.  The crisp suites, the
+fails), as a scan of every pair would give.  The scan maps the sums and
+meets of the rows it reaches, not past them.  The crisp suites, the
 lemmas and th3.15, compute on masks: crisp ideals, the operator semiring's
 mask maps `image_contained` and `pair_fixed`, and the level-cut tables.
 """
@@ -39,14 +40,14 @@ mask maps `image_contained` and `pair_fixed`, and the level-cut tables.
 from __future__ import annotations
 
 import time
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import core
 from .config import RunConfig
-from .fuzzy import Cuts, FuzzySubset, GradeChain, LevelCuts
+from .fuzzy import Cuts, GradeChain, LevelCuts
 from .matrix import (
     MatrixGammaSemiring,
     build_matrix_gamma,
@@ -63,7 +64,7 @@ from .report import (
     first_cell,
     first_failure,
 )
-from .transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
+from .transfer import min_ranks
 
 __all__ = [
     "Workspace",
@@ -91,12 +92,12 @@ class Workspace:
     matrix instance, the level-cut view of each structure (`level_cuts`),
     which enumerates its ideal families once per kind, those families (crisp
     ideals as masks, fuzzy ideals as cut tuples: `fuzzy_cuts` is the one
-    fuzzy family the suites read), the transfer maps on cut tuples with the
-    images they have given (`transfer`), and each fuzzy family with its
-    images for the pair checks (`pairs`).  A family is named by the structure
-    it lives on, "S" (the structure itself), "L" or "R", and by its ideal
-    kind.  Families are tuples, so no suite can change what the next suite
-    sees.  A plain semiring has only "S".
+    fuzzy family the suites read), and each fuzzy family with its images
+    under a transfer map (`pairs`, from `transfer`) for the pair checks.  A
+    family is named by the structure it lives on, "S" (the structure
+    itself), "L", "R" or "M" (the matrix instance), and by its ideal kind.
+    Families are tuples, so no suite can change what the next suite sees.  A
+    plain semiring has only "S".
 
     A build that hits a cap is attempted once: its `core.CapExceeded` is
     kept and raised again on every access, so each suite that needs it is
@@ -153,14 +154,17 @@ class Workspace:
             self.structure, self.config.n, cap=self.config.matrix_cap))
 
     def structure_on(self, side: str):
-        """The structure a family lives on: S itself, or the semiring of L or R."""
+        """The structure a family lives on: S itself, the semiring of L or R,
+        or the matrix instance."""
         if side == "S":
             return self.structure
         if side == "L":
             return self.left.semiring
         if side == "R":
             return self.right.semiring
-        raise ValueError(f"side must be 'S', 'L' or 'R', got {side!r}")
+        if side == "M":
+            return self.matrix.gamma
+        raise ValueError(f"side must be 'S', 'L', 'R' or 'M', got {side!r}")
 
     def level_cuts(self, side: str) -> LevelCuts:
         """The run's one level-cut view of a structure, over the config's
@@ -173,28 +177,24 @@ class Workspace:
         return self._once(("cuts", side, kind), lambda: tuple(
             self.level_cuts(side).fuzzy_ideals(kind, self.config.enum_cap)))
 
-    def transfer(self, side: str, direction: str) -> Callable[[Cuts], Cuts]:
-        """The run's one memo of a transfer map between S and `side` ("L" or
-        "R"): direction "lift" takes cuts on S to cuts on the side, "restrict"
-        takes them back.  The map is called once per distinct operand per
-        run, on the subset with these cuts, and its image is cut on the
-        config's chain (ValueError for a grade off it)."""
+    def transfer(self, side: str, direction: str) -> Callable[[np.ndarray], np.ndarray]:
+        """A transfer map between S and `side` ("L", "R", or "M" for th3.19's
+        lift) on id arrays: direction "lift" takes the (..., m-1) ids of
+        subsets' cuts on S to the ids of their images' cuts on the side,
+        "restrict" takes them back.  The distinct operands go through the
+        map of `_MAPS`, looked up at each call, as one rank array."""
+        source, target = self.level_cuts("S"), self.level_cuts(side)
+        if direction == "restrict":
+            source, target = target, source
+        over = self.left if side == "L" else self.right if side == "R" else self.matrix
 
-        def build():
-            call, op = _MAPS[side, direction], self.left if side == "L" else self.right
-            source, target = self.level_cuts("S"), self.level_cuts(side)
-            if direction == "restrict":
-                source, target = target, source
-            memo: dict[Cuts, Cuts] = {}
+        def apply(ids: np.ndarray) -> np.ndarray:
+            rows = ids.reshape(-1, ids.shape[-1])
+            first, where = source.distinct_rows(rows)
+            images = target.family_of_ranks(_MAPS[side, direction](over, source.rank_array(rows[first])))
+            return images[where].reshape(ids.shape)
 
-            def apply(cuts: Cuts) -> Cuts:
-                if cuts not in memo:
-                    memo[cuts] = target.of(call(op, source.subset(cuts)))
-                return memo[cuts]
-
-            return apply
-
-        return self._once(("transfer", side, direction), build)
+        return apply
 
     def pairs(self, side: str, direction: str, kind: str = "two") -> "_Pairs":
         """The fuzzy ideals of the kind that `transfer(side, direction)`
@@ -256,40 +256,31 @@ class Workspace:
 # transfer-map clause engine (shared by the primal L side and the dual R side)
 
 
-# The transfer maps by (side, direction).  The lambdas look the maps up at
-# call time, so a wrapper installed on a module-level map name sees every call.
-_MAPS: dict[tuple[str, str], Callable[[OperatorSemiring, FuzzySubset], FuzzySubset]] = {
-    ("L", "lift"): lambda op, mu: lift_plusprime(op, mu),
-    ("L", "restrict"): lambda op, mu: restrict_plus(op, mu),
-    ("R", "lift"): lambda op, mu: lift_starprime(op, mu),
-    ("R", "restrict"): lambda op, mu: restrict_star(op, mu),
+# The transfer maps on rank arrays, by (side, direction): each takes what it
+# maps over (the operator semiring, or the matrix instance for "M") and an
+# (N, n) rank array, and gives the (N, n') ranks of the images, each rank the
+# least along one row of the operator's action table (lift), its pair-class
+# table (restrict) or the matrix entries.  The suites look a map up here at
+# each call, so a map installed in this table sees every call.
+_MAPS: dict[tuple[str, str], Callable[[object, np.ndarray], np.ndarray]] = {
+    ("L", "lift"): lambda op, ranks: min_ranks(ranks, op.value_rows),
+    ("L", "restrict"): lambda op, ranks: min_ranks(ranks, op.pair_rows),
+    ("R", "lift"): lambda op, ranks: min_ranks(ranks, op.value_rows),
+    ("R", "restrict"): lambda op, ranks: min_ranks(ranks, op.pair_rows),
+    ("M", "lift"): lambda mg, ranks: min_ranks(ranks, mg.s_entries),
 }
-
-
-def _distinct_cuts(view: LevelCuts, table: np.ndarray) -> tuple[list[Cuts], np.ndarray]:
-    """The distinct cut tuples of an (..., m-1) table of ids, and for each
-    cell the place of its cut tuple among them."""
-    rows = table.reshape(-1, table.shape[-1])
-    first, inverse = view.distinct_rows(rows)
-    return [view.cuts(rows[k].tolist()) for k in first], inverse.reshape(table.shape[:-1])
 
 
 class _Pairs:
     """One family of N operands and its images under a transfer map, for
     the pair checks: the views they live on, their (N, m-1) id arrays, and
-    the map on cut tuples (`Workspace.transfer`) that gave the images."""
+    `image`, the map on id arrays (`Workspace.transfer`) that gave the
+    images, which maps the sums and meets of a pair scan."""
 
-    def __init__(self, source: LevelCuts, target: LevelCuts, cuts: Sequence[Cuts], apply):
-        self.source, self.target, self.apply = source, target, apply
+    def __init__(self, source: LevelCuts, target: LevelCuts, cuts: Sequence[Cuts], image):
+        self.source, self.target, self.image = source, target, image
         self.family = source.family(cuts)
-        self.images = target.family(list(map(apply, cuts)))
-
-    def image(self, table: np.ndarray) -> np.ndarray:
-        """The target ids of the image of the subset in each cell of an
-        (..., m-1) table of source ids; the map is called once per distinct
-        subset not seen before."""
-        distinct, where = _distinct_cuts(self.source, table)
-        return self.target.family(list(map(self.apply, distinct)))[where]
+        self.images = image(self.family)
 
     @cached_property
     def basis(self) -> Optional[np.ndarray]:
@@ -298,9 +289,9 @@ class _Pairs:
     @cached_property
     def crisp(self) -> Optional[np.ndarray]:
         """The crisp map the transfer map acts by, as an array from source
-        ids to target ids, when the family has a `basis` and each of the N
-        calls that gave the images acted cut by cut: image cut k is the map
-        of operand cut k, the same map for every call and level.  Else None."""
+        ids to target ids, when the family has a `basis` and the map acted
+        cut by cut on each of the N members: image cut k is the map of
+        operand cut k, the same map for every member and level.  Else None."""
         if self.basis is None:
             return None
         ell = np.full(self.family.max() + 1, -1, dtype=np.intp)
@@ -344,8 +335,10 @@ def _not_in(members: set) -> _PairCheck:
     def check(p, a, b, la, lb, image):
         outside = np.zeros((len(a), len(b)), dtype=bool)
         for table in (p.source.sum_table(a, b), p.source.meet_table(a, b)):
-            distinct, where = _distinct_cuts(p.source, table)
-            outside |= ~np.array([cuts in members for cuts in distinct])[where]
+            rows = table.reshape(-1, table.shape[-1])
+            first, where = p.source.distinct_rows(rows)
+            known = np.array([cuts in members for cuts in p.source.members(rows[first])])
+            outside |= ~known[where].reshape(outside.shape)
         return outside
 
     return check
@@ -373,8 +366,8 @@ def _failing_pair(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
 
 def _scan(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
     """`_failing_pair` over the N x N pairs, a block of rows at a time,
-    stopping at the first block with a failure, so the map is called only
-    on the new operands of the rows scanned."""
+    stopping at the first block with a failure, so only the sums and meets
+    of the rows scanned are mapped."""
     n, width = p.family.shape
     step = max(1, _SCAN_CELLS // max(1, n * width))
     for start in range(0, n, step):
@@ -402,8 +395,9 @@ def _clause_rows(
     Sums, intersections, inclusions, equalities, ideal and constancy tests
     are computed on the workspace's level cuts, over the config's chain; the
     transfer maps are mins, so their images stay on that chain.  The maps
-    are the workspace's (`Workspace.transfer`), called once per distinct
-    operand per run.  The pair clauses are decided by `_failing_pair`: on
+    are the workspace's (`Workspace.transfer`), each applied to a whole
+    family at once: the ideals (`Workspace.pairs`), then their images for
+    the round trips.  The pair clauses are decided by `_failing_pair`: on
     crisp cuts where the family and the map allow it, else by the
     row-blocked `_scan`, which witnesses the first failing pair in
     row-major order.  Every check reads cut tuples; a witness's grades
@@ -412,9 +406,11 @@ def _clause_rows(
     rows: list[tuple[str, str, Optional[dict], int]] = []
     on_s, on_op = ws.level_cuts("S"), ws.level_cuts(side)
     cuts_s, cuts_op = ws.fuzzy_cuts("S"), ws.fuzzy_cuts(side)
-    lift, restrict = ws.transfer(side, "lift"), ws.transfer(side, "restrict")
     lifts, restricts = ws.pairs(side, "lift"), ws.pairs(side, "restrict")
-    lifted, restricted = list(map(lift, cuts_s)), list(map(restrict, cuts_op))
+    lifted, restricted = on_op.members(lifts.images), on_s.members(restricts.images)
+    # restrict(lift(sigma)) and lift(restrict(mu)), for the round trips
+    lifted_back = on_s.members(restricts.image(lifts.images))
+    restricted_back = on_op.members(lifts.image(restricts.images))
 
     def clause(cid, checked, scan, ok=True):
         """One row: precondition-unmet when the unity it rests on is absent,
@@ -467,9 +463,8 @@ def _clause_rows(
 
     # (ii) restrict(lift(sigma)) == sigma
     each(
-        "ii", (cuts_s, lifted),
-        lambda s, t: restrict(t) != s
-        and {"sigma": mapping(on_s, s), "roundtrip": mapping(on_s, restrict(t))},
+        "ii", (cuts_s, lifted_back),
+        lambda s, back: back != s and {"sigma": mapping(on_s, s), "roundtrip": mapping(on_s, back)},
         lift_roundtrip_ok,
     )
 
@@ -501,9 +496,8 @@ def _clause_rows(
 
     # (viii) lift(restrict(mu)) == mu
     each(
-        "viii", (cuts_op, restricted),
-        lambda m, rm: lift(rm) != m
-        and {"mu": mapping(on_op, m), "roundtrip": mapping(on_op, lift(rm))},
+        "viii", (cuts_op, restricted_back),
+        lambda m, back: back != m and {"mu": mapping(on_op, m), "roundtrip": mapping(on_op, back)},
         restrict_roundtrip_ok,
     )
 
@@ -547,7 +541,8 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
         ws.require_unities()
         on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
         cuts_a, cuts_b = ws.fuzzy_cuts("S", kind), ws.fuzzy_cuts("L", kind)
-        lifted = list(map(ws.transfer("L", "lift"), cuts_a))
+        p = ws.pairs("L", "lift", kind)
+        lifted = on_l.members(p.images)
         counts["fuzzy_ideals_S"] = len(cuts_a)
         counts["fuzzy_ideals_L"] = len(cuts_b)
 
@@ -570,7 +565,6 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             return {"check": "surjective", "unmatched": missing[:3]}
 
         # the first failing pair reports the first check it fails, in this order
-        p = ws.pairs("L", "lift", kind)
         checks = {
             "inclusion-both-ways": _order_differs,
             "sum-homomorphism": _unhomomorphic("sum_table"),
@@ -612,8 +606,9 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
     The crisp ideals and their images are masks (`Workspace.crisp_ideals`,
     `OperatorSemiring.image_contained` and `pair_fixed`), and the
     characteristic function of I is the cut tuple (I, ..., I) over the
-    config's chain, so the lifts and restrictions are the run's
-    (`Workspace.transfer`), shared with prop3.4 and th3.8."""
+    config's chain, so the characteristic functions of every kind are
+    lifted, and restricted, as one family by the run's maps
+    (`Workspace.transfer`)."""
 
     def check(counts, notes):
         left = ws.left
@@ -625,16 +620,27 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
             ("L", "S", left.pair_fixed, ws.transfer("L", "restrict"),
              "characteristic-restrict", "preimage-is-ideal", "preimage"),
         )
+        kinds = ("two", "right", "left")
         counts["identities_checked"] = 0
-        for kind in ("two", "right", "left"):
+
+        @cache
+        def transferred(source, target, transfer) -> dict[int, Cuts]:
+            """Each crisp ideal I of the source, of any kind, with the cuts
+            of the map's image of (I, ..., I): every kind in one call."""
+            ideals = sorted({ideal for kind in kinds for ideal in ws.crisp_ideals(source, kind)})
+            images = transfer(ws.level_cuts(source).family([(ideal,) * width for ideal in ideals]))
+            return dict(zip(ideals, ws.level_cuts(target).members(images)))
+
+        for kind in kinds:
             for side in "SL":
                 counts[f"ideals_{side}[{kind}]"] = len(ws.crisp_ideals(side, kind))
             for source, target, correspond, transfer, moved, not_ideal, label in directions:
                 on_source, on_target = ws.level_cuts(source), ws.level_cuts(target)
+                mapped = transferred(source, target, transfer)
 
                 def failure(ideal):
                     image = correspond(ideal)
-                    if transfer((ideal,) * width) != (image,) * width:
+                    if mapped[ideal] != (image,) * width:
                         return {"check": moved, "kind": kind, "ideal": on_source.ids(ideal)}
                     # an ideal is non-empty; a non-empty absorbing cut contains 0
                     if not on_target.is_ideal((image,), kind):
@@ -714,18 +720,14 @@ def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
 
 def _fuzzy_semifield_condition(view: LevelCuts, ideals: Sequence[Cuts]) -> tuple[bool, Optional[Cuts]]:
     """Every non-constant member is constant on the nonzero elements, with a
-    value below its value at 0.  Decided on ranks (`LevelCuts.ranks`), which
-    order the elements as the grades do.  Returns (holds, the first
-    violator's cuts)."""
-
-    def violator(cuts):
-        rank = view.ranks(cuts)
-        nonzero = rank[1:]
-        if not view.is_constant(cuts) and (min(nonzero) != max(nonzero) or nonzero[0] >= rank[0]):
-            return cuts
-        return None
-
-    first = first_failure(violator, ideals)
+    value below its value at 0.  Decided on the family's ranks
+    (`LevelCuts.rank_array`), which order the elements as the grades do.
+    Returns (holds, the first violator's cuts)."""
+    ranks = view.rank_array(view.family(ideals))
+    nonzero = ranks[:, 1:]
+    constant = ranks.min(axis=1) == ranks.max(axis=1)
+    failing = ~constant & ((nonzero.min(axis=1) != nonzero.max(axis=1)) | (nonzero[:, 0] >= ranks[:, 0]))
+    first = ideals[failing.argmax()] if failing.any() else None
     return first is None, first
 
 

@@ -3,7 +3,10 @@
 Everything here is written as plain nested loops over the raw tables, sharing
 no scan code with the library: the vectorised validators, the worklist
 closure, the table-lookup matrix builds and the level-cut enumerators are
-all checked against these.  The fuzzy semifield condition on `Fraction`
+all checked against these.  `cuts_of`, the grades-to-cuts reading, was
+`LevelCuts.of`; next to it, `rank_map` and `subset_map` turn a transfer map
+on subsets into the map on rank arrays the suites call, and back, so tests
+can install a perturbed map.  The fuzzy semifield condition on `Fraction`
 grades and the last four sections are earlier library paths kept as
 references: the pair checks on all-at-once N x N family
 tables (on level-cut views of their own), the sort-position transfer maps,
@@ -451,6 +454,95 @@ def count_multichains(ideals, length: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# grades to cuts and to ranks: a fuzzy subset's level cuts on a view's chain,
+# and the transfer maps on subsets as the maps on rank arrays the suites call
+
+
+def cuts_of(view, mu):
+    """The cuts of mu on a `LevelCuts` view's chain, read off its grades.
+    Raises ValueError for a grade off the chain."""
+    from gsl.fuzzy import format_grade
+
+    if mu.carrier != view.carrier:
+        raise ValueError(f"fuzzy subset does not live on {view.carrier.label}")
+    rank = {(g.numerator, g.denominator): r for r, g in enumerate(view.chain.grades)}
+    at_rank = [0] * len(view.chain)  # at_rank[r]: the elements of grade c_r
+    try:
+        for x, g in enumerate(mu.grades):
+            at_rank[rank[g.numerator, g.denominator]] |= 1 << x
+    except KeyError as off:
+        raise ValueError(
+            f"grade {format_grade(Fraction(*off.args[0]))} is not on the chain {view.chain}"
+        ) from None
+    cuts, cut = [], 0
+    for r in range(len(at_rank) - 1, 0, -1):
+        cut |= at_rank[r]
+        cuts.append(cut)
+    return tuple(cuts[::-1])
+
+
+def _carriers(over, direction):
+    """The carriers a transfer map in this direction maps from and to, for
+    what it maps over (an operator semiring or a matrix instance)."""
+    from gsl.fuzzy import carrier_of
+
+    base, side = carrier_of(over.base), carrier_of(over)
+    return (base, side) if direction == "lift" else (side, base)
+
+
+def _chain_ranks(chain, grades) -> list[int]:
+    """Each grade's place on the chain.  Raises ValueError for a grade off
+    the chain."""
+    from gsl.fuzzy import format_grade
+
+    place = {g: r for r, g in enumerate(chain.grades)}
+    for g in grades:
+        if g not in place:
+            raise ValueError(f"grade {format_grade(g)} is not on the chain {chain}")
+    return [place[g] for g in grades]
+
+
+def rank_map(chain, direction, per_subset):
+    """A map on subsets, per_subset(over, mu) -> FuzzySubset, as a map on
+    rank arrays over the chain, the form `verify._MAPS` holds: each row of
+    ranks becomes the subset with those grades, and the grades of its image
+    become ranks again (ValueError for a grade off the chain)."""
+    from gsl.fuzzy import FuzzySubset
+
+    def apply(over, ranks):
+        source, target = _carriers(over, direction)
+        rows = [
+            _chain_ranks(chain, per_subset(over, FuzzySubset(source, tuple(chain.grades[r] for r in row))).grades)
+            for row in ranks.tolist()
+        ]
+        return np.array(rows, dtype=ranks.dtype).reshape(len(rows), target.size)
+
+    return apply
+
+
+def install_map(monkeypatch, chain, side, direction, per_subset):
+    """Make per_subset(over, mu), a map on subsets over the chain, the
+    transfer map the suites call for (side, direction) (`verify._MAPS`)."""
+    from gsl import verify
+
+    monkeypatch.setitem(verify._MAPS, (side, direction), rank_map(chain, direction, per_subset))
+
+
+def subset_map(chain, direction, over, ranks_map):
+    """A map on rank arrays (`verify._MAPS`) as a map on one subset over the
+    chain: the inverse of `rank_map`, for oracles that take subsets."""
+    from gsl.fuzzy import FuzzySubset
+
+    _, target = _carriers(over, direction)
+
+    def apply(mu):
+        ranks = np.array([_chain_ranks(chain, mu.grades)], dtype=np.min_scalar_type(len(chain) - 1))
+        return FuzzySubset(target, tuple(chain.grades[r] for r in ranks_map(over, ranks)[0].tolist()))
+
+    return apply
+
+
+# ---------------------------------------------------------------------------
 # fuzzy families as `FuzzySubset`s, and the semifield condition on grades
 
 
@@ -568,7 +660,7 @@ def _map_on_cuts(f, source, target):
 
     def apply(cuts):
         if cuts not in memo:
-            memo[cuts] = target.of(f(source.subset(cuts)))
+            memo[cuts] = cuts_of(target, f(source.subset(cuts)))
         return memo[cuts]
 
     return apply
@@ -578,7 +670,7 @@ def _table_images(apply, source, target, table):
     """The target ids of the image of each cell of an (N, M, m-1) id table."""
     rows = table.reshape(-1, table.shape[-1])
     first, inverse = source.distinct_rows(rows)
-    images = target.family([apply(source.cuts(rows[k].tolist())) for k in first])
+    images = target.family([apply(cuts) for cuts in source.members(rows[first])])
     return images[inverse].reshape(table.shape)
 
 
@@ -596,7 +688,7 @@ def table_pair_clause_rows(ws, side, lift, restrict, tag: str) -> list[tuple]:
     chain = ws.config.chain
     on_s, on_op = LevelCuts(ws.structure, chain), LevelCuts(ws.structure_on(side), chain)
     ideals_s, ideals_op = fuzzy_family(ws, "S"), fuzzy_family(ws, side)
-    cuts_s, cuts_op = [on_s.of(s) for s in ideals_s], [on_op.of(m) for m in ideals_op]
+    cuts_s, cuts_op = [cuts_of(on_s, s) for s in ideals_s], [cuts_of(on_op, m) for m in ideals_op]
     lift_cuts, restrict_cuts = _map_on_cuts(lift, on_s, on_op), _map_on_cuts(restrict, on_op, on_s)
     fs, fo = on_s.family(cuts_s), on_op.family(cuts_op)
     fl = on_op.family([lift_cuts(c) for c in cuts_s])
@@ -632,7 +724,7 @@ def table_theorem_3_8_pairs(ws, kind, lift):
     chain = ws.config.chain
     on_s, on_l = LevelCuts(ws.structure, chain), LevelCuts(ws.structure_on("L"), chain)
     ideals = fuzzy_family(ws, "S", kind)
-    cuts = [on_s.of(s) for s in ideals]
+    cuts = [cuts_of(on_s, s) for s in ideals]
     lift_cuts = _map_on_cuts(lift, on_s, on_l)
     fa, fl = on_s.family(cuts), on_l.family([lift_cuts(c) for c in cuts])
     sums, meets = on_s.sum_table(fa, fa), on_s.meet_table(fa, fa)
@@ -649,10 +741,10 @@ def table_theorem_3_8_pairs(ws, kind, lift):
         return {"check": failed, "sigma1": ideals[pair[0]].to_mapping(), "sigma2": ideals[pair[1]].to_mapping()}
     family = set(cuts)
     both = np.concatenate([sums, meets]).reshape(-1, sums.shape[-1])
-    closed = all(on_s.cuts(row) in family for row in both.tolist())
+    closed = all(cuts in family for cuts in on_s.members(both))
     carrier = carrier_of(ws.structure)
-    top = on_s.of(FuzzySubset.constant(carrier, 1))
-    bottom = on_s.of(characteristic(CrispSubset.of_indices(carrier, [0])))
+    top = cuts_of(on_s, FuzzySubset.constant(carrier, 1))
+    bottom = cuts_of(on_s, characteristic(CrispSubset.of_indices(carrier, [0])))
     if not (closed and top in family and bottom in family):
         return {"check": "lattice-closure"}
     return None

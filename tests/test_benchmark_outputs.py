@@ -77,13 +77,12 @@ def test_trace_counts_the_pairs_workload_transfer_calls():
 
 
 # LevelCuts.subset calls of one pass of each workload's invocations, by the
-# function that makes them: the operands of the transfer maps and th3.19's
-# lift, the matrix-side ideals th3.19 enumerates, and the violators th3.17
-# and th3.18 name in their notes; no suite builds a `FuzzySubset` per family
-# member
+# function that makes them: only the violators th3.17 and th3.18 name in
+# their notes.  The transfer maps take rank arrays and th3.19 compares cut
+# tuples, so no suite builds a `FuzzySubset` per family member
 SUBSET_CALLERS = {
-    "matrix": {"Workspace.transfer": 24, "verify_theorem_3_19": 6, "enumerate_fuzzy_ideals": 6},
-    "pairs": {"Workspace.transfer": 144, "_semifield_biconditional": 2, "verify_theorem_3_18": 2},
+    "matrix": {},
+    "pairs": {"_semifield_biconditional": 2, "verify_theorem_3_18": 2},
 }
 
 

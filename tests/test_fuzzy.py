@@ -23,7 +23,6 @@ from gsl.fuzzy import (
     as_grade,
     parse_grade,
     format_grade,
-    _absorption_images,
 )
 from gsl.matrix import build_matrix_gamma
 from gsl.operators import build_operator_semiring
@@ -254,7 +253,7 @@ class TestEnumerations:
         for structure in structures:
             base = getattr(structure, "semiring", structure)
             for kind in ("left", "right", "two"):
-                image = _absorption_images(structure, kind)
+                image = core._absorption_images(structure, kind)
                 assert image == naive_absorption_images(base, kind), (base.name, kind)
 
     def test_cap_enforced(self, z4):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_upper_triangular, build_zero_product
-from oracles import fuzzy_family
+from oracles import cuts_of, fuzzy_family
 from gsl import core
 from gsl.config import RunConfig
 from gsl.fuzzy import (
@@ -69,7 +69,7 @@ def _agree_on_pairs(cuts: LevelCuts, subsets) -> None:
     `Fraction` operations, and equal cut tuples against equal subsets, on
     every pair of its members.  The mask tables are first built over the
     first half of the members, so the full family makes them grow."""
-    members = [cuts.of(mu) for mu in subsets]
+    members = [cuts_of(cuts, mu) for mu in subsets]
     half = cuts.family(members[: (len(members) + 1) // 2])
     for table in (cuts.sum_table, cuts.meet_table, cuts.le_table):
         table(half, half)
@@ -77,12 +77,12 @@ def _agree_on_pairs(cuts: LevelCuts, subsets) -> None:
     sums, meets = cuts.sum_table(family, family), cuts.meet_table(family, family)
     le = cuts.le_table(family, family)
     n = len(subsets)
-    assert family.shape == (n, len(cuts.chain) - 1) and [cuts.cuts(row) for row in family] == members
+    assert family.shape == (n, len(cuts.chain) - 1) and cuts.members(family) == members
     assert sums.shape == meets.shape == (n, n, len(cuts.chain) - 1) and le.shape == (n, n)
     for i, a in enumerate(subsets):
         for j, b in enumerate(subsets):
-            assert cuts.cuts(sums[i, j]) == cuts.of(fuzzy_sum(a, b))
-            assert cuts.cuts(meets[i, j]) == cuts.of(fuzzy_intersection([a, b]))
+            assert cuts.members(sums[i])[j] == cuts_of(cuts, fuzzy_sum(a, b))
+            assert cuts.members(meets[i])[j] == cuts_of(cuts, fuzzy_intersection([a, b]))
             assert le[i, j] == (a <= b)
             assert (members[i] == members[j]) == (a == b)
 
@@ -106,7 +106,7 @@ def test_cuts_agree_on_every_pair_of_fuzzy_ideals(instance, side, chain):
     _agree_on_pairs(cuts, fuzzy_family(ws, side, "two"))
     distinct = {mu.grades: mu for kind in KINDS for mu in fuzzy_family(ws, side, kind)}
     for mu in distinct.values():
-        _agree_on_one(cuts, structure, mu, cuts.of(mu))
+        _agree_on_one(cuts, structure, mu, cuts_of(cuts, mu))
 
 
 @st.composite
@@ -130,9 +130,9 @@ def test_cuts_agree_on_chain_valued_subsets(case):
     structure, chain, a, b = case
     cuts = LevelCuts(structure, chain)
     _agree_on_pairs(cuts, [a, b])
-    family = cuts.family([cuts.of(a), cuts.of(b)])
-    sum_cuts = cuts.cuts(cuts.sum_table(family, family)[0, 1])
-    for mu, cm in ((a, cuts.of(a)), (b, cuts.of(b)), (fuzzy_sum(a, b), sum_cuts)):
+    family = cuts.family([cuts_of(cuts, a), cuts_of(cuts, b)])
+    sum_cuts = cuts.members(cuts.sum_table(family, family)[0])[1]
+    for mu, cm in ((a, cuts_of(cuts, a)), (b, cuts_of(cuts, b)), (fuzzy_sum(a, b), sum_cuts)):
         _agree_on_one(cuts, structure, mu, cm)
 
 
@@ -173,7 +173,7 @@ def test_cuts_agree_on_lifted_ideals(matrix, chain):
     for kind in KINDS:
         for mu in enumerate_fuzzy_ideals(mg.base, CHAINS[chain], kind):
             lifted = lift_fuzzy_to_matrix(mg, mu)
-            _agree_on_one(cuts, mg.gamma, lifted, cuts.of(lifted))
+            _agree_on_one(cuts, mg.gamma, lifted, cuts_of(cuts, lifted))
 
 
 @st.composite
@@ -197,12 +197,12 @@ def _matrix_subsets(draw):
 def test_cuts_agree_on_matrix_subsets(case):
     structure, chain, mu = case
     cuts = LevelCuts(structure, chain)
-    _agree_on_one(cuts, structure, mu, cuts.of(mu))
+    _agree_on_one(cuts, structure, mu, cuts_of(cuts, mu))
 
 
 def test_grade_off_the_chain_raises(gb):
     cuts = LevelCuts(gb, CHAINS[0])
     with pytest.raises(ValueError, match="grade 1/3 is not on the chain 0/1,1/2,1/1"):
-        cuts.of(FuzzySubset.of_grades(gb, (1, Fraction(1, 3))))
+        cuts_of(cuts, FuzzySubset.of_grades(gb, (1, Fraction(1, 3))))
     with pytest.raises(ValueError, match="does not live on"):
-        cuts.of(FuzzySubset.of_grades(core.zn_gamma(3), (1, 0, 0)))
+        cuts_of(cuts, FuzzySubset.of_grades(core.zn_gamma(3), (1, 0, 0)))

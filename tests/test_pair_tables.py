@@ -8,7 +8,10 @@ row-major order with the `Fraction` lattice operations; the other reads
 every pair off N x N family tables at once.  All see the same transfer
 maps, here broken by permuting or merging their images within the family
 of fuzzy ideals, so the maps keep landing on ideals and the pair checks are
-the ones that see the damage.  Such maps do not act cut by cut, so the
+the ones that see the damage.  The suites call the maps on rank arrays
+(`verify._MAPS`); a broken map on subsets goes in through
+`oracles.rank_map`, and the oracles read the installed maps back as maps
+on subsets (`oracles.subset_map`).  Such maps do not act cut by cut, so the
 suites fall back to the scan; a map that does act cut by cut and still
 breaks a clause fails on the crisp cuts.
 """
@@ -17,13 +20,16 @@ import pytest
 
 import oracles
 from oracles import (
+    cuts_of,
     fuzzy_family,
+    install_map,
     naive_pair_clause_rows,
     naive_theorem_3_8_pairs,
+    subset_map,
     table_pair_clause_rows,
     table_theorem_3_8_pairs,
 )
-from gsl import core, verify
+from gsl import core, transfer, verify
 from gsl.config import RunConfig
 from gsl.fuzzy import CrispSubset, GradeChain, LevelCuts, characteristic, fuzzy_sum
 from gsl.report import FAIL, PASS
@@ -64,22 +70,23 @@ def _perturb(monkeypatch, ideals, lift_moves, restrict_moves):
     """Send the operand of every lift, and the image of every restriction,
     through the remaps, on both sides."""
     before, after = _remap(ideals, lift_moves), _remap(ideals, restrict_moves)
-    for name in ("lift_plusprime", "lift_starprime"):
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda op, s, real=real: real(op, before.get(s.grades, s)))
-    for name in ("restrict_plus", "restrict_star"):
-        real = getattr(verify, name)
-        monkeypatch.setattr(
-            verify, name, lambda op, m, real=real: (lambda r: after.get(r.grades, r))(real(op, m))
+    for side, lift, restrict in (
+        ("L", transfer.lift_plusprime, transfer.restrict_plus),
+        ("R", transfer.lift_starprime, transfer.restrict_star),
+    ):
+        install_map(monkeypatch, CHAIN, side, "lift", lambda op, s, real=lift: real(op, before.get(s.grades, s)))
+        install_map(
+            monkeypatch, CHAIN, side, "restrict",
+            lambda op, m, real=restrict: (lambda r: after.get(r.grades, r))(real(op, m)),
         )
 
 
 def _maps(ws, side):
     """The lift and the restriction between S and `side` as one-argument
-    maps, through the names the suites call, for the oracles."""
+    maps, through the maps the suites call (`verify._MAPS`), for the
+    oracles."""
     op = ws.left if side == "L" else ws.right
-    lift, restrict = ("lift_plusprime", "restrict_plus") if side == "L" else ("lift_starprime", "restrict_star")
-    return (lambda s: getattr(verify, lift)(op, s)), (lambda m: getattr(verify, restrict)(op, m))
+    return tuple(subset_map(ws.config.chain, d, op, verify._MAPS[side, d]) for d in ("lift", "restrict"))
 
 
 def _record_paths(monkeypatch) -> list:
@@ -174,7 +181,7 @@ def _cut_wise(ws, side, crisp_map):
     """A lift from S to `side` that acts cut by cut: each cut I of the
     operand goes to crisp_map(I), a mask of the side."""
     on_s, on_op = LevelCuts(ws.structure, CHAIN), LevelCuts(ws.structure_on(side), CHAIN)
-    return lambda sigma: on_op.subset(tuple(map(crisp_map, on_s.of(sigma))))
+    return lambda sigma: on_op.subset(tuple(map(crisp_map, cuts_of(on_s, sigma))))
 
 
 def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
@@ -186,16 +193,16 @@ def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
     ws = _workspace("from_B3")
     left, side = ws.left, "L"
     on_s, on_op = LevelCuts(ws.structure, CHAIN), LevelCuts(ws.structure_on(side), CHAIN)
-    full, real_lift = (1 << len(ws.structure.S)) - 1, verify.lift_plusprime
+    full, real_lift = (1 << len(ws.structure.S)) - 1, transfer.lift_plusprime
 
     def true_image(mask):
         ideal = CrispSubset.of_indices(ws.structure, [x for x in range(mask.bit_length()) if mask >> x & 1])
-        return on_op.of(real_lift(left, characteristic(ideal)))[0]
+        return cuts_of(on_op, real_lift(left, characteristic(ideal)))[0]
 
-    bottom = min(on_s.of(mu)[0] for mu in fuzzy_family(ws, "S"))
+    bottom = min(cuts_of(on_s, mu)[0] for mu in fuzzy_family(ws, "S"))
     lift = _cut_wise(ws, side, lambda mask: true_image(full if mask == full else bottom))
-    monkeypatch.setattr(verify, "lift_plusprime", lambda op, sigma: lift(sigma))
-    restrict = lambda mu: verify.restrict_plus(left, mu)
+    install_map(monkeypatch, CHAIN, side, "lift", lambda op, sigma: lift(sigma))
+    restrict = lambda mu: transfer.restrict_plus(left, mu)
 
     checks = []
     real = verify._failing_pair
@@ -221,7 +228,7 @@ def test_basis_needs_masks_closed_under_sum():
     bottom, one, two, three = 0b1, 0b11, 0b101, 0b1111
     assert cuts.basis(cuts.family([(bottom,), (one,), (two,)])) is None
     family = cuts.family([(bottom,), (one,), (two,), (three,)])
-    assert sorted(cuts.cuts(cuts.basis(family).tolist())) == [bottom, one, two, three]
+    assert sorted(mask for (mask,) in cuts.members(cuts.basis(family)[:, None])) == [bottom, one, two, three]
     # two cuts: every multichain of the masks, one missing, one not descending
     cuts = LevelCuts(from_b3, CHAIN)
     assert cuts.basis(cuts.family([(bottom, bottom), (one, bottom), (one, one)])) is not None
@@ -238,7 +245,7 @@ def test_family_not_closed_under_sum_falls_back(monkeypatch):
     kept = tuple(cuts for cuts in real_cuts("S") if set(cuts) <= {0b1, 0b11, 0b101})
     monkeypatch.setattr(ws, "fuzzy_cuts", lambda side, kind="two": kept if side == "S" else real_cuts(side, kind))
     on_s, real_family = ws.level_cuts("S"), oracles.fuzzy_family
-    part = [mu for mu in real_family(ws, "S") if on_s.of(mu) in kept]
+    part = [mu for mu in real_family(ws, "S") if cuts_of(on_s, mu) in kept]
     assert len(part) == 5
     monkeypatch.setattr(
         oracles, "fuzzy_family", lambda ws, side, kind="two": part if side == "S" else real_family(ws, side, kind)
@@ -277,8 +284,7 @@ def test_th38_body_matches_the_reference_scan(monkeypatch, instance, perturbatio
     ws = _workspace(instance)
     ideals = fuzzy_family(ws, "S", kind)
     _perturb(monkeypatch, ideals, TH38_LIFTS[perturbation], {})
-    left = ws.left
-    lift = lambda s: verify.lift_plusprime(left, s)
+    lift, _ = _maps(ws, "L")
     expected = naive_theorem_3_8_pairs(ideals, lift)
     assert (expected is None) == (perturbation == "none")
     assert expected == table_theorem_3_8_pairs(ws, kind, lift)
@@ -297,8 +303,7 @@ def test_th38_reports_the_first_pair_not_the_first_check(monkeypatch, instance, 
     ideals = fuzzy_family(ws, "S", kind)
     i, j = swap
     _perturb(monkeypatch, ideals, {i: j, j: i}, {})
-    left = ws.left
-    lift = lambda s: verify.lift_plusprime(left, s)
+    lift, _ = _maps(ws, "L")
     lifted = [lift(s) for s in ideals]
     pairs = [(a, b) for a in range(len(ideals)) for b in range(len(ideals))]
     sum_pairs = [
@@ -320,30 +325,34 @@ def test_th38_reports_the_first_pair_not_the_first_check(monkeypatch, instance, 
     assert verify.verify_theorem_3_8(ws, kind).body() == _th38_body(ws, kind, expected)
 
 
-MAPS = ("lift_plusprime", "lift_starprime", "restrict_plus", "restrict_star")
-
-
 def _record_calls(monkeypatch) -> list:
-    """Record (map name, operand grades) for every transfer-map call the
-    suites make."""
+    """Record (side, direction, operand ranks) for every transfer-map call
+    the suites make."""
     calls = []
-    for name in MAPS:
-        real = getattr(verify, name)
+    for key, real in verify._MAPS.items():
 
-        def recording(op, subset, name=name, real=real):
-            calls.append((name, subset.grades))
-            return real(op, subset)
+        def recording(over, ranks, key=key, real=real):
+            calls.append((*key, list(map(tuple, ranks.tolist()))))
+            return real(over, ranks)
 
-        monkeypatch.setattr(verify, name, recording)
+        monkeypatch.setitem(verify._MAPS, key, recording)
     return calls
+
+
+def _ranks(ws, side, kind="two"):
+    """The ranks of the fuzzy ideals of a family, in enumeration order."""
+    view = ws.level_cuts(side)
+    return list(map(tuple, view.rank_array(view.family(ws.fuzzy_cuts(side, kind))).tolist()))
 
 
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_pair_checks_call_each_map_once_per_operand(monkeypatch, instance):
-    """prop3.4, th3.8 of both kinds and the lemmas share the run's maps:
-    across them each map is called once per distinct operand, not once per
-    pair or per suite, and th3.8[two] after prop3.4 calls no map, since
-    prop3.4 lifted every fuzzy ideal of S."""
+    """prop3.4, th3.8 of both kinds and the lemmas map whole families: one
+    call per family and map, each on distinct operands.  prop3.4 makes four
+    a side (the ideals of S and of the side, and the round trips of their
+    images), th3.8[two] after prop3.4 makes none, since prop3.4 lifted every
+    fuzzy ideal of S, th3.8[right] one, and the lemmas one per direction,
+    for the crisp ideals of every kind."""
     ws = _workspace(instance)
     calls = _record_calls(monkeypatch)
     made = {}
@@ -356,50 +365,58 @@ def test_pair_checks_call_each_map_once_per_operand(monkeypatch, instance):
         before = len(calls)
         assert suite(ws).status == PASS, name
         made[name] = len(calls) - before
-    assert made["prop3.4"] and made["th3.8[two]"] == 0
-    assert len(set(calls)) == len(calls)
+    assert made == {"prop3.4": 8, "th3.8[two]": 0, "th3.8[right]": 1, "lemmas": 2}
+    assert all(len(set(operands)) == len(operands) for _, _, operands in calls)
+    side, direction, operands = calls[0]
+    assert (side, direction, sorted(operands)) == ("L", "lift", sorted(_ranks(ws, "S")))
 
 
-def test_th38_right_lifts_only_the_right_ideals_not_two_sided(monkeypatch, upper_triangular):
+def test_th38_right_lifts_the_right_family_in_one_call(monkeypatch, upper_triangular):
     """On the non-commutative upper-triangular instance, th3.8[right] after
-    prop3.4 lifts each fuzzy right ideal of S that is not two-sided, in
-    enumeration order, and no other."""
+    prop3.4 lifts the fuzzy right ideals of S, two-sided ones included, in
+    one call."""
     ws = verify.Workspace(upper_triangular, RunConfig(chain=CHAIN))
     verify.verify_prop_3_4(ws)
     calls = _record_calls(monkeypatch)
     verify.verify_theorem_3_8(ws, "right")
-    two = {mu.grades for mu in fuzzy_family(ws, "S", "two")}
-    right_only = [mu.grades for mu in fuzzy_family(ws, "S", "right") if mu.grades not in two]
-    assert right_only and len(right_only) < len(fuzzy_family(ws, "S", "right"))
-    assert calls == [("lift_plusprime", grades) for grades in right_only]
+    two, right = _ranks(ws, "S"), _ranks(ws, "S", "right")
+    assert set(two) & set(right) and set(right) - set(two)
+    [(side, direction, operands)] = calls
+    assert (side, direction, sorted(operands)) == ("L", "lift", sorted(right))
 
 
 def test_a_wrapper_installed_after_the_workspace_sees_every_call(monkeypatch):
-    """The workspace looks each map up by its module-level name at call
-    time, so a wrapper installed after the workspace and its lift memo are
-    built still sees every lift: one per fuzzy ideal of S, in order."""
+    """The workspace looks each map up in `verify._MAPS` at call time, so a
+    wrapper installed after the workspace and its lift are built still sees
+    every lift, the first on the fuzzy ideals of S."""
     ws = _workspace("z4")
     ws.transfer("L", "lift")
     calls = _record_calls(monkeypatch)
     assert verify.verify_prop_3_4(ws).status == PASS
-    lifts = [grades for name, grades in calls if name == "lift_plusprime"]
-    assert lifts == [mu.grades for mu in fuzzy_family(ws, "S")]
+    lifts = [operands for side, direction, operands in calls if (side, direction) == ("L", "lift")]
+    assert sorted(lifts[0]) == sorted(_ranks(ws, "S"))
 
 
-# lift and restrict calls of run_all over the `pairs` workload's instances
-PAIRS_LIFTS, PAIRS_RESTRICTS = 72, 72
+# per-subset transfer-map calls (`gsl.transfer`) of run_all over the `pairs`
+# workload's instances: the suites map rank arrays, not subsets
+PAIRS_LIFTS, PAIRS_RESTRICTS = 0, 0
 
 
 def test_transfer_call_totals_of_the_pairs_workload(monkeypatch):
-    """run_all over from_B3, z3 and z4 makes 72 lift and 72 restrict calls,
-    the `transfer.lift_calls` and `transfer.restrict_calls` the benchmark's
-    trace reports for its `pairs` workload."""
-    calls = _record_calls(monkeypatch)
+    """run_all over from_B3, z3 and z4 calls no per-subset transfer map, so
+    the benchmark's trace reports 0 `transfer.lift_calls` and
+    `transfer.restrict_calls` for its `pairs` workload.  The four public
+    maps call `transfer._lift` and `transfer._restrict`, so counting those
+    counts every call, however the map was imported."""
+    calls = []
+    for name in ("_lift", "_restrict"):
+        real = getattr(transfer, name)
+        monkeypatch.setattr(
+            transfer, name, lambda op, subset, name=name, real=real: calls.append(name) or real(op, subset)
+        )
     for structure in (INSTANCES["from_B3"](), core.zn_gamma(3), INSTANCES["z4"]()):
         verify.run_all(structure, RunConfig(chain=CHAIN))
-    names = [name for name, _ in calls]
-    assert sum(name.startswith("lift") for name in names) == PAIRS_LIFTS
-    assert sum(name.startswith("restrict") for name in names) == PAIRS_RESTRICTS
+    assert (calls.count("_lift"), calls.count("_restrict")) == (PAIRS_LIFTS, PAIRS_RESTRICTS)
 
 
 @pytest.mark.parametrize("keep,expected", [
@@ -415,12 +432,12 @@ def test_th38_closure_without_a_basis_is_scanned(monkeypatch, keep, expected):
     ws = _workspace("from_B3")
     on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
     left = ws.left
-    lift = lambda s: verify.lift_plusprime(left, s)
+    lift = lambda s: transfer.lift_plusprime(left, s)
     kept = tuple(cuts for cuts in ws.fuzzy_cuts("S") if keep(cuts))
-    lifted = sorted((on_l.of(lift(on_s.subset(cuts))) for cuts in kept), key=lambda c: on_l.subset(c).grades)
+    lifted = sorted((cuts_of(on_l, lift(on_s.subset(cuts))) for cuts in kept), key=lambda c: on_l.subset(c).grades)
     families = {"S": kept, "L": tuple(lifted)}
     monkeypatch.setattr(ws, "fuzzy_cuts", lambda side, kind="two": families[side])
-    part = [mu for mu in fuzzy_family(ws, "S") if on_s.of(mu) in kept]
+    part = [mu for mu in fuzzy_family(ws, "S") if cuts_of(on_s, mu) in kept]
     monkeypatch.setattr(oracles, "fuzzy_family", lambda ws, side, kind="two": part)
     assert on_s.basis(on_s.family(kept)) is None
     assert table_theorem_3_8_pairs(ws, "two", lift) == expected

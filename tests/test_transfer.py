@@ -1,5 +1,6 @@
-"""Transfer maps: frozen examples, duals, the intersection identity, and the
-rank mins against the sort-position oracle."""
+"""Transfer maps: frozen examples, duals, the intersection identity, the
+rank mins against the sort-position oracle, and the family kernel the
+suites call against the public maps."""
 
 import itertools
 from fractions import Fraction
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import build_upper_triangular
 from gsl import core
+from gsl.config import RunConfig
 from gsl.fuzzy import CrispSubset, FuzzySubset, GradeChain, carrier_of, characteristic, fuzzy_intersection
+from gsl.matrix import lift_fuzzy_to_matrix
 from gsl.operators import build_operator_semiring
 from gsl.transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
-from oracles import sort_position_lift, sort_position_restrict
+from gsl.verify import Workspace
+from oracles import cuts_of, sort_position_lift, sort_position_restrict
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -153,3 +157,57 @@ def test_equal_grades_in_distinct_objects_share_a_rank():
     grades = [Fraction(1)] + [halves[x % 3] if x % 2 else Fraction(1, 3) for x in range(1, 8)]
     sigma = FuzzySubset.of_grades(op.base, grades)
     assert lift_plusprime(op, sigma) == sort_position_lift(op, sigma)
+
+
+# the family kernel the suites call against the public maps on subsets
+_FAMILY_INSTANCES = {
+    "boolean": core.boolean_gamma,
+    "z2": lambda: core.zn_gamma(2),
+    "z3": lambda: core.zn_gamma(3),
+    "z4": lambda: core.zn_gamma(4),
+    "from_B3": lambda: core.gamma_from_semiring(core.boolean_power_semiring(3)),
+    "upper_triangular": build_upper_triangular,
+}
+_CHAINS = ("0,1", "0,1/2,1", "0,1/4,1/2,3/4,1")
+_PUBLIC = {
+    ("L", "lift"): lift_plusprime,
+    ("L", "restrict"): restrict_plus,
+    ("R", "lift"): lift_starprime,
+    ("R", "restrict"): restrict_star,
+}
+
+
+def _same_on_every_member(ws, side, direction, kind, public):
+    """`ws.transfer(side, direction)` on a whole fuzzy family gives, member
+    by member, the cuts of public(subset) on the target's view."""
+    source, target = ("S", side) if direction == "lift" else (side, "S")
+    on_source, on_target = ws.level_cuts(source), ws.level_cuts(target)
+    members = ws.fuzzy_cuts(source, kind)
+    images = on_target.members(ws.transfer(side, direction)(on_source.family(members)))
+    expected = [cuts_of(on_target, public(on_source.subset(cuts))) for cuts in members]
+    assert images == expected, (ws.structure.name, side, direction, kind, str(ws.config.chain))
+    return len(members)
+
+
+@pytest.mark.parametrize("chain", _CHAINS)
+@pytest.mark.parametrize("instance", _FAMILY_INSTANCES)
+def test_family_kernel_matches_the_public_maps(instance, chain):
+    """On every member of every fuzzy family of S, L and R, of each kind,
+    the workspace's maps on rank arrays give the cuts the public maps give
+    on the member as a subset, for both sides and both directions."""
+    ws = Workspace(_FAMILY_INSTANCES[instance](), RunConfig(chain=GradeChain.parse(chain)))
+    checked = 0
+    for (side, direction), public in _PUBLIC.items():
+        op = ws.left if side == "L" else ws.right
+        for kind in ("two", "right", "left"):
+            checked += _same_on_every_member(ws, side, direction, kind, lambda mu: public(op, mu))
+    assert checked
+
+
+@pytest.mark.parametrize("chain", _CHAINS)
+def test_matrix_kernel_matches_the_public_lift(chain):
+    """th3.19's lift on rank arrays is `lift_fuzzy_to_matrix` on every
+    member of boolean's fuzzy families, onto boolean[2x2]."""
+    ws = Workspace(core.boolean_gamma(), RunConfig(chain=GradeChain.parse(chain)))
+    for kind in ("two", "right", "left"):
+        assert _same_on_every_member(ws, "M", "lift", kind, lambda mu: lift_fuzzy_to_matrix(ws.matrix, mu))

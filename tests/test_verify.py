@@ -8,12 +8,19 @@ from fractions import Fraction
 
 import pytest
 
-from gsl import core, fuzzy, matrix, operators, verify
+from gsl import core, fuzzy, matrix, operators, transfer, verify
 from gsl.config import RunConfig
 from gsl.fuzzy import FuzzySubset, GradeChain, LevelCuts
 from gsl.matrix import MatrixCapExceeded
 from gsl.report import FAIL, PASS, UNMET, VerificationReport, first_failure
-from oracles import first_failing_pair, fraction_semifield_condition, fuzzy_family, table_pair_clause_rows
+from oracles import (
+    cuts_of,
+    first_failing_pair,
+    fraction_semifield_condition,
+    fuzzy_family,
+    install_map,
+    table_pair_clause_rows,
+)
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -145,7 +152,7 @@ class TestTheorem317:
         # passes, one below 1 off zero passes, and a rank that differs only
         # at the last position is seen
         equal, below_one, late = (
-            view.of(FuzzySubset.of_grades(z4_sr, grades))
+            cuts_of(view, FuzzySubset.of_grades(z4_sr, grades))
             for grades in ([HALF] * 4, [1, HALF, HALF, HALF], [HALF, HALF, HALF, 0])
         )
         assert view.is_constant(equal) and not view.is_constant(below_one) and not view.is_constant(late)
@@ -324,15 +331,15 @@ class TestRunAll:
         assert len(matrices) == 1
 
     @pytest.mark.parametrize("instance,views", [
-        (core.boolean_gamma, 5),
+        (core.boolean_gamma, 4),
         (lambda: core.zn_gamma(4), 3),
         (lambda: core.gamma_from_semiring(core.boolean_power_semiring(3)), 3),
     ], ids=["boolean", "z4", "from_B3"])
     def test_one_run_builds_one_level_cut_view_per_structure(self, monkeypatch, instance, views):
         """prop3.4, th3.8 and th3.19's base side share the workspace's views
         of S, L and R; th3.19's matrix side, where it runs (boolean), adds
-        one of its own on the lifted grades and one that enumerates the
-        matrix instance's fuzzy ideals (`enumerate_fuzzy_ideals`)."""
+        the workspace's view of the matrix instance, which cuts the lifts
+        and enumerates the matrix instance's fuzzy ideals."""
         built = []
         real_init = LevelCuts.__init__
 
@@ -353,25 +360,14 @@ class TestRunAll:
     def test_one_run_enumerates_each_ideal_family_once(self, monkeypatch, instance, enumerations):
         """One closure-system enumeration per (structure, kind) a run needs:
         S and L in all three kinds (the lemmas), R in "two" (prop3.4), and on
-        boolean the matrix instance in "two" (th3.19).  Fuzzy families stay
-        cut tuples, so no fuzzy subset built from cuts (a map's operand, a
-        matrix-side ideal) is cut again, and the crisp suites build no
-        `CrispSubset`."""
+        boolean the matrix instance in "two" (th3.19).  The crisp suites
+        build no `CrispSubset`."""
         closures = _count_calls(monkeypatch, fuzzy._crisp_ideal_masks)
-        enumerated = []
-        real_subset = LevelCuts.subset
-        monkeypatch.setattr(
-            LevelCuts, "subset", lambda view, cuts: enumerated.append(real_subset(view, cuts)) or enumerated[-1]
-        )
-        cut = []
-        real_of = LevelCuts.of
-        monkeypatch.setattr(LevelCuts, "of", lambda view, mu: cut.append(mu) or real_of(view, mu))
         crisp = []
         monkeypatch.setattr(fuzzy.CrispSubset, "__post_init__", lambda subset: crisp.append(subset))
         reports = verify.run_all(instance(), RunConfig(chain=CHAIN))
         assert all(r.status != FAIL for r in reports)
         assert len(closures) == enumerations
-        assert enumerated and cut and not any(mu is ideal for mu in cut for ideal in enumerated)
         assert crisp == []
 
     def test_suites_make_no_fraction_lattice_calls(self, monkeypatch, gb, z2):
@@ -565,8 +561,8 @@ def _rows_matching_the_table_oracle(monkeypatch, w, lift, restrict, lift_roundtr
     """`verify._clause_rows` on the L side, with these maps installed as the
     left lift and restriction, after checking its pair rows against the
     all-at-once table oracle."""
-    monkeypatch.setattr(verify, "lift_plusprime", lambda op, s: lift(s))
-    monkeypatch.setattr(verify, "restrict_plus", lambda op, m: restrict(m))
+    install_map(monkeypatch, CHAIN, "L", "lift", lambda op, s: lift(s))
+    install_map(monkeypatch, CHAIN, "L", "restrict", lambda op, m: restrict(m))
     rows = verify._clause_rows(
         w, "L", lift_roundtrip_ok=lift_roundtrip_ok, restrict_roundtrip_ok=restrict_roundtrip_ok, tag="",
     )
@@ -617,8 +613,7 @@ class TestFailPathBodies:
         )
 
     def test_th38_image_is_ideal(self, monkeypatch, gb):
-        real = verify.lift_plusprime
-        monkeypatch.setattr(verify, "lift_plusprime", lambda op, s: _reversed(real(op, s)))
+        install_map(monkeypatch, CHAIN, "L", "lift", lambda op, s: _reversed(transfer.lift_plusprime(op, s)))
         assert verify.verify_theorem_3_8(ws(gb), "two").body() == {
             "suite": "th3.8[two]",
             "instance": "boolean",
@@ -661,10 +656,10 @@ class TestFailPathBodies:
         """An empty image of {0}, with a lift that agrees with it, fails as
         no ideal: an ideal contains 0, also when tested on masks."""
         self._break_on(monkeypatch, "image_contained", ZERO, lambda op: 0)
-        real = verify.lift_plusprime
+        real = transfer.lift_plusprime
         bottom = {"0": "1/1", "1": "0/1", "2": "0/1", "3": "0/1"}
-        monkeypatch.setattr(
-            verify, "lift_plusprime",
+        install_map(
+            monkeypatch, CHAIN, "L", "lift",
             lambda op, s: FuzzySubset.constant(op, 0) if s.to_mapping() == bottom else real(op, s),
         )
         assert verify.verify_lemmas_3_11_3_12(ws(z4)).body() == {
@@ -873,7 +868,7 @@ class TestFailPathBodies:
 
     def test_th319_lift_is_ideal(self, monkeypatch, gb):
         real = matrix.lift_fuzzy_to_matrix
-        monkeypatch.setattr(matrix, "lift_fuzzy_to_matrix", lambda mg, mu: _reversed(real(mg, mu)))
+        install_map(monkeypatch, CHAIN, "M", "lift", lambda mg, mu: _reversed(real(mg, mu)))
         assert matrix.verify_theorem_3_19(ws(gb)).body() == {
             "suite": "th3.19",
             "instance": "boolean",
@@ -900,28 +895,23 @@ class TestFailPathBodies:
         """Every base ideal lifts to the constant-1 subset: each lift is an
         ideal, and two of them coincide."""
         real = matrix.lift_fuzzy_to_matrix
-        monkeypatch.setattr(
-            matrix, "lift_fuzzy_to_matrix", lambda mg, mu: real(mg, FuzzySubset.constant(mu.carrier, 1))
-        )
+        install_map(monkeypatch, CHAIN, "M", "lift", lambda mg, mu: real(mg, FuzzySubset.constant(mu.carrier, 1)))
         assert matrix.verify_theorem_3_19(ws(gb)).body() == self._th319({"check": "injective"}, {})
 
     def test_th319_surjective(self, monkeypatch, gb):
-        """Grade 1/2 lifts to 1/3, off the chain: the lifts are distinct
-        ideals ordered as the base ideals are, but the matrix ideal with
-        grade 1/2 is no lift."""
-        real = matrix.lift_fuzzy_to_matrix
-        third = Fraction(1, 3)
-
-        def off_chain(mg, mu):
-            m = real(mg, mu)
-            return FuzzySubset(m.carrier, tuple(third if g == HALF else g for g in m.grades))
-
-        monkeypatch.setattr(matrix, "lift_fuzzy_to_matrix", off_chain)
-        unmatched = {f"m{k}": "1/2" for k in range(1, 16)}
-        assert matrix.verify_theorem_3_19(ws(gb)).body() == self._th319(
-            {"check": "surjective", "unmatched": [{"m0": "1/1", **unmatched}]},
-            {"fuzzy_ideals_matrix": 3, "pairs_checked": 9},
-            ["cardinalities: 3 base ideals vs 3 matrix ideals"],
+        """A matrix-side family with a fourth member, grade 1 on m0 and m1
+        and 1/2 elsewhere: the lifts are distinct ideals ordered as the base
+        ideals are, but that member is no lift."""
+        w = ws(gb)
+        view = w.level_cuts("M")
+        real = view.fuzzy_ideals
+        extra = (view.full, 0b11)
+        monkeypatch.setattr(view, "fuzzy_ideals", lambda kind, cap: [*real(kind, cap), extra])
+        unmatched = {f"m{k}": "1/2" for k in range(2, 16)}
+        assert matrix.verify_theorem_3_19(w).body() == self._th319(
+            {"check": "surjective", "unmatched": [{"m0": "1/1", "m1": "1/1", **unmatched}]},
+            {"fuzzy_ideals_matrix": 4, "pairs_checked": 9},
+            ["cardinalities: 3 base ideals vs 4 matrix ideals"],
         )
 
 
@@ -947,8 +937,8 @@ class TestTheorem38PairBodies:
         assert [mu.grades for mu in fuzzy_family(w, "S", kind)] == list(self.IDEALS)
         a, b = (FuzzySubset.of_grades(z4, self.IDEALS[k]) for k in swapped)
         swap = {a.grades: b, b.grades: a}
-        real = verify.lift_plusprime
-        monkeypatch.setattr(verify, "lift_plusprime", lambda op, s: real(op, swap.get(s.grades, s)))
+        real = transfer.lift_plusprime
+        install_map(monkeypatch, CHAIN, "L", "lift", lambda op, s: real(op, swap.get(s.grades, s)))
         assert verify.verify_theorem_3_8(w, kind).body() == {
             "suite": f"th3.8[{kind}]",
             "instance": "z4",

@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run every verification suite on the stock instances and print a summary.
 
+The last line gives the total in-process wall time of the runs and the
+peak resident set size of the process (`ru_maxrss`).
+
 Example:
     python3 scripts/run_suites.py --instances boolean,z2,z4 --chain 0,1/2,1
     python3 scripts/run_suites.py --instances from_B3,from_B4
@@ -9,7 +12,9 @@ Example:
 
 import argparse
 import json
+import resource
 import sys
+import time
 
 from gsl import core, verify
 from gsl.config import RunConfig
@@ -38,6 +43,7 @@ def main() -> int:
     config = RunConfig.from_env(chain=GradeChain.parse(args.chain), n=args.n)
     failed = 0
     dump = []
+    start = time.perf_counter()
     for token in args.instances.split(","):
         g = build_instance(token.strip())
         reports = verify.run_all(g, config)
@@ -52,6 +58,8 @@ def main() -> int:
             json.dump(dump, fh, indent=2)
         print(f"wrote {len(dump)} report bodies to {args.json}")
     print(f"total failures: {failed}")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"wall {time.perf_counter() - start:.2f} s, peak RSS {peak_mb:.1f} MB")
     return 1 if failed else 0
 
 

@@ -13,7 +13,7 @@ intersection), so they are listed by closing outward from the bottom ideal
 over int bitmasks, with the absorption images the view keeps for its ideal
 tests.  A fuzzy ideal over a grade chain is one descending multichain of
 crisp ideals, its level cuts (the level-subset theorem), so the fuzzy
-family is the multichains of those masks, kept as cut tuples, and costs the
+family is the multichains of those masks as one id array, and costs the
 number of ideals rather than |chain|**(n-1).  Both lists are sorted into
 the order a scan over all candidates would give (ascending indicator tuples
 for crisp ideals, lexicographic grade tuples for fuzzy ones), which report
@@ -21,11 +21,11 @@ bodies and first counterexamples depend on.  ``enumerate_crisp_ideals`` and
 ``enumerate_fuzzy_ideals`` turn them into subsets.  The scalar predicates
 ``is_*_ideal_*`` are the plain-loop reference the tests check against.
 
-The suites compute on level cuts too: ``LevelCuts`` holds a chain-valued
-fuzzy subset as the tuple of its cuts.  It does sums, intersections and
-inclusions a family at a time, for every pair drawn from two families, as
-one numpy lookup into dense tables over the distinct cut masks, and ideal
-tests as bitmask work, cut by cut.  ``LevelCuts.rank_array`` gives each
+The suites compute on level cuts too: ``LevelCuts`` holds a family of
+chain-valued fuzzy subsets as one array of the ids of their cuts.  It does
+sums, intersections and inclusions for every pair drawn from two families,
+and ideal and constancy tests, as numpy lookups into tables over the
+distinct cut masks, a family at a time.  ``LevelCuts.rank_array`` gives each
 member of a family each element's rank, the number of cuts that contain
 it, as one array: ranks order the elements as their grades do, so a
 comparison of grades is decided on them, and the transfer maps take their
@@ -40,10 +40,9 @@ subset built from grades that already exist makes no new ``Fraction``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -324,40 +323,39 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
 
 
-Cuts = tuple[int, ...]
-
-
 class LevelCuts:
     """The fuzzy subsets of one structure with grades on one chain, each as
     its level cuts.
 
     Over the chain c_0 < ... < c_{m-1}, mu is exactly its m-1 cuts
-    mu_k = {x : mu(x) >= c_k}, k = 1..m-1, kept as a tuple of int bitmasks,
-    and every lattice operation works cut by cut, because a min or a max
-    over a finite set is attained:
+    mu_k = {x : mu(x) >= c_k}, k = 1..m-1, each an int bitmask, and every
+    lattice operation works cut by cut, because a min or a max over a finite
+    set is attained:
     - sum: (mu (+) nu)_k is the set sum mu_k + nu_k, from the addition table;
     - intersection: (mu /\\ nu)_k = mu_k & nu_k;
     - inclusion: mu <= nu iff mu_k is a subset of nu_k for every k;
-    - equality: equal cut tuples;
+    - equality: equal cuts;
     - ideal: the first cut is non-empty and every cut is closed under
       addition and absorbs the products of its elements (as the crisp
       enumerator does), which is `is_fuzzy_ideal_*` cut by cut.
 
-    Sums, intersections and inclusions are done a whole family at a time.
-    Each distinct mask gets an id, and a family is the (N, m-1) array of the
-    ids of its members' cuts (`family`).  The set sum, intersection and
-    inclusion of every pair of distinct masks are kept in dense D x D tables
-    over the D masks seen so far, each cell computed once, and a family
-    table (`sum_table`, `meet_table`, `le_table`) is one numpy lookup into
-    them for every pair drawn from two families (or from row blocks of
-    them).  The tables hold ids, not masks, so carriers wider than a machine
-    word work the same way.  The tables and the crisp ideal tests live as
-    long as the instance, and the suites share one per structure for a
-    whole run (`Workspace.level_cuts`).
+    Each distinct mask gets an id (`mask_ids`), and a family of N subsets
+    is only ever the (N, m-1) array of the ids of its members' cuts.  The
+    set sum, intersection and inclusion of every pair of the D masks seen
+    so far are dense D x D tables, and a mask's ideal-ness per kind, whether
+    it is empty or full, and its bits are arrays over the ids, each entry
+    computed once; so the family tables (`sum_table`, `meet_table`,
+    `le_table`), `ideal_rows`, `constant_rows` and `rank_array` are numpy
+    lookups indexed by families, and rows compare as opaque keys
+    (`distinct_rows`, `rows_in`).  Ids, not masks, so carriers wider than a
+    machine word work the same way.  The tables live as long as the
+    instance, and the suites share one per structure for a whole run
+    (`Workspace.level_cuts`).
 
     A family's ranks are one (N, n) array (`rank_array`), and an array of
     ranks gives back the ids of its subsets' cuts (`family_of_ranks`), so a
-    map that works on ranks maps a whole family at once.
+    map that works on ranks maps a whole family at once.  `subset` turns
+    one member into a `FuzzySubset`, for a witness.
 
     Because every operation goes cut by cut, a statement about every pair
     of a family of fuzzy ideals can often be decided on the family's crisp
@@ -367,9 +365,8 @@ class LevelCuts:
 
     The view owns the structure's ideal families: `crisp_ideals` gives the
     crisp ideals of a kind as masks, enumerated once per kind, and
-    `fuzzy_ideals` their descending multichains as cut tuples, so no
-    enumerated fuzzy ideal is cut again.  A crisp ideal is the one-cut
-    case: `is_ideal((mask,), kind)`.
+    `fuzzy_ideals` their descending multichains as a family, so no
+    enumerated fuzzy ideal is cut again.
     """
 
     def __init__(self, structure, chain: GradeChain):
@@ -380,24 +377,19 @@ class LevelCuts:
         self._masks: list[int] = []
         self._id: dict[int, int] = {}
         self._tables: dict[str, np.ndarray] = {}
+        self._per_id: dict[object, np.ndarray] = {}
         self._images: dict[str, list[int]] = {}
         self._crisp_ideals: dict[str, tuple[int, ...]] = {}
-        self._ideal: dict[tuple[str, int], bool] = {}
 
-    def subset(self, cuts: Cuts) -> FuzzySubset:
-        """The fuzzy subset with these (descending) cuts: x gets the grade
+    def subset(self, row: np.ndarray) -> FuzzySubset:
+        """The fuzzy subset whose cuts have these m-1 ids: x gets the grade
         c_r, r its rank (`rank_array`)."""
-        ranks = self.rank_array(self.family([cuts]))[0].tolist()
+        ranks = self.rank_array(np.asarray(row)[None])[0].tolist()
         return FuzzySubset(self.carrier, tuple(map(self.chain.grades.__getitem__, ranks)))
 
     def ids(self, mask: int) -> list[str]:
         """The ids of the elements of a mask, in carrier order."""
         return [self.carrier.ids[x] for x in _bits(mask)]
-
-    def is_constant(self, cuts: Cuts) -> bool:
-        """Whether the subset with these cuts is constant: every cut is
-        empty or full."""
-        return all(c in (0, self.full) for c in cuts)
 
     # -- family tables
 
@@ -407,18 +399,26 @@ class LevelCuts:
             self._masks.append(mask)
         return self._id[mask]
 
-    def family(self, members: Sequence[Cuts]) -> np.ndarray:
-        """The (N, m-1) array of the ids of N cut tuples' masks, one row per
-        member; a mask not seen before gets the next id."""
-        masks = list(itertools.chain.from_iterable(members))
-        for mask in dict.fromkeys(masks):  # each distinct mask, in order of first appearance
-            self._intern(mask)
-        ids = np.array(list(map(self._id.__getitem__, masks)), dtype=np.intp)
-        return ids.reshape(len(members), len(self.chain) - 1)
+    def mask_ids(self, masks: Iterable[int]) -> np.ndarray:
+        """The ids of these masks, as an array; a mask not seen before gets
+        the next id."""
+        return np.array([self._intern(mask) for mask in masks], dtype=np.intp)
 
-    def members(self, family: np.ndarray) -> list[Cuts]:
-        """The cut tuples of the rows of an (N, m-1) id array."""
-        return list(map(tuple, np.array(self._masks, dtype=object)[family].tolist()))
+    def _by_id(self, key, compute: Callable[[list[int]], np.ndarray]) -> np.ndarray:
+        """compute(masks) for every mask seen so far, indexed by id; when
+        more masks have been seen since the last call, only theirs are
+        computed."""
+        done = self._per_id.get(key)
+        if done is None or len(done) < len(self._masks):
+            new = compute(self._masks[0 if done is None else len(done):])
+            self._per_id[key] = done = new if done is None else np.concatenate([done, new])
+        return done
+
+    def _unpacked(self, masks: list[int]) -> np.ndarray:
+        """The (len(masks), n) bits of the masks, element x in column x."""
+        n, width = self.carrier.size, (self.carrier.size + 7) // 8
+        packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8)
+        return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
 
     def rank_array(self, family: np.ndarray) -> np.ndarray:
         """The (N, n) ranks of the members of an (N, m-1) id array, in the
@@ -426,10 +426,8 @@ class LevelCuts:
         number of cuts containing x, so x has grade c_r, and ranks order the
         elements as their grades do, because the chain is strictly
         increasing."""
-        n, width = self.carrier.size, (self.carrier.size + 7) // 8
-        packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in self._masks), np.uint8)
-        bits = np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
-        ranks = np.zeros((len(family), n), dtype=np.min_scalar_type(len(self.chain) - 1))
+        bits = self._by_id("bits", self._unpacked)
+        ranks = np.zeros((len(family), self.carrier.size), dtype=np.min_scalar_type(len(self.chain) - 1))
         for column in family.T:
             ranks += bits[column]
         return ranks
@@ -499,11 +497,23 @@ class LevelCuts:
         that list."""
         return np.unique(_row_keys(rows), return_index=True, return_inverse=True)[1:]
 
+    @staticmethod
+    def rows_in(rows: np.ndarray, family: np.ndarray) -> np.ndarray:
+        """(R,) booleans: whether each row of an (R, m-1) id array is a row of
+        the (non-empty) family, by binary search (np.isin imports numpy.ma)."""
+        known, keys = np.sort(_row_keys(family)), _row_keys(rows)
+        return known[np.searchsorted(known, keys).clip(max=len(known) - 1)] == keys
+
+    def constant_rows(self, family: np.ndarray) -> np.ndarray:
+        """(N,) booleans: whether each member is constant, every cut empty
+        or full."""
+        whole = self._by_id("whole", lambda masks: np.array([m in (0, self.full) for m in masks], bool))
+        return whole[family].all(axis=1)
+
     def basis(self, family: np.ndarray) -> Optional[np.ndarray]:
-        """The ids of the D distinct masks of a family (an (N, m-1) id array
-        from `family`), when the family is every descending multichain of
-        m-1 of those masks and they are closed under sum and meet; otherwise
-        None.
+        """The ids of the D distinct masks of a family (an (N, m-1) id
+        array), when the family is every descending multichain of m-1 of
+        those masks and they are closed under sum and meet; otherwise None.
 
         Then a check on pairs of members that goes level by level holds on
         every pair of members exactly when it holds on every pair of masks:
@@ -512,7 +522,8 @@ class LevelCuts:
         multichains are counted, not listed: O(N (m-1)) for the members and
         O(D^2 (m-1)) for the masks."""
         n, width = family.shape
-        if not n or len(set(map(tuple, family.tolist()))) != n:
+        keys = np.sort(_row_keys(family))
+        if not n or (keys[1:] == keys[:-1]).any():  # no member, or one twice
             return None
         le = self._table("le")
         if not le[family[:, 1:], family[:, :-1]].all():  # each member descends
@@ -558,38 +569,40 @@ class LevelCuts:
             raise EnumerationCapExceeded(f"2^{n} subsets exceed cap {cap}")
         return self._crisp(kind)
 
-    def fuzzy_ideals(self, kind: str = "two", cap: int = 10**8) -> list[Cuts]:
+    def fuzzy_ideals(self, kind: str = "two", cap: int = 10**8) -> np.ndarray:
         """Every fuzzy ideal of the kind with mu(0) = 1 and grades on the
-        chain, as its cut tuple, in lexicographic order of grade tuples: the
-        descending multichains I_1 >= ... >= I_{m-1} of `crisp_ideals`, each
-        the cuts of exactly one fuzzy ideal (the level-subset theorem),
-        sorted by rank tuple, as grades ascend with rank.  Raises
-        EnumerationCapExceeded when |chain|**(|carrier|-1) > cap: the cap
-        bounds candidates, not ideals."""
+        chain, as a read-only family in lexicographic order of grade tuples:
+        the descending multichains I_1 >= ... >= I_{m-1} of `crisp_ideals`,
+        each the cuts of exactly one fuzzy ideal (the level-subset theorem),
+        extended a cut at a time by the ideals inside the last one, then
+        sorted by rank (grades ascend with rank; no two rows tie, as ranks
+        fix the cuts).  Raises EnumerationCapExceeded when
+        |chain|**(|carrier|-1) > cap: the cap bounds candidates, not ideals."""
         n, m = self.carrier.size, len(self.chain)
         total = m ** (n - 1)
         if total > cap:
             raise EnumerationCapExceeded(f"{total} candidates (= {m}^{n - 1}) exceed cap {cap}")
-        ideals = self._crisp(kind)
-        cuts = [(i,) for i in ideals]
+        ideals = self.mask_ids(self._crisp(kind))
+        inside = self._table("le")[ideals[None, :], ideals[:, None]]  # inside[i, j]: ideal j is in ideal i
+        chains = np.arange(len(ideals))[:, None]  # places in `ideals`
         for _ in range(m - 2):
-            cuts = [c + (j,) for c in cuts for j in ideals if not j & ~c[-1]]
-        # the rank of x is the number of cuts containing x: a sum of indicator tuples
-        indicator = {i: tuple(i >> x & 1 for x in range(n)) for i in ideals}
-        return sorted(cuts, key=lambda cut: tuple(map(sum, zip(*map(indicator.__getitem__, cut)))))
+            prefix, last = np.nonzero(inside[chains[:, -1]])
+            chains = np.column_stack([chains[prefix], last])
+        family = ideals[chains]
+        family = family[np.lexsort(self.rank_array(family).T[::-1])]
+        family.setflags(write=False)
+        return family
 
-    def _is_crisp_ideal(self, mask: int, kind: str) -> bool:
-        key = (kind, mask)
-        if key not in self._ideal:
-            image = self._image(kind)
-            self._ideal[key] = not self._set_sum(mask, mask) & ~mask and not any(
-                image[x] & ~mask for x in _bits(mask)
-            )
-        return self._ideal[key]
-
-    def is_ideal(self, cuts: Cuts, kind: str = "two") -> bool:
-        """`is_fuzzy_ideal_*` of the subset with these cuts."""
-        return cuts[0] != 0 and all(self._is_crisp_ideal(c, kind) for c in cuts)
+    def ideal_rows(self, family: np.ndarray, kind: str = "two") -> np.ndarray:
+        """(N,) booleans: whether each member of an (N, k) id array is a
+        fuzzy ideal of the kind (`is_fuzzy_ideal_*`): a non-empty first cut,
+        and every cut closed under addition and absorbing its products, each
+        mask tested once per kind.  A crisp ideal is the one-cut case."""
+        image = self._image(kind)
+        closed = self._by_id(("closed", kind), lambda masks: np.array([
+            not self._set_sum(m, m) & ~m and not any(image[x] & ~m for x in _bits(m)) for m in masks
+        ], dtype=bool))
+        return closed[family].all(axis=1) & (family[:, 0] != self._id.get(0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +734,10 @@ def enumerate_fuzzy_ideals(
 ) -> list[FuzzySubset]:
     """All fuzzy ideals with mu(0) = 1 and grades drawn from the chain,
     in lexicographic order of grade tuples: `LevelCuts.fuzzy_ideals`, each
-    cut tuple as its fuzzy subset."""
+    member as its fuzzy subset."""
     view = LevelCuts(structure, chain)
-    return list(map(view.subset, view.fuzzy_ideals(kind, cap)))
+    ranks = view.rank_array(view.fuzzy_ideals(kind, cap)).tolist()
+    return [FuzzySubset(view.carrier, tuple(map(chain.grades.__getitem__, row))) for row in ranks]
 
 
 def enumerate_crisp_ideals(structure, kind: str = "two", cap: int = 10**8) -> list[CrispSubset]:

@@ -26,9 +26,9 @@ to every argument at once (`_matrix_actions`), and reads each first
 failing cell in row-major order.  th3.19 lifts the workspace's fuzzy
 ideals of the base as one rank array, through the workspace's "M" lift
 (the mins of `transfer.min_ranks` over the entries), and tests the lifts
-for ideals, injectivity, inclusions and surjectivity on the cuts of the
-workspace's level-cut view of the matrix instance, which also enumerates
-the matrix-side ideals.
+for ideals, injectivity, inclusions and surjectivity as array operations
+on the id arrays of the workspace's level-cut view of the matrix instance,
+which also enumerates the matrix-side ideals.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from . import core
 from .fuzzy import FuzzySubset, carrier_of
 from .operators import OperatorSemiring, build_operator_semiring
-from .report import VerificationReport, chain_scope_note, first_cell, first_failure
+from .report import VerificationReport, chain_scope_note, first_cell
 from .transfer import _grade_mins
 
 if TYPE_CHECKING:  # the suites below take the run's Workspace, which builds on this module
@@ -339,23 +339,16 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
         ws.require_unities()
         notes.append(chain_scope_note(chain))
 
-        on_s, on_matrix, ideals = ws.level_cuts("S"), ws.level_cuts("M"), ws.fuzzy_cuts("S")
-        fs = on_s.family(ideals)
-        fm = ws.transfer("M", "lift")(fs)
-        cuts = on_matrix.members(fm)
+        on_s, on_matrix, ideals = ws.level_cuts("S"), ws.level_cuts("M"), ws.fuzzy_family("S")
+        lifted = ws.transfer("M", "lift")(ideals)
         counts["fuzzy_ideals_base"] = len(ideals)
-        failure = first_failure(
-            lambda s, c: not on_matrix.is_ideal(c)
-            and {"check": "lift-is-ideal", "mu": on_s.subset(s).to_mapping()},
-            ideals, cuts,
-        )
-        if failure:
-            return failure
-        lifted_set = set(cuts)
-        if len(lifted_set) != len(cuts):
+        not_ideal = ~on_matrix.ideal_rows(lifted)
+        if not_ideal.any():
+            return {"check": "lift-is-ideal", "mu": on_s.subset(ideals[not_ideal.argmax()]).to_mapping()}
+        if len(on_matrix.distinct_rows(lifted)[0]) != len(lifted):
             return {"check": "injective"}
         counts["pairs_checked"] = len(ideals) ** 2
-        pair = first_cell(on_s.le_table(fs, fs) != on_matrix.le_table(fm, fm))
+        pair = first_cell(on_s.le_table(ideals, ideals) != on_matrix.le_table(lifted, lifted))
         if pair:
             mu1, mu2 = (on_s.subset(ideals[k]).to_mapping() for k in pair)
             return {"check": "inclusion-preserving", "mu1": mu1, "mu2": mu2}
@@ -373,9 +366,11 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
             f"cardinalities: {len(ideals)} base ideals vs "
             f"{len(matrix_ideals)} matrix ideals"
         )
-        if lifted_set != set(matrix_ideals):
-            extra = [on_matrix.subset(c).to_mapping() for c in matrix_ideals if c not in lifted_set]
-            return {"check": "surjective", "unmatched": extra[:3]}
+        # the lifts are distinct, so they are the matrix ideals when as many and none is missed
+        extra = matrix_ideals[~on_matrix.rows_in(matrix_ideals, lifted)]
+        if len(extra) or len(matrix_ideals) != len(lifted):
+            unmatched = [on_matrix.subset(row).to_mapping() for row in extra[:3]]
+            return {"check": "surjective", "unmatched": unmatched}
         return None
 
     return ws.run_suite("th3.19", check, chain)

@@ -13,11 +13,11 @@ precondition-unmet rather than guessed around.  All enumeration happens at
 grade-chain scale, which is sound for these statements because min/max over
 finite index sets never leaves the chain; each report says so in its notes.
 The fuzzy suites compute on the workspace's level cuts of those ideals
-over the config's chain (`LevelCuts`): a fuzzy ideal is its cut tuple from
-enumeration to verdict, and its `Fraction` grades are built from the cuts
-only for a witness.  The semifield conditions of th3.17 and th3.18 are
-decided on ranks.  The transfer maps are mins of ranks (`_MAPS`), and
-`Workspace.transfer` maps a whole family at once: the ids of its cuts
+over the config's chain (`LevelCuts`): a fuzzy family is one read-only
+(N, m-1) array of its members' cut ids from enumeration to verdict, and
+a witness's `Fraction` grades come from its one row.  Semifield
+conditions are decided on ranks.  The transfer maps are mins of ranks
+(`_MAPS`), and `Workspace.transfer` maps a whole family at once: its ids
 become one rank array, the map takes its mins on it, and the result is cut
 again into ids.  Each family's images are kept with the family
 (`Workspace.pairs`), shared by prop3.4 and th3.8, so th3.8[two] after
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import core
 from .config import RunConfig
-from .fuzzy import Cuts, GradeChain, LevelCuts
+from .fuzzy import GradeChain, LevelCuts
 from .matrix import (
     MatrixGammaSemiring,
     build_matrix_gamma,
@@ -91,13 +91,13 @@ class Workspace:
     the left and right operator semirings L and R, their unity flags, the
     matrix instance, the level-cut view of each structure (`level_cuts`),
     which enumerates its ideal families once per kind, those families (crisp
-    ideals as masks, fuzzy ideals as cut tuples: `fuzzy_cuts` is the one
+    ideals as masks, fuzzy ideals as id arrays: `fuzzy_family` is the one
     fuzzy family the suites read), and each fuzzy family with its images
     under a transfer map (`pairs`, from `transfer`) for the pair checks.  A
     family is named by the structure it lives on, "S" (the structure
     itself), "L", "R" or "M" (the matrix instance), and by its ideal kind.
-    Families are tuples, so no suite can change what the next suite sees.  A
-    plain semiring has only "S".
+    Crisp families are tuples and fuzzy ones read-only arrays, so no suite
+    can change what the next suite sees.  A plain semiring has only "S".
 
     A build that hits a cap is attempted once: its `core.CapExceeded` is
     kept and raised again on every access, so each suite that needs it is
@@ -171,11 +171,12 @@ class Workspace:
         chain; it enumerates the structure's ideal families."""
         return self._once(("cuts", side), lambda: LevelCuts(self.structure_on(side), self.config.chain))
 
-    def fuzzy_cuts(self, side: str, kind: str = "two") -> tuple[Cuts, ...]:
-        """The fuzzy ideals over the config's chain, as cut tuples, in
-        enumeration order (`LevelCuts.fuzzy_ideals`)."""
-        return self._once(("cuts", side, kind), lambda: tuple(
-            self.level_cuts(side).fuzzy_ideals(kind, self.config.enum_cap)))
+    def fuzzy_family(self, side: str, kind: str = "two") -> np.ndarray:
+        """The fuzzy ideals over the config's chain, as the read-only
+        (N, m-1) array of the ids of their cuts, in enumeration order
+        (`LevelCuts.fuzzy_ideals`)."""
+        return self._once(("family", side, kind), lambda: self.level_cuts(side).fuzzy_ideals(
+            kind, self.config.enum_cap))
 
     def transfer(self, side: str, direction: str) -> Callable[[np.ndarray], np.ndarray]:
         """A transfer map between S and `side` ("L", "R", or "M" for th3.19's
@@ -203,7 +204,7 @@ class Workspace:
         target = side if direction == "lift" else "S"
         return self._once(("pairs", side, direction, kind), lambda: _Pairs(
             self.level_cuts(source), self.level_cuts(target),
-            self.fuzzy_cuts(source, kind), self.transfer(side, direction),
+            self.fuzzy_family(source, kind), self.transfer(side, direction),
         ))
 
     def crisp_ideals(self, side: str, kind: str = "two") -> tuple[int, ...]:
@@ -277,10 +278,9 @@ class _Pairs:
     `image`, the map on id arrays (`Workspace.transfer`) that gave the
     images, which maps the sums and meets of a pair scan."""
 
-    def __init__(self, source: LevelCuts, target: LevelCuts, cuts: Sequence[Cuts], image):
+    def __init__(self, source: LevelCuts, target: LevelCuts, family: np.ndarray, image):
         self.source, self.target, self.image = source, target, image
-        self.family = source.family(cuts)
-        self.images = image(self.family)
+        self.family, self.images = family, image(family)
 
     @cached_property
     def basis(self) -> Optional[np.ndarray]:
@@ -329,16 +329,13 @@ def _unhomomorphic(table: str) -> _PairCheck:
     return check
 
 
-def _not_in(members: set) -> _PairCheck:
-    """The sum or the meet of a_i and b_j is not one of these cut tuples."""
+def _not_in(family: np.ndarray) -> _PairCheck:
+    """The sum or the meet of a_i and b_j is not a member of the family."""
 
     def check(p, a, b, la, lb, image):
         outside = np.zeros((len(a), len(b)), dtype=bool)
         for table in (p.source.sum_table(a, b), p.source.meet_table(a, b)):
-            rows = table.reshape(-1, table.shape[-1])
-            first, where = p.source.distinct_rows(rows)
-            known = np.array([cuts in members for cuts in p.source.members(rows[first])])
-            outside |= ~known[where].reshape(outside.shape)
+            outside |= ~LevelCuts.rows_in(table.reshape(-1, table.shape[-1]), family).reshape(outside.shape)
         return outside
 
     return check
@@ -397,20 +394,22 @@ def _clause_rows(
     transfer maps are mins, so their images stay on that chain.  The maps
     are the workspace's (`Workspace.transfer`), each applied to a whole
     family at once: the ideals (`Workspace.pairs`), then their images for
-    the round trips.  The pair clauses are decided by `_failing_pair`: on
-    crisp cuts where the family and the map allow it, else by the
-    row-blocked `_scan`, which witnesses the first failing pair in
-    row-major order.  Every check reads cut tuples; a witness's grades
-    are built from its cuts, for the failing row only.
+    the round trips.  Each per-ideal clause is one array operation on the
+    families' id arrays and witnesses its first failing row.  The pair
+    clauses are decided by `_failing_pair`: on crisp cuts where the family
+    and the map allow it, else by the row-blocked `_scan`, which witnesses
+    the first failing pair in row-major order.  A witness's grades are
+    built from its row only.
     """
     rows: list[tuple[str, str, Optional[dict], int]] = []
     on_s, on_op = ws.level_cuts("S"), ws.level_cuts(side)
-    cuts_s, cuts_op = ws.fuzzy_cuts("S"), ws.fuzzy_cuts(side)
     lifts, restricts = ws.pairs(side, "lift"), ws.pairs(side, "restrict")
-    lifted, restricted = on_op.members(lifts.images), on_s.members(restricts.images)
+    ideals_s, lifted = lifts.family, lifts.images
+    ideals_op, restricted = restricts.family, restricts.images
     # restrict(lift(sigma)) and lift(restrict(mu)), for the round trips
-    lifted_back = on_s.members(restricts.image(lifts.images))
-    restricted_back = on_op.members(lifts.image(restricts.images))
+    lifted_back, restricted_back = restricts.image(lifted), lifts.image(restricted)
+    first, where = LevelCuts.distinct_rows(lifted)
+    earlier = first[where]  # the index of the first lift equal to each
 
     def clause(cid, checked, scan, ok=True):
         """One row: precondition-unmet when the unity it rests on is absent,
@@ -424,85 +423,86 @@ def _clause_rows(
         else:
             rows.append((cid + tag, PASS, None, checked))
 
-    def each(cid, columns, check, ok=True):
-        """A clause checked on each ideal's cuts with its image's."""
-        clause(cid, len(columns[0]), lambda: first_failure(check, *columns), ok)
-
-    def pairwise(cid, ideals, label, pairs, check):
-        """A clause checked on every pair of ideals, the operands of `pairs`."""
+    def each(cid, ideals, failing, witness, ok=True):
+        """A clause checked on each ideal: failing() gives the (N,) rows it
+        fails on, witness(k) the payload of the first, row k."""
 
         def scan():
-            pair = _failing_pair(pairs, check)
-            return pair and {f"{label}{k}": mapping(pairs.source, ideals[i]) for k, i in enumerate(pair, 1)}
+            bad = failing()
+            return bad.any() and witness(int(bad.argmax()))
 
-        clause(cid, len(ideals) ** 2, scan)
+        clause(cid, len(ideals), scan, ok)
 
-    def mapping(view, cuts):
-        """The grades of the subset with these cuts, for a witness."""
-        return view.subset(cuts).to_mapping()
+    def pairwise(cid, label, p, check):
+        """A clause checked on every pair of ideals, the operands of `p`."""
 
-    first_lifted_at: dict[Cuts, int] = {}
+        def scan():
+            pair = _failing_pair(p, check)
+            return pair and {f"{label}{k}": mapping(p.source, p.family[i]) for k, i in enumerate(pair, 1)}
 
-    def repeated_lift(k, t):
-        """The first lift equal to an earlier one, with that earlier one."""
-        first = first_lifted_at.setdefault(t, k)
-        return first != k and {"sigma1": mapping(on_s, cuts_s[first]), "sigma2": mapping(on_s, cuts_s[k])}
+        clause(cid, len(p.family) ** 2, scan)
+
+    def mapping(view, row):
+        """The grades of the subset with these cut ids, for a witness."""
+        return view.subset(row).to_mapping()
 
     # (i) ideal preservation under the lift
     each(
-        "i", (cuts_s, lifted),
-        lambda s, t: not on_op.is_ideal(t) and {"sigma": mapping(on_s, s), "lifted": mapping(on_op, t)},
+        "i", ideals_s, lambda: ~on_op.ideal_rows(lifted),
+        lambda k: {"sigma": mapping(on_s, ideals_s[k]), "lifted": mapping(on_op, lifted[k])},
     )
 
     # (i) non-constancy preservation
     each(
-        "i-nonconstant", (cuts_s, lifted),
-        lambda s, t: not on_s.is_constant(s) and on_op.is_constant(t) and {"sigma": mapping(on_s, s)},
-        lift_roundtrip_ok,
+        "i-nonconstant", ideals_s, lambda: ~on_s.constant_rows(ideals_s) & on_op.constant_rows(lifted),
+        lambda k: {"sigma": mapping(on_s, ideals_s[k])}, lift_roundtrip_ok,
     )
 
     # (ii) restrict(lift(sigma)) == sigma
     each(
-        "ii", (cuts_s, lifted_back),
-        lambda s, back: back != s and {"sigma": mapping(on_s, s), "roundtrip": mapping(on_s, back)},
+        "ii", ideals_s, lambda: (lifted_back != ideals_s).any(axis=1),
+        lambda k: {"sigma": mapping(on_s, ideals_s[k]), "roundtrip": mapping(on_s, lifted_back[k])},
         lift_roundtrip_ok,
     )
 
-    # (iii) injectivity of the lift
-    each("iii", (range(len(lifted)), lifted), repeated_lift, lift_roundtrip_ok)
+    # (iii) injectivity of the lift: the first lift equal to an earlier one
+    each(
+        "iii", ideals_s, lambda: earlier != np.arange(len(earlier)),
+        lambda k: {"sigma1": mapping(on_s, ideals_s[earlier[k]]), "sigma2": mapping(on_s, ideals_s[k])},
+        lift_roundtrip_ok,
+    )
 
     # (iv) lift of a sum is the sum of lifts
-    pairwise("iv", cuts_s, "sigma", lifts, _unhomomorphic("sum_table"))
+    pairwise("iv", "sigma", lifts, _unhomomorphic("sum_table"))
 
     # (v) lift of an intersection is the intersection of lifts
-    pairwise("v", cuts_s, "sigma", lifts, _unhomomorphic("meet_table"))
+    pairwise("v", "sigma", lifts, _unhomomorphic("meet_table"))
 
     # (vi) lift is inclusion-preserving
-    pairwise("vi", cuts_s, "sigma", lifts, _order_lost)
+    pairwise("vi", "sigma", lifts, _order_lost)
 
     # (vii) ideal preservation under the restriction
     each(
-        "vii", (cuts_op, restricted),
-        lambda m, rm: not on_s.is_ideal(rm)
-        and {"mu": mapping(on_op, m), "restricted": mapping(on_s, rm)},
+        "vii", ideals_op, lambda: ~on_s.ideal_rows(restricted),
+        lambda k: {"mu": mapping(on_op, ideals_op[k]), "restricted": mapping(on_s, restricted[k])},
     )
 
     # (vii) non-constancy preservation
     each(
-        "vii-nonconstant", (cuts_op, restricted),
-        lambda m, rm: not on_op.is_constant(m) and on_s.is_constant(rm) and {"mu": mapping(on_op, m)},
-        restrict_roundtrip_ok,
+        "vii-nonconstant", ideals_op,
+        lambda: ~on_op.constant_rows(ideals_op) & on_s.constant_rows(restricted),
+        lambda k: {"mu": mapping(on_op, ideals_op[k])}, restrict_roundtrip_ok,
     )
 
     # (viii) lift(restrict(mu)) == mu
     each(
-        "viii", (cuts_op, restricted_back),
-        lambda m, back: back != m and {"mu": mapping(on_op, m), "roundtrip": mapping(on_op, back)},
+        "viii", ideals_op, lambda: (restricted_back != ideals_op).any(axis=1),
+        lambda k: {"mu": mapping(on_op, ideals_op[k]), "roundtrip": mapping(on_op, restricted_back[k])},
         restrict_roundtrip_ok,
     )
 
     # (ix) restriction is inclusion-preserving
-    pairwise("ix", cuts_op, "mu", restricts, _order_lost)
+    pairwise("ix", "mu", restricts, _order_lost)
 
     return rows
 
@@ -521,7 +521,7 @@ def verify_prop_3_4(ws: Workspace) -> VerificationReport:
         notes.append(f"right unity: {'present' if ws.right_unity else 'absent'}")
         notes += [f"clause {cid}: {st}" for cid, st, _, _ in rows]
         for side in "SLR":
-            counts[f"fuzzy_ideals_{side}"] = len(ws.fuzzy_cuts(side))
+            counts[f"fuzzy_ideals_{side}"] = len(ws.fuzzy_family(side))
         counts["checks"] = sum(c for _, _, _, c in rows)
         return next((w for _, st, w, _ in rows if st == FAIL), None)
 
@@ -540,29 +540,22 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
         notes.append(chain_scope_note(chain))
         ws.require_unities()
         on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
-        cuts_a, cuts_b = ws.fuzzy_cuts("S", kind), ws.fuzzy_cuts("L", kind)
         p = ws.pairs("L", "lift", kind)
-        lifted = on_l.members(p.images)
-        counts["fuzzy_ideals_S"] = len(cuts_a)
-        counts["fuzzy_ideals_L"] = len(cuts_b)
+        ideals_a, ideals_b, lifted = p.family, ws.fuzzy_family("L", kind), p.images
+        counts["fuzzy_ideals_S"] = len(ideals_a)
+        counts["fuzzy_ideals_L"] = len(ideals_b)
 
-        b_set = set(cuts_b)
-        image = first_failure(
-            lambda s, t: t not in b_set and {
-                "check": "image-is-ideal",
-                "sigma": on_s.subset(s).to_mapping(),
-                "lifted": on_l.subset(t).to_mapping(),
-            },
-            cuts_a, lifted,
-        )
-        if image:
-            return image
-        lifted_set = set(lifted)
-        if len(lifted_set) != len(cuts_a):
+        outside = ~LevelCuts.rows_in(lifted, ideals_b)
+        if outside.any():
+            k = int(outside.argmax())
+            sigma, image = on_s.subset(ideals_a[k]).to_mapping(), on_l.subset(lifted[k]).to_mapping()
+            return {"check": "image-is-ideal", "sigma": sigma, "lifted": image}
+        if len(LevelCuts.distinct_rows(lifted)[0]) != len(ideals_a):
             return {"check": "injective"}
-        if lifted_set != b_set:
-            missing = [on_l.subset(mc).to_mapping() for mc in cuts_b if mc not in lifted_set]
-            return {"check": "surjective", "unmatched": missing[:3]}
+        # the lifts are distinct ideals of L, so they are all of them unless one is missed
+        missing = ideals_b[~LevelCuts.rows_in(ideals_b, lifted)]
+        if len(missing):
+            return {"check": "surjective", "unmatched": [on_l.subset(m).to_mapping() for m in missing[:3]]}
 
         # the first failing pair reports the first check it fails, in this order
         checks = {
@@ -570,7 +563,7 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             "sum-homomorphism": _unhomomorphic("sum_table"),
             "intersection-homomorphism": _unhomomorphic("meet_table"),
         }
-        counts["pairs_checked"] = len(cuts_a) ** 2
+        counts["pairs_checked"] = len(ideals_a) ** 2
         pair = _failing_pair(
             p, lambda *args: np.logical_or.reduce([check(*args) for check in checks.values()])
         )
@@ -579,17 +572,16 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             rows = (p.family[i : i + 1], p.family[j : j + 1], p.images[i : i + 1], p.images[j : j + 1])
             failed = next(name for name, check in checks.items() if check(p, *rows, p.image)[0, 0])
             return {
-                "check": failed, "sigma1": on_s.subset(cuts_a[i]).to_mapping(),
-                "sigma2": on_s.subset(cuts_a[j]).to_mapping(),
+                "check": failed, "sigma1": on_s.subset(ideals_a[i]).to_mapping(),
+                "sigma2": on_s.subset(ideals_a[j]).to_mapping(),
             }
 
         # chain-scale lattice sanity: closure under both operations, top and
         # bottom; a family with a basis is closed
-        a_set = set(cuts_a)
-        closed = p.basis is not None or _scan(p, _not_in(a_set)) is None
-        width = len(chain) - 1
-        top, bottom = (on_s.full,) * width, (1,) * width  # constant 1, and 1 on {0} only
-        if not (closed and top in a_set and bottom in a_set):
+        closed = p.basis is not None or _scan(p, _not_in(ideals_a)) is None
+        # constant 1, and 1 on {0} only
+        top_bottom = np.repeat(on_s.mask_ids([on_s.full, 1])[:, None], len(chain) - 1, axis=1)
+        if not (closed and LevelCuts.rows_in(top_bottom, ideals_a).all()):
             return {"check": "lattice-closure"}
         notes.append("enumerated ideals are closed under sum/intersection with top and bottom")
         return None
@@ -605,10 +597,11 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
 
     The crisp ideals and their images are masks (`Workspace.crisp_ideals`,
     `OperatorSemiring.image_contained` and `pair_fixed`), and the
-    characteristic function of I is the cut tuple (I, ..., I) over the
-    config's chain, so the characteristic functions of every kind are
-    lifted, and restricted, as one family by the run's maps
-    (`Workspace.transfer`)."""
+    characteristic function of I is the member (I, ..., I) over the
+    config's chain, one interned id repeated, so the characteristic
+    functions of every kind are lifted, and restricted, as one family by the
+    run's maps (`Workspace.transfer`), and each kind's identities and ideal
+    tests are array operations on ids."""
 
     def check(counts, notes):
         left = ws.left
@@ -624,38 +617,33 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
         counts["identities_checked"] = 0
 
         @cache
-        def transferred(source, target, transfer) -> dict[int, Cuts]:
-            """Each crisp ideal I of the source, of any kind, with the cuts
-            of the map's image of (I, ..., I): every kind in one call."""
+        def transferred(source, transfer) -> dict[int, np.ndarray]:
+            """Each crisp ideal I of the source, of any kind, with the ids of
+            the cuts of the map's image of (I, ..., I): every kind in one
+            call."""
             ideals = sorted({ideal for kind in kinds for ideal in ws.crisp_ideals(source, kind)})
-            images = transfer(ws.level_cuts(source).family([(ideal,) * width for ideal in ideals]))
-            return dict(zip(ideals, ws.level_cuts(target).members(images)))
+            ids = ws.level_cuts(source).mask_ids(ideals)
+            return dict(zip(ideals, transfer(np.repeat(ids[:, None], width, axis=1))))
 
         for kind in kinds:
             for side in "SL":
                 counts[f"ideals_{side}[{kind}]"] = len(ws.crisp_ideals(side, kind))
             for source, target, correspond, transfer, moved, not_ideal, label in directions:
                 on_source, on_target = ws.level_cuts(source), ws.level_cuts(target)
-                mapped = transferred(source, target, transfer)
-
-                def failure(ideal):
-                    image = correspond(ideal)
-                    if mapped[ideal] != (image,) * width:
-                        return {"check": moved, "kind": kind, "ideal": on_source.ids(ideal)}
-                    # an ideal is non-empty; a non-empty absorbing cut contains 0
-                    if not on_target.is_ideal((image,), kind):
-                        return {
-                            "check": not_ideal,
-                            "kind": kind,
-                            "ideal": on_source.ids(ideal),
-                            label: on_target.ids(image),
-                        }
-                    counts["identities_checked"] += 1
-                    return None
-
-                found = first_failure(failure, ws.crisp_ideals(source, kind))
-                if found:
-                    return found
+                mapped = transferred(source, transfer)
+                ideals = ws.crisp_ideals(source, kind)
+                images = [correspond(ideal) for ideal in ideals]
+                image_ids = on_target.mask_ids(images)[:, None]
+                moves = (np.stack([mapped[ideal] for ideal in ideals]) != image_ids).any(axis=1)
+                # an ideal is non-empty; a non-empty absorbing cut contains 0
+                failed = moves | ~on_target.ideal_rows(image_ids, kind)
+                k = int(failed.argmax()) if failed.any() else len(ideals)
+                counts["identities_checked"] += k
+                if k < len(ideals):
+                    failure = {"check": moved, "kind": kind, "ideal": on_source.ids(ideals[k])}
+                    if moves[k]:
+                        return failure
+                    return {**failure, "check": not_ideal, label: on_target.ids(images[k])}
         return None
 
     return ws.run_suite("lemmas", check)
@@ -666,7 +654,7 @@ def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
     (or right ideals) of the base and of its left operator semiring, with the
     pair-preimage map as inverse.  The ideals and images are masks, and
     inclusion both ways is one comparison of `LevelCuts.le_table`s, each
-    ideal I as the cut tuple (I, ..., I)."""
+    ideal I as the one-cut member (I,), its interned id."""
     if kind not in ("two", "right"):
         raise ValueError("kind must be 'two' or 'right'")
 
@@ -708,8 +696,7 @@ def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
         if failure:
             return failure
         counts["pairs_checked"] = len(A) ** 2
-        width = len(ws.config.chain) - 1
-        a, b = on_s.family([(ideal,) * width for ideal in A]), on_l.family([(im,) * width for im in images])
+        a, b = on_s.mask_ids(A)[:, None], on_l.mask_ids(images)[:, None]
         pair = first_cell(on_s.le_table(a, a) != on_l.le_table(b, b))
         return pair and {
             "check": "inclusion-both-ways", "ideal1": on_s.ids(A[pair[0]]), "ideal2": on_s.ids(A[pair[1]]),
@@ -718,12 +705,12 @@ def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
     return ws.run_suite(f"th3.15[{kind}]", check)
 
 
-def _fuzzy_semifield_condition(view: LevelCuts, ideals: Sequence[Cuts]) -> tuple[bool, Optional[Cuts]]:
+def _fuzzy_semifield_condition(view: LevelCuts, ideals: np.ndarray) -> tuple[bool, Optional[np.ndarray]]:
     """Every non-constant member is constant on the nonzero elements, with a
     value below its value at 0.  Decided on the family's ranks
     (`LevelCuts.rank_array`), which order the elements as the grades do.
-    Returns (holds, the first violator's cuts)."""
-    ranks = view.rank_array(view.family(ideals))
+    Returns (holds, the first violator's row)."""
+    ranks = view.rank_array(ideals)
     nonzero = ranks[:, 1:]
     constant = ranks.min(axis=1) == ranks.max(axis=1)
     failing = ~constant & ((nonzero.min(axis=1) != nonzero.max(axis=1)) | (nonzero[:, 0] >= ranks[:, 0]))
@@ -734,14 +721,14 @@ def _fuzzy_semifield_condition(view: LevelCuts, ideals: Sequence[Cuts]) -> tuple
 def _semifield_biconditional(
     semifield: bool,
     view: LevelCuts,
-    ideals: Sequence[Cuts],
+    ideals: np.ndarray,
     name: str,
     not_semifield_witness: Callable[[], dict],
     counts: dict,
     notes: list[str],
 ) -> Optional[dict]:
-    """Check `semifield <=> the fuzzy semifield condition on ideals` (cut
-    tuples of the view) as two implications, recording the ideal counts and
+    """Check `semifield <=> the fuzzy semifield condition on ideals` (a
+    family of the view) as two implications, recording the ideal counts and
     one note per implication decided.
 
     `name` is the structural property ("semifield" or "gamma-semifield");
@@ -749,7 +736,7 @@ def _semifield_biconditional(
     it.  Returns the counterexample, or None when both implications hold."""
     holds, violator = _fuzzy_semifield_condition(view, ideals)
     counts["fuzzy_ideals"] = len(ideals)
-    counts["nonconstant_ideals"] = sum(1 for cuts in ideals if not view.is_constant(cuts))
+    counts["nonconstant_ideals"] = int((~view.constant_rows(ideals)).sum())
     if semifield and not holds:
         notes.append("forward implication failed")
         return {
@@ -815,7 +802,7 @@ def verify_theorem_3_17(ws: Workspace, side: str = "S") -> VerificationReport:
             )
 
         return _semifield_biconditional(
-            semifield, ws.level_cuts(side), ws.fuzzy_cuts(side), "semifield",
+            semifield, ws.level_cuts(side), ws.fuzzy_family(side), "semifield",
             lambda: {
                 "nonzero_proper_ideal": [r.carrier[i] for i in (core.semifield_witness(r) or ())],
             },
@@ -844,7 +831,7 @@ def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
             # diagnostics still run so the report explains the instance
             if commutative and len(g.S) > 1:
                 on_s = ws.level_cuts("S")
-                holds, violator = _fuzzy_semifield_condition(on_s, ws.fuzzy_cuts("S"))
+                holds, violator = _fuzzy_semifield_condition(on_s, ws.fuzzy_family("S"))
                 notes.append(f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}")
                 if violator is not None:
                     notes.append(
@@ -859,7 +846,7 @@ def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
             return {"pair_without_inverse": None if w is None else [g.S[w[0]], g.G[w[1]]]}
 
         return _semifield_biconditional(
-            core.is_gamma_semifield(g), ws.level_cuts("S"), ws.fuzzy_cuts("S"), "gamma-semifield",
+            core.is_gamma_semifield(g), ws.level_cuts("S"), ws.fuzzy_family("S"), "gamma-semifield",
             pair_without_inverse, counts, notes,
         )
 
@@ -908,9 +895,9 @@ def verify_semifield_transfer(ws: Workspace) -> VerificationReport:
         notes.append(f"gamma-semifield predicate: {gamma_side}")
         notes.append(f"operator-side semifield predicate: {operator_side}")
 
-        ideals_s = ws.fuzzy_cuts("S")
+        ideals_s = ws.fuzzy_family("S")
         holds_s, _ = _fuzzy_semifield_condition(ws.level_cuts("S"), ideals_s)
-        ideals_l = ws.fuzzy_cuts("L")
+        ideals_l = ws.fuzzy_family("L")
         holds_l, _ = _fuzzy_semifield_condition(ws.level_cuts("L"), ideals_l)
         counts["fuzzy_ideals_S"] = len(ideals_s)
         counts["fuzzy_ideals_L"] = len(ideals_l)

@@ -6,7 +6,10 @@ closure, the table-lookup matrix builds and the level-cut enumerators are
 all checked against these.  `cuts_of`, the grades-to-cuts reading, was
 `LevelCuts.of`; next to it, `rank_map` and `subset_map` turn a transfer map
 on subsets into the map on rank arrays the suites call, and back, so tests
-can install a perturbed map.  The fuzzy semifield condition on `Fraction`
+can install a perturbed map.  The cut-tuple section keeps the multichain
+enumerator, the per-member ideal and constancy tests and the id-array
+readers `LevelCuts` had while a fuzzy family was a list of cut tuples.
+The fuzzy semifield condition on `Fraction`
 grades and the last four sections are earlier library paths kept as
 references: the pair checks on all-at-once N x N family
 tables (on level-cut views of their own), the sort-position transfer maps,
@@ -543,12 +546,62 @@ def subset_map(chain, direction, over, ranks_map):
 
 
 # ---------------------------------------------------------------------------
+# cut tuples: a fuzzy subset as the tuple of its level-cut masks, the form
+# the suites held fuzzy families in before a family became one id array
+
+
+def family(view, members) -> np.ndarray:
+    """The (N, m-1) id array of cut tuples on a `LevelCuts` view, each
+    distinct mask interned in order of first appearance."""
+    masks = [mask for cuts in members for mask in cuts]
+    return view.mask_ids(masks).reshape(len(members), len(view.chain) - 1)
+
+
+def members(view, family) -> list[tuple[int, ...]]:
+    """The cut tuples of the rows of an id array, read off the view's
+    interned masks."""
+    return list(map(tuple, np.array(view._masks, dtype=object)[family].tolist()))
+
+
+def tuple_fuzzy_ideals(view, kind: str = "two") -> list[tuple[int, ...]]:
+    """`LevelCuts.fuzzy_ideals` as cut tuples, the way it once listed them:
+    every descending multichain of the view's crisp ideals, one cut at a
+    time, sorted by a Python key per multichain, its rank tuple (a sum of
+    indicator tuples)."""
+    n, ideals = view.carrier.size, view.crisp_ideals(kind)
+    cuts = [(i,) for i in ideals]
+    for _ in range(len(view.chain) - 2):
+        cuts = [c + (j,) for c in cuts for j in ideals if not j & ~c[-1]]
+    indicator = {i: tuple(i >> x & 1 for x in range(n)) for i in ideals}
+    return sorted(cuts, key=lambda cut: tuple(map(sum, zip(*map(indicator.__getitem__, cut)))))
+
+
+def is_ideal(view, cuts, kind: str = "two") -> bool:
+    """`is_fuzzy_ideal_*` of the subset with these cuts, one cut at a time:
+    the first cut is non-empty and every non-empty cut is a crisp ideal
+    (`is_crisp_ideal_*`, plain loops over the tables)."""
+    from gsl import core
+    from gsl.fuzzy import CrispSubset, is_crisp_ideal_gamma, is_crisp_ideal_semiring
+
+    crisp = is_crisp_ideal_gamma if isinstance(view.structure, core.GammaSemiring) else is_crisp_ideal_semiring
+    return cuts[0] != 0 and all(
+        not cut or crisp(view.structure, CrispSubset.of_mask(view.carrier, cut), kind) for cut in cuts
+    )
+
+
+def is_constant(view, cuts) -> bool:
+    """Whether the subset with these cuts is constant: every cut is empty or
+    full."""
+    return all(cut in (0, view.full) for cut in cuts)
+
+
+# ---------------------------------------------------------------------------
 # fuzzy families as `FuzzySubset`s, and the semifield condition on grades
 
 
 def fuzzy_family(ws, side: str, kind: str = "two") -> list:
     """The fuzzy ideals of a workspace's family as `FuzzySubset`s, in the
-    order of `ws.fuzzy_cuts(side, kind)`, from the public enumerator on a
+    order of `ws.fuzzy_family(side, kind)`, from the public enumerator on a
     level-cut view of its own."""
     from gsl.fuzzy import enumerate_fuzzy_ideals
 
@@ -660,7 +713,7 @@ def _map_on_cuts(f, source, target):
 
     def apply(cuts):
         if cuts not in memo:
-            memo[cuts] = cuts_of(target, f(source.subset(cuts)))
+            memo[cuts] = cuts_of(target, f(source.subset(family(source, [cuts])[0])))
         return memo[cuts]
 
     return apply
@@ -670,7 +723,7 @@ def _table_images(apply, source, target, table):
     """The target ids of the image of each cell of an (N, M, m-1) id table."""
     rows = table.reshape(-1, table.shape[-1])
     first, inverse = source.distinct_rows(rows)
-    images = target.family([apply(cuts) for cuts in source.members(rows[first])])
+    images = family(target, [apply(cuts) for cuts in members(source, rows[first])])
     return images[inverse].reshape(table.shape)
 
 
@@ -690,9 +743,9 @@ def table_pair_clause_rows(ws, side, lift, restrict, tag: str) -> list[tuple]:
     ideals_s, ideals_op = fuzzy_family(ws, "S"), fuzzy_family(ws, side)
     cuts_s, cuts_op = [cuts_of(on_s, s) for s in ideals_s], [cuts_of(on_op, m) for m in ideals_op]
     lift_cuts, restrict_cuts = _map_on_cuts(lift, on_s, on_op), _map_on_cuts(restrict, on_op, on_s)
-    fs, fo = on_s.family(cuts_s), on_op.family(cuts_op)
-    fl = on_op.family([lift_cuts(c) for c in cuts_s])
-    fr = on_s.family([restrict_cuts(c) for c in cuts_op])
+    fs, fo = family(on_s, cuts_s), family(on_op, cuts_op)
+    fl = family(on_op, [lift_cuts(c) for c in cuts_s])
+    fr = family(on_s, [restrict_cuts(c) for c in cuts_op])
 
     def apart(table):
         images = _table_images(lift_cuts, on_s, on_op, getattr(on_s, table)(fs, fs))
@@ -726,7 +779,7 @@ def table_theorem_3_8_pairs(ws, kind, lift):
     ideals = fuzzy_family(ws, "S", kind)
     cuts = [cuts_of(on_s, s) for s in ideals]
     lift_cuts = _map_on_cuts(lift, on_s, on_l)
-    fa, fl = on_s.family(cuts), on_l.family([lift_cuts(c) for c in cuts])
+    fa, fl = family(on_s, cuts), family(on_l, [lift_cuts(c) for c in cuts])
     sums, meets = on_s.sum_table(fa, fa), on_s.meet_table(fa, fa)
     checks = {
         "inclusion-both-ways": on_s.le_table(fa, fa) != on_l.le_table(fl, fl),
@@ -739,13 +792,13 @@ def table_theorem_3_8_pairs(ws, kind, lift):
     if pair is not None:
         failed = next(name for name, failing in checks.items() if failing[pair])
         return {"check": failed, "sigma1": ideals[pair[0]].to_mapping(), "sigma2": ideals[pair[1]].to_mapping()}
-    family = set(cuts)
+    known = set(cuts)
     both = np.concatenate([sums, meets]).reshape(-1, sums.shape[-1])
-    closed = all(cuts in family for cuts in on_s.members(both))
+    closed = all(c in known for c in members(on_s, both))
     carrier = carrier_of(ws.structure)
     top = cuts_of(on_s, FuzzySubset.constant(carrier, 1))
     bottom = cuts_of(on_s, characteristic(CrispSubset.of_indices(carrier, [0])))
-    if not (closed and top in family and bottom in family):
+    if not (closed and top in known and bottom in known):
         return {"check": "lattice-closure"}
     return None
 

@@ -143,9 +143,9 @@ def test_criterion_6_semifield_characterizations():
         # the named witness: the characteristic function of {0,2} violates
         # the constant-below-one condition
         view = LevelCuts(r_z4, CHAIN)
-        lam = next(c for c in view.fuzzy_ideals("two") if view.subset(c).grades == (1, 0, 1, 0))
-        holds, violator = verify._fuzzy_semifield_condition(view, [lam])
-        assert not holds and violator is lam
+        lam = next(row for row in view.fuzzy_ideals("two") if view.subset(row).grades == (1, 0, 1, 0))
+        holds, violator = verify._fuzzy_semifield_condition(view, lam[None])
+        assert not holds and (violator == lam).all()
 
         for g in (GB, Z2):
             assert verify.verify_theorem_3_18(ws(g)).status == PASS

@@ -30,9 +30,11 @@ from oracles import (
     brute_crisp_ideals_semiring,
     brute_fuzzy_ideal_grades,
     count_multichains,
+    members,
     naive_absorption_images,
     naive_crisp_ideals_gamma,
     naive_is_fuzzy_ideal_gamma,
+    tuple_fuzzy_ideals,
 )
 
 HALF = Fraction(1, 2)
@@ -155,7 +157,7 @@ class TestEnumerations:
             assert mu.grades[1] == mu.grades[3] <= mu.grades[2]
 
     def test_matches_brute_force_filter(self, enum_instances):
-        """The wrapper and the view's cut tuples (`LevelCuts.fuzzy_ideals`)
+        """The wrapper and the view's family (`LevelCuts.fuzzy_ideals`)
         list the brute-force fuzzy ideals, in order."""
         for g in (*enum_instances, _from_b3()):
             view = LevelCuts(g, CHAIN)
@@ -163,7 +165,29 @@ class TestEnumerations:
                 want = brute_fuzzy_ideal_grades(g, CHAIN.grades, kind, is_gamma=True)
                 got = [m.grades for m in enumerate_fuzzy_ideals(g, CHAIN, kind)]
                 assert got == want, (g.name, kind)
-                assert [view.subset(cuts).grades for cuts in view.fuzzy_ideals(kind)] == want, (g.name, kind)
+                assert [view.subset(row).grades for row in view.fuzzy_ideals(kind)] == want, (g.name, kind)
+
+    def test_array_enumerator_keeps_the_tuple_order(self, enum_instances):
+        """`LevelCuts.fuzzy_ideals` extends its multichains as one id array
+        and sorts the rows with `np.lexsort` on their ranks; its rows are, in
+        order, the cut tuples of the reference that built tuples and sorted
+        them with a Python key.  upper_triangular is the non-commutative
+        case, where the three kinds differ."""
+        for g in enum_instances:
+            for chain in CHAINS:
+                view = LevelCuts(g, chain)
+                for kind in ("left", "right", "two"):
+                    got = members(view, view.fuzzy_ideals(kind))
+                    assert got == tuple_fuzzy_ideals(view, kind), (g.name, str(chain), kind)
+
+    def test_array_enumerator_keeps_the_tuple_order_on_nine_grades(self):
+        """As above on from_B4 (16 elements, 16 crisp ideals) over the
+        9-grade chain: 9^4 = 6561 fuzzy ideals."""
+        b4 = core.gamma_from_semiring(core.boolean_power_semiring(4))
+        view = LevelCuts(b4, GradeChain.parse(",".join(f"{k}/8" for k in range(9))))
+        for kind in ("left", "right", "two"):
+            got = members(view, view.fuzzy_ideals(kind, cap=9**15))  # the cap counts candidates
+            assert len(got) == 9**4 and got == tuple_fuzzy_ideals(view, kind), kind
 
     def test_semiring_enumeration_matches_brute_force(self, bool_sr, z4_sr, enum_instances):
         """As above on plain semirings, the L and R of every enumerator
@@ -176,7 +200,7 @@ class TestEnumerations:
                 want = brute_fuzzy_ideal_grades(r, CHAIN.grades, kind, is_gamma=False)
                 got = [m.grades for m in enumerate_fuzzy_ideals(r, CHAIN, kind)]
                 assert got == want, (r.name, kind)
-                assert [view.subset(cuts).grades for cuts in view.fuzzy_ideals(kind)] == want, (r.name, kind)
+                assert [view.subset(row).grades for row in view.fuzzy_ideals(kind)] == want, (r.name, kind)
 
     def test_binary_chain_matches_crisp_ideals(self, all_small_instances):
         chain01 = GradeChain.of(0, 1)

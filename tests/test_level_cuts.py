@@ -6,18 +6,30 @@ tables over every pair, and ideal tests on level cuts; `fuzzy_sum`,
 grade by grade.  Both must agree on every pair of fuzzy ideals, on S, L and
 R, on chain-valued subsets that are not ideals, and on a carrier wider than
 a machine word; the ideal tests must also agree on the matrix instances
-th3.19 lifts onto."""
+th3.19 lifts onto, and the ideal-ness table on every mask a view interns,
+non-ideal images of broken transfer maps included."""
 
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_upper_triangular, build_zero_product
-from oracles import cuts_of, fuzzy_family
-from gsl import core
+from oracles import (
+    cuts_of,
+    family,
+    fuzzy_family,
+    install_map,
+    is_constant,
+    is_ideal,
+    members,
+    naive_is_fuzzy_ideal_gamma,
+    naive_is_fuzzy_ideal_semiring,
+)
+from gsl import core, transfer, verify
 from gsl.config import RunConfig
 from gsl.fuzzy import (
     FuzzySubset,
@@ -69,28 +81,32 @@ def _agree_on_pairs(cuts: LevelCuts, subsets) -> None:
     `Fraction` operations, and equal cut tuples against equal subsets, on
     every pair of its members.  The mask tables are first built over the
     first half of the members, so the full family makes them grow."""
-    members = [cuts_of(cuts, mu) for mu in subsets]
-    half = cuts.family(members[: (len(members) + 1) // 2])
+    tuples = [cuts_of(cuts, mu) for mu in subsets]
+    half = family(cuts, tuples[: (len(tuples) + 1) // 2])
     for table in (cuts.sum_table, cuts.meet_table, cuts.le_table):
         table(half, half)
-    family = cuts.family(members)
-    sums, meets = cuts.sum_table(family, family), cuts.meet_table(family, family)
-    le = cuts.le_table(family, family)
+    ids = family(cuts, tuples)
+    sums, meets = cuts.sum_table(ids, ids), cuts.meet_table(ids, ids)
+    le = cuts.le_table(ids, ids)
     n = len(subsets)
-    assert family.shape == (n, len(cuts.chain) - 1) and cuts.members(family) == members
+    assert ids.shape == (n, len(cuts.chain) - 1) and members(cuts, ids) == tuples
     assert sums.shape == meets.shape == (n, n, len(cuts.chain) - 1) and le.shape == (n, n)
     for i, a in enumerate(subsets):
         for j, b in enumerate(subsets):
-            assert cuts.members(sums[i])[j] == cuts_of(cuts, fuzzy_sum(a, b))
-            assert cuts.members(meets[i])[j] == cuts_of(cuts, fuzzy_intersection([a, b]))
+            assert members(cuts, sums[i])[j] == cuts_of(cuts, fuzzy_sum(a, b))
+            assert members(cuts, meets[i])[j] == cuts_of(cuts, fuzzy_intersection([a, b]))
             assert le[i, j] == (a <= b)
-            assert (members[i] == members[j]) == (a == b)
+            assert (tuples[i] == tuples[j]) == (a == b)
 
 
 def _agree_on_one(cuts: LevelCuts, structure, mu, cm) -> None:
-    assert cuts.subset(cm) == mu
+    """The subset, the ideal tests and the constancy test of one member, on
+    its id row, against the `Fraction` path and the cut-tuple references."""
+    row = family(cuts, [cm])
+    assert cuts.subset(row[0]) == mu
+    assert cuts.constant_rows(row)[0] == mu.is_constant() == is_constant(cuts, cm)
     for kind in KINDS:
-        assert cuts.is_ideal(cm, kind) == _is_ideal(structure, mu, kind)
+        assert cuts.ideal_rows(row, kind)[0] == _is_ideal(structure, mu, kind) == is_ideal(cuts, cm, kind)
 
 
 @pytest.mark.parametrize("chain", range(len(CHAINS)))
@@ -130,8 +146,8 @@ def test_cuts_agree_on_chain_valued_subsets(case):
     structure, chain, a, b = case
     cuts = LevelCuts(structure, chain)
     _agree_on_pairs(cuts, [a, b])
-    family = cuts.family([cuts_of(cuts, a), cuts_of(cuts, b)])
-    sum_cuts = cuts.members(cuts.sum_table(family, family)[0])[1]
+    ids = family(cuts, [cuts_of(cuts, a), cuts_of(cuts, b)])
+    sum_cuts = members(cuts, cuts.sum_table(ids, ids)[0])[1]
     for mu, cm in ((a, cuts_of(cuts, a)), (b, cuts_of(cuts, b)), (fuzzy_sum(a, b), sum_cuts)):
         _agree_on_one(cuts, structure, mu, cm)
 
@@ -155,10 +171,23 @@ def test_tables_agree_past_one_machine_word(case):
 
 def test_distinct_rows_gives_first_rows_and_their_places():
     cuts = LevelCuts(WIDE, CHAINS[1])
-    family = cuts.family([(7, 3, 1), (7, 3, 3), (7, 3, 1), (1 << 127, 0, 0), (7, 3, 3)])
-    first, inverse = cuts.distinct_rows(family)
+    ids = family(cuts, [(7, 3, 1), (7, 3, 3), (7, 3, 1), (1 << 127, 0, 0), (7, 3, 3)])
+    first, inverse = cuts.distinct_rows(ids)
     assert sorted(first.tolist()) == [0, 1, 3]
-    assert (family[first][inverse] == family).all()
+    assert (ids[first][inverse] == ids).all()
+
+
+def test_rank_array_unpacks_each_mask_once(monkeypatch):
+    """`rank_array` keeps the bits of the masks it has unpacked and, on a
+    later call, unpacks only the masks interned since; the ranks are the
+    cut counts of the cut tuples, past one machine word too."""
+    cuts, unpacked, real = LevelCuts(WIDE, CHAINS[1]), [], LevelCuts._unpacked
+    monkeypatch.setattr(LevelCuts, "_unpacked", lambda view, masks: unpacked.append(masks) or real(view, masks))
+    tuples = [(7, 3, 1), (7, 3, 3), (1 << 127 | 7, 7, 0), (7, 3, 1)]
+    cuts.rank_array(family(cuts, tuples[:2]))
+    ranks = cuts.rank_array(family(cuts, tuples[2:]))
+    assert unpacked == [[7, 3, 1], [1 << 127 | 7, 0]]
+    assert ranks.tolist() == [[sum(cut >> x & 1 for cut in cm) for x in range(128)] for cm in tuples[2:]]
 
 
 MATRICES = [build_matrix_gamma(g, 2) for g in (core.boolean_gamma(), core.zn_gamma(2))]
@@ -206,3 +235,49 @@ def test_grade_off_the_chain_raises(gb):
         cuts_of(cuts, FuzzySubset.of_grades(gb, (1, Fraction(1, 3))))
     with pytest.raises(ValueError, match="does not live on"):
         cuts_of(cuts, FuzzySubset.of_grades(core.zn_gamma(3), (1, 0, 0)))
+
+
+def _reversed(mu):
+    """mu with its grades in reverse carrier order: a fuzzy ideal that is
+    not constant becomes a non-ideal, since it no longer peaks at zero."""
+    return FuzzySubset(mu.carrier, mu.grades[::-1])
+
+
+def test_ideal_table_agrees_with_the_naive_predicate_on_every_interned_mask(monkeypatch):
+    """prop3.4's L clauses on from_B3 with a lift and a restriction that
+    reverse the images of two members each, so some images are no ideals.
+    Clauses (i) and (vii) fail on the first row whose image the cut-tuple
+    reference calls no ideal, and afterwards the ideal-ness table of each
+    view, read through `ideal_rows` on the members (I, ..., I), agrees with
+    `naive_is_fuzzy_ideal_*` on the characteristic function of every mask
+    the view has interned, for every kind."""
+    chain = CHAINS[0]
+    ws = Workspace(INSTANCES[-1], RunConfig(chain=chain))
+    ideals_s, ideals_l = fuzzy_family(ws, "S"), fuzzy_family(ws, "L")
+    broken_s, broken_l = {ideals_s[k].grades for k in (2, 4)}, {ideals_l[k].grades for k in (3, 5)}
+
+    def broken(real, grades):
+        return lambda op, mu: _reversed(real(op, mu)) if mu.grades in grades else real(op, mu)
+
+    install_map(monkeypatch, chain, "L", "lift", broken(transfer.lift_plusprime, broken_s))
+    install_map(monkeypatch, chain, "L", "restrict", broken(transfer.restrict_plus, broken_l))
+    rows = {cid: (status, witness) for cid, status, witness, _ in verify._clause_rows(ws, "L", True, True, "")}
+
+    on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
+    lifted = members(on_l, ws.pairs("L", "lift").images)
+    restricted = members(on_s, ws.pairs("L", "restrict").images)
+    k = next(k for k, cuts in enumerate(lifted) if not is_ideal(on_l, cuts))
+    image = _reversed(transfer.lift_plusprime(ws.left, ideals_s[k]))
+    assert k == 2 and rows["i"] == ("fail", {"clause": "i", "sigma": ideals_s[k].to_mapping(), "lifted": image.to_mapping()})
+    k = next(k for k, cuts in enumerate(restricted) if not is_ideal(on_s, cuts))
+    image = _reversed(transfer.restrict_plus(ws.left, ideals_l[k]))
+    assert k == 3 and rows["vii"] == ("fail", {"clause": "vii", "mu": ideals_l[k].to_mapping(), "restricted": image.to_mapping()})
+
+    for view, naive in ((on_s, naive_is_fuzzy_ideal_gamma), (on_l, naive_is_fuzzy_ideal_semiring)):
+        ids = np.arange(len(view._masks))[:, None]
+        masks = [mask for (mask,) in members(view, ids)]
+        for kind in KINDS:
+            got = view.ideal_rows(np.repeat(ids, len(chain) - 1, axis=1), kind).tolist()
+            want = [naive(view.structure, [mask >> x & 1 for x in range(view.carrier.size)], kind) for mask in masks]
+            assert got == want, (view.carrier.label, kind)
+            assert not all(got)

@@ -21,7 +21,9 @@ import pytest
 import oracles
 from oracles import (
     cuts_of,
+    family,
     fuzzy_family,
+    members,
     install_map,
     naive_pair_clause_rows,
     naive_theorem_3_8_pairs,
@@ -181,7 +183,7 @@ def _cut_wise(ws, side, crisp_map):
     """A lift from S to `side` that acts cut by cut: each cut I of the
     operand goes to crisp_map(I), a mask of the side."""
     on_s, on_op = LevelCuts(ws.structure, CHAIN), LevelCuts(ws.structure_on(side), CHAIN)
-    return lambda sigma: on_op.subset(tuple(map(crisp_map, cuts_of(on_s, sigma))))
+    return lambda sigma: on_op.subset(family(on_op, [tuple(map(crisp_map, cuts_of(on_s, sigma)))])[0])
 
 
 def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
@@ -226,14 +228,14 @@ def test_basis_needs_masks_closed_under_sum():
     from_b3 = INSTANCES["from_B3"]()
     cuts = LevelCuts(from_b3, GradeChain.parse("0,1"))
     bottom, one, two, three = 0b1, 0b11, 0b101, 0b1111
-    assert cuts.basis(cuts.family([(bottom,), (one,), (two,)])) is None
-    family = cuts.family([(bottom,), (one,), (two,), (three,)])
-    assert sorted(mask for (mask,) in cuts.members(cuts.basis(family)[:, None])) == [bottom, one, two, three]
+    assert cuts.basis(family(cuts, [(bottom,), (one,), (two,)])) is None
+    ids = family(cuts, [(bottom,), (one,), (two,), (three,)])
+    assert sorted(mask for (mask,) in members(cuts, cuts.basis(ids)[:, None])) == [bottom, one, two, three]
     # two cuts: every multichain of the masks, one missing, one not descending
     cuts = LevelCuts(from_b3, CHAIN)
-    assert cuts.basis(cuts.family([(bottom, bottom), (one, bottom), (one, one)])) is not None
-    assert cuts.basis(cuts.family([(bottom, bottom), (one, bottom)])) is None
-    assert cuts.basis(cuts.family([(bottom, bottom), (bottom, one), (one, one)])) is None
+    assert cuts.basis(family(cuts, [(bottom, bottom), (one, bottom), (one, one)])) is not None
+    assert cuts.basis(family(cuts, [(bottom, bottom), (one, bottom)])) is None
+    assert cuts.basis(family(cuts, [(bottom, bottom), (bottom, one), (one, one)])) is None
 
 
 def test_family_not_closed_under_sum_falls_back(monkeypatch):
@@ -241,10 +243,13 @@ def test_family_not_closed_under_sum_falls_back(monkeypatch):
     {0}, {0,1} or {0,2}: the sum of two members is no member, so no pair
     clause is decided on crisp cuts, and the rows are the oracles'."""
     ws = _workspace("from_B3")
-    real_cuts = ws.fuzzy_cuts
-    kept = tuple(cuts for cuts in real_cuts("S") if set(cuts) <= {0b1, 0b11, 0b101})
-    monkeypatch.setattr(ws, "fuzzy_cuts", lambda side, kind="two": kept if side == "S" else real_cuts(side, kind))
-    on_s, real_family = ws.level_cuts("S"), oracles.fuzzy_family
+    on_s, real_ideals = ws.level_cuts("S"), ws.fuzzy_family
+    kept = [cuts for cuts in members(on_s, real_ideals("S")) if set(cuts) <= {0b1, 0b11, 0b101}]
+    part_ids = family(on_s, kept)
+    monkeypatch.setattr(
+        ws, "fuzzy_family", lambda side, kind="two": part_ids if side == "S" else real_ideals(side, kind)
+    )
+    real_family = oracles.fuzzy_family
     part = [mu for mu in real_family(ws, "S") if cuts_of(on_s, mu) in kept]
     assert len(part) == 5
     monkeypatch.setattr(
@@ -342,7 +347,7 @@ def _record_calls(monkeypatch) -> list:
 def _ranks(ws, side, kind="two"):
     """The ranks of the fuzzy ideals of a family, in enumeration order."""
     view = ws.level_cuts(side)
-    return list(map(tuple, view.rank_array(view.family(ws.fuzzy_cuts(side, kind))).tolist()))
+    return list(map(tuple, view.rank_array(ws.fuzzy_family(side, kind)).tolist()))
 
 
 @pytest.mark.parametrize("instance", INSTANCES)
@@ -433,13 +438,13 @@ def test_th38_closure_without_a_basis_is_scanned(monkeypatch, keep, expected):
     on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
     left = ws.left
     lift = lambda s: transfer.lift_plusprime(left, s)
-    kept = tuple(cuts for cuts in ws.fuzzy_cuts("S") if keep(cuts))
-    lifted = sorted((cuts_of(on_l, lift(on_s.subset(cuts))) for cuts in kept), key=lambda c: on_l.subset(c).grades)
-    families = {"S": kept, "L": tuple(lifted)}
-    monkeypatch.setattr(ws, "fuzzy_cuts", lambda side, kind="two": families[side])
+    kept = [cuts for cuts in members(on_s, ws.fuzzy_family("S")) if keep(cuts)]
+    lifted = sorted((lift(on_s.subset(row)) for row in family(on_s, kept)), key=lambda mu: mu.grades)
+    families = {"S": family(on_s, kept), "L": family(on_l, [cuts_of(on_l, mu) for mu in lifted])}
+    monkeypatch.setattr(ws, "fuzzy_family", lambda side, kind="two": families[side])
     part = [mu for mu in fuzzy_family(ws, "S") if cuts_of(on_s, mu) in kept]
     monkeypatch.setattr(oracles, "fuzzy_family", lambda ws, side, kind="two": part)
-    assert on_s.basis(on_s.family(kept)) is None
+    assert on_s.basis(families["S"]) is None
     assert table_theorem_3_8_pairs(ws, "two", lift) == expected
     paths = _record_paths(monkeypatch)
     body = verify.verify_theorem_3_8(ws, "two").body()

@@ -17,7 +17,7 @@ from gsl.matrix import lift_fuzzy_to_matrix
 from gsl.operators import build_operator_semiring
 from gsl.transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
 from gsl.verify import Workspace
-from oracles import cuts_of, sort_position_lift, sort_position_restrict
+from oracles import cuts_of, members, sort_position_lift, sort_position_restrict
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -182,11 +182,11 @@ def _same_on_every_member(ws, side, direction, kind, public):
     by member, the cuts of public(subset) on the target's view."""
     source, target = ("S", side) if direction == "lift" else (side, "S")
     on_source, on_target = ws.level_cuts(source), ws.level_cuts(target)
-    members = ws.fuzzy_cuts(source, kind)
-    images = on_target.members(ws.transfer(side, direction)(on_source.family(members)))
-    expected = [cuts_of(on_target, public(on_source.subset(cuts))) for cuts in members]
+    ideals = ws.fuzzy_family(source, kind)
+    images = members(on_target, ws.transfer(side, direction)(ideals))
+    expected = [cuts_of(on_target, public(on_source.subset(row))) for row in ideals]
     assert images == expected, (ws.structure.name, side, direction, kind, str(ws.config.chain))
-    return len(members)
+    return len(ideals)
 
 
 @pytest.mark.parametrize("chain", _CHAINS)

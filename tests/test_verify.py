@@ -6,6 +6,7 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gsl import core, fuzzy, matrix, operators, transfer, verify
@@ -15,6 +16,7 @@ from gsl.matrix import MatrixCapExceeded
 from gsl.report import FAIL, PASS, UNMET, VerificationReport, first_failure
 from oracles import (
     cuts_of,
+    family,
     first_failing_pair,
     fraction_semifield_condition,
     fuzzy_family,
@@ -32,13 +34,19 @@ def ws(structure, **config):
 
 
 class TestWorkspace:
-    def test_families_are_shared_tuples(self, gb):
+    def test_families_are_shared_read_only_arrays(self, gb):
+        """A fuzzy family is the same read-only id array on every call, so no
+        suite can change what the next one reads; crisp families are
+        tuples."""
         w = ws(gb)
-        ideals = w.fuzzy_cuts("L", "right")
-        assert isinstance(ideals, tuple) and w.fuzzy_cuts("L", "right") is ideals
+        ideals = w.fuzzy_family("L", "right")
+        assert isinstance(ideals, np.ndarray) and w.fuzzy_family("L", "right") is ideals
+        assert ideals.shape == (3, len(CHAIN) - 1)
+        with pytest.raises(ValueError, match="read-only"):
+            ideals[0, 0] = ideals[-1, 0]
         assert isinstance(w.crisp_ideals("S"), tuple) and w.crisp_ideals("S") is w.crisp_ideals("S")
         with pytest.raises(ValueError):
-            w.fuzzy_cuts("G")
+            w.fuzzy_family("G")
 
     def test_matrix_cap_raises_on_every_access(self, z4):
         w = ws(z4)
@@ -144,19 +152,20 @@ class TestTheorem317:
         # the characteristic function of {0,2} is enumerated and violates
         # the constant-below-one condition
         view = LevelCuts(z4_sr, CHAIN)
-        lam = next(c for c in view.fuzzy_ideals("two") if view.subset(c).grades == (1, 0, 1, 0))
-        assert not view.is_constant(lam)
-        holds, violator = verify._fuzzy_semifield_condition(view, [lam])
-        assert not holds and violator is lam
+        lam = next(row for row in view.fuzzy_ideals("two") if view.subset(row).grades == (1, 0, 1, 0))
+        assert not view.constant_rows(lam[None])[0]
+        holds, violator = verify._fuzzy_semifield_condition(view, lam[None])
+        assert not holds and (violator == lam).all()
         # constancy compares every rank with the first: a constant subset
         # passes, one below 1 off zero passes, and a rank that differs only
         # at the last position is seen
-        equal, below_one, late = (
+        rows = family(view, [
             cuts_of(view, FuzzySubset.of_grades(z4_sr, grades))
             for grades in ([HALF] * 4, [1, HALF, HALF, HALF], [HALF, HALF, HALF, 0])
-        )
-        assert view.is_constant(equal) and not view.is_constant(below_one) and not view.is_constant(late)
-        assert verify._fuzzy_semifield_condition(view, [equal, below_one, late]) == (False, late)
+        ])
+        assert view.constant_rows(rows).tolist() == [True, False, False]
+        holds, violator = verify._fuzzy_semifield_condition(view, rows)
+        assert not holds and (violator == rows[2]).all()
 
     def test_rank_condition_matches_the_fraction_oracle(self):
         """The condition on ranks gives the flag and the first violator the
@@ -171,9 +180,10 @@ class TestTheorem317:
                 for side in "SLR":
                     view = w.level_cuts(side)
                     for kind in ("two", "right"):
-                        holds, violator = verify._fuzzy_semifield_condition(view, w.fuzzy_cuts(side, kind))
+                        holds, violator = verify._fuzzy_semifield_condition(view, w.fuzzy_family(side, kind))
                         want = fraction_semifield_condition(fuzzy_family(w, side, kind))
-                        assert (holds, violator and view.subset(violator)) == want, (g.name, chain, side, kind)
+                        got = (holds, None if violator is None else view.subset(violator))
+                        assert got == want, (g.name, chain, side, kind)
                         outcomes.append(holds)
         assert len(outcomes) == 108 and any(outcomes) and not all(outcomes)
 
@@ -905,8 +915,8 @@ class TestFailPathBodies:
         w = ws(gb)
         view = w.level_cuts("M")
         real = view.fuzzy_ideals
-        extra = (view.full, 0b11)
-        monkeypatch.setattr(view, "fuzzy_ideals", lambda kind, cap: [*real(kind, cap), extra])
+        extra = family(view, [(view.full, 0b11)])
+        monkeypatch.setattr(view, "fuzzy_ideals", lambda kind, cap: np.concatenate([real(kind, cap), extra]))
         unmatched = {f"m{k}": "1/2" for k in range(2, 16)}
         assert matrix.verify_theorem_3_19(w).body() == self._th319(
             {"check": "surjective", "unmatched": [{"m0": "1/1", "m1": "1/1", **unmatched}]},

@@ -15,9 +15,9 @@ bounds vectorised and keeps the arrays it is given as `tables`.
 
 Axiom validation runs vectorised scans over the full quantifier space and
 reports, for each violated law, the lexicographically first witness tuple.
-A caller that knows additive generators may pass them, and associativity,
-the largest scan, is then checked on generator tuples (see the comment
-above the validators for when that is sound).
+A caller that knows additive generators may pass them, and the
+distributive laws and associativity are then checked on generators (see
+the comment above the validators for when that is sound).
 ``recheck_violation`` re-evaluates a witness with plain table arithmetic,
 independently of the vectorised path.
 """
@@ -25,7 +25,7 @@ independently of the vectorised path.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -267,20 +267,22 @@ def check_semiring_structure(r: Semiring) -> None:
 # is about four times faster than a gather with two broadcast index arrays.
 #
 # A caller that knows additive generators of S and G (sets whose closure
-# under binary addition is the whole carrier) can pass them, and then
-# associativity is checked on generator 5-tuples only.  This is sound when
-# the three distributive laws hold: both sides of a@(b#c) = (a@b)#c are then
-# additive in each of the five arguments, so the set of values of one
-# argument on which the law holds (the others fixed) is closed under
-# addition, and holding on the generators it holds on their closure; one
-# argument at a time this reaches every 5-tuple.  No bracketing, additive
-# law or zero law is needed for that.  The validator checks that the sets
-# generate (ValueError if not).  It uses the dense mask whenever a
-# distributive or zero law fails, so the generator path only ever runs on
-# structures that keep every other product law, and again whenever a
-# generator tuple fails, because the first witness over all of S and G need
-# not be a generator tuple.  Without generators the dense mask is used,
-# and it stays the reference the tests check the generator path against.
+# under binary addition is the whole carrier) can pass them.  Each
+# distributive law is then checked with one argument over generators (b in
+# (a+b)@c = a@c + b@c, c in a@(b+c), delta in a(gamma+delta)b): by
+# induction on how an element is built from generators that is sound once
+# + is associative on S and on G, which the same pass checks densely, since
+# the law for b1 and b2 with every a gives (a+(b1+b2))@c = ((a+b1)+b2)@c =
+# (a@c + b1@c) + b2@c = a@c + (b1+b2)@c.  Associativity is then checked on
+# generator 5-tuples: with the distributive laws both sides of a@(b#c) =
+# (a@b)#c are additive in each argument, so the values of one argument on
+# which it holds (the others fixed) are closed under addition.  Semirings
+# take the same path (c in a(b+c), b in (a+b)c, then generator triples).
+# The validator checks that the sets generate (ValueError if not), and
+# when any other law fails, or a law fails on generators, it builds the
+# masks again densely, since the first witness need not be a generator
+# tuple: the outcome is the dense one, and the dense masks stay the
+# reference the tests check the generator path against.
 
 # scalar checkers; 's'/'g' in the signature strings below record which
 # carrier each witness position refers to.
@@ -377,34 +379,49 @@ def _outcome(masks: dict, axioms: dict, lookup: dict) -> ValidationOutcome:
     return ValidationOutcome(not violations, violations)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of an array (its last axis) as one opaque key, so
+    np.unique and np.sort compare whole rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
+
+
+def _closed(add: np.ndarray, reached: np.ndarray) -> int:
+    """Close the boolean mask `reached` under `add`, in place; its count."""
+    while True:
+        idx = np.flatnonzero(reached)
+        reached[add[idx[:, None], idx]] = True
+        if np.count_nonzero(reached) == idx.size:
+            return idx.size
+
+
 def _generated(add: np.ndarray, generators: Sequence[int], what: str) -> np.ndarray:
     """The distinct generators, after checking that their closure under
     `add` is the whole carrier; ValueError if it is not."""
-    size = len(add)
-    gens = np.unique(np.asarray(generators, dtype=np.intp))
-    if gens.size and not (0 <= gens[0] and gens[-1] < size):
+    size, gens = len(add), np.asarray(generators, dtype=np.intp)
+    if gens.size and not (0 <= gens.min() and gens.max() < size):
         raise ValueError(f"{what} generators must be indices below {size}")
     reached = np.zeros(size, dtype=bool)
     reached[gens] = True
-    while True:
-        idx = np.flatnonzero(reached)
-        reached[add[np.ix_(idx, idx)]] = True
-        if reached.sum() == idx.size:
-            break
-    if idx.size != size:
-        raise ValueError(f"the {what} generators reach {idx.size} of {size} elements under addition")
+    gens = np.flatnonzero(reached)  # distinct and sorted; np.unique would import numpy.ma
+    if (count := _closed(add, reached)) != size:
+        raise ValueError(f"the {what} generators reach {count} of {size} elements under addition")
     return gens
 
 
-_GENERATOR_PATH_LAWS = (
-    "product_left_distributive",
-    "product_right_distributive",
-    "product_gamma_distributive",
-    "zero_s_left",
-    "zero_s_right",
-    "zero_gamma",
-)
+def _greedy_generators(add: np.ndarray) -> list[int]:
+    """Additive generators of the carrier of `add`: 0, then the smallest element
+    their closure does not reach, while any (on ({0,1}^k, or), 0 and the atoms)."""
+    gens, reached = [], np.zeros(len(add), dtype=bool)
+    while not reached.all():
+        gens.append(int(reached.argmin()))
+        reached[gens[-1]] = True
+        _closed(add, reached)
+    return gens
 
+
+# the dense argument of a mask builder: every element of its carrier
+_ALL = slice(None)
 
 # cells of one block of `_sums`: np.take widens the offsets to intp, so a
 # block holds about 10 bytes a cell besides the result
@@ -428,23 +445,51 @@ def _sums(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma_masks(A: np.ndarray, B: np.ndarray, P: np.ndarray) -> dict[str, np.ndarray]:
-    """The violation mask of every gamma-semiring law but associativity."""
-    ar_s, ar_g = np.arange(len(A)), np.arange(len(B))
+def _monoid_masks(A: np.ndarray, name: str) -> dict[str, np.ndarray]:
+    """The commutative, associative and identity violation masks of `A`."""
+    ar = np.arange(len(A))
+    masks = A != A.T, A[A] != A[:, A], (A[0] != ar) | (A[:, 0] != ar)
+    return {f"{name}_{law}": mask for law, mask in zip(("commutative", "associative", "identity"), masks)}
+
+
+def _gamma_masks(A: np.ndarray, B: np.ndarray, P: np.ndarray, s=_ALL, g=_ALL) -> dict[str, np.ndarray]:
+    """The violation mask of every gamma-semiring law but associativity, the
+    distributive ones with their generator argument over `s` in S or `g` in G."""
     return {
-        "add_S_commutative": A != A.T,
-        "add_S_associative": A[A] != A[:, A],
-        "add_S_identity": (A[0] != ar_s) | (A[:, 0] != ar_s),
-        "add_G_commutative": B != B.T,
-        "add_G_associative": B[B] != B[:, B],
-        "add_G_identity": (B[0] != ar_g) | (B[:, 0] != ar_g),
-        "product_left_distributive": P[A] != _sums(A, P[:, None], P[None]),
-        "product_right_distributive": P[:, :, A] != _sums(A, P[:, :, :, None], P[:, :, None, :]),
-        "product_gamma_distributive": P[:, B, :] != _sums(A, P[:, :, None, :], P[:, None, :, :]),
+        **_monoid_masks(A, "add_S"),
+        **_monoid_masks(B, "add_G"),
+        "product_left_distributive": P[A[:, s]] != _sums(A, P[:, None], P[s][None]),
+        "product_right_distributive": P[:, :, A[:, s]] != _sums(A, P[:, :, :, None], P[:, :, None, s]),
+        "product_gamma_distributive": P[:, B[:, g]] != _sums(A, P[:, :, None, :], P[:, g][:, None]),
         "zero_s_left": P[0] != 0,
         "zero_s_right": P[:, :, 0] != 0,
         "zero_gamma": P[:, 0, :] != 0,
     }
+
+
+def _semiring_masks(A: np.ndarray, M: np.ndarray, k=_ALL) -> dict[str, np.ndarray]:
+    """The violation mask of every semiring law but associativity, the
+    distributive ones with their generator argument over the indices `k`."""
+    return {
+        **_monoid_masks(A, "add"),
+        "mul_left_distributive": M[:, A[:, k]] != _sums(A, M[:, :, None], M[:, None, k]),
+        "mul_right_distributive": M[A[:, k]] != _sums(A, M[:, None, :], M[k][None]),
+        "zero_mul_left": M[0] != 0,
+        "zero_mul_right": M[:, 0] != 0,
+    }
+
+
+def _validate(laws, assoc_law: str, associativity, gens: tuple, axioms: dict, lookup: dict):
+    """The outcome of the masks `laws(*gens)` and `associativity(*gens)`,
+    each built again densely when a law fails on generators."""
+    dense = (_ALL,) * len(gens)
+    on_gens = gens[0] is not _ALL
+    masks = laws(*gens)
+    if on_gens and any(mask.any() for mask in masks.values()):
+        masks, gens, on_gens = laws(*dense), dense, False
+    assoc = associativity(*gens)
+    masks[assoc_law] = associativity(*dense) if on_gens and assoc.any() else assoc
+    return _outcome(masks, axioms, lookup)
 
 
 def validate_gamma_semiring(
@@ -452,44 +497,34 @@ def validate_gamma_semiring(
 ) -> ValidationOutcome:
     """Check every gamma-semiring law on `g.tables`; report each violated
     one with its lexicographically first witness.  Raises StructuralError
-    on malformed tables.
-
-    The distributive masks are flat takes from the raveled addition table
-    (`_sums`).  `generators`, a pair (indices into S, indices into G) of
-    additive generators, lets associativity be checked on generator 5-tuples
-    (see the comment above); the outcome is the same as without them."""
+    on malformed tables.  `generators`, a pair (indices into S, indices into
+    G) of additive generators, lets the distributive laws and associativity
+    be checked on generators (see the comment above), with the same outcome."""
     A, B, P = g.tables
-    masks = _gamma_masks(A, B, P)
-    assoc = None
+    gens = (_ALL, _ALL)
     if generators is not None:
-        gen_s, gen_g = _generated(A, generators[0], "S"), _generated(B, generators[1], "G")
-        if not any(masks[law].any() for law in _GENERATOR_PATH_LAWS):
-            # cell (a, gamma, b, delta, c) over the generators, as in the dense mask
-            inner = P[np.ix_(gen_s, gen_g, gen_s)]
-            assoc = P[np.ix_(gen_s, gen_g)][:, :, inner] != P[:, gen_g][:, :, gen_s][inner]
-    if assoc is None or assoc.any():
-        assoc = P[:, :, P] != P[P]
-    masks["product_associative"] = assoc
-    return _outcome(masks, _GAMMA_AXIOMS, {"s": g.S, "g": g.G})
+        gens = (_generated(A, generators[0], "S"), _generated(B, generators[1], "G"))
+
+    def associativity(s, g):  # cell (a, gamma, b, delta, c) over s, g, s, g, s
+        left = P[s][:, g]
+        return left[:, :, left[:, :, s]] != P[:, g][:, :, s][left[:, :, s]]
+
+    laws = partial(_gamma_masks, A, B, P)
+    return _validate(laws, "product_associative", associativity, gens, _GAMMA_AXIOMS, {"s": g.S, "g": g.G})
 
 
-def _semiring_masks(A: np.ndarray, M: np.ndarray) -> dict[str, np.ndarray]:
-    """The violation mask of every semiring law."""
-    return {
-        "add_commutative": A != A.T,
-        "add_associative": A[A] != A[:, A],
-        "add_identity": (A[0] != np.arange(len(A))) | (A[:, 0] != np.arange(len(A))),
-        "mul_associative": M[M] != M[:, M],
-        "mul_left_distributive": M[:, A] != _sums(A, M[:, :, None], M[:, None, :]),
-        "mul_right_distributive": M[A] != _sums(A, M[:, None, :], M[None, :, :]),
-        "zero_mul_left": M[0] != 0,
-        "zero_mul_right": M[:, 0] != 0,
-    }
+def validate_semiring(r: Semiring, generators: Optional[Sequence[int]] = None) -> ValidationOutcome:
+    """Semiring analogue of validate_gamma_semiring; `generators` are
+    indices of additive generators of the carrier."""
+    A, M = r.tables
+    gens = (_ALL,) if generators is None else (_generated(A, generators, "carrier"),)
 
+    def associativity(k):  # cell (a, b, c) over k
+        ab = M[k][:, k]
+        return M[ab][:, :, k] != M[k][:, ab]
 
-def validate_semiring(r: Semiring) -> ValidationOutcome:
-    """Semiring analogue of validate_gamma_semiring."""
-    return _outcome(_semiring_masks(*r.tables), _SEMIRING_AXIOMS, {"c": r.carrier})
+    laws = partial(_semiring_masks, A, M)
+    return _validate(laws, "mul_associative", associativity, gens, _SEMIRING_AXIOMS, {"c": r.carrier})
 
 
 def recheck_violation(structure, violation: Violation) -> bool:
@@ -673,11 +708,11 @@ def semifield_inverse_view(r: Semiring) -> Optional[bool]:
 # generators
 
 
-def _checked(structure):
+def _checked(structure, generators=None):
     """Return a generated structure, or raise StructuralError on its first
     axiom violation (an explicit check, so ``python -O`` keeps it)."""
     if isinstance(structure, GammaSemiring):
-        outcome = validate_gamma_semiring(structure)
+        outcome = validate_gamma_semiring(structure, generators)
     else:
         outcome = validate_semiring(structure)
     if not outcome.ok:
@@ -709,17 +744,15 @@ def zn_gamma(n: int) -> GammaSemiring:
 
 
 def gamma_from_semiring(r: Semiring) -> GammaSemiring:
-    """Gamma = S = r.carrier with a@b = a*@*b (two multiplications in r)."""
+    """Gamma = S = r.carrier with a@b = a*@*b (two multiplications in r),
+    validated on greedy additive generators (`_greedy_generators`)."""
     outcome = validate_semiring(r)
     if not outcome.ok:
         raise ValueError(f"{r.name}: not a valid semiring: {outcome.violations[0]}")
-    n = len(r.carrier)
-    prod = tuple(
-        tuple(tuple(r.mul[r.mul[a][c]][b] for b in range(n)) for c in range(n))
-        for a in range(n)
-    )
-    g = GammaSemiring(f"from_{r.name}", r.carrier, r.carrier, r.add, r.add, prod)
-    return _checked(g)
+    add, mul = r.tables
+    g = GammaSemiring.from_arrays(f"from_{r.name}", r.carrier, r.carrier, add, add, mul[mul])
+    gens = _greedy_generators(add)
+    return _checked(g, (gens, gens))
 
 
 def gen_instance(kind: str, n: Optional[int] = None, base: Optional[Semiring] = None) -> GammaSemiring:

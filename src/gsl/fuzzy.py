@@ -316,13 +316,6 @@ def _bits(mask: int) -> list[int]:
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of an array (its last axis) as one opaque key, so
-    np.unique compares whole rows."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
-
-
 class LevelCuts:
     """The fuzzy subsets of one structure with grades on one chain, each as
     its level cuts.
@@ -438,7 +431,7 @@ class LevelCuts:
         bytes, and each distinct one is interned once."""
         levels = range(1, len(self.chain))
         packed = np.stack([np.packbits(ranks >= k, axis=1, bitorder="little") for k in levels], axis=1)
-        distinct, where = np.unique(_row_keys(packed), return_inverse=True)
+        distinct, where = np.unique(core._row_keys(packed), return_inverse=True)
         ids = [self._intern(int.from_bytes(key.tobytes(), "little")) for key in distinct]
         return np.array(ids, dtype=np.intp)[where].reshape(len(ranks), len(levels))
 
@@ -495,13 +488,13 @@ class LevelCuts:
         """For an (R, m-1) id array: the index of the first row of each
         distinct row, and for every row the place of its distinct row in
         that list."""
-        return np.unique(_row_keys(rows), return_index=True, return_inverse=True)[1:]
+        return np.unique(core._row_keys(rows), return_index=True, return_inverse=True)[1:]
 
     @staticmethod
     def rows_in(rows: np.ndarray, family: np.ndarray) -> np.ndarray:
         """(R,) booleans: whether each row of an (R, m-1) id array is a row of
         the (non-empty) family, by binary search (np.isin imports numpy.ma)."""
-        known, keys = np.sort(_row_keys(family)), _row_keys(rows)
+        known, keys = np.sort(core._row_keys(family)), core._row_keys(rows)
         return known[np.searchsorted(known, keys).clip(max=len(known) - 1)] == keys
 
     def constant_rows(self, family: np.ndarray) -> np.ndarray:
@@ -522,7 +515,7 @@ class LevelCuts:
         multichains are counted, not listed: O(N (m-1)) for the members and
         O(D^2 (m-1)) for the masks."""
         n, width = family.shape
-        keys = np.sort(_row_keys(family))
+        keys = np.sort(core._row_keys(family))
         if not n or (keys[1:] == keys[:-1]).any():  # no member, or one twice
             return None
         le = self._table("le")

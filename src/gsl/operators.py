@@ -14,19 +14,21 @@ shortest generating sum as provenance, ties broken lexicographically;
 elements are canonically sorted by value tuple, so rebuilding an instance
 is bit-for-bit deterministic and the zero map always sits at index 0.
 
-The work is array work over action rows.  The pair actions are the rows
-of the product table, keyed by their bytes.  Many pairs share one action
-(on a 16-element matrix instance, 256 pairs give 16 actions), so the
-saturation adds each distinct action once, paired with the smallest pair
-that has it, and each layer is one gather of the addition table over
-(frontier, action) rows; each cell of it costs one dict lookup, and only
-the cells that reach a new action build a provenance.  The provenance is
-the one a saturation over every pair would record: inserting a smaller
-pair into a sorted tuple gives an elementwise smaller sorted tuple, so the
-smallest pair of an action always wins its layer.  The addition and
-composition tables are (E, E, |S|) gathers looked up by row key.
+The work is array work over action rows, each keyed by its bytes.  Many
+pairs share one action (on a 16-element matrix instance, 256 pairs give 16
+actions), so the saturation adds each distinct action once, paired with
+the smallest pair that has it, and each layer is one gather of the addition
+table over (frontier, action) rows, whose new rows are found by binary
+search in the sorted keys of the actions known.  The provenance is the one
+a saturation over every pair would record: inserting a smaller pair into a
+sorted tuple gives an elementwise smaller sorted tuple, so the smallest
+pair of an action always wins its layer.  The addition and composition
+tables are (E, E, |S|) gathers looked up by row key the same way.
 Elements are sorted by value tuple, not by key: the two orders differ
-once values need more than one byte.
+once values need more than one byte.  Every action is checked to be an
+additive map of (S, +) fixing 0: the closure then lies in End(S, +), and
+with tables looked up as pointwise sums and compositions it is a semiring,
+so no semiring law needs a check on its E^3 cells.
 
 The crisp correspondences are maps of int bitmasks on the instance, named
 for what they keep, so one name serves either side.  What they depend on
@@ -103,38 +105,33 @@ def action_of_pair(g: core.GammaSemiring, x: int, alpha: int, side: str) -> Acti
 class OperatorSemiring:
     """Operator semiring of `base`, realized on canonical action maps.
 
-    `provenance[i]` is one shortest formal sum generating element i: a sorted
-    tuple of (x, gamma) index pairs on the left side, (gamma, x) on the right.
-    `pair_index[x][gamma]` locates the single-pair action for either side.
-    `semiring` is the same structure as a plain Semiring with carrier ids
-    f0, f1, ... in canonical element order.
+    `value_rows` is the read-only (E, |S|) array the closure produced: row i
+    holds the values of element i.  `provenance[i]` is one shortest formal
+    sum generating element i: a sorted tuple of (x, gamma) index pairs on the
+    left side, (gamma, x) on the right.  `pair_index[x][gamma]` locates the
+    single-pair action for either side.  `semiring` is the same structure as
+    a plain Semiring with carrier ids f0, f1, ... in canonical element order.
 
-    Derived once, on first use: `value_rows` and `pair_rows`, the action
-    values and `pair_index` as arrays (the rows the transfer maps take their
-    mins along), and as int bitmasks, for the crisp correspondences
-    `pair_fixed` and `image_contained`: `image_masks[i]`, the image of
-    element i in S; `closure_masks[i]`, that image closed under the addition
-    of S; and `pair_masks[x]`, the elements [x, gamma] over every gamma.
+    Derived once, on first use: `elements`, the rows as ActionMaps;
+    `pair_rows`, `pair_index` as an array (the transfer maps take their mins
+    along value and pair rows); and as int bitmasks, for `pair_fixed` and
+    `image_contained`: `image_masks[i]`, the image of element i in S;
+    `closure_masks[i]`, that image closed under the addition of S; and
+    `pair_masks[x]`, the elements [x, gamma] over every gamma.
     """
 
     side: str
     base: core.GammaSemiring
-    elements: tuple[ActionMap, ...]
+    value_rows: np.ndarray = field(repr=False, compare=False)
     add: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
     provenance: tuple[tuple[tuple[int, int], ...], ...]
     pair_index: tuple[tuple[int, ...], ...]
     semiring: core.Semiring
-    _index: dict = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {e.values: i for i, e in enumerate(self.elements)}
-        )
 
     @cached_property
-    def value_rows(self) -> np.ndarray:
-        return np.array([e.values for e in self.elements], dtype=np.intp)
+    def elements(self) -> tuple[ActionMap, ...]:
+        return tuple(ActionMap(tuple(v), self.side) for v in self.value_rows.tolist())
 
     @cached_property
     def pair_rows(self) -> np.ndarray:
@@ -142,14 +139,14 @@ class OperatorSemiring:
 
     @cached_property
     def image_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(e.values) for e in self.elements)
+        return tuple(map(_mask, self.value_rows.tolist()))
 
     @cached_property
     def closure_masks(self) -> tuple[int, ...]:
         add, zero = self.base.addS, [0] * len(self.base.S)
         return tuple(
-            reduce(lambda closed, x: core.close(add, zero, closed, x), set(e.values), 0)
-            for e in self.elements
+            reduce(lambda closed, x: core.close(add, zero, closed, x), set(values), 0)
+            for values in self.value_rows.tolist()
         )
 
     @cached_property
@@ -179,13 +176,12 @@ class OperatorSemiring:
         return inside
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.value_rows)
 
     def index_of(self, values: tuple[int, ...]) -> Optional[int]:
-        return self._index.get(tuple(values))
-
-    def identity_index(self) -> Optional[int]:
-        return self.index_of(tuple(range(len(self.base.S))))
+        rows = self.value_rows
+        hit = np.flatnonzero((rows == values).all(axis=1)) if len(values) == rows.shape[1] else []
+        return int(hit[0]) if len(hit) else None
 
     def provenance_expr(self, i: int) -> str:
         """The recorded formal sum of element i, e.g. '[1,1] + [1,1]'."""
@@ -194,12 +190,6 @@ class OperatorSemiring:
         else:
             terms = [f"[{self.base.G[a]},{self.base.S[x]}]" for a, x in self.provenance[i]]
         return " + ".join(terms)
-
-
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """One bytes key per row of a 2-d array (equal rows, equal keys)."""
-    data, width = np.ascontiguousarray(rows).tobytes(), rows.shape[1] * rows.itemsize
-    return [data[i : i + width] for i in range(0, len(data), width)]
 
 
 def build_operator_semiring(
@@ -224,79 +214,67 @@ def build_operator_semiring(
         pair_rows, width = prod.reshape(s * gg, s), gg
     else:
         pair_rows, width = prod.transpose(1, 2, 0).reshape(gg * s, s), s
-    # the distinct actions, each with its smallest pair
-    pair_keys = _row_keys(pair_rows)
-    first: dict[bytes, int] = {}
-    for p, key in enumerate(pair_keys):
-        first.setdefault(key, p)
-    generators = pair_rows[list(first.values())]
-    gen_pairs = [divmod(p, width) for p in first.values()]
-
-    known = {key: (pair,) for key, pair in zip(first, gen_pairs)}
-    if len(known) > cap:
-        raise ClosureCapExceeded(f"{g.name}/{side}: closure exceeds cap {cap} elements")
-    layers, frontier, frontier_prov = [generators], generators, list(known.values())
+    # the distinct actions (generators), each with its smallest pair as its
+    # provenance; `known` holds the sorted keys of every action found
+    known, first, pair_action = np.unique(core._row_keys(pair_rows), return_index=True, return_inverse=True)
+    generators = pair_rows[first]
+    layers, provs = [generators], [first[:, None]]
 
     while True:
-        sums = addS[frontier[:, None, :], generators[None, :, :]].reshape(-1, s)
-        layer: dict[bytes, tuple[tuple[tuple[int, int], ...], int]] = {}
-        for cell, key in enumerate(_row_keys(sums)):
-            if key in known:
-                continue
-            f, k = divmod(cell, len(generators))
-            nprov = tuple(sorted(frontier_prov[f] + (gen_pairs[k],)))
-            cur = layer.get(key)
-            if cur is None or nprov < cur[0]:
-                layer[key] = (nprov, cell)
-        if not layer:
+        if len(known) > cap:
+            raise ClosureCapExceeded(f"{g.name}/{side}: closure exceeds cap {cap} elements")
+        # frontier + generator; each new action keeps its least sorted sum of pairs
+        sums = addS[layers[-1][:, None, :], generators[None, :, :]].reshape(-1, s)
+        keys = core._row_keys(sums)
+        new = np.flatnonzero(known.take(np.searchsorted(known, keys), mode="clip") != keys)
+        if not new.size:
             break
-        if len(known) + len(layer) > cap:
-            raise ClosureCapExceeded(
-                f"{g.name}/{side}: closure exceeds cap {cap} elements"
-            )
-        known.update((key, prov) for key, (prov, _) in layer.items())
-        frontier = sums[[cell for _, cell in layer.values()]]
-        frontier_prov = [prov for prov, _ in layer.values()]
-        layers.append(frontier)
+        f, k = np.divmod(new, len(generators))
+        candidates = np.sort(np.column_stack((provs[-1][f], first[k])), axis=1)
+        reached, action = np.unique(keys[new], return_inverse=True)
+        by_action = np.lexsort((*candidates.T[::-1], action))
+        least = by_action[np.diff(action[by_action], prepend=-1) != 0]
+        known = np.sort(np.concatenate((known, reached)))
+        layers.append(sums[new[least]])
+        provs.append(candidates[least])
 
     # ascending value tuples; byte order agrees only for one-byte values
     found = np.concatenate(layers)
-    elements = found[np.lexsort(found.T[::-1])]
+    order = np.lexsort(found.T[::-1])
+    elements = found[order]
+    elements.setflags(write=False)
+    n = len(elements)
     if elements[0].any():
         raise AssertionError("zero map missing from closure")
-    keys = _row_keys(elements)
-    index = {key: i for i, key in enumerate(keys)}
-    n = len(elements)
+    # every action an additive map of the commutative monoid (S, +) fixing 0
+    additive = elements[:, addS] == addS[elements[:, :, None], elements[:, None, :]]
+    monoid = not any(mask.any() for mask in core._monoid_masks(addS, "add").values())
+    if not (monoid and additive.all()) or elements[:, 0].any():
+        raise AssertionError("operator semiring failed validation: the actions are not in End(S, +)")
 
     sums = addS[elements[:, None, :], elements[None, :, :]]
     if side == "left":  # f.g: a -> f(g(a))
         composed = elements[np.arange(n)[:, None, None], elements[None, :, :]]
     else:  # diagram order: a -> g(f(a))
         composed = elements[np.arange(n)[None, :, None], elements[:, None, :]]
-    add_table = [index[key] for key in _row_keys(sums.reshape(-1, s))]
-    mul_table = [index.get(key) for key in _row_keys(composed.reshape(-1, s))]
-    if None in mul_table:
-        raise AssertionError("composition left the additive closure")
+    # `known` holds the keys of the elements, sorted, in the order `by_key`
+    wanted = core._row_keys(np.stack((sums, composed)).reshape(-1, s))
+    by_key, at = np.argsort(core._row_keys(elements)), np.searchsorted(known, wanted)
+    if (known.take(at, mode="clip") != wanted).any():
+        raise AssertionError("a sum or composition left the additive closure")
+    tables = by_key[at].reshape(2, n, n)
 
-    tag = "L" if side == "left" else "R"
-    semiring = core.Semiring.from_arrays(
-        f"{g.name}::{tag}",
-        tuple(f"f{i}" for i in range(n)),
-        np.reshape(add_table, (n, n)),
-        np.reshape(mul_table, (n, n)),
-    )
-    outcome = core.validate_semiring(semiring)
-    if not outcome.ok:
-        raise AssertionError(f"operator semiring failed validation: {outcome.violations[0]}")
-
-    pair_idx = np.reshape([index[key] for key in pair_keys], (-1, width))
+    name = f"{g.name}::{'L' if side == 'left' else 'R'}"
+    semiring = core.Semiring.from_arrays(name, tuple(f"f{i}" for i in range(n)), *tables)
+    pair_idx = np.argsort(order)[pair_action].reshape(-1, width)  # the inverse permutation of `order`
+    by_layer = [row for layer in provs for row in layer.tolist()]
     return OperatorSemiring(
         side=side,
         base=g,
-        elements=tuple(ActionMap(tuple(v), side) for v in elements.tolist()),
+        value_rows=elements,
         add=semiring.add,
         mul=semiring.mul,
-        provenance=tuple(known[key] for key in keys),
+        provenance=tuple(tuple(divmod(p, width) for p in by_layer[i]) for i in order.tolist()),
         pair_index=tuple(map(tuple, (pair_idx if side == "left" else pair_idx.T).tolist())),
         semiring=semiring,
     )
@@ -310,7 +288,7 @@ def find_unity(g: core.GammaSemiring, op: OperatorSemiring) -> Optional[int]:
     """
     if op.base is not g and op.base != g:
         raise ValueError("operator semiring was not built from this instance")
-    return op.identity_index()
+    return op.index_of(tuple(range(len(g.S))))
 
 
 def _mask(indices) -> int:

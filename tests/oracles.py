@@ -15,7 +15,9 @@ references: the pair checks on all-at-once N x N family
 tables (on level-cut views of their own), the sort-position transfer maps,
 the frozenset crisp correspondences, and the array paths that the
 structures' `tables` replaced (distributive masks as broadcast gathers,
-the ideal closure that scans every position, the row-major pair scan).
+the ideal closure that scans every position, the row-major pair scan),
+the operator closure with one dict lookup a cell and a dense re-check,
+and the matrix products with one gather per entry and term.
 """
 
 from __future__ import annotations
@@ -894,7 +896,9 @@ def set_image_contained_set(op, subset):
 # ---------------------------------------------------------------------------
 # earlier array paths: the distributive masks as gathers with two broadcast
 # index arrays, the bitmask closure that scans all n positions for every
-# element it adds, and matrix-iso's one-pair-at-a-time scan
+# element it adds, matrix-iso's one-pair-at-a-time scan, the operator
+# closure that looks up every cell in a dict and re-checks its result
+# densely, and the matrix products as one gather per entry and term
 
 
 def broadcast_distributive_masks(structure) -> dict[str, np.ndarray]:
@@ -939,3 +943,140 @@ def first_failing_pair(n: int, check):
     """The first truthy check(i, j) over the pairs of range(n) x range(n),
     in row-major order; None when every pair passes."""
     return next(filter(None, itertools.starmap(check, itertools.product(range(n), repeat=2))), None)
+
+
+def _byte_keys(rows: np.ndarray) -> list[bytes]:
+    data, width = np.ascontiguousarray(rows).tobytes(), rows.shape[1] * rows.itemsize
+    return [data[i : i + width] for i in range(0, len(data), width)]
+
+
+def per_cell_operator_semiring(g, side: str):
+    """`operators.build_operator_semiring` as it saturated one dict lookup a
+    cell and re-checked the result with the dense `core.validate_semiring`
+    (E^3 cells a mask).  Returns (elements, add, mul, provenance,
+    pair_index): the sorted value rows as an array, the tables and the
+    provenance as nested tuples, pair_index as [x][gamma] on either side."""
+    from gsl import core
+
+    s, gg = len(g.S), len(g.G)
+    addS, _, prod = g.tables
+    if side == "left":
+        pair_rows, width = prod.reshape(s * gg, s), gg
+    else:
+        pair_rows, width = prod.transpose(1, 2, 0).reshape(gg * s, s), s
+    pair_keys = _byte_keys(pair_rows)
+    first: dict[bytes, int] = {}
+    for p, key in enumerate(pair_keys):
+        first.setdefault(key, p)
+    generators = pair_rows[list(first.values())]
+    gen_pairs = [divmod(p, width) for p in first.values()]
+    known = {key: (pair,) for key, pair in zip(first, gen_pairs)}
+    layers, frontier, frontier_prov = [generators], generators, list(known.values())
+    while True:
+        sums = addS[frontier[:, None, :], generators[None, :, :]].reshape(-1, s)
+        layer: dict = {}
+        for cell, key in enumerate(_byte_keys(sums)):
+            if key in known:
+                continue
+            f, k = divmod(cell, len(generators))
+            nprov = tuple(sorted(frontier_prov[f] + (gen_pairs[k],)))
+            cur = layer.get(key)
+            if cur is None or nprov < cur[0]:
+                layer[key] = (nprov, cell)
+        if not layer:
+            break
+        known.update((key, prov) for key, (prov, _) in layer.items())
+        frontier = sums[[cell for _, cell in layer.values()]]
+        frontier_prov = [prov for prov, _ in layer.values()]
+        layers.append(frontier)
+
+    found = np.concatenate(layers)
+    elements = found[np.lexsort(found.T[::-1])]
+    keys = _byte_keys(elements)
+    index = {key: i for i, key in enumerate(keys)}
+    n = len(elements)
+    sums = addS[elements[:, None, :], elements[None, :, :]]
+    if side == "left":
+        composed = elements[np.arange(n)[:, None, None], elements[None, :, :]]
+    else:
+        composed = elements[np.arange(n)[None, :, None], elements[:, None, :]]
+    add = np.reshape([index[key] for key in _byte_keys(sums.reshape(-1, s))], (n, n))
+    mul = np.reshape([index[key] for key in _byte_keys(composed.reshape(-1, s))], (n, n))
+    semiring = core.Semiring.from_arrays("reference", tuple(f"f{i}" for i in range(n)), add, mul)
+    outcome = core.validate_semiring(semiring)
+    if not outcome.ok:
+        raise AssertionError(f"operator semiring failed validation: {outcome.violations[0]}")
+    pair_idx = np.reshape([index[key] for key in pair_keys], (-1, width))
+    pair_index = tuple(map(tuple, (pair_idx if side == "left" else pair_idx.T).tolist()))
+    return elements, semiring.add, semiring.mul, tuple(known[key] for key in keys), pair_index
+
+
+def loop_matrix_gamma_product(base, n: int) -> np.ndarray:
+    """The product table of the n x n matrix instance over `base` as it was
+    built: one gather per entry (i, j) and term (k, l), n^4 in all."""
+    s, gg = len(base.S), len(base.G)
+    add_s, _, p = base.tables
+    es, eg = _entry_array(s, n), _entry_array(gg, n)
+    a_col, d_col, b_col = es[:, None, None, :], eg[None, :, None, :], es[None, None, :, :]
+    prod = np.zeros((len(es), len(eg), len(es)), dtype=np.intp)
+    for i, j in itertools.product(range(n), repeat=2):
+        acc = np.zeros_like(prod)
+        for k, l in itertools.product(range(n), repeat=2):
+            acc = add_s[acc, p[a_col[..., i * n + k], d_col[..., k * n + l], b_col[..., l * n + j]]]
+        prod = prod * s + acc
+    return prod
+
+
+def loop_matrix_semiring_mul(r, n: int) -> np.ndarray:
+    """The multiplication table of the n x n matrices over the semiring r,
+    one gather per entry and term."""
+    radix = len(r.carrier)
+    add, m = r.tables
+    entries = _entry_array(radix, n)
+    a_col, b_col = entries[:, None, :], entries[None, :, :]
+    mul = np.zeros((len(entries), len(entries)), dtype=np.intp)
+    for i, j in itertools.product(range(n), repeat=2):
+        acc = np.zeros_like(mul)
+        for t in range(n):
+            acc = add[acc, m[a_col[..., i * n + t], b_col[..., t * n + j]]]
+        mul = mul * radix + acc
+    return mul
+
+
+def loop_generator_images(mg, op_base, side: str) -> np.ndarray:
+    """`matrix._generator_images` as one gather per entry and term."""
+    n = mg.n
+    pair, add = op_base.pair_rows, op_base.semiring.tables[0]
+    xs, ds = mg.s_entries[:, None, :], mg.g_entries[None, :, :]
+    entries = []
+    for r, c in itertools.product(range(n), repeat=2):
+        acc = 0
+        for t in range(n):
+            if side == "left":
+                acc = add[acc, pair[xs[..., r * n + t], ds[..., t * n + c]]]
+            else:
+                acc = add[acc, pair[xs[..., t * n + c], ds[..., r * n + t]]]
+        entries.append(acc)
+    return np.stack(entries, axis=-1)
+
+
+def loop_matrix_actions(mg, op_base, images: np.ndarray, side: str) -> np.ndarray:
+    """`matrix._matrix_actions` as one gather per entry and term."""
+    n, radix = mg.n, len(mg.base.S)
+    values, add = op_base.value_rows, mg.base.tables[0]
+    fs, args = images[:, None, :], mg.s_entries[None, :, :]
+    code = np.zeros((len(images), len(mg.s_entries)), dtype=np.intp)
+    for i, j in itertools.product(range(n), repeat=2):
+        acc = 0
+        for k in range(n):
+            if side == "left":
+                acc = add[acc, values[fs[..., i * n + k], args[..., k * n + j]]]
+            else:
+                acc = add[acc, values[fs[..., k * n + j], args[..., i * n + k]]]
+        code = code * radix + acc
+    return code
+
+
+def _entry_array(radix: int, n: int) -> np.ndarray:
+    """Row k holds the n^2 entries of matrix k, the first most significant."""
+    return np.array(_tuples(radix, n * n), dtype=np.intp).reshape(-1, n * n)

@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from conftest import build_boolean_by_chain, build_one_element, build_upper_triangular
 from gsl import core
-from gsl.matrix import build_matrix_gamma
+from gsl.matrix import build_matrix_gamma, matrix_semiring
 from oracles import (
     naive_gamma_violations,
     naive_is_commutative,
@@ -146,9 +147,19 @@ def _bilinear_not_associative():
     )
 
 
+def _relabel_s(g, new):
+    """g with element x of S renamed new[x] (index 0 stays the zero)."""
+    old = {y: x for x, y in enumerate(new)}
+    n = len(new)
+    add = [[new[g.addS[old[a]][old[b]]] for b in range(n)] for a in range(n)]
+    prod = [[[new[g.prod[old[a]][c][old[b]]] for b in range(n)] for c in range(len(g.G))] for a in range(n)]
+    return dataclasses.replace(g, name=f"{g.name}'", addS=add, prod=prod)
+
+
 class TestGeneratorPath:
-    """Associativity checked on additive generators only gives the dense
-    validator's outcome, which stays the reference."""
+    """The distributive laws and associativity checked on additive
+    generators give the dense validator's outcome, which stays the
+    reference."""
 
     @staticmethod
     def _small_matrix_instances(bases):
@@ -181,6 +192,57 @@ class TestGeneratorPath:
         assert not outcome.ok
         assert all(core.recheck_violation(bad, violation) for violation in outcome.violations)
 
+    def test_seeded_product_and_addition_mutants_match_dense(self, gb):
+        """A seeded slice of single-cell mutants of boolean[2x2], of its
+        product and of the addition of S: the generator path reports every
+        violation and first witness the dense masks report, also when + is
+        no longer associative (when the generators stop generating, both
+        validators still agree that the mutant fails)."""
+        mg = build_matrix_gamma(gb, 2)
+        g, gens = mg.gamma, _single_entries(mg)
+        rng = random.Random(19)
+        broken_addition = compared = 0
+        for _ in range(60):
+            a, c, b, value = (rng.randrange(16) for _ in range(4))
+            add = [list(row) for row in g.addS]
+            add[a][b] = value
+            for bad in (_mutate_prod(g, a, c, b, value), dataclasses.replace(g, name="add~", addS=add)):
+                dense = core.validate_gamma_semiring(bad)
+                try:
+                    outcome = core.validate_gamma_semiring(bad, generators=gens)
+                except ValueError as err:
+                    assert "generators reach" in str(err) and not dense.ok
+                    continue
+                assert outcome == dense
+                compared += 1
+                broken_addition += any(v.axiom == "add_S_associative" for v in dense.violations)
+        assert compared > 60 and broken_addition > 5
+
+    def test_matrix_semiring_mutants_match_dense(self, bool_sr):
+        """The same on the semiring of 2x2 Boolean matrices, whose
+        distributive laws and associativity are checked on generators."""
+        m = matrix_semiring(bool_sr, 2)
+        gens = [0, 1, 2, 4, 8]
+        assert core.validate_semiring(m, gens).ok
+        rng = random.Random(19)
+        broken_addition = compared = 0
+        for _ in range(60):
+            a, b, value = (rng.randrange(16) for _ in range(3))
+            tables = {name: [list(row) for row in getattr(m, name)] for name in ("add", "mul")}
+            for name, table in tables.items():
+                table[a][b] = value
+                bad = dataclasses.replace(m, name=f"{name}~", **{name: table})
+                dense = core.validate_semiring(bad)
+                try:
+                    outcome = core.validate_semiring(bad, gens)
+                except ValueError as err:
+                    assert "carrier generators reach" in str(err) and not dense.ok
+                    continue
+                assert outcome == dense
+                compared += 1
+                broken_addition += any(v.axiom == "add_associative" for v in dense.violations)
+        assert compared > 60 and broken_addition > 5
+
     def test_failure_on_generators_gives_the_dense_witness(self):
         g = _bilinear_not_associative()
         outcome = core.validate_gamma_semiring(g, generators=([0, 1, 2], [0, 1]))
@@ -188,6 +250,16 @@ class TestGeneratorPath:
         assert [v.axiom for v in outcome.violations] == ["product_associative"]
         _assert_witnesses_match_oracle(g)
         assert core.recheck_violation(g, outcome.violations[0])
+
+    def test_failure_on_generators_that_are_not_a_prefix(self):
+        """S relabelled so that the generators are 0, 2 and 3: a witness on
+        the generator tuples, read as carrier indices, would name the wrong
+        elements; the reported one is the dense one."""
+        g = _relabel_s(_bilinear_not_associative(), [0, 2, 3, 1])
+        outcome = core.validate_gamma_semiring(g, generators=([0, 2, 3], [0, 1]))
+        assert outcome == core.validate_gamma_semiring(g)
+        assert [v.axiom for v in outcome.violations] == ["product_associative"]
+        _assert_witnesses_match_oracle(g)
 
     def test_sets_that_do_not_generate_raise(self, gb):
         mg = build_matrix_gamma(gb, 2)

@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import build_boolean_by_chain, build_one_element
 from gsl import core
 from gsl.config import RunConfig
 from gsl.fuzzy import FuzzySubset, GradeChain, enumerate_fuzzy_ideals, is_fuzzy_ideal_gamma
+from gsl import matrix
 from gsl.matrix import (
     MatrixCapExceeded,
     build_matrix_gamma,
@@ -18,7 +20,15 @@ from gsl.matrix import (
 )
 from gsl.report import PASS, UNMET
 from gsl.verify import Workspace, run_all
-from oracles import naive_matrix_gamma_tables, naive_matrix_semiring_tables
+from gsl.operators import build_operator_semiring
+from oracles import (
+    loop_generator_images,
+    loop_matrix_actions,
+    loop_matrix_gamma_product,
+    loop_matrix_semiring_mul,
+    naive_matrix_gamma_tables,
+    naive_matrix_semiring_tables,
+)
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -102,6 +112,27 @@ class TestBuild:
         assert len(m.carrier) == 16
         assert core.validate_semiring(m).ok
         assert not core.mul_commutative(m)
+
+
+class TestProducts:
+    """Every matrix product, as one fold (`matrix._products`), equals the
+    products it replaced, one gather per entry and term."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_products_match_the_per_entry_loops(self, gb, z2, z3, n):
+        bases = [(gb, 16), (z2, 16), (build_boolean_by_chain(3), 81), (z3, 81)]
+        for base, cap in bases:
+            mg = build_matrix_gamma(base, n, cap=cap)
+            assert np.array_equal(mg.gamma.tables[2], loop_matrix_gamma_product(base, n)), base.name
+            for side in ("left", "right"):
+                op_base = build_operator_semiring(base, side)
+                m = matrix_semiring(op_base.semiring, n)
+                assert np.array_equal(m.tables[1], loop_matrix_semiring_mul(op_base.semiring, n))
+                images = matrix._generator_images(mg, op_base, side)
+                assert np.array_equal(images, loop_generator_images(mg, op_base, side))
+                flat = images.reshape(-1, n * n)
+                want = loop_matrix_actions(mg, op_base, flat, side)
+                assert np.array_equal(matrix._matrix_actions(mg, op_base, flat, side), want)
 
 
 class TestFuzzyLift:

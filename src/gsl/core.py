@@ -25,7 +25,7 @@ independently of the vectorised path.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -276,9 +276,8 @@ def check_semiring_structure(r: Semiring) -> None:
 # (a@c + b1@c) + b2@c = a@c + (b1+b2)@c.  Associativity is then checked on
 # generator 5-tuples: with the distributive laws both sides of a@(b#c) =
 # (a@b)#c are additive in each argument, so the values of one argument on
-# which it holds (the others fixed) are closed under addition.  Semirings
-# take the same path (c in a(b+c), b in (a+b)c, then generator triples).
-# The validator checks that the sets generate (ValueError if not), and
+# which it holds (the others fixed) are closed under addition.  The
+# validator checks that the sets generate (ValueError if not), and
 # when any other law fails, or a law fails on generators, it builds the
 # masks again densely, since the first witness need not be a generator
 # tuple: the outcome is the dense one, and the dense masks stay the
@@ -467,31 +466,6 @@ def _gamma_masks(A: np.ndarray, B: np.ndarray, P: np.ndarray, s=_ALL, g=_ALL) ->
     }
 
 
-def _semiring_masks(A: np.ndarray, M: np.ndarray, k=_ALL) -> dict[str, np.ndarray]:
-    """The violation mask of every semiring law but associativity, the
-    distributive ones with their generator argument over the indices `k`."""
-    return {
-        **_monoid_masks(A, "add"),
-        "mul_left_distributive": M[:, A[:, k]] != _sums(A, M[:, :, None], M[:, None, k]),
-        "mul_right_distributive": M[A[:, k]] != _sums(A, M[:, None, :], M[k][None]),
-        "zero_mul_left": M[0] != 0,
-        "zero_mul_right": M[:, 0] != 0,
-    }
-
-
-def _validate(laws, assoc_law: str, associativity, gens: tuple, axioms: dict, lookup: dict):
-    """The outcome of the masks `laws(*gens)` and `associativity(*gens)`,
-    each built again densely when a law fails on generators."""
-    dense = (_ALL,) * len(gens)
-    on_gens = gens[0] is not _ALL
-    masks = laws(*gens)
-    if on_gens and any(mask.any() for mask in masks.values()):
-        masks, gens, on_gens = laws(*dense), dense, False
-    assoc = associativity(*gens)
-    masks[assoc_law] = associativity(*dense) if on_gens and assoc.any() else assoc
-    return _outcome(masks, axioms, lookup)
-
-
 def validate_gamma_semiring(
     g: GammaSemiring, generators: Optional[tuple[Sequence[int], Sequence[int]]] = None
 ) -> ValidationOutcome:
@@ -501,7 +475,7 @@ def validate_gamma_semiring(
     G) of additive generators, lets the distributive laws and associativity
     be checked on generators (see the comment above), with the same outcome."""
     A, B, P = g.tables
-    gens = (_ALL, _ALL)
+    dense = gens = (_ALL, _ALL)
     if generators is not None:
         gens = (_generated(A, generators[0], "S"), _generated(B, generators[1], "G"))
 
@@ -509,22 +483,29 @@ def validate_gamma_semiring(
         left = P[s][:, g]
         return left[:, :, left[:, :, s]] != P[:, g][:, :, s][left[:, :, s]]
 
-    laws = partial(_gamma_masks, A, B, P)
-    return _validate(laws, "product_associative", associativity, gens, _GAMMA_AXIOMS, {"s": g.S, "g": g.G})
+    masks = _gamma_masks(A, B, P, *gens)
+    if gens is not dense and any(mask.any() for mask in masks.values()):
+        masks, gens = _gamma_masks(A, B, P), dense
+    assoc = associativity(*gens)
+    masks["product_associative"] = associativity(*dense) if gens is not dense and assoc.any() else assoc
+    return _outcome(masks, _GAMMA_AXIOMS, {"s": g.S, "g": g.G})
 
 
-def validate_semiring(r: Semiring, generators: Optional[Sequence[int]] = None) -> ValidationOutcome:
-    """Semiring analogue of validate_gamma_semiring; `generators` are
-    indices of additive generators of the carrier."""
-    A, M = r.tables
-    gens = (_ALL,) if generators is None else (_generated(A, generators, "carrier"),)
+def _semiring_masks(A: np.ndarray, M: np.ndarray) -> dict[str, np.ndarray]:
+    """The violation mask of every semiring law."""
+    return {
+        **_monoid_masks(A, "add"),
+        "mul_associative": M[M] != M[:, M],
+        "mul_left_distributive": M[:, A] != _sums(A, M[:, :, None], M[:, None, :]),
+        "mul_right_distributive": M[A] != _sums(A, M[:, None, :], M[None, :, :]),
+        "zero_mul_left": M[0] != 0,
+        "zero_mul_right": M[:, 0] != 0,
+    }
 
-    def associativity(k):  # cell (a, b, c) over k
-        ab = M[k][:, k]
-        return M[ab][:, :, k] != M[k][:, ab]
 
-    laws = partial(_semiring_masks, A, M)
-    return _validate(laws, "mul_associative", associativity, gens, _SEMIRING_AXIOMS, {"c": r.carrier})
+def validate_semiring(r: Semiring) -> ValidationOutcome:
+    """Semiring analogue of validate_gamma_semiring, always dense."""
+    return _outcome(_semiring_masks(*r.tables), _SEMIRING_AXIOMS, {"c": r.carrier})
 
 
 def recheck_violation(structure, violation: Violation) -> bool:

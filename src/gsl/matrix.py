@@ -15,18 +15,19 @@ dually on the right) and verifies it is a semiring isomorphism.
 The tables are numpy lookups into the base's `tables`: every matrix
 carrier element is decoded once into its entries (an array kept on the
 instance), and every matrix product, of the instance, of `matrix_semiring`
-and of matrix-iso, is one fold (`_products`) that sums each entry in the
-(k, l) order of the scalar definition, so the tables equal it cell for
-cell; they reach the instance as arrays (`from_arrays`).  The instance is
-validated through its additive generators, the matrices with at most one
-non-zero entry, so on `boolean[2x2]` each
-distributive law is checked on 20,480 cells, not 65,536, and associativity
-on 3,125, not 1,048,576; the 16-element matrix semirings are validated
-densely, which is faster at that size.  matrix-iso compares the images of every sum
-and product with one table comparison, computes the images of all |S||G|
-generators as one array, applies each distinct image to every argument at
-once (`_matrix_actions`), and reads each first failing cell in row-major
-order.  th3.19 lifts the workspace's fuzzy ideals of the base as one rank
+and of matrix-iso, is one table over every pair (or triple) of matrices
+(`_products`) that sums each entry in the (k, l) order of the scalar
+definition, so the tables equal it cell for cell; they reach the instance
+as arrays (`from_arrays`).  The instance is validated through its additive
+generators, the matrices with at most one non-zero entry, so on
+`boolean[2x2]` each distributive law is checked on 20,480 cells, not
+65,536, and associativity on 3,125, not 1,048,576; the 16-element matrix
+semirings are validated densely, which is faster at that size.
+matrix-iso compares the images of every sum and product with one table
+comparison, computes the images of all |S||G| generators as one table,
+reads the action of each distinct image off the table of every operator
+matrix times every carrier matrix (`_matrix_actions`), and reads each
+first failing cell in row-major order.  th3.19 lifts the workspace's fuzzy ideals of the base as one rank
 array, through the workspace's "M" lift (the mins of `transfer.min_ranks`
 over the entries), and tests the lifts for ideals, injectivity, inclusions
 and surjectivity as array operations on the id arrays of the workspace's
@@ -96,32 +97,34 @@ def _entrywise(add: np.ndarray, entries: np.ndarray, radix: int) -> np.ndarray:
     return sums @ _weights(radix, entries.shape[1])
 
 
-def _products(add: np.ndarray, table: np.ndarray, *factors: np.ndarray) -> np.ndarray:
-    """The entries of the matrix products F1 ... Fm of n x n matrices, each
-    factor's last axis its n^2 entries (row-major), its other axes
-    broadcasting: entry (i, j) sums `table[f1, ..., fm]` over (k1, ...,
+def _products(add: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """The codes (radix len(add)) of every product F1 ... Fm of n x n
+    matrices whose entries index the axes of `table`, one axis a factor in
+    code order: entry (i, j) sums `table[f1, ..., fm]` over (k1, ...,
     k(m-1)), folded from 0 with `add` in lexicographic order as the scalar
     definition does.  It depends only on row i of F1, the middle factors and
     column j of Fm, so the fold runs once on every such combination (by
-    mixed-radix code, r1^n r2^(n^2) ... rm^n cells for `table.shape` r), and
-    the products are n^2 gathers from it, one per entry over every operand."""
-    m, n = len(factors), round(factors[0].shape[-1] ** 0.5)
+    mixed-radix code, r1^n r2^(n^2) ... rm^n cells for `table.shape` r).
+    F1's code is its n row codes and Fm's its n^2 entries, so on axes split
+    that way entry (i, j) is the fold itself, broadcast, and the product
+    codes are the n^2 entries added at their place values."""
+    m, nn = table.ndim, n * n
     every = [  # every row, middle matrix and column, each factor on its own axis
         _entries(r**k, r, k).reshape(*[1] * f, -1, *[1] * (m - 1 - f), k)
-        for f, (r, k) in enumerate(zip(table.shape, (n, *[n * n] * (m - 2), n)))
+        for f, (r, k) in enumerate(zip(table.shape, (n, *[nn] * (m - 2), n)))
     ]
     folded = add.dtype.type(0)
     for ks in product(range(n), repeat=m - 1):
         columns = (ks[0], *(a * n + b for a, b in zip(ks, ks[1:])), ks[-1])
         folded = add[folded, table[tuple(e[..., c] for e, c in zip(every, columns))]]
-    first, last = (f.reshape(*f.shape[:-1], n, n) for f in (factors[0], factors[-1]))
-    codes = (
-        first @ _weights(table.shape[0], n),
-        *(f @ _weights(r, n * n) for f, r in zip(factors[1:-1], table.shape[1:-1])),
-        np.swapaxes(last, -1, -2) @ _weights(table.shape[-1], n),
-    )
-    pairs = product(range(n), repeat=2)
-    return np.stack([folded[(codes[0][..., i], *codes[1:-1], codes[-1][..., j])] for i, j in pairs], axis=-1)
+    # axes: row 0 .. row n-1 of F1, the middle factors, entries (0, 0) .. (n-1, n-1) of Fm
+    middle, last = folded.shape[1:-1], table.shape[-1]
+    folded = folded.astype(np.intp).reshape(-1, *middle, *[last] * n)
+    codes = np.zeros((*[len(folded)] * n, *middle, *[last] * nn), dtype=np.intp)
+    for i, j in product(range(n), repeat=2):
+        entry = folded * len(add) ** (nn - 1 - (i * n + j))
+        codes += entry.reshape(*[1] * i, -1, *[1] * (n - 1 - i), *middle, *[last if p % n == j else 1 for p in range(nn)])
+    return codes.reshape(table.shape[0] ** nn, *middle, last**nn)
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def build_matrix_gamma(base: core.GammaSemiring, n: int, cap: int = 16) -> Matri
     add_s, add_g, p = base.tables
     es, eg = _entries(size_s, s, nn), _entries(size_g, gg, nn)
     # axes (A, D, B): entry (i, j) of A D B is the sum over k, l of a_ik d_kl b_lj
-    prod = _products(add_s, p, es[:, None, None], eg[None, :, None], es[None, None]) @ _weights(s, nn)
+    prod = _products(add_s, p, n)
 
     gamma = core.GammaSemiring.from_arrays(
         f"{base.name}[{n}x{n}]",
@@ -202,7 +205,7 @@ def matrix_semiring(r: core.Semiring, n: int, name: Optional[str] = None) -> cor
         name or f"{r.name}[{n}x{n}]",
         tuple(f"m{k}" for k in range(size)),
         _entrywise(add, entries, radix),
-        _products(add, m, entries[:, None], entries[None]) @ _weights(radix, n * n),
+        _products(add, m, n),
     )
     outcome = core.validate_semiring(sr)
     if not outcome.ok:
@@ -226,9 +229,9 @@ def _generator_images(mg: MatrixGammaSemiring, op_base: OperatorSemiring, side: 
     right, as an n x n matrix over the base operator semiring (entry indices
     into op_base, row-major).  On the left entry (r, c) is the sum over t of
     the pair class [x_rt, d_tc], on the right of [d_rt, x_tc]."""
-    pair, add = op_base.pair_rows, op_base.semiring.tables[0]
-    xs, ds = mg.s_entries[:, None], mg.g_entries[None]
-    return _products(add, pair, xs, ds) if side == "left" else _products(add, pair.T, ds, xs)
+    pair, add, nn = op_base.pair_rows, op_base.semiring.tables[0], mg.n * mg.n
+    codes = _products(add, pair, mg.n) if side == "left" else _products(add, pair.T, mg.n).T
+    return _entries(len(add) ** nn, len(add), nn)[codes]
 
 
 def _matrix_actions(
@@ -238,9 +241,8 @@ def _matrix_actions(
     operator elements to every matrix carrier element, folding each entry
     in the order of the scalar matrix product."""
     values, add = op_base.value_rows, mg.base.tables[0]
-    fs, args = images[:, None], mg.s_entries[None]
-    entries = _products(add, values, fs, args) if side == "left" else _products(add, values.T, args, fs)
-    return entries @ _weights(len(mg.base.S), mg.n * mg.n)
+    table = _products(add, values, mg.n) if side == "left" else _products(add, values.T, mg.n).T
+    return table[images @ _weights(len(values), mg.n * mg.n)]
 
 
 def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:

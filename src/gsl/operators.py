@@ -253,10 +253,9 @@ def build_operator_semiring(
         raise AssertionError("operator semiring failed validation: the actions are not in End(S, +)")
 
     sums = addS[elements[:, None, :], elements[None, :, :]]
-    if side == "left":  # f.g: a -> f(g(a))
-        composed = elements[np.arange(n)[:, None, None], elements[None, :, :]]
-    else:  # diagram order: a -> g(f(a))
-        composed = elements[np.arange(n)[None, :, None], elements[:, None, :]]
+    composed = elements[:, elements]  # [f, g]: a -> f(g(a))
+    if side == "right":  # diagram order: a -> g(f(a))
+        composed = composed.transpose(1, 0, 2)
     # `known` holds the keys of the elements, sorted, in the order `by_key`
     wanted = core._row_keys(np.stack((sums, composed)).reshape(-1, s))
     by_key, at = np.argsort(core._row_keys(elements)), np.searchsorted(known, wanted)

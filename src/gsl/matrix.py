@@ -27,12 +27,12 @@ matrix-iso compares the images of every sum and product with one table
 comparison, computes the images of all |S||G| generators as one table,
 reads the action of each distinct image off the table of every operator
 matrix times every carrier matrix (`_matrix_actions`), and reads each
-first failing cell in row-major order.  th3.19 lifts the workspace's fuzzy ideals of the base as one rank
-array, through the workspace's "M" lift (the mins of `transfer.min_ranks`
-over the entries), and tests the lifts for ideals, injectivity, inclusions
-and surjectivity as array operations on the id arrays of the workspace's
-level-cut view of the matrix instance, which also enumerates the
-matrix-side ideals.
+first failing cell in row-major order.  th3.19 lifts the workspace's fuzzy
+ideals of the base as one rank array, through the workspace's "M" lift
+(the mins of `transfer.min_ranks` over the entries), and tests the lifts
+for ideals, injectivity, inclusions and surjectivity as array operations on
+the id arrays of the workspace's level-cut view of the matrix instance,
+which also enumerates the matrix-side ideals.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def _products(add: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
     codes = np.zeros((*[len(folded)] * n, *middle, *[last] * nn), dtype=np.intp)
     for i, j in product(range(n), repeat=2):
         entry = folded * len(add) ** (nn - 1 - (i * n + j))
-        codes += entry.reshape(*[1] * i, -1, *[1] * (n - 1 - i), *middle, *[last if p % n == j else 1 for p in range(nn)])
+        column = [last if p % n == j else 1 for p in range(nn)]
+        codes += entry.reshape(*[1] * i, -1, *[1] * (n - 1 - i), *middle, *column)
     return codes.reshape(table.shape[0] ** nn, *middle, last**nn)
 
 

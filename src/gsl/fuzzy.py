@@ -7,7 +7,8 @@ which is all the structure the lattice operations need; the ideal predicates
 take the full algebraic structure explicitly.
 
 A structure's ideal families belong to its level-cut view, ``LevelCuts``,
-which enumerates each kind once and never tests candidate subsets.  Crisp
+which enumerates one family per distinct absorption images (kinds with
+equal images share it) and never tests candidate subsets.  Crisp
 ideals form a closure system (they contain 0 and are closed under
 intersection), so they are listed by closing outward from the bottom ideal
 over int bitmasks, with the absorption images the view keeps for its ideal
@@ -41,6 +42,7 @@ subset built from grades that already exist makes no new ``Fraction``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -357,9 +359,11 @@ class LevelCuts:
     closed under sum and meet) and then gives the ids of those masks.
 
     The view owns the structure's ideal families: `crisp_ideals` gives the
-    crisp ideals of a kind as masks, enumerated once per kind, and
-    `fuzzy_ideals` their descending multichains as a family, so no
-    enumerated fuzzy ideal is cut again.
+    crisp ideals of a kind as masks, enumerated once per distinct absorption
+    images, and `fuzzy_ideals` their descending multichains as a family, so
+    no enumerated fuzzy ideal is cut again.  The left and right images are
+    built once and the two-sided ones are their union; kinds with equal
+    images share their crisp ideals and their ideal tests (`canonical`).
     """
 
     def __init__(self, structure, chain: GradeChain):
@@ -371,7 +375,6 @@ class LevelCuts:
         self._id: dict[int, int] = {}
         self._tables: dict[str, np.ndarray] = {}
         self._per_id: dict[object, np.ndarray] = {}
-        self._images: dict[str, list[int]] = {}
         self._crisp_ideals: dict[str, tuple[int, ...]] = {}
 
     def subset(self, row: np.ndarray) -> FuzzySubset:
@@ -541,21 +544,34 @@ class LevelCuts:
 
     # -- ideal families and ideal tests
 
-    def _image(self, kind: str) -> list[int]:
-        if kind not in self._images:
-            self._images[kind] = core._absorption_images(self.structure, _check_kind(kind))
-        return self._images[kind]
+    @cached_property
+    def _images(self) -> dict[str, list[int]]:
+        """The absorption images of each kind: the left and the right ones,
+        built once, and the two-sided one, their union (as
+        `core._absorption_images` builds it)."""
+        left, right = (core._absorption_images(self.structure, kind) for kind in ("left", "right"))
+        return {"left": left, "right": right, "two": [a | b for a, b in zip(left, right)]}
+
+    def canonical(self, kind: str) -> str:
+        """The first of "two", "left" and "right" whose absorption images
+        equal those of `kind`.  An ideal family depends on the images alone,
+        so kinds with equal images (all three, on a commutative structure)
+        share one family, keyed by this kind."""
+        images = self._images
+        return next(k for k in ("two", "left", "right") if images[k] == images[_check_kind(kind)])
 
     def _crisp(self, kind: str) -> tuple[int, ...]:
+        kind = self.canonical(kind)
         if kind not in self._crisp_ideals:
-            self._crisp_ideals[kind] = tuple(_crisp_ideal_masks(self.carrier.add, self._image(kind)))
+            self._crisp_ideals[kind] = tuple(_crisp_ideal_masks(self.carrier.add, self._images[kind]))
         return self._crisp_ideals[kind]
 
     def crisp_ideals(self, kind: str = "two", cap: int = 10**8) -> tuple[int, ...]:
         """Every crisp ideal of the kind as a mask, in the order of a subset
         scan (ascending indicator tuples of the non-zero positions),
-        enumerated once per kind.  Raises EnumerationCapExceeded when
-        2**|carrier| > cap: the cap bounds subsets, not ideals."""
+        enumerated once per distinct absorption images (`canonical`).
+        Raises EnumerationCapExceeded when 2**|carrier| > cap: the cap
+        bounds subsets, not ideals."""
         _check_kind(kind)
         n = self.carrier.size
         if 2**n > cap:
@@ -590,8 +606,10 @@ class LevelCuts:
         """(N,) booleans: whether each member of an (N, k) id array is a
         fuzzy ideal of the kind (`is_fuzzy_ideal_*`): a non-empty first cut,
         and every cut closed under addition and absorbing its products, each
-        mask tested once per kind.  A crisp ideal is the one-cut case."""
-        image = self._image(kind)
+        mask tested once per distinct absorption images (`canonical`).  A
+        crisp ideal is the one-cut case."""
+        kind = self.canonical(kind)
+        image = self._images[kind]
         closed = self._by_id(("closed", kind), lambda masks: np.array([
             not self._set_sum(m, m) & ~m and not any(image[x] & ~m for x in _bits(m)) for m in masks
         ], dtype=bool))

@@ -117,7 +117,9 @@ class OperatorSemiring:
     along value and pair rows); and as int bitmasks, for `pair_fixed` and
     `image_contained`: `image_masks[i]`, the image of element i in S;
     `closure_masks[i]`, that image closed under the addition of S; and
-    `pair_masks[x]`, the elements [x, gamma] over every gamma.
+    `pair_masks[x]`, the elements [x, gamma] over every gamma.  The two
+    correspondences keep what they gave for each mask, so a run that asks
+    for one mask's image from several suites and kinds computes it once.
     """
 
     side: str
@@ -153,17 +155,34 @@ class OperatorSemiring:
     def pair_masks(self) -> tuple[int, ...]:
         return tuple(map(_mask, self.pair_index))
 
+    @cached_property
+    def _corresponded(self) -> dict[tuple[str, int], int]:
+        """What `pair_fixed` and `image_contained` gave, by (name, mask)."""
+        return {}
+
+    def _once(self, name: str, mask: int, compute) -> int:
+        key = (name, mask)
+        if key not in self._corresponded:
+            self._corresponded[key] = compute(mask)
+        return self._corresponded[key]
+
     def pair_fixed(self, mask: int) -> int:
         """For P inside this semiring, as a mask: the mask of the base
         elements x whose every pair class lies in P (P+ on the left, P* on
-        the right)."""
-        return sum(1 << x for x, pairs in enumerate(self.pair_masks) if not pairs & ~mask)
+        the right).  Computed once per mask."""
+        return self._once("pair_fixed", mask, self._pair_fixed)
 
     def image_contained(self, mask: int) -> int:
         """For Q inside S, as a mask: the mask of the elements whose image,
         closed under the addition of S, lies in Q (Q+' on the left, Q*' on
-        the right).  On an additively closed Q the
-        plain image must agree, else RuntimeError."""
+        the right).  On an additively closed Q the plain image must agree,
+        else RuntimeError.  Computed once per mask."""
+        return self._once("image_contained", mask, self._image_contained)
+
+    def _pair_fixed(self, mask: int) -> int:
+        return sum(1 << x for x, pairs in enumerate(self.pair_masks) if not pairs & ~mask)
+
+    def _image_contained(self, mask: int) -> int:
         addS = self.base.addS
         members = [x for x in range(len(addS)) if mask >> x & 1]
         closed = all(mask >> addS[x][y] & 1 for x in members for y in members)

@@ -3,10 +3,15 @@ as a falsifiable check over exhaustively enumerated objects.
 
 Every suite takes the run's `Workspace`, which builds the operator
 semirings, the matrix instance and the ideal families once and shares them
-across suites; each family is enumerated once, by the level-cut view of its
-structure.  Every suite also runs in the workspace's one frame,
-`Workspace.run_suite`, which times it, turns a gate or a cap hit into a
-precondition-unmet report, and assembles the VerificationReport.
+across suites.  What it derives is keyed by what it is computed from, not
+by who asks: each family is enumerated once per structure and distinct
+absorption images, by the level-cut view of its structure, so kinds with
+equal images (all three, on a commutative structure) share one family; each
+transfer map sees each operand once per run; and the semifield predicates
+and fuzzy conditions are decided once.  Every suite also runs in the
+workspace's one frame, `Workspace.run_suite`, which times it, turns a gate
+or a cap hit into a precondition-unmet report, and assembles the
+VerificationReport.
 Biconditionals are checked as two independent implications so a failure
 localizes; clause-level preconditions (unity presence) are gated as
 precondition-unmet rather than guessed around.  All enumeration happens at
@@ -19,11 +24,12 @@ a witness's `Fraction` grades come from its one row.  Semifield
 conditions are decided on ranks.  The transfer maps are mins of ranks
 (`_MAPS`), and `Workspace.transfer` maps a whole family at once: its ids
 become one rank array, the map takes its mins on it, and the result is cut
-again into ids.  Each family's images are kept with the family
-(`Workspace.pairs`), shared by prop3.4 and th3.8, so th3.8[two] after
-prop3.4 maps nothing.  A pair check is then decided on crisp cuts when
-two conditions hold, both checked, not assumed: the
-family has a `LevelCuts.basis` (it is every descending multichain of its D
+again into ids.  One memo per map (`_Memo`) keeps what the map gave, so
+the round trips of prop3.4, th3.8 on a family already lifted and the
+lemmas' characteristic functions are lookups.  Each family's images are
+kept with the family (`Workspace.pairs`), shared by prop3.4 and th3.8.
+A pair check is then decided on crisp cuts when two conditions hold, both
+checked, not assumed: the family has a `LevelCuts.basis` (it is every descending multichain of its D
 crisp masks, and those are closed under sum and meet), and the map acted
 cut by cut on its N members, by one crisp map of masks (`_Pairs.crisp`).
 Then the check holds on all N x N fuzzy pairs exactly when it holds on the
@@ -40,7 +46,7 @@ mask maps `image_contained` and `pair_fixed`, and the level-cut tables.
 from __future__ import annotations
 
 import time
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -90,14 +96,21 @@ class Workspace:
     Each is built on first use and then shared by every suite of the run:
     the left and right operator semirings L and R, their unity flags, the
     matrix instance, the level-cut view of each structure (`level_cuts`),
-    which enumerates its ideal families once per kind, those families (crisp
-    ideals as masks, fuzzy ideals as id arrays: `fuzzy_family` is the one
-    fuzzy family the suites read), and each fuzzy family with its images
-    under a transfer map (`pairs`, from `transfer`) for the pair checks.  A
-    family is named by the structure it lives on, "S" (the structure
-    itself), "L", "R" or "M" (the matrix instance), and by its ideal kind.
-    Crisp families are tuples and fuzzy ones read-only arrays, so no suite
-    can change what the next suite sees.  A plain semiring has only "S".
+    which enumerates its ideal families once per distinct absorption images,
+    those families (crisp ideals as masks, fuzzy ideals as id arrays:
+    `fuzzy_family` is the one fuzzy family the suites read), each fuzzy
+    family with its images under a transfer map (`pairs`, from `transfer`)
+    for the pair checks, the images each transfer map gave (one `_Memo` per
+    map), and the semifield predicates and conditions (`fact`,
+    `semifield_condition`).  A family is named by the structure it lives
+    on, "S" (the structure itself), "L", "R" or "M" (the matrix instance),
+    and by its ideal kind; kinds with equal absorption images on that
+    structure name one family (`LevelCuts.canonical`), so they share its
+    arrays, its images and its pair tables.  Crisp families are tuples and
+    fuzzy ones read-only arrays, so no suite can change what the next suite
+    sees.  A plain semiring has only "S".  Every memo of a run lives here or
+    in an object the workspace owns (a view, an operator semiring), and
+    none refers back to the workspace, so dropping it frees the run.
 
     A build that hits a cap is attempted once: its `core.CapExceeded` is
     kept and raised again on every access, so each suite that needs it is
@@ -108,6 +121,9 @@ class Workspace:
         self.structure = structure
         self.config = config or RunConfig()
         self._built: dict[object, object] = {}
+        # one `_Memo` per transfer map object, by (side, direction, map); a
+        # table of its own, so a map closure that holds it holds no cycle
+        self._memos: dict[tuple, _Memo] = {}
 
     def _once(self, key, build: Callable[[], object]):
         """What build() returns, built on the first use of `key`; a cap hit
@@ -174,7 +190,8 @@ class Workspace:
     def fuzzy_family(self, side: str, kind: str = "two") -> np.ndarray:
         """The fuzzy ideals over the config's chain, as the read-only
         (N, m-1) array of the ids of their cuts, in enumeration order
-        (`LevelCuts.fuzzy_ideals`)."""
+        (`LevelCuts.fuzzy_ideals`); one array for the kinds that share it."""
+        kind = self.level_cuts(side).canonical(kind)
         return self._once(("family", side, kind), lambda: self.level_cuts(side).fuzzy_ideals(
             kind, self.config.enum_cap))
 
@@ -182,35 +199,55 @@ class Workspace:
         """A transfer map between S and `side` ("L", "R", or "M" for th3.19's
         lift) on id arrays: direction "lift" takes the (..., m-1) ids of
         subsets' cuts on S to the ids of their images' cuts on the side,
-        "restrict" takes them back.  The distinct operands go through the
-        map of `_MAPS`, looked up at each call, as one rank array."""
+        "restrict" takes them back.  The map is the one `_MAPS` holds at the
+        call, and the run keeps one `_Memo` per map object: only the
+        operands that map has not seen go through it, as one rank array."""
         source, target = self.level_cuts("S"), self.level_cuts(side)
         if direction == "restrict":
             source, target = target, source
         over = self.left if side == "L" else self.right if side == "R" else self.matrix
+        memos = self._memos
 
         def apply(ids: np.ndarray) -> np.ndarray:
-            rows = ids.reshape(-1, ids.shape[-1])
-            first, where = source.distinct_rows(rows)
-            images = target.family_of_ranks(_MAPS[side, direction](over, source.rank_array(rows[first])))
-            return images[where].reshape(ids.shape)
+            ranks_map = _MAPS[side, direction]
+            memo = memos.setdefault((side, direction, ranks_map), _Memo())
+            images = memo(ids.reshape(-1, ids.shape[-1]), lambda rows: target.family_of_ranks(
+                ranks_map(over, source.rank_array(rows))))
+            return images.reshape(ids.shape)
 
         return apply
 
     def pairs(self, side: str, direction: str, kind: str = "two") -> "_Pairs":
         """The fuzzy ideals of the kind that `transfer(side, direction)`
-        takes as operands, with their images, for the pair checks."""
+        takes as operands, with their images, for the pair checks; one for
+        the kinds that share a family."""
         source = "S" if direction == "lift" else side
         target = side if direction == "lift" else "S"
+        kind = self.level_cuts(source).canonical(kind)
         return self._once(("pairs", side, direction, kind), lambda: _Pairs(
             self.level_cuts(source), self.level_cuts(target),
             self.fuzzy_family(source, kind), self.transfer(side, direction),
         ))
 
     def crisp_ideals(self, side: str, kind: str = "two") -> tuple[int, ...]:
-        """Crisp ideals as masks, in enumeration order (`LevelCuts.crisp_ideals`)."""
+        """Crisp ideals as masks, in enumeration order (`LevelCuts.crisp_ideals`);
+        one tuple for the kinds that share it."""
+        kind = self.level_cuts(side).canonical(kind)
         return self._once(("crisp", side, kind), lambda: self.level_cuts(side).crisp_ideals(
             kind, self.config.enum_cap))
+
+    def fact(self, name: str, side: str = "S"):
+        """`core.<name>` of the structure on a side ("S" or "L"): the
+        predicates and witnesses that th3.17, th3.18 and transfer-semifield
+        share, each computed once per run.  The function is looked up at
+        the first call."""
+        return self._once(("fact", name, side), lambda: getattr(core, name)(self.structure_on(side)))
+
+    def semifield_condition(self, side: str) -> tuple[bool, Optional[np.ndarray]]:
+        """The fuzzy semifield condition on the side's fuzzy ideals
+        (`_fuzzy_semifield_condition`), decided once per run."""
+        return self._once(("semifield condition", side), lambda: _fuzzy_semifield_condition(
+            self.level_cuts(side), self.fuzzy_family(side)))
 
     def run_suite(
         self,
@@ -261,8 +298,12 @@ class Workspace:
 # maps over (the operator semiring, or the matrix instance for "M") and an
 # (N, n) rank array, and gives the (N, n') ranks of the images, each rank the
 # least along one row of the operator's action table (lift), its pair-class
-# table (restrict) or the matrix entries.  The suites look a map up here at
-# each call, so a map installed in this table sees every call.
+# table (restrict) or the matrix entries.  A map must map each row on its
+# own: the image of a row may not depend on the other rows of the call.
+# That makes the run's memo exact: `Workspace.transfer` keeps one `_Memo` per
+# map object and hands the map only rows that map object has not mapped.
+# The suites look a map up here at each call, so a map installed in this
+# table gets a fresh memo and sees every operand the suites ask it for.
 _MAPS: dict[tuple[str, str], Callable[[object, np.ndarray], np.ndarray]] = {
     ("L", "lift"): lambda op, ranks: min_ranks(ranks, op.value_rows),
     ("L", "restrict"): lambda op, ranks: min_ranks(ranks, op.pair_rows),
@@ -270,6 +311,47 @@ _MAPS: dict[tuple[str, str], Callable[[object, np.ndarray], np.ndarray]] = {
     ("R", "restrict"): lambda op, ranks: min_ranks(ranks, op.pair_rows),
     ("M", "lift"): lambda mg, ranks: min_ranks(ranks, mg.s_entries),
 }
+
+
+class _Memo:
+    """What one transfer map gave, by operand, in blocks, one per call that
+    brought operands the map had not seen: the row keys (`core._row_keys`)
+    of those source id rows, the order that sorts the keys, and the target
+    id rows of their images.  An operand is found by binary search in each
+    block, as `LevelCuts.rows_in` finds rows.  A call whose rows are all new
+    and distinct, such as a whole family, keeps its own arrays as its block
+    and returns the images it keeps, read-only, so the memo copies nothing
+    of what the caller holds anyway."""
+
+    def __init__(self):
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def __call__(self, rows: np.ndarray, mapped: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """The images of an (R, m-1) id array: mapped(new), called once
+        when some rows are new, maps the distinct ones."""
+        keys = core._row_keys(rows)
+        images = np.empty(rows.shape, dtype=np.intp)
+        missing = np.ones(len(rows), dtype=bool)
+        for known, order, known_images in self.blocks:
+            at = order[np.searchsorted(known, keys, sorter=order).clip(max=len(order) - 1)]
+            hit = missing & (known[at] == keys)
+            images[hit] = known_images[at[hit]]
+            missing &= ~hit
+        rest = np.flatnonzero(missing)
+        if not len(rest):
+            return images
+        first, where = np.unique(
+            keys if len(rest) == len(rows) else keys[rest], return_index=True, return_inverse=True)[1:]
+        if len(first) == len(rows):  # all new, each once
+            fresh = mapped(rows)
+            fresh.setflags(write=False)
+            self.blocks.append((keys, first.astype(np.min_scalar_type(len(first))), fresh))
+            return fresh
+        new = rest[first]  # in the order of their keys
+        fresh = mapped(rows[new])
+        images[rest] = fresh[where]
+        self.blocks.append((keys[new], np.arange(len(new), dtype=np.min_scalar_type(len(new))), fresh))
+        return images
 
 
 class _Pairs:
@@ -598,10 +680,12 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
     The crisp ideals and their images are masks (`Workspace.crisp_ideals`,
     `OperatorSemiring.image_contained` and `pair_fixed`), and the
     characteristic function of I is the member (I, ..., I) over the
-    config's chain, one interned id repeated, so the characteristic
-    functions of every kind are lifted, and restricted, as one family by the
-    run's maps (`Workspace.transfer`), and each kind's identities and ideal
-    tests are array operations on ids."""
+    config's chain, one interned id repeated, so each family's
+    characteristic functions are lifted, and restricted, at once by the
+    run's maps (`Workspace.transfer`), whose memos already hold every one
+    that is a fuzzy ideal mapped by an earlier suite; the identities and
+    ideal tests are array operations on ids.  Kinds whose families are the
+    same on both sides (`LevelCuts.canonical`) are checked once."""
 
     def check(counts, notes):
         left = ws.left
@@ -613,31 +697,25 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
             ("L", "S", left.pair_fixed, ws.transfer("L", "restrict"),
              "characteristic-restrict", "preimage-is-ideal", "preimage"),
         )
-        kinds = ("two", "right", "left")
         counts["identities_checked"] = 0
-
-        @cache
-        def transferred(source, transfer) -> dict[int, np.ndarray]:
-            """Each crisp ideal I of the source, of any kind, with the ids of
-            the cuts of the map's image of (I, ..., I): every kind in one
-            call."""
-            ideals = sorted({ideal for kind in kinds for ideal in ws.crisp_ideals(source, kind)})
-            ids = ws.level_cuts(source).mask_ids(ideals)
-            return dict(zip(ideals, transfer(np.repeat(ids[:, None], width, axis=1))))
-
-        for kind in kinds:
+        passed = {}  # identities checked by each passing direction, by its families
+        for kind in ("two", "right", "left"):
             for side in "SL":
                 counts[f"ideals_{side}[{kind}]"] = len(ws.crisp_ideals(side, kind))
             for source, target, correspond, transfer, moved, not_ideal, label in directions:
                 on_source, on_target = ws.level_cuts(source), ws.level_cuts(target)
-                mapped = transferred(source, transfer)
+                families = (source, on_source.canonical(kind), on_target.canonical(kind))
+                if families in passed:
+                    counts["identities_checked"] += passed[families]
+                    continue
                 ideals = ws.crisp_ideals(source, kind)
+                mapped = transfer(np.repeat(on_source.mask_ids(ideals)[:, None], width, axis=1))
                 images = [correspond(ideal) for ideal in ideals]
                 image_ids = on_target.mask_ids(images)[:, None]
-                moves = (np.stack([mapped[ideal] for ideal in ideals]) != image_ids).any(axis=1)
+                moves = (mapped != image_ids).any(axis=1)
                 # an ideal is non-empty; a non-empty absorbing cut contains 0
                 failed = moves | ~on_target.ideal_rows(image_ids, kind)
-                k = int(failed.argmax()) if failed.any() else len(ideals)
+                k = passed[families] = int(failed.argmax()) if failed.any() else len(ideals)
                 counts["identities_checked"] += k
                 if k < len(ideals):
                     failure = {"check": moved, "kind": kind, "ideal": on_source.ids(ideals[k])}
@@ -720,21 +798,23 @@ def _fuzzy_semifield_condition(view: LevelCuts, ideals: np.ndarray) -> tuple[boo
 
 def _semifield_biconditional(
     semifield: bool,
-    view: LevelCuts,
-    ideals: np.ndarray,
+    ws: Workspace,
+    side: str,
     name: str,
     not_semifield_witness: Callable[[], dict],
     counts: dict,
     notes: list[str],
 ) -> Optional[dict]:
-    """Check `semifield <=> the fuzzy semifield condition on ideals` (a
-    family of the view) as two implications, recording the ideal counts and
-    one note per implication decided.
+    """Check `semifield <=> the fuzzy semifield condition on the fuzzy
+    ideals of the side` (`Workspace.semifield_condition`) as two
+    implications, recording the ideal counts and one note per implication
+    decided.
 
     `name` is the structural property ("semifield" or "gamma-semifield");
     `not_semifield_witness()` gives the payload showing the structure lacks
     it.  Returns the counterexample, or None when both implications hold."""
-    holds, violator = _fuzzy_semifield_condition(view, ideals)
+    holds, violator = ws.semifield_condition(side)
+    view, ideals = ws.level_cuts(side), ws.fuzzy_family(side)
     counts["fuzzy_ideals"] = len(ideals)
     counts["nonconstant_ideals"] = int((~view.constant_rows(ideals)).sum())
     if semifield and not holds:
@@ -761,8 +841,8 @@ def _semifield_biconditional(
     return None
 
 
-def _zdf_failure_note(g: core.GammaSemiring) -> str:
-    w = core.zdf_witness(g)
+def _zdf_failure_note(ws: Workspace) -> str:
+    g, w = ws.structure, ws.fact("zdf_witness")
     return (
         "precondition failed: not zero-divisor free, witness "
         f"{g.S[w[0]]}@{g.G[w[1]]}@{g.S[w[2]]} = {g.S[0]}"
@@ -782,14 +862,14 @@ def verify_theorem_3_17(ws: Workspace, side: str = "S") -> VerificationReport:
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
         r = ws.structure_on(side)
-        if not core.mul_commutative(r):
+        if not ws.fact("mul_commutative", side):
             raise core.PreconditionUnmet("multiplication is not commutative")
         if len(r.carrier) == 1:
             raise core.PreconditionUnmet(
                 "degenerate one-element semiring; nonzero quantifiers are vacuous"
             )
 
-        semifield = core.is_semifield(r)
+        semifield = ws.fact("is_semifield", side)
         inverse_view = core.semifield_inverse_view(r)
         if inverse_view is None:
             notes.append("inverse-based cross-check undecided (no multiplicative identity)")
@@ -802,7 +882,7 @@ def verify_theorem_3_17(ws: Workspace, side: str = "S") -> VerificationReport:
             )
 
         return _semifield_biconditional(
-            semifield, ws.level_cuts(side), ws.fuzzy_family(side), "semifield",
+            semifield, ws, side, "semifield",
             lambda: {
                 "nonzero_proper_ideal": [r.carrier[i] for i in (core.semifield_witness(r) or ())],
             },
@@ -819,20 +899,19 @@ def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
 
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
-        commutative = core.is_commutative(g)
-        zdf = core.is_zdf(g) if commutative else None
+        commutative = ws.fact("is_commutative")
+        zdf = ws.fact("zdf_witness") is None if commutative else None
         if not commutative or not zdf or len(g.S) == 1:
             if not commutative:
                 notes.append("precondition failed: product is not commutative")
             elif not zdf:
-                notes.append(_zdf_failure_note(g))
+                notes.append(_zdf_failure_note(ws))
             else:
                 notes.append("degenerate one-element carrier; nonzero quantifiers are vacuous")
             # diagnostics still run so the report explains the instance
             if commutative and len(g.S) > 1:
-                on_s = ws.level_cuts("S")
-                holds, violator = _fuzzy_semifield_condition(on_s, ws.fuzzy_family("S"))
-                notes.append(f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}")
+                on_s, (holds, violator) = ws.level_cuts("S"), ws.semifield_condition("S")
+                notes.append(f"diagnostic: gamma-semifield predicate = {ws.fact('is_gamma_semifield')}")
                 if violator is not None:
                     notes.append(
                         f"diagnostic: fuzzy condition violated by {on_s.subset(violator).to_mapping()}"
@@ -846,8 +925,7 @@ def verify_theorem_3_18(ws: Workspace) -> VerificationReport:
             return {"pair_without_inverse": None if w is None else [g.S[w[0]], g.G[w[1]]]}
 
         return _semifield_biconditional(
-            core.is_gamma_semifield(g), ws.level_cuts("S"), ws.fuzzy_family("S"), "gamma-semifield",
-            pair_without_inverse, counts, notes,
+            ws.fact("is_gamma_semifield"), ws, "S", "gamma-semifield", pair_without_inverse, counts, notes,
         )
 
     return ws.run_suite("th3.18", check, chain)
@@ -861,15 +939,15 @@ def verify_semifield_transfer(ws: Workspace) -> VerificationReport:
 
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
-        commutative = core.is_commutative(g)
-        zdf = core.is_zdf(g) if commutative else None
+        commutative = ws.fact("is_commutative")
+        zdf = ws.fact("zdf_witness") is None if commutative else None
         left = ws.left
 
         gate_notes = []
         if not commutative:
             gate_notes.append("precondition failed: product is not commutative")
         elif not zdf:
-            gate_notes.append(_zdf_failure_note(g))
+            gate_notes.append(_zdf_failure_note(ws))
         if len(g.S) == 1:
             gate_notes.append("degenerate one-element carrier")
         if not (ws.left_unity and ws.right_unity):
@@ -877,30 +955,28 @@ def verify_semifield_transfer(ws: Workspace) -> VerificationReport:
         if gate_notes:
             if commutative and len(g.S) > 1:
                 gate_notes.append(
-                    f"diagnostic: gamma-semifield predicate = {core.is_gamma_semifield(g)}"
+                    f"diagnostic: gamma-semifield predicate = {ws.fact('is_gamma_semifield')}"
                 )
-                if core.mul_commutative(left.semiring):
+                if ws.fact("mul_commutative", "L"):
                     gate_notes.append(
                         f"diagnostic: operator-side semifield predicate = "
-                        f"{core.is_semifield(left.semiring)}"
+                        f"{ws.fact('is_semifield', 'L')}"
                     )
             raise core.PreconditionUnmet(*gate_notes)
 
-        gamma_side = core.is_gamma_semifield(g)
-        if not core.mul_commutative(left.semiring):
+        gamma_side = ws.fact("is_gamma_semifield")
+        if not ws.fact("mul_commutative", "L"):
             raise core.PreconditionUnmet("operator semiring multiplication is not commutative")
-        operator_side = core.is_semifield(left.semiring)
+        operator_side = ws.fact("is_semifield", "L")
         counts["carrier_S"] = len(g.S)
         counts["carrier_L"] = len(left)
         notes.append(f"gamma-semifield predicate: {gamma_side}")
         notes.append(f"operator-side semifield predicate: {operator_side}")
 
-        ideals_s = ws.fuzzy_family("S")
-        holds_s, _ = _fuzzy_semifield_condition(ws.level_cuts("S"), ideals_s)
-        ideals_l = ws.fuzzy_family("L")
-        holds_l, _ = _fuzzy_semifield_condition(ws.level_cuts("L"), ideals_l)
-        counts["fuzzy_ideals_S"] = len(ideals_s)
-        counts["fuzzy_ideals_L"] = len(ideals_l)
+        holds_s, _ = ws.semifield_condition("S")
+        holds_l, _ = ws.semifield_condition("L")
+        counts["fuzzy_ideals_S"] = len(ws.fuzzy_family("S"))
+        counts["fuzzy_ideals_L"] = len(ws.fuzzy_family("L"))
         notes.append(f"fuzzy characterization on the base: {holds_s}")
         notes.append(f"fuzzy characterization on the operator side: {holds_l}")
         if gamma_side != operator_side:

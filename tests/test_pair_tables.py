@@ -352,12 +352,15 @@ def _ranks(ws, side, kind="two"):
 
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_pair_checks_call_each_map_once_per_operand(monkeypatch, instance):
-    """prop3.4, th3.8 of both kinds and the lemmas map whole families: one
-    call per family and map, each on distinct operands.  prop3.4 makes four
-    a side (the ideals of S and of the side, and the round trips of their
-    images), th3.8[two] after prop3.4 makes none, since prop3.4 lifted every
-    fuzzy ideal of S, th3.8[right] one, and the lemmas one per direction,
-    for the crisp ideals of every kind."""
+    """prop3.4, th3.8 of both kinds and the lemmas map whole families, and
+    each map is called only on operands it has not mapped in the run, each
+    once.  prop3.4 makes two calls a side, on the ideals of S and of the
+    side: on these commutative instances with both unities the lifts of the
+    ideals of S are the ideals of the side and the restrictions those of S,
+    so the round trips are lookups.  th3.8[two] after prop3.4 makes none,
+    since prop3.4 lifted every fuzzy ideal of S; nor does th3.8[right],
+    since the right ideals are the two-sided ones here; nor do the lemmas,
+    since each characteristic function (I, ..., I) is a fuzzy ideal."""
     ws = _workspace(instance)
     calls = _record_calls(monkeypatch)
     made = {}
@@ -370,7 +373,7 @@ def test_pair_checks_call_each_map_once_per_operand(monkeypatch, instance):
         before = len(calls)
         assert suite(ws).status == PASS, name
         made[name] = len(calls) - before
-    assert made == {"prop3.4": 8, "th3.8[two]": 0, "th3.8[right]": 1, "lemmas": 2}
+    assert made == {"prop3.4": 4, "th3.8[two]": 0, "th3.8[right]": 0, "lemmas": 0}
     assert all(len(set(operands)) == len(operands) for _, _, operands in calls)
     side, direction, operands = calls[0]
     assert (side, direction, sorted(operands)) == ("L", "lift", sorted(_ranks(ws, "S")))
@@ -378,28 +381,44 @@ def test_pair_checks_call_each_map_once_per_operand(monkeypatch, instance):
 
 def test_th38_right_lifts_the_right_family_in_one_call(monkeypatch, upper_triangular):
     """On the non-commutative upper-triangular instance, th3.8[right] after
-    prop3.4 lifts the fuzzy right ideals of S, two-sided ones included, in
-    one call."""
+    prop3.4 lifts, in one call, the fuzzy right ideals of S that prop3.4
+    did not lift: the 27 that are not two-sided."""
     ws = verify.Workspace(upper_triangular, RunConfig(chain=CHAIN))
-    verify.verify_prop_3_4(ws)
     calls = _record_calls(monkeypatch)
+    verify.verify_prop_3_4(ws)
+    del calls[:]
     verify.verify_theorem_3_8(ws, "right")
     two, right = _ranks(ws, "S"), _ranks(ws, "S", "right")
     assert set(two) & set(right) and set(right) - set(two)
     [(side, direction, operands)] = calls
-    assert (side, direction, sorted(operands)) == ("L", "lift", sorted(right))
+    assert (side, direction, sorted(operands)) == ("L", "lift", sorted(set(right) - set(two)))
+    assert len(operands) == 27
 
 
 def test_a_wrapper_installed_after_the_workspace_sees_every_call(monkeypatch):
     """The workspace looks each map up in `verify._MAPS` at call time, so a
     wrapper installed after the workspace and its lift are built still sees
-    every lift, the first on the fuzzy ideals of S."""
+    every lift, the first on the fuzzy ideals of S.  Each map object gets a
+    memo of its own: a wrapper installed after the memo of the real maps
+    has filled sees the operands the suite maps anew, each once: the round
+    trips of a second prop3.4, whose families' images the workspace keeps,
+    restrict the ideals of L and lift those of S again."""
     ws = _workspace("z4")
     ws.transfer("L", "lift")
     calls = _record_calls(monkeypatch)
     assert verify.verify_prop_3_4(ws).status == PASS
     lifts = [operands for side, direction, operands in calls if (side, direction) == ("L", "lift")]
     assert sorted(lifts[0]) == sorted(_ranks(ws, "S"))
+
+    later = _record_calls(monkeypatch)
+    assert verify.verify_prop_3_4(ws).status == PASS
+    for side in "LR":
+        seen = {
+            direction: [row for s, d, rows in later if (s, d) == (side, direction) for row in rows]
+            for direction in ("lift", "restrict")
+        }
+        assert sorted(seen["lift"]) == sorted(_ranks(ws, "S"))
+        assert sorted(seen["restrict"]) == sorted(_ranks(ws, side))
 
 
 # per-subset transfer-map calls (`gsl.transfer`) of run_all over the `pairs`

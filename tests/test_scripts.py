@@ -17,6 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
         ("mutation_sweep.py", ("boolean", "--max-report", "0")),
         ("run_suites.py", ("--instances", "from_B3")),
         ("mutation_sweep.py", ("boolean[2x2]", "--sample", "100", "--max-report", "0")),
+        ("run_suites.py", ("--instances", "boolean[2x2]")),
     ],
 )
 def test_script_exits_zero(script, args):

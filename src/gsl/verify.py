@@ -321,7 +321,8 @@ class _Memo:
     block, as `LevelCuts.rows_in` finds rows.  A call whose rows are all new
     and distinct, such as a whole family, keeps its own arrays as its block
     and returns the images it keeps, read-only, so the memo copies nothing
-    of what the caller holds anyway."""
+    of what the caller holds anyway; no caller writes to an operand array
+    after the call."""
 
     def __init__(self):
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []

@@ -57,10 +57,13 @@ def test_a_run_frees_what_it_derived(monkeypatch):
 
         monkeypatch.setattr(owner, "__init__", recording)
     real_build = verify.build_operator_semiring
-    monkeypatch.setattr(
-        verify, "build_operator_semiring",
-        lambda *args, **kwargs: refs.append(weakref.ref(op := real_build(*args, **kwargs))) or op,
-    )
+
+    def build(*args, **kwargs):
+        op = real_build(*args, **kwargs)
+        refs.append(weakref.ref(op))
+        return op
+
+    monkeypatch.setattr(verify, "build_operator_semiring", build)
     gc.collect()
     gc.disable()
     try:
@@ -90,7 +93,7 @@ def test_repeated_cli_runs_keep_traced_memory_flat(tmp_path):
     tracemalloc.start()
     try:
         sizes = []
-        for k in range(30):
+        for _ in range(30):
             run()
             gc.collect()
             sizes.append(tracemalloc.get_traced_memory()[0])

@@ -16,7 +16,6 @@ Example:
 """
 
 import argparse
-import dataclasses
 import itertools
 import random
 import sys
@@ -42,13 +41,14 @@ def main() -> int:
         raise SystemExit(f"unknown instance {args.instance!r}")
 
     s, gg = len(g.S), len(g.G)
-    addS, addG, _ = g.tables
+    addS, addG, product = g.tables
     generators = (core._greedy_generators(addS), core._greedy_generators(addG))
+    cells = product.tolist()
     mutants = [
         (a, c, b, v)
         for a, c, b in itertools.product(range(s), range(gg), range(s))
         for v in range(s)
-        if v != g.prod[a][c][b]
+        if v != cells[a][c][b]
     ]
     if args.sample:
         mutants = random.Random(0).sample(mutants, min(args.sample, len(mutants)))
@@ -56,9 +56,9 @@ def main() -> int:
     shown = 0
     for a, c, b, v in mutants:
         total += 1
-        prod = [list(map(list, plane)) for plane in g.prod]
-        prod[a][c][b] = v
-        mutant = dataclasses.replace(g, name="mutant", prod=prod)
+        prod = product.copy()
+        prod[a, c, b] = v
+        mutant = core.GammaSemiring("mutant", g.S, g.G, addS, addG, prod)
         outcome = core.validate_gamma_semiring(mutant)
         agree += core.validate_gamma_semiring(mutant, generators) == outcome
         if outcome.ok:

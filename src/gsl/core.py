@@ -7,11 +7,14 @@ a@(b#c) = (a@b)#c.  Carriers are ordered tuples of element ids with the
 additive zero pinned at index 0; every operation table stores carrier
 indices, so all laws are decidable by direct enumeration.
 
-The tuple fields are a structure's value (equality, hashing, the scalar
-predicates); `tables` holds one read-only array per table in the narrowest
-index dtype, built once, and every array layer reads it.  Structures
-computed as arrays are built by `from_arrays`, which checks shapes and
-bounds vectorised and keeps the arrays it is given as `tables`.
+A structure stores its tables once, as `tables`: one read-only array per
+table in the narrowest index dtype, copied from the nested sequences or
+arrays the constructor is given after one vectorised check of shapes and
+bounds.  Every array layer, the predicates included, reads them; `==` and
+`hash` read their bytes.  The table names (``addS``, ``prod``, ``mul``, ...)
+are nested-tuple views built on first read, for the plain-loop readers:
+the witness replay below, the reference ideal predicates and the additive
+carrier of a fuzzy subset.
 
 Axiom validation runs vectorised scans over the full quantifier space and
 reports, for each violated law, the lexicographically first witness tuple.
@@ -24,7 +27,7 @@ independently of the vectorised path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -78,109 +81,97 @@ class CapExceeded(RuntimeError):
         self.counts = counts
 
 
-def _freeze2(table) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(map(int, row)) for row in table)
-
-
-def _freeze3(table) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(tuple(tuple(map(int, row)) for row in plane) for plane in table)
-
-
 def _tuples(rows: list) -> tuple:
     """Nested lists of ints (from `tolist()`, two or more levels) as nested tuples."""
     return tuple(map(_tuples, rows)) if isinstance(rows[0][0], list) else tuple(map(tuple, rows))
 
 
-def _store_tables(structure, tables, *sizes: int) -> tuple[np.ndarray, ...]:
-    """Keep read-only copies of the tables, in the index dtype of carriers of
-    these sizes, as the structure's `tables`."""
-    arrays = structure.__dict__["tables"] = tuple(np.array(t, dtype=_index_dtype(*sizes)) for t in tables)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+def _view(i: int) -> cached_property:
+    """Table i of `tables` as nested tuples of Python ints, built on first read."""
+    return cached_property(lambda self: _tuples(self.tables[i].tolist()))
 
 
-def _from_arrays(cls, name: str, carriers, arrays, shapes):
-    """cls(name, *carriers, *arrays) for integer arrays of these shapes, each
-    entry below its table's last dimension.  The check is vectorised; when
-    it fails, the tuple path's structural check raises, with its text."""
-    if not all(c and len(set(c)) == len(c) for c in carriers) or not all(
-        a.shape == shape and 0 <= a.min() and a.max() < shape[-1] for a, shape in zip(arrays, shapes)
-    ):
-        cls(name, *carriers, *(a.tolist() for a in arrays)).tables  # raises StructuralError
-    structure = object.__new__(cls)
-    values = (name, *(tuple(map(str, c)) for c in carriers), *(_tuples(a.tolist()) for a in arrays))
-    for f, value in zip(fields(cls), values):
-        object.__setattr__(structure, f.name, value)
-    _store_tables(structure, arrays, *map(len, carriers))
-    return structure
+class _Structure:
+    """A structure is its name, its carriers of element ids and `tables`,
+    one read-only array per table; `==` and `hash` read those, the tables as
+    bytes (canonical, since the dtype depends only on the carrier sizes)."""
+
+    def _store(self, name: str, carriers, tables, axes, check) -> None:
+        """Keep the name, the carriers as ids and the tables (nested
+        sequences or arrays, table k over the carriers `axes[k]`) as
+        read-only copies in the index dtype of the carriers, after one
+        vectorised check of the ids, the shapes and the bounds; when it
+        fails, check(*carriers, *tables) raises the StructuralError that
+        names the first fault."""
+        carriers = [tuple(map(str, c)) for c in carriers]
+        shapes = [tuple(len(carriers[i]) for i in axis) for axis in axes]
+        try:
+            arrays = [np.asarray(t) for t in tables]
+        except ValueError:  # ragged rows
+            arrays = None
+        if arrays is None or not all(c and len(set(c)) == len(c) for c in carriers) or not all(
+            a.shape == shape and a.dtype.kind in "biu" and 0 <= a.min() and a.max() < shape[-1]
+            for a, shape in zip(arrays, shapes)
+        ):
+            check(*carriers, *tables)
+        stored = tuple(a.astype(_index_dtype(*map(len, carriers))) for a in arrays)
+        for a in stored:
+            a.setflags(write=False)
+        for f, value in zip(fields(self), (name, *carriers, stored)):
+            object.__setattr__(self, f.name, value)
+
+    def _key(self) -> tuple:
+        name, *ids, tables = (getattr(self, f.name) for f in fields(self))
+        return (name, *ids, *(t.tobytes() for t in tables))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class GammaSemiring:
+@dataclass(frozen=True, init=False, eq=False)
+class GammaSemiring(_Structure):
     """Finite gamma-semiring: carriers S and G plus addition/product tables.
 
-    ``addS`` and ``addG`` are |S|x|S| and |G|x|G| index tables; ``prod`` is
-    indexed ``prod[a][g][b]`` and yields the S-index of the ternary product.
-    Index 0 of each carrier is its additive zero.  Instances are immutable
-    and safe to share across workers once validated.
+    The constructor takes the tables as nested sequences or arrays:
+    ``addS`` and ``addG``, |S|x|S| and |G|x|G| index tables, and ``prod``,
+    indexed ``prod[a][g][b]``, the S-index of the ternary product.  Index 0
+    of each carrier is its additive zero.  It raises StructuralError on
+    malformed tables and keeps copies as `tables`; ``addS``, ``addG`` and
+    ``prod`` read them back as nested tuples.  Instances are immutable and
+    safe to share across workers once validated.
     """
 
     name: str
     S: tuple[str, ...]
     G: tuple[str, ...]
-    addS: tuple[tuple[int, ...], ...]
-    addG: tuple[tuple[int, ...], ...]
-    prod: tuple[tuple[tuple[int, ...], ...], ...]
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "S", tuple(str(x) for x in self.S))
-        object.__setattr__(self, "G", tuple(str(x) for x in self.G))
-        object.__setattr__(self, "addS", _freeze2(self.addS))
-        object.__setattr__(self, "addG", _freeze2(self.addG))
-        object.__setattr__(self, "prod", _freeze3(self.prod))
+    def __init__(self, name: str, S, G, addS, addG, prod):
+        self._store(name, (S, G), (addS, addG, prod), ((0, 0), (1, 1), (0, 1, 0)), check_gamma_structure)
 
-    @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(addS, addG, prod) as read-only arrays in `_index_dtype`, built on
-        first use; StructuralError on malformed tables."""
-        check_gamma_structure(self)
-        return _store_tables(self, (self.addS, self.addG, self.prod), len(self.S), len(self.G))
-
-    @classmethod
-    def from_arrays(cls, name: str, S, G, addS, addG, prod) -> GammaSemiring:
-        """The gamma-semiring with these integer arrays as its tables."""
-        s, gg = len(S), len(G)
-        return _from_arrays(cls, name, (S, G), (addS, addG, prod), ((s, s), (gg, gg), (s, gg, s)))
+    addS, addG, prod = _view(0), _view(1), _view(2)
 
 
-@dataclass(frozen=True)
-class Semiring:
+@dataclass(frozen=True, init=False, eq=False)
+class Semiring(_Structure):
     """Finite semiring: additive commutative monoid, multiplicative semigroup,
-    two-sided distributivity, and a multiplicatively absorbing zero at index 0."""
+    two-sided distributivity, and a multiplicatively absorbing zero at index 0.
+    Built and stored as a GammaSemiring is: ``add`` and ``mul`` read `tables`
+    back as nested tuples."""
 
     name: str
     carrier: tuple[str, ...]
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
+    tables: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "carrier", tuple(str(x) for x in self.carrier))
-        object.__setattr__(self, "add", _freeze2(self.add))
-        object.__setattr__(self, "mul", _freeze2(self.mul))
+    def __init__(self, name: str, carrier, add, mul):
+        self._store(name, (carrier,), (add, mul), ((0, 0), (0, 0)), check_semiring_structure)
 
-    @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) as read-only arrays in `_index_dtype`, built on first
-        use; StructuralError on malformed tables."""
-        check_semiring_structure(self)
-        return _store_tables(self, (self.add, self.mul), len(self.carrier))
-
-    @classmethod
-    def from_arrays(cls, name: str, carrier, add, mul) -> Semiring:
-        """The semiring with these integer arrays as its tables."""
-        n = len(carrier)
-        return _from_arrays(cls, name, (carrier,), (add, mul), ((n, n), (n, n)))
+    add, mul = _view(0), _view(1)
 
     def index(self, elem_id: str) -> int:
         return self.carrier.index(elem_id)
@@ -226,16 +217,17 @@ def _check_ids(ids: tuple[str, ...], what: str) -> None:
         raise StructuralError(f"{what}: duplicate element ids")
 
 
-def check_gamma_structure(g: GammaSemiring) -> None:
-    """Raise StructuralError unless all tables are rectangular with valid indices."""
-    _check_ids(g.S, "S")
-    _check_ids(g.G, "G")
-    s, gg = len(g.S), len(g.G)
-    _check_square(g.addS, s, s, "add_S")
-    _check_square(g.addG, gg, gg, "add_G")
-    if len(g.prod) != s:
-        raise StructuralError(f"product: expected {s} planes, got {len(g.prod)}")
-    for a, plane in enumerate(g.prod):
+def check_gamma_structure(S, G, addS, addG, prod) -> None:
+    """Raise StructuralError unless the ids are distinct and non-empty and
+    all tables are rectangular with valid indices."""
+    _check_ids(S, "S")
+    _check_ids(G, "G")
+    s, gg = len(S), len(G)
+    _check_square(addS, s, s, "add_S")
+    _check_square(addG, gg, gg, "add_G")
+    if len(prod) != s:
+        raise StructuralError(f"product: expected {s} planes, got {len(prod)}")
+    for a, plane in enumerate(prod):
         if len(plane) != gg:
             raise StructuralError(f"product: plane {a} has {len(plane)} rows, expected {gg}")
         for row in plane:
@@ -246,25 +238,26 @@ def check_gamma_structure(g: GammaSemiring) -> None:
                     raise StructuralError(f"product: entry {v} out of range [0, {s})")
 
 
-def check_semiring_structure(r: Semiring) -> None:
-    _check_ids(r.carrier, "carrier")
-    n = len(r.carrier)
-    _check_square(r.add, n, n, "add")
-    _check_square(r.mul, n, n, "mul")
+def check_semiring_structure(carrier, add, mul) -> None:
+    _check_ids(carrier, "carrier")
+    n = len(carrier)
+    _check_square(add, n, n, "add")
+    _check_square(mul, n, n, "mul")
 
 
 # ---------------------------------------------------------------------------
 # axiom validation
 #
-# Each axiom has a vectorised mask builder (first witness = argwhere()[0],
-# which is the lexicographically smallest index tuple) and a scalar checker
-# used for independent witness replay.  The masks index the structure's
-# `tables`, in the smallest unsigned dtype that holds every carrier index
-# (uint8 up to 256 elements), so each gathered array costs one byte a cell,
-# not eight; the (|S||G|)^2|S| associativity mask dominates, and argwhere
-# runs only on a mask that has a true cell.  A distributive mask reads the
-# addition table at two product arrays as one flat take at x*|S| + y, which
-# is about four times faster than a gather with two broadcast index arrays.
+# Each axiom has a vectorised mask builder (first witness = the first true
+# cell in row-major order, argmax, which is the lexicographically smallest
+# index tuple, the first row of argwhere, without listing the others) and a
+# scalar checker used for independent witness replay.  The masks index the
+# structure's `tables`, in the smallest unsigned dtype that holds every
+# carrier index (uint8 up to 256 elements), so each gathered array costs one
+# byte a cell, not eight; the (|S||G|)^2|S| associativity mask dominates.
+# A distributive mask reads the addition table at two product arrays as one
+# flat take at x*|S| + y, which is about four times faster than a gather
+# with two broadcast index arrays.
 #
 # A caller that knows additive generators of S and G (sets whose closure
 # under binary addition is the whole carrier) can pass them.  Each
@@ -364,7 +357,7 @@ def _index_dtype(*sizes: int) -> np.dtype:
 def _first_witness(mask: np.ndarray) -> Optional[tuple[int, ...]]:
     if not mask.any():
         return None
-    return tuple(int(v) for v in np.argwhere(mask)[0])
+    return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
 def _ids_for(witness: tuple[int, ...], sig: str, lookup: dict) -> tuple[str, ...]:
@@ -470,10 +463,10 @@ def validate_gamma_semiring(
     g: GammaSemiring, generators: Optional[tuple[Sequence[int], Sequence[int]]] = None
 ) -> ValidationOutcome:
     """Check every gamma-semiring law on `g.tables`; report each violated
-    one with its lexicographically first witness.  Raises StructuralError
-    on malformed tables.  `generators`, a pair (indices into S, indices into
-    G) of additive generators, lets the distributive laws and associativity
-    be checked on generators (see the comment above), with the same outcome."""
+    one with its lexicographically first witness.  `generators`, a pair
+    (indices into S, indices into G) of additive generators, lets the
+    distributive laws and associativity be checked on generators (see the
+    comment above), with the same outcome."""
     A, B, P = g.tables
     dense = gens = (_ALL, _ALL)
     if generators is not None:
@@ -529,24 +522,18 @@ def recheck_violation(structure, violation: Violation) -> bool:
 
 def is_commutative(g: GammaSemiring) -> bool:
     """a@b == b@a for every a, b in S and @ in G."""
-    s, gg = len(g.S), len(g.G)
-    return all(
-        g.prod[a][c][b] == g.prod[b][c][a]
-        for a in range(s)
-        for c in range(gg)
-        for b in range(s)
-    )
+    P = g.tables[2]
+    return bool((P == P.transpose(2, 1, 0)).all())
+
+
+def _shifted(witness: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+    """A witness of a mask over the nonzero indices, as indices of the carriers."""
+    return witness and tuple(v + 1 for v in witness)
 
 
 def zdf_witness(g: GammaSemiring) -> Optional[tuple[int, int, int]]:
     """First (a, gamma, b), all nonzero, with a@b == 0; None if zero-divisor free."""
-    s, gg = len(g.S), len(g.G)
-    for a in range(1, s):
-        for c in range(1, gg):
-            for b in range(1, s):
-                if g.prod[a][c][b] == 0:
-                    return (a, c, b)
-    return None
+    return _shifted(_first_witness(g.tables[2][1:, 1:, 1:] == 0))
 
 
 def is_zdf(g: GammaSemiring) -> bool:
@@ -557,21 +544,10 @@ def is_zdf(g: GammaSemiring) -> bool:
 def gamma_semifield_witness(g: GammaSemiring) -> Optional[tuple[int, int]]:
     """First (a, gamma), both nonzero, admitting no (b, beta) with
     ((a@b)#d) == d for every d; None when every pair has one."""
-    s, gg = len(g.S), len(g.G)
-    for a in range(1, s):
-        for c in range(1, gg):
-            found = False
-            for b in range(s):
-                t = g.prod[a][c][b]
-                for beta in range(gg):
-                    if all(g.prod[t][beta][d] == d for d in range(s)):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return (a, c)
-    return None
+    P = g.tables[2]
+    # unit[t]: some beta makes t@beta@(.) the identity of S
+    unit = (P == np.arange(len(P))).all(axis=2).any(axis=1)
+    return _shifted(_first_witness(~unit[P[1:, 1:]].any(axis=2)))
 
 
 def is_gamma_semifield(g: GammaSemiring) -> bool:
@@ -590,14 +566,17 @@ def is_gamma_semifield(g: GammaSemiring) -> bool:
 
 
 def mul_commutative(r: Semiring) -> bool:
-    return all(row[j] == r.mul[j][i] for i, row in enumerate(r.mul) for j in range(len(row)))
+    M = r.tables[1]
+    return bool((M == M.T).all())
 
 
 def close(add, image, ideal: int, x: int) -> int:
     """The smallest ideal, as a bitmask, containing the ideal `ideal` (a
     bitmask closed under addition and the images) and element x: closed
     under the addition table `add`, and containing image[e], a bitmask, with
-    every member e.  All-zero images give the additive closure."""
+    every member e.  All-zero images give the additive closure.  `add`
+    holds Python ints (a tuple view or `tolist()`): a shift by a numpy
+    scalar keeps its dtype, so 1 << np.uint8(9) is 0."""
     members = [y for y in range(ideal.bit_length()) if ideal >> y & 1]
     todo = [x]
     while todo:
@@ -645,11 +624,11 @@ def _absorption_images(structure, kind: str) -> list[int]:
 def semifield_witness(r: Semiring) -> Optional[tuple[int, ...]]:
     """A nonzero proper crisp ideal (sorted indices), or None if none exists.
     Returns the principal ideal of the smallest generator that yields one."""
-    n = len(r.carrier)
+    n, add = len(r.carrier), r.tables[0].tolist()
     images = _absorption_images(r, "two")
-    bottom = close(r.add, images, 0, 0)
+    bottom = close(add, images, 0, 0)
     for x in range(1, n):
-        ideal = close(r.add, images, bottom, x)
+        ideal = close(add, images, bottom, x)
         if ideal != (1 << n) - 1:
             return tuple(i for i in range(n) if ideal >> i & 1)
     return None
@@ -672,17 +651,14 @@ def semifield_inverse_view(r: Semiring) -> Optional[bool]:
     """Cross-check predicate: every nonzero element has a multiplicative
     inverse relative to a detected identity.  None when no identity exists
     (or the carrier is trivial), in which case the view is undecided."""
-    n = len(r.carrier)
-    if n == 1:
+    M = r.tables[1]
+    if len(M) == 1:
         return None
-    identity = None
-    for e in range(n):
-        if all(r.mul[e][x] == x and r.mul[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    ar = np.arange(len(M))
+    identity = np.flatnonzero((M == ar).all(axis=1) & (M.T == ar).all(axis=1))
+    if not identity.size:
         return None
-    return all(any(r.mul[x][y] == identity for y in range(n)) for x in range(1, n))
+    return bool((M[1:] == identity[0]).any(axis=1).all())
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +707,7 @@ def gamma_from_semiring(r: Semiring) -> GammaSemiring:
     if not outcome.ok:
         raise ValueError(f"{r.name}: not a valid semiring: {outcome.violations[0]}")
     add, mul = r.tables
-    g = GammaSemiring.from_arrays(f"from_{r.name}", r.carrier, r.carrier, add, add, mul[mul])
+    g = GammaSemiring(f"from_{r.name}", r.carrier, r.carrier, add, add, mul[mul])
     gens = _greedy_generators(add)
     return _checked(g, (gens, gens))
 

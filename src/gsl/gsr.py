@@ -246,24 +246,24 @@ def format_gamma(g: core.GammaSemiring) -> str:
     out = ["[gamma_semiring]", f"name = {g.name}"]
     out.append("S = " + " ".join(g.S))
     out.append("G = " + " ".join(g.G))
+    add_s, add_g, prod = (t.tolist() for t in g.tables)
     out.append("[add_S]")
-    out += [" ".join(g.S[v] for v in row) for row in g.addS]
+    out += [" ".join(g.S[v] for v in row) for row in add_s]
     out.append("[add_G]")
-    out += [" ".join(g.G[v] for v in row) for row in g.addG]
+    out += [" ".join(g.G[v] for v in row) for row in add_g]
     out.append("[product]")
     for k, gid in enumerate(g.G):
         out.append(f"gamma = {gid}")
-        out += [" ".join(g.S[g.prod[i][k][j]] for j in range(len(g.S))) for i in range(len(g.S))]
+        out += [" ".join(g.S[v] for v in plane[k]) for plane in prod]
     return "\n".join(out) + "\n"
 
 
 def format_semiring(r: core.Semiring) -> str:
     out = ["[semiring]", f"name = {r.name}"]
     out.append("carrier = " + " ".join(r.carrier))
-    out.append("[add]")
-    out += [" ".join(r.carrier[v] for v in row) for row in r.add]
-    out.append("[mul]")
-    out += [" ".join(r.carrier[v] for v in row) for row in r.mul]
+    for section, table in zip(("[add]", "[mul]"), r.tables):
+        out.append(section)
+        out += [" ".join(r.carrier[v] for v in row) for row in table.tolist()]
     return "\n".join(out) + "\n"
 
 

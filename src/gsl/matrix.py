@@ -17,8 +17,8 @@ carrier element is decoded once into its entries (an array kept on the
 instance), and every matrix product, of the instance, of `matrix_semiring`
 and of matrix-iso, is one table over every pair (or triple) of matrices
 (`_products`) that sums each entry in the (k, l) order of the scalar
-definition, so the tables equal it cell for cell; they reach the instance
-as arrays (`from_arrays`).  The instance is validated through its additive
+definition, so the tables equal it cell for cell; they reach the
+constructors as arrays.  The instance is validated through its additive
 generators, the matrices with at most one non-zero entry, so on
 `boolean[2x2]` each distributive law is checked on 20,480 cells, not
 65,536, and associativity on 3,125, not 1,048,576; the 16-element matrix
@@ -178,7 +178,7 @@ def build_matrix_gamma(base: core.GammaSemiring, n: int, cap: int = 16) -> Matri
     # axes (A, D, B): entry (i, j) of A D B is the sum over k, l of a_ik d_kl b_lj
     prod = _products(add_s, p, n)
 
-    gamma = core.GammaSemiring.from_arrays(
+    gamma = core.GammaSemiring(
         f"{base.name}[{n}x{n}]",
         tuple(f"m{k}" for k in range(size_s)),
         tuple(f"m{k}" for k in range(size_g)),
@@ -202,7 +202,7 @@ def matrix_semiring(r: core.Semiring, n: int, name: Optional[str] = None) -> cor
     size = radix ** (n * n)
     add, m = r.tables
     entries = _entries(size, radix, n * n)
-    sr = core.Semiring.from_arrays(
+    sr = core.Semiring(
         name or f"{r.name}[{n}x{n}]",
         tuple(f"m{k}" for k in range(size)),
         _entrywise(add, entries, radix),
@@ -267,14 +267,14 @@ def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
 
         # additive extension of the generator mapping along provenance
         gen_images = _generator_images(mg, op_base, side)
-        by_pair = gen_images.tolist()
+        by_pair, add_op = gen_images.tolist(), op_base.semiring.tables[0].tolist()
         images: list[int] = []
         radix = len(op_base.semiring.carrier)
         for prov in op_matrix.provenance:
             acc = (0,) * (n * n)
             for pair in prov:
                 x, d = pair if side == "left" else pair[::-1]
-                acc = tuple(op_base.add[a][b] for a, b in zip(acc, by_pair[x][d]))
+                acc = tuple(add_op[a][b] for a, b in zip(acc, by_pair[x][d]))
             images.append(_encode(acc, radix))
 
         if len(set(images)) != size or size != len(mat_over_op.carrier):

@@ -94,11 +94,9 @@ def _check_side(side: str) -> str:
 def action_of_pair(g: core.GammaSemiring, x: int, alpha: int, side: str) -> ActionMap:
     """Left pair (x, alpha): a -> x@a.  Right pair (alpha, x): a -> a@x."""
     _check_side(side)
-    if side == "left":
-        values = tuple(g.prod[x][alpha][a] for a in range(len(g.S)))
-    else:
-        values = tuple(g.prod[a][alpha][x] for a in range(len(g.S)))
-    return ActionMap(values, side)
+    prod = g.tables[2]
+    values = prod[x, alpha] if side == "left" else prod[:, alpha, x]
+    return ActionMap(tuple(values.tolist()), side)
 
 
 @dataclass(frozen=True)
@@ -108,27 +106,27 @@ class OperatorSemiring:
     `value_rows` is the read-only (E, |S|) array the closure produced: row i
     holds the values of element i.  `provenance[i]` is one shortest formal
     sum generating element i: a sorted tuple of (x, gamma) index pairs on the
-    left side, (gamma, x) on the right.  `pair_index[x][gamma]` locates the
-    single-pair action for either side.  `semiring` is the same structure as
-    a plain Semiring with carrier ids f0, f1, ... in canonical element order.
+    left side, (gamma, x) on the right.  `pair_rows[x, gamma]`, a read-only
+    (|S|, |G|) array, is the element of the single-pair action for either
+    side (the transfer maps take their mins along value and pair rows).
+    `semiring` is the same structure as a plain Semiring with carrier ids
+    f0, f1, ... in canonical element order; its `tables` are the addition
+    and composition tables.
 
-    Derived once, on first use: `elements`, the rows as ActionMaps;
-    `pair_rows`, `pair_index` as an array (the transfer maps take their mins
-    along value and pair rows); and as int bitmasks, for `pair_fixed` and
-    `image_contained`: `image_masks[i]`, the image of element i in S;
-    `closure_masks[i]`, that image closed under the addition of S; and
-    `pair_masks[x]`, the elements [x, gamma] over every gamma.  The two
-    correspondences keep what they gave for each mask, so a run that asks
-    for one mask's image from several suites and kinds computes it once.
+    Derived once, on first use: `elements`, the rows as ActionMaps; and as
+    int bitmasks, for `pair_fixed` and `image_contained`: `image_masks[i]`,
+    the image of element i in S; `closure_masks[i]`, that image closed
+    under the addition of S; and `pair_masks[x]`, the elements [x, gamma]
+    over every gamma.  The two correspondences keep what they gave for each
+    mask, so a run that asks for one mask's image from several suites and
+    kinds computes it once.
     """
 
     side: str
     base: core.GammaSemiring
     value_rows: np.ndarray = field(repr=False, compare=False)
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
     provenance: tuple[tuple[tuple[int, int], ...], ...]
-    pair_index: tuple[tuple[int, ...], ...]
+    pair_rows: np.ndarray = field(repr=False, compare=False)
     semiring: core.Semiring
 
     @cached_property
@@ -136,16 +134,12 @@ class OperatorSemiring:
         return tuple(ActionMap(tuple(v), self.side) for v in self.value_rows.tolist())
 
     @cached_property
-    def pair_rows(self) -> np.ndarray:
-        return np.array(self.pair_index, dtype=np.intp)
-
-    @cached_property
     def image_masks(self) -> tuple[int, ...]:
         return tuple(map(_mask, self.value_rows.tolist()))
 
     @cached_property
     def closure_masks(self) -> tuple[int, ...]:
-        add, zero = self.base.addS, [0] * len(self.base.S)
+        add, zero = self.base.tables[0].tolist(), [0] * len(self.base.S)
         return tuple(
             reduce(lambda closed, x: core.close(add, zero, closed, x), set(values), 0)
             for values in self.value_rows.tolist()
@@ -153,7 +147,7 @@ class OperatorSemiring:
 
     @cached_property
     def pair_masks(self) -> tuple[int, ...]:
-        return tuple(map(_mask, self.pair_index))
+        return tuple(map(_mask, self.pair_rows.tolist()))
 
     @cached_property
     def _corresponded(self) -> dict[tuple[str, int], int]:
@@ -183,9 +177,9 @@ class OperatorSemiring:
         return sum(1 << x for x, pairs in enumerate(self.pair_masks) if not pairs & ~mask)
 
     def _image_contained(self, mask: int) -> int:
-        addS = self.base.addS
-        members = [x for x in range(len(addS)) if mask >> x & 1]
-        closed = all(mask >> addS[x][y] & 1 for x in members for y in members)
+        members = [x for x in range(len(self.base.S)) if mask >> x & 1]
+        sums = self.base.tables[0][np.ix_(members, members)].ravel().tolist()
+        closed = all(mask >> y & 1 for y in sums)
         inside = 0
         for i, (image, closure) in enumerate(zip(self.image_masks, self.closure_masks)):
             if closed and (not closure & ~mask) != (not image & ~mask):
@@ -219,8 +213,8 @@ def build_operator_semiring(
     """Saturate the single-pair actions under pointwise addition and assemble
     the addition/composition tables.
 
-    Reads `g.tables` and hands the tables it assembles, as arrays, to
-    `Semiring.from_arrays`.  Raises ClosureCapExceeded when the closure
+    Reads `g.tables` and hands the tables it assembles, as arrays, to the
+    `Semiring` constructor.  Raises ClosureCapExceeded when the closure
     would exceed `cap` elements.
     """
     _check_side(side)
@@ -283,17 +277,17 @@ def build_operator_semiring(
     tables = by_key[at].reshape(2, n, n)
 
     name = f"{g.name}::{'L' if side == 'left' else 'R'}"
-    semiring = core.Semiring.from_arrays(name, tuple(f"f{i}" for i in range(n)), *tables)
+    semiring = core.Semiring(name, tuple(f"f{i}" for i in range(n)), *tables)
     pair_idx = np.argsort(order)[pair_action].reshape(-1, width)  # the inverse permutation of `order`
+    pair_idx = np.ascontiguousarray(pair_idx if side == "left" else pair_idx.T)
+    pair_idx.setflags(write=False)
     by_layer = [row for layer in provs for row in layer.tolist()]
     return OperatorSemiring(
         side=side,
         base=g,
         value_rows=elements,
-        add=semiring.add,
-        mul=semiring.mul,
         provenance=tuple(tuple(divmod(p, width) for p in by_layer[i]) for i in order.tolist()),
-        pair_index=tuple(map(tuple, (pair_idx if side == "left" else pair_idx.T).tolist())),
+        pair_rows=pair_idx,
         semiring=semiring,
     )
 

@@ -101,12 +101,13 @@ class Workspace:
     `fuzzy_family` is the one fuzzy family the suites read), each fuzzy
     family with its images under a transfer map (`pairs`, from `transfer`)
     for the pair checks, the images each transfer map gave (one `_Memo` per
-    map), and the semifield predicates and conditions (`fact`,
-    `semifield_condition`).  A family is named by the structure it lives
-    on, "S" (the structure itself), "L", "R" or "M" (the matrix instance),
-    and by its ideal kind; kinds with equal absorption images on that
-    structure name one family (`LevelCuts.canonical`), so they share its
-    arrays, its images and its pair tables.  Crisp families are tuples and
+    map), the semifield predicates and conditions (`fact`,
+    `semifield_condition`), and the verdicts of th3.8 and th3.15
+    (`decided`).  A family is named by the structure it lives on, "S" (the
+    structure itself), "L", "R" or "M" (the matrix instance), and by its
+    ideal kind; kinds with equal absorption images on that structure name
+    one family (`LevelCuts.canonical`), so they share its arrays, its images,
+    its pair tables and the verdicts decided on them.  Crisp families are tuples and
     fuzzy ones read-only arrays, so no suite can change what the next suite
     sees.  A plain semiring has only "S".  Every memo of a run lives here or
     in an object the workspace owns (a view, an operator semiring), and
@@ -242,6 +243,22 @@ class Workspace:
         share, each computed once per run.  The function is looked up at
         the first call."""
         return self._once(("fact", name, side), lambda: getattr(core, name)(self.structure_on(side)))
+
+    def decided(self, suite: str, kind: str, counts: dict, notes: list, decide) -> Optional[dict]:
+        """decide(counts, notes), a suite's check between the ideals of the
+        kind on S and on L, run once for the kinds that name the same
+        families on both (`LevelCuts.canonical`): a later kind gets the first
+        one's counterexample, counts and notes, or its cap."""
+
+        def run():
+            own = ({}, [])
+            return decide(*own), *own
+
+        key = ("verdict", suite, self.level_cuts("S").canonical(kind), self.level_cuts("L").canonical(kind))
+        counterexample, more_counts, more_notes = self._once(key, run)
+        counts.update(more_counts)
+        notes += more_notes
+        return counterexample
 
     def semifield_condition(self, side: str) -> tuple[bool, Optional[np.ndarray]]:
         """The fuzzy semifield condition on the side's fuzzy ideals
@@ -622,6 +639,9 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
         ws.require_unities()
+        return ws.decided("th3.8", kind, counts, notes, decide)
+
+    def decide(counts, notes):
         on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
         p = ws.pairs("L", "lift", kind)
         ideals_a, ideals_b, lifted = p.family, ws.fuzzy_family("L", kind), p.images
@@ -739,6 +759,9 @@ def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
 
     def check(counts, notes):
         ws.require_unities()
+        return ws.decided("th3.15", kind, counts, notes, decide)
+
+    def decide(counts, notes):
         left = ws.left
         on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
         A = ws.crisp_ideals("S", kind)

@@ -33,6 +33,16 @@ def z4_sr():
     return core.zn_semiring(4)
 
 
+def replaced(x, **changes):
+    """x with some constructor arguments changed, a table by its view name
+    ("prod", "mul", ...); the rest are x's name, ids and `tables`."""
+    if isinstance(x, core.GammaSemiring):
+        args = {"name": x.name, "S": x.S, "G": x.G, **dict(zip(("addS", "addG", "prod"), x.tables))}
+    else:
+        args = {"name": x.name, "carrier": x.carrier, **dict(zip(("add", "mul"), x.tables))}
+    return type(x)(**{**args, **changes})
+
+
 def build_zero_product():
     """S = G = boolean monoid, product constantly zero: valid, but the only
     operator action is the zero map, so there is no unity."""

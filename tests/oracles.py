@@ -6,7 +6,9 @@ closure, the table-lookup matrix builds and the level-cut enumerators are
 all checked against these.  `cuts_of`, the grades-to-cuts reading, was
 `LevelCuts.of`; next to it, `rank_map` and `subset_map` turn a transfer map
 on subsets into the map on rank arrays the suites call, and back, so tests
-can install a perturbed map.  The cut-tuple section keeps the multichain
+can install a perturbed map.  The predicate section keeps the scalar loops
+of the structural predicates, which now read the structures' arrays, as the
+reference for their first witnesses.  The cut-tuple section keeps the multichain
 enumerator, the per-member ideal and constancy tests and the id-array
 readers `LevelCuts` had while a fuzzy family was a list of cut tuples.
 The fuzzy semifield condition on `Fraction`
@@ -171,6 +173,62 @@ def naive_is_gamma_semifield(g) -> bool:
             ):
                 return False
     return True
+
+
+# The scalar loops the library's predicates were before they became array
+# tests on `tables`, the reference for their first witnesses.
+# `naive_is_commutative` above is the loop `core.is_commutative` was.
+
+
+def loop_zdf_witness(g):
+    """First (a, gamma, b), all nonzero, with a@b == 0; None if zero-divisor free."""
+    s, gg = len(g.S), len(g.G)
+    for a in range(1, s):
+        for c in range(1, gg):
+            for b in range(1, s):
+                if g.prod[a][c][b] == 0:
+                    return (a, c, b)
+    return None
+
+
+def loop_gamma_semifield_witness(g):
+    """First (a, gamma), both nonzero, admitting no (b, beta) with
+    ((a@b)#d) == d for every d; None when every pair has one."""
+    s, gg = len(g.S), len(g.G)
+    for a in range(1, s):
+        for c in range(1, gg):
+            found = False
+            for b in range(s):
+                t = g.prod[a][c][b]
+                for beta in range(gg):
+                    if all(g.prod[t][beta][d] == d for d in range(s)):
+                        found = True
+                        break
+                if found:
+                    break
+            if not found:
+                return (a, c)
+    return None
+
+
+def loop_mul_commutative(r) -> bool:
+    return all(row[j] == r.mul[j][i] for i, row in enumerate(r.mul) for j in range(len(row)))
+
+
+def loop_semifield_inverse_view(r):
+    """Every nonzero element has a multiplicative inverse relative to the
+    first two-sided identity; None when there is none or n = 1."""
+    n = len(r.carrier)
+    if n == 1:
+        return None
+    identity = None
+    for e in range(n):
+        if all(r.mul[e][x] == x and r.mul[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        return None
+    return all(any(r.mul[x][y] == identity for y in range(n)) for x in range(1, n))
 
 
 def naive_is_semifield(r) -> bool:
@@ -826,7 +884,7 @@ def sort_position_restrict(op, mu):
     from gsl.fuzzy import FuzzySubset, carrier_of
 
     order, position = _sort_positions(mu.grades)
-    grades = tuple(mu.grades[order[min(map(position.__getitem__, row))]] for row in op.pair_index)
+    grades = tuple(mu.grades[order[min(map(position.__getitem__, row))]] for row in op.pair_rows.tolist())
     return FuzzySubset(carrier_of(op.base), grades)
 
 
@@ -867,7 +925,7 @@ def set_pair_fixed_set(op, subset):
 
     s, gg = len(op.base.S), len(op.base.G)
     members = frozenset(
-        a for a in range(s) if all(op.pair_index[a][c] in subset.members for c in range(gg))
+        a for a in range(s) if all(int(op.pair_rows[a, c]) in subset.members for c in range(gg))
     )
     return CrispSubset(carrier_of(op.base), members)
 
@@ -1002,7 +1060,7 @@ def per_cell_operator_semiring(g, side: str):
         composed = elements[np.arange(n)[None, :, None], elements[:, None, :]]
     add = np.reshape([index[key] for key in _byte_keys(sums.reshape(-1, s))], (n, n))
     mul = np.reshape([index[key] for key in _byte_keys(composed.reshape(-1, s))], (n, n))
-    semiring = core.Semiring.from_arrays("reference", tuple(f"f{i}" for i in range(n)), add, mul)
+    semiring = core.Semiring("reference", tuple(f"f{i}" for i in range(n)), add, mul)
     outcome = core.validate_semiring(semiring)
     if not outcome.ok:
         raise AssertionError(f"operator semiring failed validation: {outcome.violations[0]}")

@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -14,6 +13,7 @@ from gsl.fuzzy import GradeChain, LevelCuts
 from gsl.matrix import check_operator_matrix_iso, verify_theorem_3_19
 from gsl.operators import build_operator_semiring, find_unity
 from gsl.report import FAIL, PASS, UNMET
+from conftest import replaced
 from oracles import naive_operator_actions
 
 HALF = Fraction(1, 2)
@@ -65,7 +65,7 @@ def test_criterion_1_axiom_suite():
                 for b in range(2):
                     prod = [list(map(list, plane)) for plane in GB.prod]
                     prod[a][c][b] = 1 - prod[a][c][b]
-                    mutant = dataclasses.replace(GB, name="mutant", prod=prod)
+                    mutant = replaced(GB, name="mutant", prod=prod)
                     outcome = core.validate_gamma_semiring(mutant)
                     if outcome.ok:
                         still_valid += 1

@@ -1,16 +1,20 @@
 """Validation, witnesses, and structural predicates against brute-force oracles."""
 
-import dataclasses
 import itertools
 import random
 
 import numpy as np
 import pytest
 
-from conftest import build_boolean_by_chain, build_one_element, build_upper_triangular
+from conftest import build_boolean_by_chain, build_one_element, build_upper_triangular, replaced
 from gsl import core
-from gsl.matrix import build_matrix_gamma
+from gsl.matrix import build_matrix_gamma, matrix_semiring
+from gsl.operators import SIDES, build_operator_semiring
 from oracles import (
+    loop_gamma_semifield_witness,
+    loop_mul_commutative,
+    loop_semifield_inverse_view,
+    loop_zdf_witness,
     naive_gamma_violations,
     naive_is_commutative,
     naive_is_gamma_semifield,
@@ -23,13 +27,13 @@ from oracles import (
 def _mutate_prod(g, a, c, b, value):
     prod = [list(map(list, plane)) for plane in g.prod]
     prod[a][c][b] = value
-    return dataclasses.replace(g, name=f"{g.name}~{a}{c}{b}->{value}", prod=prod)
+    return replaced(g, name=f"{g.name}~{a}{c}{b}->{value}", prod=prod)
 
 
 def _mutate_mul(r, a, b, value):
     mul = [list(row) for row in r.mul]
     mul[a][b] = value
-    return dataclasses.replace(r, name=f"{r.name}~{a}{b}->{value}", mul=mul)
+    return replaced(r, name=f"{r.name}~{a}{b}->{value}", mul=mul)
 
 
 def _assert_witnesses_match_oracle(bad):
@@ -109,12 +113,10 @@ class TestValidateGamma:
         assert replayed > 0
 
     def test_structural_errors_are_distinct(self, gb):
-        ragged = dataclasses.replace(gb, addS=((0, 1), (1,)))
         with pytest.raises(core.StructuralError):
-            core.validate_gamma_semiring(ragged)
-        out_of_range = dataclasses.replace(gb, addS=((0, 1), (1, 7)))
+            replaced(gb, addS=((0, 1), (1,)))  # ragged
         with pytest.raises(core.StructuralError):
-            core.validate_gamma_semiring(out_of_range)
+            replaced(gb, addS=((0, 1), (1, 7)))  # out of range
 
 
 def _single_entries(mg):
@@ -153,7 +155,7 @@ def _relabel_s(g, new):
     n = len(new)
     add = [[new[g.addS[old[a]][old[b]]] for b in range(n)] for a in range(n)]
     prod = [[[new[g.prod[old[a]][c][old[b]]] for b in range(n)] for c in range(len(g.G))] for a in range(n)]
-    return dataclasses.replace(g, name=f"{g.name}'", addS=add, prod=prod)
+    return replaced(g, name=f"{g.name}'", addS=add, prod=prod)
 
 
 class TestGeneratorPath:
@@ -206,7 +208,7 @@ class TestGeneratorPath:
             a, c, b, value = (rng.randrange(16) for _ in range(4))
             add = [list(row) for row in g.addS]
             add[a][b] = value
-            for bad in (_mutate_prod(g, a, c, b, value), dataclasses.replace(g, name="add~", addS=add)):
+            for bad in (_mutate_prod(g, a, c, b, value), replaced(g, name="add~", addS=add)):
                 dense = core.validate_gamma_semiring(bad)
                 try:
                     outcome = core.validate_gamma_semiring(bad, generators=gens)
@@ -273,14 +275,41 @@ class TestValidateSemiring:
                     assert core.recheck_violation(bad, violation)
 
 
-class TestPredicates:
-    def test_commutativity_against_oracle(self, all_small_instances):
-        for g in all_small_instances:
-            assert core.is_commutative(g) == naive_is_commutative(g)
+@pytest.fixture(scope="module")
+def predicate_instances(enum_instances, gb, z2):
+    """The enumerator fixtures (the non-commutative upper_triangular among
+    them), from_B3 and the 16-element matrix instances."""
+    from_b3 = core.gamma_from_semiring(core.boolean_power_semiring(3))
+    return [*enum_instances, from_b3, build_matrix_gamma(gb, 2).gamma, build_matrix_gamma(z2, 2).gamma]
 
-    def test_zdf_against_oracle(self, all_small_instances):
-        for g in all_small_instances:
-            assert core.is_zdf(g) == naive_is_zdf(g)
+
+class TestPredicates:
+    def test_gamma_predicates_give_the_scalar_loops_first_witnesses(self, predicate_instances):
+        """is_commutative, zdf_witness and gamma_semifield_witness, array
+        tests on `tables`, against the loops they were and the naive oracles."""
+        seen = set()
+        for g in predicate_instances:
+            zdf, semifield = core.zdf_witness(g), core.gamma_semifield_witness(g)
+            assert core.is_commutative(g) is naive_is_commutative(g), g.name
+            assert zdf == loop_zdf_witness(g) and core.is_zdf(g) == naive_is_zdf(g), g.name
+            assert semifield == loop_gamma_semifield_witness(g), g.name
+            seen |= {("commutative", core.is_commutative(g)), ("zdf", zdf is None), ("semifield", semifield is None)}
+        assert len(seen) == 6  # each predicate seen both ways
+
+    def test_semiring_predicates_match_the_scalar_loops(self, predicate_instances, bool_sr):
+        semirings = [
+            bool_sr, core.zn_semiring(2), core.zn_semiring(3), core.zn_semiring(4),
+            core.boolean_power_semiring(3), matrix_semiring(bool_sr, 2),
+            core.Semiring("squares", ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 0))),
+            *(build_operator_semiring(g, side).semiring for g in predicate_instances for side in SIDES),
+        ]
+        seen = set()
+        for r in semirings:
+            view = core.semifield_inverse_view(r)
+            assert core.mul_commutative(r) is loop_mul_commutative(r), r.name
+            assert view is loop_semifield_inverse_view(r), r.name
+            seen |= {core.mul_commutative(r), view}
+        assert seen == {True, False, None}
 
     def test_zdf_frozen_values(self, gb, z2, z4):
         assert core.is_zdf(gb)

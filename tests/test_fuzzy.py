@@ -234,6 +234,17 @@ class TestEnumerations:
                 assert [i.members for i in enumerate_crisp_ideals(g, kind)] == want, (g.name, kind)
                 assert list(map(_members, view.crisp_ideals(kind))) == want, (g.name, kind)
 
+    @pytest.mark.parametrize("kind", ["left", "right"])
+    def test_crisp_ideals_of_a_16_element_array_built_instance_match_oracle(self, gb, kind):
+        """boolean[2x2] is built from arrays and its tables hold indices up
+        to 15, so its masks are right only if they are built from Python
+        ints: a shift by a numpy uint8 keeps the dtype, and 1 << np.uint8(9)
+        is 0.  Non-commutative, so its left and right ideals differ."""
+        g = build_matrix_gamma(gb, 2).gamma
+        want = naive_crisp_ideals_gamma(g, kind)
+        assert list(map(_members, LevelCuts(g, CHAIN).crisp_ideals(kind))) == want
+        assert max(map(len, want)) == 16 and len(want) > 2
+
     def test_operator_semiring_crisp_ideals_match_subset_filter(self, enum_instances):
         for g in (*enum_instances, _from_b3()):
             for side in ("left", "right"):

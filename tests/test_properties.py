@@ -18,6 +18,7 @@ from gsl.fuzzy import (
 )
 from gsl.operators import build_operator_semiring
 from gsl.transfer import lift_plusprime, restrict_plus
+from conftest import replaced
 from oracles import naive_gamma_violations, scan_close
 
 GB = core.boolean_gamma()
@@ -114,7 +115,7 @@ def test_product_mutations_validate_like_the_oracle(g, data):
     v = data.draw(st.integers(min_value=0, max_value=s - 1))
     prod = [list(map(list, plane)) for plane in g.prod]
     prod[a][c][b] = v
-    mutant = dataclasses.replace(g, name="mutant", prod=prod)
+    mutant = replaced(g, name="mutant", prod=prod)
 
     outcome = core.validate_gamma_semiring(mutant)
     expected = naive_gamma_violations(mutant)

@@ -1,20 +1,22 @@
-"""The structures' read-only `tables`: one array per table, built once, equal
-to the tuple fields, the same from either constructor, and read by the
-validators' flat-take distributive masks."""
+"""The structures' read-only `tables`, the one copy of their tables: one
+array per table, copied in by the one constructor from nested sequences or
+arrays, built once per structure, read back by the nested-tuple views, and
+read by the validators' flat-take distributive masks."""
 
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from conftest import build_boolean_by_chain
-from gsl import core, verify
+from conftest import build_boolean_by_chain, replaced
+from gsl import cli, core, verify
 from gsl.matrix import build_matrix_gamma, matrix_semiring
 from gsl.operators import SIDES, build_operator_semiring
 from oracles import broadcast_distributive_masks
 
-TABLES = ("addS", "addG", "prod", "add", "mul")
+# the constructor arguments after the name: carriers, then tables by view name
+CARRIERS = {core.GammaSemiring: ("S", "G"), core.Semiring: ("carrier",)}
+TABLES = {core.GammaSemiring: ("addS", "addG", "prod"), core.Semiring: ("add", "mul")}
 
 
 def _stock():
@@ -39,14 +41,12 @@ def _stock():
 STRUCTURES = _stock()
 
 
-def _fields(x) -> dict:
-    """The constructor arguments after the name, by field name: the same
-    names `from_arrays` takes."""
-    return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)[1:]}
-
-
-def _arrays(fields: dict) -> dict:
-    return {k: np.asarray(v) if k in TABLES else v for k, v in fields.items()}
+def _args(x, nested: bool) -> dict:
+    """x's constructor arguments after the name, by name, with the tables as
+    its nested-tuple views or as writable int64 arrays."""
+    views = [getattr(x, k) for k in TABLES[type(x)]]
+    tables = views if nested else [np.array(view) for view in views]
+    return {**{k: getattr(x, k) for k in CARRIERS[type(x)]}, **dict(zip(TABLES[type(x)], tables))}
 
 
 def _gamma(x) -> bool:
@@ -58,52 +58,81 @@ def structure(request):
     return request.param
 
 
-def test_tables_are_read_only_arrays_of_the_tuple_fields(structure):
-    tables = structure.tables
-    tuples = [v for k, v in _fields(structure).items() if k in TABLES]
-    carriers = [v for k, v in _fields(structure).items() if k not in TABLES]
-    assert structure.tables is tables and len(tables) == len(tuples)
-    for array, table in zip(tables, tuples):
+def test_tables_are_read_only_arrays_read_back_by_the_views(structure):
+    tables, views = structure.tables, [getattr(structure, k) for k in TABLES[type(structure)]]
+    carriers = [getattr(structure, k) for k in CARRIERS[type(structure)]]
+    assert structure.tables is tables and len(tables) == len(views)
+    for array, view in zip(tables, views):
         assert not array.flags.writeable
         assert array.dtype == core._index_dtype(*map(len, carriers))
-        assert np.array_equal(array, np.asarray(table))
+        assert np.array_equal(array, np.asarray(view))
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
+    assert all(type(v) is int for row in views[0] for v in row)
+    assert all(getattr(structure, k) is view for k, view in zip(TABLES[type(structure)], views))  # kept
 
 
-def test_either_constructor_gives_the_same_structure(structure):
-    fields = _fields(structure)
-    by_tuples = type(structure)(structure.name, **fields)
-    arrays = _arrays(fields)
-    by_arrays = type(structure).from_arrays(structure.name, **arrays)
+def test_nested_and_array_input_give_the_same_structure(structure):
+    by_tuples = type(structure)(structure.name, **_args(structure, nested=True))
+    arrays = _args(structure, nested=False)
+    by_arrays = type(structure)(structure.name, **arrays)
+    # what a structure stores: its name, its ids and its tables, once
+    assert vars(by_arrays).keys() == {"name", *CARRIERS[type(structure)], "tables"}
     assert by_tuples == by_arrays == structure
     assert hash(by_tuples) == hash(by_arrays) == hash(structure)
-    assert _fields(by_arrays) == fields
-    assert all(type(v) is int for v in by_arrays.tables[0].ravel().tolist())
     for ours, theirs in zip(by_arrays.tables, by_tuples.tables):
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
     # the caller's arrays are copied, not frozen
-    assert all(arrays[k].flags.writeable for k in fields if k in TABLES)
+    for name, table in zip(TABLES[type(structure)], by_arrays.tables):
+        assert arrays[name].flags.writeable and not np.shares_memory(arrays[name], table)
+
+
+def test_a_name_or_one_cell_apart_is_another_structure():
+    g = core.boolean_gamma()
+    prod = g.tables[2].copy()
+    prod[1, 1, 1] = 0
+    for other in (replaced(g, name="other"), replaced(g, prod=prod)):
+        assert other != g
+
+
+def _built(monkeypatch) -> list:
+    """Every structure the constructors build from now on, in order."""
+    built = []
+    for cls in CARRIERS:
+        def spy(self, *args, real=cls.__init__, **kwargs):
+            real(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    return built
 
 
 def test_one_run_builds_each_structures_arrays_once(monkeypatch):
-    g = core.boolean_gamma()  # its arrays are built by the generator's validation
-    built = []
-    real = core._store_tables
-
-    def spy(structure, tables, *sizes):
-        built.append(structure)
-        return real(structure, tables, *sizes)
-
-    monkeypatch.setattr(core, "_store_tables", spy)
+    g = core.boolean_gamma()  # its arrays are built by the generator
+    built = _built(monkeypatch)
     verify.run_all(g)
     names = [x.name for x in built]
-    assert len({id(x) for x in built}) == len(built), names
-    assert g not in built
+    assert "boolean" not in names
     # L, R and the matrix instance once; matrix-iso builds one operator
     # semiring of the matrix instance per side
-    assert {"boolean::L", "boolean::R", "boolean[2x2]"} <= set(names)
-    assert names.count("boolean[2x2]::L") == names.count("boolean[2x2]::R") == 1
+    for name in ("boolean::L", "boolean::R", "boolean[2x2]", "boolean[2x2]::L", "boolean[2x2]::R"):
+        assert names.count(name) == 1, names
+
+
+def test_a_run_and_a_matrix_pass_build_no_product_view(monkeypatch, tmp_path, capsys):
+    """The suites read `tables`: neither `run_all(boolean)` nor the
+    benchmark's `matrix` pass (`gsl verify --suite all` on boolean and z2,
+    n = 2) builds a `prod` or `mul` view."""
+    g = core.boolean_gamma()
+    built = _built(monkeypatch)
+    verify.run_all(g)
+    for name, argv in (("boolean", ("gen", "boolean")), ("z2", ("gen", "zn", "--n", "2"))):
+        path = str(tmp_path / f"{name}.gsr")
+        assert cli.main([*argv, "-o", path]) == 0
+        assert cli.main(["verify", path, "--suite", "all", "--chain", "0,1/2,1", "--n", "2", "--report", "json"]) == 0
+    capsys.readouterr()
+    assert len(built) > 10
+    assert not [x.name for x in (g, *built) if {"prod", "mul"} & vars(x).keys()]
 
 
 GB, BOOL_SR = core.boolean_gamma(), core.boolean_semiring()
@@ -127,18 +156,18 @@ GB, BOOL_SR = core.boolean_gamma(), core.boolean_semiring()
         (BOOL_SR, "carrier", (), "carrier: empty carrier"),
     ],
 )
-def test_malformed_tables_raise_the_same_text_from_either_constructor(x, field, value, text):
-    fields = {**_fields(x), field: value}
-    by_tuples = type(x)(x.name, **fields)
-    validate = core.validate_gamma_semiring if _gamma(x) else core.validate_semiring
-    for build in (
-        lambda: by_tuples.tables,
-        lambda: validate(by_tuples),
-        lambda: type(x).from_arrays(x.name, **_arrays(fields)),
-    ):
+def test_malformed_tables_raise_the_same_text_from_either_input(x, field, value, text):
+    for nested in (True, False):
+        if field in TABLES[type(x)]:
+            value = np.asarray(value).tolist() if nested else np.array(value)
         with pytest.raises(core.StructuralError) as err:
-            build()
+            type(x)(x.name, **{**_args(x, nested), field: value})
         assert str(err.value) == text
+
+
+def test_ragged_rows_raise_from_nested_input():
+    with pytest.raises(core.StructuralError, match=r"^add_S: row 1 has 1 entries, expected 2$"):
+        replaced(GB, addS=[[0, 1], [1]])
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +178,14 @@ def _mutants(x):
     """x, then every structure one cell of its product (or multiplication)
     table or of its addition table away from it, built from arrays."""
     yield x
-    fields = _arrays(_fields(x))
     for field in ("prod", "addS") if _gamma(x) else ("mul", "add"):
-        table = fields[field]
+        table = x.tables[TABLES[type(x)].index(field)]
         for cell in np.ndindex(table.shape):
             for value in range(table.shape[-1]):
                 if value != table[cell]:
                     bad = table.copy()
                     bad[cell] = value
-                    yield type(x).from_arrays(x.name, **{**fields, field: bad})
+                    yield replaced(x, **{field: bad})
 
 
 SMALL = [x for x in STRUCTURES if len(x.tables[0]) <= 4] + [build_boolean_by_chain(3)]

@@ -34,6 +34,34 @@ def ws(structure, **config):
 
 
 class TestWorkspace:
+    @pytest.mark.parametrize("suite, decides", [
+        (verify.verify_theorem_3_8, "_failing_pair"), (verify.verify_theorem_3_15, "first_failure"),
+    ])
+    def test_right_reuses_the_two_verdict_when_the_families_agree(self, monkeypatch, gb, upper_triangular,
+                                                                  suite, decides):
+        """On a commutative instance "right" names the "two" families on S
+        and on L, so the [right] report is the [two] one under its own name,
+        and the check runs once; on upper_triangular the families differ
+        and each kind is checked.  A cap gives both kinds the same body."""
+        calls = []
+        real = getattr(verify, decides)
+        monkeypatch.setattr(verify, decides, lambda *args: calls.append(1) or real(*args))
+
+        def bodies(g, **config):
+            w = ws(g, **config)
+            two, right = (suite(w, kind).body() for kind in ("two", "right"))
+            return two, {**right, "suite": two["suite"]}
+
+        two, right = bodies(gb)
+        assert two == right and two["status"] == PASS
+        once = len(calls)
+        two, right = bodies(upper_triangular)
+        assert len(calls) == 3 * once
+        capped = bodies(gb, enum_cap=1, closure_cap=1)
+        assert capped[0] == capped[1] and capped[0]["status"] == UNMET
+        capped = bodies(gb, enum_cap=1)
+        assert capped[0] == capped[1] and capped[0]["status"] == UNMET
+
     def test_families_are_shared_read_only_arrays(self, gb):
         """A fuzzy family is the same read-only id array on every call, so no
         suite can change what the next one reads; crisp families are
@@ -856,11 +884,10 @@ class TestFailPathBodies:
 
         def perturbed(g, side, cap):
             op = real(g, side, cap=cap)
-            tables = {"add": [list(row) for row in op.add], "mul": [list(row) for row in op.mul]}
+            tables = dict(zip(("add", "mul"), (t.copy() for t in op.semiring.tables)))
             for table, i, j in edits:
-                tables[table][i][j] = (tables[table][i][j] + 1) % len(op)
-            semiring = core.Semiring(op.semiring.name, op.semiring.carrier, tables["add"], tables["mul"])
-            return dataclasses.replace(op, add=semiring.add, mul=semiring.mul, semiring=semiring)
+                tables[table][i, j] = (tables[table][i, j] + 1) % len(op)
+            return dataclasses.replace(op, semiring=core.Semiring(op.semiring.name, op.semiring.carrier, **tables))
 
         monkeypatch.setattr(matrix, "build_operator_semiring", perturbed)
         assert matrix.check_operator_matrix_iso(verify.Workspace(gb), side).body() == {

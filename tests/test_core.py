@@ -284,6 +284,14 @@ def predicate_instances(enum_instances, gb, z2):
 
 
 class TestPredicates:
+    def test_commutativity_against_oracle(self, all_small_instances):
+        for g in all_small_instances:
+            assert core.is_commutative(g) == naive_is_commutative(g)
+
+    def test_zdf_against_oracle(self, all_small_instances):
+        for g in all_small_instances:
+            assert core.is_zdf(g) == naive_is_zdf(g)
+
     def test_gamma_predicates_give_the_scalar_loops_first_witnesses(self, predicate_instances):
         """is_commutative, zdf_witness and gamma_semifield_witness, array
         tests on `tables`, against the loops they were and the naive oracles."""

@@ -58,7 +58,7 @@ def structure(request):
     return request.param
 
 
-def test_tables_are_read_only_arrays_read_back_by_the_views(structure):
+def test_tables_are_read_only_arrays_of_the_tuple_fields(structure):
     tables, views = structure.tables, [getattr(structure, k) for k in TABLES[type(structure)]]
     carriers = [getattr(structure, k) for k in CARRIERS[type(structure)]]
     assert structure.tables is tables and len(tables) == len(views)
@@ -72,7 +72,7 @@ def test_tables_are_read_only_arrays_read_back_by_the_views(structure):
     assert all(getattr(structure, k) is view for k, view in zip(TABLES[type(structure)], views))  # kept
 
 
-def test_nested_and_array_input_give_the_same_structure(structure):
+def test_either_constructor_gives_the_same_structure(structure):
     by_tuples = type(structure)(structure.name, **_args(structure, nested=True))
     arrays = _args(structure, nested=False)
     by_arrays = type(structure)(structure.name, **arrays)
@@ -156,7 +156,7 @@ GB, BOOL_SR = core.boolean_gamma(), core.boolean_semiring()
         (BOOL_SR, "carrier", (), "carrier: empty carrier"),
     ],
 )
-def test_malformed_tables_raise_the_same_text_from_either_input(x, field, value, text):
+def test_malformed_tables_raise_the_same_text_from_either_constructor(x, field, value, text):
     for nested in (True, False):
         if field in TABLES[type(x)]:
             value = np.asarray(value).tolist() if nested else np.array(value)

@@ -12,12 +12,9 @@ from .core import (
     boolean_gamma,
     boolean_semiring,
     gamma_from_semiring,
-    gen_instance,
-    gen_semiring,
     is_commutative,
     is_gamma_semifield,
     is_semifield,
-    is_zdf,
     recheck_violation,
     validate_gamma_semiring,
     validate_semiring,
@@ -41,10 +38,8 @@ from .fuzzy import (
     is_fuzzy_ideal_semiring,
 )
 from .operators import (
-    ActionMap,
     ClosureCapExceeded,
     OperatorSemiring,
-    action_of_pair,
     build_operator_semiring,
     find_unity,
 )
@@ -54,7 +49,6 @@ from .matrix import (
     MatrixGammaSemiring,
     build_matrix_gamma,
     check_operator_matrix_iso,
-    lift_fuzzy_to_matrix,
     matrix_semiring,
     verify_theorem_3_19,
 )

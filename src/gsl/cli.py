@@ -155,10 +155,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_validate(args) -> int:
     structure = gsr.parse_gsr(args.file, require_valid=False)
-    if isinstance(structure, core.GammaSemiring):
-        outcome = core.validate_gamma_semiring(structure)
-    else:
-        outcome = core.validate_semiring(structure)
+    outcome = core.validate(structure)
     if outcome.ok:
         print(f"{structure.name}: ok")
         return 0

@@ -13,8 +13,7 @@ arrays the constructor is given after one vectorised check of shapes and
 bounds.  Every array layer, the predicates included, reads them; `==` and
 `hash` read their bytes.  The table names (``addS``, ``prod``, ``mul``, ...)
 are nested-tuple views built on first read, for the plain-loop readers:
-the witness replay below, the reference ideal predicates and the additive
-carrier of a fuzzy subset.
+the witness replay below and the additive carrier of a fuzzy subset.
 
 Axiom validation runs vectorised scans over the full quantifier space and
 reports, for each violated law, the lexicographically first witness tuple.
@@ -43,9 +42,9 @@ __all__ = [
     "Semiring",
     "validate_gamma_semiring",
     "validate_semiring",
+    "validate",
     "recheck_violation",
     "is_commutative",
-    "is_zdf",
     "zdf_witness",
     "is_gamma_semifield",
     "gamma_semifield_witness",
@@ -53,14 +52,12 @@ __all__ = [
     "is_semifield",
     "semifield_witness",
     "semifield_inverse_view",
-    "gen_instance",
     "boolean_gamma",
     "zn_gamma",
     "gamma_from_semiring",
     "boolean_semiring",
     "boolean_power_semiring",
     "zn_semiring",
-    "gen_semiring",
 ]
 
 
@@ -501,6 +498,14 @@ def validate_semiring(r: Semiring) -> ValidationOutcome:
     return _outcome(_semiring_masks(*r.tables), _SEMIRING_AXIOMS, {"c": r.carrier})
 
 
+def validate(structure, generators: Optional[tuple[Sequence[int], Sequence[int]]] = None) -> ValidationOutcome:
+    """validate_gamma_semiring or validate_semiring, by the structure's
+    type; `generators` serve the gamma-semiring check only."""
+    if isinstance(structure, GammaSemiring):
+        return validate_gamma_semiring(structure, generators)
+    return validate_semiring(structure)
+
+
 def recheck_violation(structure, violation: Violation) -> bool:
     """True iff the witness really violates its axiom, by direct table
     arithmetic.  This path shares no scan code with the validators."""
@@ -532,13 +537,9 @@ def _shifted(witness: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
 
 
 def zdf_witness(g: GammaSemiring) -> Optional[tuple[int, int, int]]:
-    """First (a, gamma, b), all nonzero, with a@b == 0; None if zero-divisor free."""
+    """First (a, gamma, b), all nonzero, with a@b == 0; None if zero-divisor
+    free (a@b == 0 only if a, @ or b is the relevant zero)."""
     return _shifted(_first_witness(g.tables[2][1:, 1:, 1:] == 0))
-
-
-def is_zdf(g: GammaSemiring) -> bool:
-    """Zero-divisor free: a@b == 0 only if a, @ or b is the relevant zero."""
-    return zdf_witness(g) is None
 
 
 def gamma_semifield_witness(g: GammaSemiring) -> Optional[tuple[int, int]]:
@@ -668,10 +669,7 @@ def semifield_inverse_view(r: Semiring) -> Optional[bool]:
 def _checked(structure, generators=None):
     """Return a generated structure, or raise StructuralError on its first
     axiom violation (an explicit check, so ``python -O`` keeps it)."""
-    if isinstance(structure, GammaSemiring):
-        outcome = validate_gamma_semiring(structure, generators)
-    else:
-        outcome = validate_semiring(structure)
+    outcome = validate(structure, generators)
     if not outcome.ok:
         raise StructuralError(f"{structure.name}: {outcome.violations[0]}")
     return structure
@@ -712,24 +710,6 @@ def gamma_from_semiring(r: Semiring) -> GammaSemiring:
     return _checked(g, (gens, gens))
 
 
-def gen_instance(kind: str, n: Optional[int] = None, base: Optional[Semiring] = None) -> GammaSemiring:
-    """Build one of the stock gamma-semiring instances.
-
-    kind: 'boolean' | 'zn' (needs n >= 2) | 'from_semiring' (needs base).
-    """
-    if kind == "boolean":
-        return boolean_gamma()
-    if kind == "zn":
-        if n is None:
-            raise ValueError("kind 'zn' requires n")
-        return zn_gamma(n)
-    if kind == "from_semiring":
-        if base is None:
-            raise ValueError("kind 'from_semiring' requires a base semiring")
-        return gamma_from_semiring(base)
-    raise ValueError(f"unknown instance kind {kind!r}")
-
-
 def boolean_semiring() -> Semiring:
     r = Semiring("boolean_semiring", ("0", "1"), ((0, 1), (1, 1)), ((0, 0), (0, 1)))
     return _checked(r)
@@ -754,13 +734,3 @@ def zn_semiring(n: int) -> Semiring:
     mul = tuple(tuple((i * j) % n for j in range(n)) for i in range(n))
     r = Semiring(f"z{n}_semiring", ids, add, mul)
     return _checked(r)
-
-
-def gen_semiring(kind: str, n: Optional[int] = None) -> Semiring:
-    if kind == "boolean":
-        return boolean_semiring()
-    if kind == "zn":
-        if n is None:
-            raise ValueError("kind 'zn' requires n")
-        return zn_semiring(n)
-    raise ValueError(f"unknown semiring kind {kind!r}")

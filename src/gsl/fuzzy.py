@@ -19,8 +19,7 @@ number of ideals rather than |chain|**(n-1).  Both lists are sorted into
 the order a scan over all candidates would give (ascending indicator tuples
 for crisp ideals, lexicographic grade tuples for fuzzy ones), which report
 bodies and first counterexamples depend on.  ``enumerate_crisp_ideals`` and
-``enumerate_fuzzy_ideals`` turn them into subsets.  The scalar predicates
-``is_*_ideal_*`` are the plain-loop reference the tests check against.
+``enumerate_fuzzy_ideals`` turn them into subsets.
 
 The suites compute on level cuts too: ``LevelCuts`` holds a family of
 chain-valued fuzzy subsets as one array of the ids of their cuts.  It does
@@ -31,12 +30,16 @@ member of a family each element's rank, the number of cuts that contain
 it, as one array: ranks order the elements as their grades do, so a
 comparison of grades is decided on them, and the transfer maps take their
 mins on them.  ``LevelCuts.subset`` turns ranks into grades only where a
-suite needs a ``FuzzySubset``, for a witness.  ``fuzzy_sum``,
-``fuzzy_intersection``, ``FuzzySubset.__le__`` and ``is_fuzzy_ideal_*``
-remain the public ``Fraction`` API, and the reference the tests check the
-cut engine against.  ``as_grade`` returns a
-``Fraction`` it is given as it is, after an integer range check, so a
-subset built from grades that already exist makes no new ``Fraction``.
+suite needs a ``FuzzySubset``, for a witness.
+
+The public ``Fraction`` API decides on level cuts as well: the predicates
+``is_*_ideal_*`` and ``fuzzy_sum`` read their operands as cuts on a view
+over the operands' own grades (``_cut_rows``) and call ``ideal_rows`` and
+``sum_table``, so a fuzzy ideal and a fuzzy sum are defined once.
+``fuzzy_intersection`` and ``FuzzySubset.__le__`` are pointwise one-liners.
+``as_grade`` returns a ``Fraction`` it is given as it is, after an integer
+range check, so a subset built from grades that already exist makes no new
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -257,9 +260,6 @@ class FuzzySubset:
     def is_constant(self) -> bool:
         return all(g == self.grades[0] for g in self.grades)
 
-    def is_empty(self) -> bool:
-        return all(g == 0 for g in self.grades)
-
     def to_mapping(self) -> dict[str, str]:
         return {i: format_grade(g) for i, g in zip(self.carrier.ids, self.grades)}
 
@@ -293,21 +293,10 @@ def fuzzy_intersection(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
 
 
 def fuzzy_sum(mu1: FuzzySubset, mu2: FuzzySubset) -> FuzzySubset:
-    """(mu1 (+) mu2)(x) = max over decompositions x = u + v of min(mu1(u), mu2(v)).
-
-    Every x decomposes as x + 0, so the maximum is over a nonempty set.
-    """
-    c = _require_same_carrier(mu1, mu2)
-    n = c.size
-    best = [Fraction(0)] * n
-    for u in range(n):
-        gu = mu1.grades[u]
-        for v in range(n):
-            x = c.add[u][v]
-            m = min(gu, mu2.grades[v])
-            if m > best[x]:
-                best[x] = m
-    return FuzzySubset(c, tuple(best))
+    """(mu1 (+) mu2)(x) = max over decompositions x = u + v of min(mu1(u), mu2(v)):
+    cut by cut, the set sum of the operands' cuts (`LevelCuts.sum_table`)."""
+    view, rows = _cut_rows(_require_same_carrier(mu1, mu2), [mu1, mu2])
+    return view.subset(view.sum_table(rows[:1], rows[1:])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +321,7 @@ class LevelCuts:
     - equality: equal cuts;
     - ideal: the first cut is non-empty and every cut is closed under
       addition and absorbs the products of its elements (as the crisp
-      enumerator does), which is `is_fuzzy_ideal_*` cut by cut.
+      enumerator does), the definition `is_fuzzy_ideal_*` decides by.
 
     Each distinct mask gets an id (`mask_ids`), and a family of N subsets
     is only ever the (N, m-1) array of the ids of its members' cuts.  The
@@ -552,13 +541,18 @@ class LevelCuts:
         left, right = (core._absorption_images(self.structure, kind) for kind in ("left", "right"))
         return {"left": left, "right": right, "two": [a | b for a, b in zip(left, right)]}
 
+    @cached_property
+    def _canonical(self) -> dict[str, str]:
+        images = self._images
+        return {kind: next(k for k in ("two", "left", "right") if images[k] == images[kind]) for kind in KINDS}
+
     def canonical(self, kind: str) -> str:
         """The first of "two", "left" and "right" whose absorption images
-        equal those of `kind`.  An ideal family depends on the images alone,
-        so kinds with equal images (all three, on a commutative structure)
-        share one family, keyed by this kind."""
-        images = self._images
-        return next(k for k in ("two", "left", "right") if images[k] == images[_check_kind(kind)])
+        equal those of `kind`, decided for every kind on the first call.  An
+        ideal family depends on the images alone, so kinds with equal images
+        (all three, on a commutative structure) share one family, keyed by
+        this kind."""
+        return self._canonical[_check_kind(kind)]
 
     def _crisp(self, kind: str) -> tuple[int, ...]:
         kind = self.canonical(kind)
@@ -617,8 +611,7 @@ class LevelCuts:
 
 
 # ---------------------------------------------------------------------------
-# ideal predicates (plain loops; used as the contract operations and as the
-# reference path the enumerators are checked against)
+# ideal predicates, on the level cuts of one subset
 
 
 def _check_kind(kind: str) -> str:
@@ -627,9 +620,24 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
+def _cut_rows(structure, subsets: Sequence[FuzzySubset]) -> tuple[LevelCuts, np.ndarray]:
+    """A level-cut view of the structure on the subsets' own grades, 0 and
+    1, and the (N, m-1) ids of the subsets' cuts on it, each grade read as
+    its place on that chain.  The chain keeps the subsets' grade objects."""
+    chain = GradeChain.of(*(g for mu in subsets for g in mu.grades), 0, 1)
+    view, rank = LevelCuts(structure, chain), {g: r for r, g in enumerate(chain.grades)}
+    return view, view.family_of_ranks(np.array([[rank[g] for g in mu.grades] for mu in subsets]))
+
+
+def _is_ideal(structure, mu: FuzzySubset, kind: str) -> bool:
+    view, rows = _cut_rows(structure, [mu])
+    return bool(view.ideal_rows(rows, kind)[0])
+
+
 def is_fuzzy_ideal_gamma(g: core.GammaSemiring, mu: FuzzySubset, kind: str = "two") -> bool:
     """mu(x+y) >= min(mu x, mu y) plus the kind-appropriate absorption:
-    left: mu(x@y) >= mu(y); right: mu(x@y) >= mu(x); two: both.
+    left: mu(x@y) >= mu(y); right: mu(x@y) >= mu(x); two: both.  Decided on
+    mu's level cuts (`LevelCuts.ideal_rows`).
 
     Also requires mu nonempty (some grade positive).  The mu(0)=1 convention
     is enforced only at enumeration time, not here.
@@ -637,24 +645,7 @@ def is_fuzzy_ideal_gamma(g: core.GammaSemiring, mu: FuzzySubset, kind: str = "tw
     _check_kind(kind)
     if mu.carrier != carrier_of(g):
         raise ValueError("fuzzy subset does not live on this gamma-semiring's carrier")
-    if mu.is_empty():
-        return False
-    gr = mu.grades
-    s, gg = len(g.S), len(g.G)
-    for x in range(s):
-        for y in range(s):
-            if gr[g.addS[x][y]] < min(gr[x], gr[y]):
-                return False
-    for x in range(s):
-        for c in range(gg):
-            row = g.prod[x][c]
-            for y in range(s):
-                v = gr[row[y]]
-                if kind in ("left", "two") and v < gr[y]:
-                    return False
-                if kind in ("right", "two") and v < gr[x]:
-                    return False
-    return True
+    return _is_ideal(g, mu, kind)
 
 
 def is_fuzzy_ideal_semiring(r: core.Semiring, mu: FuzzySubset, kind: str = "two") -> bool:
@@ -662,60 +653,20 @@ def is_fuzzy_ideal_semiring(r: core.Semiring, mu: FuzzySubset, kind: str = "two"
     _check_kind(kind)
     if mu.carrier != carrier_of(r):
         raise ValueError("fuzzy subset does not live on this semiring's carrier")
-    if mu.is_empty():
-        return False
-    gr = mu.grades
-    n = len(r.carrier)
-    for x in range(n):
-        for y in range(n):
-            if gr[r.add[x][y]] < min(gr[x], gr[y]):
-                return False
-            v = gr[r.mul[x][y]]
-            if kind in ("left", "two") and v < gr[y]:
-                return False
-            if kind in ("right", "two") and v < gr[x]:
-                return False
-    return True
+    return _is_ideal(r, mu, kind)
 
 
 def is_crisp_ideal_gamma(g: core.GammaSemiring, subset: CrispSubset, kind: str = "two") -> bool:
-    """Contains 0, closed under addition, absorbs the ternary product per kind."""
+    """Contains 0, closed under addition, absorbs the ternary product per
+    kind: contains 0 and its characteristic function is a fuzzy ideal."""
     _check_kind(kind)
-    m = subset.members
-    if 0 not in m:
-        return False
-    s, gg = len(g.S), len(g.G)
-    for x in m:
-        for y in m:
-            if g.addS[x][y] not in m:
-                return False
-    for c in range(gg):
-        for t in range(s):
-            for x in m:
-                if kind in ("left", "two") and g.prod[t][c][x] not in m:
-                    return False
-                if kind in ("right", "two") and g.prod[x][c][t] not in m:
-                    return False
-    return True
+    return 0 in subset.members and _is_ideal(g, characteristic(subset), kind)
 
 
 def is_crisp_ideal_semiring(r: core.Semiring, subset: CrispSubset, kind: str = "two") -> bool:
+    """Semiring analogue of is_crisp_ideal_gamma."""
     _check_kind(kind)
-    m = subset.members
-    if 0 not in m:
-        return False
-    n = len(r.carrier)
-    for x in m:
-        for y in m:
-            if r.add[x][y] not in m:
-                return False
-    for t in range(n):
-        for x in m:
-            if kind in ("left", "two") and r.mul[t][x] not in m:
-                return False
-            if kind in ("right", "two") and r.mul[x][t] not in m:
-                return False
-    return True
+    return 0 in subset.members and _is_ideal(r, characteristic(subset), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -228,10 +228,7 @@ def parse_gsr(path: str, require_valid: bool = True) -> Union[core.GammaSemiring
         raise GsrError("io", f"{path}: {exc}") from exc
     structure = parse_gsr_text(text)
     if require_valid:
-        if isinstance(structure, core.GammaSemiring):
-            outcome = core.validate_gamma_semiring(structure)
-        else:
-            outcome = core.validate_semiring(structure)
+        outcome = core.validate(structure)
         if not outcome.ok:
             first = outcome.violations[0]
             raise GsrError(

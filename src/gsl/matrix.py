@@ -1,4 +1,4 @@
-"""Matrix gamma-semirings, the operator-matrix isomorphisms, and fuzzy lifts.
+"""Matrix gamma-semirings, the operator-matrix isomorphisms, and th3.19's lift.
 
 For a base gamma-semiring with carriers S and G, the n x n matrix instance
 has carrier all n^2-tuples over S (row-major, ids m0, m1, ... in mixed-radix
@@ -44,10 +44,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import core
-from .fuzzy import FuzzySubset, carrier_of
 from .operators import OperatorSemiring, build_operator_semiring
 from .report import VerificationReport, chain_scope_note, first_cell
-from .transfer import _grade_mins
 
 if TYPE_CHECKING:  # the suites below take the run's Workspace, which builds on this module
     from .verify import Workspace
@@ -57,7 +55,6 @@ __all__ = [
     "MatrixGammaSemiring",
     "build_matrix_gamma",
     "matrix_semiring",
-    "lift_fuzzy_to_matrix",
     "check_operator_matrix_iso",
     "verify_theorem_3_19",
 ]
@@ -130,7 +127,7 @@ def _products(add: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixGammaSemiring:
-    """The realized matrix instance plus the entry-tuple codecs.
+    """The realized matrix instance and its elements' entries.
 
     Row k of `s_entries` and of `g_entries` (read-only (size, n^2) arrays)
     holds the decoded entries of element k of S and of G, computed once
@@ -141,18 +138,6 @@ class MatrixGammaSemiring:
     gamma: core.GammaSemiring
     s_entries: np.ndarray = field(repr=False, compare=False)
     g_entries: np.ndarray = field(repr=False, compare=False)
-
-    def decode_s(self, k: int) -> tuple[int, ...]:
-        return tuple(self.s_entries[k].tolist())
-
-    def encode_s(self, entries) -> int:
-        return _encode(entries, len(self.base.S))
-
-    def decode_g(self, k: int) -> tuple[int, ...]:
-        return tuple(self.g_entries[k].tolist())
-
-    def encode_g(self, entries) -> int:
-        return _encode(entries, len(self.base.G))
 
 
 def build_matrix_gamma(base: core.GammaSemiring, n: int, cap: int = 16) -> MatrixGammaSemiring:
@@ -212,13 +197,6 @@ def matrix_semiring(r: core.Semiring, n: int, name: Optional[str] = None) -> cor
     if not outcome.ok:
         raise AssertionError(f"matrix semiring failed validation: {outcome.violations[0]}")
     return sr
-
-
-def lift_fuzzy_to_matrix(mg: MatrixGammaSemiring, mu: FuzzySubset) -> FuzzySubset:
-    """mu_n(A) = min over the n^2 entries of mu(entry)."""
-    if mu.carrier != carrier_of(mg.base):
-        raise ValueError("subset does not live on the base carrier")
-    return FuzzySubset(carrier_of(mg.gamma), _grade_mins(mu.grades, mg.s_entries))
 
 
 # ---------------------------------------------------------------------------

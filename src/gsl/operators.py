@@ -53,11 +53,9 @@ import numpy as np
 from . import core
 
 __all__ = [
-    "ActionMap",
     "OperatorSemiring",
     "ClosureCapExceeded",
     "ClosureBudgetExceeded",
-    "action_of_pair",
     "build_operator_semiring",
     "find_unity",
 ]
@@ -74,29 +72,10 @@ class ClosureBudgetExceeded(RuntimeError):
     """Closure did not saturate within the configured time budget."""
 
 
-@dataclass(frozen=True)
-class ActionMap:
-    """The action of one congruence class: position a holds the image of a."""
-
-    values: tuple[int, ...]
-    side: str
-
-    def __call__(self, a: int) -> int:
-        return self.values[a]
-
-
 def _check_side(side: str) -> str:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     return side
-
-
-def action_of_pair(g: core.GammaSemiring, x: int, alpha: int, side: str) -> ActionMap:
-    """Left pair (x, alpha): a -> x@a.  Right pair (alpha, x): a -> a@x."""
-    _check_side(side)
-    prod = g.tables[2]
-    values = prod[x, alpha] if side == "left" else prod[:, alpha, x]
-    return ActionMap(tuple(values.tolist()), side)
 
 
 @dataclass(frozen=True)
@@ -113,11 +92,10 @@ class OperatorSemiring:
     f0, f1, ... in canonical element order; its `tables` are the addition
     and composition tables.
 
-    Derived once, on first use: `elements`, the rows as ActionMaps; and as
-    int bitmasks, for `pair_fixed` and `image_contained`: `image_masks[i]`,
-    the image of element i in S; `closure_masks[i]`, that image closed
-    under the addition of S; and `pair_masks[x]`, the elements [x, gamma]
-    over every gamma.  The two correspondences keep what they gave for each
+    Derived once, on first use, as int bitmasks for `pair_fixed` and
+    `image_contained`: `image_masks[i]`, the image of element i in S;
+    `closure_masks[i]`, that image closed under the addition of S; and
+    `pair_masks[x]`, the elements [x, gamma] over every gamma.  The two correspondences keep what they gave for each
     mask, so a run that asks for one mask's image from several suites and
     kinds computes it once.
     """
@@ -128,10 +106,6 @@ class OperatorSemiring:
     provenance: tuple[tuple[tuple[int, int], ...], ...]
     pair_rows: np.ndarray = field(repr=False, compare=False)
     semiring: core.Semiring
-
-    @cached_property
-    def elements(self) -> tuple[ActionMap, ...]:
-        return tuple(ActionMap(tuple(v), self.side) for v in self.value_rows.tolist())
 
     @cached_property
     def image_masks(self) -> tuple[int, ...]:

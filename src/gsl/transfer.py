@@ -14,15 +14,16 @@ th3.19's lift a matrix instance's entries.  Ranks order the elements as
 their grades do, so every map is one kernel, `min_ranks`, on integer ranks.
 The suites map whole families at once, as the (N, n) rank arrays of their
 level cuts (`verify.Workspace.transfer`).  The public maps here are one-row
-calls of it, ranked on the operand's sorted distinct grades, and their
-images reuse the operand's own grade objects.
+calls of it, ranked on a chain of the operand's own grades (the level-cut
+reading the fuzzy predicates use), and their images reuse the operand's
+own grade objects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fuzzy import FuzzySubset, carrier_of
+from .fuzzy import FuzzySubset, _cut_rows, carrier_of
 from .operators import OperatorSemiring
 
 __all__ = ["min_ranks", "restrict_plus", "lift_plusprime", "restrict_star", "lift_starprime"]
@@ -43,24 +44,23 @@ def min_ranks(ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return mins
 
 
-def _grade_mins(grades, rows: np.ndarray) -> tuple:
-    """For each row of an index table, the least of the grades it indexes:
-    `min_ranks` on one subset, ranked on its sorted distinct grades."""
-    ladder = sorted(set(grades))  # equal grades share a rank
-    rank = {g: r for r, g in enumerate(ladder)}
-    return tuple(map(ladder.__getitem__, min_ranks(np.array([[rank[g] for g in grades]]), rows)[0].tolist()))
+def _grade_mins(mu: FuzzySubset, rows: np.ndarray) -> tuple:
+    """For each row of an index table, the least of mu's grades it indexes:
+    `min_ranks` on mu's ranks on a chain of its own grades."""
+    view, cuts = _cut_rows(mu.carrier, [mu])
+    return tuple(map(view.chain.grades.__getitem__, min_ranks(view.rank_array(cuts), rows)[0].tolist()))
 
 
 def _restrict(op: OperatorSemiring, mu: FuzzySubset) -> FuzzySubset:
     if mu.carrier != carrier_of(op):
         raise ValueError("subset does not live on the operator semiring carrier")
-    return FuzzySubset(carrier_of(op.base), _grade_mins(mu.grades, op.pair_rows))
+    return FuzzySubset(carrier_of(op.base), _grade_mins(mu, op.pair_rows))
 
 
 def _lift(op: OperatorSemiring, sigma: FuzzySubset) -> FuzzySubset:
     if sigma.carrier != carrier_of(op.base):
         raise ValueError("subset does not live on the base carrier")
-    return FuzzySubset(carrier_of(op), _grade_mins(sigma.grades, op.value_rows))
+    return FuzzySubset(carrier_of(op), _grade_mins(sigma, op.value_rows))
 
 
 def restrict_plus(op: OperatorSemiring, mu: FuzzySubset) -> FuzzySubset:

@@ -437,6 +437,73 @@ def naive_is_fuzzy_ideal_semiring(r, grades, kind) -> bool:
     return True
 
 
+def naive_is_crisp_ideal_gamma(g, members, kind) -> bool:
+    """Contains 0, closed under addS, absorbs the ternary product per kind."""
+    s, gg = len(g.S), len(g.G)
+    if 0 not in members:
+        return False
+    for x in members:
+        for y in members:
+            if g.addS[x][y] not in members:
+                return False
+    for c in range(gg):
+        for t in range(s):
+            for x in members:
+                if kind in ("left", "two") and g.prod[t][c][x] not in members:
+                    return False
+                if kind in ("right", "two") and g.prod[x][c][t] not in members:
+                    return False
+    return True
+
+
+def naive_is_crisp_ideal_semiring(r, members, kind) -> bool:
+    n = len(r.carrier)
+    if 0 not in members:
+        return False
+    for x in members:
+        for y in members:
+            if r.add[x][y] not in members:
+                return False
+    for t in range(n):
+        for x in members:
+            if kind in ("left", "two") and r.mul[t][x] not in members:
+                return False
+            if kind in ("right", "two") and r.mul[x][t] not in members:
+                return False
+    return True
+
+
+def naive_fuzzy_sum(mu1, mu2):
+    """(mu1 (+) mu2)(x) = max over x = u + v of min(mu1(u), mu2(v)), one
+    pair (u, v) at a time over the addition table."""
+    from gsl.fuzzy import FuzzySubset
+
+    if mu1.carrier != mu2.carrier:
+        raise ValueError("carrier mismatch")
+    c = mu1.carrier
+    best = [Fraction(0)] * c.size
+    for u in range(c.size):
+        gu, row = mu1.grades[u], c.add[u]
+        for v in range(c.size):
+            m = min(gu, mu2.grades[v])
+            if m > best[row[v]]:
+                best[row[v]] = m
+    return FuzzySubset(c, tuple(best))
+
+
+def naive_matrix_lift(mg, mu):
+    """th3.19's lift of mu over the base to the matrix instance: each matrix
+    gets the least grade of its n^2 entries, decoded one digit at a time."""
+    from gsl.fuzzy import FuzzySubset, carrier_of
+
+    radix, nn = len(mg.base.S), mg.n * mg.n
+    grades = []
+    for k in range(len(mg.gamma.S)):
+        entries = [k // radix ** (nn - 1 - p) % radix for p in range(nn)]
+        grades.append(min(mu.grades[e] for e in entries))
+    return FuzzySubset(carrier_of(mg.gamma), tuple(grades))
+
+
 def brute_fuzzy_ideal_grades(structure, chain_grades, kind, is_gamma: bool) -> list[tuple]:
     """Exhaustive filter over all grade tuples with grade(0) = 1."""
     if is_gamma:
@@ -475,34 +542,23 @@ def naive_absorption_images(structure, kind) -> list[int]:
 
 
 def naive_crisp_ideals_gamma(g, kind) -> list[frozenset[int]]:
-    s, gg = len(g.S), len(g.G)
+    """Every subset containing 0 that the loop predicate accepts, in
+    ascending order of the indicator tuple of positions 1..n-1."""
     out = []
-    for bits in itertools.product((0, 1), repeat=s - 1):
+    for bits in itertools.product((0, 1), repeat=len(g.S) - 1):
         members = frozenset({0} | {i + 1 for i, b in enumerate(bits) if b})
-        if not all(g.addS[x][y] in members for x in members for y in members):
-            continue
-        ok = True
-        for c in range(gg):
-            for t in range(s):
-                for x in members:
-                    if kind in ("left", "two") and g.prod[t][c][x] not in members:
-                        ok = False
-                    if kind in ("right", "two") and g.prod[x][c][t] not in members:
-                        ok = False
-        if ok:
+        if naive_is_crisp_ideal_gamma(g, members, kind):
             out.append(members)
     return out
 
 
 def brute_crisp_ideals_semiring(r, kind) -> list[frozenset[int]]:
-    """Every subset containing 0 that the library predicate accepts, in
+    """Every subset containing 0 that the loop predicate accepts, in
     ascending order of the indicator tuple of positions 1..n-1."""
-    from gsl.fuzzy import CrispSubset, is_crisp_ideal_semiring
-
     out = []
     for bits in itertools.product((0, 1), repeat=len(r.carrier) - 1):
         members = frozenset({0} | {i + 1 for i, b in enumerate(bits) if b})
-        if is_crisp_ideal_semiring(r, CrispSubset.of_indices(r, members), kind):
+        if naive_is_crisp_ideal_semiring(r, members, kind):
             out.append(members)
     return out
 
@@ -637,15 +693,16 @@ def tuple_fuzzy_ideals(view, kind: str = "two") -> list[tuple[int, ...]]:
 
 
 def is_ideal(view, cuts, kind: str = "two") -> bool:
-    """`is_fuzzy_ideal_*` of the subset with these cuts, one cut at a time:
-    the first cut is non-empty and every non-empty cut is a crisp ideal
-    (`is_crisp_ideal_*`, plain loops over the tables)."""
+    """Whether the subset with these cuts is a fuzzy ideal, one cut at a
+    time: the first cut is non-empty and every non-empty cut is a crisp
+    ideal (`naive_is_crisp_ideal_*`, plain loops over the tables)."""
     from gsl import core
-    from gsl.fuzzy import CrispSubset, is_crisp_ideal_gamma, is_crisp_ideal_semiring
 
-    crisp = is_crisp_ideal_gamma if isinstance(view.structure, core.GammaSemiring) else is_crisp_ideal_semiring
+    gamma = isinstance(view.structure, core.GammaSemiring)
+    crisp = naive_is_crisp_ideal_gamma if gamma else naive_is_crisp_ideal_semiring
     return cuts[0] != 0 and all(
-        not cut or crisp(view.structure, CrispSubset.of_mask(view.carrier, cut), kind) for cut in cuts
+        not cut or crisp(view.structure, {x for x in range(cut.bit_length()) if cut >> x & 1}, kind)
+        for cut in cuts
     )
 
 
@@ -703,13 +760,11 @@ def _meet(a, b):
 def naive_pair_clause_rows(ideals_s, ideals_op, lift, restrict, tag: str) -> list[tuple]:
     """prop3.4's pair clauses iv, v, vi and ix, as the (clause, status,
     witness, checked) rows `verify._clause_rows` gives for them."""
-    from gsl.fuzzy import fuzzy_sum
-
     lifted = [lift(s) for s in ideals_s]
     restricted = [restrict(m) for m in ideals_op]
     s, op = ideals_s, ideals_op
     clauses = (
-        ("iv", s, "sigma", lambda i, j: lift(fuzzy_sum(s[i], s[j])) != fuzzy_sum(lifted[i], lifted[j])),
+        ("iv", s, "sigma", lambda i, j: lift(naive_fuzzy_sum(s[i], s[j])) != naive_fuzzy_sum(lifted[i], lifted[j])),
         ("v", s, "sigma", lambda i, j: lift(_meet(s[i], s[j])) != _meet(lifted[i], lifted[j])),
         ("vi", s, "sigma", lambda i, j: s[i] <= s[j] and not lifted[i] <= lifted[j]),
         ("ix", op, "mu", lambda i, j: op[i] <= op[j] and not restricted[i] <= restricted[j]),
@@ -733,7 +788,7 @@ def naive_theorem_3_8_pairs(ideals, lift):
     sum-homomorphism or intersection-homomorphism (the first of these it
     fails), else lattice-closure when the ideals are not closed under sum
     and intersection or lack the top or bottom, else None."""
-    from gsl.fuzzy import CrispSubset, FuzzySubset, characteristic, fuzzy_sum
+    from gsl.fuzzy import CrispSubset, FuzzySubset, characteristic
 
     lifted = [lift(s) for s in ideals]
 
@@ -741,7 +796,7 @@ def naive_theorem_3_8_pairs(ideals, lift):
         a, b, la, lb = ideals[i], ideals[j], lifted[i], lifted[j]
         if (a <= b) != (la <= lb):
             return "inclusion-both-ways"
-        if lift(fuzzy_sum(a, b)) != fuzzy_sum(la, lb):
+        if lift(naive_fuzzy_sum(a, b)) != naive_fuzzy_sum(la, lb):
             return "sum-homomorphism"
         if lift(_meet(a, b)) != _meet(la, lb):
             return "intersection-homomorphism"
@@ -753,7 +808,7 @@ def naive_theorem_3_8_pairs(ideals, lift):
         return {"check": check, "sigma1": ideals[i].to_mapping(), "sigma2": ideals[j].to_mapping()}
     family = set(ideals)
     carrier = ideals[0].carrier
-    closed = all(fuzzy_sum(a, b) in family and _meet(a, b) in family for a in ideals for b in ideals)
+    closed = all(naive_fuzzy_sum(a, b) in family and _meet(a, b) in family for a in ideals for b in ideals)
     top = FuzzySubset.constant(carrier, 1)
     bottom = characteristic(CrispSubset.of_indices(carrier, [0]))
     if not (closed and top in family and bottom in family):
@@ -895,7 +950,7 @@ def sort_position_lift(op, sigma):
 
     order, position = _sort_positions(sigma.grades)
     grades = tuple(
-        sigma.grades[order[min(map(position.__getitem__, f.values))]] for f in op.elements
+        sigma.grades[order[min(map(position.__getitem__, values))]] for values in op.value_rows.tolist()
     )
     return FuzzySubset(carrier_of(op), grades)
 
@@ -941,8 +996,8 @@ def set_image_contained_set(op, subset):
     q = subset.members
     q_closed = all(addS[x][y] in q for x in q for y in q)
     members = set()
-    for i, f in enumerate(op.elements):
-        image = set(f.values)
+    for i, values in enumerate(op.value_rows.tolist()):
+        image = set(values)
         inside = _additive_closure(addS, image) <= q
         if q_closed and inside != (image <= q):
             raise RuntimeError(f"element {i}: image readings disagree on a closed target")

@@ -83,7 +83,7 @@ def test_criterion_2_operator_construction():
             op = build_operator_semiring(g, "left")
             oracle = naive_operator_actions(g, "left", max_len=len(g.S) * len(g.G))
             assert len(op) == len(oracle) == expected[(g.name, "left")]
-            assert {f.values for f in op.elements} == oracle
+            assert set(map(tuple, op.value_rows.tolist())) == oracle
             assert core.validate_semiring(op.semiring).ok
             assert find_unity(g, op) is not None
 

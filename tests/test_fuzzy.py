@@ -1,5 +1,7 @@
 """Fuzzy subsets, ideal predicates, lattice operations, enumerations."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,13 +20,14 @@ from gsl.fuzzy import (
     fuzzy_intersection,
     fuzzy_sum,
     is_crisp_ideal_gamma,
+    is_crisp_ideal_semiring,
     is_fuzzy_ideal_gamma,
     is_fuzzy_ideal_semiring,
     as_grade,
     parse_grade,
     format_grade,
 )
-from gsl.matrix import build_matrix_gamma
+from gsl.matrix import build_matrix_gamma, matrix_semiring
 from gsl.operators import build_operator_semiring
 from oracles import (
     brute_crisp_ideals_semiring,
@@ -33,7 +36,11 @@ from oracles import (
     members,
     naive_absorption_images,
     naive_crisp_ideals_gamma,
+    naive_fuzzy_sum,
+    naive_is_crisp_ideal_gamma,
+    naive_is_crisp_ideal_semiring,
     naive_is_fuzzy_ideal_gamma,
+    naive_is_fuzzy_ideal_semiring,
     tuple_fuzzy_ideals,
 )
 
@@ -95,19 +102,53 @@ class TestIdealPredicates:
         with pytest.raises(ValueError):
             is_fuzzy_ideal_gamma(gb, FuzzySubset.constant(z4, 1), "two")
 
-    def test_against_naive_predicate(self, all_small_instances):
-        import itertools
-
-        for g in all_small_instances:
-            n = len(g.S)
+    def test_against_naive_predicate(self, all_small_instances, upper_triangular, bool_sr, z4_sr, gb):
+        """The predicates and `fuzzy_sum`, decided on level cuts, against
+        the loops of the oracles, for every kind: on gamma-semirings and
+        semirings of 2 to 16 elements, commutative or not; on grades off the
+        default chain, mu(0) < 1 among them, and on empty and constant
+        subsets; on crisp subsets, those without 0 among them.  Carriers of
+        up to 4 elements get every grade tuple and every subset, larger ones
+        a seeded sample."""
+        rng = random.Random(0)
+        grades = tuple(map(Fraction, ("0", "1/3", "1/2", "2/3", "1")))
+        gammas = [*all_small_instances, upper_triangular, build_matrix_gamma(gb, 2).gamma]
+        semirings = [
+            bool_sr, z4_sr, core.boolean_power_semiring(3), matrix_semiring(bool_sr, 2),
+            build_operator_semiring(upper_triangular, "left").semiring,
+        ]
+        cases = [(g, is_fuzzy_ideal_gamma, naive_is_fuzzy_ideal_gamma, is_crisp_ideal_gamma,
+                  naive_is_crisp_ideal_gamma) for g in gammas]
+        cases += [(r, is_fuzzy_ideal_semiring, naive_is_fuzzy_ideal_semiring, is_crisp_ideal_semiring,
+                   naive_is_crisp_ideal_semiring) for r in semirings]
+        seen = set()
+        for structure, fuzzy, naive_fuzzy, crisp, naive_crisp in cases:
+            carrier = carrier_of(structure)
+            n = carrier.size
+            if n <= 4:
+                tuples = list(itertools.product(grades, repeat=n))
+                subsets = [frozenset(x for x in range(n) if mask >> x & 1) for mask in range(2**n)]
+            else:
+                tuples = [(g,) * n for g in grades] + [tuple(rng.choices(grades, k=n)) for _ in range(150)]
+                subsets = [frozenset(x for x in range(n) if rng.random() < 0.5) for _ in range(100)]
+                subsets += [frozenset(), frozenset(range(n)), frozenset(range(1, n))]
             for kind in ("left", "right", "two"):
-                for tail in itertools.product(CHAIN.grades, repeat=n - 1):
-                    for head in (Fraction(0), Fraction(1)):
-                        grades = (head,) + tail
-                        mu = FuzzySubset.of_grades(g, grades)
-                        assert is_fuzzy_ideal_gamma(g, mu, kind) == naive_is_fuzzy_ideal_gamma(
-                            g, grades, kind
-                        )
+                for grade_tuple in tuples:
+                    got = fuzzy(structure, FuzzySubset(carrier, grade_tuple), kind)
+                    assert got == naive_fuzzy(structure, grade_tuple, kind), (structure.name, kind, grade_tuple)
+                    seen.add(("fuzzy", got, grade_tuple[0] < 1))
+                for members in subsets:
+                    got = crisp(structure, CrispSubset(carrier, members), kind)
+                    assert got == naive_crisp(structure, members, kind), (structure.name, kind, sorted(members))
+                    seen.add(("crisp", got, 0 in members))
+            for _ in range(40):
+                a, b = (FuzzySubset(carrier, tuple(rng.choices(grades, k=n))) for _ in range(2))
+                assert fuzzy_sum(a, b) == naive_fuzzy_sum(a, b), (structure.name, a.grades, b.grades)
+        # both answers are met, fuzzy ideals with mu(0) < 1 among them; no crisp ideal lacks 0
+        assert seen == {
+            ("fuzzy", True, True), ("fuzzy", True, False), ("fuzzy", False, True), ("fuzzy", False, False),
+            ("crisp", True, True), ("crisp", False, True), ("crisp", False, False),
+        }
 
 
 class TestLatticeOps:

@@ -1,9 +1,9 @@
 """The level-cut engine against the `Fraction` reference path.
 
 `LevelCuts` does sums, intersections and inclusions a family at a time, as
-tables over every pair, and ideal tests on level cuts; `fuzzy_sum`,
-`fuzzy_intersection`, `FuzzySubset.__le__` and `is_fuzzy_ideal_*` do them
-grade by grade.  Both must agree on every pair of fuzzy ideals, on S, L and
+tables over every pair, and ideal tests on level cuts; `naive_fuzzy_sum`,
+`fuzzy_intersection`, `FuzzySubset.__le__` and `naive_is_fuzzy_ideal_*` do
+them grade by grade.  Both must agree on every pair of fuzzy ideals, on S, L and
 R, on chain-valued subsets that are not ideals, and on a carrier wider than
 a machine word; the ideal tests must also agree on the matrix instances
 th3.19 lifts onto, and the ideal-ness table on every mask a view interns,
@@ -27,7 +27,9 @@ from oracles import (
     is_ideal,
     members,
     naive_is_fuzzy_ideal_gamma,
+    naive_fuzzy_sum,
     naive_is_fuzzy_ideal_semiring,
+    naive_matrix_lift,
 )
 from gsl import core, transfer, verify
 from gsl.config import RunConfig
@@ -36,12 +38,9 @@ from gsl.fuzzy import (
     GradeChain,
     LevelCuts,
     fuzzy_intersection,
-    fuzzy_sum,
     enumerate_fuzzy_ideals,
-    is_fuzzy_ideal_gamma,
-    is_fuzzy_ideal_semiring,
 )
-from gsl.matrix import build_matrix_gamma, lift_fuzzy_to_matrix
+from gsl.matrix import build_matrix_gamma
 from gsl.verify import Workspace
 
 CHAINS = (GradeChain.parse("0,1/2,1"), GradeChain.parse("0,1/4,1/2,1"))
@@ -72,8 +71,8 @@ def _workspace(instance: int, chain: int) -> Workspace:
 
 def _is_ideal(structure, mu, kind) -> bool:
     if isinstance(structure, core.GammaSemiring):
-        return is_fuzzy_ideal_gamma(structure, mu, kind)
-    return is_fuzzy_ideal_semiring(structure, mu, kind)
+        return naive_is_fuzzy_ideal_gamma(structure, mu.grades, kind)
+    return naive_is_fuzzy_ideal_semiring(structure, mu.grades, kind)
 
 
 def _agree_on_pairs(cuts: LevelCuts, subsets) -> None:
@@ -93,7 +92,7 @@ def _agree_on_pairs(cuts: LevelCuts, subsets) -> None:
     assert sums.shape == meets.shape == (n, n, len(cuts.chain) - 1) and le.shape == (n, n)
     for i, a in enumerate(subsets):
         for j, b in enumerate(subsets):
-            assert members(cuts, sums[i])[j] == cuts_of(cuts, fuzzy_sum(a, b))
+            assert members(cuts, sums[i])[j] == cuts_of(cuts, naive_fuzzy_sum(a, b))
             assert members(cuts, meets[i])[j] == cuts_of(cuts, fuzzy_intersection([a, b]))
             assert le[i, j] == (a <= b)
             assert (tuples[i] == tuples[j]) == (a == b)
@@ -148,7 +147,7 @@ def test_cuts_agree_on_chain_valued_subsets(case):
     _agree_on_pairs(cuts, [a, b])
     ids = family(cuts, [cuts_of(cuts, a), cuts_of(cuts, b)])
     sum_cuts = members(cuts, cuts.sum_table(ids, ids)[0])[1]
-    for mu, cm in ((a, cuts_of(cuts, a)), (b, cuts_of(cuts, b)), (fuzzy_sum(a, b), sum_cuts)):
+    for mu, cm in ((a, cuts_of(cuts, a)), (b, cuts_of(cuts, b)), (naive_fuzzy_sum(a, b), sum_cuts)):
         _agree_on_one(cuts, structure, mu, cm)
 
 
@@ -201,7 +200,7 @@ def test_cuts_agree_on_lifted_ideals(matrix, chain):
     cuts = LevelCuts(mg.gamma, CHAINS[chain])
     for kind in KINDS:
         for mu in enumerate_fuzzy_ideals(mg.base, CHAINS[chain], kind):
-            lifted = lift_fuzzy_to_matrix(mg, mu)
+            lifted = naive_matrix_lift(mg, mu)
             _agree_on_one(cuts, mg.gamma, lifted, cuts_of(cuts, lifted))
 
 
@@ -215,7 +214,7 @@ def _matrix_subsets(draw):
     if draw(st.booleans()):
         mu = FuzzySubset.of_grades(mg.gamma, draw(st.lists(grades, min_size=16, max_size=16)))
     else:
-        mu = lift_fuzzy_to_matrix(
+        mu = naive_matrix_lift(
             mg, FuzzySubset.of_grades(mg.base, draw(st.lists(grades, min_size=2, max_size=2)))
         )
     return mg.gamma, chain, mu

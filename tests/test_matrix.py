@@ -1,4 +1,4 @@
-"""Matrix instances, the operator-matrix isomorphisms, and the fuzzy lift."""
+"""Matrix instances, the operator-matrix isomorphisms, and th3.19's lift."""
 
 from fractions import Fraction
 
@@ -9,12 +9,11 @@ from conftest import build_boolean_by_chain, build_one_element
 from gsl import core
 from gsl.config import RunConfig
 from gsl.fuzzy import FuzzySubset, GradeChain, enumerate_fuzzy_ideals, is_fuzzy_ideal_gamma
-from gsl import matrix
+from gsl import matrix, verify
 from gsl.matrix import (
     MatrixCapExceeded,
     build_matrix_gamma,
     check_operator_matrix_iso,
-    lift_fuzzy_to_matrix,
     matrix_semiring,
     verify_theorem_3_19,
 )
@@ -28,6 +27,7 @@ from oracles import (
     loop_matrix_semiring_mul,
     naive_matrix_gamma_tables,
     naive_matrix_semiring_tables,
+    subset_map,
 )
 
 HALF = Fraction(1, 2)
@@ -82,18 +82,18 @@ class TestBuild:
     def test_product_is_triple_matrix_product(self, gb):
         mg = build_matrix_gamma(gb, 2)
         # A = [[1,0],[0,0]], D = [[1,0],[0,0]], B = [[1,1],[0,0]]
-        a = mg.encode_s((1, 0, 0, 0))
-        d = mg.encode_g((1, 0, 0, 0))
-        b = mg.encode_s((1, 1, 0, 0))
-        assert mg.decode_s(mg.gamma.prod[a][d][b]) == (1, 1, 0, 0)
+        a = matrix._encode((1, 0, 0, 0), 2)
+        d = matrix._encode((1, 0, 0, 0), 2)
+        b = matrix._encode((1, 1, 0, 0), 2)
+        assert mg.s_entries[mg.gamma.prod[a][d][b]].tolist() == [1, 1, 0, 0]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tables_match_scalar_definition(self, gb, z2, zero_product, n):
         for base in (gb, z2, zero_product, build_one_element()):
             mg = build_matrix_gamma(base, n)
             assert (mg.gamma.addS, mg.gamma.addG, mg.gamma.prod) == naive_matrix_gamma_tables(base, n)
-            assert all(mg.encode_s(mg.decode_s(k)) == k for k in range(len(mg.gamma.S)))
-            assert all(mg.encode_g(mg.decode_g(k)) == k for k in range(len(mg.gamma.G)))
+            assert [matrix._encode(e, len(base.S)) for e in mg.s_entries.tolist()] == list(range(len(mg.gamma.S)))
+            assert [matrix._encode(e, len(base.G)) for e in mg.g_entries.tolist()] == list(range(len(mg.gamma.G)))
 
     def test_tables_match_scalar_definition_when_s_and_g_differ(self):
         base = build_boolean_by_chain(3)
@@ -135,32 +135,38 @@ class TestProducts:
                 assert np.array_equal(matrix._matrix_actions(mg, op_base, flat, side), want)
 
 
+def _lift(mg, mu):
+    """th3.19's lift (`verify._MAPS`, the min of the ranks over the entries)
+    of one subset over CHAIN."""
+    return subset_map(CHAIN, "lift", mg, verify._MAPS["M", "lift"])(mu)
+
+
 class TestFuzzyLift:
     def test_entrywise_min(self, gb):
         mg = build_matrix_gamma(gb, 2)
         mu = FuzzySubset.of_grades(gb, [1, HALF])
-        lifted = lift_fuzzy_to_matrix(mg, mu)
+        lifted = _lift(mg, mu)
         assert lifted.grades[0] == 1  # zero matrix
         for k in range(1, 16):
             assert lifted.grades[k] == HALF  # any matrix containing a 1
 
     def test_constant_lifts_to_constant(self, z2):
         mg = build_matrix_gamma(z2, 2)
-        assert lift_fuzzy_to_matrix(mg, FuzzySubset.constant(z2, 1)).is_constant()
+        assert _lift(mg, FuzzySubset.constant(z2, 1)).is_constant()
 
     def test_characteristic_lifts_to_characteristic_of_matrices_over(self, gb):
         mg = build_matrix_gamma(gb, 2)
         lam = FuzzySubset.of_grades(gb, [1, 0])  # characteristic of {0}
-        lifted = lift_fuzzy_to_matrix(mg, lam)
+        lifted = _lift(mg, lam)
         for k in range(16):
-            inside = all(e == 0 for e in mg.decode_s(k))
+            inside = not mg.s_entries[k].any()
             assert lifted.grades[k] == (1 if inside else 0)
 
     def test_lift_preserves_ideals(self, gb, z2):
         for g in (gb, z2):
             mg = build_matrix_gamma(g, 2)
             for mu in enumerate_fuzzy_ideals(g, CHAIN, "two"):
-                assert is_fuzzy_ideal_gamma(mg.gamma, lift_fuzzy_to_matrix(mg, mu), "two")
+                assert is_fuzzy_ideal_gamma(mg.gamma, _lift(mg, mu), "two")
 
 
 class TestOperatorMatrixIso:

@@ -148,6 +148,31 @@ def test_kinds_with_equal_images_share_one_family(monkeypatch, instance):
     assert len(calls) == 3
 
 
+class _CountedReads(dict):
+    """A dict that counts the reads of its values."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("instance", ["upper_triangular", "z4"])
+def test_canonical_compares_the_images_once_per_view(instance):
+    """The first `canonical` call decides every kind from the view's
+    absorption images; later calls, of any kind, read no image list."""
+    view = LevelCuts(INSTANCES[instance](), CHAIN)
+    images = view.__dict__["_images"] = _CountedReads(view._images)
+    first = view.canonical("left")
+    assert images.reads > 0
+    images.reads = 0
+    assert [view.canonical(kind) for kind in KINDS] == (list(KINDS) if instance == "upper_triangular" else ["two"] * 3)
+    assert view.canonical("left") == first and images.reads == 0
+    with pytest.raises(ValueError, match="kind must be one of"):
+        view.canonical("middle")
+
+
 # ---------------------------------------------------------------------------
 # one memo per transfer map
 

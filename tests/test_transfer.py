@@ -13,11 +13,10 @@ from conftest import build_upper_triangular
 from gsl import core
 from gsl.config import RunConfig
 from gsl.fuzzy import CrispSubset, FuzzySubset, GradeChain, carrier_of, characteristic, fuzzy_intersection
-from gsl.matrix import lift_fuzzy_to_matrix
 from gsl.operators import build_operator_semiring
 from gsl.transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
 from gsl.verify import Workspace
-from oracles import cuts_of, members, sort_position_lift, sort_position_restrict
+from oracles import cuts_of, members, naive_matrix_lift, sort_position_lift, sort_position_restrict
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -206,8 +205,9 @@ def test_family_kernel_matches_the_public_maps(instance, chain):
 
 @pytest.mark.parametrize("chain", _CHAINS)
 def test_matrix_kernel_matches_the_public_lift(chain):
-    """th3.19's lift on rank arrays is `lift_fuzzy_to_matrix` on every
-    member of boolean's fuzzy families, onto boolean[2x2]."""
+    """th3.19's lift on rank arrays is the loop lift, the least grade over
+    the entries (`naive_matrix_lift`), on every member of boolean's fuzzy
+    families, onto boolean[2x2]."""
     ws = Workspace(core.boolean_gamma(), RunConfig(chain=GradeChain.parse(chain)))
     for kind in ("two", "right", "left"):
-        assert _same_on_every_member(ws, "M", "lift", kind, lambda mu: lift_fuzzy_to_matrix(ws.matrix, mu))
+        assert _same_on_every_member(ws, "M", "lift", kind, lambda mu: naive_matrix_lift(ws.matrix, mu))

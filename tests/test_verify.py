@@ -21,6 +21,7 @@ from oracles import (
     fraction_semifield_condition,
     fuzzy_family,
     install_map,
+    naive_matrix_lift,
     table_pair_clause_rows,
 )
 
@@ -906,8 +907,7 @@ class TestFailPathBodies:
         }
 
     def test_th319_lift_is_ideal(self, monkeypatch, gb):
-        real = matrix.lift_fuzzy_to_matrix
-        install_map(monkeypatch, CHAIN, "M", "lift", lambda mg, mu: _reversed(real(mg, mu)))
+        install_map(monkeypatch, CHAIN, "M", "lift", lambda mg, mu: _reversed(naive_matrix_lift(mg, mu)))
         assert matrix.verify_theorem_3_19(ws(gb)).body() == {
             "suite": "th3.19",
             "instance": "boolean",
@@ -933,8 +933,9 @@ class TestFailPathBodies:
     def test_th319_injective(self, monkeypatch, gb):
         """Every base ideal lifts to the constant-1 subset: each lift is an
         ideal, and two of them coincide."""
-        real = matrix.lift_fuzzy_to_matrix
-        install_map(monkeypatch, CHAIN, "M", "lift", lambda mg, mu: real(mg, FuzzySubset.constant(mu.carrier, 1)))
+        install_map(
+            monkeypatch, CHAIN, "M", "lift", lambda mg, mu: naive_matrix_lift(mg, FuzzySubset.constant(mu.carrier, 1))
+        )
         assert matrix.verify_theorem_3_19(ws(gb)).body() == self._th319({"check": "injective"}, {})
 
     def test_th319_surjective(self, monkeypatch, gb):
@@ -1062,7 +1063,7 @@ class TestForcedSemifieldPayloads:
 
     def test_th318_reverse(self, monkeypatch):
         g = _chain_lattice_gamma()
-        assert core.is_commutative(g) and core.is_zdf(g) and not core.is_gamma_semifield(g)
+        assert core.is_commutative(g) and core.zdf_witness(g) is None and not core.is_gamma_semifield(g)
         body = self._run(monkeypatch, g, "th3.18", self._holds)
         assert body["status"] == FAIL
         assert body["counterexample"] == {

@@ -35,7 +35,7 @@ suite needs a ``FuzzySubset``, for a witness.
 The public ``Fraction`` API decides on level cuts as well: the predicates
 ``is_*_ideal_*`` and ``fuzzy_sum`` read their operands as cuts on a view
 over the operands' own grades (``_cut_rows``) and call ``ideal_rows`` and
-``sum_table``, so a fuzzy ideal and a fuzzy sum are defined once.
+``sum_rows``, so a fuzzy ideal and a fuzzy sum are defined once.
 ``fuzzy_intersection`` and ``FuzzySubset.__le__`` are pointwise one-liners.
 ``as_grade`` returns a ``Fraction`` it is given as it is, after an integer
 range check, so a subset built from grades that already exist makes no new
@@ -294,9 +294,10 @@ def fuzzy_intersection(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
 
 def fuzzy_sum(mu1: FuzzySubset, mu2: FuzzySubset) -> FuzzySubset:
     """(mu1 (+) mu2)(x) = max over decompositions x = u + v of min(mu1(u), mu2(v)):
-    cut by cut, the set sum of the operands' cuts (`LevelCuts.sum_table`)."""
+    cut by cut, the set sum of the operands' cuts at each level
+    (`LevelCuts.sum_rows`)."""
     view, rows = _cut_rows(_require_same_carrier(mu1, mu2), [mu1, mu2])
-    return view.subset(view.sum_table(rows[:1], rows[1:])[0, 0])
+    return view.subset(view.sum_rows(rows[:1], rows[1:])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +467,14 @@ class LevelCuts:
     def sum_table(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, M, m-1) ids: the cuts of a_i (+) b_j, for families a and b."""
         return self._lookup("sum", a, b)
+
+    def sum_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(N, m-1) ids: the cuts of a_i (+) b_i, for two families of N
+        members, each cut the set sum of the two cuts at its level; no
+        table is filled."""
+        masks = self._masks
+        sums = [self._set_sum(masks[u], masks[v]) for u, v in zip(a.ravel().tolist(), b.ravel().tolist())]
+        return self.mask_ids(sums).reshape(a.shape)
 
     def meet_table(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, M, m-1) ids: the cuts of a_i /\\ b_j, for families a and b."""

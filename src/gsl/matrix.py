@@ -23,7 +23,9 @@ generators, the matrices with at most one non-zero entry, so on
 `boolean[2x2]` each distributive law is checked on 20,480 cells, not
 65,536, and associativity on 3,125, not 1,048,576; the 16-element matrix
 semirings are validated densely, which is faster at that size.
-matrix-iso compares the images of every sum and product with one table
+matrix-iso reads the matrix semiring over the base operator semiring from
+the workspace (`Workspace.matrix_semiring`), so the left and right checks
+build it once when R's tables are L's.  It compares the images of every sum and product with one table
 comparison, computes the images of all |S||G| generators as one table,
 reads the action of each distinct image off the table of every operator
 matrix times every carrier matrix (`_matrix_actions`), and reads each
@@ -235,7 +237,7 @@ def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
         mg = ws.matrix
         op_matrix = build_operator_semiring(mg.gamma, side, cap=config.closure_cap)
         op_base = ws.left if side == "left" else ws.right
-        mat_over_op = matrix_semiring(op_base.semiring, n)
+        mat_over_op = ws.matrix_semiring("L" if side == "left" else "R")
 
         size = len(op_matrix)
         counts["matrix_carrier"] = len(mg.gamma.S)

@@ -14,16 +14,16 @@ th3.19's lift a matrix instance's entries.  Ranks order the elements as
 their grades do, so every map is one kernel, `min_ranks`, on integer ranks.
 The suites map whole families at once, as the (N, n) rank arrays of their
 level cuts (`verify.Workspace.transfer`).  The public maps here are one-row
-calls of it, ranked on a chain of the operand's own grades (the level-cut
-reading the fuzzy predicates use), and their images reuse the operand's
-own grade objects.
+calls of it, each grade ranked by its place among the operand's own sorted
+distinct grades, with no level cuts built, and their images reuse the
+operand's own grade objects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fuzzy import FuzzySubset, _cut_rows, carrier_of
+from .fuzzy import FuzzySubset, carrier_of
 from .operators import OperatorSemiring
 
 __all__ = ["min_ranks", "restrict_plus", "lift_plusprime", "restrict_star", "lift_starprime"]
@@ -46,9 +46,12 @@ def min_ranks(ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _grade_mins(mu: FuzzySubset, rows: np.ndarray) -> tuple:
     """For each row of an index table, the least of mu's grades it indexes:
-    `min_ranks` on mu's ranks on a chain of its own grades."""
-    view, cuts = _cut_rows(mu.carrier, [mu])
-    return tuple(map(view.chain.grades.__getitem__, min_ranks(view.rank_array(cuts), rows)[0].tolist()))
+    `min_ranks` on mu's one row of ranks, each grade's place among its own
+    sorted distinct grades."""
+    grades = sorted(set(mu.grades))
+    rank = {g: r for r, g in enumerate(grades)}
+    ranks = np.array([[rank[g] for g in mu.grades]], dtype=np.min_scalar_type(len(grades)))
+    return tuple(map(grades.__getitem__, min_ranks(ranks, rows)[0].tolist()))
 
 
 def _restrict(op: OperatorSemiring, mu: FuzzySubset) -> FuzzySubset:

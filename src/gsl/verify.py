@@ -6,7 +6,9 @@ semirings, the matrix instance and the ideal families once and shares them
 across suites.  What it derives is keyed by what it is computed from, not
 by who asks: each family is enumerated once per structure and distinct
 absorption images, by the level-cut view of its structure, so kinds with
-equal images (all three, on a commutative structure) share one family; each
+equal images (all three, on a commutative structure) share one family; the
+right operator semiring R shares L's view, families, images and clause
+rows when its tables are L's, as they are on a commutative base; each
 transfer map sees each operand once per run; and the semifield predicates
 and fuzzy conditions are decided once.  Every suite also runs in the
 workspace's one frame, `Workspace.run_suite`, which times it, turns a gate
@@ -58,6 +60,7 @@ from .matrix import (
     MatrixGammaSemiring,
     build_matrix_gamma,
     check_operator_matrix_iso,
+    matrix_semiring,
     verify_theorem_3_19,
 )
 from .operators import OperatorSemiring, build_operator_semiring, find_unity
@@ -102,12 +105,17 @@ class Workspace:
     family with its images under a transfer map (`pairs`, from `transfer`)
     for the pair checks, the images each transfer map gave (one `_Memo` per
     map), the semifield predicates and conditions (`fact`,
-    `semifield_condition`), and the verdicts of th3.8 and th3.15
-    (`decided`).  A family is named by the structure it lives on, "S" (the
-    structure itself), "L", "R" or "M" (the matrix instance), and by its
-    ideal kind; kinds with equal absorption images on that structure name
-    one family (`LevelCuts.canonical`), so they share its arrays, its images,
-    its pair tables and the verdicts decided on them.  Crisp families are tuples and
+    `semifield_condition`), the matrix semiring over L or R
+    (`matrix_semiring`), and the verdicts of th3.8 and th3.15 (`decided`)
+    and prop3.4's clause rows.  A family is named by the structure it lives
+    on, "S" (the structure itself), "L", "R" or "M" (the matrix instance),
+    and by its ideal kind; kinds with equal absorption images on that
+    structure name one family (`LevelCuts.canonical`), so they share its
+    arrays, its images, its pair tables and the verdicts decided on them.
+    Sides are keyed the same way: "R" resolves to "L" when R's tables are
+    L's (`resolve`), so R shares L's view, families, pairs and memos while
+    L and R hold the same map object (`_MAPS` has one per direction for
+    both).  Crisp families are tuples and
     fuzzy ones read-only arrays, so no suite can change what the next suite
     sees.  A plain semiring has only "S".  Every memo of a run lives here or
     in an object the workspace owns (a view, an operator semiring), and
@@ -150,6 +158,29 @@ class Workspace:
         return self._once("right", lambda: build_operator_semiring(
             self.structure, "right", cap=self.config.closure_cap))
 
+    def resolve(self, side: str) -> str:
+        """The side whose derived objects `side` shares: "L" for "R" when
+        R's action, pair-class and semiring tables equal L's (R is L with
+        its product reversed, so it is L on a commutative base), else the
+        side itself.  Decided once per run; R is built either way, for its
+        unity and its matrix iso."""
+        if side != "R":
+            return side
+
+        def decide():
+            right = self.right  # its cap, not L's, gates what needs R
+            try:
+                left = self.left
+            except core.CapExceeded:
+                return "R"
+            same = np.array_equal
+            return "L" if (
+                same(right.value_rows, left.value_rows) and same(right.pair_rows, left.pair_rows)
+                and all(map(same, right.semiring.tables, left.semiring.tables))
+            ) else "R"
+
+        return self._once("R resolves to", decide)
+
     @cached_property
     def left_unity(self) -> bool:
         return find_unity(self.structure, self.left) is not None
@@ -183,15 +214,26 @@ class Workspace:
             return self.matrix.gamma
         raise ValueError(f"side must be 'S', 'L', 'R' or 'M', got {side!r}")
 
+    def matrix_semiring(self, side: str) -> core.Semiring:
+        """The n x n matrix semiring over the semiring of L or R, one for
+        the sides that share their tables (`resolve`)."""
+        side = self.resolve(side)
+        return self._once(("matrix semiring", side), lambda: matrix_semiring(
+            self.structure_on(side), self.config.n))
+
     def level_cuts(self, side: str) -> LevelCuts:
         """The run's one level-cut view of a structure, over the config's
-        chain; it enumerates the structure's ideal families."""
+        chain, one for the sides that share their tables (`resolve`); it
+        enumerates the structure's ideal families."""
+        side = self.resolve(side)
         return self._once(("cuts", side), lambda: LevelCuts(self.structure_on(side), self.config.chain))
 
     def fuzzy_family(self, side: str, kind: str = "two") -> np.ndarray:
         """The fuzzy ideals over the config's chain, as the read-only
         (N, m-1) array of the ids of their cuts, in enumeration order
-        (`LevelCuts.fuzzy_ideals`); one array for the kinds that share it."""
+        (`LevelCuts.fuzzy_ideals`); one array for the kinds, and the sides,
+        that share it."""
+        side = self.resolve(side)
         kind = self.level_cuts(side).canonical(kind)
         return self._once(("family", side, kind), lambda: self.level_cuts(side).fuzzy_ideals(
             kind, self.config.enum_cap))
@@ -200,9 +242,13 @@ class Workspace:
         """A transfer map between S and `side` ("L", "R", or "M" for th3.19's
         lift) on id arrays: direction "lift" takes the (..., m-1) ids of
         subsets' cuts on S to the ids of their images' cuts on the side,
-        "restrict" takes them back.  The map is the one `_MAPS` holds at the
-        call, and the run keeps one `_Memo` per map object: only the
-        operands that map has not seen go through it, as one rank array."""
+        "restrict" takes them back.  The map is the one `_MAPS[side,
+        direction]` holds at the call, and the run keeps one `_Memo` per
+        resolved side (`resolve`), direction and map object: only the
+        operands that map has not seen go through it, as one rank array, so
+        R shares L's memo while both sides hold the same map, and a map
+        installed for one side alone gets a memo of its own."""
+        shared = self.resolve(side)  # here, so that `apply` holds no reference to the workspace
         source, target = self.level_cuts("S"), self.level_cuts(side)
         if direction == "restrict":
             source, target = target, source
@@ -211,7 +257,7 @@ class Workspace:
 
         def apply(ids: np.ndarray) -> np.ndarray:
             ranks_map = _MAPS[side, direction]
-            memo = memos.setdefault((side, direction, ranks_map), _Memo())
+            memo = memos.setdefault((shared, direction, ranks_map), _Memo())
             images = memo(ids.reshape(-1, ids.shape[-1]), lambda rows: target.family_of_ranks(
                 ranks_map(over, source.rank_array(rows))))
             return images.reshape(ids.shape)
@@ -221,18 +267,21 @@ class Workspace:
     def pairs(self, side: str, direction: str, kind: str = "two") -> "_Pairs":
         """The fuzzy ideals of the kind that `transfer(side, direction)`
         takes as operands, with their images, for the pair checks; one for
-        the kinds that share a family."""
+        the kinds that share a family, and for the sides that share their
+        tables (`resolve`) and hold the same map."""
         source = "S" if direction == "lift" else side
         target = side if direction == "lift" else "S"
         kind = self.level_cuts(source).canonical(kind)
-        return self._once(("pairs", side, direction, kind), lambda: _Pairs(
+        key = ("pairs", self.resolve(side), direction, kind, _MAPS[side, direction])
+        return self._once(key, lambda: _Pairs(
             self.level_cuts(source), self.level_cuts(target),
             self.fuzzy_family(source, kind), self.transfer(side, direction),
         ))
 
     def crisp_ideals(self, side: str, kind: str = "two") -> tuple[int, ...]:
         """Crisp ideals as masks, in enumeration order (`LevelCuts.crisp_ideals`);
-        one tuple for the kinds that share it."""
+        one tuple for the kinds, and the sides, that share it."""
+        side = self.resolve(side)
         kind = self.level_cuts(side).canonical(kind)
         return self._once(("crisp", side, kind), lambda: self.level_cuts(side).crisp_ideals(
             kind, self.config.enum_cap))
@@ -315,17 +364,30 @@ class Workspace:
 # maps over (the operator semiring, or the matrix instance for "M") and an
 # (N, n) rank array, and gives the (N, n') ranks of the images, each rank the
 # least along one row of the operator's action table (lift), its pair-class
-# table (restrict) or the matrix entries.  A map must map each row on its
-# own: the image of a row may not depend on the other rows of the call.
-# That makes the run's memo exact: `Workspace.transfer` keeps one `_Memo` per
-# map object and hands the map only rows that map object has not mapped.
-# The suites look a map up here at each call, so a map installed in this
-# table gets a fresh memo and sees every operand the suites ask it for.
+# table (restrict) or the matrix entries.  L and R hold one map object per
+# direction, since the formulas are the same on either side.  A map must map
+# each row on its own: the image of a row may not depend on the other rows
+# of the call.  That makes the run's memo exact: `Workspace.transfer` keeps
+# one `_Memo` per resolved side, direction and map object and hands the map
+# only rows that memo has not mapped.  The suites look a map up here at each
+# call, so a map installed in this table gets a fresh memo and sees every
+# operand the suites ask it for, and a map installed for R alone keeps R
+# from sharing L's images and clause rows.
+
+
+def _lift(op: OperatorSemiring, ranks: np.ndarray) -> np.ndarray:
+    return min_ranks(ranks, op.value_rows)
+
+
+def _restrict(op: OperatorSemiring, ranks: np.ndarray) -> np.ndarray:
+    return min_ranks(ranks, op.pair_rows)
+
+
 _MAPS: dict[tuple[str, str], Callable[[object, np.ndarray], np.ndarray]] = {
-    ("L", "lift"): lambda op, ranks: min_ranks(ranks, op.value_rows),
-    ("L", "restrict"): lambda op, ranks: min_ranks(ranks, op.pair_rows),
-    ("R", "lift"): lambda op, ranks: min_ranks(ranks, op.value_rows),
-    ("R", "restrict"): lambda op, ranks: min_ranks(ranks, op.pair_rows),
+    ("L", "lift"): _lift,
+    ("L", "restrict"): _restrict,
+    ("R", "lift"): _lift,
+    ("R", "restrict"): _restrict,
     ("M", "lift"): lambda mg, ranks: min_ranks(ranks, mg.s_entries),
 }
 
@@ -475,13 +537,15 @@ def _scan(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
     return None
 
 
+_ClauseRow = tuple[str, str, Optional[dict], int]
+
+
 def _clause_rows(
     ws: Workspace,
     side: str,
     lift_roundtrip_ok: bool,
     restrict_roundtrip_ok: bool,
-    tag: str,
-) -> list[tuple[str, str, Optional[dict], int]]:
+) -> list[_ClauseRow]:
     """The nine transfer clauses between S and `side`; rows (clause, status, witness, checked).
 
     Round-trip clauses (and the facts whose arguments rest on them: injectivity
@@ -501,7 +565,7 @@ def _clause_rows(
     the first failing pair in row-major order.  A witness's grades are
     built from its row only.
     """
-    rows: list[tuple[str, str, Optional[dict], int]] = []
+    rows: list[_ClauseRow] = []
     on_s, on_op = ws.level_cuts("S"), ws.level_cuts(side)
     lifts, restricts = ws.pairs(side, "lift"), ws.pairs(side, "restrict")
     ideals_s, lifted = lifts.family, lifts.images
@@ -515,13 +579,13 @@ def _clause_rows(
         """One row: precondition-unmet when the unity it rests on is absent,
         otherwise the first failure scan() finds, as the clause's witness."""
         if not ok:
-            rows.append((cid + tag, UNMET, None, 0))
+            rows.append((cid, UNMET, None, 0))
             return
         failure = scan()
         if failure:
-            rows.append((cid + tag, FAIL, {"clause": cid + tag, **failure}, checked))
+            rows.append((cid, FAIL, {"clause": cid, **failure}, checked))
         else:
-            rows.append((cid + tag, PASS, None, checked))
+            rows.append((cid, PASS, None, checked))
 
     def each(cid, ideals, failing, witness, ok=True):
         """A clause checked on each ideal: failing() gives the (N,) rows it
@@ -607,15 +671,30 @@ def _clause_rows(
     return rows
 
 
+def _starred(rows: Sequence[_ClauseRow]) -> list[_ClauseRow]:
+    """Clause rows as the right-operator duals: `*` added to each clause
+    id, and to the witness's "clause"."""
+    return [(cid + "*", st, w and {**w, "clause": w["clause"] + "*"}, c) for cid, st, w, c in rows]
+
+
 def verify_prop_3_4(ws: Workspace) -> VerificationReport:
     """Nine transfer-map clauses between the fuzzy ideals of the base and of
-    its left operator semiring, plus the right-operator duals."""
+    its left operator semiring, plus the right-operator duals.
+
+    The rows of a side are decided once per resolved side
+    (`Workspace.resolve`), map objects and unity gates, so where R shares
+    L's tables and maps, the duals are L's rows, starred."""
     chain = ws.config.chain
+
+    def clause_rows(side, lift_roundtrip_ok, restrict_roundtrip_ok):
+        key = ("clauses", ws.resolve(side), _MAPS[side, "lift"], _MAPS[side, "restrict"],
+               lift_roundtrip_ok, restrict_roundtrip_ok)
+        return ws._once(key, lambda: _clause_rows(ws, side, lift_roundtrip_ok, restrict_roundtrip_ok))
 
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
-        rows = _clause_rows(ws, "L", ws.right_unity, ws.left_unity, "")
-        rows += _clause_rows(ws, "R", ws.left_unity, ws.right_unity, "*")
+        rows = clause_rows("L", ws.right_unity, ws.left_unity)
+        rows = rows + _starred(clause_rows("R", ws.left_unity, ws.right_unity))  # a new list: L's rows are kept
 
         notes.append(f"left unity: {'present' if ws.left_unity else 'absent'}")
         notes.append(f"right unity: {'present' if ws.right_unity else 'absent'}")

@@ -757,7 +757,7 @@ def _meet(a, b):
     return fuzzy_intersection([a, b])
 
 
-def naive_pair_clause_rows(ideals_s, ideals_op, lift, restrict, tag: str) -> list[tuple]:
+def naive_pair_clause_rows(ideals_s, ideals_op, lift, restrict) -> list[tuple]:
     """prop3.4's pair clauses iv, v, vi and ix, as the (clause, status,
     witness, checked) rows `verify._clause_rows` gives for them."""
     lifted = [lift(s) for s in ideals_s]
@@ -774,11 +774,11 @@ def naive_pair_clause_rows(ideals_s, ideals_op, lift, restrict, tag: str) -> lis
         pair = _first_pair(len(ideals), failed)
         checked = len(ideals) ** 2
         if pair is None:
-            rows.append((cid + tag, "pass", None, checked))
+            rows.append((cid, "pass", None, checked))
             continue
         i, j, _ = pair
-        witness = {"clause": cid + tag, label + "1": ideals[i].to_mapping(), label + "2": ideals[j].to_mapping()}
-        rows.append((cid + tag, "fail", witness, checked))
+        witness = {"clause": cid, label + "1": ideals[i].to_mapping(), label + "2": ideals[j].to_mapping()}
+        rows.append((cid, "fail", witness, checked))
     return rows
 
 
@@ -847,7 +847,7 @@ def _first_true(table):
     return tuple(hits[0].tolist()) if len(hits) else None
 
 
-def table_pair_clause_rows(ws, side, lift, restrict, tag: str) -> list[tuple]:
+def table_pair_clause_rows(ws, side, lift, restrict) -> list[tuple]:
     """prop3.4's pair clauses iv, v, vi and ix as the (clause, status,
     witness, checked) rows `verify._clause_rows` gives for them, each read
     off one N x N table of every pair of the workspace's ideals."""
@@ -876,11 +876,11 @@ def table_pair_clause_rows(ws, side, lift, restrict, tag: str) -> list[tuple]:
     for cid, ideals, label, failing in clauses:
         pair, checked = _first_true(failing), len(ideals) ** 2
         if pair is None:
-            rows.append((cid + tag, "pass", None, checked))
+            rows.append((cid, "pass", None, checked))
             continue
         i, j = pair
-        witness = {"clause": cid + tag, label + "1": ideals[i].to_mapping(), label + "2": ideals[j].to_mapping()}
-        rows.append((cid + tag, "fail", witness, checked))
+        witness = {"clause": cid, label + "1": ideals[i].to_mapping(), label + "2": ideals[j].to_mapping()}
+        rows.append((cid, "fail", witness, checked))
     return rows
 
 

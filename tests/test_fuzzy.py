@@ -180,6 +180,17 @@ class TestLatticeOps:
         assert characteristic(CrispSubset.of_indices(z4, [])).grades == (0, 0, 0, 0)
         assert characteristic(CrispSubset.of_indices(z4, range(4))).grades == (1, 1, 1, 1)
 
+    def test_sum_fills_no_sum_table(self, monkeypatch, z4):
+        """fuzzy_sum takes the set sum of the operands' cuts level by level
+        (`LevelCuts.sum_rows`), not the table of every pair of their cuts."""
+        tables = []
+        real = LevelCuts._table
+        monkeypatch.setattr(LevelCuts, "_table", lambda view, op: tables.append(op) or real(view, op))
+        mu1 = FuzzySubset.of_grades(z4, [1, Fraction(1, 3), HALF, 0])
+        mu2 = FuzzySubset.of_grades(z4, [1, 0, Fraction(2, 3), HALF])
+        assert fuzzy_sum(mu1, mu2).grades == (1, HALF, Fraction(2, 3), HALF)
+        assert tables == []
+
     def test_sum_carrier_mismatch(self, gb, z4):
         with pytest.raises(ValueError):
             fuzzy_sum(FuzzySubset.constant(gb, 1), FuzzySubset.constant(z4, 1))

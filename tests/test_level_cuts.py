@@ -260,7 +260,7 @@ def test_ideal_table_agrees_with_the_naive_predicate_on_every_interned_mask(monk
 
     install_map(monkeypatch, chain, "L", "lift", broken(transfer.lift_plusprime, broken_s))
     install_map(monkeypatch, chain, "L", "restrict", broken(transfer.restrict_plus, broken_l))
-    rows = {cid: (status, witness) for cid, status, witness, _ in verify._clause_rows(ws, "L", True, True, "")}
+    rows = {cid: (status, witness) for cid, status, witness, _ in verify._clause_rows(ws, "L", True, True)}
 
     on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
     lifted = members(on_l, ws.pairs("L", "lift").images)

@@ -1,10 +1,12 @@
 """What a run derives is derived once and lives as long as the run: ideal
-families shared by kinds with equal absorption images, one memo per
-transfer map, the semifield predicates and the crisp correspondences."""
+families shared by kinds with equal absorption images, R's derived objects
+shared with L when R's tables are L's, one memo per transfer map, the
+semifield predicates and the crisp correspondences."""
 
 import contextlib
 import gc
 import io
+import json
 import sys
 import tracemalloc
 import weakref
@@ -19,8 +21,9 @@ from hypothesis import strategies as st
 from conftest import build_upper_triangular
 from gsl import cli, core, fuzzy, operators, verify
 from gsl.config import RunConfig
-from gsl.fuzzy import GradeChain, LevelCuts
+from gsl.fuzzy import FuzzySubset, GradeChain, LevelCuts
 from gsl.matrix import build_matrix_gamma
+from oracles import install_map
 from gsl.report import FAIL
 
 CHAIN = GradeChain.of(0, Fraction(1, 2), 1)
@@ -31,6 +34,7 @@ INSTANCES = {
     "z4": lambda: core.zn_gamma(4),
     "from_B3": lambda: core.gamma_from_semiring(core.boolean_power_semiring(3)),
     "upper_triangular": build_upper_triangular,
+    "boolean[2x2]": lambda: build_matrix_gamma(core.boolean_gamma(), 2).gamma,
 }
 
 
@@ -74,7 +78,7 @@ def test_a_run_frees_what_it_derived(monkeypatch):
     finally:
         gc.enable()
     gc.collect()
-    assert len(refs) == 6  # the workspace, its views of S, L and R, and L and R
+    assert len(refs) == 5  # the workspace, its views of S and L (which R shares), and L and R
     assert all(ref() is None for ref in refs)
 
 
@@ -115,8 +119,7 @@ def test_kinds_with_different_images_keep_their_own_families(instance):
     absorption images of S differ, so each kind has its own crisp and fuzzy
     family, its own pairs, and each is the family a view of its own
     enumerates for that kind."""
-    structure = build_upper_triangular() if instance == "upper_triangular" else build_matrix_gamma(
-        core.boolean_gamma(), 2).gamma
+    structure = INSTANCES[instance]()
     ws = _workspace(structure)
     on_s = ws.level_cuts("S")
     assert [on_s.canonical(kind) for kind in KINDS] == list(KINDS)
@@ -135,7 +138,8 @@ def test_kinds_with_different_images_keep_their_own_families(instance):
 def test_kinds_with_equal_images_share_one_family(monkeypatch, instance):
     """On a commutative instance every kind is "two": the families, the
     pairs and the crisp ideals of every kind are the same objects, and
-    enumerating all of them on S closes one closure system."""
+    enumerating all of them on S, L and R closes two closure systems, since
+    R's tables are L's and R shares L's families."""
     ws = _workspace(INSTANCES[instance]())
     calls = []
     real = fuzzy._crisp_ideal_masks
@@ -145,7 +149,7 @@ def test_kinds_with_equal_images_share_one_family(monkeypatch, instance):
         assert len({id(ws.fuzzy_family(side, kind)) for kind in KINDS}) == 1
         assert len({id(ws.crisp_ideals(side, kind)) for kind in KINDS}) == 1
     assert len({id(ws.pairs("L", "lift", kind)) for kind in KINDS}) == 1
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 class _CountedReads(dict):
@@ -171,6 +175,125 @@ def test_canonical_compares_the_images_once_per_view(instance):
     assert view.canonical("left") == first and images.reads == 0
     with pytest.raises(ValueError, match="kind must be one of"):
         view.canonical("middle")
+
+
+# ---------------------------------------------------------------------------
+# R shares L's derived objects exactly when its tables are L's
+
+# the commutative instances, on which R is L
+SHARED = {
+    "boolean": core.boolean_gamma,
+    "z2": lambda: core.zn_gamma(2),
+    "z3": lambda: core.zn_gamma(3),
+    "z4": INSTANCES["z4"],
+    "from_B3": INSTANCES["from_B3"],
+}
+
+
+def _prop34_text(structure) -> str:
+    return json.dumps(verify.verify_prop_3_4(_workspace(structure)).body(), sort_keys=True)
+
+
+@pytest.mark.parametrize("instance", list(SHARED))
+def test_r_resolves_to_l_and_sharing_leaves_prop34_unchanged(monkeypatch, instance):
+    """On a commutative instance R's tables are L's, so "R" resolves to "L"
+    and R's view, families and pairs are L's.  prop3.4's body is the one it
+    gives with sharing turned off, by a copy of each default map installed
+    for R, which R then calls on its own operands."""
+    structure = SHARED[instance]()
+    ws = _workspace(structure)
+    assert ws.resolve("R") == "L"
+    assert ws.level_cuts("R") is ws.level_cuts("L")
+    assert ws.fuzzy_family("R") is ws.fuzzy_family("L")
+    assert ws.pairs("R", "lift") is ws.pairs("L", "lift")
+    shared = _prop34_text(structure)
+
+    copies = []
+    for direction in ("lift", "restrict"):
+        real = verify._MAPS["R", direction]
+        monkeypatch.setitem(verify._MAPS, ("R", direction), lambda op, r, real=real: copies.append(op) or real(op, r))
+    alone = _prop34_text(structure)
+    assert copies and all(op.side == "right" for op in copies)
+    assert alone == shared
+
+
+@pytest.mark.parametrize("instance,views,enumerations", [
+    ("upper_triangular", 3, 7),
+    ("boolean[2x2]", 3, 7),
+], ids=["upper_triangular", "boolean[2x2]"])
+def test_r_resolves_to_itself_when_its_tables_differ(monkeypatch, instance, views, enumerations):
+    """On these non-commutative instances R is L with its product reversed,
+    so its tables differ from L's, "R" stays "R", and a run builds a view
+    of S, L and R and enumerates their families as it did before R could
+    share L's."""
+    ws = _workspace(INSTANCES[instance]())
+    assert ws.resolve("R") == "R"
+    assert ws.level_cuts("R") is not ws.level_cuts("L")
+    built, closures = [], []
+    real_init, real_masks = LevelCuts.__init__, fuzzy._crisp_ideal_masks
+    monkeypatch.setattr(LevelCuts, "__init__", lambda view, *args: built.append(args) or real_init(view, *args))
+    monkeypatch.setattr(fuzzy, "_crisp_ideal_masks", lambda *args: closures.append(args) or real_masks(*args))
+    reports = verify.run_all(INSTANCES[instance](), RunConfig(chain=CHAIN))
+    assert all(r.status != FAIL for r in reports)
+    assert (len(built), len(closures)) == (views, enumerations)
+
+
+def _clause_notes(body, starred: bool) -> list[str]:
+    """prop3.4's "clause <id>: <status>" notes of R's rows (starred) or L's."""
+    return [
+        note for note in body["notes"]
+        if note.startswith("clause ") and note.split(":")[0].endswith("*") == starred
+    ]
+
+
+@pytest.mark.parametrize("instance", ["z4", "from_B3"])
+def test_a_map_installed_for_r_alone_changes_only_the_starred_rows(monkeypatch, instance):
+    """A lift installed for R alone, one that sends every subset of S to the
+    empty fuzzy subset, breaks R's clauses only: the starred rows change,
+    L's rows and the ideal counts do not, and the first failure is i*."""
+    structure = INSTANCES[instance]()
+    before = verify.verify_prop_3_4(_workspace(structure)).body()
+    install_map(monkeypatch, CHAIN, "R", "lift", lambda op, sigma: FuzzySubset.constant(op, 0))
+    ws = _workspace(structure)
+    after = verify.verify_prop_3_4(ws).body()
+    assert ws.resolve("R") == "L"
+    assert before["status"] != FAIL and after["status"] == FAIL
+    assert after["counterexample"]["clause"] == "i*"
+    assert _clause_notes(after, False) == _clause_notes(before, False)
+    assert _clause_notes(after, True) != _clause_notes(before, True)
+    assert {k: v for k, v in after["counts"].items() if k != "checks"} == {
+        k: v for k, v in before["counts"].items() if k != "checks"}
+
+
+@pytest.mark.parametrize("instance", ["boolean", "z4", "from_B3"])
+def test_one_map_object_for_both_sides_sees_each_operand_once(monkeypatch, instance):
+    """A recorder installed as one object for L and R, per direction, is
+    called by prop3.4 on each operand once for both sides together: the
+    lifts on the fuzzy ideals of S, the restrictions on those of L, which
+    R shares; and the starred rows are L's.  R's maps then read L's memos:
+    mapping those families again through R calls the recorder on none."""
+    ws = _workspace(SHARED[instance]())
+    seen = {}
+    for direction in ("lift", "restrict"):
+        real = verify._MAPS["L", direction]
+
+        def recording(over, ranks, direction=direction, real=real):
+            seen.setdefault(direction, []).extend(map(bytes, ranks))
+            return real(over, ranks)
+
+        monkeypatch.setitem(verify._MAPS, ("L", direction), recording)
+        monkeypatch.setitem(verify._MAPS, ("R", direction), recording)
+    notes = verify.verify_prop_3_4(ws).notes
+    for direction, source in (("lift", "S"), ("restrict", "L")):
+        family = ws.level_cuts(source).rank_array(ws.fuzzy_family(source))
+        assert sorted(seen[direction]) == sorted(map(bytes, family))
+    calls = {direction: len(operands) for direction, operands in seen.items()}
+    ws.transfer("R", "lift")(ws.fuzzy_family("S"))
+    ws.transfer("R", "restrict")(ws.fuzzy_family("R"))
+    assert {direction: len(operands) for direction, operands in seen.items()} == calls
+    clauses = [note for note in notes if note.startswith("clause ")]
+    left, right = clauses[: len(clauses) // 2], clauses[len(clauses) // 2 :]
+    assert right == [note.replace(":", "*:", 1) for note in left]
 
 
 # ---------------------------------------------------------------------------

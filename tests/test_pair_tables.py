@@ -128,27 +128,29 @@ def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instanc
     """Both sides' pair rows equal both oracles', and the body built with
     the oracle's pair rows in place of the suite's is the suite's.  The
     unbroken maps are decided on crisp cuts; a broken map is not cut-wise,
-    so each clause it enters falls back to the scan."""
+    so each clause it enters falls back to the scan.  prop3.4 decides a
+    side's rows once per run, so the run with the oracle's rows is a run
+    of its own."""
     ws = _workspace(instance)
     _perturb(monkeypatch, fuzzy_family(ws, "S"), *PERTURBATIONS[perturbation])
     real_rows = verify._clause_rows
     compared = []
     paths = _record_paths(monkeypatch)
 
-    def oracle_rows(ws, side, lift_roundtrip_ok, restrict_roundtrip_ok, tag):
-        rows = real_rows(ws, side, lift_roundtrip_ok, restrict_roundtrip_ok, tag)
+    def oracle_rows(ws, side, lift_roundtrip_ok, restrict_roundtrip_ok):
+        rows = real_rows(ws, side, lift_roundtrip_ok, restrict_roundtrip_ok)
         lift, restrict = _maps(ws, side)
         oracle = naive_pair_clause_rows(
-            fuzzy_family(ws, "S"), fuzzy_family(ws, side), lift, restrict, tag
+            fuzzy_family(ws, "S"), fuzzy_family(ws, side), lift, restrict
         )
-        compared.append((_pair_rows(rows), oracle, table_pair_clause_rows(ws, side, lift, restrict, tag)))
+        compared.append((_pair_rows(rows), oracle, table_pair_clause_rows(ws, side, lift, restrict)))
         pairs = iter(oracle)
         return [next(pairs) if row[0].rstrip("*") in PAIR_CLAUSES else row for row in rows]
 
     actual = verify.verify_prop_3_4(ws).body()
     suite_paths = list(paths)
     monkeypatch.setattr(verify, "_clause_rows", oracle_rows)
-    expected = verify.verify_prop_3_4(ws).body()
+    expected = verify.verify_prop_3_4(_workspace(instance)).body()
     assert actual == expected
     assert len(compared) == 2  # the L side and the R side
     for rows, oracle, table in compared:
@@ -173,8 +175,8 @@ def test_scan_blocks_keep_the_row_major_witness(monkeypatch, perturbation, cells
     lift_moves, restrict_moves = PERTURBATIONS[perturbation]
     _perturb(monkeypatch, fuzzy_family(ws, "S"), lift_moves, restrict_moves)
     lift, restrict = _maps(ws, "L")
-    rows = _pair_rows(verify._clause_rows(ws, "L", True, True, ""))
-    assert rows == table_pair_clause_rows(ws, "L", lift, restrict, "")
+    rows = _pair_rows(verify._clause_rows(ws, "L", True, True))
+    assert rows == table_pair_clause_rows(ws, "L", lift, restrict)
     if sorted(lift_moves) == sorted(lift_moves.values()):
         expected = table_theorem_3_8_pairs(ws, "two", lift)
         assert verify.verify_theorem_3_8(ws, "two").body() == _th38_body(ws, "two", expected)
@@ -215,11 +217,11 @@ def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
         return real(p, check)
 
     monkeypatch.setattr(verify, "_failing_pair", recording)
-    rows = _pair_rows(verify._clause_rows(ws, side, True, True, ""))
+    rows = _pair_rows(verify._clause_rows(ws, side, True, True))
     assert checks == [True] * 4  # every pair clause had the crisp map
     assert [status for _, status, _, _ in rows] == [FAIL, PASS, PASS, PASS]
-    oracle = naive_pair_clause_rows(fuzzy_family(ws, "S"), fuzzy_family(ws, side), lift, restrict, "")
-    assert rows == oracle == table_pair_clause_rows(ws, side, lift, restrict, "")
+    oracle = naive_pair_clause_rows(fuzzy_family(ws, "S"), fuzzy_family(ws, side), lift, restrict)
+    assert rows == oracle == table_pair_clause_rows(ws, side, lift, restrict)
 
 
 def test_basis_needs_masks_closed_under_sum():
@@ -258,10 +260,10 @@ def test_family_not_closed_under_sum_falls_back(monkeypatch):
     )
     paths = _record_paths(monkeypatch)
     lift, restrict = _maps(ws, "L")
-    rows = _pair_rows(verify._clause_rows(ws, "L", True, True, ""))
+    rows = _pair_rows(verify._clause_rows(ws, "L", True, True))
     assert paths == ["scan"] * 3 + ["crisp"]  # the family of L is whole
-    assert rows == naive_pair_clause_rows(part, fuzzy_family(ws, "L"), lift, restrict, "")
-    assert rows == table_pair_clause_rows(ws, "L", lift, restrict, "")
+    assert rows == naive_pair_clause_rows(part, fuzzy_family(ws, "L"), lift, restrict)
+    assert rows == table_pair_clause_rows(ws, "L", lift, restrict)
 
 
 def _th38_body(ws, kind, counterexample):

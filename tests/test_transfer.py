@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import build_upper_triangular
 from gsl import core
 from gsl.config import RunConfig
-from gsl.fuzzy import CrispSubset, FuzzySubset, GradeChain, carrier_of, characteristic, fuzzy_intersection
+from gsl.fuzzy import CrispSubset, FuzzySubset, GradeChain, LevelCuts, carrier_of, characteristic, fuzzy_intersection
 from gsl.operators import build_operator_semiring
 from gsl.transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
 from gsl.verify import Workspace
@@ -156,6 +156,22 @@ def test_equal_grades_in_distinct_objects_share_a_rank():
     grades = [Fraction(1)] + [halves[x % 3] if x % 2 else Fraction(1, 3) for x in range(1, 8)]
     sigma = FuzzySubset.of_grades(op.base, grades)
     assert lift_plusprime(op, sigma) == sort_position_lift(op, sigma)
+
+
+def test_public_maps_build_no_level_cuts(monkeypatch):
+    """The four public maps rank their operand on its own grades directly,
+    and build no `LevelCuts` view to do it."""
+    built = []
+    real = LevelCuts.__init__
+    monkeypatch.setattr(LevelCuts, "__init__", lambda view, *args: built.append(args) or real(view, *args))
+    grades = (Fraction(1), Fraction(1, 3), HALF, Fraction(0), Fraction(2, 3))
+    for side, lift, restrict in (("left", lift_plusprime, restrict_plus), ("right", lift_starprime, restrict_star)):
+        op = _OPERATORS["from_B3", side]
+        sigma = FuzzySubset.of_grades(op.base, [grades[x % 5] for x in range(len(op.base.S))])
+        mu = FuzzySubset.of_grades(op, [grades[x % 5] for x in range(len(op))])
+        assert lift(op, sigma) == sort_position_lift(op, sigma)
+        assert restrict(op, mu) == sort_position_restrict(op, mu)
+    assert built == []
 
 
 # the family kernel the suites call against the public maps on subsets

@@ -15,20 +15,22 @@ bounds.  Every array layer, the predicates included, reads them; `==` and
 are nested-tuple views built on first read, for the plain-loop readers:
 the witness replay below and the additive carrier of a fuzzy subset.
 
-Axiom validation runs vectorised scans over the full quantifier space and
-reports, for each violated law, the lexicographically first witness tuple.
-A caller that knows additive generators may pass them, and the
-distributive laws and associativity are then checked on generators (see
-the comment above the validators for when that is sound).
+Axiom validation runs vectorised scans over the full quantifier space,
+in blocks of bounded size, and reports, for each violated law, the
+lexicographically first witness tuple.  On large structures the
+gamma-semiring validator checks the distributive laws and associativity on
+greedy additive generators instead, with the same outcome (see the comment
+above the validators for the size rule and why it is sound).
 ``recheck_violation`` re-evaluates a witness with plain table arithmetic,
 independently of the vectorised path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -252,12 +254,15 @@ def check_semiring_structure(carrier, add, mul) -> None:
 # structure's `tables`, in the smallest unsigned dtype that holds every
 # carrier index (uint8 up to 256 elements), so each gathered array costs one
 # byte a cell, not eight; the (|S||G|)^2|S| associativity mask dominates.
-# A distributive mask reads the addition table at two product arrays as one
-# flat take at x*|S| + y, which is about four times faster than a gather
-# with two broadcast index arrays.
+# The distributive and associativity masks are built and scanned in blocks
+# of rows (`_blocks`: of a, and of (a, gamma) for associativity), in order,
+# so each keeps its first witness and no scan holds more than a block.  A distributive mask reads the
+# addition table at two product arrays as one flat take at x*|S| + y, which
+# is about four times faster than a gather with two broadcast index arrays.
 #
-# A caller that knows additive generators of S and G (sets whose closure
-# under binary addition is the whole carrier) can pass them.  Each
+# Above `_DENSE_CELLS` associativity cells, `validate_gamma_semiring`
+# checks on greedy additive generators of S and G (`_greedy_generators`:
+# sets whose closure under binary addition is the whole carrier).  Each
 # distributive law is then checked with one argument over generators (b in
 # (a+b)@c = a@c + b@c, c in a@(b+c), delta in a(gamma+delta)b): by
 # induction on how an element is built from generators that is sound once
@@ -266,11 +271,10 @@ def check_semiring_structure(carrier, add, mul) -> None:
 # (a@c + b1@c) + b2@c = a@c + (b1+b2)@c.  Associativity is then checked on
 # generator 5-tuples: with the distributive laws both sides of a@(b#c) =
 # (a@b)#c are additive in each argument, so the values of one argument on
-# which it holds (the others fixed) are closed under addition.  The
-# validator checks that the sets generate (ValueError if not), and
-# when any other law fails, or a law fails on generators, it builds the
-# masks again densely, since the first witness need not be a generator
-# tuple: the outcome is the dense one, and the dense masks stay the
+# which it holds (the others fixed) are closed under addition.  When any
+# law fails, on generators or not, these four are scanned densely, since the
+# first witness need not be a generator tuple: the outcome is the dense
+# one, and the dense scan (`_gamma_outcome` without generators) stays the
 # reference the tests check the generator path against.
 
 # scalar checkers; 's'/'g' in the signature strings below record which
@@ -361,10 +365,10 @@ def _ids_for(witness: tuple[int, ...], sig: str, lookup: dict) -> tuple[str, ...
     return tuple(lookup[kind][idx] for kind, idx in zip(sig, witness))
 
 
-def _outcome(masks: dict, axioms: dict, lookup: dict) -> ValidationOutcome:
+def _outcome(witnesses: dict, axioms: dict, lookup: dict) -> ValidationOutcome:
     """Each violated axiom, in table order, with its first witness as ids."""
-    witnesses = ((axiom, sig, _first_witness(masks[axiom])) for axiom, (sig, _) in axioms.items())
-    violations = tuple(Violation(a, _ids_for(w, sig, lookup)) for a, sig, w in witnesses if w is not None)
+    found = ((axiom, sig, witnesses.get(axiom)) for axiom, (sig, _) in axioms.items())
+    violations = tuple(Violation(a, _ids_for(w, sig, lookup)) for a, sig, w in found if w is not None)
     return ValidationOutcome(not violations, violations)
 
 
@@ -375,63 +379,60 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[-1])))[..., 0]
 
 
-def _closed(add: np.ndarray, reached: np.ndarray) -> int:
-    """Close the boolean mask `reached` under `add`, in place; its count."""
-    while True:
-        idx = np.flatnonzero(reached)
-        reached[add[idx[:, None], idx]] = True
-        if np.count_nonzero(reached) == idx.size:
-            return idx.size
-
-
-def _generated(add: np.ndarray, generators: Sequence[int], what: str) -> np.ndarray:
-    """The distinct generators, after checking that their closure under
-    `add` is the whole carrier; ValueError if it is not."""
-    size, gens = len(add), np.asarray(generators, dtype=np.intp)
-    if gens.size and not (0 <= gens.min() and gens.max() < size):
-        raise ValueError(f"{what} generators must be indices below {size}")
-    reached = np.zeros(size, dtype=bool)
-    reached[gens] = True
-    gens = np.flatnonzero(reached)  # distinct and sorted; np.unique would import numpy.ma
-    if (count := _closed(add, reached)) != size:
-        raise ValueError(f"the {what} generators reach {count} of {size} elements under addition")
-    return gens
-
-
 def _greedy_generators(add: np.ndarray) -> list[int]:
     """Additive generators of the carrier of `add`: 0, then the smallest element
-    their closure does not reach, while any (on ({0,1}^k, or), 0 and the atoms)."""
-    gens, reached = [], np.zeros(len(add), dtype=bool)
-    while not reached.all():
-        gens.append(int(reached.argmin()))
-        reached[gens[-1]] = True
-        _closed(add, reached)
+    their closure (`close` with no images) does not reach, while any (on
+    ({0,1}^k, or), 0 and the atoms)."""
+    rows, gens, reached = add.tolist(), [], 0
+    for x in range(len(rows)):
+        if not reached >> x & 1:
+            gens.append(x)
+            reached = close(rows, [0] * len(rows), reached, x)
     return gens
 
 
 # the dense argument of a mask builder: every element of its carrier
 _ALL = slice(None)
 
-# cells of one block of `_sums`: np.take widens the offsets to intp, so a
-# block holds about 10 bytes a cell besides the result
+# cells of one block of `_sums` and of a law's mask: np.take widens the
+# offsets to intp, so a block holds about 10 bytes a cell besides the result
 _SUM_CELLS = 1 << 22
+
+# the most dense associativity cells, |S|^3|G|^2, validate_gamma_semiring
+# scans densely: measured, the dense scan is faster up to Z_7 (16,807
+# cells), even on Z_8 and from_B3 (32,768), slower from Z_9 (59,049) on
+_DENSE_CELLS = 1 << 15
+
+
+def _blocks(rows: int, row_cells: int):
+    """Slices of whole first-axis rows, in order, of at most `_SUM_CELLS`
+    cells at `row_cells` cells a row (one row at least)."""
+    step = max(1, _SUM_CELLS // max(1, row_cells))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def _sums(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A[x, y] for index arrays that broadcast, as flat takes from the
-    raveled table at x*|A| + y (x widened first so the offsets fit), in
-    blocks of whole first-axis slices of at most `_SUM_CELLS` cells, so
-    Z_32's masks (2^20 cells) are one block each.  The offsets are in
-    range, so "clip" never clips; it spares np.take a buffered copy."""
+    """A[x, y] for index arrays that broadcast, as flat takes from the raveled
+    table at x*|A| + y (x widened first so the offsets fit), in `_blocks`.
+    The offsets are in range, so "clip" never clips; it spares a copy."""
     n, flat = len(A), A.ravel()
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=A.dtype)
-    step = max(1, _SUM_CELLS * len(out) // max(1, out.size))
     offset = np.min_scalar_type(n * n - 1)
-    for start in range(0, len(out), step):
-        rows = slice(start, start + step)
+    for rows in _blocks(len(out), out.size // len(out)):
         xs, ys = (v[rows] if len(v) > 1 else v for v in (x, y))
         np.take(flat, xs.astype(offset) * n + ys, out=out[rows], mode="clip")
     return out
+
+
+def _first_in_blocks(mask, lead: tuple[int, ...], row_cells: int) -> Optional[tuple[int, ...]]:
+    """The first witness of the mask whose axes `lead`, flattened to rows,
+    give `mask(r)` on the rows r: built and scanned in `_blocks`, in order,
+    so no more than a block is held."""
+    for r in _blocks(math.prod(lead), row_cells):
+        witness = _first_witness(mask(r))
+        if witness is not None:
+            return (*map(int, np.unravel_index(witness[0] + r.start, lead)), *witness[1:])
+    return None
 
 
 def _monoid_masks(A: np.ndarray, name: str) -> dict[str, np.ndarray]:
@@ -441,44 +442,51 @@ def _monoid_masks(A: np.ndarray, name: str) -> dict[str, np.ndarray]:
     return {f"{name}_{law}": mask for law, mask in zip(("commutative", "associative", "identity"), masks)}
 
 
-def _gamma_masks(A: np.ndarray, B: np.ndarray, P: np.ndarray, s=_ALL, g=_ALL) -> dict[str, np.ndarray]:
-    """The violation mask of every gamma-semiring law but associativity, the
-    distributive ones with their generator argument over `s` in S or `g` in G."""
-    return {
-        **_monoid_masks(A, "add_S"),
-        **_monoid_masks(B, "add_G"),
-        "product_left_distributive": P[A[:, s]] != _sums(A, P[:, None], P[s][None]),
-        "product_right_distributive": P[:, :, A[:, s]] != _sums(A, P[:, :, :, None], P[:, :, None, s]),
-        "product_gamma_distributive": P[:, B[:, g]] != _sums(A, P[:, :, None, :], P[:, g][:, None]),
-        "zero_s_left": P[0] != 0,
-        "zero_s_right": P[:, :, 0] != 0,
-        "zero_gamma": P[:, 0, :] != 0,
+def _gamma_laws(A: np.ndarray, B: np.ndarray, P: np.ndarray, s=_ALL, g=_ALL) -> dict:
+    """The distributive laws, with their generator argument over `s` in S or
+    `g` in G, and associativity over s, g, s, g, s: per law (mask, lead,
+    cells), mask(r) its violation mask on the rows r of its leading axes
+    `lead` flattened, each of at most `cells` cells (witness positions are
+    in the sets)."""
+    left = P[s][:, g]  # (a, gamma, x) over s, g, S: a@gamma@x
+    ns, ng, _ = left.shape
+    rows = left.reshape(ns * ng, -1)
+
+    def associativity(r):  # cell ((a, gamma), b, delta, c) over (s, g), s, g, s
+        return rows[r][:, left[:, :, s]] != P[:, g][:, :, s][rows[r][:, s]]
+
+    distributive = {
+        "product_left_distributive": lambda r: P[A[r, s]] != _sums(A, P[r, None], P[s][None]),
+        "product_right_distributive": lambda r: P[r][:, :, A[:, s]] != _sums(A, P[r, :, :, None], P[r][:, :, None, s]),
+        "product_gamma_distributive": lambda r: P[r][:, B[:, g]] != _sums(A, P[r, :, None, :], P[r][:, g][:, None]),
     }
+    laws = {law: (mask, (len(A),), len(A) ** 2 * len(B)) for law, mask in distributive.items()}
+    return {**laws, "product_associative": (associativity, (ns, ng), ns * ng * ns)}
 
 
-def validate_gamma_semiring(
-    g: GammaSemiring, generators: Optional[tuple[Sequence[int], Sequence[int]]] = None
-) -> ValidationOutcome:
-    """Check every gamma-semiring law on `g.tables`; report each violated
-    one with its lexicographically first witness.  `generators`, a pair
-    (indices into S, indices into G) of additive generators, lets the
-    distributive laws and associativity be checked on generators (see the
-    comment above), with the same outcome."""
+def _gamma_outcome(g: GammaSemiring, generators=None) -> ValidationOutcome:
+    """Every gamma-semiring law checked on `g.tables`, densely (the
+    reference) or on `generators` (indices into S, into G) that generate S
+    and G under addition, the four laws of `_gamma_laws` then densely only
+    when a law fails (else they hold and have no witness)."""
     A, B, P = g.tables
-    dense = gens = (_ALL, _ALL)
-    if generators is not None:
-        gens = (_generated(A, generators[0], "S"), _generated(B, generators[1], "G"))
+    masks = {**_monoid_masks(A, "add_S"), **_monoid_masks(B, "add_G")}
+    masks.update(zero_s_left=P[0] != 0, zero_s_right=P[:, :, 0] != 0, zero_gamma=P[:, 0, :] != 0)
+    witnesses = {law: _first_witness(mask) for law, mask in masks.items()}
+    dense = generators is None or any(witnesses.values())
+    if dense or any(_first_in_blocks(*scan) for scan in _gamma_laws(A, B, P, *generators).values()):
+        witnesses.update((law, _first_in_blocks(*scan)) for law, scan in _gamma_laws(A, B, P).items())
+    return _outcome(witnesses, _GAMMA_AXIOMS, {"s": g.S, "g": g.G})
 
-    def associativity(s, g):  # cell (a, gamma, b, delta, c) over s, g, s, g, s
-        left = P[s][:, g]
-        return left[:, :, left[:, :, s]] != P[:, g][:, :, s][left[:, :, s]]
 
-    masks = _gamma_masks(A, B, P, *gens)
-    if gens is not dense and any(mask.any() for mask in masks.values()):
-        masks, gens = _gamma_masks(A, B, P), dense
-    assoc = associativity(*gens)
-    masks["product_associative"] = associativity(*dense) if gens is not dense and assoc.any() else assoc
-    return _outcome(masks, _GAMMA_AXIOMS, {"s": g.S, "g": g.G})
+def validate_gamma_semiring(g: GammaSemiring) -> ValidationOutcome:
+    """Check every gamma-semiring law on `g.tables`; report each violated
+    one with its lexicographically first witness.  Up to `_DENSE_CELLS`
+    associativity cells the scan is dense, above it runs on greedy additive
+    generators of S and G, with the same outcome."""
+    A, B, _ = g.tables
+    dense = len(A) ** 3 * len(B) ** 2 <= _DENSE_CELLS
+    return _gamma_outcome(g, None if dense else (_greedy_generators(A), _greedy_generators(B)))
 
 
 def _semiring_masks(A: np.ndarray, M: np.ndarray) -> dict[str, np.ndarray]:
@@ -495,14 +503,14 @@ def _semiring_masks(A: np.ndarray, M: np.ndarray) -> dict[str, np.ndarray]:
 
 def validate_semiring(r: Semiring) -> ValidationOutcome:
     """Semiring analogue of validate_gamma_semiring, always dense."""
-    return _outcome(_semiring_masks(*r.tables), _SEMIRING_AXIOMS, {"c": r.carrier})
+    witnesses = {law: _first_witness(mask) for law, mask in _semiring_masks(*r.tables).items()}
+    return _outcome(witnesses, _SEMIRING_AXIOMS, {"c": r.carrier})
 
 
-def validate(structure, generators: Optional[tuple[Sequence[int], Sequence[int]]] = None) -> ValidationOutcome:
-    """validate_gamma_semiring or validate_semiring, by the structure's
-    type; `generators` serve the gamma-semiring check only."""
+def validate(structure) -> ValidationOutcome:
+    """validate_gamma_semiring or validate_semiring, by the structure's type."""
     if isinstance(structure, GammaSemiring):
-        return validate_gamma_semiring(structure, generators)
+        return validate_gamma_semiring(structure)
     return validate_semiring(structure)
 
 
@@ -666,10 +674,10 @@ def semifield_inverse_view(r: Semiring) -> Optional[bool]:
 # generators
 
 
-def _checked(structure, generators=None):
+def _checked(structure):
     """Return a generated structure, or raise StructuralError on its first
     axiom violation (an explicit check, so ``python -O`` keeps it)."""
-    outcome = validate(structure, generators)
+    outcome = validate(structure)
     if not outcome.ok:
         raise StructuralError(f"{structure.name}: {outcome.violations[0]}")
     return structure
@@ -699,15 +707,12 @@ def zn_gamma(n: int) -> GammaSemiring:
 
 
 def gamma_from_semiring(r: Semiring) -> GammaSemiring:
-    """Gamma = S = r.carrier with a@b = a*@*b (two multiplications in r),
-    validated on greedy additive generators (`_greedy_generators`)."""
+    """Gamma = S = r.carrier with a@b = a*@*b (two multiplications in r)."""
     outcome = validate_semiring(r)
     if not outcome.ok:
         raise ValueError(f"{r.name}: not a valid semiring: {outcome.violations[0]}")
     add, mul = r.tables
-    g = GammaSemiring(f"from_{r.name}", r.carrier, r.carrier, add, add, mul[mul])
-    gens = _greedy_generators(add)
-    return _checked(g, (gens, gens))
+    return _checked(GammaSemiring(f"from_{r.name}", r.carrier, r.carrier, add, add, mul[mul]))
 
 
 def boolean_semiring() -> Semiring:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from gsl import cli, gsr
+from gsl import cli, core, gsr, verify
+from gsl.config import RunConfig
 
 
 def run(capsys, *args):
@@ -70,6 +71,37 @@ class TestValidate:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "validate", "missing.gsr")
         assert code == 2 and "io" in err
+
+
+class TestFrontierFile:
+    """from_B5 (32 elements, 2^25 associativity cells), emitted as a file:
+    the CLI validates it on generators, and on a one-cell product mutant
+    prints what the dense scan finds."""
+
+    @pytest.fixture(scope="class")
+    def from_b5(self):
+        return core.gamma_from_semiring(core.boolean_power_semiring(5))
+
+    def test_validate_and_verify(self, from_b5, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GSL_CAP", raising=False)
+        path = tmp_path / "from_B5.gsr"
+        path.write_text(gsr.format_gamma(from_b5))
+        assert run(capsys, "validate", str(path)) == (0, "from_B5: ok\n", "")
+        code, out, _ = run(capsys, "verify", str(path), "--suite", "th3.17", "--report", "json")
+        in_process = [r.body() for r in verify.run_all(from_b5, RunConfig()) if r.suite == "th3.17"]
+        assert code == 0 and json.loads(out)["reports"] == in_process
+
+    def test_validate_a_mutant_prints_the_dense_violations(self, from_b5, tmp_path, capsys):
+        add_s, add_g, prod = (t.copy() for t in from_b5.tables)
+        prod[5, 9, 3] = (prod[5, 9, 3] + 1) % 32
+        bad = core.GammaSemiring("from_B5~", from_b5.S, from_b5.G, add_s, add_g, prod)
+        path = tmp_path / "bad.gsr"
+        path.write_text(gsr.format_gamma(bad))
+        dense = core._gamma_outcome(bad)
+        expected = [f"from_B5~: {len(dense.violations)} axiom violation(s)"]
+        expected += [f"  {v.axiom}: witness ({', '.join(v.witness)})" for v in dense.violations]
+        assert not dense.ok
+        assert run(capsys, "validate", str(path)) == (1, "\n".join(expected) + "\n", "")
 
 
 class TestOperators:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def _relabel_s(g, new):
 class TestGeneratorPath:
     """The distributive laws and associativity checked on additive
     generators give the dense validator's outcome, which stays the
-    reference."""
+    reference (`core._gamma_outcome` without generators)."""
 
     @staticmethod
     def _small_matrix_instances(bases):
@@ -176,32 +177,32 @@ class TestGeneratorPath:
         seen = []
         for mg in self._small_matrix_instances(bases):
             g = mg.gamma
-            outcome = core.validate_gamma_semiring(g, generators=_single_entries(mg))
-            assert outcome == core.validate_gamma_semiring(g)
+            outcome = core._gamma_outcome(g, _single_entries(mg))
+            assert outcome == core.validate_gamma_semiring(g) == core._gamma_outcome(g)
             assert outcome.ok and naive_gamma_violations(g) == {}, g.name
             seen.append((len(g.S), len(g.G)))
         assert (16, 16) in seen and (16, 81) in seen
 
     @pytest.mark.parametrize("cell", [(k % 16, k * 7 % 16, k * 11 % 16) for k in range(0, 4096, 193)])
     def test_single_cell_mutations_match_dense(self, gb, cell):
-        """A fixed slice of single-cell mutations of boolean[2x2]: same
-        outcome as the dense validator, and every witness replays."""
+        """A fixed slice of single-cell mutations of boolean[2x2]: the
+        validator, on generators, gives the dense outcome, and every
+        witness replays."""
         mg = build_matrix_gamma(gb, 2)
         a, c, b = cell
         bad = _mutate_prod(mg.gamma, a, c, b, (mg.gamma.prod[a][c][b] + 5) % 16)
-        outcome = core.validate_gamma_semiring(bad, generators=_single_entries(mg))
-        assert outcome == core.validate_gamma_semiring(bad)
+        outcome = core.validate_gamma_semiring(bad)
+        assert outcome == core._gamma_outcome(bad) == core._gamma_outcome(bad, _single_entries(mg))
         assert not outcome.ok
         assert all(core.recheck_violation(bad, violation) for violation in outcome.violations)
 
     def test_seeded_product_and_addition_mutants_match_dense(self, gb):
         """A seeded slice of single-cell mutants of boolean[2x2], of its
-        product and of the addition of S: the generator path reports every
-        violation and first witness the dense masks report, also when + is
-        no longer associative (when the generators stop generating, both
-        validators still agree that the mutant fails)."""
-        mg = build_matrix_gamma(gb, 2)
-        g, gens = mg.gamma, _single_entries(mg)
+        product and of the addition of S: the validator, on greedy
+        generators of the mutant's addition, reports every violation and
+        first witness the dense scan reports, also when + is no longer
+        associative."""
+        g = build_matrix_gamma(gb, 2).gamma
         rng = random.Random(19)
         broken_addition = compared = 0
         for _ in range(60):
@@ -209,21 +210,16 @@ class TestGeneratorPath:
             add = [list(row) for row in g.addS]
             add[a][b] = value
             for bad in (_mutate_prod(g, a, c, b, value), replaced(g, name="add~", addS=add)):
-                dense = core.validate_gamma_semiring(bad)
-                try:
-                    outcome = core.validate_gamma_semiring(bad, generators=gens)
-                except ValueError as err:
-                    assert "generators reach" in str(err) and not dense.ok
-                    continue
-                assert outcome == dense
+                dense = core._gamma_outcome(bad)
+                assert core.validate_gamma_semiring(bad) == dense
                 compared += 1
                 broken_addition += any(v.axiom == "add_S_associative" for v in dense.violations)
         assert compared > 60 and broken_addition > 5
 
     def test_failure_on_generators_gives_the_dense_witness(self):
         g = _bilinear_not_associative()
-        outcome = core.validate_gamma_semiring(g, generators=([0, 1, 2], [0, 1]))
-        assert outcome == core.validate_gamma_semiring(g)
+        outcome = core._gamma_outcome(g, ([0, 1, 2], [0, 1]))
+        assert outcome == core._gamma_outcome(g) == core.validate_gamma_semiring(g)
         assert [v.axiom for v in outcome.violations] == ["product_associative"]
         _assert_witnesses_match_oracle(g)
         assert core.recheck_violation(g, outcome.violations[0])
@@ -233,20 +229,110 @@ class TestGeneratorPath:
         the generator tuples, read as carrier indices, would name the wrong
         elements; the reported one is the dense one."""
         g = _relabel_s(_bilinear_not_associative(), [0, 2, 3, 1])
-        outcome = core.validate_gamma_semiring(g, generators=([0, 2, 3], [0, 1]))
-        assert outcome == core.validate_gamma_semiring(g)
+        outcome = core._gamma_outcome(g, ([0, 2, 3], [0, 1]))
+        assert outcome == core._gamma_outcome(g) == core.validate_gamma_semiring(g)
         assert [v.axiom for v in outcome.violations] == ["product_associative"]
         _assert_witnesses_match_oracle(g)
 
-    def test_sets_that_do_not_generate_raise(self, gb):
-        mg = build_matrix_gamma(gb, 2)
-        gen_s, gen_g = _single_entries(mg)
-        with pytest.raises(ValueError, match="S generators reach 8 of 16"):
-            core.validate_gamma_semiring(mg.gamma, generators=([0, 1, 2, 4], gen_g))
-        with pytest.raises(ValueError, match="G generators reach 1 of 16"):
-            core.validate_gamma_semiring(mg.gamma, generators=(gen_s, [0]))
-        with pytest.raises(ValueError, match="indices below 16"):
-            core.validate_gamma_semiring(mg.gamma, generators=(gen_s, [*gen_g, 16]))
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _one_cell_mutant(g, rng):
+    """g with one product cell, drawn by `rng`, set to another element."""
+    a, c, b = rng.randrange(len(g.S)), rng.randrange(len(g.G)), rng.randrange(len(g.S))
+    prod = g.tables[2].copy()
+    prod[a, c, b] = (prod[a, c, b] + rng.randrange(1, len(g.S))) % len(g.S)
+    return core.GammaSemiring(f"{g.name}~{a},{c},{b}", g.S, g.G, *g.tables[:2], prod)
+
+
+class TestSizeRule:
+    """`validate_gamma_semiring` picks its path by size: dense up to
+    `core._DENSE_CELLS` associativity cells, greedy generators above, and
+    the dense fallback in blocks of at most `core._SUM_CELLS`
+    cells."""
+
+    @staticmethod
+    def _instances():
+        yield from (core.zn_gamma(n) for n in (2, 3, 4, 8, 12, 16, 24, 32))
+        yield from (core.gamma_from_semiring(core.boolean_power_semiring(k)) for k in range(1, 6))
+
+    def test_outcome_is_the_dense_one_on_each_path(self):
+        """Z_n and from_B1 to from_B5, valid and with one product cell
+        changed: the outcome equals the dense reference, on both sides of
+        the size bound."""
+        rng, paths = random.Random(24), set()
+        for g in self._instances():
+            paths.add(len(g.S) ** 3 * len(g.G) ** 2 <= core._DENSE_CELLS)
+            bad = _one_cell_mutant(g, rng)
+            assert core.validate_gamma_semiring(g) == core._gamma_outcome(g) == core.ValidationOutcome(True, ())
+            outcome = core.validate_gamma_semiring(bad)
+            assert outcome == core._gamma_outcome(bad) and not outcome.ok, bad.name
+            assert all(core.recheck_violation(bad, violation) for violation in outcome.violations)
+        assert paths == {True, False}
+
+    def test_the_stock_workload_instances_keep_their_paths(self, gb, z2):
+        """boolean, z2 to z4 and from_B3 validate densely, the 16-element
+        matrix instances on the greedy generators {0, 1, 2, 4, 8}."""
+        from_b3 = core.gamma_from_semiring(core.boolean_power_semiring(3))
+        for g in (gb, z2, core.zn_gamma(3), core.zn_gamma(4), from_b3):
+            assert len(g.S) ** 3 * len(g.G) ** 2 <= core._DENSE_CELLS, g.name
+        for base in (gb, z2):
+            g = build_matrix_gamma(base, 2).gamma
+            assert len(g.S) ** 3 * len(g.G) ** 2 > core._DENSE_CELLS
+            assert [core._greedy_generators(add) for add in g.tables[:2]] == [[0, 1, 2, 4, 8]] * 2
+
+    def test_a_valid_z32_builds_no_dense_mask(self):
+        """On generators Z_32 is validated in about 1 MiB traced; its dense
+        associativity mask alone has 32^5 cells (32 MiB)."""
+        g = core.zn_gamma(32)
+        outcome, peak = _traced_peak(lambda: core.validate_gamma_semiring(g))
+        assert outcome.ok and peak < 4 * 2**20, peak
+
+    def test_the_dense_fallback_on_a_z32_mutant_is_bounded(self):
+        """A one-cell product mutant of Z_32 fails on generators and is
+        scanned densely in blocks: 12 MiB traced, not the 99 MiB of one
+        dense mask set."""
+        bad = _one_cell_mutant(core.zn_gamma(32), random.Random(32))
+        outcome, peak = _traced_peak(lambda: core.validate_gamma_semiring(bad))
+        assert not outcome.ok and peak < 33 * 2**20, peak
+
+    def test_a_z3_2x2_mutant_is_scanned_in_bounded_memory(self):
+        """z3[2x2] (81 elements, 81^5 associativity cells) with one product
+        cell changed fails on generators; the dense scan, one block of
+        (a, gamma) rows at a time, gives the dense outcome in about 44 MiB
+        traced, and every witness replays."""
+        bad = _one_cell_mutant(build_matrix_gamma(core.zn_gamma(3), 2, cap=81).gamma, random.Random(81))
+        outcome, peak = _traced_peak(lambda: core.validate_gamma_semiring(bad))
+        assert not outcome.ok and peak < 64 * 2**20, peak
+        assert outcome == core._gamma_outcome(bad)
+        assert all(core.recheck_violation(bad, violation) for violation in outcome.violations)
+
+    @pytest.mark.parametrize("source", ["boolean[2x2]", "z24"])
+    def test_blocked_scan_matches_one_block(self, gb, monkeypatch, source):
+        """With a block budget of 64 cells (one row a block) the
+        dense scan reports what it reports in one block a law: the
+        boolean[2x2] mutant slice of `TestGeneratorPath` and seeded Z_24
+        mutants."""
+        if source == "z24":
+            rng, g = random.Random(7), core.zn_gamma(24)
+            mutants = [_one_cell_mutant(g, rng) for _ in range(4)]
+        else:
+            g = build_matrix_gamma(gb, 2).gamma
+            cells = [(k % 16, k * 7 % 16, k * 11 % 16) for k in range(0, 4096, 193)]
+            mutants = [_mutate_prod(g, a, c, b, (g.prod[a][c][b] + 5) % 16) for a, c, b in cells]
+        monkeypatch.setattr(core, "_SUM_CELLS", 1 << 40)
+        whole = [core._gamma_outcome(bad) for bad in mutants]
+        monkeypatch.setattr(core, "_SUM_CELLS", 64)
+        assert [core._gamma_outcome(bad) for bad in mutants] == whole
+        assert [core.validate_gamma_semiring(bad) for bad in mutants] == whole
+        assert not any(outcome.ok for outcome in whole)
 
 
 class TestValidateSemiring:

@@ -18,6 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
         ("run_suites.py", ("--instances", "from_B3")),
         ("mutation_sweep.py", ("boolean[2x2]", "--sample", "100", "--max-report", "0")),
         ("run_suites.py", ("--instances", "boolean[2x2]")),
+        ("mutation_sweep.py", ("z24", "--sample", "50", "--max-report", "0")),
     ],
 )
 def test_script_exits_zero(script, args):

@@ -194,11 +194,15 @@ SMALL = [x for x in STRUCTURES if len(x.tables[0]) <= 4] + [build_boolean_by_cha
 @pytest.mark.parametrize("x", SMALL, ids=lambda x: x.name)
 def test_flat_take_masks_equal_the_broadcast_gathers(x, monkeypatch):
     """On the structure and on every single-cell mutation of it, with the
-    flat takes in one block, one first-axis slice a block, or a few: the
-    same masks, the validator's first witness of each distributive law read
-    off the broadcast mask, and every reported witness replays."""
+    flat takes and the law scans in one block, one first-axis slice a block,
+    or a few: the same masks, the validator's first witness of each
+    distributive law read off the broadcast mask, and every reported
+    witness replays."""
     if _gamma(x):
-        masks_of, validate, axioms = core._gamma_masks, core.validate_gamma_semiring, core._GAMMA_AXIOMS
+        def masks_of(*tables):  # each law's mask on every first-axis row
+            return {law: mask(core._ALL) for law, (mask, *_) in core._gamma_laws(*tables).items()}
+
+        validate, axioms = core.validate_gamma_semiring, core._GAMMA_AXIOMS
     else:
         masks_of, validate, axioms = core._semiring_masks, core.validate_semiring, core._SEMIRING_AXIOMS
     failing = 0
@@ -219,9 +223,10 @@ def test_flat_take_masks_equal_the_broadcast_gathers(x, monkeypatch):
 
 def test_z3_matrix_instance_validates_in_bounded_memory():
     """The 81-element instance z3[2x2] is built by one product fold
-    (`matrix._products`) and validated on its single-entry generators (each
-    distributive law with one argument over them, associativity on
-    generator tuples), so the build peaks at about 69 MB traced.  The bound
+    (`matrix._products`) and validated on greedy additive generators, the
+    zero matrix and the four matrices with one entry 1 (each distributive
+    law with one argument over them, associativity on generator tuples), so
+    the build peaks at about 8 MB traced.  The bound
     stays at 257 MB, what the dense distributive sums needed when taken in
     blocks (`core._sums`; 586 MB in one take)."""
     import tracemalloc

@@ -435,11 +435,18 @@ def _first_in_blocks(mask, lead: tuple[int, ...], row_cells: int) -> Optional[tu
     return None
 
 
-def _monoid_masks(A: np.ndarray, name: str) -> dict[str, np.ndarray]:
-    """The commutative, associative and identity violation masks of `A`."""
-    ar = np.arange(len(A))
-    masks = A != A.T, A[A] != A[:, A], (A[0] != ar) | (A[:, 0] != ar)
-    return {f"{name}_{law}": mask for law, mask in zip(("commutative", "associative", "identity"), masks)}
+def _monoid_witnesses(A: np.ndarray, name: str) -> dict:
+    """The first witness of the commutative, associative and identity laws
+    of the addition `A`, None where one holds; each mask is built and
+    scanned in `_blocks` of its first axis (`_first_in_blocks`), so no
+    |A|^3 associativity mask is held whole."""
+    n, ar = len(A), np.arange(len(A))
+    laws = {
+        "commutative": (lambda r: A[r] != A.T[r], n),
+        "associative": (lambda r: A[A[r]] != A[r][:, A], n * n),  # cell (x, y, z)
+        "identity": (lambda r: (A[0, r] != ar[r]) | (A[r, 0] != ar[r]), 1),
+    }
+    return {f"{name}_{law}": _first_in_blocks(mask, (n,), cells) for law, (mask, cells) in laws.items()}
 
 
 def _gamma_laws(A: np.ndarray, B: np.ndarray, P: np.ndarray, s=_ALL, g=_ALL) -> dict:
@@ -470,9 +477,9 @@ def _gamma_outcome(g: GammaSemiring, generators=None) -> ValidationOutcome:
     and G under addition, the four laws of `_gamma_laws` then densely only
     when a law fails (else they hold and have no witness)."""
     A, B, P = g.tables
-    masks = {**_monoid_masks(A, "add_S"), **_monoid_masks(B, "add_G")}
-    masks.update(zero_s_left=P[0] != 0, zero_s_right=P[:, :, 0] != 0, zero_gamma=P[:, 0, :] != 0)
-    witnesses = {law: _first_witness(mask) for law, mask in masks.items()}
+    masks = {"zero_s_left": P[0] != 0, "zero_s_right": P[:, :, 0] != 0, "zero_gamma": P[:, 0, :] != 0}
+    witnesses = {**_monoid_witnesses(A, "add_S"), **_monoid_witnesses(B, "add_G")}
+    witnesses.update((law, _first_witness(mask)) for law, mask in masks.items())
     dense = generators is None or any(witnesses.values())
     if dense or any(_first_in_blocks(*scan) for scan in _gamma_laws(A, B, P, *generators).values()):
         witnesses.update((law, _first_in_blocks(*scan)) for law, scan in _gamma_laws(A, B, P).items())
@@ -490,9 +497,9 @@ def validate_gamma_semiring(g: GammaSemiring) -> ValidationOutcome:
 
 
 def _semiring_masks(A: np.ndarray, M: np.ndarray) -> dict[str, np.ndarray]:
-    """The violation mask of every semiring law."""
+    """The violation mask of every semiring law but those of the addition
+    (`_monoid_witnesses`)."""
     return {
-        **_monoid_masks(A, "add"),
         "mul_associative": M[M] != M[:, M],
         "mul_left_distributive": M[:, A] != _sums(A, M[:, :, None], M[:, None, :]),
         "mul_right_distributive": M[A] != _sums(A, M[:, None, :], M[None, :, :]),
@@ -503,7 +510,8 @@ def _semiring_masks(A: np.ndarray, M: np.ndarray) -> dict[str, np.ndarray]:
 
 def validate_semiring(r: Semiring) -> ValidationOutcome:
     """Semiring analogue of validate_gamma_semiring, always dense."""
-    witnesses = {law: _first_witness(mask) for law, mask in _semiring_masks(*r.tables).items()}
+    witnesses = _monoid_witnesses(r.tables[0], "add")
+    witnesses.update((law, _first_witness(mask)) for law, mask in _semiring_masks(*r.tables).items())
     return _outcome(witnesses, _SEMIRING_AXIOMS, {"c": r.carrier})
 
 

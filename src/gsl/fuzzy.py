@@ -28,9 +28,8 @@ and ideal and constancy tests, as numpy lookups into tables over the
 distinct cut masks, a family at a time.  ``LevelCuts.rank_array`` gives each
 member of a family each element's rank, the number of cuts that contain
 it, as one array: ranks order the elements as their grades do, so a
-comparison of grades is decided on them, and the transfer maps take their
-mins on them.  ``LevelCuts.subset`` turns ranks into grades only where a
-suite needs a ``FuzzySubset``, for a witness.
+comparison of grades is decided on them.  ``LevelCuts.subset`` turns ranks
+into grades only where a suite needs a ``FuzzySubset``, for a witness.
 
 The public ``Fraction`` API decides on level cuts as well: the predicates
 ``is_*_ideal_*`` and ``fuzzy_sum`` read their operands as cuts on a view
@@ -337,10 +336,10 @@ class LevelCuts:
     instance, and the suites share one per structure for a whole run
     (`Workspace.level_cuts`).
 
-    A family's ranks are one (N, n) array (`rank_array`), and an array of
-    ranks gives back the ids of its subsets' cuts (`family_of_ranks`), so a
-    map that works on ranks maps a whole family at once.  `subset` turns
-    one member into a `FuzzySubset`, for a witness.
+    A family's ranks are one (N, n) array (`rank_array`), and a map on the
+    bits of masks, such as a transfer map, maps each mask once
+    (`crisp_images`).  `subset` turns one member into a `FuzzySubset`, for
+    a witness.
 
     Because every operation goes cut by cut, a statement about every pair
     of a family of fuzzy ideals can often be decided on the family's crisp
@@ -418,15 +417,17 @@ class LevelCuts:
             ranks += bits[column]
         return ranks
 
-    def family_of_ranks(self, ranks: np.ndarray) -> np.ndarray:
-        """The (N, m-1) id array of the subsets with these (N, n) ranks: cut
-        k holds the elements of rank k or more.  The cuts are packed into
-        bytes, and each distinct one is interned once."""
-        levels = range(1, len(self.chain))
-        packed = np.stack([np.packbits(ranks >= k, axis=1, bitorder="little") for k in levels], axis=1)
-        distinct, where = np.unique(core._row_keys(packed), return_inverse=True)
-        ids = [self._intern(int.from_bytes(key.tobytes(), "little")) for key in distinct]
-        return np.array(ids, dtype=np.intp)[where].reshape(len(ranks), len(levels))
+    def crisp_images(self, key, target: "LevelCuts", crisp_map: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """The ids on `target` of crisp_map's images of the masks seen so
+        far, indexed by id and kept under `key`: crisp_map takes the (D, n)
+        bits of D masks to the (D, n') bits of their images, and is handed
+        only the masks seen since the last call."""
+
+        def compute(masks: list[int]) -> np.ndarray:
+            packed = np.packbits(crisp_map(self._unpacked(masks)), axis=1, bitorder="little")
+            return target.mask_ids([int.from_bytes(row.tobytes(), "little") for row in packed])
+
+        return self._by_id(key, compute)
 
     def _set_sum(self, u: int, v: int) -> int:
         add, total = self.carrier.add, 0
@@ -631,11 +632,12 @@ def _check_kind(kind: str) -> str:
 
 def _cut_rows(structure, subsets: Sequence[FuzzySubset]) -> tuple[LevelCuts, np.ndarray]:
     """A level-cut view of the structure on the subsets' own grades, 0 and
-    1, and the (N, m-1) ids of the subsets' cuts on it, each grade read as
-    its place on that chain.  The chain keeps the subsets' grade objects."""
+    1, and the (N, m-1) ids of the subsets' cuts on it, cut k the elements
+    of grade c_k or more.  The chain keeps the subsets' grade objects."""
     chain = GradeChain.of(*(g for mu in subsets for g in mu.grades), 0, 1)
-    view, rank = LevelCuts(structure, chain), {g: r for r, g in enumerate(chain.grades)}
-    return view, view.family_of_ranks(np.array([[rank[g] for g in mu.grades] for mu in subsets]))
+    view = LevelCuts(structure, chain)
+    cuts = [sum(1 << x for x, g in enumerate(mu.grades) if g >= c) for mu in subsets for c in chain.grades[1:]]
+    return view, view.mask_ids(cuts).reshape(len(subsets), len(chain) - 1)
 
 
 def _is_ideal(structure, mu: FuzzySubset, kind: str) -> bool:

@@ -30,8 +30,8 @@ comparison, computes the images of all |S||G| generators as one table,
 reads the action of each distinct image off the table of every operator
 matrix times every carrier matrix (`_matrix_actions`), and reads each
 first failing cell in row-major order.  th3.19 lifts the workspace's fuzzy
-ideals of the base as one rank array, through the workspace's "M" lift
-(the mins of `transfer.min_ranks` over the entries), and tests the lifts
+ideals of the base cut by cut, through the workspace's "M" lift (the mins
+of `transfer.min_ranks` over the entries, on the bits of each mask), and tests the lifts
 for ideals, injectivity, inclusions and surjectivity as array operations on
 the id arrays of the workspace's level-cut view of the matrix instance,
 which also enumerates the matrix-side ideals.

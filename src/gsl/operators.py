@@ -235,7 +235,7 @@ def build_operator_semiring(
         raise AssertionError("zero map missing from closure")
     # every action an additive map of the commutative monoid (S, +) fixing 0
     additive = elements[:, addS] == addS[elements[:, :, None], elements[:, None, :]]
-    monoid = not any(mask.any() for mask in core._monoid_masks(addS, "add").values())
+    monoid = not any(core._monoid_witnesses(addS, "add").values())
     if not (monoid and additive.all()) or elements[:, 0].any():
         raise AssertionError("operator semiring failed validation: the actions are not in End(S, +)")
 

@@ -12,11 +12,13 @@ Each map is a min of grades along the rows of an index table: the operator
 semiring's action table (lift) or pair-class table (restrict), and for
 th3.19's lift a matrix instance's entries.  Ranks order the elements as
 their grades do, so every map is one kernel, `min_ranks`, on integer ranks.
-The suites map whole families at once, as the (N, n) rank arrays of their
-level cuts (`verify.Workspace.transfer`).  The public maps here are one-row
-calls of it, each grade ranked by its place among the operand's own sorted
-distinct grades, with no level cuts built, and their images reuse the
-operand's own grade objects.
+A min is at least c_k exactly when every grade it reads is, so cut k of an
+image is the map of cut k alone: the suites call the kernel on the 0/1
+bits of crisp masks and gather a family's images from the masks' images
+(`verify._MAPS`, `verify.Workspace.transfer`).  The public maps here are
+one-row calls of it, each grade ranked by its place among the operand's
+own sorted distinct grades, with no level cuts built, and their images
+reuse the operand's own grade objects.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ _BLOCK_CELLS = 1 << 22
 
 
 def min_ranks(ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For an (N, n) array of ranks, one subset of n elements per row, and
-    an (n', k) index table into those elements: the (N, n') least ranks
-    along each table row.  The subsets go through in blocks, so the gather
+    """For an (N, n) array of ranks, one subset of n elements per row (or
+    of 0/1 bits, one mask per row), and an (n', k) index table into those
+    elements: the (N, n') least ranks along each table row.  The subsets go through in blocks, so the gather
     spans at most _BLOCK_CELLS cells."""
     mins = np.empty((len(ranks), len(rows)), dtype=ranks.dtype)
     step = max(1, _BLOCK_CELLS // rows.size)

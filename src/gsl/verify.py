@@ -9,7 +9,7 @@ absorption images, by the level-cut view of its structure, so kinds with
 equal images (all three, on a commutative structure) share one family; the
 right operator semiring R shares L's view, families, images and clause
 rows when its tables are L's, as they are on a commutative base; each
-transfer map sees each operand once per run; and the semifield predicates
+transfer map is handed each crisp mask once per run; and the semifield predicates
 and fuzzy conditions are decided once.  Every suite also runs in the
 workspace's one frame, `Workspace.run_suite`, which times it, turns a gate
 or a cap hit into a precondition-unmet report, and assembles the
@@ -23,19 +23,17 @@ The fuzzy suites compute on the workspace's level cuts of those ideals
 over the config's chain (`LevelCuts`): a fuzzy family is one read-only
 (N, m-1) array of its members' cut ids from enumeration to verdict, and
 a witness's `Fraction` grades come from its one row.  Semifield
-conditions are decided on ranks.  The transfer maps are mins of ranks
-(`_MAPS`), and `Workspace.transfer` maps a whole family at once: its ids
-become one rank array, the map takes its mins on it, and the result is cut
-again into ids.  One memo per map (`_Memo`) keeps what the map gave, so
-the round trips of prop3.4, th3.8 on a family already lifted and the
-lemmas' characteristic functions are lookups.  Each family's images are
-kept with the family (`Workspace.pairs`), shared by prop3.4 and th3.8.
-A pair check is then decided on crisp cuts when two conditions hold, both
-checked, not assumed: the family has a `LevelCuts.basis` (it is every descending multichain of its D
-crisp masks, and those are closed under sum and meet), and the map acted
-cut by cut on its N members, by one crisp map of masks (`_Pairs.crisp`).
-Then the check holds on all N x N fuzzy pairs exactly when it holds on the
-D x D crisp pairs, so a pass costs O(N m + D^2).  When a condition fails,
+conditions are decided on ranks.  The transfer maps are mins over index
+tables, so cut k of an image is the crisp image of cut k alone (`_MAPS`):
+`Workspace.transfer` keeps one id -> id array per map of the crisp images
+of the masks a view has interned, and maps a family, its round trips and
+the lemmas' characteristic functions by gathers from it.  Each family's
+images are kept with the family (`Workspace.pairs`), shared by prop3.4
+and th3.8.  A pair check is decided on crisp cuts when the family has a
+`LevelCuts.basis` (it is every descending multichain of its D crisp masks,
+and those are closed under sum and meet): since the map acts cut by cut,
+the check holds on all N x N fuzzy pairs exactly when it holds on the
+D x D crisp pairs, so a pass costs O(N m + D^2).  When there is no basis,
 or a crisp pair fails, a row-blocked scan of the N x N pairs decides,
 stopping at the first block with a failure; its witness is the first
 failing pair in row-major order (in th3.8, with the first check that pair
@@ -103,8 +101,8 @@ class Workspace:
     those families (crisp ideals as masks, fuzzy ideals as id arrays:
     `fuzzy_family` is the one fuzzy family the suites read), each fuzzy
     family with its images under a transfer map (`pairs`, from `transfer`)
-    for the pair checks, the images each transfer map gave (one `_Memo` per
-    map), the semifield predicates and conditions (`fact`,
+    for the pair checks, the crisp image of each mask under each transfer
+    map (kept by the source view), the semifield predicates and conditions (`fact`,
     `semifield_condition`), the matrix semiring over L or R
     (`matrix_semiring`), and the verdicts of th3.8 and th3.15 (`decided`)
     and prop3.4's clause rows.  A family is named by the structure it lives
@@ -113,7 +111,7 @@ class Workspace:
     structure name one family (`LevelCuts.canonical`), so they share its
     arrays, its images, its pair tables and the verdicts decided on them.
     Sides are keyed the same way: "R" resolves to "L" when R's tables are
-    L's (`resolve`), so R shares L's view, families, pairs and memos while
+    L's (`resolve`), so R shares L's view, families, pairs and images while
     L and R hold the same map object (`_MAPS` has one per direction for
     both).  Crisp families are tuples and
     fuzzy ones read-only arrays, so no suite can change what the next suite
@@ -130,9 +128,6 @@ class Workspace:
         self.structure = structure
         self.config = config or RunConfig()
         self._built: dict[object, object] = {}
-        # one `_Memo` per transfer map object, by (side, direction, map); a
-        # table of its own, so a map closure that holds it holds no cycle
-        self._memos: dict[tuple, _Memo] = {}
 
     def _once(self, key, build: Callable[[], object]):
         """What build() returns, built on the first use of `key`; a cap hit
@@ -240,27 +235,23 @@ class Workspace:
 
     def transfer(self, side: str, direction: str) -> Callable[[np.ndarray], np.ndarray]:
         """A transfer map between S and `side` ("L", "R", or "M" for th3.19's
-        lift) on id arrays: direction "lift" takes the (..., m-1) ids of
-        subsets' cuts on S to the ids of their images' cuts on the side,
-        "restrict" takes them back.  The map is the one `_MAPS[side,
-        direction]` holds at the call, and the run keeps one `_Memo` per
-        resolved side (`resolve`), direction and map object: only the
-        operands that map has not seen go through it, as one rank array, so
-        R shares L's memo while both sides hold the same map, and a map
-        installed for one side alone gets a memo of its own."""
+        lift) on id arrays: direction "lift" takes the ids of subsets' cuts
+        on S, in an array of any shape, to the ids of their images' cuts on
+        the side, "restrict" takes them back.  The map is `_MAPS[side,
+        direction]` at the call, and acts cut by cut: an image is a gather
+        from the source view's array of crisp images (`crisp_images`), one
+        per resolved side (`resolve`), direction and map object, so R shares
+        L's while both hold the same map."""
         shared = self.resolve(side)  # here, so that `apply` holds no reference to the workspace
         source, target = self.level_cuts("S"), self.level_cuts(side)
         if direction == "restrict":
             source, target = target, source
         over = self.left if side == "L" else self.right if side == "R" else self.matrix
-        memos = self._memos
 
         def apply(ids: np.ndarray) -> np.ndarray:
-            ranks_map = _MAPS[side, direction]
-            memo = memos.setdefault((shared, direction, ranks_map), _Memo())
-            images = memo(ids.reshape(-1, ids.shape[-1]), lambda rows: target.family_of_ranks(
-                ranks_map(over, source.rank_array(rows))))
-            return images.reshape(ids.shape)
+            crisp_map = _MAPS[side, direction]
+            key = ("image", shared, direction, crisp_map)
+            return source.crisp_images(key, target, lambda bits: crisp_map(over, bits))[ids]
 
         return apply
 
@@ -360,19 +351,18 @@ class Workspace:
 # transfer-map clause engine (shared by the primal L side and the dual R side)
 
 
-# The transfer maps on rank arrays, by (side, direction): each takes what it
-# maps over (the operator semiring, or the matrix instance for "M") and an
-# (N, n) rank array, and gives the (N, n') ranks of the images, each rank the
-# least along one row of the operator's action table (lift), its pair-class
-# table (restrict) or the matrix entries.  L and R hold one map object per
-# direction, since the formulas are the same on either side.  A map must map
-# each row on its own: the image of a row may not depend on the other rows
-# of the call.  That makes the run's memo exact: `Workspace.transfer` keeps
-# one `_Memo` per resolved side, direction and map object and hands the map
-# only rows that memo has not mapped.  The suites look a map up here at each
-# call, so a map installed in this table gets a fresh memo and sees every
-# operand the suites ask it for, and a map installed for R alone keeps R
-# from sharing L's images and clause rows.
+# The transfer maps on crisp masks, by (side, direction): each takes what it
+# maps over (the operator semiring, or the matrix instance for "M") and the
+# (D, n) 0/1 bits of D masks, and gives the (D, n') bits of their images, the
+# least bit along each row of the operator's action table (lift), its
+# pair-class table (restrict) or the matrix entries.  Each paper map is that
+# min on grades, and a min is >= c_k exactly when every grade it reads is:
+# cut k of a fuzzy subset's image is the map of its cut k alone.
+# L and R hold one map object per direction, since the formulas are the same
+# on either side.  The suites look a map up here at each call, so a map
+# installed in this table gets an image array of its own
+# (`Workspace.transfer`), and one installed for R alone keeps R from sharing
+# L's images and clause rows.
 
 
 def _lift(op: OperatorSemiring, ranks: np.ndarray) -> np.ndarray:
@@ -392,48 +382,6 @@ _MAPS: dict[tuple[str, str], Callable[[object, np.ndarray], np.ndarray]] = {
 }
 
 
-class _Memo:
-    """What one transfer map gave, by operand, in blocks, one per call that
-    brought operands the map had not seen: the row keys (`core._row_keys`)
-    of those source id rows, the order that sorts the keys, and the target
-    id rows of their images.  An operand is found by binary search in each
-    block, as `LevelCuts.rows_in` finds rows.  A call whose rows are all new
-    and distinct, such as a whole family, keeps its own arrays as its block
-    and returns the images it keeps, read-only, so the memo copies nothing
-    of what the caller holds anyway; no caller writes to an operand array
-    after the call."""
-
-    def __init__(self):
-        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def __call__(self, rows: np.ndarray, mapped: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """The images of an (R, m-1) id array: mapped(new), called once
-        when some rows are new, maps the distinct ones."""
-        keys = core._row_keys(rows)
-        images = np.empty(rows.shape, dtype=np.intp)
-        missing = np.ones(len(rows), dtype=bool)
-        for known, order, known_images in self.blocks:
-            at = order[np.searchsorted(known, keys, sorter=order).clip(max=len(order) - 1)]
-            hit = missing & (known[at] == keys)
-            images[hit] = known_images[at[hit]]
-            missing &= ~hit
-        rest = np.flatnonzero(missing)
-        if not len(rest):
-            return images
-        first, where = np.unique(
-            keys if len(rest) == len(rows) else keys[rest], return_index=True, return_inverse=True)[1:]
-        if len(first) == len(rows):  # all new, each once
-            fresh = mapped(rows)
-            fresh.setflags(write=False)
-            self.blocks.append((keys, first.astype(np.min_scalar_type(len(first))), fresh))
-            return fresh
-        new = rest[first]  # in the order of their keys
-        fresh = mapped(rows[new])
-        images[rest] = fresh[where]
-        self.blocks.append((keys[new], np.arange(len(new), dtype=np.min_scalar_type(len(new))), fresh))
-        return images
-
-
 class _Pairs:
     """One family of N operands and its images under a transfer map, for
     the pair checks: the views they live on, their (N, m-1) id arrays, and
@@ -443,22 +391,11 @@ class _Pairs:
     def __init__(self, source: LevelCuts, target: LevelCuts, family: np.ndarray, image):
         self.source, self.target, self.image = source, target, image
         self.family, self.images = family, image(family)
+        self.images.setflags(write=False)
 
     @cached_property
     def basis(self) -> Optional[np.ndarray]:
         return self.source.basis(self.family)
-
-    @cached_property
-    def crisp(self) -> Optional[np.ndarray]:
-        """The crisp map the transfer map acts by, as an array from source
-        ids to target ids, when the family has a `basis` and the map acted
-        cut by cut on each of the N members: image cut k is the map of
-        operand cut k, the same map for every member and level.  Else None."""
-        if self.basis is None:
-            return None
-        ell = np.full(self.family.max() + 1, -1, dtype=np.intp)
-        ell[self.family] = self.images  # of repeated ids, one write wins
-        return ell if (ell[self.family] == self.images).all() else None
 
 
 # A pair check: check(p, a, b, la, lb, image) is the (len(a), len(b)) table
@@ -511,14 +448,14 @@ def _failing_pair(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
     """The first pair (i, j) of the family, in row-major order, that check
     fails on; None when every pair passes.
 
-    With a crisp map (`_Pairs.crisp`), a pass is decided on the D x D pairs
-    of crisp masks, with no call of the map: a failing fuzzy pair fails at
-    some level, on one crisp pair.  Otherwise, and to find the witness once
-    a crisp pair fails, `_scan` decides."""
-    ell = p.crisp
-    if ell is not None:
-        masks, images = p.basis[:, None], ell[p.basis][:, None]
-        if not check(p, masks, masks, images, images, ell.__getitem__).any():
+    When the family has a `basis`, a pass is decided on the D x D pairs of
+    its crisp masks: the map acts cut by cut, so a failing fuzzy pair fails
+    at some level, on one crisp pair.  Otherwise, and to find the witness
+    once a crisp pair fails, `_scan` decides."""
+    if p.basis is not None:
+        masks = p.basis[:, None]
+        images = p.image(masks)
+        if not check(p, masks, masks, images, images, p.image).any():
             return None
     return _scan(p, check)
 
@@ -556,12 +493,12 @@ def _clause_rows(
     Sums, intersections, inclusions, equalities, ideal and constancy tests
     are computed on the workspace's level cuts, over the config's chain; the
     transfer maps are mins, so their images stay on that chain.  The maps
-    are the workspace's (`Workspace.transfer`), each applied to a whole
-    family at once: the ideals (`Workspace.pairs`), then their images for
-    the round trips.  Each per-ideal clause is one array operation on the
+    are the workspace's (`Workspace.transfer`), gathers from the crisp
+    images of masks, each applied to a whole family at once: the ideals
+    (`Workspace.pairs`), then their images for the round trips.  Each per-ideal clause is one array operation on the
     families' id arrays and witnesses its first failing row.  The pair
     clauses are decided by `_failing_pair`: on crisp cuts where the family
-    and the map allow it, else by the row-blocked `_scan`, which witnesses
+    has a basis, else by the row-blocked `_scan`, which witnesses
     the first failing pair in row-major order.  A witness's grades are
     built from its row only.
     """
@@ -780,16 +717,15 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
     The crisp ideals and their images are masks (`Workspace.crisp_ideals`,
     `OperatorSemiring.image_contained` and `pair_fixed`), and the
     characteristic function of I is the member (I, ..., I) over the
-    config's chain, one interned id repeated, so each family's
-    characteristic functions are lifted, and restricted, at once by the
-    run's maps (`Workspace.transfer`), whose memos already hold every one
-    that is a fuzzy ideal mapped by an earlier suite; the identities and
-    ideal tests are array operations on ids.  Kinds whose families are the
+    config's chain, one interned id repeated; the run's maps act cut by
+    cut, so its image is the crisp image of I repeated, and each family's
+    ideals are lifted, and restricted, at once as one-cut members
+    (`Workspace.transfer`), read off the arrays an earlier suite filled;
+    the identities and ideal tests are array operations on ids.  Kinds whose families are the
     same on both sides (`LevelCuts.canonical`) are checked once."""
 
     def check(counts, notes):
         left = ws.left
-        width = len(ws.config.chain) - 1
         # (from, to, crisp correspondence, transfer map, its check, the ideal check, the image's name)
         directions = (
             ("S", "L", left.image_contained, ws.transfer("L", "lift"),
@@ -809,7 +745,7 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
                     counts["identities_checked"] += passed[families]
                     continue
                 ideals = ws.crisp_ideals(source, kind)
-                mapped = transfer(np.repeat(on_source.mask_ids(ideals)[:, None], width, axis=1))
+                mapped = transfer(on_source.mask_ids(ideals)[:, None])
                 images = [correspond(ideal) for ideal in ideals]
                 image_ids = on_target.mask_ids(images)[:, None]
                 moves = (mapped != image_ids).any(axis=1)

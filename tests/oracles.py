@@ -4,9 +4,10 @@ Everything here is written as plain nested loops over the raw tables, sharing
 no scan code with the library: the vectorised validators, the worklist
 closure, the table-lookup matrix builds and the level-cut enumerators are
 all checked against these.  `cuts_of`, the grades-to-cuts reading, was
-`LevelCuts.of`; next to it, `rank_map` and `subset_map` turn a transfer map
-on subsets into the map on rank arrays the suites call, and back, so tests
-can install a perturbed map.  The predicate section keeps the scalar loops
+`LevelCuts.of`; next to it, `bits_map` and `mask_map` turn a transfer map
+on crisp masks into the map on 0/1 bit rows the suites call, and back, so
+tests can install a perturbed map, and `subset_map` applies such a map to a
+fuzzy subset cut by cut.  The predicate section keeps the scalar loops
 of the structural predicates, which now read the structures' arrays, as the
 reference for their first witnesses.  The cut-tuple section keeps the multichain
 enumerator, the per-member ideal and constancy tests and the id-array
@@ -573,8 +574,8 @@ def count_multichains(ideals, length: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# grades to cuts and to ranks: a fuzzy subset's level cuts on a view's chain,
-# and the transfer maps on subsets as the maps on rank arrays the suites call
+# grades to cuts: a fuzzy subset's level cuts on a view's chain, and the
+# transfer maps on crisp masks as the maps on bit rows the suites call
 
 
 def cuts_of(view, mu):
@@ -621,42 +622,61 @@ def _chain_ranks(chain, grades) -> list[int]:
     return [place[g] for g in grades]
 
 
-def rank_map(chain, direction, per_subset):
-    """A map on subsets, per_subset(over, mu) -> FuzzySubset, as a map on
-    rank arrays over the chain, the form `verify._MAPS` holds: each row of
-    ranks becomes the subset with those grades, and the grades of its image
-    become ranks again (ValueError for a grade off the chain)."""
-    from gsl.fuzzy import FuzzySubset
+def _mask_of(bits) -> int:
+    """The mask of a row of 0/1 bits, element x in column x."""
+    return sum(1 << x for x, bit in enumerate(bits) if bit)
 
-    def apply(over, ranks):
-        source, target = _carriers(over, direction)
-        rows = [
-            _chain_ranks(chain, per_subset(over, FuzzySubset(source, tuple(chain.grades[r] for r in row))).grades)
-            for row in ranks.tolist()
-        ]
-        return np.array(rows, dtype=ranks.dtype).reshape(len(rows), target.size)
+
+def bits_map(direction, per_mask):
+    """A map on masks, per_mask(over, mask) -> mask, as a map on the (D, n)
+    0/1 bits of D masks, the form `verify._MAPS` holds."""
+
+    def apply(over, bits):
+        _, target = _carriers(over, direction)
+        images = [per_mask(over, _mask_of(row)) for row in bits.tolist()]
+        return np.array([[image >> y & 1 for y in range(target.size)] for image in images],
+                        dtype=np.uint8).reshape(len(images), target.size)
 
     return apply
 
 
-def install_map(monkeypatch, chain, side, direction, per_subset):
-    """Make per_subset(over, mu), a map on subsets over the chain, the
-    transfer map the suites call for (side, direction) (`verify._MAPS`)."""
+def install_map(monkeypatch, side, direction, per_mask):
+    """Make per_mask(over, mask), a map on crisp masks, the transfer map the
+    suites call for (side, direction) (`verify._MAPS`)."""
     from gsl import verify
 
-    monkeypatch.setitem(verify._MAPS, (side, direction), rank_map(chain, direction, per_subset))
+    monkeypatch.setitem(verify._MAPS, (side, direction), bits_map(direction, per_mask))
 
 
-def subset_map(chain, direction, over, ranks_map):
-    """A map on rank arrays (`verify._MAPS`) as a map on one subset over the
-    chain: the inverse of `rank_map`, for oracles that take subsets."""
+def mask_map(direction, over, crisp_map):
+    """A map on bits (`verify._MAPS`) as a map on one mask: the inverse of
+    `bits_map`."""
+    source, _ = _carriers(over, direction)
+
+    def apply(mask):
+        bits = np.array([[mask >> x & 1 for x in range(source.size)]], dtype=np.uint8)
+        return _mask_of(crisp_map(over, bits)[0].tolist())
+
+    return apply
+
+
+def subset_map(chain, direction, over, crisp_map):
+    """A map on crisp masks (`verify._MAPS`) as a map on one fuzzy subset
+    over the chain, cut by cut: cut k of the image is the map of cut k of
+    mu, and y gets the grade c_r, r the number of image cuts that hold it.
+    Raises ValueError when the image cuts do not descend, so that they are
+    no fuzzy subset's."""
     from gsl.fuzzy import FuzzySubset
 
     _, target = _carriers(over, direction)
+    on_mask = mask_map(direction, over, crisp_map)
 
     def apply(mu):
-        ranks = np.array([_chain_ranks(chain, mu.grades)], dtype=np.min_scalar_type(len(chain) - 1))
-        return FuzzySubset(target, tuple(chain.grades[r] for r in ranks_map(over, ranks)[0].tolist()))
+        ranks = _chain_ranks(chain, mu.grades)
+        cuts = [on_mask(_mask_of([r >= k for r in ranks])) for k in range(1, len(chain))]
+        if any(lower & ~upper for upper, lower in zip(cuts, cuts[1:])):
+            raise ValueError("the image cuts do not descend")
+        return FuzzySubset(target, tuple(chain.grades[sum(cut >> y & 1 for cut in cuts)] for y in range(target.size)))
 
     return apply
 

@@ -78,8 +78,8 @@ def test_trace_counts_the_pairs_workload_transfer_calls():
 
 # LevelCuts.subset calls of one pass of each workload's invocations, by the
 # function that makes them: only the violators th3.17 and th3.18 name in
-# their notes.  The transfer maps take rank arrays and th3.19 compares cut
-# tuples, so no suite builds a `FuzzySubset` per family member
+# their notes.  The transfer maps take the bits of crisp masks and th3.19
+# compares cut tuples, so no suite builds a `FuzzySubset` per family member
 SUBSET_CALLERS = {
     "matrix": {},
     "pairs": {"_semifield_biconditional": 2, "verify_theorem_3_18": 2},

@@ -334,6 +334,39 @@ class TestSizeRule:
         assert [core.validate_gamma_semiring(bad) for bad in mutants] == whole
         assert not any(outcome.ok for outcome in whole)
 
+    def test_the_additions_are_scanned_in_bounded_memory(self):
+        """The additions' associativity is scanned a block of first
+        arguments at a time (`core._monoid_witnesses`), so validating the
+        300-element chain instance peaks at about 20 MiB traced; its whole
+        |S|^3 addition mask peaked at 129 MiB."""
+        wide = build_boolean_by_chain(300)
+        outcome, peak = _traced_peak(lambda: core.validate_gamma_semiring(wide))
+        assert outcome.ok and peak < 43 * 2**20, peak
+
+    @pytest.mark.parametrize("cells", [1, 40, 1 << 22])
+    def test_addition_laws_give_the_whole_masks_first_witnesses(self, monkeypatch, cells):
+        """Seeded one-cell mutants of the additions of Z_6 and from_B3, and
+        the valid tables: each law's first witness, at any block size, is
+        the one of its whole mask."""
+        monkeypatch.setattr(core, "_SUM_CELLS", cells)
+        rng, failing = random.Random(6), 0
+        for g in (core.zn_gamma(6), core.gamma_from_semiring(core.boolean_power_semiring(3))):
+            for k in range(12):
+                A = g.tables[0].copy()
+                if k:
+                    x, y = rng.randrange(len(A)), rng.randrange(len(A))
+                    A[x, y] = (A[x, y] + rng.randrange(1, len(A))) % len(A)
+                ar = np.arange(len(A))
+                whole = {
+                    "add_commutative": A != A.T,
+                    "add_associative": A[A] != A[:, A],
+                    "add_identity": (A[0] != ar) | (A[:, 0] != ar),
+                }
+                got = core._monoid_witnesses(A, "add")
+                assert got == {law: core._first_witness(mask) for law, mask in whole.items()}
+                failing += any(got.values())
+        assert failing > 0
+
 
 class TestValidateSemiring:
     def test_boolean_and_z4(self, bool_sr, z4_sr):

@@ -23,6 +23,7 @@ from oracles import (
     family,
     fuzzy_family,
     install_map,
+    mask_map,
     is_constant,
     is_ideal,
     members,
@@ -236,30 +237,38 @@ def test_grade_off_the_chain_raises(gb):
         cuts_of(cuts, FuzzySubset.of_grades(core.zn_gamma(3), (1, 0, 0)))
 
 
+# the first fuzzy ideal of from_B3 (of its L) whose reversed lift (restriction)
+# is no ideal: the first one that is not constant
+FIRST_NON_IDEAL_LIFT, FIRST_NON_IDEAL_RESTRICTION = 0, 0
+
+
 def _reversed(mu):
     """mu with its grades in reverse carrier order: a fuzzy ideal that is
     not constant becomes a non-ideal, since it no longer peaks at zero."""
     return FuzzySubset(mu.carrier, mu.grades[::-1])
 
 
+def _reversed_mask(mask, size):
+    """mask with its elements in reverse carrier order: cut by cut, what
+    `_reversed` does to a fuzzy subset."""
+    return sum(1 << (size - 1 - x) for x in range(size) if mask >> x & 1)
+
+
 def test_ideal_table_agrees_with_the_naive_predicate_on_every_interned_mask(monkeypatch):
     """prop3.4's L clauses on from_B3 with a lift and a restriction that
-    reverse the images of two members each, so some images are no ideals.
-    Clauses (i) and (vii) fail on the first row whose image the cut-tuple
-    reference calls no ideal, and afterwards the ideal-ness table of each
+    reverse the carrier order of every image mask, so every non-constant
+    image is no ideal.  Clauses (i) and (vii) fail on the first row whose
+    image the cut-tuple reference calls no ideal, with the reversed image
+    of that member as witness, and afterwards the ideal-ness table of each
     view, read through `ideal_rows` on the members (I, ..., I), agrees with
     `naive_is_fuzzy_ideal_*` on the characteristic function of every mask
     the view has interned, for every kind."""
     chain = CHAINS[0]
     ws = Workspace(INSTANCES[-1], RunConfig(chain=chain))
     ideals_s, ideals_l = fuzzy_family(ws, "S"), fuzzy_family(ws, "L")
-    broken_s, broken_l = {ideals_s[k].grades for k in (2, 4)}, {ideals_l[k].grades for k in (3, 5)}
-
-    def broken(real, grades):
-        return lambda op, mu: _reversed(real(op, mu)) if mu.grades in grades else real(op, mu)
-
-    install_map(monkeypatch, chain, "L", "lift", broken(transfer.lift_plusprime, broken_s))
-    install_map(monkeypatch, chain, "L", "restrict", broken(transfer.restrict_plus, broken_l))
+    for direction, size in (("lift", len(ws.left)), ("restrict", len(ws.structure.S))):
+        real = mask_map(direction, ws.left, verify._MAPS["L", direction])
+        install_map(monkeypatch, "L", direction, lambda op, mask, real=real, size=size: _reversed_mask(real(mask), size))
     rows = {cid: (status, witness) for cid, status, witness, _ in verify._clause_rows(ws, "L", True, True)}
 
     on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
@@ -267,10 +276,10 @@ def test_ideal_table_agrees_with_the_naive_predicate_on_every_interned_mask(monk
     restricted = members(on_s, ws.pairs("L", "restrict").images)
     k = next(k for k, cuts in enumerate(lifted) if not is_ideal(on_l, cuts))
     image = _reversed(transfer.lift_plusprime(ws.left, ideals_s[k]))
-    assert k == 2 and rows["i"] == ("fail", {"clause": "i", "sigma": ideals_s[k].to_mapping(), "lifted": image.to_mapping()})
+    assert k == FIRST_NON_IDEAL_LIFT and rows["i"] == ("fail", {"clause": "i", "sigma": ideals_s[k].to_mapping(), "lifted": image.to_mapping()})
     k = next(k for k, cuts in enumerate(restricted) if not is_ideal(on_s, cuts))
     image = _reversed(transfer.restrict_plus(ws.left, ideals_l[k]))
-    assert k == 3 and rows["vii"] == ("fail", {"clause": "vii", "mu": ideals_l[k].to_mapping(), "restricted": image.to_mapping()})
+    assert k == FIRST_NON_IDEAL_RESTRICTION and rows["vii"] == ("fail", {"clause": "vii", "mu": ideals_l[k].to_mapping(), "restricted": image.to_mapping()})
 
     for view, naive in ((on_s, naive_is_fuzzy_ideal_gamma), (on_l, naive_is_fuzzy_ideal_semiring)):
         ids = np.arange(len(view._masks))[:, None]

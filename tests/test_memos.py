@@ -1,6 +1,6 @@
 """What a run derives is derived once and lives as long as the run: ideal
 families shared by kinds with equal absorption images, R's derived objects
-shared with L when R's tables are L's, one memo per transfer map, the
+shared with L when R's tables are L's, one image array per transfer map, the
 semifield predicates and the crisp correspondences."""
 
 import contextlib
@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from conftest import build_upper_triangular
 from gsl import cli, core, fuzzy, operators, verify
 from gsl.config import RunConfig
-from gsl.fuzzy import FuzzySubset, GradeChain, LevelCuts
+from gsl.fuzzy import GradeChain, LevelCuts
 from gsl.matrix import build_matrix_gamma
-from oracles import install_map
+from oracles import family, install_map, members
 from gsl.report import FAIL
 
 CHAIN = GradeChain.of(0, Fraction(1, 2), 1)
@@ -248,12 +248,12 @@ def _clause_notes(body, starred: bool) -> list[str]:
 
 @pytest.mark.parametrize("instance", ["z4", "from_B3"])
 def test_a_map_installed_for_r_alone_changes_only_the_starred_rows(monkeypatch, instance):
-    """A lift installed for R alone, one that sends every subset of S to the
-    empty fuzzy subset, breaks R's clauses only: the starred rows change,
+    """A lift installed for R alone, one that sends every mask of S to the
+    empty mask, and so every fuzzy subset to the empty one, breaks R's clauses only: the starred rows change,
     L's rows and the ideal counts do not, and the first failure is i*."""
     structure = INSTANCES[instance]()
     before = verify.verify_prop_3_4(_workspace(structure)).body()
-    install_map(monkeypatch, CHAIN, "R", "lift", lambda op, sigma: FuzzySubset.constant(op, 0))
+    install_map(monkeypatch, "R", "lift", lambda op, mask: 0)
     ws = _workspace(structure)
     after = verify.verify_prop_3_4(ws).body()
     assert ws.resolve("R") == "L"
@@ -265,43 +265,48 @@ def test_a_map_installed_for_r_alone_changes_only_the_starred_rows(monkeypatch, 
         k: v for k, v in before["counts"].items() if k != "checks"}
 
 
+def _masks_of(bits) -> list[int]:
+    """The masks of the rows of a 0/1 bits array."""
+    return [sum(1 << x for x, bit in enumerate(row) if bit) for row in bits.tolist()]
+
+
 @pytest.mark.parametrize("instance", ["boolean", "z4", "from_B3"])
 def test_one_map_object_for_both_sides_sees_each_operand_once(monkeypatch, instance):
     """A recorder installed as one object for L and R, per direction, is
-    called by prop3.4 on each operand once for both sides together: the
-    lifts on the fuzzy ideals of S, the restrictions on those of L, which
-    R shares; and the starred rows are L's.  R's maps then read L's memos:
-    mapping those families again through R calls the recorder on none."""
+    handed by prop3.4 each mask of its source view once for both sides
+    together: the lifts the masks of S, the restrictions those of L, which
+    R shares; and the starred rows are L's.  R's maps then read L's image
+    arrays: mapping those families again through R hands the recorder
+    nothing."""
     ws = _workspace(SHARED[instance]())
     seen = {}
     for direction in ("lift", "restrict"):
         real = verify._MAPS["L", direction]
 
-        def recording(over, ranks, direction=direction, real=real):
-            seen.setdefault(direction, []).extend(map(bytes, ranks))
-            return real(over, ranks)
+        def recording(over, bits, direction=direction, real=real):
+            seen.setdefault(direction, []).extend(_masks_of(bits))
+            return real(over, bits)
 
         monkeypatch.setitem(verify._MAPS, ("L", direction), recording)
         monkeypatch.setitem(verify._MAPS, ("R", direction), recording)
     notes = verify.verify_prop_3_4(ws).notes
     for direction, source in (("lift", "S"), ("restrict", "L")):
-        family = ws.level_cuts(source).rank_array(ws.fuzzy_family(source))
-        assert sorted(seen[direction]) == sorted(map(bytes, family))
-    calls = {direction: len(operands) for direction, operands in seen.items()}
+        assert sorted(seen[direction]) == sorted(ws.level_cuts(source)._masks)
+    calls = {direction: len(masks) for direction, masks in seen.items()}
     ws.transfer("R", "lift")(ws.fuzzy_family("S"))
     ws.transfer("R", "restrict")(ws.fuzzy_family("R"))
-    assert {direction: len(operands) for direction, operands in seen.items()} == calls
+    assert {direction: len(masks) for direction, masks in seen.items()} == calls
     clauses = [note for note in notes if note.startswith("clause ")]
     left, right = clauses[: len(clauses) // 2], clauses[len(clauses) // 2 :]
     assert right == [note.replace(":", "*:", 1) for note in left]
 
 
 # ---------------------------------------------------------------------------
-# one memo per transfer map
+# one image array per transfer map
 
 
 def _pool(structure, side, direction):
-    """Operands for `transfer(side, direction)`, as the (P, n) ranks of
+    """Operands for `transfer(side, direction)`, as the cut tuples of
     subsets of its source, from a workspace of their own: the fuzzy ideals
     of every kind there, the images of the other direction's map (which live
     there too), and the sums and meets of the two-sided family."""
@@ -314,7 +319,7 @@ def _pool(structure, side, direction):
     family = ws.fuzzy_family(source)
     for table in (view.sum_table(family, family), view.meet_table(family, family)):
         rows.append(table.reshape(-1, table.shape[-1]))
-    return view.rank_array(np.concatenate(rows))
+    return members(view, np.concatenate(rows))
 
 
 _POOLS = {}
@@ -333,9 +338,9 @@ def _cached_pool(instance, side, direction):
 @given(data=st.data())
 def test_memoised_map_equals_one_fresh_call(instance, side, direction, data):
     """Random batches of operands, repeats included, mapped one after
-    another through a workspace's memo give what one call of a fresh
-    workspace's map gives on all of them; and the memo's map sees each
-    distinct operand once, however the batches overlap."""
+    another through a workspace's image array give what one call of a
+    fresh workspace's map gives on all of them; and the map is handed each
+    distinct mask once, however the batches overlap."""
     structure, pool = _cached_pool(instance, side, direction)
     picks = st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=40)
     batches = data.draw(st.lists(picks, min_size=1, max_size=6))
@@ -345,9 +350,9 @@ def test_memoised_map_equals_one_fresh_call(instance, side, direction, data):
     seen = []
     real = verify._MAPS[side, direction]
 
-    def recording(over, ranks):
-        seen.extend(map(bytes, ranks))
-        return real(over, ranks)
+    def recording(over, bits):
+        seen.extend(_masks_of(bits))
+        return real(over, bits)
 
     ws = _workspace(structure)
     mapped = []
@@ -355,14 +360,42 @@ def test_memoised_map_equals_one_fresh_call(instance, side, direction, data):
         patch.setitem(verify._MAPS, (side, direction), recording)
         transfer = ws.transfer(side, direction)
         for batch in batches:
-            ids = ws.level_cuts(source).family_of_ranks(pool[batch])
-            mapped.append(ws.level_cuts(target).rank_array(transfer(ids)))
+            ids = family(ws.level_cuts(source), [pool[k] for k in batch])
+            mapped.extend(members(ws.level_cuts(target), transfer(ids)))
     assert len(seen) == len(set(seen))
 
     fresh = _workspace(structure)
-    every = np.concatenate([pool[batch] for batch in batches])
-    once = fresh.transfer(side, direction)(fresh.level_cuts(source).family_of_ranks(every))
-    assert np.array_equal(np.concatenate(mapped), fresh.level_cuts(target).rank_array(once))
+    every = [pool[k] for batch in batches for k in batch]
+    once = fresh.transfer(side, direction)(family(fresh.level_cuts(source), every))
+    assert mapped == members(fresh.level_cuts(target), once)
+
+
+def test_each_map_is_handed_at_most_the_masks_of_its_source_view(monkeypatch):
+    """prop3.4 and th3.8 on from_B5 over a 9-grade chain, the cap lifted:
+    each side has 59,049 fuzzy ideals, yet each map object, counted once
+    for L and R, is handed no more rows than its source view has masks,
+    because a map acts cut by cut and is handed each mask once."""
+    chain = GradeChain.parse(",".join(f"{k}/8" for k in range(9)))
+    from_b5 = core.gamma_from_semiring(core.boolean_power_semiring(5))
+    ws = verify.Workspace(from_b5, RunConfig(chain=chain, enum_cap=9**31))
+    handed, wrappers = Counter(), {}
+    for key, real in verify._MAPS.items():
+        if real not in wrappers:
+
+            def counting(over, bits, real=real):
+                handed[real] += len(bits)
+                return real(over, bits)
+
+            wrappers[real] = counting
+        monkeypatch.setitem(verify._MAPS, key, wrappers[real])
+    assert verify.verify_prop_3_4(ws).status != FAIL
+    for kind in ("two", "right"):
+        assert verify.verify_theorem_3_8(ws, kind).status != FAIL
+    assert len(ws.fuzzy_family("S")) == len(ws.fuzzy_family("L")) == 59049 and ws.resolve("R") == "L"
+    lift, restrict = verify._lift, verify._restrict
+    assert set(handed) == {lift, restrict}
+    assert handed[lift] <= len(ws.level_cuts("S")._masks)
+    assert handed[restrict] <= len(ws.level_cuts("L")._masks)
 
 
 # ---------------------------------------------------------------------------

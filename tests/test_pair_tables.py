@@ -1,19 +1,20 @@
 """prop3.4's pair clauses and th3.8's pair and lattice-closure checks against
 the two references in `oracles.py`.
 
-The suites decide a pair check on crisp cuts when the family and the map
-allow it (`verify._Pairs.crisp`), and otherwise, or for the witness, scan
-the pairs in row blocks.  One oracle scans the pairs one at a time in
+The transfer maps act cut by cut (`verify._MAPS`), so the suites decide a
+pair check on the crisp masks of a family that has a basis, and scan the
+pairs in row blocks only for the witness once a crisp pair fails, or when
+the family has no basis.  One oracle scans the pairs one at a time in
 row-major order with the `Fraction` lattice operations; the other reads
 every pair off N x N family tables at once.  All see the same transfer
-maps, here broken by permuting or merging their images within the family
-of fuzzy ideals, so the maps keep landing on ideals and the pair checks are
-the ones that see the damage.  The suites call the maps on rank arrays
-(`verify._MAPS`); a broken map on subsets goes in through
-`oracles.rank_map`, and the oracles read the installed maps back as maps
-on subsets (`oracles.subset_map`).  Such maps do not act cut by cut, so the
-suites fall back to the scan; a map that does act cut by cut and still
-breaks a clause fails on the crisp cuts.
+maps, here broken by moving the images of crisp ideals within the crisp
+ideals (a swap, a rotation, a merge), so the maps keep landing on ideals
+and the pair checks are the ones that see the damage.  A broken map on
+masks goes in through `oracles.install_map`, and the oracles read the
+installed maps back as maps on fuzzy subsets, cut by cut
+(`oracles.subset_map`).  A move that does not keep inclusions would give a
+member cuts that do not descend, so moves on the three-grade chain are
+monotone, and the others run on the chain {0, 1}.
 """
 
 import pytest
@@ -23,8 +24,9 @@ from oracles import (
     cuts_of,
     family,
     fuzzy_family,
-    members,
     install_map,
+    mask_map,
+    members,
     naive_fuzzy_sum,
     naive_pair_clause_rows,
     naive_theorem_3_8_pairs,
@@ -34,15 +36,12 @@ from oracles import (
 )
 from gsl import core, transfer, verify
 from gsl.config import RunConfig
-from gsl.fuzzy import CrispSubset, GradeChain, LevelCuts, characteristic
-from gsl.report import FAIL, PASS
+from gsl.fuzzy import GradeChain, LevelCuts
+from gsl.report import FAIL, PASS, chain_scope_note
 
 CHAIN = GradeChain.parse("0,1/2,1")
+CRISP = GradeChain.parse("0,1")
 PAIR_CLAUSES = ("iv", "v", "vi", "ix")
-SCOPE = (
-    "grades restricted to the chain {0/1, 1/2, 1/1}; the chain is min/max-closed, "
-    "so every operation checked stays in-chain"
-)
 CLOSED = "enumerated ideals are closed under sum/intersection with top and bottom"
 
 INSTANCES = {
@@ -50,44 +49,45 @@ INSTANCES = {
     "from_B3": lambda: core.gamma_from_semiring(core.boolean_power_semiring(3)),
 }
 
-# name -> (lift remap, restrict remap), each as {source index: target index}
-# over the fuzzy ideals of S in enumeration order; an unlisted ideal maps to itself
+# name -> (chain, lift moves, restrict moves), each move {i: j} over the
+# crisp ideals of S in enumeration order: the lift maps ideal i as it maps
+# ideal j, and an image of the restriction that is ideal i becomes ideal j
 PERTURBATIONS = {
-    "none": ({}, {}),
-    "swap-lift": ({2: 4, 4: 2}, {}),
-    "rotate-restrict": ({}, {0: 1, 1: 2, 2: 0}),
-    "merge-both": ({1: 2}, {2: 0}),
+    "none": (CHAIN, {}, {}),
+    "swap-lift": (CRISP, {1: 2, 2: 1}, {}),
+    "rotate-restrict": (CRISP, {}, {0: 1, 1: 2, 2: 0}),
+    "merge-both": (CHAIN, {1: 0}, {1: 0}),
 }
 
 
-def _remap(ideals, moves):
-    """{grades of ideal i: ideal j} for each move i -> j."""
-    return {ideals[i].grades: ideals[j] for i, j in moves.items()}
+def _workspace(instance, chain=CHAIN):
+    return verify.Workspace(INSTANCES[instance](), RunConfig(chain=chain))
 
 
-def _workspace(instance):
-    return verify.Workspace(INSTANCES[instance](), RunConfig(chain=CHAIN))
+def _masks_of(bits) -> list[int]:
+    """The masks of the rows of a 0/1 bits array."""
+    return [sum(1 << x for x, bit in enumerate(row) if bit) for row in bits.tolist()]
 
 
-def _perturb(monkeypatch, ideals, lift_moves, restrict_moves):
-    """Send the operand of every lift, and the image of every restriction,
-    through the remaps, on both sides."""
-    before, after = _remap(ideals, lift_moves), _remap(ideals, restrict_moves)
-    for side, lift, restrict in (
-        ("L", transfer.lift_plusprime, transfer.restrict_plus),
-        ("R", transfer.lift_starprime, transfer.restrict_star),
-    ):
-        install_map(monkeypatch, CHAIN, side, "lift", lambda op, s, real=lift: real(op, before.get(s.grades, s)))
+def _perturb(monkeypatch, ws, lift_moves, restrict_moves):
+    """Send the operand mask of every lift, and the image mask of every
+    restriction, through the moves, on both sides."""
+    ideals = ws.crisp_ideals("S")
+    before, after = ({ideals[i]: ideals[j] for i, j in moves.items()} for moves in (lift_moves, restrict_moves))
+    for side in "LR":
+        lift, restrict = verify._MAPS[side, "lift"], verify._MAPS[side, "restrict"]
+        install_map(monkeypatch, side, "lift",
+                    lambda op, mask, real=lift: mask_map("lift", op, real)(before.get(mask, mask)))
         install_map(
-            monkeypatch, CHAIN, side, "restrict",
-            lambda op, m, real=restrict: (lambda r: after.get(r.grades, r))(real(op, m)),
+            monkeypatch, side, "restrict",
+            lambda op, mask, real=restrict: (lambda image: after.get(image, image))(mask_map("restrict", op, real)(mask)),
         )
 
 
 def _maps(ws, side):
     """The lift and the restriction between S and `side` as one-argument
-    maps, through the maps the suites call (`verify._MAPS`), for the
-    oracles."""
+    maps on fuzzy subsets, through the maps the suites call
+    (`verify._MAPS`), for the oracles."""
     op = ws.left if side == "L" else ws.right
     return tuple(subset_map(ws.config.chain, d, op, verify._MAPS[side, d]) for d in ("lift", "restrict"))
 
@@ -126,13 +126,13 @@ def _pair_rows(rows):
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instance, perturbation):
     """Both sides' pair rows equal both oracles', and the body built with
-    the oracle's pair rows in place of the suite's is the suite's.  The
-    unbroken maps are decided on crisp cuts; a broken map is not cut-wise,
-    so each clause it enters falls back to the scan.  prop3.4 decides a
-    side's rows once per run, so the run with the oracle's rows is a run
-    of its own."""
-    ws = _workspace(instance)
-    _perturb(monkeypatch, fuzzy_family(ws, "S"), *PERTURBATIONS[perturbation])
+    the oracle's pair rows in place of the suite's is the suite's.  A pair
+    clause reaches the row-block scan exactly when it fails on a crisp
+    pair.  prop3.4 decides a side's rows once per run, so the run with the
+    oracle's rows is a run of its own."""
+    chain, lift_moves, restrict_moves = PERTURBATIONS[perturbation]
+    ws = _workspace(instance, chain)
+    _perturb(monkeypatch, ws, lift_moves, restrict_moves)
     real_rows = verify._clause_rows
     compared = []
     paths = _record_paths(monkeypatch)
@@ -150,76 +150,64 @@ def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instanc
     actual = verify.verify_prop_3_4(ws).body()
     suite_paths = list(paths)
     monkeypatch.setattr(verify, "_clause_rows", oracle_rows)
-    expected = verify.verify_prop_3_4(_workspace(instance)).body()
+    expected = verify.verify_prop_3_4(_workspace(instance, chain)).body()
     assert actual == expected
     assert len(compared) == 2  # the L side and the R side
     for rows, oracle, table in compared:
         assert rows == oracle == table
-    lift_moves, restrict_moves = PERTURBATIONS[perturbation]
     # per side: iv, v and vi on the lift, ix on the restriction
-    assert suite_paths == 2 * [
-        *3 * ["scan" if lift_moves else "crisp"], "scan" if restrict_moves else "crisp"
-    ]
-    if perturbation != "none":
-        assert any(status == FAIL for rows, _, _ in compared for _, status, _, _ in rows)
+    assert suite_paths == ["scan" if status == FAIL else "crisp" for rows, _, _ in compared for _, status, _, _ in rows]
+    assert (actual["status"] == FAIL) == (perturbation != "none")
 
 
 @pytest.mark.parametrize("cells", [1, 100])
 @pytest.mark.parametrize("perturbation", PERTURBATIONS)
 def test_scan_blocks_keep_the_row_major_witness(monkeypatch, perturbation, cells):
     """With blocks of one row (1 cell) or a few rows (100 cells), the scan
-    gives from_B3's pair rows as the table oracle does, and th3.8's
-    counterexample too where the lift stays a bijection."""
+    gives from_B3's pair rows as the table oracle does, reached through a
+    failing crisp pair, and th3.8's counterexample too where the lift
+    stays a bijection."""
     monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
-    ws = _workspace("from_B3")
-    lift_moves, restrict_moves = PERTURBATIONS[perturbation]
-    _perturb(monkeypatch, fuzzy_family(ws, "S"), lift_moves, restrict_moves)
+    chain, lift_moves, restrict_moves = PERTURBATIONS[perturbation]
+    ws = _workspace("from_B3", chain)
+    _perturb(monkeypatch, ws, lift_moves, restrict_moves)
     lift, restrict = _maps(ws, "L")
+    paths = _record_paths(monkeypatch)
     rows = _pair_rows(verify._clause_rows(ws, "L", True, True))
     assert rows == table_pair_clause_rows(ws, "L", lift, restrict)
+    assert paths == ["scan" if status == FAIL else "crisp" for _, status, _, _ in rows]
+    assert ("scan" in paths) == (perturbation != "none")
     if sorted(lift_moves) == sorted(lift_moves.values()):
         expected = table_theorem_3_8_pairs(ws, "two", lift)
         assert verify.verify_theorem_3_8(ws, "two").body() == _th38_body(ws, "two", expected)
 
 
-def _cut_wise(ws, side, crisp_map):
-    """A lift from S to `side` that acts cut by cut: each cut I of the
-    operand goes to crisp_map(I), a mask of the side."""
-    on_s, on_op = LevelCuts(ws.structure, CHAIN), LevelCuts(ws.structure_on(side), CHAIN)
-    return lambda sigma: on_op.subset(family(on_op, [tuple(map(crisp_map, cuts_of(on_s, sigma)))])[0])
-
-
 def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
     """On from_B3 the lift that sends the full ideal where the true lift does
-    and every other crisp ideal where the bottom goes keeps inclusions and
-    meets but not sums (two proper ideals can sum to the full one).  It is
-    cut-wise, so iv fails on the crisp cuts, and the witness scan gives the
-    oracles' witness."""
+    and every other mask where the bottom ideal goes keeps inclusions and
+    meets but not sums (two proper ideals can sum to the full one).  The
+    family has a basis, so iv fails on the crisp cuts, and the witness scan
+    gives the oracles' witness."""
     ws = _workspace("from_B3")
-    left, side = ws.left, "L"
-    on_s, on_op = LevelCuts(ws.structure, CHAIN), LevelCuts(ws.structure_on(side), CHAIN)
-    full, real_lift = (1 << len(ws.structure.S)) - 1, transfer.lift_plusprime
-
-    def true_image(mask):
-        ideal = CrispSubset.of_indices(ws.structure, [x for x in range(mask.bit_length()) if mask >> x & 1])
-        return cuts_of(on_op, real_lift(left, characteristic(ideal)))[0]
-
-    bottom = min(cuts_of(on_s, mu)[0] for mu in fuzzy_family(ws, "S"))
-    lift = _cut_wise(ws, side, lambda mask: true_image(full if mask == full else bottom))
-    install_map(monkeypatch, CHAIN, side, "lift", lambda op, sigma: lift(sigma))
-    restrict = lambda mu: transfer.restrict_plus(left, mu)
+    side, on_s = "L", ws.level_cuts("S")
+    real = mask_map("lift", ws.left, verify._MAPS[side, "lift"])
+    bottom = ws.crisp_ideals("S")[0]
+    install_map(monkeypatch, side, "lift", lambda op, mask: real(on_s.full if mask == on_s.full else bottom))
+    lift, restrict = _maps(ws, side)
 
     checks = []
-    real = verify._failing_pair
+    real_pair = verify._failing_pair
 
     def recording(p, check):
-        checks.append(p.crisp is not None)
-        return real(p, check)
+        checks.append(p.basis is not None)
+        return real_pair(p, check)
 
     monkeypatch.setattr(verify, "_failing_pair", recording)
+    paths = _record_paths(monkeypatch)
     rows = _pair_rows(verify._clause_rows(ws, side, True, True))
-    assert checks == [True] * 4  # every pair clause had the crisp map
+    assert checks == [True] * 4  # every pair clause had a basis
     assert [status for _, status, _, _ in rows] == [FAIL, PASS, PASS, PASS]
+    assert paths == ["scan", "crisp", "crisp", "crisp"]
     oracle = naive_pair_clause_rows(fuzzy_family(ws, "S"), fuzzy_family(ws, side), lift, restrict)
     assert rows == oracle == table_pair_clause_rows(ws, side, lift, restrict)
 
@@ -267,20 +255,24 @@ def test_family_not_closed_under_sum_falls_back(monkeypatch):
 
 
 def _th38_body(ws, kind, counterexample):
-    n = len(fuzzy_family(ws, "S", kind))
+    n, chain = len(fuzzy_family(ws, "S", kind)), ws.config.chain
+    scope = chain_scope_note(chain)
     return {
         "suite": f"th3.8[{kind}]",
         "instance": ws.structure.name,
-        "chain": ["0/1", "1/2", "1/1"],
+        "chain": [f"{g.numerator}/{g.denominator}" for g in chain],
         "status": FAIL if counterexample else PASS,
         "counterexample": counterexample,
         "counts": {"fuzzy_ideals_L": n, "fuzzy_ideals_S": n, "pairs_checked": n * n},
-        "notes": [SCOPE] if counterexample else [SCOPE, CLOSED],
+        "notes": [scope] if counterexample else [scope, CLOSED],
     }
 
 
-# permutations of the fuzzy ideals of S, applied to the lift's operand
-TH38_LIFTS = {"none": {}, "swap": {2: 4, 4: 2}, "rotate": {0: 1, 1: 2, 2: 0}}
+# permutations of the crisp ideals of S, applied to the lift's operand on the
+# chain {0, 1}: the lift stays a bijection onto the ideals of L, and on a
+# longer chain a permutation that is no automorphism would not keep the cuts
+# of a member descending
+TH38_LIFTS = {"none": {}, "swap": {0: 1, 1: 0}, "rotate": {0: 1, 1: 2, 2: 0}}
 
 
 @pytest.mark.parametrize("kind", ["two", "right"])
@@ -288,10 +280,11 @@ TH38_LIFTS = {"none": {}, "swap": {2: 4, 4: 2}, "rotate": {0: 1, 1: 2, 2: 0}}
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_th38_body_matches_the_reference_scan(monkeypatch, instance, perturbation, kind):
     """A permuted lift is still a bijection onto the ideals of L, so th3.8
-    gets to its pair scan, and its counterexample is the oracle's."""
-    ws = _workspace(instance)
+    gets to its pair check; a crisp pair fails, and the scan's
+    counterexample is the oracle's."""
+    ws = _workspace(instance, CRISP)
     ideals = fuzzy_family(ws, "S", kind)
-    _perturb(monkeypatch, ideals, TH38_LIFTS[perturbation], {})
+    _perturb(monkeypatch, ws, TH38_LIFTS[perturbation], {})
     lift, _ = _maps(ws, "L")
     expected = naive_theorem_3_8_pairs(ideals, lift)
     assert (expected is None) == (perturbation == "none")
@@ -302,15 +295,16 @@ def test_th38_body_matches_the_reference_scan(monkeypatch, instance, perturbatio
 
 
 @pytest.mark.parametrize("kind", ["two", "right"])
-@pytest.mark.parametrize("instance,swap", [("z4", (4, 5)), ("from_B3", (2, 7))])
+@pytest.mark.parametrize("instance,swap", [("z6", (1, 3)), ("from_B3", (1, 2))])
 def test_th38_reports_the_first_pair_not_the_first_check(monkeypatch, instance, swap, kind):
     """An earlier pair fails sum-homomorphism while a later pair fails
     inclusion-both-ways, which comes first in the check order: the earlier
     pair, with the check it fails, is the counterexample."""
-    ws = _workspace(instance)
+    structure = core.zn_gamma(6) if instance == "z6" else INSTANCES[instance]()
+    ws = verify.Workspace(structure, RunConfig(chain=CRISP))
     ideals = fuzzy_family(ws, "S", kind)
     i, j = swap
-    _perturb(monkeypatch, ideals, {i: j, j: i}, {})
+    _perturb(monkeypatch, ws, {i: j, j: i}, {})
     lift, _ = _maps(ws, "L")
     lifted = [lift(s) for s in ideals]
     pairs = [(a, b) for a in range(len(ideals)) for b in range(len(ideals))]
@@ -330,40 +324,58 @@ def test_th38_reports_the_first_pair_not_the_first_check(monkeypatch, instance, 
         "sigma1": ideals[first[0]].to_mapping(),
         "sigma2": ideals[first[1]].to_mapping(),
     }
+    paths = _record_paths(monkeypatch)
     assert verify.verify_theorem_3_8(ws, kind).body() == _th38_body(ws, kind, expected)
+    assert paths == ["scan"]
+
+
+@pytest.mark.parametrize("cells", [1, 100])
+def test_th38_intersection_failure_is_the_reference_witness(monkeypatch, cells):
+    """A permutation of from_B3's crisp ideals, on the chain {0, 1}, whose
+    first failing pair keeps inclusions and sums but not intersections:
+    th3.8 reaches the scan through a failing crisp pair, and its
+    intersection-homomorphism witness is the oracles'."""
+    monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
+    ws = _workspace("from_B3", CRISP)
+    _perturb(monkeypatch, ws, dict(enumerate((0, 3, 5, 7, 1, 2, 4, 6))), {})
+    lift, _ = _maps(ws, "L")
+    expected = naive_theorem_3_8_pairs(fuzzy_family(ws, "S"), lift)
+    assert expected["check"] == "intersection-homomorphism"
+    assert expected == table_theorem_3_8_pairs(ws, "two", lift)
+    paths = _record_paths(monkeypatch)
+    assert verify.verify_theorem_3_8(ws, "two").body() == _th38_body(ws, "two", expected)
+    assert paths == ["scan"]
 
 
 def _record_calls(monkeypatch) -> list:
-    """Record (side, direction, operand ranks) for every transfer-map call
-    the suites make."""
+    """Record (side, direction, masks) for every transfer-map call the
+    suites make, the masks of the bit rows the map is handed."""
     calls = []
     for key, real in verify._MAPS.items():
 
-        def recording(over, ranks, key=key, real=real):
-            calls.append((*key, list(map(tuple, ranks.tolist()))))
-            return real(over, ranks)
+        def recording(over, bits, key=key, real=real):
+            calls.append((*key, _masks_of(bits)))
+            return real(over, bits)
 
         monkeypatch.setitem(verify._MAPS, key, recording)
     return calls
 
 
-def _ranks(ws, side, kind="two"):
-    """The ranks of the fuzzy ideals of a family, in enumeration order."""
-    view = ws.level_cuts(side)
-    return list(map(tuple, view.rank_array(ws.fuzzy_family(side, kind)).tolist()))
+def _handed(calls, side, direction) -> list[int]:
+    """Every mask the map of (side, direction) was handed, in order."""
+    return [mask for s, d, masks in calls if (s, d) == (side, direction) for mask in masks]
 
 
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_pair_checks_call_each_map_once_per_operand(monkeypatch, instance):
-    """prop3.4, th3.8 of both kinds and the lemmas map whole families, and
-    each map is called only on operands it has not mapped in the run, each
-    once.  prop3.4 makes two calls a side, on the ideals of S and of the
-    side: on these commutative instances with both unities the lifts of the
-    ideals of S are the ideals of the side and the restrictions those of S,
-    so the round trips are lookups.  th3.8[two] after prop3.4 makes none,
-    since prop3.4 lifted every fuzzy ideal of S; nor does th3.8[right],
-    since the right ideals are the two-sided ones here; nor do the lemmas,
-    since each characteristic function (I, ..., I) is a fuzzy ideal."""
+    """prop3.4, th3.8 of both kinds and the lemmas hand each map object each
+    distinct mask once per run.  prop3.4 makes one call a map: the lift is
+    handed the crisp ideals of S, the masks its family's cuts are, and the
+    restriction those of the side; the sums, meets and images of ideals are
+    ideals again, so nothing new reaches a map after that.  th3.8[two],
+    th3.8[right] (the right ideals are the two-sided ones here) and the
+    lemmas (each characteristic function is a constant member) make none.
+    Each map ends up handed every mask of its source view."""
     ws = _workspace(instance)
     calls = _record_calls(monkeypatch)
     made = {}
@@ -377,55 +389,60 @@ def test_pair_checks_call_each_map_once_per_operand(monkeypatch, instance):
         assert suite(ws).status == PASS, name
         made[name] = len(calls) - before
     assert made == {"prop3.4": 4, "th3.8[two]": 0, "th3.8[right]": 0, "lemmas": 0}
-    assert all(len(set(operands)) == len(operands) for _, _, operands in calls)
-    side, direction, operands = calls[0]
-    assert (side, direction, sorted(operands)) == ("L", "lift", sorted(_ranks(ws, "S")))
+    side, direction, masks = calls[0]
+    assert (side, direction, sorted(masks)) == ("L", "lift", sorted(ws.crisp_ideals("S")))
+    for side in "LR":
+        for direction, source in (("lift", "S"), ("restrict", side)):
+            handed = _handed(calls, side, direction)
+            assert sorted(handed) == sorted(ws.level_cuts(source)._masks) == sorted(set(handed))
+
+
+# the crisp right ideals of upper_triangular's S that are not two-sided:
+# prop3.4 interns the five two-sided ones, and nothing else, in S's view
+NEW_RIGHT_MASKS = 5
 
 
 def test_th38_right_lifts_the_right_family_in_one_call(monkeypatch, upper_triangular):
     """On the non-commutative upper-triangular instance, th3.8[right] after
-    prop3.4 lifts, in one call, the fuzzy right ideals of S that prop3.4
-    did not lift: the 27 that are not two-sided."""
+    prop3.4 lifts, in one call, the masks of S that prop3.4 did not see:
+    the crisp right ideals that are not two-sided, each once."""
     ws = verify.Workspace(upper_triangular, RunConfig(chain=CHAIN))
     calls = _record_calls(monkeypatch)
     verify.verify_prop_3_4(ws)
+    seen = set(ws.level_cuts("S")._masks)
     del calls[:]
     verify.verify_theorem_3_8(ws, "right")
-    two, right = _ranks(ws, "S"), _ranks(ws, "S", "right")
-    assert set(two) & set(right) and set(right) - set(two)
-    [(side, direction, operands)] = calls
-    assert (side, direction, sorted(operands)) == ("L", "lift", sorted(set(right) - set(two)))
-    assert len(operands) == 27
+    right = set(ws.crisp_ideals("S", "right"))
+    assert right & seen and right - seen == right - set(ws.crisp_ideals("S"))
+    [(side, direction, masks)] = calls
+    assert (side, direction, sorted(masks)) == ("L", "lift", sorted(right - seen))
+    assert len(masks) == NEW_RIGHT_MASKS
 
 
 def test_a_wrapper_installed_after_the_workspace_sees_every_call(monkeypatch):
     """The workspace looks each map up in `verify._MAPS` at call time, so a
     wrapper installed after the workspace and its lift are built still sees
-    every lift, the first on the fuzzy ideals of S.  Each map object gets a
-    memo of its own: a wrapper installed after the memo of the real maps
-    has filled sees the operands the suite maps anew, each once: the round
-    trips of a second prop3.4, whose families' images the workspace keeps,
-    restrict the ideals of L and lift those of S again."""
+    every lift, the first on the crisp ideals of S.  Each map object gets an
+    image array of its own: a wrapper installed after the arrays of the real
+    maps have filled is handed every mask of its source view, each once, by
+    a second prop3.4."""
     ws = _workspace("z4")
     ws.transfer("L", "lift")
     calls = _record_calls(monkeypatch)
     assert verify.verify_prop_3_4(ws).status == PASS
-    lifts = [operands for side, direction, operands in calls if (side, direction) == ("L", "lift")]
-    assert sorted(lifts[0]) == sorted(_ranks(ws, "S"))
+    first = next(masks for side, direction, masks in calls if (side, direction) == ("L", "lift"))
+    assert sorted(first) == sorted(ws.crisp_ideals("S"))
 
     later = _record_calls(monkeypatch)
     assert verify.verify_prop_3_4(ws).status == PASS
     for side in "LR":
-        seen = {
-            direction: [row for s, d, rows in later if (s, d) == (side, direction) for row in rows]
-            for direction in ("lift", "restrict")
-        }
-        assert sorted(seen["lift"]) == sorted(_ranks(ws, "S"))
-        assert sorted(seen["restrict"]) == sorted(_ranks(ws, side))
+        for direction, source in (("lift", "S"), ("restrict", side)):
+            handed = _handed(later, side, direction)
+            assert sorted(handed) == sorted(ws.level_cuts(source)._masks) == sorted(set(handed))
 
 
 # per-subset transfer-map calls (`gsl.transfer`) of run_all over the `pairs`
-# workload's instances: the suites map rank arrays, not subsets
+# workload's instances: the suites map crisp masks, not subsets
 PAIRS_LIFTS, PAIRS_RESTRICTS = 0, 0
 
 

@@ -19,6 +19,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
         ("mutation_sweep.py", ("boolean[2x2]", "--sample", "100", "--max-report", "0")),
         ("run_suites.py", ("--instances", "boolean[2x2]")),
         ("mutation_sweep.py", ("z24", "--sample", "50", "--max-report", "0")),
+        # the one 16-element Boolean power that runs by default: prop3.4 to th3.17 pass
+        ("run_suites.py", ("--instances", "from_B4")),
     ],
 )
 def test_script_exits_zero(script, args):

@@ -1,8 +1,9 @@
 """Transfer maps: frozen examples, duals, the intersection identity, the
-rank mins against the sort-position oracle, and the family kernel the
-suites call against the public maps."""
+rank mins against the sort-position oracle, and the crisp maps the suites
+call, cut by cut, against the public maps."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 
 from conftest import build_upper_triangular
 from gsl import core
+from gsl.matrix import build_matrix_gamma
 from gsl.config import RunConfig
 from gsl.fuzzy import CrispSubset, FuzzySubset, GradeChain, LevelCuts, carrier_of, characteristic, fuzzy_intersection
 from gsl.operators import build_operator_semiring
 from gsl.transfer import lift_plusprime, lift_starprime, restrict_plus, restrict_star
 from gsl.verify import Workspace
-from oracles import cuts_of, members, naive_matrix_lift, sort_position_lift, sort_position_restrict
+from oracles import cuts_of, family, members, naive_matrix_lift, sort_position_lift, sort_position_restrict
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
@@ -174,7 +176,9 @@ def test_public_maps_build_no_level_cuts(monkeypatch):
     assert built == []
 
 
-# the family kernel the suites call against the public maps on subsets
+# the crisp maps the suites call, cut by cut, against the public maps on
+# subsets: `Workspace.transfer` maps each mask once, and a subset's image is
+# the gather of its cuts' images
 _FAMILY_INSTANCES = {
     "boolean": core.boolean_gamma,
     "z2": lambda: core.zn_gamma(2),
@@ -182,7 +186,10 @@ _FAMILY_INSTANCES = {
     "z4": lambda: core.zn_gamma(4),
     "from_B3": lambda: core.gamma_from_semiring(core.boolean_power_semiring(3)),
     "upper_triangular": build_upper_triangular,
+    "boolean[2x2]": lambda: build_matrix_gamma(core.boolean_gamma(), 2).gamma,
 }
+# the instances whose 2 x 2 matrix instance fits the default matrix cap
+_MATRIX_FITS = ("boolean", "z2")
 _CHAINS = ("0,1", "0,1/2,1", "0,1/4,1/2,3/4,1")
 _PUBLIC = {
     ("L", "lift"): lift_plusprime,
@@ -204,13 +211,18 @@ def _same_on_every_member(ws, side, direction, kind, public):
     return len(ideals)
 
 
+def _workspace(instance, chain):
+    return Workspace(_FAMILY_INSTANCES[instance](), RunConfig(chain=GradeChain.parse(chain), enum_cap=10**12))
+
+
 @pytest.mark.parametrize("chain", _CHAINS)
 @pytest.mark.parametrize("instance", _FAMILY_INSTANCES)
 def test_family_kernel_matches_the_public_maps(instance, chain):
     """On every member of every fuzzy family of S, L and R, of each kind,
-    the workspace's maps on rank arrays give the cuts the public maps give
-    on the member as a subset, for both sides and both directions."""
-    ws = Workspace(_FAMILY_INSTANCES[instance](), RunConfig(chain=GradeChain.parse(chain)))
+    the workspace's maps, which map the masks of the member's cuts, give
+    the cuts the public maps give on the member as a subset, for both sides
+    and both directions."""
+    ws = _workspace(instance, chain)
     checked = 0
     for (side, direction), public in _PUBLIC.items():
         op = ws.left if side == "L" else ws.right
@@ -220,10 +232,37 @@ def test_family_kernel_matches_the_public_maps(instance, chain):
 
 
 @pytest.mark.parametrize("chain", _CHAINS)
+@pytest.mark.parametrize("instance", _FAMILY_INSTANCES)
+def test_crisp_route_matches_the_public_maps_on_arbitrary_subsets(instance, chain):
+    """A seeded sample of arbitrary fuzzy subsets over the chain, most of
+    them no ideals, interned into a workspace whose maps have mapped its
+    families already: the image of each, gathered from the crisp images of
+    its cuts, has the cuts of the public map's image, for L and R in both
+    directions, and for th3.19's lift where the matrix instance fits."""
+    ws = _workspace(instance, chain)
+    grades, rng = ws.config.chain.grades, random.Random(f"{instance} {chain}")
+    maps = {key: (lambda mu, public=public, side=key[0]: public(ws.left if side == "L" else ws.right, mu))
+            for key, public in _PUBLIC.items()}
+    if instance in _MATRIX_FITS:
+        maps["M", "lift"] = lambda mu: naive_matrix_lift(ws.matrix, mu)
+    for (side, direction), public in maps.items():
+        source, target = ("S", side) if direction == "lift" else (side, "S")
+        on_source, on_target = ws.level_cuts(source), ws.level_cuts(target)
+        image = ws.transfer(side, direction)
+        image(ws.fuzzy_family(source))
+        size = on_source.carrier.size
+        subsets = [FuzzySubset(on_source.carrier, tuple(rng.choice(grades) for _ in range(size))) for _ in range(20)]
+        images = members(on_target, image(family(on_source, [cuts_of(on_source, mu) for mu in subsets])))
+        assert images == [cuts_of(on_target, public(mu)) for mu in subsets], (side, direction)
+
+
+@pytest.mark.parametrize("chain", _CHAINS)
 def test_matrix_kernel_matches_the_public_lift(chain):
-    """th3.19's lift on rank arrays is the loop lift, the least grade over
-    the entries (`naive_matrix_lift`), on every member of boolean's fuzzy
-    families, onto boolean[2x2]."""
-    ws = Workspace(core.boolean_gamma(), RunConfig(chain=GradeChain.parse(chain)))
-    for kind in ("two", "right", "left"):
-        assert _same_on_every_member(ws, "M", "lift", kind, lambda mu: naive_matrix_lift(ws.matrix, mu))
+    """th3.19's lift on crisp masks, cut by cut, is the loop lift, the
+    least grade over the entries (`naive_matrix_lift`), on every member of
+    the fuzzy families of boolean and z2, onto their 2 x 2 matrix
+    instances."""
+    for instance in _MATRIX_FITS:
+        ws = _workspace(instance, chain)
+        for kind in ("two", "right", "left"):
+            assert _same_on_every_member(ws, "M", "lift", kind, lambda mu: naive_matrix_lift(ws.matrix, mu))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gsl import core, fuzzy, matrix, operators, transfer, verify
+from gsl import core, fuzzy, matrix, operators, verify
 from gsl.config import RunConfig
 from gsl.fuzzy import FuzzySubset, GradeChain, LevelCuts
 from gsl.matrix import MatrixCapExceeded
@@ -21,12 +21,14 @@ from oracles import (
     fraction_semifield_condition,
     fuzzy_family,
     install_map,
-    naive_matrix_lift,
+    mask_map,
+    subset_map,
     table_pair_clause_rows,
 )
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
+CRISP = GradeChain.of(0, 1)
 
 
 def ws(structure, **config):
@@ -507,9 +509,8 @@ class TestClauseEngineFailPaths:
 
         w = ws(gb)
         left = w.left
-        collapse = lambda sigma: FuzzySubset.constant(left, 1)
-        restrict = lambda m: restrict_plus(left, m)
-        rows = _rows_matching_the_table_oracle(monkeypatch, w, collapse, restrict, True, True)
+        collapse = lambda mask: _every_element(left)  # every fuzzy subset to the constant 1
+        rows = _rows_matching_the_table_oracle(monkeypatch, w, collapse, _crisp(w, "restrict"), True, True)
         bottom, middle, top = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/2"}, {"0": "1/1", "1": "1/1"}
         bottom_l = {"f0": "1/1", "f1": "0/1"}
         assert rows == [
@@ -528,57 +529,56 @@ class TestClauseEngineFailPaths:
         witness = rows[2][2]
         # the witness re-checks: the recorded round-trip really differs
         sigma = FuzzySubset.from_mapping(gb, {k: v for k, v in witness["sigma"].items()})
-        back = restrict_plus(left, collapse(sigma))
+        back = restrict_plus(left, FuzzySubset.constant(left, 1))
         assert back.to_mapping() == witness["roundtrip"] != witness["sigma"]
 
     def test_swapped_maps_fail_pair_clauses_with_first_witnesses(self, monkeypatch, gb):
-        """Swapping the bottom and top ideals before the lift and after the
-        restriction breaks the pair clauses iv, v, vi and ix; the whole row
-        list, first witnesses included, is pinned."""
-        from gsl.transfer import lift_plusprime, restrict_plus
-
-        w = ws(gb)
-        left, ideals_s = w.left, fuzzy_family(w, "S")
-        first, last = ideals_s[0], ideals_s[-1]
-        swap = {first.grades: last, last.grades: first}
-        swapped = lambda mu: swap.get(mu.grades, mu)
+        """Swapping the bottom and top crisp ideals before the lift and after
+        the restriction, on the chain {0, 1}, breaks the pair clauses iv, v,
+        vi and ix; the whole row list, first witnesses included, is pinned.
+        (On a longer chain the swap would give members cuts that do not
+        descend.)"""
+        w = verify.Workspace(gb, RunConfig(chain=CRISP))
+        lift, restrict = _crisp(w, "lift"), _crisp(w, "restrict")
+        swap = {0b1: 0b11, 0b11: 0b1}
         rows = _rows_matching_the_table_oracle(
             monkeypatch,
             w,
-            lambda s: lift_plusprime(left, swapped(s)),
-            lambda m: swapped(restrict_plus(left, m)),
+            lambda mask: lift(swap.get(mask, mask)),
+            lambda mask: swap.get(restrict(mask), restrict(mask)),
             True,
             True,
         )
-        bottom, middle = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/2"}
-        bottom_l, middle_l = {"f0": "1/1", "f1": "0/1"}, {"f0": "1/1", "f1": "1/2"}
+        bottom, top = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/1"}
+        bottom_l, top_l = {"f0": "1/1", "f1": "0/1"}, {"f0": "1/1", "f1": "1/1"}
         assert rows == [
-            ("i", PASS, None, 3),
-            ("i-nonconstant", FAIL, {"clause": "i-nonconstant", "sigma": bottom}, 3),
-            ("ii", PASS, None, 3),
-            ("iii", PASS, None, 3),
-            ("iv", FAIL, {"clause": "iv", "sigma1": bottom, "sigma2": middle}, 9),
-            ("v", FAIL, {"clause": "v", "sigma1": bottom, "sigma2": middle}, 9),
-            ("vi", FAIL, {"clause": "vi", "sigma1": bottom, "sigma2": middle}, 9),
-            ("vii", PASS, None, 3),
-            ("vii-nonconstant", FAIL, {"clause": "vii-nonconstant", "mu": bottom_l}, 3),
-            ("viii", PASS, None, 3),
-            ("ix", FAIL, {"clause": "ix", "mu1": bottom_l, "mu2": middle_l}, 9),
+            ("i", PASS, None, 2),
+            ("i-nonconstant", FAIL, {"clause": "i-nonconstant", "sigma": bottom}, 2),
+            ("ii", PASS, None, 2),
+            ("iii", PASS, None, 2),
+            ("iv", FAIL, {"clause": "iv", "sigma1": bottom, "sigma2": top}, 4),
+            ("v", FAIL, {"clause": "v", "sigma1": bottom, "sigma2": top}, 4),
+            ("vi", FAIL, {"clause": "vi", "sigma1": bottom, "sigma2": top}, 4),
+            ("vii", PASS, None, 2),
+            ("vii-nonconstant", FAIL, {"clause": "vii-nonconstant", "mu": bottom_l}, 2),
+            ("viii", PASS, None, 2),
+            ("ix", FAIL, {"clause": "ix", "mu1": bottom_l, "mu2": top_l}, 4),
         ]
 
     def test_reversed_maps_fail_ideal_clauses_and_gate_the_restrict_roundtrip(self, monkeypatch, gb):
         """Reversing the grades of every non-constant lift and restriction
         makes them non-ideals, so clauses i and vii fail with their first
-        witnesses; a missing own-side unity gates vii-nonconstant and viii."""
-        from gsl.transfer import lift_plusprime, restrict_plus
-
+        witnesses; a missing own-side unity gates vii-nonconstant and viii.
+        Reversing the carrier order reverses each cut, so the maps act cut
+        by cut."""
         w = ws(gb)
         left = w.left
+        lift, restrict = _crisp(w, "lift"), _crisp(w, "restrict")
         rows = _rows_matching_the_table_oracle(
             monkeypatch,
             w,
-            lambda s: _reversed(lift_plusprime(left, s)),
-            lambda m: _reversed(restrict_plus(left, m)),
+            lambda mask: _reversed_mask(lift(mask), len(left)),
+            lambda mask: _reversed_mask(restrict(mask), len(left.base.S)),
             True,
             False,
         )
@@ -600,25 +600,33 @@ class TestClauseEngineFailPaths:
 
 
 def _rows_matching_the_table_oracle(monkeypatch, w, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok):
-    """`verify._clause_rows` on the L side, with these maps installed as the
-    left lift and restriction, after checking its pair rows against the
-    all-at-once table oracle."""
-    install_map(monkeypatch, CHAIN, "L", "lift", lambda op, s: lift(s))
-    install_map(monkeypatch, CHAIN, "L", "restrict", lambda op, m: restrict(m))
+    """`verify._clause_rows` on the L side, with these maps on masks
+    installed as the left lift and restriction, after checking its pair
+    rows against the all-at-once table oracle, which applies them cut by
+    cut."""
+    install_map(monkeypatch, "L", "lift", lambda op, mask: lift(mask))
+    install_map(monkeypatch, "L", "restrict", lambda op, mask: restrict(mask))
     rows = verify._clause_rows(
         w, "L", lift_roundtrip_ok=lift_roundtrip_ok, restrict_roundtrip_ok=restrict_roundtrip_ok,
     )
     pair_rows = [row for row in rows if row[0] in ("iv", "v", "vi", "ix")]
-    assert pair_rows == table_pair_clause_rows(w, "L", lift, restrict)
+    maps = (subset_map(w.config.chain, d, w.left, verify._MAPS["L", d]) for d in ("lift", "restrict"))
+    assert pair_rows == table_pair_clause_rows(w, "L", *maps)
     return rows
 
 
-def _reversed(mu):
-    """mu with its grades in reverse carrier order; a non-constant fuzzy
-    ideal becomes a non-ideal, since it no longer peaks at zero."""
-    from gsl.fuzzy import FuzzySubset
+def _crisp(w, direction, side="L"):
+    """The true crisp lift or restriction between S and `side`, on one
+    mask."""
+    over = w.left if side == "L" else w.matrix
+    return mask_map(direction, over, verify._MAPS[side, direction])
 
-    return mu if mu.is_constant() else FuzzySubset(mu.carrier, mu.grades[::-1])
+
+def _reversed_mask(mask, size):
+    """mask with its elements in reverse carrier order: cut by cut, a fuzzy
+    subset's grades reversed, so a non-constant fuzzy ideal becomes a
+    non-ideal, since it no longer peaks at zero."""
+    return sum(1 << (size - 1 - x) for x in range(size) if mask >> x & 1)
 
 
 def _every_element(op):
@@ -655,8 +663,10 @@ class TestFailPathBodies:
         )
 
     def test_th38_image_is_ideal(self, monkeypatch, gb):
-        install_map(monkeypatch, CHAIN, "L", "lift", lambda op, s: _reversed(transfer.lift_plusprime(op, s)))
-        assert verify.verify_theorem_3_8(ws(gb), "two").body() == {
+        w = ws(gb)
+        lift = _crisp(w, "lift")
+        install_map(monkeypatch, "L", "lift", lambda op, mask: _reversed_mask(lift(mask), len(op)))
+        assert verify.verify_theorem_3_8(w, "two").body() == {
             "suite": "th3.8[two]",
             "instance": "boolean",
             "chain": ["0/1", "1/2", "1/1"],
@@ -695,16 +705,14 @@ class TestFailPathBodies:
         }
 
     def test_lemmas_empty_image_is_not_an_ideal(self, monkeypatch, z4):
-        """An empty image of {0}, with a lift that agrees with it, fails as
-        no ideal: an ideal contains 0, also when tested on masks."""
+        """An empty image of {0}, with a lift that agrees with it (the mask
+        {0} goes to the empty mask), fails as no ideal: an ideal contains 0,
+        also when tested on masks."""
+        w = ws(z4)
+        lift = _crisp(w, "lift")
         self._break_on(monkeypatch, "image_contained", ZERO, lambda op: 0)
-        real = transfer.lift_plusprime
-        bottom = {"0": "1/1", "1": "0/1", "2": "0/1", "3": "0/1"}
-        install_map(
-            monkeypatch, CHAIN, "L", "lift",
-            lambda op, s: FuzzySubset.constant(op, 0) if s.to_mapping() == bottom else real(op, s),
-        )
-        assert verify.verify_lemmas_3_11_3_12(ws(z4)).body() == {
+        install_map(monkeypatch, "L", "lift", lambda op, mask: 0 if mask == ZERO else lift(mask))
+        assert verify.verify_lemmas_3_11_3_12(w).body() == {
             "suite": "lemmas",
             "instance": "z4",
             "chain": None,
@@ -908,8 +916,10 @@ class TestFailPathBodies:
         }
 
     def test_th319_lift_is_ideal(self, monkeypatch, gb):
-        install_map(monkeypatch, CHAIN, "M", "lift", lambda mg, mu: _reversed(naive_matrix_lift(mg, mu)))
-        assert matrix.verify_theorem_3_19(ws(gb)).body() == {
+        w = ws(gb)
+        lift = _crisp(w, "lift", "M")
+        install_map(monkeypatch, "M", "lift", lambda mg, mask: _reversed_mask(lift(mask), len(mg.gamma.S)))
+        assert matrix.verify_theorem_3_19(w).body() == {
             "suite": "th3.19",
             "instance": "boolean",
             "chain": ["0/1", "1/2", "1/1"],
@@ -934,10 +944,28 @@ class TestFailPathBodies:
     def test_th319_injective(self, monkeypatch, gb):
         """Every base ideal lifts to the constant-1 subset: each lift is an
         ideal, and two of them coincide."""
-        install_map(
-            monkeypatch, CHAIN, "M", "lift", lambda mg, mu: naive_matrix_lift(mg, FuzzySubset.constant(mu.carrier, 1))
-        )
+        install_map(monkeypatch, "M", "lift", lambda mg, mask: (1 << len(mg.gamma.S)) - 1)
         assert matrix.verify_theorem_3_19(ws(gb)).body() == self._th319({"check": "injective"}, {})
+
+    def test_th319_inclusion_preserving(self, monkeypatch, gb):
+        """On the chain {0, 1}, the crisp lift with the images of the two
+        ideals of boolean swapped: the lifts are distinct ideals, but {0}
+        goes above {0, 1}, so the first pair in row-major order, ({0}, S),
+        fails."""
+        w = verify.Workspace(gb, RunConfig(chain=CRISP))
+        lift = _crisp(w, "lift", "M")
+        swap = {0b1: 0b11, 0b11: 0b1}
+        install_map(monkeypatch, "M", "lift", lambda mg, mask: lift(swap.get(mask, mask)))
+        bottom, top = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/1"}
+        assert matrix.verify_theorem_3_19(w).body() == {
+            "suite": "th3.19",
+            "instance": "boolean",
+            "chain": ["0/1", "1/1"],
+            "status": FAIL,
+            "counterexample": {"check": "inclusion-preserving", "mu1": bottom, "mu2": top},
+            "counts": {"fuzzy_ideals_base": 2, "n": 2, "pairs_checked": 4},
+            "notes": [TestTheorem38PairBodies.SCOPE],
+        }
 
     def test_th319_surjective(self, monkeypatch, gb):
         """A matrix-side family with a fourth member, grade 1 on m0 and m1
@@ -957,37 +985,38 @@ class TestFailPathBodies:
 
 
 class TestTheorem38PairBodies:
-    """Swap the lifts of two fuzzy ideals of z4, keyed on the operand's
-    grades alone: the lift stays a bijection onto the ideals of L, so only
-    th3.8's pair scan sees it, and its whole failing body is pinned."""
+    """Swap the lifts of two crisp ideals of Z_6 on the chain {0, 1}: the
+    lift stays a bijection onto the ideals of L, so only th3.8's pair check
+    sees it, a crisp pair fails, and the whole failing body the scan gives
+    is pinned."""
 
-    IDEALS = (  # the six fuzzy ideals of z4 (two-sided and right) in enumeration order
-        (1, 0, 0, 0), (1, 0, HALF, 0), (1, 0, 1, 0), (1, HALF, HALF, HALF), (1, HALF, 1, HALF), (1, 1, 1, 1),
-    )
-    SIGMA1 = {"0": "1/1", "1": "0/1", "2": "1/1", "3": "0/1"}
-    SIGMA2 = {"0": "1/1", "1": "1/2", "2": "1/2", "3": "1/2"}
+    SCOPE = "grades restricted to the chain {0/1, 1/1}; the chain is min/max-closed, so every operation checked stays in-chain"
+    IDEALS = (0b1, 0b1001, 0b10101, 0b111111)  # {0}, {0, 3}, {0, 2, 4}, Z_6, in enumeration order
+
+    @staticmethod
+    def _grades(mask):
+        return {str(x): "1/1" if mask >> x & 1 else "0/1" for x in range(6)}
+
+    # the failing pair each check is witnessed by, as places in IDEALS
+    PAIRS = {"inclusion-both-ways": (0, 1), "sum-homomorphism": (1, 2)}
 
     @pytest.mark.parametrize("kind", ["two", "right"])
-    @pytest.mark.parametrize(
-        "swapped,check", [((3, 4), "inclusion-both-ways"), ((4, 5), "sum-homomorphism")]
-    )
-    def test_pair_failure_body(self, monkeypatch, z4, kind, swapped, check):
-        from gsl.fuzzy import FuzzySubset
-
-        w = ws(z4)
-        assert [mu.grades for mu in fuzzy_family(w, "S", kind)] == list(self.IDEALS)
-        a, b = (FuzzySubset.of_grades(z4, self.IDEALS[k]) for k in swapped)
-        swap = {a.grades: b, b.grades: a}
-        real = transfer.lift_plusprime
-        install_map(monkeypatch, CHAIN, "L", "lift", lambda op, s: real(op, swap.get(s.grades, s)))
+    @pytest.mark.parametrize("swapped,check", [((0, 1), "inclusion-both-ways"), ((1, 3), "sum-homomorphism")])
+    def test_pair_failure_body(self, monkeypatch, kind, swapped, check):
+        w = verify.Workspace(core.zn_gamma(6), RunConfig(chain=CRISP))
+        assert w.crisp_ideals("S", kind) == self.IDEALS
+        a, b = (self.IDEALS[k] for k in swapped)
+        swap, lift = {a: b, b: a}, _crisp(w, "lift")
+        install_map(monkeypatch, "L", "lift", lambda op, mask: lift(swap.get(mask, mask)))
+        sigma1, sigma2 = (self._grades(self.IDEALS[k]) for k in self.PAIRS[check])
         assert verify.verify_theorem_3_8(w, kind).body() == {
             "suite": f"th3.8[{kind}]",
-            "instance": "z4",
-            "chain": ["0/1", "1/2", "1/1"],
+            "instance": "z6",
+            "chain": ["0/1", "1/1"],
             "status": FAIL,
-            "counterexample": {"check": check, "sigma1": self.SIGMA1, "sigma2": self.SIGMA2},
-            "counts": {"fuzzy_ideals_L": 6, "fuzzy_ideals_S": 6, "pairs_checked": 36},
-            "notes": [TestFailPathBodies.SCOPE],
+            "counterexample": {"check": check, "sigma1": sigma1, "sigma2": sigma2},
+            "counts": {"fuzzy_ideals_L": 4, "fuzzy_ideals_S": 4, "pairs_checked": 16},
+            "notes": [self.SCOPE],
         }
 
 

@@ -717,12 +717,12 @@ def verify_lemmas_3_11_3_12(ws: Workspace) -> VerificationReport:
     The crisp ideals and their images are masks (`Workspace.crisp_ideals`,
     `OperatorSemiring.image_contained` and `pair_fixed`), and the
     characteristic function of I is the member (I, ..., I) over the
-    config's chain, one interned id repeated; the run's maps act cut by
+    config's chain, one interned id repeated.  The run's maps act cut by
     cut, so its image is the crisp image of I repeated, and each family's
     ideals are lifted, and restricted, at once as one-cut members
-    (`Workspace.transfer`), read off the arrays an earlier suite filled;
-    the identities and ideal tests are array operations on ids.  Kinds whose families are the
-    same on both sides (`LevelCuts.canonical`) are checked once."""
+    (`Workspace.transfer`); the identities and ideal tests are array
+    operations on ids.  Kinds whose families are the same on both sides
+    (`LevelCuts.canonical`) are checked once."""
 
     def check(counts, notes):
         left = ws.left

@@ -43,6 +43,9 @@ CHAIN = GradeChain.parse("0,1/2,1")
 CRISP = GradeChain.parse("0,1")
 PAIR_CLAUSES = ("iv", "v", "vi", "ix")
 CLOSED = "enumerated ideals are closed under sum/intersection with top and bottom"
+# rows a block of the witness scan spans, in cells: one row, a few rows, and
+# the default, which holds every family here in one block
+SCAN_CELLS = (1, 100, verify._SCAN_CELLS)
 
 INSTANCES = {
     "z4": lambda: core.zn_gamma(4),
@@ -69,6 +72,10 @@ def _masks_of(bits) -> list[int]:
     return [sum(1 << x for x, bit in enumerate(row) if bit) for row in bits.tolist()]
 
 
+def _moved(moves, mask):
+    return moves.get(mask, mask)
+
+
 def _perturb(monkeypatch, ws, lift_moves, restrict_moves):
     """Send the operand mask of every lift, and the image mask of every
     restriction, through the moves, on both sides."""
@@ -77,11 +84,9 @@ def _perturb(monkeypatch, ws, lift_moves, restrict_moves):
     for side in "LR":
         lift, restrict = verify._MAPS[side, "lift"], verify._MAPS[side, "restrict"]
         install_map(monkeypatch, side, "lift",
-                    lambda op, mask, real=lift: mask_map("lift", op, real)(before.get(mask, mask)))
-        install_map(
-            monkeypatch, side, "restrict",
-            lambda op, mask, real=restrict: (lambda image: after.get(image, image))(mask_map("restrict", op, real)(mask)),
-        )
+                    lambda op, mask, real=lift: mask_map("lift", op, real)(_moved(before, mask)))
+        install_map(monkeypatch, side, "restrict",
+                    lambda op, mask, real=restrict: _moved(after, mask_map("restrict", op, real)(mask)))
 
 
 def _maps(ws, side):
@@ -126,10 +131,10 @@ def _pair_rows(rows):
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instance, perturbation):
     """Both sides' pair rows equal both oracles', and the body built with
-    the oracle's pair rows in place of the suite's is the suite's.  A pair
-    clause reaches the row-block scan exactly when it fails on a crisp
-    pair.  prop3.4 decides a side's rows once per run, so the run with the
-    oracle's rows is a run of its own."""
+    the oracle's pair rows in place of the suite's is the suite's, with
+    scan blocks of any size.  A pair clause reaches the row-block scan
+    exactly when it fails on a crisp pair.  prop3.4 decides a side's rows
+    once per run, so each run is a run of its own."""
     chain, lift_moves, restrict_moves = PERTURBATIONS[perturbation]
     ws = _workspace(instance, chain)
     _perturb(monkeypatch, ws, lift_moves, restrict_moves)
@@ -147,17 +152,22 @@ def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instanc
         pairs = iter(oracle)
         return [next(pairs) if row[0].rstrip("*") in PAIR_CLAUSES else row for row in rows]
 
-    actual = verify.verify_prop_3_4(ws).body()
-    suite_paths = list(paths)
+    actual, suite_paths = [], []
+    for cells in SCAN_CELLS:  # a fresh workspace for each block size
+        monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
+        del paths[:]
+        actual.append(verify.verify_prop_3_4(_workspace(instance, chain)).body())
+        suite_paths.append(list(paths))
     monkeypatch.setattr(verify, "_clause_rows", oracle_rows)
     expected = verify.verify_prop_3_4(_workspace(instance, chain)).body()
-    assert actual == expected
+    assert actual == [expected] * len(SCAN_CELLS)
     assert len(compared) == 2  # the L side and the R side
     for rows, oracle, table in compared:
         assert rows == oracle == table
     # per side: iv, v and vi on the lift, ix on the restriction
-    assert suite_paths == ["scan" if status == FAIL else "crisp" for rows, _, _ in compared for _, status, _, _ in rows]
-    assert (actual["status"] == FAIL) == (perturbation != "none")
+    scans = ["scan" if status == FAIL else "crisp" for rows, _, _ in compared for _, status, _, _ in rows]
+    assert suite_paths == [scans] * len(SCAN_CELLS)
+    assert (expected["status"] == FAIL) == (perturbation != "none")
 
 
 @pytest.mark.parametrize("cells", [1, 100])
@@ -281,7 +291,7 @@ TH38_LIFTS = {"none": {}, "swap": {0: 1, 1: 0}, "rotate": {0: 1, 1: 2, 2: 0}}
 def test_th38_body_matches_the_reference_scan(monkeypatch, instance, perturbation, kind):
     """A permuted lift is still a bijection onto the ideals of L, so th3.8
     gets to its pair check; a crisp pair fails, and the scan's
-    counterexample is the oracle's."""
+    counterexample is the oracle's, with scan blocks of any size."""
     ws = _workspace(instance, CRISP)
     ideals = fuzzy_family(ws, "S", kind)
     _perturb(monkeypatch, ws, TH38_LIFTS[perturbation], {})
@@ -289,9 +299,20 @@ def test_th38_body_matches_the_reference_scan(monkeypatch, instance, perturbatio
     expected = naive_theorem_3_8_pairs(ideals, lift)
     assert (expected is None) == (perturbation == "none")
     assert expected == table_theorem_3_8_pairs(ws, kind, lift)
+    _assert_th38_body_with_any_scan_block(monkeypatch, lambda: _workspace(instance, CRISP), kind, expected)
+
+
+def _assert_th38_body_with_any_scan_block(monkeypatch, workspace, kind, expected):
+    """th3.8's body on a fresh workspace() is the one with the oracle's
+    counterexample for every `SCAN_CELLS` block size, and its pair check
+    reaches the scan exactly when it fails."""
     paths = _record_paths(monkeypatch)
-    assert verify.verify_theorem_3_8(ws, kind).body() == _th38_body(ws, kind, expected)
-    assert paths == ["crisp" if perturbation == "none" else "scan"]
+    for cells in SCAN_CELLS:
+        monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
+        del paths[:]
+        ws = workspace()
+        assert verify.verify_theorem_3_8(ws, kind).body() == _th38_body(ws, kind, expected), cells
+        assert paths == ["scan" if expected else "crisp"]
 
 
 @pytest.mark.parametrize("kind", ["two", "right"])
@@ -324,27 +345,22 @@ def test_th38_reports_the_first_pair_not_the_first_check(monkeypatch, instance, 
         "sigma1": ideals[first[0]].to_mapping(),
         "sigma2": ideals[first[1]].to_mapping(),
     }
-    paths = _record_paths(monkeypatch)
-    assert verify.verify_theorem_3_8(ws, kind).body() == _th38_body(ws, kind, expected)
-    assert paths == ["scan"]
+    _assert_th38_body_with_any_scan_block(
+        monkeypatch, lambda: verify.Workspace(structure, RunConfig(chain=CRISP)), kind, expected)
 
 
-@pytest.mark.parametrize("cells", [1, 100])
-def test_th38_intersection_failure_is_the_reference_witness(monkeypatch, cells):
+def test_th38_intersection_failure_is_the_reference_witness(monkeypatch):
     """A permutation of from_B3's crisp ideals, on the chain {0, 1}, whose
     first failing pair keeps inclusions and sums but not intersections:
     th3.8 reaches the scan through a failing crisp pair, and its
     intersection-homomorphism witness is the oracles'."""
-    monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
     ws = _workspace("from_B3", CRISP)
     _perturb(monkeypatch, ws, dict(enumerate((0, 3, 5, 7, 1, 2, 4, 6))), {})
     lift, _ = _maps(ws, "L")
     expected = naive_theorem_3_8_pairs(fuzzy_family(ws, "S"), lift)
     assert expected["check"] == "intersection-homomorphism"
     assert expected == table_theorem_3_8_pairs(ws, "two", lift)
-    paths = _record_paths(monkeypatch)
-    assert verify.verify_theorem_3_8(ws, "two").body() == _th38_body(ws, "two", expected)
-    assert paths == ["scan"]
+    _assert_th38_body_with_any_scan_block(monkeypatch, lambda: _workspace("from_B3", CRISP), "two", expected)
 
 
 def _record_calls(monkeypatch) -> list:

@@ -601,14 +601,20 @@ class TestClauseEngineFailPaths:
 
 def _rows_matching_the_table_oracle(monkeypatch, w, lift, restrict, lift_roundtrip_ok, restrict_roundtrip_ok):
     """`verify._clause_rows` on the L side, with these maps on masks
-    installed as the left lift and restriction, after checking its pair
-    rows against the all-at-once table oracle, which applies them cut by
-    cut."""
+    installed as the left lift and restriction, after checking that scan
+    blocks of one row, a few rows or the default give the same rows, and
+    its pair rows against the all-at-once table oracle, which applies the
+    maps cut by cut."""
     install_map(monkeypatch, "L", "lift", lambda op, mask: lift(mask))
     install_map(monkeypatch, "L", "restrict", lambda op, mask: restrict(mask))
-    rows = verify._clause_rows(
-        w, "L", lift_roundtrip_ok=lift_roundtrip_ok, restrict_roundtrip_ok=restrict_roundtrip_ok,
-    )
+    by_block = []
+    for cells in (1, 100, verify._SCAN_CELLS):
+        monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
+        by_block.append(verify._clause_rows(
+            w, "L", lift_roundtrip_ok=lift_roundtrip_ok, restrict_roundtrip_ok=restrict_roundtrip_ok,
+        ))
+    rows = by_block[-1]
+    assert by_block == [rows] * 3
     pair_rows = [row for row in rows if row[0] in ("iv", "v", "vi", "ix")]
     maps = (subset_map(w.config.chain, d, w.left, verify._MAPS["L", d]) for d in ("lift", "restrict"))
     assert pair_rows == table_pair_clause_rows(w, "L", *maps)
@@ -680,6 +686,43 @@ class TestFailPathBodies:
             "notes": [self.SCOPE],
         }
 
+    def test_th38_injective(self, monkeypatch, z4):
+        """The lift of {0, 2} sent where {0} goes: a monotone crisp map, so
+        every lift is a fuzzy ideal of L, but two of them coincide."""
+        w = ws(z4)
+        lift = _crisp(w, "lift")
+        install_map(monkeypatch, "L", "lift", lambda op, mask: lift(ZERO if mask == EVEN else mask))
+        assert verify.verify_theorem_3_8(w, "two").body() == {
+            "suite": "th3.8[two]",
+            "instance": "z4",
+            "chain": ["0/1", "1/2", "1/1"],
+            "status": FAIL,
+            "counterexample": {"check": "injective"},
+            "counts": {"fuzzy_ideals_L": 6, "fuzzy_ideals_S": 6},
+            "notes": [self.SCOPE],
+        }
+
+    def test_th38_surjective(self, monkeypatch, z4):
+        """The fuzzy ideals of L with a seventh member, grade 1 on f0 and f1
+        and 1/2 elsewhere: the lifts are distinct ideals of L, but that
+        member is no lift."""
+        w = ws(z4)
+        on_l, real = w.level_cuts("L"), w.fuzzy_family
+        extra = family(on_l, [(on_l.full, 0b11)])
+        monkeypatch.setattr(
+            w, "fuzzy_family",
+            lambda side, kind="two": np.concatenate([real(side, kind), extra]) if side == "L" else real(side, kind),
+        )
+        assert verify.verify_theorem_3_8(w, "two").body() == {
+            "suite": "th3.8[two]",
+            "instance": "z4",
+            "chain": ["0/1", "1/2", "1/1"],
+            "status": FAIL,
+            "counterexample": {"check": "surjective", "unmatched": [{"f0": "1/1", "f1": "1/1", "f2": "1/2", "f3": "1/2"}]},
+            "counts": {"fuzzy_ideals_L": 7, "fuzzy_ideals_S": 6},
+            "notes": [self.SCOPE],
+        }
+
     def test_lemmas_characteristic_lift(self, monkeypatch, z4):
         self._break_on(monkeypatch, "image_contained", EVEN, _every_element)
         assert verify.verify_lemmas_3_11_3_12(ws(z4)).body() == {
@@ -719,6 +762,23 @@ class TestFailPathBodies:
             "status": FAIL,
             "counterexample": {"check": "image-is-ideal", "kind": "two", "ideal": ["0"], "image": []},
             "counts": {"ideals_L[two]": 3, "ideals_S[two]": 3, "identities_checked": 0},
+            "notes": [],
+        }
+
+    def test_lemmas_empty_preimage_is_not_an_ideal(self, monkeypatch, z4):
+        """Dually, an empty preimage of {f0}, with a restriction that agrees
+        with it, fails as no ideal once every lift has passed."""
+        w = ws(z4)
+        restrict = _crisp(w, "restrict")
+        self._break_on(monkeypatch, "pair_fixed", ZERO, lambda op: 0)
+        install_map(monkeypatch, "L", "restrict", lambda op, mask: 0 if mask == ZERO else restrict(mask))
+        assert verify.verify_lemmas_3_11_3_12(w).body() == {
+            "suite": "lemmas",
+            "instance": "z4",
+            "chain": None,
+            "status": FAIL,
+            "counterexample": {"check": "preimage-is-ideal", "kind": "two", "ideal": ["f0"], "preimage": []},
+            "counts": {"ideals_L[two]": 3, "ideals_S[two]": 3, "identities_checked": 3},
             "notes": [],
         }
 
@@ -990,7 +1050,10 @@ class TestTheorem38PairBodies:
     sees it, a crisp pair fails, and the whole failing body the scan gives
     is pinned."""
 
-    SCOPE = "grades restricted to the chain {0/1, 1/1}; the chain is min/max-closed, so every operation checked stays in-chain"
+    SCOPE = (
+        "grades restricted to the chain {0/1, 1/1}; the chain is min/max-closed, "
+        "so every operation checked stays in-chain"
+    )
     IDEALS = (0b1, 0b1001, 0b10101, 0b111111)  # {0}, {0, 3}, {0, 2, 4}, Z_6, in enumeration order
 
     @staticmethod
@@ -1003,21 +1066,25 @@ class TestTheorem38PairBodies:
     @pytest.mark.parametrize("kind", ["two", "right"])
     @pytest.mark.parametrize("swapped,check", [((0, 1), "inclusion-both-ways"), ((1, 3), "sum-homomorphism")])
     def test_pair_failure_body(self, monkeypatch, kind, swapped, check):
-        w = verify.Workspace(core.zn_gamma(6), RunConfig(chain=CRISP))
-        assert w.crisp_ideals("S", kind) == self.IDEALS
+        """The same body with scan blocks of one row, a few rows or the
+        default, each on a fresh workspace."""
         a, b = (self.IDEALS[k] for k in swapped)
-        swap, lift = {a: b, b: a}, _crisp(w, "lift")
+        swap, lift = {a: b, b: a}, _crisp(verify.Workspace(core.zn_gamma(6)), "lift")
         install_map(monkeypatch, "L", "lift", lambda op, mask: lift(swap.get(mask, mask)))
         sigma1, sigma2 = (self._grades(self.IDEALS[k]) for k in self.PAIRS[check])
-        assert verify.verify_theorem_3_8(w, kind).body() == {
-            "suite": f"th3.8[{kind}]",
-            "instance": "z6",
-            "chain": ["0/1", "1/1"],
-            "status": FAIL,
-            "counterexample": {"check": check, "sigma1": sigma1, "sigma2": sigma2},
-            "counts": {"fuzzy_ideals_L": 4, "fuzzy_ideals_S": 4, "pairs_checked": 16},
-            "notes": [self.SCOPE],
-        }
+        for cells in (1, 100, verify._SCAN_CELLS):
+            monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
+            w = verify.Workspace(core.zn_gamma(6), RunConfig(chain=CRISP))
+            assert w.crisp_ideals("S", kind) == self.IDEALS
+            assert verify.verify_theorem_3_8(w, kind).body() == {
+                "suite": f"th3.8[{kind}]",
+                "instance": "z6",
+                "chain": ["0/1", "1/1"],
+                "status": FAIL,
+                "counterexample": {"check": check, "sigma1": sigma1, "sigma2": sigma2},
+                "counts": {"fuzzy_ideals_L": 4, "fuzzy_ideals_S": 4, "pairs_checked": 16},
+                "notes": [self.SCOPE],
+            }, cells
 
 
 def _chain_lattice_gamma():

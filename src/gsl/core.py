@@ -404,10 +404,10 @@ _SUM_CELLS = 1 << 22
 _DENSE_CELLS = 1 << 15
 
 
-def _blocks(rows: int, row_cells: int):
-    """Slices of whole first-axis rows, in order, of at most `_SUM_CELLS`
-    cells at `row_cells` cells a row (one row at least)."""
-    step = max(1, _SUM_CELLS // max(1, row_cells))
+def _blocks(rows: int, row_cells: int, cells: int):
+    """Slices of whole first-axis rows, in order, of at most `cells` cells
+    at `row_cells` cells a row (one row at least)."""
+    step = max(1, cells // max(1, row_cells))
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
@@ -418,7 +418,7 @@ def _sums(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     n, flat = len(A), A.ravel()
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=A.dtype)
     offset = np.min_scalar_type(n * n - 1)
-    for rows in _blocks(len(out), out.size // len(out)):
+    for rows in _blocks(len(out), out.size // len(out), _SUM_CELLS):
         xs, ys = (v[rows] if len(v) > 1 else v for v in (x, y))
         np.take(flat, xs.astype(offset) * n + ys, out=out[rows], mode="clip")
     return out
@@ -428,7 +428,7 @@ def _first_in_blocks(mask, lead: tuple[int, ...], row_cells: int) -> Optional[tu
     """The first witness of the mask whose axes `lead`, flattened to rows,
     give `mask(r)` on the rows r: built and scanned in `_blocks`, in order,
     so no more than a block is held."""
-    for r in _blocks(math.prod(lead), row_cells):
+    for r in _blocks(math.prod(lead), row_cells, _SUM_CELLS):
         witness = _first_witness(mask(r))
         if witness is not None:
             return (*map(int, np.unravel_index(witness[0] + r.start, lead)), *witness[1:])

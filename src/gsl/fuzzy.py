@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -341,11 +341,10 @@ class LevelCuts:
     (`crisp_images`).  `subset` turns one member into a `FuzzySubset`, for
     a witness.
 
-    Because every operation goes cut by cut, a statement about every pair
-    of a family of fuzzy ideals can often be decided on the family's crisp
-    cuts instead: `basis` checks the two facts that make that exact (the
-    family is every descending multichain of its masks, and the masks are
-    closed under sum and meet) and then gives the ids of those masks.
+    Because every operation goes cut by cut, and a fuzzy ideal family is by
+    construction every descending multichain of its kind's crisp ideals
+    (`fuzzy_ideals`), a statement about every pair of its members can be
+    decided on the pairs of those crisp ideals instead (`verify._failing_pair`).
 
     The view owns the structure's ideal families: `crisp_ideals` gives the
     crisp ideals of a kind as masks, enumerated once per distinct absorption
@@ -504,42 +503,6 @@ class LevelCuts:
         or full."""
         whole = self._by_id("whole", lambda masks: np.array([m in (0, self.full) for m in masks], bool))
         return whole[family].all(axis=1)
-
-    def basis(self, family: np.ndarray) -> Optional[np.ndarray]:
-        """The ids of the D distinct masks of a family (an (N, m-1) id
-        array), when the family is every descending multichain of m-1 of
-        those masks and they are closed under sum and meet; otherwise None.
-
-        Then a check on pairs of members that goes level by level holds on
-        every pair of members exactly when it holds on every pair of masks:
-        the sum and the meet of two members are members, and each mask I is
-        the first cut of the member (I, B, ..., B), B the least mask.  The
-        multichains are counted, not listed: O(N (m-1)) for the members and
-        O(D^2 (m-1)) for the masks."""
-        n, width = family.shape
-        keys = np.sort(core._row_keys(family))
-        if not n or (keys[1:] == keys[:-1]).any():  # no member, or one twice
-            return None
-        le = self._table("le")
-        if not le[family[:, 1:], family[:, :-1]].all():  # each member descends
-            return None
-        ids = np.flatnonzero(np.bincount(family.ravel()))  # sorted; np.unique would import numpy.ma
-        rows, columns = ids[:, None], ids[None, :]
-        # the members are n distinct multichains of the masks, so they are
-        # all of them unless there are more; ending[j] counts those of a
-        # given length that end in mask j, and longer ones are never fewer,
-        # so stopping once past n keeps every count below n * D
-        below, ending = le[rows, columns], np.ones(len(ids), dtype=np.int64)
-        for _ in range(width - 1):
-            ending = below @ ending
-            if ending.sum() > n:
-                return None
-        sums, meets = self._table("sum"), self._table("meet")
-        member = np.zeros(len(self._masks), dtype=bool)
-        member[ids] = True
-        if not (member[sums[rows, columns]].all() and member[meets[rows, columns]].all()):
-            return None
-        return ids
 
     # -- ideal families and ideal tests
 

@@ -31,10 +31,12 @@ reads the action of each distinct image off the table of every operator
 matrix times every carrier matrix (`_matrix_actions`), and reads each
 first failing cell in row-major order.  th3.19 lifts the workspace's fuzzy
 ideals of the base cut by cut, through the workspace's "M" lift (the mins
-of `transfer.min_ranks` over the entries, on the bits of each mask), and tests the lifts
-for ideals, injectivity, inclusions and surjectivity as array operations on
-the id arrays of the workspace's level-cut view of the matrix instance,
-which also enumerates the matrix-side ideals.
+of `transfer.min_ranks` over the entries, on the bits of each mask), and
+tests the lifts for ideals and surjectivity as array operations on the id
+arrays of the workspace's level-cut view of the matrix instance, which
+also enumerates the matrix-side ideals; injectivity and inclusions are
+decided on the crisp ideals of the base, as th3.8 decides them
+(`Workspace.pairs`, `verify._failing_pair`).
 """
 
 from __future__ import annotations
@@ -304,21 +306,23 @@ def verify_theorem_3_19(ws: Workspace) -> VerificationReport:
     n, chain = config.n, config.chain
 
     def check(counts, notes):
+        from .verify import _failing_pair, _order_differs  # verify imports this module
+
         mg = ws.matrix
         counts["n"] = n
         ws.require_unities()
         notes.append(chain_scope_note(chain))
 
-        on_s, on_matrix, ideals = ws.level_cuts("S"), ws.level_cuts("M"), ws.fuzzy_family("S")
-        lifted = ws.transfer("M", "lift")(ideals)
+        on_s, on_matrix, p = ws.level_cuts("S"), ws.level_cuts("M"), ws.pairs("M", "lift")
+        ideals, lifted = p.family, p.images
         counts["fuzzy_ideals_base"] = len(ideals)
         not_ideal = ~on_matrix.ideal_rows(lifted)
         if not_ideal.any():
             return {"check": "lift-is-ideal", "mu": on_s.subset(ideals[not_ideal.argmax()]).to_mapping()}
-        if len(on_matrix.distinct_rows(lifted)[0]) != len(lifted):
+        if not p.injective:
             return {"check": "injective"}
         counts["pairs_checked"] = len(ideals) ** 2
-        pair = first_cell(on_s.le_table(ideals, ideals) != on_matrix.le_table(lifted, lifted))
+        pair = _failing_pair(p, _order_differs)
         if pair:
             mu1, mu2 = (on_s.subset(ideals[k]).to_mapping() for k in pair)
             return {"check": "inclusion-preserving", "mu1": mu1, "mu2": mu2}

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import core
 from .fuzzy import FuzzySubset, carrier_of
 from .operators import OperatorSemiring
 
@@ -37,12 +38,12 @@ _BLOCK_CELLS = 1 << 22
 def min_ranks(ranks: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """For an (N, n) array of ranks, one subset of n elements per row (or
     of 0/1 bits, one mask per row), and an (n', k) index table into those
-    elements: the (N, n') least ranks along each table row.  The subsets go through in blocks, so the gather
-    spans at most _BLOCK_CELLS cells."""
+    elements: the (N, n') least ranks along each table row.  The subsets
+    go through in `core._blocks`, so the gather spans at most _BLOCK_CELLS
+    cells."""
     mins = np.empty((len(ranks), len(rows)), dtype=ranks.dtype)
-    step = max(1, _BLOCK_CELLS // rows.size)
-    for start in range(0, len(ranks), step):
-        mins[start : start + step] = np.take(ranks[start : start + step], rows, axis=-1).min(axis=-1)
+    for block in core._blocks(len(ranks), rows.size, _BLOCK_CELLS):
+        mins[block] = np.take(ranks[block], rows, axis=-1).min(axis=-1)
     return mins
 
 

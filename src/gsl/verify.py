@@ -28,19 +28,20 @@ tables, so cut k of an image is the crisp image of cut k alone (`_MAPS`):
 `Workspace.transfer` keeps one id -> id array per map of the crisp images
 of the masks a view has interned, and maps a family, its round trips and
 the lemmas' characteristic functions by gathers from it.  Each family's
-images are kept with the family (`Workspace.pairs`), shared by prop3.4
-and th3.8.  A pair check is decided on crisp cuts when the family has a
-`LevelCuts.basis` (it is every descending multichain of its D crisp masks,
-and those are closed under sum and meet): since the map acts cut by cut,
-the check holds on all N x N fuzzy pairs exactly when it holds on the
-D x D crisp pairs, so a pass costs O(N m + D^2).  When there is no basis,
-or a crisp pair fails, a row-blocked scan of the N x N pairs decides,
-stopping at the first block with a failure; its witness is the first
-failing pair in row-major order (in th3.8, with the first check that pair
-fails), as a scan of every pair would give.  The scan maps the sums and
-meets of the rows it reaches, not past them.  The crisp suites, the
-lemmas and th3.15, compute on masks: crisp ideals, the operator semiring's
-mask maps `image_contained` and `pair_fixed`, and the level-cut tables.
+images are kept with the family (`Workspace.pairs`), shared by prop3.4,
+th3.8 and th3.19, with the ids of the D crisp ideals of its kind: a family
+is by construction every descending multichain of those
+(`LevelCuts.fuzzy_ideals`).  Since the map acts cut by cut, a pair check
+holds on all N x N fuzzy pairs exactly when it holds on the D x D crisp
+pairs (`_failing_pair`), so a pass costs O(N m + D^2), and th3.8's
+injectivity and lattice closure are decided on the D crisp ideals too.
+Once a crisp pair fails, a row-blocked scan of the N x N pairs finds the
+witness, stopping at the first block with a failure: the first failing
+pair in row-major order (in th3.8, with the first check that pair fails),
+as a scan of every pair would give.  The scan maps the sums and meets of
+the rows it reaches, not past them.  The crisp suites, the lemmas and
+th3.15, compute on masks: crisp ideals, the operator semiring's mask maps
+`image_contained` and `pair_fixed`, and the level-cut tables.
 """
 
 from __future__ import annotations
@@ -257,16 +258,18 @@ class Workspace:
 
     def pairs(self, side: str, direction: str, kind: str = "two") -> "_Pairs":
         """The fuzzy ideals of the kind that `transfer(side, direction)`
-        takes as operands, with their images, for the pair checks; one for
-        the kinds that share a family, and for the sides that share their
-        tables (`resolve`) and hold the same map."""
+        takes as operands, with their images and the crisp ideals they are
+        the multichains of, for the pair checks; one for the kinds that
+        share a family, and for the sides that share their tables
+        (`resolve`) and hold the same map."""
         source = "S" if direction == "lift" else side
         target = side if direction == "lift" else "S"
-        kind = self.level_cuts(source).canonical(kind)
+        view = self.level_cuts(source)
+        kind = view.canonical(kind)
         key = ("pairs", self.resolve(side), direction, kind, _MAPS[side, direction])
         return self._once(key, lambda: _Pairs(
-            self.level_cuts(source), self.level_cuts(target),
-            self.fuzzy_family(source, kind), self.transfer(side, direction),
+            view, self.level_cuts(target), self.fuzzy_family(source, kind),
+            view.mask_ids(view._crisp(kind)), self.transfer(side, direction),
         ))
 
     def crisp_ideals(self, side: str, kind: str = "two") -> tuple[int, ...]:
@@ -384,18 +387,27 @@ _MAPS: dict[tuple[str, str], Callable[[object, np.ndarray], np.ndarray]] = {
 
 class _Pairs:
     """One family of N operands and its images under a transfer map, for
-    the pair checks: the views they live on, their (N, m-1) id arrays, and
-    `image`, the map on id arrays (`Workspace.transfer`) that gave the
-    images, which maps the sums and meets of a pair scan."""
+    the pair checks: the views they live on, their (N, m-1) id arrays, the
+    family's D crisp ideals as the (D, 1) array `crisp` of one-cut members
+    and their images, and `image`, the map on id arrays
+    (`Workspace.transfer`) that gave the images, which maps the sums and
+    meets of a pair scan.  The family is every descending multichain of its
+    crisp ideals (`LevelCuts.fuzzy_ideals`)."""
 
-    def __init__(self, source: LevelCuts, target: LevelCuts, family: np.ndarray, image):
+    def __init__(self, source: LevelCuts, target: LevelCuts, family: np.ndarray, crisp: np.ndarray, image):
         self.source, self.target, self.image = source, target, image
         self.family, self.images = family, image(family)
         self.images.setflags(write=False)
+        self.crisp = crisp[:, None]
+        self.crisp_images = image(self.crisp)
 
-    @cached_property
-    def basis(self) -> Optional[np.ndarray]:
-        return self.source.basis(self.family)
+    @property
+    def injective(self) -> bool:
+        """Whether the N images are distinct.  The family holds the constant
+        member (I, ..., I) of each crisp ideal I and the map acts cut by
+        cut, so they are exactly when the D crisp images are."""
+        images = self.crisp_images.ravel().tolist()
+        return len(set(images)) == len(images)
 
 
 # A pair check: check(p, a, b, la, lb, image) is the (len(a), len(b)) table
@@ -428,18 +440,6 @@ def _unhomomorphic(table: str) -> _PairCheck:
     return check
 
 
-def _not_in(family: np.ndarray) -> _PairCheck:
-    """The sum or the meet of a_i and b_j is not a member of the family."""
-
-    def check(p, a, b, la, lb, image):
-        outside = np.zeros((len(a), len(b)), dtype=bool)
-        for table in (p.source.sum_table(a, b), p.source.meet_table(a, b)):
-            outside |= ~LevelCuts.rows_in(table.reshape(-1, table.shape[-1]), family).reshape(outside.shape)
-        return outside
-
-    return check
-
-
 # cells of (N, M, m-1) tables one block of the witness scan spans
 _SCAN_CELLS = 1 << 20
 
@@ -448,15 +448,14 @@ def _failing_pair(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
     """The first pair (i, j) of the family, in row-major order, that check
     fails on; None when every pair passes.
 
-    When the family has a `basis`, a pass is decided on the D x D pairs of
-    its crisp masks: the map acts cut by cut, so a failing fuzzy pair fails
-    at some level, on one crisp pair.  Otherwise, and to find the witness
-    once a crisp pair fails, `_scan` decides."""
-    if p.basis is not None:
-        masks = p.basis[:, None]
-        images = p.image(masks)
-        if not check(p, masks, masks, images, images, p.image).any():
-            return None
+    Decided on the D x D pairs of the family's crisp ideals, exactly: every
+    check goes level by level, so a failing fuzzy pair fails on the crisp
+    pair of its cuts at some level, and with B the least crisp ideal, the
+    members (I, B, ..., B) and (J, B, ..., B) are in the family for any
+    crisp ideals I and J and fail when (I, J) does.  This needs no closure
+    under sum.  Once a crisp pair fails, `_scan` finds the witness."""
+    if not check(p, p.crisp, p.crisp, p.crisp_images, p.crisp_images, p.image).any():
+        return None
     return _scan(p, check)
 
 
@@ -465,12 +464,10 @@ def _scan(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
     stopping at the first block with a failure, so only the sums and meets
     of the rows scanned are mapped."""
     n, width = p.family.shape
-    step = max(1, _SCAN_CELLS // max(1, n * width))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
+    for rows in core._blocks(n, n * width, _SCAN_CELLS):
         cell = first_cell(check(p, p.family[rows], p.family, p.images[rows], p.images, p.image))
         if cell:
-            return start + cell[0], cell[1]
+            return rows.start + cell[0], cell[1]
     return None
 
 
@@ -495,12 +492,12 @@ def _clause_rows(
     transfer maps are mins, so their images stay on that chain.  The maps
     are the workspace's (`Workspace.transfer`), gathers from the crisp
     images of masks, each applied to a whole family at once: the ideals
-    (`Workspace.pairs`), then their images for the round trips.  Each per-ideal clause is one array operation on the
-    families' id arrays and witnesses its first failing row.  The pair
-    clauses are decided by `_failing_pair`: on crisp cuts where the family
-    has a basis, else by the row-blocked `_scan`, which witnesses
-    the first failing pair in row-major order.  A witness's grades are
-    built from its row only.
+    (`Workspace.pairs`), then their images for the round trips.  Each
+    per-ideal clause is one array operation on the families' id arrays and
+    witnesses its first failing row.  The pair clauses are decided by
+    `_failing_pair` on the crisp ideals, and a failing one by the
+    row-blocked `_scan`, which witnesses the first failing pair in
+    row-major order.  A witness's grades are built from its row only.
     """
     rows: list[_ClauseRow] = []
     on_s, on_op = ws.level_cuts("S"), ws.level_cuts(side)
@@ -669,7 +666,7 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             k = int(outside.argmax())
             sigma, image = on_s.subset(ideals_a[k]).to_mapping(), on_l.subset(lifted[k]).to_mapping()
             return {"check": "image-is-ideal", "sigma": sigma, "lifted": image}
-        if len(LevelCuts.distinct_rows(lifted)[0]) != len(ideals_a):
+        if not p.injective:
             return {"check": "injective"}
         # the lifts are distinct ideals of L, so they are all of them unless one is missed
         missing = ideals_b[~LevelCuts.rows_in(ideals_b, lifted)]
@@ -695,12 +692,13 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
                 "sigma2": on_s.subset(ideals_a[j]).to_mapping(),
             }
 
-        # chain-scale lattice sanity: closure under both operations, top and
-        # bottom; a family with a basis is closed
-        closed = p.basis is not None or _scan(p, _not_in(ideals_a)) is None
-        # constant 1, and 1 on {0} only
-        top_bottom = np.repeat(on_s.mask_ids([on_s.full, 1])[:, None], len(chain) - 1, axis=1)
-        if not (closed and LevelCuts.rows_in(top_bottom, ideals_a).all()):
+        # chain-scale lattice sanity: the family is every multichain of its
+        # crisp ideals, so it is closed under sum and intersection exactly
+        # when they are, and holds the top member (constant 1) and the bottom
+        # one (1 on {0} only) exactly when the full mask and {0} are among them
+        crisp = p.crisp
+        reached = (on_s.sum_table(crisp, crisp), on_s.meet_table(crisp, crisp), on_s.mask_ids([on_s.full, 1]))
+        if not set(crisp.ravel().tolist()).issuperset(np.concatenate([ids.ravel() for ids in reached]).tolist()):
             return {"check": "lattice-closure"}
         notes.append("enumerated ideals are closed under sum/intersection with top and bottom")
         return None

@@ -315,17 +315,27 @@ class TestEnumerations:
                 want = brute_fuzzy_ideal_grades(g, chain.grades, kind, is_gamma=True)
                 assert got == want, (g.name, kind)
 
-    def test_count_is_multichains_of_crisp_ideals(self, enum_instances):
-        """|FI over an m-grade chain| = Z(crisp-ideal lattice, m), and every
-        level cut of every enumerated ideal is a crisp ideal."""
-        for g in enum_instances:
+    def test_count_is_multichains_of_crisp_ideals(self, enum_instances, gb):
+        """|FI over an m-grade chain| = Z(crisp-ideal lattice, m), the
+        members are distinct, and every level cut of every enumerated ideal
+        is a crisp ideal: a fuzzy family is exactly the descending
+        multichains of its crisp ideals, which the suites' crisp pair checks
+        rest on.  On the enumerator fixtures, the L and R semirings of each,
+        and boolean[2x2], whose longest chain here is past the default cap."""
+        cases = [(g, naive_crisp_ideals_gamma) for g in (*enum_instances, build_matrix_gamma(gb, 2).gamma)]
+        cases += [
+            (build_operator_semiring(g, side).semiring, brute_crisp_ideals_semiring)
+            for g in enum_instances for side in ("left", "right")
+        ]
+        for g, crisp_ideals in cases:
             for kind in ("left", "right", "two"):
-                crisp = naive_crisp_ideals_gamma(g, kind)
+                crisp = crisp_ideals(g, kind)
                 for chain in CHAINS:
-                    ideals = enumerate_fuzzy_ideals(g, chain, kind)
+                    ideals = enumerate_fuzzy_ideals(g, chain, kind, cap=len(chain) ** len(carrier_of(g).ids))
                     assert len(ideals) == count_multichains(crisp, len(chain) - 1), (
                         g.name, kind, str(chain),
                     )
+                    assert len({mu.grades for mu in ideals}) == len(ideals), (g.name, kind, str(chain))
                     for mu in ideals:
                         for c in chain.grades[1:]:
                             cut = frozenset(x for x, v in enumerate(mu.grades) if v >= c)

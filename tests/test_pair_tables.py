@@ -1,17 +1,17 @@
 """prop3.4's pair clauses and th3.8's pair and lattice-closure checks against
 the two references in `oracles.py`.
 
-The transfer maps act cut by cut (`verify._MAPS`), so the suites decide a
-pair check on the crisp masks of a family that has a basis, and scan the
-pairs in row blocks only for the witness once a crisp pair fails, or when
-the family has no basis.  One oracle scans the pairs one at a time in
-row-major order with the `Fraction` lattice operations; the other reads
-every pair off N x N family tables at once.  All see the same transfer
-maps, here broken by moving the images of crisp ideals within the crisp
-ideals (a swap, a rotation, a merge), so the maps keep landing on ideals
-and the pair checks are the ones that see the damage.  A broken map on
-masks goes in through `oracles.install_map`, and the oracles read the
-installed maps back as maps on fuzzy subsets, cut by cut
+The transfer maps act cut by cut (`verify._MAPS`), and a family is every
+descending multichain of its crisp ideals, so the suites decide a pair
+check on the pairs of those crisp ideals, and scan the pairs in row blocks
+only for the witness once a crisp pair fails.  One oracle scans the pairs
+one at a time in row-major order with the `Fraction` lattice operations;
+the other reads every pair off N x N family tables at once.  All see the
+same transfer maps, here broken by moving the images of crisp ideals
+within the crisp ideals (a swap, a rotation, a merge), so the maps keep
+landing on ideals and the pair checks are the ones that see the damage.
+A broken map on masks goes in through `oracles.install_map`, and the
+oracles read the installed maps back as maps on fuzzy subsets, cut by cut
 (`oracles.subset_map`).  A move that does not keep inclusions would give a
 member cuts that do not descend, so moves on the three-grade chain are
 monotone, and the others run on the chain {0, 1}.
@@ -22,7 +22,6 @@ import pytest
 import oracles
 from oracles import (
     cuts_of,
-    family,
     fuzzy_family,
     install_map,
     mask_map,
@@ -36,7 +35,7 @@ from oracles import (
 )
 from gsl import core, transfer, verify
 from gsl.config import RunConfig
-from gsl.fuzzy import GradeChain, LevelCuts
+from gsl.fuzzy import GradeChain
 from gsl.report import FAIL, PASS, chain_scope_note
 
 CHAIN = GradeChain.parse("0,1/2,1")
@@ -195,73 +194,20 @@ def test_scan_blocks_keep_the_row_major_witness(monkeypatch, perturbation, cells
 def test_cut_wise_map_that_breaks_iv_fails_on_the_crisp_cuts(monkeypatch):
     """On from_B3 the lift that sends the full ideal where the true lift does
     and every other mask where the bottom ideal goes keeps inclusions and
-    meets but not sums (two proper ideals can sum to the full one).  The
-    family has a basis, so iv fails on the crisp cuts, and the witness scan
-    gives the oracles' witness."""
+    meets but not sums (two proper ideals can sum to the full one): iv fails
+    on the crisp cuts, and the witness scan gives the oracles' witness."""
     ws = _workspace("from_B3")
     side, on_s = "L", ws.level_cuts("S")
     real = mask_map("lift", ws.left, verify._MAPS[side, "lift"])
     bottom = ws.crisp_ideals("S")[0]
     install_map(monkeypatch, side, "lift", lambda op, mask: real(on_s.full if mask == on_s.full else bottom))
     lift, restrict = _maps(ws, side)
-
-    checks = []
-    real_pair = verify._failing_pair
-
-    def recording(p, check):
-        checks.append(p.basis is not None)
-        return real_pair(p, check)
-
-    monkeypatch.setattr(verify, "_failing_pair", recording)
     paths = _record_paths(monkeypatch)
     rows = _pair_rows(verify._clause_rows(ws, side, True, True))
-    assert checks == [True] * 4  # every pair clause had a basis
     assert [status for _, status, _, _ in rows] == [FAIL, PASS, PASS, PASS]
     assert paths == ["scan", "crisp", "crisp", "crisp"]
     oracle = naive_pair_clause_rows(fuzzy_family(ws, "S"), fuzzy_family(ws, side), lift, restrict)
     assert rows == oracle == table_pair_clause_rows(ws, side, lift, restrict)
-
-
-def test_basis_needs_masks_closed_under_sum():
-    """Over ({0,1}^3, or, and) on the chain {0, 1}: the ideals {0}, {0,1} and
-    {0,2} are every one-cut multichain of themselves, but {0,1} + {0,2} is
-    {0,1,2,3}, which they lack; adding it makes a basis."""
-    from_b3 = INSTANCES["from_B3"]()
-    cuts = LevelCuts(from_b3, GradeChain.parse("0,1"))
-    bottom, one, two, three = 0b1, 0b11, 0b101, 0b1111
-    assert cuts.basis(family(cuts, [(bottom,), (one,), (two,)])) is None
-    ids = family(cuts, [(bottom,), (one,), (two,), (three,)])
-    assert sorted(mask for (mask,) in members(cuts, cuts.basis(ids)[:, None])) == [bottom, one, two, three]
-    # two cuts: every multichain of the masks, one missing, one not descending
-    cuts = LevelCuts(from_b3, CHAIN)
-    assert cuts.basis(family(cuts, [(bottom, bottom), (one, bottom), (one, one)])) is not None
-    assert cuts.basis(family(cuts, [(bottom, bottom), (one, bottom)])) is None
-    assert cuts.basis(family(cuts, [(bottom, bottom), (bottom, one), (one, one)])) is None
-
-
-def test_family_not_closed_under_sum_falls_back(monkeypatch):
-    """prop3.4's pair rows over the part of from_B3's family whose cuts are
-    {0}, {0,1} or {0,2}: the sum of two members is no member, so no pair
-    clause is decided on crisp cuts, and the rows are the oracles'."""
-    ws = _workspace("from_B3")
-    on_s, real_ideals = ws.level_cuts("S"), ws.fuzzy_family
-    kept = [cuts for cuts in members(on_s, real_ideals("S")) if set(cuts) <= {0b1, 0b11, 0b101}]
-    part_ids = family(on_s, kept)
-    monkeypatch.setattr(
-        ws, "fuzzy_family", lambda side, kind="two": part_ids if side == "S" else real_ideals(side, kind)
-    )
-    real_family = oracles.fuzzy_family
-    part = [mu for mu in real_family(ws, "S") if cuts_of(on_s, mu) in kept]
-    assert len(part) == 5
-    monkeypatch.setattr(
-        oracles, "fuzzy_family", lambda ws, side, kind="two": part if side == "S" else real_family(ws, side, kind)
-    )
-    paths = _record_paths(monkeypatch)
-    lift, restrict = _maps(ws, "L")
-    rows = _pair_rows(verify._clause_rows(ws, "L", True, True))
-    assert paths == ["scan"] * 3 + ["crisp"]  # the family of L is whole
-    assert rows == naive_pair_clause_rows(part, fuzzy_family(ws, "L"), lift, restrict)
-    assert rows == table_pair_clause_rows(ws, "L", lift, restrict)
 
 
 def _th38_body(ws, kind, counterexample):
@@ -479,29 +425,31 @@ def test_transfer_call_totals_of_the_pairs_workload(monkeypatch):
     assert (calls.count("_lift"), calls.count("_restrict")) == (PAIRS_LIFTS, PAIRS_RESTRICTS)
 
 
-@pytest.mark.parametrize("keep,expected", [
-    # cuts among {0}, {0,1} and {0,2}: their sum {0,1,2,3} is missing
-    (lambda cuts: set(cuts) <= {0b1, 0b11, 0b101}, {"check": "lattice-closure"}),
-    # bottom and top only: closed, though not every multichain of the two
-    (lambda cuts: cuts in {(0b1, 0b1), (0xFF, 0xFF)}, None),
-], ids=["not-closed", "closed"])
-def test_th38_closure_without_a_basis_is_scanned(monkeypatch, keep, expected):
-    """th3.8 over a part of from_B3's ideals and their lifts as the ideals of
-    L: the part has no basis, so its closure under sum and intersection is
-    decided by the scan, as the table oracle decides it."""
+@pytest.mark.parametrize("masks,expected", [
+    # {0}, {0,1}, {0,2} and the whole carrier: the sum {0,1,2,3} is missing
+    ((0b1, 0b11, 0b101, 0xFF), {"check": "lattice-closure"}),
+    # {0} and the whole carrier: closed, with the bottom and top members
+    ((0b1, 0xFF), None),
+    # {0} and {0,1}: closed, but the top member is missing
+    ((0b1, 0b11), {"check": "lattice-closure"}),
+], ids=["not-closed", "closed", "no-top"])
+def test_th38_closure_is_decided_on_the_crisp_ideals(monkeypatch, masks, expected):
+    """th3.8 with these crisp ideals of from_B3 installed as those of S on
+    its view, and their lifts as those of L: each family is every
+    multichain of its crisp ideals, a part of the real one, so th3.8 gets
+    to its closure check and decides it on the crisp ideals alone, with no
+    scan, as the table oracle decides it on the members of the part."""
     ws = _workspace("from_B3")
     on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
     left = ws.left
-    lift = lambda s: transfer.lift_plusprime(left, s)
-    kept = [cuts for cuts in members(on_s, ws.fuzzy_family("S")) if keep(cuts)]
-    lifted = sorted((lift(on_s.subset(row)) for row in family(on_s, kept)), key=lambda mu: mu.grades)
-    families = {"S": family(on_s, kept), "L": family(on_l, [cuts_of(on_l, mu) for mu in lifted])}
-    monkeypatch.setattr(ws, "fuzzy_family", lambda side, kind="two": families[side])
-    part = [mu for mu in fuzzy_family(ws, "S") if cuts_of(on_s, mu) in kept]
+    crisp_lift = mask_map("lift", left, verify._MAPS["L", "lift"])
+    part = [mu for mu in fuzzy_family(ws, "S") if set(cuts_of(on_s, mu)) <= set(masks)]
+    monkeypatch.setitem(on_s._crisp_ideals, on_s.canonical("two"), masks)
+    monkeypatch.setitem(on_l._crisp_ideals, on_l.canonical("two"), tuple(map(crisp_lift, masks)))
+    assert members(on_s, ws.fuzzy_family("S")) == [cuts_of(on_s, mu) for mu in part]
     monkeypatch.setattr(oracles, "fuzzy_family", lambda ws, side, kind="two": part)
-    assert on_s.basis(families["S"]) is None
-    assert table_theorem_3_8_pairs(ws, "two", lift) == expected
+    assert table_theorem_3_8_pairs(ws, "two", lambda s: transfer.lift_plusprime(left, s)) == expected
     paths = _record_paths(monkeypatch)
     body = verify.verify_theorem_3_8(ws, "two").body()
     assert body["counterexample"] == expected
-    assert paths == ["scan", "scan"]  # the pair checks, then the closure
+    assert paths == ["crisp"]  # the pair checks pass on the crisp pairs

@@ -9,6 +9,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
+# environment variables set for a case, by (script, args); GSL_CAP is unset otherwise
+ENV = {("run_suites.py", ("--instances", "from_B5")): {"GSL_CAP": str(10**40)}}
+
 
 @pytest.mark.parametrize(
     "script,args",
@@ -21,12 +24,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
         ("mutation_sweep.py", ("z24", "--sample", "50", "--max-report", "0")),
         # the one 16-element Boolean power that runs by default: prop3.4 to th3.17 pass
         ("run_suites.py", ("--instances", "from_B4")),
+        # the 32-element Boolean power with the cap lifted (ENV): prop3.4 to th3.17
+        # pass, their pair checks on 32 crisp ideals for families of 243 members
+        ("run_suites.py", ("--instances", "from_B5")),
     ],
 )
 def test_script_exits_zero(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     env.pop("GSL_CAP", None)
+    env.update(ENV.get((script, args), {}))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,

@@ -1003,29 +1003,34 @@ class TestFailPathBodies:
 
     def test_th319_injective(self, monkeypatch, gb):
         """Every base ideal lifts to the constant-1 subset: each lift is an
-        ideal, and two of them coincide."""
+        ideal, and two of them coincide.  The same body with scan blocks of
+        one row, a few rows or the default, each on a fresh workspace."""
         install_map(monkeypatch, "M", "lift", lambda mg, mask: (1 << len(mg.gamma.S)) - 1)
-        assert matrix.verify_theorem_3_19(ws(gb)).body() == self._th319({"check": "injective"}, {})
+        for cells in (1, 100, verify._SCAN_CELLS):
+            monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
+            assert matrix.verify_theorem_3_19(ws(gb)).body() == self._th319({"check": "injective"}, {}), cells
 
     def test_th319_inclusion_preserving(self, monkeypatch, gb):
         """On the chain {0, 1}, the crisp lift with the images of the two
         ideals of boolean swapped: the lifts are distinct ideals, but {0}
         goes above {0, 1}, so the first pair in row-major order, ({0}, S),
-        fails."""
-        w = verify.Workspace(gb, RunConfig(chain=CRISP))
-        lift = _crisp(w, "lift", "M")
+        fails.  The same body with scan blocks of one row, a few rows or the
+        default, each on a fresh workspace."""
+        lift = _crisp(verify.Workspace(gb, RunConfig(chain=CRISP)), "lift", "M")
         swap = {0b1: 0b11, 0b11: 0b1}
         install_map(monkeypatch, "M", "lift", lambda mg, mask: lift(swap.get(mask, mask)))
         bottom, top = {"0": "1/1", "1": "0/1"}, {"0": "1/1", "1": "1/1"}
-        assert matrix.verify_theorem_3_19(w).body() == {
-            "suite": "th3.19",
-            "instance": "boolean",
-            "chain": ["0/1", "1/1"],
-            "status": FAIL,
-            "counterexample": {"check": "inclusion-preserving", "mu1": bottom, "mu2": top},
-            "counts": {"fuzzy_ideals_base": 2, "n": 2, "pairs_checked": 4},
-            "notes": [TestTheorem38PairBodies.SCOPE],
-        }
+        for cells in (1, 100, verify._SCAN_CELLS):
+            monkeypatch.setattr(verify, "_SCAN_CELLS", cells)
+            assert matrix.verify_theorem_3_19(verify.Workspace(gb, RunConfig(chain=CRISP))).body() == {
+                "suite": "th3.19",
+                "instance": "boolean",
+                "chain": ["0/1", "1/1"],
+                "status": FAIL,
+                "counterexample": {"check": "inclusion-preserving", "mu1": bottom, "mu2": top},
+                "counts": {"fuzzy_ideals_base": 2, "n": 2, "pairs_checked": 4},
+                "notes": [TestTheorem38PairBodies.SCOPE],
+            }, cells
 
     def test_th319_surjective(self, monkeypatch, gb):
         """A matrix-side family with a fourth member, grade 1 on m0 and m1

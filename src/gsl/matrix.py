@@ -23,20 +23,21 @@ instance on greedy additive generators (on `boolean[2x2]` the zero matrix
 and the four single-entry matrices: 20,480 cells a distributive law, not
 65,536, and 3,125 for associativity, not 1,048,576); the 16-element matrix
 semirings are validated densely, which is faster at that size.
-matrix-iso reads the matrix semiring over the base operator semiring from
-the workspace (`Workspace.matrix_semiring`), so the left and right checks
-build it once when R's tables are L's.  It compares the images of every sum and product with one table
-comparison, computes the images of all |S||G| generators as one table,
-reads the action of each distinct image off the table of every operator
-matrix times every carrier matrix (`_matrix_actions`), and reads each
-first failing cell in row-major order.  th3.19 lifts the workspace's fuzzy
-ideals of the base cut by cut, through the workspace's "M" lift (the mins
-of `transfer.min_ranks` over the entries, on the bits of each mask), and
-tests the lifts for ideals and surjectivity as array operations on the id
-arrays of the workspace's level-cut view of the matrix instance, which
-also enumerates the matrix-side ideals; injectivity and inclusions are
-decided on the crisp ideals of the base, as th3.8 decides them
-(`Workspace.pairs`, `verify._failing_pair`).
+matrix-iso reads the base operator semiring and the matrix semiring over
+it from the workspace (`Workspace.matrix_semiring`), L's for both checks
+on a commutative base, where R is L.  It compares the images of every sum
+and product with one table comparison, computes the images of all |S||G|
+generators as one table, reads the action of each distinct image off the
+table of every operator matrix times every carrier matrix
+(`_matrix_actions`), and reads each first failing cell in row-major order.
+th3.19 lifts the workspace's fuzzy ideals of the base cut by cut, through
+the workspace's "M" lift (the mins of `transfer.min_ranks` over the
+entries, on the bits of each mask), and tests the lifts for ideals and
+surjectivity as array operations on the id arrays of the workspace's
+level-cut view of the matrix instance, which also enumerates the
+matrix-side ideals; injectivity and inclusions are decided on the crisp
+ideals of the base, as th3.8 decides them (`Workspace.pairs`,
+`verify._failing_pair`).
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
     def check(counts, notes):
         mg = ws.matrix
         op_matrix = build_operator_semiring(mg.gamma, side, cap=config.closure_cap)
-        op_base = ws.left if side == "left" else ws.right
+        op_base = ws.left if side == "left" or ws.resolve("R") == "L" else ws.right
         mat_over_op = ws.matrix_semiring("L" if side == "left" else "R")
 
         size = len(op_matrix)

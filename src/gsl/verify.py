@@ -8,7 +8,7 @@ by who asks: each family is enumerated once per structure and distinct
 absorption images, by the level-cut view of its structure, so kinds with
 equal images (all three, on a commutative structure) share one family; the
 right operator semiring R shares L's view, families, images and clause
-rows when its tables are L's, as they are on a commutative base; each
+rows on a commutative base, where it is L, and is then not built; each
 transfer map is handed each crisp mask once per run; and the semifield predicates
 and fuzzy conditions are decided once.  Every suite also runs in the
 workspace's one frame, `Workspace.run_suite`, which times it, turns a gate
@@ -111,14 +111,15 @@ class Workspace:
     and by its ideal kind; kinds with equal absorption images on that
     structure name one family (`LevelCuts.canonical`), so they share its
     arrays, its images, its pair tables and the verdicts decided on them.
-    Sides are keyed the same way: "R" resolves to "L" when R's tables are
-    L's (`resolve`), so R shares L's view, families, pairs and images while
-    L and R hold the same map object (`_MAPS` has one per direction for
-    both).  Crisp families are tuples and
-    fuzzy ones read-only arrays, so no suite can change what the next suite
-    sees.  A plain semiring has only "S".  Every memo of a run lives here or
-    in an object the workspace owns (a view, an operator semiring), and
-    none refers back to the workspace, so dropping it frees the run.
+    Sides are keyed the same way: "R" resolves to "L" on a commutative
+    base (`resolve`), so R is not built and shares L's view, families,
+    pairs, images, unity and matrix semiring, while L and R hold the same
+    map object (`_MAPS` has one per direction for both).
+    Crisp families are tuples and fuzzy ones read-only arrays, so no suite
+    can change what the next suite sees.  A plain semiring has only "S".
+    Every memo of a run lives here or in an object the workspace owns (a
+    view, an operator semiring), and none refers back to the workspace, so
+    dropping it frees the run.
 
     A build that hits a cap is attempted once: its `core.CapExceeded` is
     kept and raised again on every access, so each suite that needs it is
@@ -156,26 +157,14 @@ class Workspace:
 
     def resolve(self, side: str) -> str:
         """The side whose derived objects `side` shares: "L" for "R" when
-        R's action, pair-class and semiring tables equal L's (R is L with
-        its product reversed, so it is L on a commutative base), else the
-        side itself.  Decided once per run; R is built either way, for its
-        unity and its matrix iso."""
-        if side != "R":
-            return side
-
-        def decide():
-            right = self.right  # its cap, not L's, gates what needs R
-            try:
-                left = self.left
-            except core.CapExceeded:
-                return "R"
-            same = np.array_equal
-            return "L" if (
-                same(right.value_rows, left.value_rows) and same(right.pair_rows, left.pair_rows)
-                and all(map(same, right.semiring.tables, left.semiring.tables))
-            ) else "R"
-
-        return self._once("R resolves to", decide)
+        the product is commutative, else the side itself.  There R is L:
+        the right pair (@, x) acts as a -> a@x = x@a, as the left pair
+        (x, @) does, and single-pair actions commute, by the validated law
+        a@(b#c) = (a@b)#c: x@(y#a) = x@(a#y) = (x@a)#y = y#(x@a).  Actions
+        are additive, so their sums commute too, and composition in R's
+        diagram order is composition in L's: R's elements, pair classes and
+        tables are L's."""
+        return "L" if side == "R" and self.fact("is_commutative") else side
 
     @cached_property
     def left_unity(self) -> bool:
@@ -183,6 +172,8 @@ class Workspace:
 
     @cached_property
     def right_unity(self) -> bool:
+        if self.resolve("R") == "L":
+            return self.left_unity
         return find_unity(self.structure, self.right) is not None
 
     def require_unities(self) -> None:
@@ -616,8 +607,8 @@ def verify_prop_3_4(ws: Workspace) -> VerificationReport:
     its left operator semiring, plus the right-operator duals.
 
     The rows of a side are decided once per resolved side
-    (`Workspace.resolve`), map objects and unity gates, so where R shares
-    L's tables and maps, the duals are L's rows, starred."""
+    (`Workspace.resolve`), map objects and unity gates, so on a commutative
+    base, where R is L and holds L's maps, the duals are L's rows, starred."""
     chain = ws.config.chain
 
     def clause_rows(side, lift_roundtrip_ok, restrict_roundtrip_ok):
@@ -661,7 +652,10 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
         counts["fuzzy_ideals_S"] = len(ideals_a)
         counts["fuzzy_ideals_L"] = len(ideals_b)
 
-        outside = ~LevelCuts.rows_in(lifted, ideals_b)
+        # exact: a lift's cuts descend (a min over index rows) and hold the zero
+        # operator, which reads sigma(0) = 1 alone, so it is in L's family exactly
+        # when every cut is closed and absorbing (a non-empty absorbing cut holds 0)
+        outside = ~on_l.ideal_rows(lifted, kind)
         if outside.any():
             k = int(outside.argmax())
             sigma, image = on_s.subset(ideals_a[k]).to_mapping(), on_l.subset(lifted[k]).to_mapping()

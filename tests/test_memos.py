@@ -1,7 +1,7 @@
 """What a run derives is derived once and lives as long as the run: ideal
 families shared by kinds with equal absorption images, R's derived objects
-shared with L when R's tables are L's, one image array per transfer map, the
-semifield predicates and the crisp correspondences."""
+shared with L on a commutative base, where R is L, one image array per
+transfer map, the semifield predicates and the crisp correspondences."""
 
 import contextlib
 import gc
@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_upper_triangular
-from gsl import cli, core, fuzzy, operators, verify
+from conftest import build_boolean_by_chain, build_upper_triangular
+from gsl import cli, core, fuzzy, matrix, operators, verify
 from gsl.config import RunConfig
 from gsl.fuzzy import GradeChain, LevelCuts
 from gsl.matrix import build_matrix_gamma
 from oracles import family, install_map, members
-from gsl.report import FAIL
+from gsl.report import FAIL, PASS
 
 CHAIN = GradeChain.of(0, Fraction(1, 2), 1)
 KINDS = ("two", "right", "left")
@@ -78,7 +78,7 @@ def test_a_run_frees_what_it_derived(monkeypatch):
     finally:
         gc.enable()
     gc.collect()
-    assert len(refs) == 5  # the workspace, its views of S and L (which R shares), and L and R
+    assert len(refs) == 4  # the workspace, its views of S and L, and L (R is L on this commutative base)
     assert all(ref() is None for ref in refs)
 
 
@@ -178,7 +178,8 @@ def test_canonical_compares_the_images_once_per_view(instance):
 
 
 # ---------------------------------------------------------------------------
-# R shares L's derived objects exactly when its tables are L's
+# R shares L's derived objects exactly when the base is commutative, which is
+# exactly when R's tables are L's
 
 # the commutative instances, on which R is L
 SHARED = {
@@ -236,6 +237,92 @@ def test_r_resolves_to_itself_when_its_tables_differ(monkeypatch, instance, view
     reports = verify.run_all(INSTANCES[instance](), RunConfig(chain=CHAIN))
     assert all(r.status != FAIL for r in reports)
     assert (len(built), len(closures)) == (views, enumerations)
+
+
+# with the 2 x 2 matrix instance of z2
+RUN_INSTANCES = {**INSTANCES, "z2[2x2]": lambda: build_matrix_gamma(core.zn_gamma(2), 2).gamma}
+
+
+def _same_tables(left, right) -> bool:
+    """Whether R has L's action rows, pair classes and semiring tables."""
+    same = np.array_equal
+    return (same(right.value_rows, left.value_rows) and same(right.pair_rows, left.pair_rows)
+            and all(map(same, right.semiring.tables, left.semiring.tables)))
+
+
+def test_r_resolves_to_l_exactly_when_its_tables_are_ls(enum_instances):
+    """`resolve` reads commutativity alone; an explicitly built R has L's
+    tables on exactly the instances where "R" resolves to "L"."""
+    structures = [
+        *enum_instances,
+        *(core.zn_gamma(n) for n in range(5, 9)),
+        *(core.gamma_from_semiring(core.boolean_power_semiring(k)) for k in range(1, 5)),
+        build_boolean_by_chain(3),
+        INSTANCES["boolean[2x2]"](),
+        RUN_INSTANCES["z2[2x2]"](),
+    ]
+    resolved = Counter()
+    for g in structures:
+        left, right = (operators.build_operator_semiring(g, side) for side in ("left", "right"))
+        side = verify.Workspace(g).resolve("R")
+        assert (side == "L") == _same_tables(left, right), g.name
+        resolved[side] += 1
+    assert resolved["L"] and resolved["R"] == 3  # upper_triangular and the two matrix instances
+
+
+@pytest.mark.parametrize("instance,builds", [
+    ("z4", 0), ("from_B3", 0), ("upper_triangular", 1), ("boolean[2x2]", 1), ("z2[2x2]", 1),
+])
+def test_a_run_builds_r_of_the_base_only_when_it_is_not_l(monkeypatch, instance, builds):
+    """`run_all` builds R of the base once where the product is not
+    commutative, and never where it is; L is built once either way."""
+    structure, calls = RUN_INSTANCES[instance](), []
+    real = operators.build_operator_semiring
+
+    def counting(g, side, **kwargs):
+        calls.append((g, side))
+        return real(g, side, **kwargs)
+
+    for module in (verify, matrix):
+        monkeypatch.setattr(module, "build_operator_semiring", counting)
+    verify.run_all(structure, RunConfig(chain=CHAIN))
+    sides = [side for g, side in calls if g is structure]
+    assert (sides.count("left"), sides.count("right")) == (1, builds)
+
+
+def _left_identities():
+    """The gamma-semiring of ({0, 1, 2}, max, x*y = y for x != 0): every
+    nonzero element is a left identity and none a right one, so the product
+    is not commutative, L has a unity and R, with 3 elements to L's 2, has
+    none."""
+    join = tuple(tuple(max(i, j) for j in range(3)) for i in range(3))
+    mul = tuple(tuple(j if i else 0 for j in range(3)) for i in range(3))
+    return core.gamma_from_semiring(core.Semiring("left_identities", ("0", "1", "2"), join, mul))
+
+
+def test_a_non_commutative_base_reads_r_for_its_unity_and_its_matrix_iso():
+    """Where R is not L, the right unity is R's and matrix-iso[right] runs
+    on R: at n = 1 the matrix instance is the base, so its operator
+    semirings have L's 2 elements and R's 3."""
+    g, config = _left_identities(), RunConfig(chain=CHAIN, n=1)
+    ws = verify.Workspace(g, config)
+    assert ws.resolve("R") == "R" and (ws.left_unity, ws.right_unity) == (True, False)
+    reports = {r.suite: r for r in verify.run_all(g, config)}
+    assert {"left unity: present", "right unity: absent"} <= set(reports["prop3.4"].notes)
+    isos = [reports[f"matrix-iso[{side}]"] for side in ("left", "right")]
+    assert [(r.status, r.counts["operator_elements"]) for r in isos] == [(PASS, 2), (PASS, 3)]
+
+
+def test_a_closure_cap_names_l_in_every_gated_suite():
+    """On a commutative base R is L, so a closure cap below |L| gates every
+    suite that needs L or R with L's closure, prop3.4 included."""
+    reports = verify.run_all(core.zn_gamma(3), RunConfig(closure_cap=2))
+    gated = {r.suite: r.notes[0] for r in reports if "closure exceeds cap" in r.notes[0]}
+    assert list(gated) == [
+        "prop3.4", "th3.8[two]", "th3.8[right]", "lemmas", "th3.15[two]", "th3.15[right]", "th3.17",
+        "transfer-semifield",
+    ]
+    assert set(gated.values()) == {"z3/left: closure exceeds cap 2 elements"}
 
 
 def _clause_notes(body, starred: bool) -> list[str]:

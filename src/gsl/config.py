@@ -25,8 +25,8 @@ class RunConfig:
     enum_cap         max candidates for fuzzy-ideal enumeration
     closure_cap      max elements in an operator-semiring closure
     matrix_cap       max carrier size for a materialized matrix instance
-    surjectivity_cap max candidates for the matrix-side surjectivity
-                     enumeration before the check downgrades
+    surjectivity_cap max matrix-side candidates |chain|^(|carrier|-1) before
+                     th3.19's surjectivity count downgrades
     """
 
     chain: GradeChain = DEFAULT_CHAIN

@@ -330,8 +330,7 @@ class LevelCuts:
     it is empty or full, and its bits are arrays over the ids, each entry
     computed once; so the family tables (`sum_table`, `meet_table`,
     `le_table`), `ideal_rows`, `constant_rows` and `rank_array` are numpy
-    lookups indexed by families, and rows compare as opaque keys
-    (`distinct_rows`, `rows_in`).  Ids, not masks, so carriers wider than a
+    lookups indexed by families.  Ids, not masks, so carriers wider than a
     machine word work the same way.  The tables live as long as the
     instance, and the suites share one per structure for a whole run
     (`Workspace.level_cuts`).
@@ -483,20 +482,6 @@ class LevelCuts:
     def le_table(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, M) booleans: a_i <= b_j, for families a and b."""
         return self._lookup("le", a, b).all(axis=2)
-
-    @staticmethod
-    def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For an (R, m-1) id array: the index of the first row of each
-        distinct row, and for every row the place of its distinct row in
-        that list."""
-        return np.unique(core._row_keys(rows), return_index=True, return_inverse=True)[1:]
-
-    @staticmethod
-    def rows_in(rows: np.ndarray, family: np.ndarray) -> np.ndarray:
-        """(R,) booleans: whether each row of an (R, m-1) id array is a row of
-        the (non-empty) family, by binary search (np.isin imports numpy.ma)."""
-        known, keys = np.sort(core._row_keys(family)), core._row_keys(rows)
-        return known[np.searchsorted(known, keys).clip(max=len(known) - 1)] == keys
 
     def constant_rows(self, family: np.ndarray) -> np.ndarray:
         """(N,) booleans: whether each member is constant, every cut empty

@@ -33,8 +33,10 @@ th3.8 and th3.19, with the ids of the D crisp ideals of its kind: a family
 is by construction every descending multichain of those
 (`LevelCuts.fuzzy_ideals`).  Since the map acts cut by cut, a pair check
 holds on all N x N fuzzy pairs exactly when it holds on the D x D crisp
-pairs (`_failing_pair`), so a pass costs O(N m + D^2), and th3.8's
-injectivity and lattice closure are decided on the D crisp ideals too.
+pairs (`_failing_pair`), so a pass costs O(N m + D^2); the injectivity of
+prop3.4 and th3.8 and th3.8's lattice closure are decided on the D crisp
+ideals too, and the surjectivity of th3.8 and th3.19 by counting (only a
+failing one reads the families, for its witness: `_unmatched`).
 Once a crisp pair fails, a row-blocked scan of the N x N pairs finds the
 witness, stopping at the first block with a failure: the first failing
 pair in row-major order (in th3.8, with the first check that pair fails),
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import time
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,12 +108,12 @@ class Workspace:
     for the pair checks, the crisp image of each mask under each transfer
     map (kept by the source view), the semifield predicates and conditions (`fact`,
     `semifield_condition`), the matrix semiring over L or R
-    (`matrix_semiring`), and the verdicts of th3.8 and th3.15 (`decided`)
-    and prop3.4's clause rows.  A family is named by the structure it lives
-    on, "S" (the structure itself), "L", "R" or "M" (the matrix instance),
-    and by its ideal kind; kinds with equal absorption images on that
-    structure name one family (`LevelCuts.canonical`), so they share its
-    arrays, its images, its pair tables and the verdicts decided on them.
+    (`matrix_semiring`), and prop3.4's clause rows.  A family is named by
+    the structure it lives on, "S" (the structure itself), "L", "R" or "M"
+    (the matrix instance), and by its ideal kind; kinds with equal
+    absorption images on that structure name one family
+    (`LevelCuts.canonical`), so they share its arrays, its images and its
+    pair tables.
     Sides are keyed the same way: "R" resolves to "L" on a commutative
     base (`resolve`), so R is not built and shares L's view, families,
     pairs, images, unity and matrix semiring, while L and R hold the same
@@ -277,22 +280,6 @@ class Workspace:
         share, each computed once per run.  The function is looked up at
         the first call."""
         return self._once(("fact", name, side), lambda: getattr(core, name)(self.structure_on(side)))
-
-    def decided(self, suite: str, kind: str, counts: dict, notes: list, decide) -> Optional[dict]:
-        """decide(counts, notes), a suite's check between the ideals of the
-        kind on S and on L, run once for the kinds that name the same
-        families on both (`LevelCuts.canonical`): a later kind gets the first
-        one's counterexample, counts and notes, or its cap."""
-
-        def run():
-            own = ({}, [])
-            return decide(*own), *own
-
-        key = ("verdict", suite, self.level_cuts("S").canonical(kind), self.level_cuts("L").canonical(kind))
-        counterexample, more_counts, more_notes = self._once(key, run)
-        counts.update(more_counts)
-        notes += more_notes
-        return counterexample
 
     def semifield_condition(self, side: str) -> tuple[bool, Optional[np.ndarray]]:
         """The fuzzy semifield condition on the side's fuzzy ideals
@@ -462,6 +449,14 @@ def _scan(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
     return None
 
 
+def _unmatched(view: LevelCuts, family: np.ndarray, rows: np.ndarray) -> list[dict]:
+    """The grades of the first three members of the family, in family
+    order, that are not among the rows: a surjectivity witness."""
+    reached = set(map(tuple, rows.tolist()))
+    missing = (member for member in family.tolist() if tuple(member) not in reached)
+    return [view.subset(member).to_mapping() for member in islice(missing, 3)]
+
+
 _ClauseRow = tuple[str, str, Optional[dict], int]
 
 
@@ -485,7 +480,8 @@ def _clause_rows(
     images of masks, each applied to a whole family at once: the ideals
     (`Workspace.pairs`), then their images for the round trips.  Each
     per-ideal clause is one array operation on the families' id arrays and
-    witnesses its first failing row.  The pair clauses are decided by
+    witnesses its first failing row; injectivity (iii) is decided on the
+    crisp images (`_Pairs.injective`).  The pair clauses are decided by
     `_failing_pair` on the crisp ideals, and a failing one by the
     row-blocked `_scan`, which witnesses the first failing pair in
     row-major order.  A witness's grades are built from its row only.
@@ -497,8 +493,6 @@ def _clause_rows(
     ideals_op, restricted = restricts.family, restricts.images
     # restrict(lift(sigma)) and lift(restrict(mu)), for the round trips
     lifted_back, restricted_back = restricts.image(lifted), lifts.image(restricted)
-    first, where = LevelCuts.distinct_rows(lifted)
-    earlier = first[where]  # the index of the first lift equal to each
 
     def clause(cid, checked, scan, ok=True):
         """One row: precondition-unmet when the unity it rests on is absent,
@@ -554,12 +548,17 @@ def _clause_rows(
         lift_roundtrip_ok,
     )
 
-    # (iii) injectivity of the lift: the first lift equal to an earlier one
-    each(
-        "iii", ideals_s, lambda: earlier != np.arange(len(earlier)),
-        lambda k: {"sigma1": mapping(on_s, ideals_s[earlier[k]]), "sigma2": mapping(on_s, ideals_s[k])},
-        lift_roundtrip_ok,
-    )
+    # (iii) injectivity of the lift, decided on the crisp ideals (`_Pairs.injective`);
+    # the witness is the first lift equal to an earlier one, with that earlier one
+    def first_repeat():
+        first = {}
+        for k, row in enumerate(map(tuple, lifted.tolist())):
+            j = first.setdefault(row, k)
+            if j != k:
+                return {"sigma1": mapping(on_s, ideals_s[j]), "sigma2": mapping(on_s, ideals_s[k])}
+        return None
+
+    clause("iii", len(ideals_s), lambda: not lifts.injective and first_repeat(), lift_roundtrip_ok)
 
     # (iv) lift of a sum is the sum of lifts
     pairwise("iv", "sigma", lifts, _unhomomorphic("sum_table"))
@@ -643,9 +642,6 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
     def check(counts, notes):
         notes.append(chain_scope_note(chain))
         ws.require_unities()
-        return ws.decided("th3.8", kind, counts, notes, decide)
-
-    def decide(counts, notes):
         on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
         p = ws.pairs("L", "lift", kind)
         ideals_a, ideals_b, lifted = p.family, ws.fuzzy_family("L", kind), p.images
@@ -662,10 +658,10 @@ def verify_theorem_3_8(ws: Workspace, kind: str = "two") -> VerificationReport:
             return {"check": "image-is-ideal", "sigma": sigma, "lifted": image}
         if not p.injective:
             return {"check": "injective"}
-        # the lifts are distinct ideals of L, so they are all of them unless one is missed
-        missing = ideals_b[~LevelCuts.rows_in(ideals_b, lifted)]
-        if len(missing):
-            return {"check": "surjective", "unmatched": [on_l.subset(m).to_mapping() for m in missing[:3]]}
+        # exact: each lift reads sigma(0) = 1 at the zero operator, so the lifts
+        # are distinct members of L's finite family, and all of it when as many
+        if len(ideals_a) != len(ideals_b):
+            return {"check": "surjective", "unmatched": _unmatched(on_l, ideals_b, lifted)}
 
         # the first failing pair reports the first check it fails, in this order
         checks = {
@@ -766,9 +762,6 @@ def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
 
     def check(counts, notes):
         ws.require_unities()
-        return ws.decided("th3.15", kind, counts, notes, decide)
-
-    def decide(counts, notes):
         left = ws.left
         on_s, on_l = ws.level_cuts("S"), ws.level_cuts("L")
         A = ws.crisp_ideals("S", kind)

@@ -757,6 +757,44 @@ def fraction_semifield_condition(ideals):
 
 
 # ---------------------------------------------------------------------------
+# row references: the injectivity and surjectivity witnesses of prop3.4 (iii),
+# th3.8 and th3.19 by plain loops over rows (grade or cut tuples)
+
+
+def first_repeat(rows):
+    """The first (j, k) with rows[j] == rows[k] and j < k: the least such k,
+    and for it the least j; None when the rows are distinct."""
+    for k in range(len(rows)):
+        for j in range(k):
+            if rows[j] == rows[k]:
+                return j, k
+    return None
+
+
+def injectivity_row(ideals, lift, ok=True):
+    """prop3.4's clause (iii) row (clause, status, witness, checked) for the
+    ideals of S and a lift on fuzzy subsets, by `first_repeat` over the
+    grade tuples of the lifts; precondition-unmet when not ok."""
+    if not ok:
+        return ("iii", "precondition-unmet", None, 0)
+    repeat = first_repeat([lift(sigma).grades for sigma in ideals])
+    if repeat is None:
+        return ("iii", "pass", None, len(ideals))
+    witness = {"clause": "iii", **{f"sigma{i}": ideals[k].to_mapping() for i, k in enumerate(repeat, 1)}}
+    return ("iii", "fail", witness, len(ideals))
+
+
+def unmatched(family, rows):
+    """The first three members of the family, in family order, that are not
+    among the rows."""
+    missing = []
+    for member in family:
+        if len(missing) < 3 and member not in rows:
+            missing.append(member)
+    return missing
+
+
+# ---------------------------------------------------------------------------
 # pair-scan oracles: prop3.4's and th3.8's pair checks one pair at a time,
 # in row-major order, with the `Fraction` lattice operations
 
@@ -855,11 +893,10 @@ def _map_on_cuts(f, source, target):
 
 
 def _table_images(apply, source, target, table):
-    """The target ids of the image of each cell of an (N, M, m-1) id table."""
+    """The target ids of the image of each cell of an (N, M, m-1) id table;
+    `apply` maps each distinct operand once (`_map_on_cuts`)."""
     rows = table.reshape(-1, table.shape[-1])
-    first, inverse = source.distinct_rows(rows)
-    images = family(target, [apply(cuts) for cuts in members(source, rows[first])])
-    return images[inverse].reshape(table.shape)
+    return family(target, [apply(cuts) for cuts in members(source, rows)]).reshape(table.shape)
 
 
 def _first_true(table):

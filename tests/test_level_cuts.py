@@ -169,14 +169,6 @@ def test_tables_agree_past_one_machine_word(case):
     _agree_on_pairs(LevelCuts(WIDE, chain), subsets)
 
 
-def test_distinct_rows_gives_first_rows_and_their_places():
-    cuts = LevelCuts(WIDE, CHAINS[1])
-    ids = family(cuts, [(7, 3, 1), (7, 3, 3), (7, 3, 1), (1 << 127, 0, 0), (7, 3, 3)])
-    first, inverse = cuts.distinct_rows(ids)
-    assert sorted(first.tolist()) == [0, 1, 3]
-    assert (ids[first][inverse] == ids).all()
-
-
 def test_rank_array_unpacks_each_mask_once(monkeypatch):
     """`rank_array` keeps the bits of the masks it has unpacked and, on a
     later call, unpacks only the masks interned since; the ranks are the

@@ -1,13 +1,15 @@
 """The oracles must not call the library functions they are the reference
 for: the fuzzy sum and the ideal predicates run on `LevelCuts`, and an
-oracle built on them would check the level-cut engine against itself."""
+oracle built on them would check the level-cut engine against itself; the
+row references `first_repeat` and `unmatched` check the suites'
+`_unmatched` and `_Pairs.injective`."""
 
 import ast
 import re
 from pathlib import Path
 
 ORACLES = Path(__file__).parent / "oracles.py"
-ENGINE_NAMES = re.compile(r"fuzzy_sum|is_(fuzzy|crisp)_ideal_\w+")
+ENGINE_NAMES = re.compile(r"fuzzy_sum|is_(fuzzy|crisp)_ideal_\w+|_unmatched|injective")
 
 
 def _names(node: ast.AST) -> list[str]:
@@ -42,8 +44,12 @@ def test_the_guard_sees_every_way_of_naming_them():
         "fuzzy.is_fuzzy_ideal_gamma(g, mu)\n"
         "is_crisp_ideal_semiring(r, s)\n"
         "naive_fuzzy_sum(a, b) and naive_is_crisp_ideal_gamma(g, m, k)\n"
+        "from gsl.verify import _unmatched\n"
+        "verify._unmatched(view, family, rows) or pairs.injective\n"
+        "unmatched(family, rows) and first_repeat(rows) and not_injective\n"
     )
     names = [name for node in ast.walk(ast.parse(source)) for name in _names(node) if ENGINE_NAMES.fullmatch(name)]
     assert sorted(names) == sorted([
         "fuzzy_sum", "is_crisp_ideal_gamma", "is_fuzzy_ideal_semiring", "is_fuzzy_ideal_gamma", "is_crisp_ideal_semiring",
+        "_unmatched", "_unmatched", "injective",
     ])

@@ -23,6 +23,7 @@ import oracles
 from oracles import (
     cuts_of,
     fuzzy_family,
+    injectivity_row,
     install_map,
     mask_map,
     members,
@@ -129,16 +130,17 @@ def _pair_rows(rows):
 @pytest.mark.parametrize("perturbation", PERTURBATIONS)
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instance, perturbation):
-    """Both sides' pair rows equal both oracles', and the body built with
-    the oracle's pair rows in place of the suite's is the suite's, with
-    scan blocks of any size.  A pair clause reaches the row-block scan
-    exactly when it fails on a crisp pair.  prop3.4 decides a side's rows
-    once per run, so each run is a run of its own."""
+    """Both sides' pair rows equal both oracles', and their injectivity
+    rows (iii) the plain reference's, and the body built with the oracles'
+    rows in place of the suite's is the suite's, with scan blocks of any
+    size.  A pair clause reaches the row-block scan exactly when it fails
+    on a crisp pair.  prop3.4 decides a side's rows once per run, so each
+    run is a run of its own."""
     chain, lift_moves, restrict_moves = PERTURBATIONS[perturbation]
     ws = _workspace(instance, chain)
     _perturb(monkeypatch, ws, lift_moves, restrict_moves)
     real_rows = verify._clause_rows
-    compared = []
+    compared, injective = [], []
     paths = _record_paths(monkeypatch)
 
     def oracle_rows(ws, side, lift_roundtrip_ok, restrict_roundtrip_ok):
@@ -148,8 +150,10 @@ def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instanc
             fuzzy_family(ws, "S"), fuzzy_family(ws, side), lift, restrict
         )
         compared.append((_pair_rows(rows), oracle, table_pair_clause_rows(ws, side, lift, restrict)))
+        iii = injectivity_row(fuzzy_family(ws, "S"), lift, lift_roundtrip_ok)
+        injective.append((next(row for row in rows if row[0] == "iii"), iii))
         pairs = iter(oracle)
-        return [next(pairs) if row[0].rstrip("*") in PAIR_CLAUSES else row for row in rows]
+        return [next(pairs) if row[0].rstrip("*") in PAIR_CLAUSES else iii if row[0] == "iii" else row for row in rows]
 
     actual, suite_paths = [], []
     for cells in SCAN_CELLS:  # a fresh workspace for each block size
@@ -160,9 +164,12 @@ def test_prop34_pair_rows_and_body_match_the_reference_scan(monkeypatch, instanc
     monkeypatch.setattr(verify, "_clause_rows", oracle_rows)
     expected = verify.verify_prop_3_4(_workspace(instance, chain)).body()
     assert actual == [expected] * len(SCAN_CELLS)
-    assert len(compared) == 2  # the L side and the R side
+    assert len(compared) == len(injective) == 2  # the L side and the R side
     for rows, oracle, table in compared:
         assert rows == oracle == table
+    for row, reference in injective:
+        assert row == reference
+        assert (row[1] == FAIL) == (perturbation == "merge-both")  # the merge maps two ideals as one
     # per side: iv, v and vi on the lift, ix on the restriction
     scans = ["scan" if status == FAIL else "crisp" for rows, _, _ in compared for _, status, _, _ in rows]
     assert suite_paths == [scans] * len(SCAN_CELLS)

@@ -18,17 +18,22 @@ from oracles import (
     cuts_of,
     family,
     first_failing_pair,
+    first_repeat,
     fraction_semifield_condition,
     fuzzy_family,
+    injectivity_row,
     install_map,
     mask_map,
+    naive_matrix_lift,
     subset_map,
     table_pair_clause_rows,
+    unmatched,
 )
 
 HALF = Fraction(1, 2)
 CHAIN = GradeChain.of(0, HALF, 1)
 CRISP = GradeChain.of(0, 1)
+CHAINS = tuple(GradeChain.parse(c) for c in ("0,1", "0,1/2,1", "0,1/4,1/2,1"))
 
 
 def ws(structure, **config):
@@ -37,18 +42,13 @@ def ws(structure, **config):
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("suite, decides", [
-        (verify.verify_theorem_3_8, "_failing_pair"), (verify.verify_theorem_3_15, "first_failure"),
-    ])
-    def test_right_reuses_the_two_verdict_when_the_families_agree(self, monkeypatch, gb, upper_triangular,
-                                                                  suite, decides):
+    @pytest.mark.parametrize("suite", [verify.verify_theorem_3_8, verify.verify_theorem_3_15])
+    def test_right_reuses_the_two_verdict_when_the_families_agree(self, gb, upper_triangular, suite):
         """On a commutative instance "right" names the "two" families on S
-        and on L, so the [right] report is the [two] one under its own name,
-        and the check runs once; on upper_triangular the families differ
-        and each kind is checked.  A cap gives both kinds the same body."""
-        calls = []
-        real = getattr(verify, decides)
-        monkeypatch.setattr(verify, decides, lambda *args: calls.append(1) or real(*args))
+        and on L, so the [right] report, checked on the same families and
+        pairs, is the [two] one under its own name; on upper_triangular the
+        families differ, and so do the reports.  A cap gives both kinds the
+        same body."""
 
         def bodies(g, **config):
             w = ws(g, **config)
@@ -57,9 +57,8 @@ class TestWorkspace:
 
         two, right = bodies(gb)
         assert two == right and two["status"] == PASS
-        once = len(calls)
         two, right = bodies(upper_triangular)
-        assert len(calls) == 3 * once
+        assert two != right and two["status"] == right["status"] == PASS
         capped = bodies(gb, enum_cap=1, closure_cap=1)
         assert capped[0] == capped[1] and capped[0]["status"] == UNMET
         capped = bodies(gb, enum_cap=1)
@@ -125,14 +124,69 @@ class TestProp34:
         assert {"ii", "iii", "i-nonconstant", "vii-nonconstant", "viii"} <= gated
 
 
+def _thinned(w, side="S"):
+    """The workspace with every other member of each fuzzy family of a side
+    dropped: the lifts of the rest are ideals and distinct, but not onto."""
+    real = w.fuzzy_family
+    w.fuzzy_family = lambda s, kind="two": real(s, kind)[::2] if s == side else real(s, kind)
+    return w
+
+
+def _surjective(family, lifts):
+    """The surjectivity verdict and witness for a family of fuzzy subsets
+    and the lifts, by the plain reference `unmatched` over grade tuples."""
+    rows = [mu.grades for mu in family]
+    missing = unmatched(rows, [mu.grades for mu in lifts])
+    return missing and {"check": "surjective", "unmatched": [family[rows.index(m)].to_mapping() for m in missing]}
+
+
 class TestTheorem38:
     @pytest.mark.parametrize("kind", ["two", "right"])
-    def test_bijection_counts(self, gb, z2, z4, kind):
+    def test_bijection_counts(self, monkeypatch, gb, z2, z4, enum_instances, kind):
+        """th3.8 passes with as many ideals on S as on L.  On each instance
+        with both unities and each chain, its surjectivity verdict and
+        witness with S's family thinned, and its injectivity verdict and
+        prop3.4's (iii) row with the lift of the least non-zero crisp ideal
+        merged into the lift of {0}, are the plain references' (`unmatched`,
+        `first_repeat`)."""
         for g, count in ((gb, 3), (z2, 3), (z4, 6)):
             report = verify.verify_theorem_3_8(ws(g), kind)
             assert report.status == PASS, report.counterexample
             assert report.counts["fuzzy_ideals_S"] == count
             assert report.counts["fuzzy_ideals_L"] == count
+        from_b3 = core.gamma_from_semiring(core.boolean_power_semiring(3))
+        for g in (*enum_instances, from_b3):
+            for chain in CHAINS:
+                with monkeypatch.context() as patch:
+                    self._match_the_references(patch, g, chain, kind)
+
+    @staticmethod
+    def _match_the_references(monkeypatch, g, chain, kind):
+        def workspace():
+            return verify.Workspace(g, RunConfig(chain=chain))
+
+        w = workspace()
+        unities = w.left_unity and w.right_unity
+        ideals_s, ideals_l = fuzzy_family(w, "S", kind), fuzzy_family(w, "L", kind)
+        lift = subset_map(chain, "lift", w.left, verify._MAPS["L", "lift"])
+        report = verify.verify_theorem_3_8(w, kind)
+        assert report.status == (PASS if unities else UNMET), (g.name, chain)
+        if unities:
+            assert report.counts["fuzzy_ideals_S"] == report.counts["fuzzy_ideals_L"] == len(ideals_l)
+            expected = _surjective(ideals_l, map(lift, ideals_s[::2]))
+            assert expected and verify.verify_theorem_3_8(_thinned(workspace()), kind).counterexample == expected
+
+        # a monotone merge: no crisp ideal of the kind lies strictly between {0} and the next one
+        bottom, atom = w.crisp_ideals("S", kind)[:2]
+        real = mask_map("lift", w.left, verify._MAPS["L", "lift"])
+        install_map(monkeypatch, "L", "lift", lambda op, mask: real(bottom if mask == atom else mask))
+        merged = workspace()
+        lift = subset_map(chain, "lift", merged.left, verify._MAPS["L", "lift"])
+        iii = next(row for row in verify._clause_rows(merged, "L", merged.right_unity, True) if row[0] == "iii")
+        assert iii == injectivity_row(fuzzy_family(merged, "S"), lift, merged.right_unity), (g.name, chain)
+        if unities:
+            assert first_repeat([lift(sigma).grades for sigma in ideals_s]) is not None
+            assert verify.verify_theorem_3_8(merged, kind).counterexample == {"check": "injective"}
 
     def test_unity_gate(self, zero_product):
         report = verify.verify_theorem_3_8(ws(zero_product), "two")
@@ -1035,10 +1089,25 @@ class TestFailPathBodies:
                 "notes": [TestTheorem38PairBodies.SCOPE],
             }, cells
 
-    def test_th319_surjective(self, monkeypatch, gb):
+    def test_th319_surjective(self, monkeypatch, gb, z2):
         """A matrix-side family with a fourth member, grade 1 on m0 and m1
         and 1/2 elsewhere: the lifts are distinct ideals ordered as the base
-        ideals are, but that member is no lift."""
+        ideals are, but that member is no lift.  And on boolean[2x2] and
+        z2[2x2], on each chain, with the cap lifted: th3.19 passes with as
+        many matrix ideals as the plain enumeration, and with the base
+        family thinned its verdict and witness are the plain reference's
+        (`unmatched`) on the entrywise-min lifts."""
+        for base in (gb, z2):
+            for chain in CHAINS:
+                config = RunConfig(chain=chain, surjectivity_cap=len(chain) ** 15)
+                mg = verify.Workspace(base, config).matrix
+                ideals_m = fuzzy.enumerate_fuzzy_ideals(mg.gamma, chain, cap=config.surjectivity_cap)
+                report = matrix.verify_theorem_3_19(verify.Workspace(base, config))
+                assert report.status == PASS and report.counts["fuzzy_ideals_matrix"] == len(ideals_m)
+                thinned = _thinned(verify.Workspace(base, config))
+                expected = _surjective(ideals_m, [naive_matrix_lift(mg, mu) for mu in fuzzy_family(thinned, "S")[::2]])
+                assert expected and matrix.verify_theorem_3_19(thinned).counterexample == expected
+
         w = ws(gb)
         view = w.level_cuts("M")
         real = view.fuzzy_ideals

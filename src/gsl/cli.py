@@ -109,10 +109,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except gsr.GsrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (core.StructuralError, core.CapExceeded, ValueError) as exc:
+    except (core.StructuralError, core.CapExceeded, ValueError) as exc:  # gsr.GsrError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,11 @@ greedy additive generators instead, with the same outcome (see the comment
 above the validators for the size rule and why it is sound).
 ``recheck_violation`` re-evaluates a witness with plain table arithmetic,
 independently of the vectorised path.
+
+Crisp subsets are int bitmasks, and every layer asks its crisp questions of
+one kernel here: ``close`` (the least ideal holding an ideal and one more
+element), ``_set_sum``, ``_is_closed`` (closed under addition and a kind's
+``_absorption_images``) and the mask <-> bit-row codec ``_to_bits``/``_to_masks``.
 """
 
 from __future__ import annotations
@@ -356,6 +361,9 @@ def _index_dtype(*sizes: int) -> np.dtype:
 
 
 def _first_witness(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The first true cell of a boolean array in row-major order, the order
+    nested loops over its axes, the first outermost, meet it in; None when
+    no cell is true."""
     if not mask.any():
         return None
     return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
@@ -613,6 +621,41 @@ def close(add, image, ideal: int, x: int) -> int:
     return ideal
 
 
+def _bits(mask: int) -> list[int]:
+    """The elements of a mask, ascending."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def _set_sum(add, u: int, v: int) -> int:
+    """The set sum {x + y : x in u, y in v} of two masks; `add` holds
+    Python ints, as for `close`."""
+    total, vs = 0, _bits(v)
+    for x in _bits(u):
+        row = add[x]
+        for y in vs:
+            total |= 1 << row[y]
+    return total
+
+
+def _is_closed(add, image, mask: int) -> bool:
+    """Whether the mask is closed under addition and contains image[x], a
+    mask, for each member x: with the absorption images of a kind, whether
+    it is an ideal of the kind once it holds 0."""
+    return not _set_sum(add, mask, mask) & ~mask and not any(image[x] & ~mask for x in _bits(mask))
+
+
+def _to_bits(masks: list[int], n: int) -> np.ndarray:
+    """The (len(masks), n) 0/1 bits of masks, element x in column x."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
+
+
+def _to_masks(bits: np.ndarray) -> list[int]:
+    """The masks of the rows of a 0/1 array, inverse to `_to_bits`."""
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(bits, axis=1, bitorder="little")]
+
+
 def _absorption_images(structure, kind: str) -> list[int]:
     """Per element x, the bitmask of every product that an ideal of the kind
     ("left", "right" or "two") containing x must also contain."""
@@ -634,8 +677,7 @@ def _absorption_images(structure, kind: str) -> list[int]:
         hit[x[None, None, :], products] = True
     if kind in ("right", "two"):
         hit[x[:, None, None], products] = True
-    rows = np.packbits(hit, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return _to_masks(hit)
 
 
 def semifield_witness(r: Semiring) -> Optional[tuple[int, ...]]:
@@ -647,7 +689,7 @@ def semifield_witness(r: Semiring) -> Optional[tuple[int, ...]]:
     for x in range(1, n):
         ideal = close(add, images, bottom, x)
         if ideal != (1 << n) - 1:
-            return tuple(i for i in range(n) if ideal >> i & 1)
+            return tuple(_bits(ideal))
     return None
 
 

@@ -31,10 +31,12 @@ it, as one array: ranks order the elements as their grades do, so a
 comparison of grades is decided on them.  ``LevelCuts.subset`` turns ranks
 into grades only where a suite needs a ``FuzzySubset``, for a witness.
 
-The public ``Fraction`` API decides on level cuts as well: the predicates
-``is_*_ideal_*`` and ``fuzzy_sum`` read their operands as cuts on a view
-over the operands' own grades (``_cut_rows``) and call ``ideal_rows`` and
-``sum_rows``, so a fuzzy ideal and a fuzzy sum are defined once.
+Every ideal test and fuzzy sum, in the suites and in the public API, comes
+down to two crisp questions that ``core`` answers for every layer: is a
+mask closed under addition and a kind's absorption (``core._is_closed``),
+and what is the set sum of two masks (``core._set_sum``).  The public
+``Fraction`` API asks them directly on its operands' cuts, one per distinct
+positive grade (``_cuts_closed``, ``fuzzy_sum``), with no view built.
 ``fuzzy_intersection`` and ``FuzzySubset.__le__`` are pointwise one-liners.
 ``as_grade`` returns a ``Fraction`` it is given as it is, after an integer
 range check, so a subset built from grades that already exist makes no new
@@ -202,7 +204,7 @@ class CrispSubset:
 
     @classmethod
     def of_mask(cls, carrier, mask: int) -> "CrispSubset":
-        return cls(carrier_of(carrier), frozenset(_bits(mask)))
+        return cls(carrier_of(carrier), frozenset(core._bits(mask)))
 
     @classmethod
     def of_ids(cls, carrier, ids: Iterable[str]) -> "CrispSubset":
@@ -291,20 +293,25 @@ def fuzzy_intersection(subsets: Sequence[FuzzySubset]) -> FuzzySubset:
     return FuzzySubset(c, tuple(min(col) for col in zip(*(s.grades for s in subsets))))
 
 
+def _cut(mu: FuzzySubset, c: Fraction) -> int:
+    """The level cut {x : mu(x) >= c} as a mask."""
+    return sum(1 << x for x, g in enumerate(mu.grades) if g >= c)
+
+
 def fuzzy_sum(mu1: FuzzySubset, mu2: FuzzySubset) -> FuzzySubset:
     """(mu1 (+) mu2)(x) = max over decompositions x = u + v of min(mu1(u), mu2(v)):
-    cut by cut, the set sum of the operands' cuts at each level
-    (`LevelCuts.sum_rows`)."""
-    view, rows = _cut_rows(_require_same_carrier(mu1, mu2), [mu1, mu2])
-    return view.subset(view.sum_rows(rows[:1], rows[1:])[0])
+    cut by cut, the set sum of the operands' cuts at each of their positive
+    grades (`core._set_sum`), x getting the largest grade whose sum holds it."""
+    c = _require_same_carrier(mu1, mu2)
+    grades = [_ZERO] * c.size
+    for g in sorted({*mu1.grades, *mu2.grades} - {0}):
+        for x in core._bits(core._set_sum(c.add, _cut(mu1, g), _cut(mu2, g))):
+            grades[x] = g
+    return FuzzySubset(c, tuple(grades))
 
 
 # ---------------------------------------------------------------------------
 # level cuts (what the suites compute on)
-
-
-def _bits(mask: int) -> list[int]:
-    return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 class LevelCuts:
@@ -328,8 +335,9 @@ class LevelCuts:
     set sum, intersection and inclusion of every pair of the D masks seen
     so far are dense D x D tables, and a mask's ideal-ness per kind, whether
     it is empty or full, and its bits are arrays over the ids, each entry
-    computed once; so the family tables (`sum_table`, `meet_table`,
-    `le_table`), `ideal_rows`, `constant_rows` and `rank_array` are numpy
+    computed once with `core`'s crisp-set kernel; so the family tables
+    (`sum_table`, `meet_table`, `le_table`), `ideal_rows`, `constant_rows`
+    and `rank_array` are numpy
     lookups indexed by families.  Ids, not masks, so carriers wider than a
     machine word work the same way.  The tables live as long as the
     instance, and the suites share one per structure for a whole run
@@ -348,8 +356,7 @@ class LevelCuts:
     The view owns the structure's ideal families: `crisp_ideals` gives the
     crisp ideals of a kind as masks, enumerated once per distinct absorption
     images, and `fuzzy_ideals` their descending multichains as a family, so
-    no enumerated fuzzy ideal is cut again.  The left and right images are
-    built once and the two-sided ones are their union; kinds with equal
+    no enumerated fuzzy ideal is cut again.  Kinds with equal absorption
     images share their crisp ideals and their ideal tests (`canonical`).
     """
 
@@ -372,7 +379,7 @@ class LevelCuts:
 
     def ids(self, mask: int) -> list[str]:
         """The ids of the elements of a mask, in carrier order."""
-        return [self.carrier.ids[x] for x in _bits(mask)]
+        return [self.carrier.ids[x] for x in core._bits(mask)]
 
     # -- family tables
 
@@ -397,19 +404,13 @@ class LevelCuts:
             self._per_id[key] = done = new if done is None else np.concatenate([done, new])
         return done
 
-    def _unpacked(self, masks: list[int]) -> np.ndarray:
-        """The (len(masks), n) bits of the masks, element x in column x."""
-        n, width = self.carrier.size, (self.carrier.size + 7) // 8
-        packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8)
-        return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
-
     def rank_array(self, family: np.ndarray) -> np.ndarray:
         """The (N, n) ranks of the members of an (N, m-1) id array, in the
         smallest unsigned dtype that holds m-1.  The rank r of x is the
         number of cuts containing x, so x has grade c_r, and ranks order the
         elements as their grades do, because the chain is strictly
         increasing."""
-        bits = self._by_id("bits", self._unpacked)
+        bits = self._by_id("bits", lambda masks: core._to_bits(masks, self.carrier.size))
         ranks = np.zeros((len(family), self.carrier.size), dtype=np.min_scalar_type(len(self.chain) - 1))
         for column in family.T:
             ranks += bits[column]
@@ -420,25 +421,12 @@ class LevelCuts:
         far, indexed by id and kept under `key`: crisp_map takes the (D, n)
         bits of D masks to the (D, n') bits of their images, and is handed
         only the masks seen since the last call."""
-
-        def compute(masks: list[int]) -> np.ndarray:
-            packed = np.packbits(crisp_map(self._unpacked(masks)), axis=1, bitorder="little")
-            return target.mask_ids([int.from_bytes(row.tobytes(), "little") for row in packed])
-
-        return self._by_id(key, compute)
-
-    def _set_sum(self, u: int, v: int) -> int:
-        add, total = self.carrier.add, 0
-        vs = _bits(v)
-        for x in _bits(u):
-            row = add[x]
-            for y in vs:
-                total |= 1 << row[y]
-        return total
+        return self._by_id(key, lambda masks: target.mask_ids(
+            core._to_masks(crisp_map(core._to_bits(masks, self.carrier.size)))))
 
     def _cell(self, op: str, u: int, v: int):
         if op == "sum":
-            return self._intern(self._set_sum(u, v))
+            return self._intern(core._set_sum(self.carrier.add, u, v))
         if op == "meet":
             return self._intern(u & v)
         return not u & ~v  # "le": u is a subset of v
@@ -467,14 +455,6 @@ class LevelCuts:
         """(N, M, m-1) ids: the cuts of a_i (+) b_j, for families a and b."""
         return self._lookup("sum", a, b)
 
-    def sum_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(N, m-1) ids: the cuts of a_i (+) b_i, for two families of N
-        members, each cut the set sum of the two cuts at its level; no
-        table is filled."""
-        masks = self._masks
-        sums = [self._set_sum(masks[u], masks[v]) for u, v in zip(a.ravel().tolist(), b.ravel().tolist())]
-        return self.mask_ids(sums).reshape(a.shape)
-
     def meet_table(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, M, m-1) ids: the cuts of a_i /\\ b_j, for families a and b."""
         return self._lookup("meet", a, b)
@@ -493,11 +473,8 @@ class LevelCuts:
 
     @cached_property
     def _images(self) -> dict[str, list[int]]:
-        """The absorption images of each kind: the left and the right ones,
-        built once, and the two-sided one, their union (as
-        `core._absorption_images` builds it)."""
-        left, right = (core._absorption_images(self.structure, kind) for kind in ("left", "right"))
-        return {"left": left, "right": right, "two": [a | b for a, b in zip(left, right)]}
+        """The absorption images of each kind (`core._absorption_images`)."""
+        return {kind: core._absorption_images(self.structure, kind) for kind in KINDS}
 
     @cached_property
     def _canonical(self) -> dict[str, str]:
@@ -561,10 +538,9 @@ class LevelCuts:
         mask tested once per distinct absorption images (`canonical`).  A
         crisp ideal is the one-cut case."""
         kind = self.canonical(kind)
-        image = self._images[kind]
-        closed = self._by_id(("closed", kind), lambda masks: np.array([
-            not self._set_sum(m, m) & ~m and not any(image[x] & ~m for x in _bits(m)) for m in masks
-        ], dtype=bool))
+        add, image = self.carrier.add, self._images[kind]
+        closed = self._by_id(("closed", kind), lambda masks: np.array(
+            [core._is_closed(add, image, m) for m in masks], dtype=bool))
         return closed[family].all(axis=1) & (family[:, 0] != self._id.get(0, -1))
 
 
@@ -578,25 +554,21 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def _cut_rows(structure, subsets: Sequence[FuzzySubset]) -> tuple[LevelCuts, np.ndarray]:
-    """A level-cut view of the structure on the subsets' own grades, 0 and
-    1, and the (N, m-1) ids of the subsets' cuts on it, cut k the elements
-    of grade c_k or more.  The chain keeps the subsets' grade objects."""
-    chain = GradeChain.of(*(g for mu in subsets for g in mu.grades), 0, 1)
-    view = LevelCuts(structure, chain)
-    cuts = [sum(1 << x for x, g in enumerate(mu.grades) if g >= c) for mu in subsets for c in chain.grades[1:]]
-    return view, view.mask_ids(cuts).reshape(len(subsets), len(chain) - 1)
-
-
-def _is_ideal(structure, mu: FuzzySubset, kind: str) -> bool:
-    view, rows = _cut_rows(structure, [mu])
-    return bool(view.ideal_rows(rows, kind)[0])
+def _cuts_closed(structure, mu: FuzzySubset, kind: str) -> bool:
+    """Whether some grade of mu is positive and its cut at each positive
+    grade is closed under the structure's addition and absorbs the kind's
+    products (`core._is_closed`): whether mu is a fuzzy ideal of the kind,
+    by the level-subset theorem, as a cut at any other positive grade is
+    one of these or empty."""
+    add, image = carrier_of(structure).add, core._absorption_images(structure, kind)
+    grades = set(mu.grades) - {0}
+    return bool(grades) and all(core._is_closed(add, image, _cut(mu, g)) for g in grades)
 
 
 def is_fuzzy_ideal_gamma(g: core.GammaSemiring, mu: FuzzySubset, kind: str = "two") -> bool:
     """mu(x+y) >= min(mu x, mu y) plus the kind-appropriate absorption:
     left: mu(x@y) >= mu(y); right: mu(x@y) >= mu(x); two: both.  Decided on
-    mu's level cuts (`LevelCuts.ideal_rows`).
+    mu's level cuts (`_cuts_closed`).
 
     Also requires mu nonempty (some grade positive).  The mu(0)=1 convention
     is enforced only at enumeration time, not here.
@@ -604,7 +576,7 @@ def is_fuzzy_ideal_gamma(g: core.GammaSemiring, mu: FuzzySubset, kind: str = "tw
     _check_kind(kind)
     if mu.carrier != carrier_of(g):
         raise ValueError("fuzzy subset does not live on this gamma-semiring's carrier")
-    return _is_ideal(g, mu, kind)
+    return _cuts_closed(g, mu, kind)
 
 
 def is_fuzzy_ideal_semiring(r: core.Semiring, mu: FuzzySubset, kind: str = "two") -> bool:
@@ -612,20 +584,20 @@ def is_fuzzy_ideal_semiring(r: core.Semiring, mu: FuzzySubset, kind: str = "two"
     _check_kind(kind)
     if mu.carrier != carrier_of(r):
         raise ValueError("fuzzy subset does not live on this semiring's carrier")
-    return _is_ideal(r, mu, kind)
+    return _cuts_closed(r, mu, kind)
 
 
 def is_crisp_ideal_gamma(g: core.GammaSemiring, subset: CrispSubset, kind: str = "two") -> bool:
     """Contains 0, closed under addition, absorbs the ternary product per
     kind: contains 0 and its characteristic function is a fuzzy ideal."""
     _check_kind(kind)
-    return 0 in subset.members and _is_ideal(g, characteristic(subset), kind)
+    return 0 in subset.members and _cuts_closed(g, characteristic(subset), kind)
 
 
 def is_crisp_ideal_semiring(r: core.Semiring, subset: CrispSubset, kind: str = "two") -> bool:
     """Semiring analogue of is_crisp_ideal_gamma."""
     _check_kind(kind)
-    return 0 in subset.members and _is_ideal(r, characteristic(subset), kind)
+    return 0 in subset.members and _cuts_closed(r, characteristic(subset), kind)
 
 
 # ---------------------------------------------------------------------------

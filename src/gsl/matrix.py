@@ -50,7 +50,7 @@ import numpy as np
 
 from . import core
 from .operators import OperatorSemiring, build_operator_semiring
-from .report import VerificationReport, chain_scope_note, first_cell
+from .report import VerificationReport, chain_scope_note
 
 if TYPE_CHECKING:  # the suites below take the run's Workspace, which builds on this module
     from .verify import Workspace
@@ -267,7 +267,7 @@ def check_operator_matrix_iso(ws: Workspace, side: str) -> VerificationReport:
         row, col = image[:, None], image[None, :]
         (add, mul), (mat_add, mat_mul) = op_matrix.semiring.tables, mat_over_op.tables
         add_bad = image[add] != mat_add[row, col]
-        cell = first_cell(add_bad | (image[mul] != mat_mul[row, col]))
+        cell = core._first_witness(add_bad | (image[mul] != mat_mul[row, col]))
         if cell:
             failed = "addition" if add_bad[cell] else "multiplication"
             return {"check": failed, "elements": [f"f{cell[0]}", f"f{cell[1]}"]}

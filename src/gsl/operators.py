@@ -151,9 +151,7 @@ class OperatorSemiring:
         return sum(1 << x for x, pairs in enumerate(self.pair_masks) if not pairs & ~mask)
 
     def _image_contained(self, mask: int) -> int:
-        members = [x for x in range(len(self.base.S)) if mask >> x & 1]
-        sums = self.base.tables[0][np.ix_(members, members)].ravel().tolist()
-        closed = all(mask >> y & 1 for y in sums)
+        closed = not core._set_sum(self.base.addS, mask, mask) & ~mask
         inside = 0
         for i, (image, closure) in enumerate(zip(self.image_masks, self.closure_masks)):
             if closed and (not closure & ~mask) != (not image & ~mask):

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-import numpy as np
-
 from .fuzzy import GradeChain, format_grade
 
 __all__ = [
@@ -22,7 +20,6 @@ __all__ = [
     "VerificationReport",
     "chain_scope_note",
     "first_failure",
-    "first_cell",
 ]
 
 PASS = "pass"
@@ -48,13 +45,6 @@ def first_failure(check: Callable[..., object], *columns: Iterable) -> object:
     this first failure as their counterexample, so the scan order is part of
     the report body."""
     return next(filter(None, map(check, *columns)), None)
-
-
-def first_cell(failing: np.ndarray) -> Optional[tuple[int, int]]:
-    """The first true cell of an (N, M) table in row-major order, the order
-    a scan of the pairs (i, j), i the outer loop, meets it in."""
-    hits = np.flatnonzero(failing)
-    return divmod(int(hits[0]), failing.shape[1]) if hits.size else None
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ from .report import (
     UNMET,
     VerificationReport,
     chain_scope_note,
-    first_cell,
     first_failure,
 )
 from .transfer import min_ranks
@@ -443,7 +442,7 @@ def _scan(p: _Pairs, check: _PairCheck) -> Optional[tuple[int, int]]:
     of the rows scanned are mapped."""
     n, width = p.family.shape
     for rows in core._blocks(n, n * width, _SCAN_CELLS):
-        cell = first_cell(check(p, p.family[rows], p.family, p.images[rows], p.images, p.image))
+        cell = core._first_witness(check(p, p.family[rows], p.family, p.images[rows], p.images, p.image))
         if cell:
             return rows.start + cell[0], cell[1]
     return None
@@ -799,7 +798,7 @@ def verify_theorem_3_15(ws: Workspace, kind: str = "two") -> VerificationReport:
             return failure
         counts["pairs_checked"] = len(A) ** 2
         a, b = on_s.mask_ids(A)[:, None], on_l.mask_ids(images)[:, None]
-        pair = first_cell(on_s.le_table(a, a) != on_l.le_table(b, b))
+        pair = core._first_witness(on_s.le_table(a, a) != on_l.le_table(b, b))
         return pair and {
             "check": "inclusion-both-ways", "ideal1": on_s.ids(A[pair[0]]), "ideal2": on_s.ids(A[pair[1]]),
         }

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import build_boolean_by_chain, build_one_element, build_upper_triangular, replaced
 from gsl import core
+from gsl.fuzzy import GradeChain, LevelCuts
 from gsl.matrix import build_matrix_gamma, matrix_semiring
 from gsl.operators import SIDES, build_operator_semiring
 from oracles import (
@@ -16,6 +17,7 @@ from oracles import (
     loop_mul_commutative,
     loop_semifield_inverse_view,
     loop_zdf_witness,
+    naive_absorption_images,
     naive_gamma_violations,
     naive_is_commutative,
     naive_is_gamma_semifield,
@@ -492,6 +494,54 @@ class TestPredicates:
         )
         assert core.validate_semiring(no_identity).ok
         assert core.semifield_inverse_view(no_identity) is None
+
+
+class TestCrispKernel:
+    """The crisp-set kernel every ideal test and fuzzy sum comes down to,
+    against sets: `core._set_sum` against a set sum written out pair by
+    pair, `core._is_closed` against closedness read off the sets of sums
+    and of `naive_absorption_images`, and the mask <-> bits codec."""
+
+    def test_set_sum_and_closedness_against_sets(self, enum_instances, gb):
+        """Every subset of each enumerator fixture (upper_triangular is the
+        non-commutative one), and on boolean[2x2] (16 elements, not
+        commutative) a seeded sample plus its crisp ideals, for all three
+        kinds; each subset is summed with every subset of a carrier of up
+        to 4 elements, else with a sample."""
+        rng = random.Random(0)
+        b2x2 = build_matrix_gamma(gb, 2).gamma
+        cases = [(g, list(range(2 ** len(g.S)))) for g in enum_instances]
+        view = LevelCuts(b2x2, GradeChain.of(0, 1))
+        ideals = [mask for kind in ("left", "right", "two") for mask in view.crisp_ideals(kind)]
+        cases.append((b2x2, [rng.getrandbits(16) for _ in range(300)] + ideals))
+        seen = set()
+        for g, masks in cases:
+            add, n = g.addS, len(g.S)
+            sets = {mask: frozenset(x for x in range(n) if mask >> x & 1) for mask in masks}
+            images = {kind: naive_absorption_images(g, kind) for kind in ("left", "right", "two")}
+            for u in masks:
+                for v in masks if len(masks) <= 16 else rng.sample(masks, 8):
+                    want = {add[x][y] for x in sets[u] for y in sets[v]}
+                    assert core._set_sum(add, u, v) == sum(1 << z for z in want), (g.name, u, v)
+                members = sets[u]
+                sums = {add[x][y] for x in members for y in members}
+                for kind, image in images.items():
+                    absorbed = {r for x in members for r in range(n) if image[x] >> r & 1}
+                    closed = sums <= members and absorbed <= members
+                    assert core._is_closed(add, image, u) == closed, (g.name, kind, sorted(members))
+                    seen.add((g.name, closed))
+        assert seen == {(g.name, closed) for g, _ in cases for closed in (True, False)}
+
+    def test_codec_round_trip(self):
+        """`_to_bits` puts element x of each mask in column x and `_to_masks`
+        reads the masks back, on carriers of 1 to 130 elements."""
+        rng = random.Random(0)
+        for n in (1, 7, 8, 9, 64, 65, 130):
+            masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+            bits = core._to_bits(masks, n)
+            assert bits.shape == (len(masks), n)
+            assert bits.tolist() == [[mask >> x & 1 for x in range(n)] for mask in masks]
+            assert core._to_masks(bits) == masks
 
 
 class TestGenerators:

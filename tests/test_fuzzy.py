@@ -150,6 +150,33 @@ class TestIdealPredicates:
             ("crisp", True, True), ("crisp", False, True), ("crisp", False, False),
         }
 
+    def test_against_naive_off_the_chain_on_boolean_2x2(self, gb):
+        """`fuzzy_sum` and `is_fuzzy_ideal_gamma` against the oracles' loops
+        on boolean[2x2] (16 elements, not commutative), with the grades 1/4
+        and 1/3 off the default chain: seeded random subsets, the distinct
+        fuzzy ideals of every kind on the chain 0 < 1/4 < 1/3 < 1, and each
+        of those cut off at 1/4 (mu(0) < 1), so that both answers are met."""
+        g = build_matrix_gamma(gb, 2).gamma
+        carrier, n = carrier_of(g), len(g.S)
+        grades = tuple(map(Fraction, ("0", "1/4", "1/3", "1/2", "1")))
+        rng = random.Random(0)
+        chain = GradeChain.parse("0,1/4,1/3,1")
+        ideals = {
+            mu.grades for kind in ("left", "right", "two") for mu in enumerate_fuzzy_ideals(g, chain, kind, cap=4**n)
+        }
+        tuples = [tuple(rng.choices(grades, k=n)) for _ in range(100)]
+        tuples += sorted(ideals) + sorted({tuple(min(v, grades[1]) for v in mu) for mu in ideals})
+        seen = set()
+        for kind in ("left", "right", "two"):
+            for grade_tuple in tuples:
+                got = is_fuzzy_ideal_gamma(g, FuzzySubset(carrier, grade_tuple), kind)
+                assert got == naive_is_fuzzy_ideal_gamma(g, grade_tuple, kind), (kind, grade_tuple)
+                seen.add(got)
+        assert seen == {True, False}
+        for _ in range(300):
+            a, b = (FuzzySubset(carrier, rng.choice(tuples)) for _ in range(2))
+            assert fuzzy_sum(a, b) == naive_fuzzy_sum(a, b), (a.grades, b.grades)
+
 
 class TestLatticeOps:
     def test_sum_frozen_z2(self, z2):
@@ -180,16 +207,28 @@ class TestLatticeOps:
         assert characteristic(CrispSubset.of_indices(z4, [])).grades == (0, 0, 0, 0)
         assert characteristic(CrispSubset.of_indices(z4, range(4))).grades == (1, 1, 1, 1)
 
-    def test_sum_fills_no_sum_table(self, monkeypatch, z4):
+    def test_sum_fills_no_sum_table(self, monkeypatch, z4, bool_sr):
         """fuzzy_sum takes the set sum of the operands' cuts level by level
-        (`LevelCuts.sum_rows`), not the table of every pair of their cuts."""
-        tables = []
-        real = LevelCuts._table
-        monkeypatch.setattr(LevelCuts, "_table", lambda view, op: tables.append(op) or real(view, op))
+        (`core._set_sum`), not the table of every pair of their cuts, and it
+        and the four predicates decide on their operands' cuts directly:
+        none of them builds a `LevelCuts` view or a `GradeChain`."""
+        built = []
+
+        def counted(init):
+            return lambda self, *args: built.append(self) or init(self, *args)
+
+        for cls in (LevelCuts, GradeChain):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
         mu1 = FuzzySubset.of_grades(z4, [1, Fraction(1, 3), HALF, 0])
         mu2 = FuzzySubset.of_grades(z4, [1, 0, Fraction(2, 3), HALF])
+        crisp = CrispSubset.of_indices(z4, [0, 2])
         assert fuzzy_sum(mu1, mu2).grades == (1, HALF, Fraction(2, 3), HALF)
-        assert tables == []
+        assert is_fuzzy_ideal_gamma(z4, mu1) is False and is_crisp_ideal_gamma(z4, crisp) is True
+        assert is_fuzzy_ideal_semiring(bool_sr, FuzzySubset.of_grades(bool_sr, [1, HALF])) is True
+        assert is_crisp_ideal_semiring(bool_sr, CrispSubset.of_indices(bool_sr, [1])) is False
+        assert built == []
+        LevelCuts(z4, GradeChain.of(0, 1))  # the patches see a construction
+        assert [type(x) for x in built] == [GradeChain, LevelCuts]
 
     def test_sum_carrier_mismatch(self, gb, z4):
         with pytest.raises(ValueError):

@@ -170,11 +170,12 @@ def test_tables_agree_past_one_machine_word(case):
 
 
 def test_rank_array_unpacks_each_mask_once(monkeypatch):
-    """`rank_array` keeps the bits of the masks it has unpacked and, on a
-    later call, unpacks only the masks interned since; the ranks are the
-    cut counts of the cut tuples, past one machine word too."""
-    cuts, unpacked, real = LevelCuts(WIDE, CHAINS[1]), [], LevelCuts._unpacked
-    monkeypatch.setattr(LevelCuts, "_unpacked", lambda view, masks: unpacked.append(masks) or real(view, masks))
+    """`rank_array` keeps the bits of the masks it has unpacked (with
+    `core._to_bits`) and, on a later call, unpacks only the masks interned
+    since; the ranks are the cut counts of the cut tuples, past one machine
+    word too."""
+    cuts, unpacked, real = LevelCuts(WIDE, CHAINS[1]), [], core._to_bits
+    monkeypatch.setattr(core, "_to_bits", lambda masks, n: unpacked.append(masks) or real(masks, n))
     tuples = [(7, 3, 1), (7, 3, 3), (1 << 127 | 7, 7, 0), (7, 3, 1)]
     cuts.rank_array(family(cuts, tuples[:2]))
     ranks = cuts.rank_array(family(cuts, tuples[2:]))

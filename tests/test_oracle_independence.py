@@ -1,15 +1,20 @@
 """The oracles must not call the library functions they are the reference
-for: the fuzzy sum and the ideal predicates run on `LevelCuts`, and an
-oracle built on them would check the level-cut engine against itself; the
-row references `first_repeat` and `unmatched` check the suites'
-`_unmatched` and `_Pairs.injective`."""
+for: the fuzzy sum and the ideal predicates run on the crisp-set kernel of
+`core` (`_set_sum`, `_is_closed`, the mask <-> bits codec `_to_bits` and
+`_to_masks`, and `_absorption_images`), as `LevelCuts` does, and an oracle
+built on any of them would check the kernel against itself; the row
+references `first_repeat` and `unmatched` check the suites' `_unmatched`
+and `_Pairs.injective`."""
 
 import ast
 import re
 from pathlib import Path
 
 ORACLES = Path(__file__).parent / "oracles.py"
-ENGINE_NAMES = re.compile(r"fuzzy_sum|is_(fuzzy|crisp)_ideal_\w+|_unmatched|injective")
+ENGINE_NAMES = re.compile(
+    r"fuzzy_sum|is_(fuzzy|crisp)_ideal_\w+|_set_sum|_is_closed|_to_bits|_to_masks|_absorption_images"
+    r"|_unmatched|injective"
+)
 
 
 def _names(node: ast.AST) -> list[str]:
@@ -40,6 +45,9 @@ def test_the_guard_sees_every_way_of_naming_them():
     loop references, whose names only contain them, are not."""
     source = (
         "from gsl.fuzzy import fuzzy_sum, is_crisp_ideal_gamma\n"
+        "core._set_sum(add, u, v) or core._is_closed(add, image, m)\n"
+        "from gsl.core import _to_bits, _to_masks, _absorption_images\n"
+        "naive_absorption_images(g, kind) and set_sum(u, v)\n"
         "import gsl.fuzzy.is_fuzzy_ideal_semiring\n"
         "fuzzy.is_fuzzy_ideal_gamma(g, mu)\n"
         "is_crisp_ideal_semiring(r, s)\n"
@@ -51,5 +59,6 @@ def test_the_guard_sees_every_way_of_naming_them():
     names = [name for node in ast.walk(ast.parse(source)) for name in _names(node) if ENGINE_NAMES.fullmatch(name)]
     assert sorted(names) == sorted([
         "fuzzy_sum", "is_crisp_ideal_gamma", "is_fuzzy_ideal_semiring", "is_fuzzy_ideal_gamma", "is_crisp_ideal_semiring",
+        "_set_sum", "_is_closed", "_to_bits", "_to_masks", "_absorption_images",
         "_unmatched", "_unmatched", "injective",
     ])
